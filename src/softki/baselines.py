@@ -22,7 +22,7 @@ from .data import Dataset
 from .errors import TooLarge
 from .kernel import MaternParams, matern32, matern32_param_grads
 from .objective import Gradients, ObjectiveReport, LOG_2PI
-from .posterior import gaussian_nll, stacked_qr_solve
+from .posterior import normal_equations, score, stacked_qr_solve
 
 EXACT_GP_MAX_POINTS = 4096
 
@@ -57,11 +57,7 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
     b = linalg.tri_solve_upper(u_zz, k_xz.T, transpose=True).T   # K_xz U^-1
     m_mat = beta2 * np.eye(m) + b.T @ b
     u_m, _ = linalg.cholesky_upper(m_mat, jitter_schedule)
-
-    def m_solve(v):
-        return linalg.tri_solve_upper(u_m, linalg.tri_solve_upper(u_m, v, transpose=True))
-
-    a = (y - b @ m_solve(b.T @ y)) / beta2
+    a = (y - b @ linalg.chol_solve(u_m, b.T @ y)) / beta2
     quad = float(y @ a)
     logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(np.sum(np.log(np.diagonal(u_m))))
     log_n = -0.5 * (quad + logdet + n * LOG_2PI)
@@ -72,9 +68,9 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
     # gradients: G = (a a^T - D^-1)/2 acts through K_xz and K_zz
     p = linalg.tri_solve_upper(u_zz, b.T).T                      # K_xz K_zz^-1
     pa = p.T @ a
-    d_inv_p = (p - b @ m_solve(b.T @ p)) / beta2
+    d_inv_p = (p - b @ linalg.chol_solve(u_m, b.T @ p)) / beta2
     gp = 0.5 * (np.outer(a, a @ p) - d_inv_p)                    # G P, (n, m)
-    pt_d_inv_p = (p.T @ p - (p.T @ b) @ m_solve(b.T @ p)) / beta2
+    pt_d_inv_p = (p.T @ p - (p.T @ b) @ linalg.chol_solve(u_m, b.T @ p)) / beta2
     pt_g_p = 0.5 * (np.outer(pa, pa) - pt_d_inv_p)               # P^T G P
 
     u_m_inv = linalg.tri_solve_upper(u_m, np.eye(m))
@@ -125,13 +121,10 @@ def sgpr_fit(data: Dataset, hp: SGPRHyperparams, solver: str = "qr") -> SGPRPost
         diag.update(qr_diag)
         factor = r
     elif solver == "direct":
-        c_mat = k_zz + (k_xz.T @ k_xz) / beta**2
+        c_mat, rhs = normal_equations(k_zz, k_xz, y, beta)
         factor, jc = linalg.cholesky_upper(c_mat)
         diag["jitter_c"] = jc
-        rhs = k_xz.T @ y / beta**2
-        alpha = linalg.tri_solve_upper(
-            factor, linalg.tri_solve_upper(factor, rhs, transpose=True)
-        )
+        alpha = linalg.chol_solve(factor, rhs)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     return SGPRPosterior(hp=hp, u_zz=u_zz, factor=factor, alpha=alpha, diagnostics=diag)
@@ -155,11 +148,8 @@ def sgpr_predict_var(post: SGPRPosterior, xs: np.ndarray) -> np.ndarray:
 
 
 def sgpr_test_metrics(post: SGPRPosterior, xs: np.ndarray, ys: np.ndarray):
-    mean = sgpr_predict_mean(post, xs)
-    var = sgpr_predict_var(post, xs)
-    rmse = float(np.sqrt(np.mean((mean - ys) ** 2)))
-    nll = gaussian_nll(ys, mean, var + post.hp.noise**2)
-    return rmse, nll
+    return score(ys, sgpr_predict_mean(post, xs), sgpr_predict_var(post, xs),
+                 post.hp.noise)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +167,11 @@ def exact_gp_mll(x: np.ndarray, y: np.ndarray, noise: float,
     beta2 = noise * noise
     k = matern32(x, x, kernel) + beta2 * np.eye(n)
     u, jit = linalg.cholesky_upper(k)
-    a = linalg.tri_solve_upper(u, linalg.tri_solve_upper(u, y, transpose=True))
+    a = linalg.chol_solve(u, y)
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(u))))
     value = -0.5 * (float(y @ a) + logdet + n * LOG_2PI)
 
-    k_inv = linalg.tri_solve_upper(u, linalg.tri_solve_upper(u, np.eye(n), transpose=True))
+    k_inv = linalg.chol_solve(u, np.eye(n))
     g = 0.5 * (np.outer(a, a) - k_inv)
     kg = matern32_param_grads(x, x, kernel, g, want_x=False, want_z=False)
     grads = Gradients(
@@ -200,7 +190,6 @@ class ExactGP:
     kernel: MaternParams
     u: np.ndarray
     alpha: np.ndarray
-    mll: float
 
     @classmethod
     def fit(cls, data: Dataset, noise: float, kernel: MaternParams) -> "ExactGP":
@@ -210,11 +199,9 @@ class ExactGP:
             raise TooLarge(f"exact GP capped at {EXACT_GP_MAX_POINTS} points, got {n}")
         k = matern32(x, x, kernel) + noise**2 * np.eye(n)
         u, _ = linalg.cholesky_upper(k)
-        alpha = linalg.tri_solve_upper(u, linalg.tri_solve_upper(u, y, transpose=True))
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(u))))
-        mll = -0.5 * (float(y @ alpha) + logdet + n * LOG_2PI)
+        alpha = linalg.chol_solve(u, y)
         return cls(x=np.asarray(x, dtype=float), noise=float(noise), kernel=kernel,
-                   u=u, alpha=alpha, mll=mll)
+                   u=u, alpha=alpha)
 
     def predict_mean(self, xs: np.ndarray) -> np.ndarray:
         k_sx = matern32(np.atleast_2d(xs), self.x, self.kernel)
@@ -227,8 +214,4 @@ class ExactGP:
         return np.maximum(var, 0.0)
 
     def test_metrics(self, xs: np.ndarray, ys: np.ndarray):
-        mean = self.predict_mean(xs)
-        var = self.predict_var(xs)
-        rmse = float(np.sqrt(np.mean((mean - ys) ** 2)))
-        nll = gaussian_nll(ys, mean, var + self.noise**2)
-        return rmse, nll
+        return score(ys, self.predict_mean(xs), self.predict_var(xs), self.noise)

@@ -120,87 +120,74 @@ def load_checkpoint(path) -> Checkpoint:
     if fields.get("sha256") != digest:
         raise ChecksumOrVersionMismatch("payload sha256 does not match header")
 
-    n, m, d = (int(fields[k]) for k in ("n", "m", "d"))
-    stats = Standardization(
-        x_mean=np.array([float(v) for v in fields["x_mean"].split()]),
-        x_std=np.array([float(v) for v in fields["x_std"].split()]),
-        y_mean=float(fields["y_mean"]),
-        y_std=float(fields["y_std"]),
-    )
     z, temps, ells, u_zz, r, alpha = _read_arrays(payload)
-    rows = n if fields["variant"] == "exact" else m
+    # the checksum covers the payload only, so a damaged header surfaces here
+    try:
+        n, m, d = (int(fields[k]) for k in ("n", "m", "d"))
+        stats = Standardization(
+            x_mean=np.array([float(v) for v in fields["x_mean"].split()]),
+            x_std=np.array([float(v) for v in fields["x_std"].split()]),
+            y_mean=float(fields["y_mean"]),
+            y_std=float(fields["y_std"]),
+        )
+        rows = n if fields["variant"] == "exact" else m
+        return Checkpoint(
+            variant=fields["variant"],
+            n=n,
+            m=m,
+            d=d,
+            stats=stats,
+            noise=float(fields["noise"]),
+            outputscale=float(fields["outputscale"]),
+            z=z.reshape(rows, d),
+            temperatures=temps,
+            lengthscales=ells,
+            u_zz=u_zz.reshape(rows, rows),
+            r=r.reshape(m, m) if r.size else r.reshape(0, 0),
+            alpha=alpha,
+        )
+    except KeyError as err:
+        raise ChecksumOrVersionMismatch(
+            f"checkpoint header lacks {err.args[0]!r}") from None
+    except ValueError as err:
+        raise ChecksumOrVersionMismatch(f"malformed checkpoint header: {err}") from None
+
+
+def _bundle(variant: str, stats: Standardization, n: int, noise: float, kernel,
+            z: np.ndarray, u_zz: np.ndarray, r: np.ndarray, alpha: np.ndarray,
+            temperatures: np.ndarray | None = None) -> Checkpoint:
     return Checkpoint(
-        variant=fields["variant"],
+        variant=variant,
         n=n,
-        m=m,
-        d=d,
+        m=z.shape[0],
+        d=z.shape[1],
         stats=stats,
-        noise=float(fields["noise"]),
-        outputscale=float(fields["outputscale"]),
-        z=z.reshape(rows, d),
-        temperatures=temps,
-        lengthscales=ells,
-        u_zz=u_zz.reshape(rows, rows),
-        r=r.reshape(m, m) if r.size else r.reshape(0, 0),
+        noise=noise,
+        outputscale=kernel.outputscale,
+        z=z,
+        temperatures=np.empty(0) if temperatures is None else temperatures,
+        lengthscales=kernel.lengthscales,
+        u_zz=u_zz,
+        r=r,
         alpha=alpha,
     )
 
 
 def bundle_softki(post, stats: Standardization, n: int) -> Checkpoint:
     hp = post.hp
-    return Checkpoint(
-        variant="softki",
-        n=n,
-        m=hp.interp.z.shape[0],
-        d=hp.interp.z.shape[1],
-        stats=stats,
-        noise=hp.noise,
-        outputscale=hp.kernel.outputscale,
-        z=hp.interp.z,
-        temperatures=hp.interp.temperatures,
-        lengthscales=hp.kernel.lengthscales,
-        u_zz=post.u_zz,
-        r=post.r,
-        alpha=post.alpha,
-    )
+    return _bundle("softki", stats, n, hp.noise, hp.kernel, hp.interp.z,
+                   post.u_zz, post.r, post.alpha, hp.interp.temperatures)
 
 
 def bundle_sgpr(post, stats: Standardization, n: int) -> Checkpoint:
     hp = post.hp
-    return Checkpoint(
-        variant="sgpr",
-        n=n,
-        m=hp.z.shape[0],
-        d=hp.z.shape[1],
-        stats=stats,
-        noise=hp.noise,
-        outputscale=hp.kernel.outputscale,
-        z=hp.z,
-        temperatures=np.empty(0),
-        lengthscales=hp.kernel.lengthscales,
-        u_zz=post.u_zz,
-        r=post.factor,
-        alpha=post.alpha,
-    )
+    return _bundle("sgpr", stats, n, hp.noise, hp.kernel, hp.z,
+                   post.u_zz, post.factor, post.alpha)
 
 
 def bundle_exact(gp, stats: Standardization) -> Checkpoint:
-    n = gp.x.shape[0]
-    return Checkpoint(
-        variant="exact",
-        n=n,
-        m=n,
-        d=gp.x.shape[1],
-        stats=stats,
-        noise=gp.noise,
-        outputscale=gp.kernel.outputscale,
-        z=gp.x,
-        temperatures=np.empty(0),
-        lengthscales=gp.kernel.lengthscales,
-        u_zz=gp.u,
-        r=np.empty((0, 0)),
-        alpha=gp.alpha,
-    )
+    return _bundle("exact", stats, gp.x.shape[0], gp.noise, gp.kernel, gp.x,
+                   gp.u, np.empty((0, 0)), gp.alpha)
 
 
 def restore(ck: Checkpoint):
@@ -219,10 +206,7 @@ def restore(ck: Checkpoint):
             kernel=kernel,
             interp=InterpolationState(z=ck.z, temperatures=ck.temperatures),
         )
-        post = FittedPosterior(
-            hp=hp, u_zz=ck.u_zz, r=ck.r, alpha=ck.alpha,
-            projected_rhs=ck.r @ ck.alpha,
-        )
+        post = FittedPosterior(hp=hp, u_zz=ck.u_zz, r=ck.r, alpha=ck.alpha)
         return (lambda xs: predict_mean(post, xs)), (lambda xs: predict_var(post, xs))
     if ck.variant == "sgpr":
         post = SGPRPosterior(
@@ -234,6 +218,6 @@ def restore(ck: Checkpoint):
         )
     if ck.variant == "exact":
         gp = ExactGP(x=ck.z, noise=ck.noise, kernel=kernel, u=ck.u_zz,
-                     alpha=ck.alpha, mll=float("nan"))
+                     alpha=ck.alpha)
         return gp.predict_mean, gp.predict_var
     raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {ck.variant!r}")

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import linalg
 from . import report as rpt
 from .baselines import ExactGP, sgpr_fit, sgpr_test_metrics
 from .data import (
@@ -24,20 +23,16 @@ from .data import (
     apply_stats,
     identity_stats,
     load_csv,
-    ricker_dataset,
     ricker_raw,
     split_raw,
-    split_standardize,
+    standardize,
 )
 from .errors import DimensionMismatch, SoftKIError
-from .kernel import matern32
 from .posterior import (
     DEFAULT_STUDY_METHODS,
-    FittedPosterior,
-    alt_solve,
-    fit_qr,
-    gaussian_nll,
+    fit_posterior,
     near_degenerate_instance,
+    score,
     solver_study,
     test_metrics,
 )
@@ -167,19 +162,22 @@ def _config_echo(opts: dict, values: dict) -> list:
 # shared run plumbing
 
 
-def _load_split(values: dict):
+def _load_raw(values: dict):
+    """Raw (train, test) splits of the --data source."""
     if values["data"] == "ricker":
-        return ricker_dataset(seed=values["seed"])
+        return ricker_raw(seed=values["seed"])
     full = load_csv(values["data"], header=values["header"],
                     target_column=values["target-column"])
-    if values["standardize"]:
-        return split_standardize(full, train_fraction=values["train-frac"],
-                                 seed=values["seed"])
+    return split_raw(full, train_fraction=values["train-frac"], seed=values["seed"])
+
+
+def _load_split(values: dict):
+    raw_tr, raw_te = _load_raw(values)
+    if values["data"] == "ricker" or values["standardize"]:
+        return standardize(raw_tr, raw_te)
     # raw passthrough; identity statistics keep checkpoints and the
     # raw-scale metrics well defined
-    raw_tr, raw_te = split_raw(full, train_fraction=values["train-frac"],
-                               seed=values["seed"])
-    stats = identity_stats(full.x.shape[1])
+    stats = identity_stats(raw_tr.x.shape[1])
     return (
         Dataset(x=raw_tr.x, y=raw_tr.y, stats=stats, split="train"),
         Dataset(x=raw_te.x, y=raw_te.y, stats=stats, split="test"),
@@ -207,59 +205,32 @@ def _train_config(values: dict) -> TrainConfig:
     )
 
 
-def _fit_softki(data, hp, solver: str) -> FittedPosterior:
-    if solver == "qr":
-        return fit_qr(data, hp)
-    res = alt_solve(data, hp, solver)
-    if res.alpha is None or not np.all(np.isfinite(res.alpha)):
-        raise SoftKIError(f"{solver} solve failed: {res.error or 'non-finite'}")
-    # non-QR routes only produce alpha; rebuild triangular factors densely so
-    # variances and the checkpoint stay available
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
-    u_zz, _ = linalg.cholesky_upper(k_zz)
-    khat = _cross(data.x, hp)
-    chat = k_zz + (khat.T @ khat) / hp.noise**2
-    r, _ = linalg.cholesky_upper(chat)
-    return FittedPosterior(hp=hp, u_zz=u_zz, r=r, alpha=res.alpha,
-                           projected_rhs=r @ res.alpha)
-
-
-def _cross(x, hp):
-    from .interp import softmax_weights
-
-    return softmax_weights(x, hp.interp) @ matern32(hp.interp.z, hp.interp.z,
-                                                    hp.kernel)
+# model -> (train, fit, test metrics, checkpoint bundle), called alike
+_MODELS = {
+    "softki": (train, fit_posterior, test_metrics, ckpt.bundle_softki),
+    "sgpr": (train_sgpr, sgpr_fit, sgpr_test_metrics, ckpt.bundle_sgpr),
+    "exact": (
+        train_exact,
+        lambda data, params, solver: ExactGP.fit(data, params["noise"],
+                                                 params["kernel"]),
+        ExactGP.test_metrics,
+        lambda gp, stats, n: ckpt.bundle_exact(gp, stats),
+    ),
+}
 
 
 def _train_model(values: dict, train_data, test_data) -> dict:
-    cfg = _train_config(values)
-    stats = train_data.stats
-    model = values["model"]
-    has_test = len(test_data) > 0
-
-    if model == "softki":
-        hp, trace = train(train_data, cfg)
-        post = _fit_softki(train_data, hp, values["solver"])
-        rmse, nll = (test_metrics(post, test_data.x, test_data.y)
-                     if has_test else (float("nan"), float("nan")))
-        bundle = ckpt.bundle_softki(post, stats, len(train_data))
-    elif model == "sgpr":
-        if values["solver"] not in ("qr", "direct"):
-            raise ValueError(f"solver {values['solver']!r} not supported for sgpr")
-        hp, trace = train_sgpr(train_data, cfg)
-        post = sgpr_fit(train_data, hp, solver=values["solver"])
-        rmse, nll = (sgpr_test_metrics(post, test_data.x, test_data.y)
-                     if has_test else (float("nan"), float("nan")))
-        bundle = ckpt.bundle_sgpr(post, stats, len(train_data))
-    elif model == "exact":
-        params, trace = train_exact(train_data, cfg)
-        gp = ExactGP.fit(train_data, params["noise"], params["kernel"])
-        rmse, nll = (gp.test_metrics(test_data.x, test_data.y)
-                     if has_test else (float("nan"), float("nan")))
-        bundle = ckpt.bundle_exact(gp, stats)
-    else:
+    model, solver = values["model"], values["solver"]
+    if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
-
+    if model == "sgpr" and solver not in ("qr", "direct"):
+        raise ValueError(f"solver {solver!r} not supported for sgpr")
+    train_fn, fit_fn, metrics_fn, bundle_fn = _MODELS[model]
+    hp, trace = train_fn(train_data, _train_config(values))
+    post = fit_fn(train_data, hp, solver)
+    rmse, nll = (metrics_fn(post, test_data.x, test_data.y)
+                 if len(test_data) > 0 else (float("nan"), float("nan")))
+    stats = train_data.stats
     return {
         "metrics": {
             "rmse": float(rmse),
@@ -267,7 +238,7 @@ def _train_model(values: dict, train_data, test_data) -> dict:
             "rmse_raw": float(rmse) * stats.y_std,
         },
         "trace": trace,
-        "checkpoint": bundle,
+        "checkpoint": bundle_fn(post, stats, len(train_data)),
     }
 
 
@@ -316,20 +287,10 @@ def cmd_train(values: dict, outdir: Path) -> int:
     return 0
 
 
-def _load_raw_split(values: dict):
-    if values["data"] == "ricker":
-        raw_tr, raw_te = ricker_raw(seed=values["seed"])
-    else:
-        full = load_csv(values["data"], header=values["header"],
-                        target_column=values["target-column"])
-        raw_tr, raw_te = split_raw(full, train_fraction=values["train-frac"],
-                                   seed=values["seed"])
-    return raw_tr if values["split"] == "train" else raw_te
-
-
 def cmd_eval(values: dict, outdir: Path) -> int:
     bundle = ckpt.load_checkpoint(values["checkpoint"])
-    raw = _load_raw_split(values)
+    raw_tr, raw_te = _load_raw(values)
+    raw = raw_tr if values["split"] == "train" else raw_te
     if len(raw) == 0:
         raise ValueError("selected split has no points")
     if raw.x.shape[1] != bundle.d:
@@ -340,8 +301,7 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     mean_fn, var_fn = ckpt.restore(bundle)
     mean = mean_fn(xs)
     var = var_fn(xs)
-    rmse = float(np.sqrt(np.mean((mean - ys) ** 2)))
-    nll = gaussian_nll(ys, mean, var + bundle.noise**2)
+    rmse, nll = score(ys, mean, var, bundle.noise)
     rmse_raw = rmse * bundle.stats.y_std
 
     lines = _config_echo(EVAL_OPTS, values) + [

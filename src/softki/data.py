@@ -6,6 +6,7 @@ de-standardizes explicitly.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -50,7 +51,8 @@ def load_csv(path, header: bool = False, target_column: int = -1) -> Dataset:
 
     target_column: -1 takes the last column as the target, otherwise a
     0-based column index. Raises ParseError with the 1-based physical row and
-    column of the first bad cell, EmptyFile when no data rows exist.
+    column of the first cell that is not a finite number, EmptyFile when no
+    data rows exist.
     """
     rows = []
     width = None
@@ -69,9 +71,12 @@ def load_csv(path, header: bool = False, target_column: int = -1) -> Dataset:
             parsed = np.empty(width)
             for col, cell in enumerate(cells):
                 try:
-                    parsed[col] = float(cell)
+                    value = float(cell)
                 except ValueError:
-                    raise ParseError(lineno, col + 1, cell) from None
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ParseError(lineno, col + 1, cell)
+                parsed[col] = value
             rows.append(parsed)
     if not rows:
         raise EmptyFile(f"{path} has no data rows")
@@ -131,15 +136,20 @@ def split_raw(data: Dataset, train_fraction: float = 0.9, seed: int = 0):
     )
 
 
-def split_standardize(data: Dataset, train_fraction: float = 0.9, seed: int = 0):
-    """Shuffle, split, and standardize with training-split statistics only."""
-    raw_tr, raw_te = split_raw(data, train_fraction, seed)
+def standardize(raw_tr: Dataset, raw_te: Dataset):
+    """Standardize a raw (train, test) pair with training-split statistics."""
     stats = _train_stats(raw_tr.x, raw_tr.y)
     xs_tr, ys_tr = apply_stats(raw_tr.x, raw_tr.y, stats)
     xs_te, ys_te = apply_stats(raw_te.x, raw_te.y, stats)
-    train = Dataset(x=xs_tr, y=ys_tr, stats=stats, split="train")
-    test = Dataset(x=xs_te, y=ys_te, stats=stats, split="test")
-    return train, test
+    return (
+        Dataset(x=xs_tr, y=ys_tr, stats=stats, split="train"),
+        Dataset(x=xs_te, y=ys_te, stats=stats, split="test"),
+    )
+
+
+def split_standardize(data: Dataset, train_fraction: float = 0.9, seed: int = 0):
+    """Shuffle, split, and standardize with training-split statistics only."""
+    return standardize(*split_raw(data, train_fraction, seed))
 
 
 def ricker(x: np.ndarray, width: float = 1.0, amplitude: float = 1.0) -> np.ndarray:
@@ -186,11 +196,5 @@ def ricker_dataset(
     seed: int = 0,
 ):
     """Synthetic 2-D wavelet regression task, standardized with train stats."""
-    raw_tr, raw_te = ricker_raw(n_train, n_test, width, amplitude, radius, noise, seed)
-    stats = _train_stats(raw_tr.x, raw_tr.y)
-    xs_tr, ys_tr = apply_stats(raw_tr.x, raw_tr.y, stats)
-    xs_te, ys_te = apply_stats(raw_te.x, raw_te.y, stats)
-    return (
-        Dataset(x=xs_tr, y=ys_tr, stats=stats, split="train"),
-        Dataset(x=xs_te, y=ys_te, stats=stats, split="test"),
-    )
+    return standardize(*ricker_raw(n_train, n_test, width, amplitude, radius,
+                                   noise, seed))

@@ -38,13 +38,13 @@ class ObjectiveFailed(SoftKIError):
 
 
 class ParseError(SoftKIError):
-    """A CSV cell failed to parse. Carries 1-based row and column."""
+    """A CSV cell is not a finite number. Carries 1-based row and column."""
 
     def __init__(self, row: int, col: int, text: str):
         self.row = row
         self.col = col
         self.text = text
-        super().__init__(f"row {row}, col {col}: cannot parse {text!r} as a number")
+        super().__init__(f"row {row}, col {col}: cannot parse {text!r} as a finite number")
 
 
 class EmptyFile(SoftKIError):

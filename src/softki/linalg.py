@@ -94,6 +94,11 @@ def tri_solve_upper(r: np.ndarray, b: np.ndarray, transpose: bool = False) -> np
     return scipy.linalg.solve_triangular(r, b, lower=False, trans="T" if transpose else "N")
 
 
+def chol_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (U^T U) x = b given the upper Cholesky factor U."""
+    return tri_solve_upper(u, tri_solve_upper(u, b, transpose=True))
+
+
 @dataclass
 class CGReport:
     """Outcome of a multi-RHS conjugate-gradient solve."""

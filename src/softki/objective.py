@@ -176,12 +176,10 @@ def exact_mll(
         d_mat = w @ k_zz @ w.T + beta2 * np.eye(n, dtype=dt)
         u_d, jit = linalg.cholesky_upper(d_mat, jitter_schedule)
         diag["jitter"] = jit
-        a = linalg.tri_solve_upper(u_d, linalg.tri_solve_upper(u_d, y, transpose=True))
+        a = linalg.chol_solve(u_d, y)
         quad = float(y @ a)
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(u_d))))
-        d_inv = linalg.tri_solve_upper(
-            u_d, linalg.tri_solve_upper(u_d, np.eye(n, dtype=dt), transpose=True)
-        )
+        d_inv = linalg.chol_solve(u_d, np.eye(n, dtype=dt))
         g = 0.5 * (np.outer(a, a) - d_inv)
         g_k = w.T @ g @ w
         g_w = 2.0 * g @ (w @ k_zz)
@@ -193,13 +191,7 @@ def exact_mll(
         m_mat = beta2 * np.eye(m, dtype=dt) + b.T @ b
         u_m, jit_m = linalg.cholesky_upper(m_mat, jitter_schedule)
         diag["jitter_inner"] = jit_m
-
-        def m_solve(v):
-            return linalg.tri_solve_upper(
-                u_m, linalg.tri_solve_upper(u_m, v, transpose=True)
-            )
-
-        a = (y - b @ m_solve(b.T @ y)) / beta2           # D^-1 y by Woodbury
+        a = (y - b @ linalg.chol_solve(u_m, b.T @ y)) / beta2   # D^-1 y by Woodbury
         quad = float(y @ a)
         logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(
             np.sum(np.log(np.diagonal(u_m)))
@@ -213,9 +205,9 @@ def exact_mll(
         wt_b = w.T @ b
         g_k = 0.5 * (
             np.outer(w.T @ a, w.T @ a)
-            - (w.T @ w - wt_b @ m_solve(wt_b.T)) / beta2
+            - (w.T @ w - wt_b @ linalg.chol_solve(u_m, wt_b.T)) / beta2
         )
-        d_inv_wk = (wk - b @ m_solve(b.T @ wk)) / beta2
+        d_inv_wk = (wk - b @ linalg.chol_solve(u_m, b.T @ wk)) / beta2
         g_w = np.outer(a, a @ wk) - d_inv_wk
         tr_g = 0.5 * (float(a @ a) - tr_d_inv)
     else:
@@ -295,6 +287,11 @@ def hutchinson_pseudoloss(
     )
 
 
+def _nan_report(hp: SoftKIHyperparams, mode: str, diagnostics: dict) -> ObjectiveReport:
+    return ObjectiveReport(value=float("nan"), gradients=Gradients.nan_like(hp),
+                           mode_used=mode, diagnostics=diagnostics)
+
+
 def stabilized_objective(
     x: np.ndarray,
     y: np.ndarray,
@@ -318,12 +315,7 @@ def stabilized_objective(
         except NotPositiveDefinite as err:
             failure = str(err)
         if cfg.mode == "exact":
-            return ObjectiveReport(
-                value=float("nan"),
-                gradients=Gradients.nan_like(hp),
-                mode_used="exact",
-                diagnostics={"failure": failure},
-            )
+            return _nan_report(hp, "exact", {"failure": failure})
 
     probes = draw_probes(y.shape[0], cfg.probes, cfg.probe_seed)
     rep = hutchinson_pseudoloss(
@@ -336,12 +328,7 @@ def stabilized_objective(
     if rep.is_finite():
         return rep
     if cfg.mode == "pseudoloss":
-        return ObjectiveReport(
-            value=float("nan"),
-            gradients=Gradients.nan_like(hp),
-            mode_used="pseudoloss",
-            diagnostics=rep.diagnostics,
-        )
+        return _nan_report(hp, "pseudoloss", rep.diagnostics)
     raise ObjectiveFailed(
         f"exact objective failed ({failure}); pseudoloss non-finite as well"
     )

@@ -25,9 +25,9 @@ import scipy.linalg
 
 from . import linalg
 from .data import Dataset
-from .errors import RankDeficient
-from .interp import softmax_weights
-from .kernel import matern32
+from .errors import RankDeficient, SoftKIError
+from .interp import InterpolationState, softki_cross, softmax_weights
+from .kernel import MaternParams, matern32
 from .objective import SoftKIHyperparams
 
 DEFAULT_BLOCK_ROWS = 8192
@@ -39,7 +39,6 @@ class FittedPosterior:
     u_zz: np.ndarray           # (m, m) upper, U^T U = K_zz (+ jitter)
     r: np.ndarray              # (m, m) upper, R^T R = Chat
     alpha: np.ndarray          # (m,)
-    projected_rhs: np.ndarray  # (m,) Q^T of the stacked rhs
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -116,15 +115,31 @@ def fit_qr(
     )
     alpha = linalg.tri_solve_upper(r, c)
     diag.update({"jitter": jitter, "block_rows": block_rows, "residual": residual})
-    return FittedPosterior(
-        hp=hp, u_zz=u_zz, r=r, alpha=alpha, projected_rhs=c, diagnostics=diag
-    )
+    return FittedPosterior(hp=hp, u_zz=u_zz, r=r, alpha=alpha, diagnostics=diag)
+
+
+def fit_posterior(data: Dataset, hp: SoftKIHyperparams,
+                  solver: str = "qr") -> FittedPosterior:
+    """Fit through the stacked QR or through one of alt_solve's routes.
+
+    The non-QR routes only produce alpha; the triangular factors are then
+    taken from Cholesky factorizations of K_zz and Chat, so variances and
+    checkpoints stay available. A failed route raises SoftKIError.
+    """
+    if solver == "qr":
+        return fit_qr(data, hp)
+    _, k_zz, khat = softki_cross(data.x, hp.interp, hp.kernel)
+    chat, rhs = normal_equations(k_zz, khat, data.y, hp.noise)
+    res = _solve(data, hp, solver, chat, rhs)
+    if res.alpha is None or not np.all(np.isfinite(res.alpha)):
+        raise SoftKIError(f"{solver} solve failed: {res.error or 'non-finite'}")
+    u_zz, _ = linalg.cholesky_upper(k_zz)
+    r, _ = linalg.cholesky_upper(chat)
+    return FittedPosterior(hp=hp, u_zz=u_zz, r=r, alpha=res.alpha)
 
 
 def _cross_covariance(post: FittedPosterior, xs: np.ndarray) -> np.ndarray:
-    k_zz = matern32(post.hp.interp.z, post.hp.interp.z, post.hp.kernel)
-    w = softmax_weights(np.atleast_2d(xs), post.hp.interp)
-    return w @ k_zz
+    return softki_cross(np.atleast_2d(xs), post.hp.interp, post.hp.kernel)[2]
 
 
 def predict_mean(post: FittedPosterior, xs: np.ndarray) -> np.ndarray:
@@ -148,13 +163,15 @@ def gaussian_nll(y: np.ndarray, mean: np.ndarray, total_var: np.ndarray) -> floa
     ))
 
 
-def test_metrics(post: FittedPosterior, xs: np.ndarray, ys: np.ndarray):
-    """(rmse, nll) on the standardized scale; nll adds the noise variance."""
-    mean = predict_mean(post, xs)
-    var = predict_var(post, xs)
+def score(ys: np.ndarray, mean: np.ndarray, var: np.ndarray, noise: float):
+    """(rmse, nll) of latent predictions; nll adds the noise variance."""
     rmse = float(np.sqrt(np.mean((mean - ys) ** 2)))
-    nll = gaussian_nll(ys, mean, var + post.hp.noise**2)
-    return rmse, nll
+    return rmse, gaussian_nll(ys, mean, var + noise**2)
+
+
+def test_metrics(post: FittedPosterior, xs: np.ndarray, ys: np.ndarray):
+    """(rmse, nll) on the standardized scale."""
+    return score(ys, predict_mean(post, xs), predict_var(post, xs), post.hp.noise)
 
 
 @dataclass
@@ -174,17 +191,25 @@ def alt_solve(data: Dataset, hp: SoftKIHyperparams, method: str) -> AltSolveResu
     path, included so solver studies can tabulate it alongside the others).
     Failures are recorded on the result, not raised.
     """
-    x, y = data.x, data.y
-    beta2 = hp.noise**2
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
-    w = softmax_weights(x, hp.interp)
-    khat = w @ k_zz
-    chat = k_zz + (khat.T @ khat) / beta2
-    chat = 0.5 * (chat + chat.T)
-    rhs = khat.T @ y / beta2
+    _, k_zz, khat = softki_cross(data.x, hp.interp, hp.kernel)
+    return _solve(data, hp, method, *normal_equations(k_zz, khat, data.y, hp.noise))
 
+
+def normal_equations(k_zz: np.ndarray, cross: np.ndarray, y: np.ndarray, noise: float):
+    """Chat = K_zz + cross^T cross / noise^2, symmetrized, and cross^T y / noise^2."""
+    beta2 = noise**2
+    chat = k_zz + (cross.T @ cross) / beta2
+    return 0.5 * (chat + chat.T), cross.T @ y / beta2
+
+
+def _solve(data, hp, method: str, chat: np.ndarray, rhs: np.ndarray) -> AltSolveResult:
     def residual(alpha):
         return float(np.linalg.norm(chat @ alpha - rhs) / np.linalg.norm(rhs))
+
+    def checked(alpha):
+        if not np.all(np.isfinite(alpha)):
+            return AltSolveResult(method, alpha, np.inf, error="non-finite solution")
+        return AltSolveResult(method, alpha, residual(alpha))
 
     if method == "qr":
         try:
@@ -198,9 +223,7 @@ def alt_solve(data: Dataset, hp: SoftKIHyperparams, method: str) -> AltSolveResu
             alpha = np.linalg.solve(chat, rhs)
         except np.linalg.LinAlgError as err:
             return AltSolveResult(method, None, np.inf, error=str(err))
-        if not np.all(np.isfinite(alpha)):
-            return AltSolveResult(method, alpha, np.inf, error="non-finite solution")
-        return AltSolveResult(method, alpha, residual(alpha))
+        return checked(alpha)
 
     if method == "cholesky":
         try:
@@ -211,9 +234,7 @@ def alt_solve(data: Dataset, hp: SoftKIHyperparams, method: str) -> AltSolveResu
             u, scipy.linalg.solve_triangular(u, rhs, lower=False, trans="T"),
             lower=False,
         )
-        if not np.all(np.isfinite(alpha)):
-            return AltSolveResult(method, alpha, np.inf, error="non-finite solution")
-        return AltSolveResult(method, alpha, residual(alpha))
+        return checked(alpha)
 
     if method.startswith("cg:"):
         tol = float(method.split(":", 1)[1])
@@ -252,9 +273,6 @@ def near_degenerate_instance(n: int = 400, m: int = 24, d: int = 2,
     downstream (weights, factors, solves) stays in the instance dtype.
     Returns (data, hp).
     """
-    from .interp import InterpolationState
-    from .kernel import MaternParams
-
     dt = np.dtype(dtype)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, size=(n, d))
@@ -267,7 +285,7 @@ def near_degenerate_instance(n: int = 400, m: int = 24, d: int = 2,
         interp=InterpolationState(z=z.astype(dt), temperatures=np.ones(d, dtype=dt)),
     )
 
-    khat = _study_cross(x.astype(dt), hp)
+    khat = softki_cross(x.astype(dt), hp.interp, hp.kernel)[2]
     shared = khat @ np.repeat(rng.standard_normal(m // 2), 2).astype(dt)
     shared /= np.linalg.norm(shared)
     weak = np.zeros(n, dtype=dt)
@@ -291,7 +309,7 @@ def solver_study(data: Dataset, hp: SoftKIHyperparams,
     Returns a list of (AltSolveResult, rmse) pairs; a failed or non-finite
     solve scores inf so orderings stay well defined.
     """
-    khat = _study_cross(data.x, hp)
+    khat = softki_cross(data.x, hp.interp, hp.kernel)[2]
     rows = []
     for method in methods:
         res = alt_solve(data, hp, method)
@@ -305,7 +323,3 @@ def solver_study(data: Dataset, hp: SoftKIHyperparams,
         rows.append((res, rmse))
     return rows
 
-
-def _study_cross(x: np.ndarray, hp: SoftKIHyperparams) -> np.ndarray:
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
-    return softmax_weights(x, hp.interp) @ k_zz

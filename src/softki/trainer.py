@@ -3,12 +3,16 @@
 The loop is Algorithm-style: k-means initializes the interpolation points,
 then Adam takes ascent steps on the stabilized objective, one shuffled pass
 over the data per epoch (the last short batch is kept and normalized by its
-own size). Everything is driven by (seed, config, data) so two identical runs
-produce bitwise-identical parameters.
+own size). Everything is driven by (seed, config, data), so two identical runs
+at the same BLAS thread count produce bitwise-identical parameters; a
+different thread count changes the rounding of the BLAS reductions and with it
+the trajectory.
 
 Optimization happens on unconstrained variables: noise, output scale and
 temperatures through softplus (plus a small floor), lengthscales through a
-sigmoid scaled onto their allowed interval, interpolation points raw.
+sigmoid scaled onto their allowed interval, interpolation points raw. The
+``PARAMS`` table holds each transform, and each model lists the names it
+optimizes.
 """
 
 import os
@@ -160,82 +164,66 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.nda
 # raw <-> constrained parameter plumbing
 
 
-def softki_raw_init(z0: np.ndarray, cfg: TrainConfig, d: int) -> dict:
-    return {
-        "noise": np.atleast_1d(transforms.softplus_inv(cfg.noise_init - NOISE_FLOOR)),
-        "lengthscales": transforms.bounded_sigmoid_inv(
-            np.full(d, cfg.lengthscale_init), LENGTHSCALE_MIN, LENGTHSCALE_MAX
-        ),
-        "outputscale": np.atleast_1d(
-            transforms.softplus_inv(cfg.outputscale_init - SCALE_FLOOR)
-        ),
-        "z": np.array(z0, dtype=float),
-        "temperatures": transforms.softplus_inv(
-            np.full(d, cfg.temperature_init) - TEMP_FLOOR
-        ),
-    }
-
-
-def softki_from_raw(raw: dict) -> SoftKIHyperparams:
-    return SoftKIHyperparams(
-        noise=float(NOISE_FLOOR + transforms.softplus(raw["noise"])[0]),
-        kernel=MaternParams(
-            lengthscales=transforms.bounded_sigmoid(
-                raw["lengthscales"], LENGTHSCALE_MIN, LENGTHSCALE_MAX
-            ),
-            outputscale=float(SCALE_FLOOR + transforms.softplus(raw["outputscale"])[0]),
-        ),
-        interp=InterpolationState(
-            z=raw["z"],
-            temperatures=TEMP_FLOOR + transforms.softplus(raw["temperatures"]),
-        ),
+def _positive(floor: float):
+    return (
+        lambda u: floor + transforms.softplus(u),
+        lambda v: transforms.softplus_inv(v - floor),
+        transforms.softplus_deriv,
     )
 
 
-def softki_chain(grads: Gradients, raw: dict) -> dict:
+# name -> (to constrained, to raw, d constrained / d raw)
+PARAMS = {
+    "noise": _positive(NOISE_FLOOR),
+    "lengthscales": (
+        lambda u: transforms.bounded_sigmoid(u, LENGTHSCALE_MIN, LENGTHSCALE_MAX),
+        lambda v: transforms.bounded_sigmoid_inv(v, LENGTHSCALE_MIN, LENGTHSCALE_MAX),
+        lambda u: transforms.bounded_sigmoid_deriv(u, LENGTHSCALE_MIN, LENGTHSCALE_MAX),
+    ),
+    "outputscale": _positive(SCALE_FLOOR),
+    "z": (lambda u: u, lambda v: np.array(v, dtype=float), lambda u: 1.0),
+    "temperatures": _positive(TEMP_FLOOR),
+}
+
+SOFTKI_PARAMS = ("noise", "lengthscales", "outputscale", "z", "temperatures")
+SGPR_PARAMS = ("noise", "lengthscales", "outputscale", "z")
+EXACT_PARAMS = ("noise", "lengthscales", "outputscale")
+
+
+def raw_init(names, cfg: TrainConfig, data: Dataset) -> dict:
+    """Unconstrained starting values of the named parameters; points by k-means."""
+    d = data.x.shape[1]
+    start = {
+        "noise": cfg.noise_init,
+        "lengthscales": np.full(d, cfg.lengthscale_init),
+        "outputscale": cfg.outputscale_init,
+        "temperatures": np.full(d, cfg.temperature_init),
+    }
+    if "z" in names:
+        start["z"] = kmeans(data.x, cfg.m, seed=cfg.seed)
+    return {name: np.atleast_1d(PARAMS[name][1](start[name])) for name in names}
+
+
+def from_raw(raw: dict):
+    """Constrained hyperparameters; the model follows from the names present."""
+    c = {name: PARAMS[name][0](u) for name, u in raw.items()}
+    noise = float(c["noise"][0])
+    kernel = MaternParams(lengthscales=c["lengthscales"],
+                          outputscale=float(c["outputscale"][0]))
+    if "temperatures" in c:
+        return SoftKIHyperparams(
+            noise=noise, kernel=kernel,
+            interp=InterpolationState(z=c["z"], temperatures=c["temperatures"]),
+        )
+    if "z" in c:
+        return SGPRHyperparams(noise=noise, kernel=kernel, z=c["z"])
+    return {"noise": noise, "kernel": kernel}
+
+
+def chain(grads: Gradients, raw: dict) -> dict:
     """Map constrained-space gradients onto the unconstrained variables."""
-    return {
-        "noise": np.atleast_1d(grads.noise) * transforms.softplus_deriv(raw["noise"]),
-        "lengthscales": grads.lengthscales * transforms.bounded_sigmoid_deriv(
-            raw["lengthscales"], LENGTHSCALE_MIN, LENGTHSCALE_MAX
-        ),
-        "outputscale": np.atleast_1d(grads.outputscale)
-        * transforms.softplus_deriv(raw["outputscale"]),
-        "z": grads.z,
-        "temperatures": grads.temperatures
-        * transforms.softplus_deriv(raw["temperatures"]),
-    }
-
-
-def sgpr_raw_init(z0: np.ndarray, cfg: TrainConfig, d: int) -> dict:
-    raw = softki_raw_init(z0, cfg, d)
-    del raw["temperatures"]
-    return raw
-
-
-def sgpr_from_raw(raw: dict) -> SGPRHyperparams:
-    return SGPRHyperparams(
-        noise=float(NOISE_FLOOR + transforms.softplus(raw["noise"])[0]),
-        kernel=MaternParams(
-            lengthscales=transforms.bounded_sigmoid(
-                raw["lengthscales"], LENGTHSCALE_MIN, LENGTHSCALE_MAX
-            ),
-            outputscale=float(SCALE_FLOOR + transforms.softplus(raw["outputscale"])[0]),
-        ),
-        z=raw["z"],
-    )
-
-
-def sgpr_chain(grads: Gradients, raw: dict) -> dict:
-    return {
-        "noise": np.atleast_1d(grads.noise) * transforms.softplus_deriv(raw["noise"]),
-        "lengthscales": grads.lengthscales * transforms.bounded_sigmoid_deriv(
-            raw["lengthscales"], LENGTHSCALE_MIN, LENGTHSCALE_MAX
-        ),
-        "outputscale": np.atleast_1d(grads.outputscale)
-        * transforms.softplus_deriv(raw["outputscale"]),
-        "z": grads.z,
-    }
+    g = grads.arrays()
+    return {name: g[name] * PARAMS[name][2](u) for name, u in raw.items()}
 
 
 # --------------------------------------------------------------------------
@@ -248,10 +236,10 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _run_loop(data: Dataset, cfg: TrainConfig, from_raw, chain, objective, raw):
+def _run_loop(data: Dataset, cfg: TrainConfig, objective, names):
     x, y = data.x, data.y
     n = y.shape[0]
-    adam = Adam(raw, cfg.learning_rate)
+    adam = Adam(raw_init(names, cfg, data), cfg.learning_rate)
     trace = TrainTrace(threads=blas_threads(), config=asdict(cfg))
     step = 0
     for epoch in range(cfg.epochs):
@@ -281,8 +269,6 @@ def _run_loop(data: Dataset, cfg: TrainConfig, from_raw, chain, objective, raw):
 
 def train(data: Dataset, cfg: TrainConfig):
     """Train interpolation-GP hyperparameters; returns (hyperparams, trace)."""
-    z0 = kmeans(data.x, cfg.m, seed=cfg.seed)
-    raw = softki_raw_init(z0, cfg, data.x.shape[1])
 
     def objective(xb, yb, hp, cfg, step):
         ocfg = ObjectiveConfig(
@@ -296,52 +282,24 @@ def train(data: Dataset, cfg: TrainConfig):
         )
         return stabilized_objective(xb, yb, hp, ocfg)
 
-    return _run_loop(data, cfg, softki_from_raw, softki_chain, objective, raw)
+    return _run_loop(data, cfg, objective, SOFTKI_PARAMS)
 
 
 def train_sgpr(data: Dataset, cfg: TrainConfig):
     """Full-batch SGPR training with the same loop and optimizer."""
-    z0 = kmeans(data.x, cfg.m, seed=cfg.seed)
-    raw = sgpr_raw_init(z0, cfg, data.x.shape[1])
     full = TrainConfig(**{**asdict(cfg), "batch_size": len(data)})
 
     def objective(xb, yb, hp, cfg, step):
         return sgpr_elbo(xb, yb, hp)
 
-    return _run_loop(data, full, sgpr_from_raw, sgpr_chain, objective, raw)
+    return _run_loop(data, full, objective, SGPR_PARAMS)
 
 
 def train_exact(data: Dataset, cfg: TrainConfig):
     """Full-batch exact GP hyperparameter training (dense, small n only)."""
-    raw = {
-        "noise": np.atleast_1d(transforms.softplus_inv(cfg.noise_init - NOISE_FLOOR)),
-        "lengthscales": transforms.bounded_sigmoid_inv(
-            np.full(data.x.shape[1], cfg.lengthscale_init),
-            LENGTHSCALE_MIN, LENGTHSCALE_MAX,
-        ),
-        "outputscale": np.atleast_1d(
-            transforms.softplus_inv(cfg.outputscale_init - SCALE_FLOOR)
-        ),
-    }
-
-    def from_raw(raw):
-        return {
-            "noise": float(NOISE_FLOOR + transforms.softplus(raw["noise"])[0]),
-            "kernel": MaternParams(
-                lengthscales=transforms.bounded_sigmoid(
-                    raw["lengthscales"], LENGTHSCALE_MIN, LENGTHSCALE_MAX
-                ),
-                outputscale=float(SCALE_FLOOR + transforms.softplus(raw["outputscale"])[0]),
-            ),
-        }
-
-    def chain(grads, raw):
-        out = sgpr_chain(grads, raw)
-        del out["z"]
-        return out
 
     def objective(xb, yb, hp, cfg, step):
         return exact_gp_mll(xb, yb, hp["noise"], hp["kernel"])
 
     full = TrainConfig(**{**asdict(cfg), "batch_size": len(data)})
-    return _run_loop(data, full, from_raw, chain, objective, raw)
+    return _run_loop(data, full, objective, EXACT_PARAMS)

@@ -170,6 +170,20 @@ def test_internally_truncated_payload_is_detected(tmp_path, fitted):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("old, new", [
+    (b"\nn ", b"\nsize "),                    # required key missing
+    (b"\nm ", b"\nm twelve "),               # count does not parse
+    (b"\nnoise ", b"\nnoise loud "),         # scalar does not parse
+    (b"\nd ", b"\nd 7"),                     # sizes do not fit the payload
+])
+def test_malformed_header_is_detected(tmp_path, fitted, old, new):
+    path, blob = saved_bytes(tmp_path, fitted)
+    assert blob.count(old) == 1
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(ChecksumOrVersionMismatch, match="header"):
+        load_checkpoint(path)
+
+
 def test_restore_rejects_unknown_variant(fitted):
     train, _, post = fitted
     ck = bundle_softki(post, train.stats, len(train))

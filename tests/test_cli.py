@@ -164,6 +164,23 @@ def test_eval_rejects_mismatched_dimensions(tmp_path, wave_csv):
     assert read_report(out / "error.txt")["error"] == "DimensionMismatch"
 
 
+def test_eval_rejects_checkpoint_with_missing_header_key(tmp_path, wave_csv):
+    run = tmp_path / "run"
+    assert train_into(run, wave_csv) == 0
+    ckpt = run / "checkpoint.bin"
+    head, end, payload = ckpt.read_bytes().partition(b"end-header\n")
+    head = b"".join(line for line in head.splitlines(keepends=True)
+                    if not line.startswith(b"n "))
+    ckpt.write_bytes(head + end + payload)
+    out = tmp_path / "eval"
+    rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(wave_csv),
+               "--out", str(out)])
+    assert rc == 1
+    report = read_report(out / "error.txt")
+    assert report["error"] == "ChecksumOrVersionMismatch"
+    assert "'n'" in report["message"]
+
+
 # -------------------------------------------------------------------- config
 
 

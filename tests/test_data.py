@@ -56,6 +56,14 @@ def test_bad_cell_reports_one_based_position(tmp_path):
     assert "abc" in str(info.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_reports_its_position(tmp_path, cell):
+    with pytest.raises(ParseError) as info:
+        load_csv(write(tmp_path, f"1,2,3\n4,{cell},6\n"))
+    assert (info.value.row, info.value.col) == (2, 2)
+    assert info.value.text == cell
+
+
 def test_ragged_row_reports_first_extra_or_missing_column(tmp_path):
     with pytest.raises(ParseError) as info:
         load_csv(write(tmp_path, "1,2,3\n4,5\n"))

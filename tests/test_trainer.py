@@ -7,15 +7,21 @@ from softki import TrainConfig, ricker_dataset, train, train_exact, train_sgpr
 from softki.data import Dataset
 from softki.errors import TooFewPoints
 from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN
+from softki.objective import Gradients
 from softki.trainer import (
+    EXACT_PARAMS,
     NOISE_FLOOR,
+    PARAMS,
     SCALE_FLOOR,
+    SGPR_PARAMS,
+    SOFTKI_PARAMS,
     TEMP_FLOOR,
     Adam,
     _epoch_batches,
     _rng,
     _SHUFFLE,
     blas_threads,
+    chain,
     kmeans,
 )
 
@@ -243,3 +249,40 @@ def test_train_exact_returns_kernel_and_noise():
     assert hp["noise"] >= NOISE_FLOOR
     assert len(trace.epoch_objectives) == 3
     assert trace.epoch_objectives[-1] >= trace.epoch_objectives[0]
+
+
+# ------------------------------------------------------------ parameter table
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_parameter_table_round_trips(name):
+    to_constrained, to_raw, _ = PARAMS[name]
+    u = np.linspace(-4.0, 4.0, 9)
+    assert np.allclose(to_raw(to_constrained(u)), u, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("names", [SOFTKI_PARAMS, SGPR_PARAMS, EXACT_PARAMS],
+                         ids=["softki", "sgpr", "exact"])
+def test_chain_matches_finite_differences_of_the_table(names):
+    rng = np.random.default_rng(0)
+    shapes = {"noise": (1,), "lengthscales": (3,), "outputscale": (1,),
+              "z": (4, 3), "temperatures": (3,)}
+    raw = {name: rng.standard_normal(shapes[name]) for name in names}
+    upstream = {name: rng.standard_normal(shapes[name]) for name in names}
+    grads = Gradients(
+        noise=float(upstream["noise"][0]),
+        lengthscales=upstream["lengthscales"],
+        outputscale=float(upstream["outputscale"][0]),
+        z=upstream.get("z"),
+        temperatures=upstream.get("temperatures"),
+    )
+    out = chain(grads, raw)
+    assert set(out) == set(names)
+    h = 1e-6
+    for name in names:
+        # every transform is elementwise, so one shifted evaluation gives
+        # each element's own derivative
+        f = PARAMS[name][0]
+        fd = (f(raw[name] + h) - f(raw[name] - h)) / (2.0 * h)
+        np.testing.assert_allclose(out[name], upstream[name] * fd,
+                                   rtol=1e-6, atol=1e-9, err_msg=name)
