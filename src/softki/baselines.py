@@ -9,11 +9,13 @@ evaluated through B = K_xz U^-1 (U upper Cholesky of K_zz), so neither K_xx
 nor Q is ever materialized: tr(K_xx) is n * outputscale for a stationary
 kernel and tr(Q) = ||B||_F^2. The posterior uses C = K_zz + K_zx K_xz / beta^2
 with mean K_*z C^-1 K_zx y / beta^2 and variance
-K_** - K_*z (K_zz^-1 - C^-1) K_z*; the QR variant solves for alpha through the
-same stacked row-block factorization the interpolation posterior uses.
+K_** - K_*z (K_zz^-1 - C^-1) K_z*, i.e. the posterior form with phi = K_*z,
+v = alpha and P = K_zz^-1 - C^-1; the QR variant solves for alpha through the
+same stacked row-block factorization the interpolation posterior uses. The
+exact GP is the same form with the training inputs as points and P = K^-1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from .data import Dataset
 from .errors import TooLarge
 from .kernel import MaternParams, matern32, matern32_param_grads
 from .objective import Gradients, ObjectiveReport, LOG_2PI
-from .posterior import normal_equations, score, stacked_qr_solve
+from .posterior import (Posterior, normal_equations, predict_mean, predict_var,
+                        stacked_qr_solve, test_metrics)
 
 EXACT_GP_MAX_POINTS = 4096
 
@@ -95,16 +98,7 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
     )
 
 
-@dataclass
-class SGPRPosterior:
-    hp: SGPRHyperparams
-    u_zz: np.ndarray       # (m, m) upper, U^T U = K_zz (+ jitter)
-    factor: np.ndarray     # (m, m) upper, factor^T factor = C
-    alpha: np.ndarray      # (m,)
-    diagnostics: dict = field(default_factory=dict)
-
-
-def sgpr_fit(data: Dataset, hp: SGPRHyperparams, solver: str = "qr") -> SGPRPosterior:
+def sgpr_fit(data: Dataset, hp: SGPRHyperparams, solver: str = "qr") -> Posterior:
     """Fit inducing-point representer weights by QR stacking or a dense solve."""
     x, y = data.x, data.y
     beta = hp.noise
@@ -114,12 +108,11 @@ def sgpr_fit(data: Dataset, hp: SGPRHyperparams, solver: str = "qr") -> SGPRPost
     diag = {"jitter": jit, "solver": solver}
 
     if solver == "qr":
-        r, c, _, qr_diag = stacked_qr_solve(
+        factor, c, _, qr_diag = stacked_qr_solve(
             iter([(k_xz / beta, y / beta)]), u_zz
         )
-        alpha = linalg.tri_solve_upper(r, c)
+        alpha = linalg.tri_solve_upper(factor, c)
         diag.update(qr_diag)
-        factor = r
     elif solver == "direct":
         c_mat, rhs = normal_equations(k_zz, k_xz, y, beta)
         factor, jc = linalg.cholesky_upper(c_mat)
@@ -127,29 +120,20 @@ def sgpr_fit(data: Dataset, hp: SGPRHyperparams, solver: str = "qr") -> SGPRPost
         alpha = linalg.chol_solve(factor, rhs)
     else:
         raise ValueError(f"unknown solver {solver!r}")
-    return SGPRPosterior(hp=hp, u_zz=u_zz, factor=factor, alpha=alpha, diagnostics=diag)
+    p = linalg.chol_inverse(u_zz) - linalg.chol_inverse(factor)
+    return Posterior("sgpr", hp, alpha, p, diag)
 
 
-def sgpr_predict_mean(post: SGPRPosterior, xs: np.ndarray) -> np.ndarray:
-    k_sz = matern32(np.atleast_2d(xs), post.hp.z, post.hp.kernel)
-    return k_sz @ post.alpha
+def sgpr_predict_mean(post: Posterior, xs: np.ndarray) -> np.ndarray:
+    return predict_mean(post, xs)
 
 
-def sgpr_predict_var(post: SGPRPosterior, xs: np.ndarray) -> np.ndarray:
-    k_sz = matern32(np.atleast_2d(xs), post.hp.z, post.hp.kernel)
-    prior_term = linalg.tri_solve_upper(post.u_zz, k_sz.T, transpose=True)
-    post_term = linalg.tri_solve_upper(post.factor, k_sz.T, transpose=True)
-    var = (
-        post.hp.kernel.outputscale
-        - np.einsum("ij,ij->j", prior_term, prior_term)
-        + np.einsum("ij,ij->j", post_term, post_term)
-    )
-    return np.maximum(var, 0.0)
+def sgpr_predict_var(post: Posterior, xs: np.ndarray) -> np.ndarray:
+    return predict_var(post, xs)
 
 
-def sgpr_test_metrics(post: SGPRPosterior, xs: np.ndarray, ys: np.ndarray):
-    return score(ys, sgpr_predict_mean(post, xs), sgpr_predict_var(post, xs),
-                 post.hp.noise)
+def sgpr_test_metrics(post: Posterior, xs: np.ndarray, ys: np.ndarray):
+    return test_metrics(post, xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +155,7 @@ def exact_gp_mll(x: np.ndarray, y: np.ndarray, noise: float,
     logdet = 2.0 * float(np.sum(np.log(np.diagonal(u))))
     value = -0.5 * (float(y @ a) + logdet + n * LOG_2PI)
 
-    k_inv = linalg.chol_solve(u, np.eye(n))
+    k_inv = linalg.chol_inverse(u)
     g = 0.5 * (np.outer(a, a) - k_inv)
     kg = matern32_param_grads(x, x, kernel, g, want_x=False, want_z=False)
     grads = Gradients(
@@ -183,35 +167,14 @@ def exact_gp_mll(x: np.ndarray, y: np.ndarray, noise: float,
                            diagnostics={"jitter": jit})
 
 
-@dataclass
-class ExactGP:
-    x: np.ndarray
-    noise: float
-    kernel: MaternParams
-    u: np.ndarray
-    alpha: np.ndarray
-
-    @classmethod
-    def fit(cls, data: Dataset, noise: float, kernel: MaternParams) -> "ExactGP":
-        x, y = data.x, data.y
-        n = y.shape[0]
-        if n > EXACT_GP_MAX_POINTS:
-            raise TooLarge(f"exact GP capped at {EXACT_GP_MAX_POINTS} points, got {n}")
-        k = matern32(x, x, kernel) + noise**2 * np.eye(n)
-        u, _ = linalg.cholesky_upper(k)
-        alpha = linalg.chol_solve(u, y)
-        return cls(x=np.asarray(x, dtype=float), noise=float(noise), kernel=kernel,
-                   u=u, alpha=alpha)
-
-    def predict_mean(self, xs: np.ndarray) -> np.ndarray:
-        k_sx = matern32(np.atleast_2d(xs), self.x, self.kernel)
-        return k_sx @ self.alpha
-
-    def predict_var(self, xs: np.ndarray) -> np.ndarray:
-        k_sx = matern32(np.atleast_2d(xs), self.x, self.kernel)
-        half = linalg.tri_solve_upper(self.u, k_sx.T, transpose=True)
-        var = self.kernel.outputscale - np.einsum("ij,ij->j", half, half)
-        return np.maximum(var, 0.0)
-
-    def test_metrics(self, xs: np.ndarray, ys: np.ndarray):
-        return score(ys, self.predict_mean(xs), self.predict_var(xs), self.noise)
+def exact_fit(data: Dataset, noise: float, kernel: MaternParams) -> Posterior:
+    """Dense exact GP posterior: v = K^-1 y and P = K^-1, K = K_XX + noise^2 I."""
+    x, y = np.asarray(data.x, dtype=float), data.y
+    n = y.shape[0]
+    if n > EXACT_GP_MAX_POINTS:
+        raise TooLarge(f"exact GP capped at {EXACT_GP_MAX_POINTS} points, got {n}")
+    k = matern32(x, x, kernel) + noise**2 * np.eye(n)
+    u, jit = linalg.cholesky_upper(k)
+    hp = SGPRHyperparams(noise=noise, kernel=kernel, z=x)
+    return Posterior("exact", hp, linalg.chol_solve(u, y), linalg.chol_inverse(u),
+                     {"jitter": jit})

@@ -1,15 +1,18 @@
 """Versioned single-file checkpoint format.
 
 Layout: a text header (magic + format version, model variant, sizes,
-standardization statistics and scalar hyperparameters in decimal, payload
-sha256) terminated by an ``end-header`` line, then six length-prefixed
-little-endian float64 arrays in fixed order:
+standardization statistics and scalar hyperparameters in decimal, then a
+``sha256`` line) terminated by an ``end-header`` line, then five
+length-prefixed little-endian float64 arrays in fixed order:
 
-    z, temperatures, lengthscales, u_zz, r, alpha
+    z, temperatures, lengthscales, v, p
 
-Variants that lack an array (temperatures for sgpr/exact, r for exact) store
-it with length 0. For the exact variant the z slot holds the training inputs,
-u_zz the Cholesky factor of K + noise^2 I, and alpha the representer weights.
+These are exactly what prediction reads: the points and kernel of phi, and
+the fit-time vector v and m x m matrix P of the posterior form (see
+posterior.py). The sha256 covers every header line before the ``sha256``
+line and the payload, so an edited scalar is detected like a flipped payload
+byte. temperatures is empty for sgpr and exact; for exact the z slot holds
+the training inputs, so m = n.
 """
 
 import hashlib
@@ -18,13 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import SGPRHyperparams
 from .data import Standardization
 from .errors import ChecksumOrVersionMismatch
+from .interp import InterpolationState
+from .kernel import MaternParams
+from .objective import SoftKIHyperparams
+from .posterior import Posterior, predict_mean, predict_var
 
 MAGIC = "softki-checkpoint"
-VERSION = 1
+VERSION = 2
 
-_ARRAY_ORDER = ("z", "temperatures", "lengthscales", "u_zz", "r", "alpha")
+_ARRAY_ORDER = ("z", "temperatures", "lengthscales", "v", "p")
 
 
 @dataclass
@@ -39,9 +47,8 @@ class Checkpoint:
     z: np.ndarray
     temperatures: np.ndarray       # may be empty
     lengthscales: np.ndarray
-    u_zz: np.ndarray
-    r: np.ndarray                  # may be empty
-    alpha: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
 
 
 def _fmt_floats(values) -> str:
@@ -55,9 +62,9 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 def save_checkpoint(path, ck: Checkpoint) -> None:
     payload = b"".join(_pack_array(getattr(ck, name)) for name in _ARRAY_ORDER)
-    digest = hashlib.sha256(payload).hexdigest()
-    header = "\n".join(
-        [
+    covered = "".join(
+        line + "\n"
+        for line in (
             f"{MAGIC} v{VERSION}",
             f"variant {ck.variant}",
             f"n {ck.n}",
@@ -69,13 +76,12 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
             f"y_std {_fmt_floats(ck.stats.y_std)}",
             f"noise {_fmt_floats(ck.noise)}",
             f"outputscale {_fmt_floats(ck.outputscale)}",
-            f"sha256 {digest}",
-            "end-header",
-            "",
-        ]
-    )
+        )
+    ).encode("ascii")
+    digest = hashlib.sha256(covered + payload).hexdigest()
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(covered)
+        fh.write(f"sha256 {digest}\nend-header\n".encode("ascii"))
         fh.write(payload)
 
 
@@ -104,8 +110,11 @@ def load_checkpoint(path) -> Checkpoint:
     cut = blob.find(marker)
     if cut < 0:
         raise ChecksumOrVersionMismatch("missing checkpoint header terminator")
-    head = blob[:cut].decode("ascii", errors="replace").splitlines()
+    # the sha256 line is the last header line; it covers the lines before it
+    sha_at = blob.rfind(b"\n", 0, max(cut - 1, 0)) + 1
+    covered, sha_line = blob[:sha_at], blob[sha_at:cut - 1]
     payload = blob[cut + len(marker):]
+    head = covered.decode("ascii", errors="replace").splitlines()
 
     if not head or head[0] != f"{MAGIC} v{VERSION}":
         raise ChecksumOrVersionMismatch(
@@ -116,36 +125,28 @@ def load_checkpoint(path) -> Checkpoint:
         key, _, rest = line.partition(" ")
         fields[key] = rest
 
-    digest = hashlib.sha256(payload).hexdigest()
-    if fields.get("sha256") != digest:
-        raise ChecksumOrVersionMismatch("payload sha256 does not match header")
-
-    z, temps, ells, u_zz, r, alpha = _read_arrays(payload)
-    # the checksum covers the payload only, so a damaged header surfaces here
+    # the scalars are parsed before the checksum is compared, so a missing or
+    # unparsable key is named in the error
     try:
         n, m, d = (int(fields[k]) for k in ("n", "m", "d"))
-        stats = Standardization(
-            x_mean=np.array([float(v) for v in fields["x_mean"].split()]),
-            x_std=np.array([float(v) for v in fields["x_std"].split()]),
-            y_mean=float(fields["y_mean"]),
-            y_std=float(fields["y_std"]),
-        )
-        rows = n if fields["variant"] == "exact" else m
-        return Checkpoint(
-            variant=fields["variant"],
-            n=n,
-            m=m,
-            d=d,
-            stats=stats,
+        scalars = dict(
+            variant=fields["variant"], n=n, m=m, d=d,
+            stats=Standardization(
+                x_mean=np.array([float(s) for s in fields["x_mean"].split()]),
+                x_std=np.array([float(s) for s in fields["x_std"].split()]),
+                y_mean=float(fields["y_mean"]),
+                y_std=float(fields["y_std"]),
+            ),
             noise=float(fields["noise"]),
             outputscale=float(fields["outputscale"]),
-            z=z.reshape(rows, d),
-            temperatures=temps,
-            lengthscales=ells,
-            u_zz=u_zz.reshape(rows, rows),
-            r=r.reshape(m, m) if r.size else r.reshape(0, 0),
-            alpha=alpha,
         )
+        digest = hashlib.sha256(covered + payload).hexdigest()
+        if sha_line != f"sha256 {digest}".encode("ascii"):
+            raise ChecksumOrVersionMismatch(
+                "sha256 does not match the checkpoint header and payload")
+        z, temps, ells, v, p = _read_arrays(payload)
+        return Checkpoint(**scalars, z=z.reshape(m, d), temperatures=temps,
+                          lengthscales=ells, v=v.reshape(m), p=p.reshape(m, m))
     except KeyError as err:
         raise ChecksumOrVersionMismatch(
             f"checkpoint header lacks {err.args[0]!r}") from None
@@ -153,71 +154,60 @@ def load_checkpoint(path) -> Checkpoint:
         raise ChecksumOrVersionMismatch(f"malformed checkpoint header: {err}") from None
 
 
-def _bundle(variant: str, stats: Standardization, n: int, noise: float, kernel,
-            z: np.ndarray, u_zz: np.ndarray, r: np.ndarray, alpha: np.ndarray,
-            temperatures: np.ndarray | None = None) -> Checkpoint:
+def _softki_hp(ck: Checkpoint, kernel: MaternParams) -> SoftKIHyperparams:
+    return SoftKIHyperparams(
+        noise=ck.noise, kernel=kernel,
+        interp=InterpolationState(z=ck.z, temperatures=ck.temperatures),
+    )
+
+
+def _points_hp(ck: Checkpoint, kernel: MaternParams) -> SGPRHyperparams:
+    return SGPRHyperparams(noise=ck.noise, kernel=kernel, z=ck.z)
+
+
+# variant -> (hyperparameters from a checkpoint, (z, temperatures) of hyperparameters)
+_VARIANTS = {
+    "softki": (_softki_hp, lambda hp: (hp.interp.z, hp.interp.temperatures)),
+    "sgpr": (_points_hp, lambda hp: (hp.z, np.empty(0))),
+}
+_VARIANTS["exact"] = _VARIANTS["sgpr"]
+
+
+def bundle(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
+    """The checkpoint of a fitted posterior trained on n points."""
+    hp = post.hp
+    z, temperatures = _VARIANTS[post.variant][1](hp)
     return Checkpoint(
-        variant=variant,
+        variant=post.variant,
         n=n,
         m=z.shape[0],
         d=z.shape[1],
         stats=stats,
-        noise=noise,
-        outputscale=kernel.outputscale,
+        noise=hp.noise,
+        outputscale=hp.kernel.outputscale,
         z=z,
-        temperatures=np.empty(0) if temperatures is None else temperatures,
-        lengthscales=kernel.lengthscales,
-        u_zz=u_zz,
-        r=r,
-        alpha=alpha,
+        temperatures=temperatures,
+        lengthscales=hp.kernel.lengthscales,
+        v=post.v,
+        p=post.p,
     )
 
 
-def bundle_softki(post, stats: Standardization, n: int) -> Checkpoint:
-    hp = post.hp
-    return _bundle("softki", stats, n, hp.noise, hp.kernel, hp.interp.z,
-                   post.u_zz, post.r, post.alpha, hp.interp.temperatures)
+def bundle_softki(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
+    return bundle(post, stats, n)
 
 
-def bundle_sgpr(post, stats: Standardization, n: int) -> Checkpoint:
-    hp = post.hp
-    return _bundle("sgpr", stats, n, hp.noise, hp.kernel, hp.z,
-                   post.u_zz, post.factor, post.alpha)
-
-
-def bundle_exact(gp, stats: Standardization) -> Checkpoint:
-    return _bundle("exact", stats, gp.x.shape[0], gp.noise, gp.kernel, gp.x,
-                   gp.u, np.empty((0, 0)), gp.alpha)
+def bundle_sgpr(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
+    return bundle(post, stats, n)
 
 
 def restore(ck: Checkpoint):
     """Rebuild a predictor (predict_mean/predict_var pair) from a checkpoint."""
-    from .baselines import ExactGP, SGPRHyperparams, SGPRPosterior
-    from .baselines import sgpr_predict_mean, sgpr_predict_var
-    from .interp import InterpolationState
-    from .kernel import MaternParams
-    from .objective import SoftKIHyperparams
-    from .posterior import FittedPosterior, predict_mean, predict_var
-
+    try:
+        make_hp = _VARIANTS[ck.variant][0]
+    except KeyError:
+        raise ChecksumOrVersionMismatch(
+            f"unknown checkpoint variant {ck.variant!r}") from None
     kernel = MaternParams(lengthscales=ck.lengthscales, outputscale=ck.outputscale)
-    if ck.variant == "softki":
-        hp = SoftKIHyperparams(
-            noise=ck.noise,
-            kernel=kernel,
-            interp=InterpolationState(z=ck.z, temperatures=ck.temperatures),
-        )
-        post = FittedPosterior(hp=hp, u_zz=ck.u_zz, r=ck.r, alpha=ck.alpha)
-        return (lambda xs: predict_mean(post, xs)), (lambda xs: predict_var(post, xs))
-    if ck.variant == "sgpr":
-        post = SGPRPosterior(
-            hp=SGPRHyperparams(noise=ck.noise, kernel=kernel, z=ck.z),
-            u_zz=ck.u_zz, factor=ck.r, alpha=ck.alpha,
-        )
-        return (lambda xs: sgpr_predict_mean(post, xs)), (
-            lambda xs: sgpr_predict_var(post, xs)
-        )
-    if ck.variant == "exact":
-        gp = ExactGP(x=ck.z, noise=ck.noise, kernel=kernel, u=ck.u_zz,
-                     alpha=ck.alpha)
-        return gp.predict_mean, gp.predict_var
-    raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {ck.variant!r}")
+    post = Posterior(ck.variant, make_hp(ck, kernel), ck.v, ck.p)
+    return (lambda xs: predict_mean(post, xs)), (lambda xs: predict_var(post, xs))

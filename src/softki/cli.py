@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import report as rpt
-from .baselines import ExactGP, sgpr_fit, sgpr_test_metrics
+from .baselines import exact_fit, sgpr_fit
 from .data import (
     Dataset,
     apply_stats,
@@ -79,7 +79,7 @@ TRAIN_OPTS = {
     "solver": _Opt(_to_solver, "qr", "posterior solve route"),
     "train-frac": _Opt(float, 0.9, "train fraction for csv datasets"),
     "standardize": _Opt(_to_bool, True,
-                        "standardize csv data with train-split statistics"),
+                        "standardize the data with train-split statistics"),
     "out": _Opt(str, "run", "output directory"),
     "header": _Opt(_to_bool, False, "csv has a header row"),
     "target-column": _Opt(int, -1, "0-based target column, -1 for last"),
@@ -173,7 +173,7 @@ def _load_raw(values: dict):
 
 def _load_split(values: dict):
     raw_tr, raw_te = _load_raw(values)
-    if values["data"] == "ricker" or values["standardize"]:
+    if values["standardize"]:
         return standardize(raw_tr, raw_te)
     # raw passthrough; identity statistics keep checkpoints and the
     # raw-scale metrics well defined
@@ -205,16 +205,14 @@ def _train_config(values: dict) -> TrainConfig:
     )
 
 
-# model -> (train, fit, test metrics, checkpoint bundle), called alike
+# model -> (train, fit), called alike; fit returns a posterior.Posterior
 _MODELS = {
-    "softki": (train, fit_posterior, test_metrics, ckpt.bundle_softki),
-    "sgpr": (train_sgpr, sgpr_fit, sgpr_test_metrics, ckpt.bundle_sgpr),
+    "softki": (train, fit_posterior),
+    "sgpr": (train_sgpr, sgpr_fit),
     "exact": (
         train_exact,
-        lambda data, params, solver: ExactGP.fit(data, params["noise"],
-                                                 params["kernel"]),
-        ExactGP.test_metrics,
-        lambda gp, stats, n: ckpt.bundle_exact(gp, stats),
+        lambda data, params, solver: exact_fit(data, params["noise"],
+                                               params["kernel"]),
     ),
 }
 
@@ -225,10 +223,10 @@ def _train_model(values: dict, train_data, test_data) -> dict:
         raise ValueError(f"unknown model {model!r}")
     if model == "sgpr" and solver not in ("qr", "direct"):
         raise ValueError(f"solver {solver!r} not supported for sgpr")
-    train_fn, fit_fn, metrics_fn, bundle_fn = _MODELS[model]
+    train_fn, fit_fn = _MODELS[model]
     hp, trace = train_fn(train_data, _train_config(values))
     post = fit_fn(train_data, hp, solver)
-    rmse, nll = (metrics_fn(post, test_data.x, test_data.y)
+    rmse, nll = (test_metrics(post, test_data.x, test_data.y)
                  if len(test_data) > 0 else (float("nan"), float("nan")))
     stats = train_data.stats
     return {
@@ -238,7 +236,7 @@ def _train_model(values: dict, train_data, test_data) -> dict:
             "rmse_raw": float(rmse) * stats.y_std,
         },
         "trace": trace,
-        "checkpoint": bundle_fn(post, stats, len(train_data)),
+        "checkpoint": ckpt.bundle(post, stats, len(train_data)),
     }
 
 

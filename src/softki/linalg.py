@@ -99,6 +99,11 @@ def chol_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return tri_solve_upper(u, tri_solve_upper(u, b, transpose=True))
 
 
+def chol_inverse(u: np.ndarray) -> np.ndarray:
+    """(U^T U)^-1 given the upper Cholesky factor U."""
+    return chol_solve(u, np.eye(u.shape[0], dtype=u.dtype))
+
+
 @dataclass
 class CGReport:
     """Outcome of a multi-RHS conjugate-gradient solve."""

@@ -1,4 +1,4 @@
-"""QR-stabilized posterior fit and predictions.
+"""QR-stabilized posterior fit and the one prediction form of every model.
 
 The representer weights alpha solve  Chat alpha = Khat^T Lambda^-1 y  with
 Chat = K_zz + Khat^T Lambda^-1 Khat. Instead of forming Chat (which squares
@@ -8,14 +8,19 @@ the condition number), stack
         [ U_zz        ]              [ 0        ]
 
 where U_zz^T U_zz = K_zz, so A^T A = Chat, and take a thin QR of A. Then
-R alpha = Q^T rhs, the predictive mean at x* is  khat_*^T alpha, and the
-predictive variance is  ||R^-T khat_*||^2 = khat_*^T Chat^-1 khat_*  (the
-approximate prior variance term cancels exactly against the Nystrom-form
-correction, so this single solve is the whole variance).
+R alpha = Q^T rhs. The stack is reduced in row blocks: each block is absorbed
+into a carried [R | Q^T rhs] factor by re-triangularizing, so the full Q is
+never formed and peak extra memory is O(block_rows * m) independent of n.
 
-The stack is reduced in row blocks: each block is absorbed into a carried
-[R | Q^T rhs] factor by re-triangularizing, so the full Q is never formed and
-peak extra memory is O(block_rows * m) independent of n.
+Every fitted model (softki, sgpr, exact) is a ``Posterior`` that predicts as
+
+    mean = phi(x) v,    var = prior - rowsum((phi(x) P) * phi(x)),
+
+with phi and prior from ``FORMS``. v and P are computed once at fit time, so
+a prediction is one feature build and one GEMM; no factor is solved against
+per call. For softki phi = W, prior = 0, v = K_zz alpha and
+P = -K_zz Chat^-1 K_zz: the approximate prior variance cancels exactly
+against the Nystrom-form correction, leaving var = khat^T Chat^-1 khat.
 """
 
 from dataclasses import dataclass, field
@@ -34,12 +39,29 @@ DEFAULT_BLOCK_ROWS = 8192
 
 
 @dataclass
-class FittedPosterior:
-    hp: SoftKIHyperparams
-    u_zz: np.ndarray           # (m, m) upper, U^T U = K_zz (+ jitter)
-    r: np.ndarray              # (m, m) upper, R^T R = Chat
-    alpha: np.ndarray          # (m,)
+class Posterior:
+    """A fitted model: mean = phi(x) v, var = prior - rowsum((phi(x) P) * phi(x))."""
+
+    variant: str               # softki | sgpr | exact, a key of FORMS
+    hp: object                 # SoftKIHyperparams or SGPRHyperparams
+    v: np.ndarray              # (m,)
+    p: np.ndarray              # (m, m) symmetric
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a checkpoint reads P back C-ordered; the same layout here keeps the
+        # GEMM, and so restored predictions, bitwise equal to live ones
+        self.p = np.ascontiguousarray(self.p)
+
+
+# variant -> (phi(hp, xs), prior(hp)); the exact GP is the sgpr form with the
+# training inputs as its points (SGPRHyperparams with z = X)
+FORMS = {
+    "softki": (lambda hp, xs: softmax_weights(xs, hp.interp), lambda hp: 0.0),
+    "sgpr": (lambda hp, xs: matern32(xs, hp.z, hp.kernel),
+             lambda hp: hp.kernel.outputscale),
+}
+FORMS["exact"] = FORMS["sgpr"]
 
 
 def stacked_qr_solve(blocks, u_zz: np.ndarray, block_rows: int = DEFAULT_BLOCK_ROWS):
@@ -101,30 +123,44 @@ def _row_blocks(x, y, hp, k_zz, block_rows):
         yield (wb @ k_zz) / beta, y[start : start + block_rows] / beta
 
 
+def _qr_alpha(data: Dataset, hp: SoftKIHyperparams, block_rows: int):
+    """K_zz, the stacked-QR factor R (R^T R = Chat), alpha and diagnostics."""
+    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
+    u_zz, jitter = linalg.cholesky_upper(k_zz)
+    r, c, residual, diag = stacked_qr_solve(
+        _row_blocks(data.x, data.y, hp, k_zz, block_rows), u_zz, block_rows
+    )
+    diag.update({"jitter": jitter, "block_rows": block_rows, "residual": residual})
+    return k_zz, r, linalg.tri_solve_upper(r, c), diag
+
+
+def _softki_form(k_zz: np.ndarray, r: np.ndarray, alpha: np.ndarray):
+    """(v, P) = (K_zz alpha, -B^T B) with B = R^-T K_zz and R^T R = Chat.
+
+    P = -K_zz Chat^-1 K_zz is negative semidefinite: the softki variance is
+    +khat^T Chat^-1 khat, a sum of squares of B w(x).
+    """
+    b = linalg.tri_solve_upper(r, k_zz, transpose=True)
+    return k_zz @ alpha, -(b.T @ b)
+
+
 def fit_qr(
     data: Dataset,
     hp: SoftKIHyperparams,
     block_rows: int = DEFAULT_BLOCK_ROWS,
-) -> FittedPosterior:
-    """Fit the posterior representer weights through the stacked QR."""
-    x, y = data.x, data.y
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
-    u_zz, jitter = linalg.cholesky_upper(k_zz)
-    r, c, residual, diag = stacked_qr_solve(
-        _row_blocks(x, y, hp, k_zz, block_rows), u_zz, block_rows
-    )
-    alpha = linalg.tri_solve_upper(r, c)
-    diag.update({"jitter": jitter, "block_rows": block_rows, "residual": residual})
-    return FittedPosterior(hp=hp, u_zz=u_zz, r=r, alpha=alpha, diagnostics=diag)
+) -> Posterior:
+    """Fit the interpolation posterior through the stacked QR."""
+    k_zz, r, alpha, diag = _qr_alpha(data, hp, block_rows)
+    return Posterior("softki", hp, *_softki_form(k_zz, r, alpha), diag)
 
 
 def fit_posterior(data: Dataset, hp: SoftKIHyperparams,
-                  solver: str = "qr") -> FittedPosterior:
+                  solver: str = "qr") -> Posterior:
     """Fit through the stacked QR or through one of alt_solve's routes.
 
-    The non-QR routes only produce alpha; the triangular factors are then
-    taken from Cholesky factorizations of K_zz and Chat, so variances and
-    checkpoints stay available. A failed route raises SoftKIError.
+    The non-QR routes only produce alpha; P is then built from a Cholesky
+    factor of Chat, so variances and checkpoints stay available. A failed
+    route raises SoftKIError.
     """
     if solver == "qr":
         return fit_qr(data, hp)
@@ -133,27 +169,27 @@ def fit_posterior(data: Dataset, hp: SoftKIHyperparams,
     res = _solve(data, hp, solver, chat, rhs)
     if res.alpha is None or not np.all(np.isfinite(res.alpha)):
         raise SoftKIError(f"{solver} solve failed: {res.error or 'non-finite'}")
-    u_zz, _ = linalg.cholesky_upper(k_zz)
     r, _ = linalg.cholesky_upper(chat)
-    return FittedPosterior(hp=hp, u_zz=u_zz, r=r, alpha=res.alpha)
+    return Posterior("softki", hp, *_softki_form(k_zz, r, res.alpha))
 
 
-def _cross_covariance(post: FittedPosterior, xs: np.ndarray) -> np.ndarray:
-    return softki_cross(np.atleast_2d(xs), post.hp.interp, post.hp.kernel)[2]
+def _features(post: Posterior, xs: np.ndarray) -> np.ndarray:
+    return FORMS[post.variant][0](post.hp, np.atleast_2d(xs))
 
 
-def predict_mean(post: FittedPosterior, xs: np.ndarray) -> np.ndarray:
-    return _cross_covariance(post, xs) @ post.alpha
+def _variance(post: Posterior, phi: np.ndarray) -> np.ndarray:
+    prior = FORMS[post.variant][1](post.hp)
+    # clamp the small negatives rounding leaves where the data pins f down
+    return np.maximum(prior - np.einsum("ij,ij->i", phi @ post.p, phi), 0.0)
 
 
-def predict_var(post: FittedPosterior, xs: np.ndarray) -> np.ndarray:
-    """Latent predictive variance khat_*^T Chat^-1 khat_* (noise excluded)."""
-    khat = _cross_covariance(post, xs)
-    half = linalg.tri_solve_upper(post.r, khat.T, transpose=True)
-    var = np.einsum("ij,ij->j", half, half)
-    # a sum of squares; clamp the tiny negatives rounding could leave
-    var[(var < 0) & (var > -1e-12)] = 0.0
-    return var
+def predict_mean(post: Posterior, xs: np.ndarray) -> np.ndarray:
+    return _features(post, xs) @ post.v
+
+
+def predict_var(post: Posterior, xs: np.ndarray) -> np.ndarray:
+    """Latent predictive variance (noise excluded)."""
+    return _variance(post, _features(post, xs))
 
 
 def gaussian_nll(y: np.ndarray, mean: np.ndarray, total_var: np.ndarray) -> float:
@@ -169,9 +205,10 @@ def score(ys: np.ndarray, mean: np.ndarray, var: np.ndarray, noise: float):
     return rmse, gaussian_nll(ys, mean, var + noise**2)
 
 
-def test_metrics(post: FittedPosterior, xs: np.ndarray, ys: np.ndarray):
+def test_metrics(post: Posterior, xs: np.ndarray, ys: np.ndarray):
     """(rmse, nll) on the standardized scale."""
-    return score(ys, predict_mean(post, xs), predict_var(post, xs), post.hp.noise)
+    phi = _features(post, xs)
+    return score(ys, phi @ post.v, _variance(post, phi), post.hp.noise)
 
 
 @dataclass
@@ -213,10 +250,10 @@ def _solve(data, hp, method: str, chat: np.ndarray, rhs: np.ndarray) -> AltSolve
 
     if method == "qr":
         try:
-            post = fit_qr(data, hp)
+            alpha = _qr_alpha(data, hp, DEFAULT_BLOCK_ROWS)[2]
         except Exception as err:  # recorded, not raised, to match the others
             return AltSolveResult(method, None, np.inf, error=str(err))
-        return AltSolveResult(method, post.alpha, residual(post.alpha))
+        return AltSolveResult(method, alpha, residual(alpha))
 
     if method == "direct":
         try:
@@ -309,10 +346,11 @@ def solver_study(data: Dataset, hp: SoftKIHyperparams,
     Returns a list of (AltSolveResult, rmse) pairs; a failed or non-finite
     solve scores inf so orderings stay well defined.
     """
-    khat = softki_cross(data.x, hp.interp, hp.kernel)[2]
+    _, k_zz, khat = softki_cross(data.x, hp.interp, hp.kernel)
+    chat, rhs = normal_equations(k_zz, khat, data.y, hp.noise)
     rows = []
     for method in methods:
-        res = alt_solve(data, hp, method)
+        res = _solve(data, hp, method, chat, rhs)
         if res.alpha is None or not np.all(np.isfinite(res.alpha)):
             rmse = np.inf
         else:

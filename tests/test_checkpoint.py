@@ -7,18 +7,11 @@ import numpy as np
 import pytest
 
 from softki import fit_qr
-from softki.baselines import (
-    ExactGP,
-    SGPRHyperparams,
-    sgpr_fit,
-    sgpr_predict_mean,
-    sgpr_predict_var,
-)
+from softki.baselines import SGPRHyperparams, exact_fit, sgpr_fit
 from softki.checkpoint import (
     MAGIC,
     Checkpoint,
-    bundle_exact,
-    bundle_sgpr,
+    bundle,
     bundle_softki,
     load_checkpoint,
     restore,
@@ -54,7 +47,7 @@ def test_round_trip_preserves_every_field(tmp_path, fitted):
     assert back.variant == "softki"
     assert (back.n, back.m, back.d) == (ck.n, ck.m, ck.d)
     assert back.noise == ck.noise and back.outputscale == ck.outputscale
-    for name in ("z", "temperatures", "lengthscales", "u_zz", "r", "alpha"):
+    for name in ("z", "temperatures", "lengthscales", "v", "p"):
         assert np.array_equal(getattr(back, name), getattr(ck, name)), name
     assert np.array_equal(back.stats.x_mean, ck.stats.x_mean)
     assert np.array_equal(back.stats.x_std, ck.stats.x_std)
@@ -71,44 +64,33 @@ def test_save_is_byte_deterministic(tmp_path, fitted):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_restore_matches_the_live_posterior(tmp_path, fitted):
-    train, test, post = fitted
-    path = tmp_path / "model.bin"
-    save_checkpoint(path, bundle_softki(post, train.stats, len(train)))
-    mean_fn, var_fn = restore(load_checkpoint(path))
-    assert np.array_equal(mean_fn(test.x), predict_mean(post, test.x))
-    assert np.array_equal(var_fn(test.x), predict_var(post, test.x))
+def fit_variant(variant, fitted):
+    train, _, post = fitted
+    kernel = MaternParams(lengthscales=[1.0, 1.0], outputscale=1.0)
+    if variant == "sgpr":
+        hp = SGPRHyperparams(noise=0.3, kernel=kernel,
+                             z=np.random.default_rng(1).standard_normal((6, 2)))
+        return sgpr_fit(train, hp, solver="qr"), len(train)
+    if variant == "exact":
+        return exact_fit(Dataset(train.x[:40], train.y[:40]), 0.1, kernel), 40
+    return post, len(train)
 
 
-def test_sgpr_and_exact_variants_restore(tmp_path, fitted):
+@pytest.mark.parametrize("variant", ["softki", "sgpr", "exact"])
+def test_restore_matches_the_live_posterior(tmp_path, fitted, variant):
     train, test, _ = fitted
-    rng = np.random.default_rng(1)
-    hp = SGPRHyperparams(
-        noise=0.3,
-        kernel=MaternParams(lengthscales=[1.0, 1.0], outputscale=1.0),
-        z=rng.standard_normal((6, 2)),
-    )
-    post = sgpr_fit(train, hp, solver="qr")
-    path = tmp_path / "sgpr.bin"
-    save_checkpoint(path, bundle_sgpr(post, train.stats, len(train)))
+    post, n = fit_variant(variant, fitted)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, bundle(post, train.stats, n))
     loaded = load_checkpoint(path)
-    assert loaded.variant == "sgpr" and loaded.temperatures.size == 0
+    assert loaded.variant == variant and loaded.n == n
+    assert loaded.p.shape == (loaded.m, loaded.m) and loaded.v.shape == (loaded.m,)
+    assert loaded.temperatures.size == (2 if variant == "softki" else 0)
     mean_fn, var_fn = restore(loaded)
-    assert np.array_equal(mean_fn(test.x), sgpr_predict_mean(post, test.x))
-    assert np.array_equal(var_fn(test.x), sgpr_predict_var(post, test.x))
-
-    small = Dataset(train.x[:40], train.y[:40])
-    gp = ExactGP.fit(small, 0.1,
-                     MaternParams(lengthscales=[1.0, 1.0], outputscale=1.0))
-    path = tmp_path / "exact.bin"
-    save_checkpoint(path, bundle_exact(gp, train.stats))
-    loaded = load_checkpoint(path)
-    assert loaded.variant == "exact"
-    assert loaded.z.shape == (40, 2) and loaded.u_zz.shape == (40, 40)
-    assert loaded.r.shape == (0, 0)
-    mean_fn, var_fn = restore(loaded)
-    assert np.array_equal(mean_fn(test.x), gp.predict_mean(test.x))
-    assert np.array_equal(var_fn(test.x), gp.predict_var(test.x))
+    assert np.array_equal(mean_fn(test.x), predict_mean(post, test.x))
+    var = var_fn(test.x)
+    assert np.array_equal(var, predict_var(post, test.x))
+    assert np.all(var >= 0)
 
 
 # ----------------------------------------------------------------- tampering
@@ -143,7 +125,8 @@ def test_truncated_and_extended_files_are_detected(tmp_path, fitted):
 
 def test_version_and_magic_are_checked(tmp_path, fitted):
     path, blob = saved_bytes(tmp_path, fitted)
-    path.write_bytes(blob.replace(f"{MAGIC} v1".encode(), f"{MAGIC} v2".encode(), 1))
+    # v1 files (sha256 over the payload only) are rejected, not read
+    path.write_bytes(blob.replace(f"{MAGIC} v2".encode(), f"{MAGIC} v1".encode(), 1))
     with pytest.raises(ChecksumOrVersionMismatch):
         load_checkpoint(path)
     path.write_bytes(blob.replace(MAGIC.encode(), b"other-format", 1))
@@ -155,17 +138,12 @@ def test_version_and_magic_are_checked(tmp_path, fitted):
 
 
 def test_internally_truncated_payload_is_detected(tmp_path, fitted):
-    # a payload whose checksum is valid but whose length prefix overruns
+    # a file whose checksum is valid but whose length prefix overruns
     path, blob = saved_bytes(tmp_path, fitted)
-    head_end = blob.find(b"end-header\n") + len(b"end-header\n")
+    covered = blob[:blob.find(b"sha256 ")]
     payload = struct.pack("<Q", 100)  # claims 100 floats, provides none
-    digest = hashlib.sha256(payload).hexdigest()
-    head = blob[:head_end].decode()
-    head = "\n".join(
-        f"sha256 {digest}" if line.startswith("sha256 ") else line
-        for line in head.splitlines()
-    ) + "\n"
-    path.write_bytes(head.encode() + payload)
+    digest = hashlib.sha256(covered + payload).hexdigest()
+    path.write_bytes(covered + f"sha256 {digest}\nend-header\n".encode() + payload)
     with pytest.raises(ChecksumOrVersionMismatch, match="truncated"):
         load_checkpoint(path)
 
@@ -181,6 +159,17 @@ def test_malformed_header_is_detected(tmp_path, fitted, old, new):
     assert blob.count(old) == 1
     path.write_bytes(blob.replace(old, new))
     with pytest.raises(ChecksumOrVersionMismatch, match="header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["noise", "outputscale", "y_std"])
+def test_tampered_header_scalar_is_detected(tmp_path, fitted, key):
+    path, blob = saved_bytes(tmp_path, fitted)
+    start = blob.index(f"\n{key} ".encode()) + 1
+    end = blob.index(b"\n", start)
+    assert blob[start:end] != f"{key} 0.5".encode()
+    path.write_bytes(blob[:start] + f"{key} 0.5".encode() + blob[end:])
+    with pytest.raises(ChecksumOrVersionMismatch, match="sha256"):
         load_checkpoint(path)
 
 

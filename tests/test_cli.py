@@ -88,11 +88,26 @@ def test_train_dispatches_to_sgpr_and_exact(tmp_path, wave_csv):
         assert load_checkpoint(out / "checkpoint.bin").variant == model
 
 
+def test_standardize_false_applies_to_ricker(tmp_path):
+    paths = {}
+    for flag in ("true", "false"):
+        out = tmp_path / flag
+        assert main(["train", "--data", "ricker", "--standardize", flag,
+                     "--out", str(out), "--m", "8", "--epochs", "1",
+                     "--batch-size", "1024", "--seed", "0"]) == 0
+        paths[flag] = out / "checkpoint.bin"
+    assert paths["true"].read_bytes() != paths["false"].read_bytes()
+    stats = load_checkpoint(paths["false"]).stats
+    assert np.array_equal(stats.x_mean, [0.0, 0.0])
+    assert np.array_equal(stats.x_std, [1.0, 1.0])
+    assert (stats.y_mean, stats.y_std) == (0.0, 1.0)
+
+
 def test_solver_flag_routes_softki_fit(tmp_path, wave_csv):
     out = tmp_path / "cg"
     assert train_into(out, wave_csv, "--solver", "cg:1e-8") == 0
     bundle = load_checkpoint(out / "checkpoint.bin")
-    assert np.all(np.isfinite(bundle.alpha)) and np.all(np.isfinite(bundle.r))
+    assert np.all(np.isfinite(bundle.v)) and np.all(np.isfinite(bundle.p))
     assert main(["train", "--model", "sgpr", "--data", str(wave_csv),
                  "--solver", "cholesky", "--out", str(tmp_path / "bad"),
                  "--m", "4", "--epochs", "1"]) == 1

@@ -53,10 +53,15 @@ def dense_pieces(data, hp):
 
 def test_r_factor_reproduces_normal_equations_matrix():
     data, hp = make_instance(0, 200, 16)
-    post = fit_qr(data, hp)
     k_zz, khat = dense_pieces(data, hp)
     chat = khat.T @ khat / hp.noise**2 + k_zz
-    assert np.max(np.abs(post.r.T @ post.r - chat)) <= 1e-9 * np.max(np.abs(chat))
+    blocks = iter([(khat / hp.noise, data.y / hp.noise)])
+    r = stacked_qr_solve(blocks, np.linalg.cholesky(k_zz).T)[0]
+    assert np.max(np.abs(r.T @ r - chat)) <= 1e-9 * np.max(np.abs(chat))
+    # fit_qr keeps P = -K_zz Chat^-1 K_zz from that factor
+    p = fit_qr(data, hp).p
+    oracle = -k_zz @ np.linalg.solve(chat, k_zz)
+    assert np.max(np.abs(p - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
 def test_alpha_matches_dense_solve():
@@ -64,8 +69,8 @@ def test_alpha_matches_dense_solve():
     post = fit_qr(data, hp)
     k_zz, khat = dense_pieces(data, hp)
     chat = khat.T @ khat / hp.noise**2 + k_zz
-    alpha = np.linalg.solve(chat, khat.T @ data.y / hp.noise**2)
-    assert np.max(np.abs(post.alpha - alpha)) <= 1e-8 * np.max(np.abs(alpha))
+    v = k_zz @ np.linalg.solve(chat, khat.T @ data.y / hp.noise**2)
+    assert np.max(np.abs(post.v - v)) <= 1e-8 * np.max(np.abs(v))
 
 
 def test_single_interpolation_point_scalar_formula():
@@ -172,7 +177,7 @@ def test_block_size_does_not_change_the_solution():
     data, hp = make_instance(6, 150, 12)
     wide = fit_qr(data, hp, block_rows=150)
     narrow = fit_qr(data, hp, block_rows=17)
-    assert np.allclose(wide.alpha, narrow.alpha, rtol=1e-10, atol=1e-12)
+    assert np.allclose(wide.v, narrow.v, rtol=1e-10, atol=1e-12)
     xs = np.random.default_rng(2).standard_normal((7, 2))
     assert np.allclose(predict_var(wide, xs), predict_var(narrow, xs),
                        rtol=1e-8, atol=1e-12)
