@@ -3,16 +3,18 @@
 The SGPR collapsed bound on a batch is
 
     elbo = log N(y | 0, Q + beta^2 I) - tr(K_xx - Q) / (2 beta^2),
-    Q = K_xz K_zz^-1 K_zx
+    Q = K_xz K_zz^-1 K_zx = B B^T,    B = K_xz U^-1
 
-evaluated through B = K_xz U^-1 (U upper Cholesky of K_zz), so neither K_xx
-nor Q is ever materialized: tr(K_xx) is n * outputscale for a stationary
-kernel and tr(Q) = ||B||_F^2. The posterior uses C = K_zz + K_zx K_xz / beta^2
-with mean K_*z C^-1 K_zx y / beta^2 and variance
+with U the upper Cholesky factor of K_zz. log N is the low-rank Gaussian of
+the softki likelihood with Phi = B and L = I, evaluated in m-space by
+``objective.lowrank_gaussian`` (S = B^T B and one factorization of
+beta^2 I + S, as in Titsias, 2009); the whitened B keeps K_zz^-1 out of S.
+tr(K_xx) is n * outputscale for a stationary kernel and tr(Q) = tr(S). The
+posterior, fit by ``posterior.fit`` as softki's is, uses
+C = K_zz + K_zx K_xz / beta^2 with mean K_*z C^-1 K_zx y / beta^2 and variance
 K_** - K_*z (K_zz^-1 - C^-1) K_z*, i.e. the posterior form with phi = K_*z,
-v = alpha and P = K_zz^-1 - C^-1; the QR variant solves for alpha through the
-same stacked row-block factorization the interpolation posterior uses. The
-exact GP is the same form with the training inputs as points and P = K^-1.
+v = alpha and P = K_zz^-1 - C^-1. The exact GP is the same form with the
+training inputs as points and P = K^-1.
 """
 
 from dataclasses import dataclass
@@ -23,9 +25,8 @@ from . import linalg
 from .data import Dataset
 from .errors import TooLarge
 from .kernel import MaternParams, matern32, matern32_param_grads
-from .objective import Gradients, ObjectiveReport, LOG_2PI
-from .posterior import (Posterior, normal_equations, predict_mean, predict_var,
-                        stacked_qr_solve, test_metrics)
+from .objective import LOG_2PI, Gradients, ObjectiveReport, lowrank_gaussian
+from .posterior import Posterior, fit, predict_mean, predict_var, test_metrics
 
 EXACT_GP_MAX_POINTS = 4096
 
@@ -56,32 +57,21 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
     k_xz = matern32(x, hp.z, hp.kernel)
     k_zz = matern32(hp.z, hp.z, hp.kernel)
     u_zz, jit = linalg.cholesky_upper(k_zz, jitter_schedule)
+    b = linalg.tri_solve_upper(u_zz, k_xz.T, transpose=True).T
+    lr = lowrank_gaussian(b, y, np.eye(m), beta2, jitter_schedule)
+    log_n = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
 
-    b = linalg.tri_solve_upper(u_zz, k_xz.T, transpose=True).T   # K_xz U^-1
-    m_mat = beta2 * np.eye(m) + b.T @ b
-    u_m, _ = linalg.cholesky_upper(m_mat, jitter_schedule)
-    a = (y - b @ linalg.chol_solve(u_m, b.T @ y)) / beta2
-    quad = float(y @ a)
-    logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(np.sum(np.log(np.diagonal(u_m))))
-    log_n = -0.5 * (quad + logdet + n * LOG_2PI)
-
-    trace_gap = n * hp.kernel.outputscale - float(np.sum(b * b))
+    trace_gap = n * hp.kernel.outputscale - float(np.trace(lr.s))
     value = log_n - trace_gap / (2.0 * beta2)
 
-    # gradients: G = (a a^T - D^-1)/2 acts through K_xz and K_zz
-    p = linalg.tri_solve_upper(u_zz, b.T).T                      # K_xz K_zz^-1
-    pa = p.T @ a
-    d_inv_p = (p - b @ linalg.chol_solve(u_m, b.T @ p)) / beta2
-    gp = 0.5 * (np.outer(a, a @ p) - d_inv_p)                    # G P, (n, m)
-    pt_d_inv_p = (p.T @ p - (p.T @ b) @ linalg.chol_solve(u_m, b.T @ p)) / beta2
-    pt_g_p = 0.5 * (np.outer(pa, pa) - pt_d_inv_p)               # P^T G P
-
-    u_m_inv = linalg.tri_solve_upper(u_m, np.eye(m))
-    tr_d_inv = (n - m + beta2 * float(np.sum(u_m_inv * u_m_inv))) / beta2
-    tr_g = 0.5 * (float(a @ a) - tr_d_inv)
-
-    up_xz = 2.0 * gp + p / beta2
-    up_zz = -pt_g_p - (p.T @ p) / (2.0 * beta2)
+    # G = (a a^T - D^-1)/2 and P = K_xz K_zz^-1 = B U^-T: d/dK_xz is
+    # 2 G P + P / beta^2 = a (P^T a)^T + B (Z S / beta^2) U^-T and d/dK_zz is
+    # -P^T G P - P^T P / (2 beta^2), with B^T D^-1 B from lowrank_gaussian
+    pa = linalg.tri_solve_upper(u_zz, lr.phi_a)                  # P^T a
+    up_xz = np.outer(lr.a, pa) + b @ linalg.tri_solve_upper(u_zz, lr.zs.T / beta2).T
+    inner = linalg.tri_solve_upper(u_zz, lr.phi_dinv_phi - lr.s / beta2)
+    up_zz = 0.5 * (linalg.tri_solve_upper(u_zz, inner.T) - np.outer(pa, pa))
+    tr_g = 0.5 * (float(lr.a @ lr.a) - lr.tr_d_inv)
     g1 = matern32_param_grads(x, hp.z, hp.kernel, up_xz, want_x=False, want_z=True)
     g2 = matern32_param_grads(hp.z, hp.z, hp.kernel, up_zz, want_x=True, want_z=True)
 
@@ -99,29 +89,8 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
 
 
 def sgpr_fit(data: Dataset, hp: SGPRHyperparams, solver: str = "qr") -> Posterior:
-    """Fit inducing-point representer weights by QR stacking or a dense solve."""
-    x, y = data.x, data.y
-    beta = hp.noise
-    k_xz = matern32(x, hp.z, hp.kernel)
-    k_zz = matern32(hp.z, hp.z, hp.kernel)
-    u_zz, jit = linalg.cholesky_upper(k_zz)
-    diag = {"jitter": jit, "solver": solver}
-
-    if solver == "qr":
-        factor, c, _, qr_diag = stacked_qr_solve(
-            iter([(k_xz / beta, y / beta)]), u_zz
-        )
-        alpha = linalg.tri_solve_upper(factor, c)
-        diag.update(qr_diag)
-    elif solver == "direct":
-        c_mat, rhs = normal_equations(k_zz, k_xz, y, beta)
-        factor, jc = linalg.cholesky_upper(c_mat)
-        diag["jitter_c"] = jc
-        alpha = linalg.chol_solve(factor, rhs)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    p = linalg.chol_inverse(u_zz) - linalg.chol_inverse(factor)
-    return Posterior("sgpr", hp, alpha, p, diag)
+    """Fit the inducing-point posterior; see ``posterior.fit``."""
+    return fit("sgpr", data, hp, solver)
 
 
 def sgpr_predict_mean(post: Posterior, xs: np.ndarray) -> np.ndarray:

@@ -201,13 +201,18 @@ def bundle_sgpr(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
     return bundle(post, stats, n)
 
 
-def restore(ck: Checkpoint):
-    """Rebuild a predictor (predict_mean/predict_var pair) from a checkpoint."""
+def to_posterior(ck: Checkpoint) -> Posterior:
+    """The fitted posterior a checkpoint stores."""
     try:
         make_hp = _VARIANTS[ck.variant][0]
     except KeyError:
         raise ChecksumOrVersionMismatch(
             f"unknown checkpoint variant {ck.variant!r}") from None
     kernel = MaternParams(lengthscales=ck.lengthscales, outputscale=ck.outputscale)
-    post = Posterior(ck.variant, make_hp(ck, kernel), ck.v, ck.p)
+    return Posterior(ck.variant, make_hp(ck, kernel), ck.v, ck.p)
+
+
+def restore(ck: Checkpoint):
+    """Rebuild a predictor (predict_mean/predict_var pair) from a checkpoint."""
+    post = to_posterior(ck)
     return (lambda xs: predict_mean(post, xs)), (lambda xs: predict_var(post, xs))

@@ -10,6 +10,7 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -30,8 +31,9 @@ from .data import (
 from .errors import DimensionMismatch, SoftKIError
 from .posterior import (
     DEFAULT_STUDY_METHODS,
-    fit_posterior,
+    fit,
     near_degenerate_instance,
+    predict,
     score,
     solver_study,
     test_metrics,
@@ -207,7 +209,7 @@ def _train_config(values: dict) -> TrainConfig:
 
 # model -> (train, fit), called alike; fit returns a posterior.Posterior
 _MODELS = {
-    "softki": (train, fit_posterior),
+    "softki": (train, partial(fit, "softki")),
     "sgpr": (train_sgpr, sgpr_fit),
     "exact": (
         train_exact,
@@ -221,8 +223,6 @@ def _train_model(values: dict, train_data, test_data) -> dict:
     model, solver = values["model"], values["solver"]
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
-    if model == "sgpr" and solver not in ("qr", "direct"):
-        raise ValueError(f"solver {solver!r} not supported for sgpr")
     train_fn, fit_fn = _MODELS[model]
     hp, trace = train_fn(train_data, _train_config(values))
     post = fit_fn(train_data, hp, solver)
@@ -296,9 +296,7 @@ def cmd_eval(values: dict, outdir: Path) -> int:
             f"checkpoint expects d={bundle.d}, data has d={raw.x.shape[1]}"
         )
     xs, ys = apply_stats(raw.x, raw.y, bundle.stats)
-    mean_fn, var_fn = ckpt.restore(bundle)
-    mean = mean_fn(xs)
-    var = var_fn(xs)
+    mean, var = predict(ckpt.to_posterior(bundle), xs)
     rmse, nll = score(ys, mean, var, bundle.noise)
     rmse_raw = rmse * bundle.stats.y_std
 

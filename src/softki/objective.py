@@ -5,10 +5,14 @@ row-stochastic interpolation weights. The exact marginal log likelihood
 
     value = -1/2 [ y^T D^-1 y + log det D + n log(2 pi) ]
 
-is evaluated either through the low-rank structure (Cholesky of K_zz plus the
-matrix determinant lemma, never materializing D) or through a dense Cholesky
-of D itself; the two paths agree to rounding and the dense one exists for
-cross-checks at small n.
+is evaluated either through the low-rank structure or through a dense
+Cholesky of D itself; the two paths agree to rounding and the dense one exists
+for cross-checks at small n. The low-rank path is ``lowrank_gaussian``,
+shared with the SGPR bound: for D = Phi L L^T Phi^T + beta^2 I (softki:
+Phi = W, L = U_zz^T; SGPR: Phi = K_xz U_zz^-1, L = I) it factorizes only the
+m-by-m M = beta^2 I + L^T S L with S = Phi^T Phi and gets D^-1 y, log det D
+and D^-1 Phi = Phi (I - Z S) / beta^2, Z = L M^-1 L^T, from the Woodbury
+identity and the determinant lemma; D itself is never formed.
 
 When K_zz stops being numerically positive definite, or the exact value or
 gradient goes non-finite, a Hutchinson-style pseudoloss takes over: solve
@@ -111,7 +115,6 @@ class ObjectiveConfig:
     probe_seed: object = 0              # anything default_rng accepts
     cg_tol: float = 1e-6
     cg_max_iters: int = 500
-    scale_trace: bool = True
     dtype: str = "float64"
 
 
@@ -123,7 +126,55 @@ def draw_probes(n: int, count: int, seed) -> np.ndarray:
     return p
 
 
-def _assemble_gradients(x, hp, w, g_k, g_w, tr_g) -> Gradients:
+@dataclass
+class LowRankGaussian:
+    """m-space solves of D = Phi L L^T Phi^T + beta^2 I; see the module docstring."""
+
+    quad: float                 # y^T D^-1 y
+    logdet: float               # log det D
+    a: np.ndarray               # D^-1 y, (n,)
+    phi_a: np.ndarray           # Phi^T a, (m,)
+    phi_dinv_phi: np.ndarray    # Phi^T D^-1 Phi, (m, m)
+    zs: np.ndarray              # Z S, so D^-1 Phi = Phi (I - Z S) / beta^2, (m, m)
+    tr_d_inv: float             # tr D^-1
+    s: np.ndarray               # Phi^T Phi, (m, m)
+    jitter: float               # rung used to factor M
+
+
+def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray, beta2,
+                     jitter_schedule=None) -> LowRankGaussian:
+    """Quadratic form, log determinant and solves of a low-rank-plus-noise D.
+
+    Raises NotPositiveDefinite when M fails to factorize after the jitter
+    schedule. L must be well scaled (a Cholesky factor, not the inverse of
+    one): S is formed before L is applied, so its rounding grows by ||L||^2.
+    Z is applied only through U_m^-T L^T and U_m^-T L^T S, never multiplied
+    out, because it is huge along directions a batch barely covers.
+    """
+    n, m = phi.shape
+    s = phi.T @ phi
+    lt_s = l.T @ s
+    u_m, jitter = linalg.cholesky_upper(beta2 * np.eye(m, dtype=phi.dtype) + lt_s @ l,
+                                        jitter_schedule)
+    g = linalg.tri_solve_upper(u_m, l.T, transpose=True)     # U_m^-T L^T
+    h = linalg.tri_solve_upper(u_m, lt_s, transpose=True)    # U_m^-T L^T S
+    zs = g.T @ h
+    a = (y - phi @ (g.T @ (g @ (phi.T @ y)))) / beta2
+    return LowRankGaussian(
+        quad=float(y @ a),
+        logdet=(n - m) * float(np.log(beta2))
+        + 2.0 * float(np.sum(np.log(np.diagonal(u_m)))),
+        a=a,
+        phi_a=phi.T @ a,
+        phi_dinv_phi=(s - h.T @ h) / beta2,
+        zs=zs,
+        tr_d_inv=(n - float(np.trace(zs))) / beta2,
+        s=s,
+        jitter=jitter,
+    )
+
+
+def _assemble_gradients(x, hp, g_k, g_w, tr_g) -> Gradients:
     """Map sensitivities on (K_zz, W, beta) to parameter gradients."""
     kg = matern32_param_grads(
         hp.interp.z, hp.interp.z, hp.kernel, np.asarray(g_k, dtype=float),
@@ -169,7 +220,6 @@ def exact_mll(
     z = hp.interp.z.astype(dt, copy=False)
     w = softmax_weights(x, hp.interp).astype(dt)
     k_zz = matern32(z, z, hp.kernel)
-    m = k_zz.shape[0]
 
     diag = {}
     if path == "dense":
@@ -187,34 +237,17 @@ def exact_mll(
     elif path == "lowrank":
         u_zz, jit = linalg.cholesky_upper(k_zz, jitter_schedule)
         diag["jitter"] = jit
-        b = w @ u_zz.T                                   # B B^T = W K_zz W^T
-        m_mat = beta2 * np.eye(m, dtype=dt) + b.T @ b
-        u_m, jit_m = linalg.cholesky_upper(m_mat, jitter_schedule)
-        diag["jitter_inner"] = jit_m
-        a = (y - b @ linalg.chol_solve(u_m, b.T @ y)) / beta2   # D^-1 y by Woodbury
-        quad = float(y @ a)
-        logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(
-            np.sum(np.log(np.diagonal(u_m)))
-        )
-
-        u_m_inv = linalg.tri_solve_upper(u_m, np.eye(m, dtype=dt))
-        tr_m_inv = float(np.sum(u_m_inv * u_m_inv))
-        tr_d_inv = (n - m + beta2 * tr_m_inv) / beta2
-
-        wk = w @ k_zz
-        wt_b = w.T @ b
-        g_k = 0.5 * (
-            np.outer(w.T @ a, w.T @ a)
-            - (w.T @ w - wt_b @ linalg.chol_solve(u_m, wt_b.T)) / beta2
-        )
-        d_inv_wk = (wk - b @ linalg.chol_solve(u_m, b.T @ wk)) / beta2
-        g_w = np.outer(a, a @ wk) - d_inv_wk
-        tr_g = 0.5 * (float(a @ a) - tr_d_inv)
+        lr = lowrank_gaussian(w, y, u_zz.T, beta2, jitter_schedule)
+        diag["jitter_inner"] = lr.jitter
+        a, quad, logdet = lr.a, lr.quad, lr.logdet
+        g_k = 0.5 * (np.outer(lr.phi_a, lr.phi_a) - lr.phi_dinv_phi)
+        g_w = np.outer(a, lr.phi_a @ k_zz) - w @ ((k_zz - lr.zs @ k_zz) / beta2)
+        tr_g = 0.5 * (float(a @ a) - lr.tr_d_inv)
     else:
         raise ValueError(f"unknown path {path!r}")
 
     value = -0.5 * (quad + logdet + n * LOG_2PI)
-    grads = _assemble_gradients(x, hp, w, g_k, g_w, tr_g)
+    grads = _assemble_gradients(x, hp, g_k, g_w, tr_g)
     return ObjectiveReport(value=float(value), gradients=grads, mode_used="exact",
                            diagnostics=diag)
 
@@ -274,7 +307,7 @@ def hutchinson_pseudoloss(
         np.einsum("ij,ij->", us, probes)
     )
 
-    grads = _assemble_gradients(x, hp, w, g_k, g_w, tr_g)
+    grads = _assemble_gradients(x, hp, g_k, g_w, tr_g)
     return ObjectiveReport(
         value=float(value),
         gradients=grads,
@@ -320,8 +353,7 @@ def stabilized_objective(
     probes = draw_probes(y.shape[0], cfg.probes, cfg.probe_seed)
     rep = hutchinson_pseudoloss(
         x, y, hp, probes,
-        cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters,
-        scale_trace=cfg.scale_trace, dtype=cfg.dtype,
+        cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters, dtype=cfg.dtype,
     )
     if failure is not None:
         rep.diagnostics["fallback_reason"] = failure

@@ -1,11 +1,12 @@
 """QR-stabilized posterior fit and the one prediction form of every model.
 
-The representer weights alpha solve  Chat alpha = Khat^T Lambda^-1 y  with
-Chat = K_zz + Khat^T Lambda^-1 Khat. Instead of forming Chat (which squares
-the condition number), stack
+softki and SGPR share one fit (``fit``): the representer weights alpha solve
+Chat alpha = X^T y / beta^2 with Chat = K_zz + X^T X / beta^2, where the
+design rows are X = W K_zz for softki and X = K_xz for SGPR. Instead of
+forming Chat (which squares the condition number), stack
 
-    A = [ Khat / beta ]        rhs = [ y / beta ]
-        [ U_zz        ]              [ 0        ]
+    A = [ X / beta ]           rhs = [ y / beta ]
+        [ U_zz     ]                 [ 0        ]
 
 where U_zz^T U_zz = K_zz, so A^T A = Chat, and take a thin QR of A. Then
 R alpha = Q^T rhs. The stack is reduced in row blocks: each block is absorbed
@@ -24,6 +25,7 @@ against the Nystrom-form correction, leaving var = khat^T Chat^-1 khat.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -114,73 +116,66 @@ def stacked_qr_solve(blocks, u_zz: np.ndarray, block_rows: int = DEFAULT_BLOCK_R
     return r, c, residual, diag
 
 
-def _row_blocks(x, y, hp, k_zz, block_rows):
-    beta = hp.noise
-    n = y.shape[0]
-    for start in range(0, n, block_rows):
-        xb = x[start : start + block_rows]
-        wb = softmax_weights(xb, hp.interp)
-        yield (wb @ k_zz) / beta, y[start : start + block_rows] / beta
-
-
-def _qr_alpha(data: Dataset, hp: SoftKIHyperparams, block_rows: int):
-    """K_zz, the stacked-QR factor R (R^T R = Chat), alpha and diagnostics."""
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
+def _alpha(variant: str, data: Dataset, hp, solver: str, block_rows: int):
+    """K_zz, its factor U_zz, R with R^T R = Chat, alpha and diagnostics."""
+    phi = partial(FORMS[variant][0], hp)
+    z = hp.interp.z if variant == "softki" else hp.z
+    k_zz = matern32(z, z, hp.kernel)
+    design = (lambda xs: phi(xs) @ k_zz) if variant == "softki" else phi
     u_zz, jitter = linalg.cholesky_upper(k_zz)
-    r, c, residual, diag = stacked_qr_solve(
-        _row_blocks(data.x, data.y, hp, k_zz, block_rows), u_zz, block_rows
-    )
-    diag.update({"jitter": jitter, "block_rows": block_rows, "residual": residual})
-    return k_zz, r, linalg.tri_solve_upper(r, c), diag
-
-
-def _softki_form(k_zz: np.ndarray, r: np.ndarray, alpha: np.ndarray):
-    """(v, P) = (K_zz alpha, -B^T B) with B = R^-T K_zz and R^T R = Chat.
-
-    P = -K_zz Chat^-1 K_zz is negative semidefinite: the softki variance is
-    +khat^T Chat^-1 khat, a sum of squares of B w(x).
-    """
-    b = linalg.tri_solve_upper(r, k_zz, transpose=True)
-    return k_zz @ alpha, -(b.T @ b)
-
-
-def fit_qr(
-    data: Dataset,
-    hp: SoftKIHyperparams,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-) -> Posterior:
-    """Fit the interpolation posterior through the stacked QR."""
-    k_zz, r, alpha, diag = _qr_alpha(data, hp, block_rows)
-    return Posterior("softki", hp, *_softki_form(k_zz, r, alpha), diag)
-
-
-def fit_posterior(data: Dataset, hp: SoftKIHyperparams,
-                  solver: str = "qr") -> Posterior:
-    """Fit through the stacked QR or through one of alt_solve's routes.
-
-    The non-QR routes only produce alpha; P is then built from a Cholesky
-    factor of Chat, so variances and checkpoints stay available. A failed
-    route raises SoftKIError.
-    """
+    x, y, beta = data.x, data.y, hp.noise
     if solver == "qr":
-        return fit_qr(data, hp)
-    _, k_zz, khat = softki_cross(data.x, hp.interp, hp.kernel)
-    chat, rhs = normal_equations(k_zz, khat, data.y, hp.noise)
-    res = _solve(data, hp, solver, chat, rhs)
-    if res.alpha is None or not np.all(np.isfinite(res.alpha)):
-        raise SoftKIError(f"{solver} solve failed: {res.error or 'non-finite'}")
-    r, _ = linalg.cholesky_upper(chat)
-    return Posterior("softki", hp, *_softki_form(k_zz, r, res.alpha))
+        blocks = ((design(x[i : i + block_rows]) / beta, y[i : i + block_rows] / beta)
+                  for i in range(0, y.shape[0], block_rows))
+        r, c, residual, diag = stacked_qr_solve(blocks, u_zz, block_rows)
+        diag.update({"block_rows": block_rows, "residual": residual})
+        alpha = linalg.tri_solve_upper(r, c)
+    else:
+        chat, rhs = normal_equations(k_zz, design(x), y, beta)
+        res = _solve(solver, chat, rhs)
+        if res.alpha is None or not np.all(np.isfinite(res.alpha)):
+            raise SoftKIError(f"{solver} solve failed: {res.error or 'non-finite'}")
+        alpha = res.alpha
+        r, jitter_c = linalg.cholesky_upper(chat)
+        diag = {"jitter_c": jitter_c}
+    diag.update({"jitter": jitter, "solver": solver})
+    return k_zz, u_zz, r, alpha, diag
+
+
+def fit(variant: str, data: Dataset, hp, solver: str = "qr",
+        block_rows: int = DEFAULT_BLOCK_ROWS) -> Posterior:
+    """Fit softki or SGPR through the shared Chat = K_zz + X^T X / beta^2.
+
+    "qr" streams X (W K_zz or K_xz) through ``stacked_qr_solve`` and takes R
+    (R^T R = Chat) from it; "direct", "cholesky" and "cg:<tol>" assemble
+    Chat, take R from its Cholesky factor and raise SoftKIError when they
+    fail. softki: v = K_zz alpha, P = -B^T B with B = R^-T K_zz; SGPR:
+    v = alpha, P = K_zz^-1 - Chat^-1.
+    """
+    k_zz, u_zz, r, alpha, diag = _alpha(variant, data, hp, solver, block_rows)
+    if variant == "softki":
+        b = linalg.tri_solve_upper(r, k_zz, transpose=True)
+        return Posterior(variant, hp, k_zz @ alpha, -(b.T @ b), diag)
+    p = linalg.chol_inverse(u_zz) - linalg.chol_inverse(r)
+    return Posterior(variant, hp, alpha, p, diag)
+
+
+def fit_qr(data: Dataset, hp: SoftKIHyperparams,
+           block_rows: int = DEFAULT_BLOCK_ROWS) -> Posterior:
+    """Fit the interpolation posterior through the stacked QR."""
+    return fit("softki", data, hp, "qr", block_rows)
 
 
 def _features(post: Posterior, xs: np.ndarray) -> np.ndarray:
     return FORMS[post.variant][0](post.hp, np.atleast_2d(xs))
 
 
-def _variance(post: Posterior, phi: np.ndarray) -> np.ndarray:
+def predict(post: Posterior, xs: np.ndarray):
+    """(mean, latent variance) from a single build of phi(xs); noise excluded."""
+    phi = _features(post, xs)
     prior = FORMS[post.variant][1](post.hp)
     # clamp the small negatives rounding leaves where the data pins f down
-    return np.maximum(prior - np.einsum("ij,ij->i", phi @ post.p, phi), 0.0)
+    return phi @ post.v, np.maximum(prior - np.einsum("ij,ij->i", phi @ post.p, phi), 0.0)
 
 
 def predict_mean(post: Posterior, xs: np.ndarray) -> np.ndarray:
@@ -189,7 +184,7 @@ def predict_mean(post: Posterior, xs: np.ndarray) -> np.ndarray:
 
 def predict_var(post: Posterior, xs: np.ndarray) -> np.ndarray:
     """Latent predictive variance (noise excluded)."""
-    return _variance(post, _features(post, xs))
+    return predict(post, xs)[1]
 
 
 def gaussian_nll(y: np.ndarray, mean: np.ndarray, total_var: np.ndarray) -> float:
@@ -207,8 +202,7 @@ def score(ys: np.ndarray, mean: np.ndarray, var: np.ndarray, noise: float):
 
 def test_metrics(post: Posterior, xs: np.ndarray, ys: np.ndarray):
     """(rmse, nll) on the standardized scale."""
-    phi = _features(post, xs)
-    return score(ys, phi @ post.v, _variance(post, phi), post.hp.noise)
+    return score(ys, *predict(post, xs), post.hp.noise)
 
 
 @dataclass
@@ -228,8 +222,7 @@ def alt_solve(data: Dataset, hp: SoftKIHyperparams, method: str) -> AltSolveResu
     path, included so solver studies can tabulate it alongside the others).
     Failures are recorded on the result, not raised.
     """
-    _, k_zz, khat = softki_cross(data.x, hp.interp, hp.kernel)
-    return _solve(data, hp, method, *normal_equations(k_zz, khat, data.y, hp.noise))
+    return solver_study(data, hp, (method,))[0][0]
 
 
 def normal_equations(k_zz: np.ndarray, cross: np.ndarray, y: np.ndarray, noise: float):
@@ -239,7 +232,8 @@ def normal_equations(k_zz: np.ndarray, cross: np.ndarray, y: np.ndarray, noise: 
     return 0.5 * (chat + chat.T), cross.T @ y / beta2
 
 
-def _solve(data, hp, method: str, chat: np.ndarray, rhs: np.ndarray) -> AltSolveResult:
+def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> AltSolveResult:
+    """One solve route on Chat alpha = rhs; "qr" calls the qr_alpha thunk."""
     def residual(alpha):
         return float(np.linalg.norm(chat @ alpha - rhs) / np.linalg.norm(rhs))
 
@@ -250,7 +244,7 @@ def _solve(data, hp, method: str, chat: np.ndarray, rhs: np.ndarray) -> AltSolve
 
     if method == "qr":
         try:
-            alpha = _qr_alpha(data, hp, DEFAULT_BLOCK_ROWS)[2]
+            alpha = qr_alpha()
         except Exception as err:  # recorded, not raised, to match the others
             return AltSolveResult(method, None, np.inf, error=str(err))
         return AltSolveResult(method, alpha, residual(alpha))
@@ -350,7 +344,8 @@ def solver_study(data: Dataset, hp: SoftKIHyperparams,
     chat, rhs = normal_equations(k_zz, khat, data.y, hp.noise)
     rows = []
     for method in methods:
-        res = _solve(data, hp, method, chat, rhs)
+        res = _solve(method, chat, rhs,
+                     lambda: _alpha("softki", data, hp, "qr", DEFAULT_BLOCK_ROWS)[3])
         if res.alpha is None or not np.all(np.isfinite(res.alpha)):
             rmse = np.inf
         else:

@@ -64,7 +64,6 @@ class TrainConfig:
     lr_step_epochs: int = 0             # 0 disables step decay
     lr_step_factor: float = 0.5
     dtype: str = "float64"
-    scale_trace: bool = True
 
 
 @dataclass
@@ -149,14 +148,15 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.nda
             break
         assign = new_assign
         nearest = d2_all[np.arange(n), assign]
-        for j in range(m):
-            mask = assign == j
-            if mask.any():
-                centroids[j] = x[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(nearest))
-                centroids[j] = x[far]
-                nearest[far] = 0.0
+        counts = np.bincount(assign, minlength=m)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, x)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        for j in np.flatnonzero(~filled):
+            far = int(np.argmax(nearest))
+            centroids[j] = x[far]
+            nearest[far] = 0.0
     return centroids
 
 
@@ -277,7 +277,6 @@ def train(data: Dataset, cfg: TrainConfig):
             probe_seed=np.random.SeedSequence([cfg.seed, _PROBES, step]),
             cg_tol=cfg.cg_tol,
             cg_max_iters=cfg.cg_max_iters,
-            scale_trace=cfg.scale_trace,
             dtype=cfg.dtype,
         )
         return stabilized_objective(xb, yb, hp, ocfg)

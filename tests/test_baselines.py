@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import softki.baselines
+import softki.objective
 import softki.posterior
 from softki import TrainConfig, fit_qr, train_exact
 from softki import test_metrics as softki_metrics
@@ -20,7 +21,7 @@ from softki.data import Dataset
 from softki.errors import TooLarge
 from softki.interp import InterpolationState
 from softki.kernel import MaternParams, matern32
-from softki.objective import SoftKIHyperparams
+from softki.objective import SoftKIHyperparams, exact_mll
 from softki.posterior import predict_mean, predict_var
 
 
@@ -167,7 +168,6 @@ def test_huge_noise_recovers_the_prior():
 
 
 def test_qr_route_is_the_shared_posterior_solver(monkeypatch):
-    assert softki.baselines.stacked_qr_solve is softki.posterior.stacked_qr_solve
     calls = []
     original = softki.posterior.stacked_qr_solve
 
@@ -175,10 +175,31 @@ def test_qr_route_is_the_shared_posterior_solver(monkeypatch):
         calls.append(u_zz.shape)
         return original(blocks, u_zz, block_rows)
 
-    monkeypatch.setattr(softki.baselines, "stacked_qr_solve", counting)
+    monkeypatch.setattr(softki.posterior, "stacked_qr_solve", counting)
     x, y, hp = random_sgpr_instance(6, m=5)
     sgpr_fit(Dataset(x, y), hp, solver="qr")
     assert calls == [(5, 5)]
+
+
+def test_lowrank_objectives_share_lowrank_gaussian(monkeypatch):
+    assert softki.baselines.lowrank_gaussian is softki.objective.lowrank_gaussian
+    calls = []
+    original = softki.objective.lowrank_gaussian
+
+    def counting(phi, y, l, beta2, jitter_schedule=None):
+        calls.append(phi.shape)
+        return original(phi, y, l, beta2, jitter_schedule)
+
+    monkeypatch.setattr(softki.objective, "lowrank_gaussian", counting)
+    monkeypatch.setattr(softki.baselines, "lowrank_gaussian", counting)
+    x, y, hp = random_sgpr_instance(6, m=5)
+    sgpr_elbo(x, y, hp)
+    soft = SoftKIHyperparams(
+        noise=hp.noise, kernel=hp.kernel,
+        interp=InterpolationState(z=hp.z, temperatures=np.ones(2)),
+    )
+    exact_mll(x, y, soft, path="lowrank")
+    assert calls == [(40, 5), (40, 5)]
 
 
 # ------------------------------------------------------------------ exact GP

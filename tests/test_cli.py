@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from softki.checkpoint import load_checkpoint
+import softki.posterior
+from softki.checkpoint import load_checkpoint, restore
 from softki.cli import main
-from softki.data import ricker_raw
+from softki.data import apply_stats, load_csv, ricker_raw, split_raw
+from softki.report import write_csv
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::softki.errors.CGNotConvergedWarning"
@@ -108,8 +110,14 @@ def test_solver_flag_routes_softki_fit(tmp_path, wave_csv):
     assert train_into(out, wave_csv, "--solver", "cg:1e-8") == 0
     bundle = load_checkpoint(out / "checkpoint.bin")
     assert np.all(np.isfinite(bundle.v)) and np.all(np.isfinite(bundle.p))
+    sgpr = tmp_path / "sgpr"
     assert main(["train", "--model", "sgpr", "--data", str(wave_csv),
-                 "--solver", "cholesky", "--out", str(tmp_path / "bad"),
+                 "--solver", "cholesky", "--out", str(sgpr),
+                 "--m", "4", "--epochs", "1"]) == 0
+    bundle = load_checkpoint(sgpr / "checkpoint.bin")
+    assert np.all(np.isfinite(bundle.v)) and np.all(np.isfinite(bundle.p))
+    assert main(["train", "--model", "sgpr", "--data", str(wave_csv),
+                 "--solver", "lu", "--out", str(tmp_path / "bad"),
                  "--m", "4", "--epochs", "1"]) == 1
 
 
@@ -164,6 +172,39 @@ def test_eval_reports_and_is_byte_deterministic(tmp_path, wave_csv):
             == (out2 / "report.txt").read_bytes().replace(str(out2).encode(), b""))
     assert (out1 / "predictions.csv").read_bytes() == (
         out2 / "predictions.csv").read_bytes()
+
+
+def test_eval_builds_the_features_once(tmp_path, wave_csv, monkeypatch):
+    run = tmp_path / "run"
+    assert train_into(run, wave_csv) == 0
+    calls = []
+    original = softki.posterior.softmax_weights
+
+    def counting(x, state):
+        calls.append(len(x))
+        return original(x, state)
+
+    monkeypatch.setattr(softki.posterior, "softmax_weights", counting)
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--data", str(wave_csv), "--split", "test", "--seed", "0",
+                 "--dump-predictions", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    n_points = int(read_report(out / "report.txt")["n_points"])
+    assert calls == [n_points]
+
+    # the same bytes as separate mean and variance calls through restore
+    bundle = load_checkpoint(run / "checkpoint.bin")
+    raw = split_raw(load_csv(wave_csv), train_fraction=0.9, seed=0)[1]
+    xs, ys = apply_stats(raw.x, raw.y, bundle.stats)
+    mean_fn, var_fn = restore(bundle)
+    mean, var = mean_fn(xs), var_fn(xs)
+    stats = bundle.stats
+    write_csv(tmp_path / "expected.csv", ["index", "mean", "var", "target", "raw_mean"],
+              [(i, mean[i], var[i], ys[i], mean[i] * stats.y_std + stats.y_mean)
+               for i in range(len(ys))])
+    assert (out / "predictions.csv").read_bytes() == (
+        tmp_path / "expected.csv").read_bytes()
 
 
 def test_eval_rejects_mismatched_dimensions(tmp_path, wave_csv):

@@ -16,6 +16,7 @@ from softki.objective import (
     draw_probes,
     exact_mll,
     hutchinson_pseudoloss,
+    lowrank_gaussian,
     stabilized_objective,
 )
 
@@ -125,6 +126,33 @@ def test_lowrank_and_dense_paths_agree(seed):
     assert low.value == pytest.approx(dense.value, rel=1e-8)
     assert np.allclose(flat_grads(low.gradients), flat_grads(dense.gradients),
                        rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("form", ["softki", "sgpr"])
+def test_lowrank_gaussian_matches_dense_algebra(form):
+    # softki: Phi = W, L = U_zz^T; sgpr: Phi = K_xz, L = U_zz^-1
+    x, y, hp = random_instance(3, n=15, m=6)
+    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
+    u_zz = np.linalg.cholesky(k_zz).T
+    if form == "softki":
+        phi, l = softmax_weights(x, hp.interp), u_zz.T
+    else:
+        phi, l = matern32(x, hp.interp.z, hp.kernel), np.linalg.inv(u_zz)
+    beta2 = hp.noise**2
+    d_mat = phi @ l @ l.T @ phi.T + beta2 * np.eye(15)
+    d_inv = np.linalg.inv(d_mat)
+    a = d_inv @ y
+
+    lr = lowrank_gaussian(phi, y, l, beta2)
+    assert lr.quad == pytest.approx(y @ a, rel=1e-10)
+    assert lr.logdet == pytest.approx(np.linalg.slogdet(d_mat)[1], rel=1e-10)
+    assert lr.tr_d_inv == pytest.approx(np.trace(d_inv), rel=1e-10)
+    assert np.allclose(lr.a, a, rtol=1e-9, atol=1e-12)
+    assert np.allclose(lr.phi_a, phi.T @ a, rtol=1e-9, atol=1e-12)
+    r = (np.eye(6) - lr.zs) / beta2
+    assert np.allclose(phi @ r, d_inv @ phi, rtol=1e-9, atol=1e-12)
+    assert np.allclose(lr.phi_dinv_phi, phi.T @ d_inv @ phi, rtol=1e-9, atol=1e-12)
+    assert np.allclose(lr.s, phi.T @ phi, rtol=1e-12, atol=1e-14)
 
 
 def test_non_positive_definite_propagates():

@@ -17,9 +17,10 @@ from softki.trainer import (
     SOFTKI_PARAMS,
     TEMP_FLOOR,
     Adam,
+    _KMEANS,
+    _SHUFFLE,
     _epoch_batches,
     _rng,
-    _SHUFFLE,
     blas_threads,
     chain,
     kmeans,
@@ -81,6 +82,62 @@ def test_kmeans_recovers_separated_blobs():
 def test_kmeans_too_few_points():
     with pytest.raises(TooFewPoints):
         kmeans(np.zeros((3, 2)), 4)
+
+
+def kmeans_loop_reference(x, m, seed=0, max_iters=100):
+    """k-means with a boolean-mask centroid update per cluster; also returns
+    the number of empty-cluster reseeds."""
+    n = x.shape[0]
+    rng = _rng(seed, _KMEANS)
+    centroids = np.empty((m, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    for j in range(1, m):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = x[rng.integers(n)]
+        else:
+            centroids[j] = x[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
+    assign, reseeds = None, 0
+    for _ in range(max_iters):
+        d2_all = (np.sum(x * x, axis=1)[:, None] - 2.0 * x @ centroids.T
+                  + np.sum(centroids * centroids, axis=1)[None, :])
+        new_assign = np.argmin(d2_all, axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        nearest = d2_all[np.arange(n), assign]
+        for j in range(m):
+            mask = assign == j
+            if mask.any():
+                centroids[j] = x[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(nearest))
+                centroids[j] = x[far]
+                nearest[far] = 0.0
+                reseeds += 1
+    return centroids, reseeds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,m,d", [(3000, 128, 2), (600, 40, 5)])
+def test_kmeans_matches_the_loop_update_bitwise(n, m, d, seed):
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    assert np.array_equal(kmeans(x, m, seed=seed),
+                          kmeans_loop_reference(x, m, seed=seed)[0])
+
+
+@pytest.mark.parametrize("seed", [1, 5, 15])
+def test_kmeans_reseeds_empty_clusters_like_the_loop(seed):
+    # 10 distinct points for 12 centers: clusters empty out while some points
+    # still sit away from every centroid, so the reseed order matters
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([np.repeat(rng.standard_normal((4, 2)), 10, axis=0),
+                        rng.standard_normal((6, 2))])
+    expected, reseeds = kmeans_loop_reference(x, 12, seed=seed)
+    assert reseeds > 0
+    assert np.array_equal(kmeans(x, 12, seed=seed), expected)
 
 
 def test_kmeans_deterministic_and_handles_duplicates():
