@@ -14,7 +14,9 @@ posterior, fit by ``posterior.fit`` as softki's is, uses
 C = K_zz + K_zx K_xz / beta^2 with mean K_*z C^-1 K_zx y / beta^2 and variance
 K_** - K_*z (K_zz^-1 - C^-1) K_z*, i.e. the posterior form with phi = K_*z,
 v = alpha and P = K_zz^-1 - C^-1. The exact GP is the same form with the
-training inputs as points and P = K^-1.
+training inputs as points and P = K^-1; its likelihood and its fit take
+K^-1 y, log det K and K^-1 from one ``objective.dense_gaussian`` of
+K = K_XX + beta^2 I.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from . import linalg
 from .data import Dataset
 from .errors import TooLarge
 from .kernel import MaternParams, matern32, matern32_param_grads
-from .objective import LOG_2PI, Gradients, ObjectiveReport, lowrank_gaussian
+from .objective import LOG_2PI, ObjectiveReport, dense_gaussian, lowrank_gaussian
 from .posterior import Posterior, fit, predict_mean, predict_var, test_metrics
 
 EXACT_GP_MAX_POINTS = 4096
@@ -75,13 +77,12 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
     g1 = matern32_param_grads(x, hp.z, hp.kernel, up_xz, want_x=False, want_z=True)
     g2 = matern32_param_grads(hp.z, hp.z, hp.kernel, up_zz, want_x=True, want_z=True)
 
-    grads = Gradients(
-        noise=2.0 * beta * tr_g + trace_gap / beta**3,
-        lengthscales=g1.lengthscales + g2.lengthscales,
-        outputscale=g1.outputscale + g2.outputscale - n / (2.0 * beta2),
-        z=g1.z + g2.x + g2.z,
-        temperatures=None,
-    )
+    grads = {
+        "noise": 2.0 * beta * tr_g + trace_gap / beta**3,
+        "lengthscales": g1.lengthscales + g2.lengthscales,
+        "outputscale": g1.outputscale + g2.outputscale - n / (2.0 * beta2),
+        "z": g1.z + g2.x + g2.z,
+    }
     return ObjectiveReport(
         value=float(value), gradients=grads, mode_used="exact",
         diagnostics={"jitter": jit, "trace_gap": trace_gap},
@@ -109,41 +110,36 @@ def sgpr_test_metrics(post: Posterior, xs: np.ndarray, ys: np.ndarray):
 # dense exact GP
 
 
+def _dense_gp(x: np.ndarray, y: np.ndarray, beta2: float, kernel: MaternParams):
+    """``dense_gaussian`` of K = K_XX + beta^2 I, refused above the size cap."""
+    n = y.shape[0]
+    if n > EXACT_GP_MAX_POINTS:
+        raise TooLarge(f"exact GP capped at {EXACT_GP_MAX_POINTS} points, got {n}")
+    return dense_gaussian(matern32(x, x, kernel) + beta2 * np.eye(n), y)
+
+
 def exact_gp_mll(x: np.ndarray, y: np.ndarray, noise: float,
                  kernel: MaternParams) -> ObjectiveReport:
     """Dense marginal log likelihood with gradients for (noise, kernel)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if n > EXACT_GP_MAX_POINTS:
-        raise TooLarge(f"exact GP capped at {EXACT_GP_MAX_POINTS} points, got {n}")
-    beta2 = noise * noise
-    k = matern32(x, x, kernel) + beta2 * np.eye(n)
-    u, jit = linalg.cholesky_upper(k)
-    a = linalg.chol_solve(u, y)
-    logdet = 2.0 * float(np.sum(np.log(np.diagonal(u))))
-    value = -0.5 * (float(y @ a) + logdet + n * LOG_2PI)
+    quad, logdet, a, k_inv, jit = _dense_gp(x, y, noise * noise, kernel)
+    value = -0.5 * (quad + logdet + y.shape[0] * LOG_2PI)
 
-    k_inv = linalg.chol_inverse(u)
     g = 0.5 * (np.outer(a, a) - k_inv)
     kg = matern32_param_grads(x, x, kernel, g, want_x=False, want_z=False)
-    grads = Gradients(
-        noise=2.0 * noise * float(np.trace(g)),
-        lengthscales=kg.lengthscales,
-        outputscale=kg.outputscale,
-    )
+    grads = {
+        "noise": 2.0 * noise * float(np.trace(g)),
+        "lengthscales": kg.lengthscales,
+        "outputscale": kg.outputscale,
+    }
     return ObjectiveReport(value=float(value), gradients=grads, mode_used="exact",
                            diagnostics={"jitter": jit})
 
 
 def exact_fit(data: Dataset, noise: float, kernel: MaternParams) -> Posterior:
     """Dense exact GP posterior: v = K^-1 y and P = K^-1, K = K_XX + noise^2 I."""
-    x, y = np.asarray(data.x, dtype=float), data.y
-    n = y.shape[0]
-    if n > EXACT_GP_MAX_POINTS:
-        raise TooLarge(f"exact GP capped at {EXACT_GP_MAX_POINTS} points, got {n}")
-    k = matern32(x, x, kernel) + noise**2 * np.eye(n)
-    u, jit = linalg.cholesky_upper(k)
+    x = np.asarray(data.x, dtype=float)
+    _, _, v, p, jit = _dense_gp(x, data.y, noise**2, kernel)
     hp = SGPRHyperparams(noise=noise, kernel=kernel, z=x)
-    return Posterior("exact", hp, linalg.chol_solve(u, y), linalg.chol_inverse(u),
-                     {"jitter": jit})
+    return Posterior("exact", hp, v, p, {"jitter": jit})

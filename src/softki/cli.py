@@ -9,7 +9,7 @@ from its report alone. Reports are key-value text, tables are CSV.
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -38,7 +38,8 @@ from .posterior import (
     solver_study,
     test_metrics,
 )
-from .trainer import TrainConfig, blas_threads, train, train_exact, train_sgpr
+from .trainer import (DTYPES, OBJECTIVE_MODES, TrainConfig, blas_threads, train,
+                      train_exact, train_sgpr)
 
 
 def _to_bool(text: str) -> bool:
@@ -67,17 +68,18 @@ class _Opt:
     choices: tuple | None = None
 
 
+_DEFAULT = TrainConfig()
+
 TRAIN_OPTS = {
     "model": _Opt(str, "softki", "model family", ("softki", "sgpr", "exact")),
     "data": _Opt(str, "ricker", "csv path or the literal 'ricker'"),
-    "m": _Opt(int, 512, "number of interpolation / inducing points"),
-    "epochs": _Opt(int, 50),
-    "batch-size": _Opt(int, 1024),
-    "lr": _Opt(float, 0.01, "Adam step size"),
-    "probes": _Opt(int, 10, "Hutchinson probe count"),
-    "seed": _Opt(int, 0),
-    "objective": _Opt(str, "auto", "objective mode",
-                      ("auto", "exact", "pseudoloss")),
+    "m": _Opt(int, _DEFAULT.m, "number of interpolation / inducing points"),
+    "epochs": _Opt(int, _DEFAULT.epochs),
+    "batch-size": _Opt(int, _DEFAULT.batch_size),
+    "lr": _Opt(float, _DEFAULT.learning_rate, "Adam step size"),
+    "probes": _Opt(int, _DEFAULT.probes, "Hutchinson probe count"),
+    "seed": _Opt(int, _DEFAULT.seed, "seed of the split, the ricker data and training"),
+    "objective": _Opt(str, _DEFAULT.objective_mode, "objective mode", OBJECTIVE_MODES),
     "solver": _Opt(_to_solver, "qr", "posterior solve route"),
     "train-frac": _Opt(float, 0.9, "train fraction for csv datasets"),
     "standardize": _Opt(_to_bool, True,
@@ -85,25 +87,28 @@ TRAIN_OPTS = {
     "out": _Opt(str, "run", "output directory"),
     "header": _Opt(_to_bool, False, "csv has a header row"),
     "target-column": _Opt(int, -1, "0-based target column, -1 for last"),
-    "noise-init": _Opt(float, 0.5),
-    "lengthscale-init": _Opt(float, 1.0),
-    "outputscale-init": _Opt(float, 1.0),
-    "temperature-init": _Opt(float, 1.0),
-    "lr-step-epochs": _Opt(int, 0, "halve the step size this often (0 = off)"),
-    "lr-step-factor": _Opt(float, 0.5),
-    "cg-tol": _Opt(float, 1e-6),
-    "cg-max-iters": _Opt(int, 500),
-    "dtype": _Opt(str, "float64", "objective dtype", ("float64", "float32")),
+    "noise-init": _Opt(float, _DEFAULT.noise_init),
+    "lengthscale-init": _Opt(float, _DEFAULT.lengthscale_init),
+    "outputscale-init": _Opt(float, _DEFAULT.outputscale_init),
+    "temperature-init": _Opt(float, _DEFAULT.temperature_init),
+    "lr-step-epochs": _Opt(int, _DEFAULT.lr_step_epochs,
+                           "halve the step size this often (0 = off)"),
+    "lr-step-factor": _Opt(float, _DEFAULT.lr_step_factor),
+    "cg-tol": _Opt(float, _DEFAULT.cg_tol),
+    "cg-max-iters": _Opt(int, _DEFAULT.cg_max_iters),
+    "dtype": _Opt(str, _DEFAULT.dtype, "objective dtype", DTYPES),
 }
+
+# flag -> TrainConfig field, where the two are not spelled alike
+_FIELD_NAMES = {"lr": "learning_rate", "objective": "objective_mode"}
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 EVAL_OPTS = {
     "checkpoint": _Opt(str, None, "checkpoint file to evaluate"),
-    "data": _Opt(str, "ricker", "csv path or the literal 'ricker'"),
+    "data": TRAIN_OPTS["data"],
     "split": _Opt(str, "test", "which side of the split", ("train", "test")),
-    "train-frac": _Opt(float, 0.9),
-    "seed": _Opt(int, 0, "split / dataset seed"),
-    "header": _Opt(_to_bool, False),
-    "target-column": _Opt(int, -1),
+    **{name: TRAIN_OPTS[name]
+       for name in ("train-frac", "seed", "header", "target-column")},
     "dump-predictions": _Opt(_to_bool, False, "write per-point predictions"),
     "out": _Opt(str, "eval-out", "output directory"),
 }
@@ -128,6 +133,17 @@ def _parse_kv_file(path):
     return pairs
 
 
+def _convert(opt: _Opt, key: str, raw, label: str):
+    """One flag, config or suite value, converted and checked against its choices."""
+    try:
+        value = opt.convert(raw)
+    except ValueError as err:
+        raise ValueError(f"bad {label} value for {key}: {err}") from None
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"{key} must be one of {', '.join(map(str, opt.choices))}")
+    return value
+
+
 def _resolve(opts: dict, args) -> dict:
     values = {name: opt.default for name, opt in opts.items()}
     sources = [("config", _parse_kv_file(args.config))] if args.config else []
@@ -139,17 +155,8 @@ def _resolve(opts: dict, args) -> dict:
     sources.append(("flag", cli_pairs))
     for label, pairs in sources:
         for key, raw in pairs:
-            if key not in opts:
-                continue  # lets a report file be replayed as a config
-            try:
-                values[key] = opts[key].convert(raw)
-            except ValueError as err:
-                raise ValueError(f"bad {label} value for {key}: {err}") from None
-            opt = opts[key]
-            if opt.choices and values[key] not in opt.choices:
-                raise ValueError(
-                    f"{key} must be one of {', '.join(map(str, opt.choices))}"
-                )
+            if key in opts:  # other keys let a report be replayed as a config
+                values[key] = _convert(opts[key], key, raw, label)
     for name, value in values.items():
         if value is None:
             raise ValueError(f"--{name} is required")
@@ -187,24 +194,9 @@ def _load_split(values: dict):
 
 
 def _train_config(values: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=values["epochs"],
-        batch_size=values["batch-size"],
-        learning_rate=values["lr"],
-        probes=values["probes"],
-        seed=values["seed"],
-        objective_mode=values["objective"],
-        cg_tol=values["cg-tol"],
-        cg_max_iters=values["cg-max-iters"],
-        m=values["m"],
-        noise_init=values["noise-init"],
-        lengthscale_init=values["lengthscale-init"],
-        outputscale_init=values["outputscale-init"],
-        temperature_init=values["temperature-init"],
-        lr_step_epochs=values["lr-step-epochs"],
-        lr_step_factor=values["lr-step-factor"],
-        dtype=values["dtype"],
-    )
+    named = {_FIELD_NAMES.get(key, key.replace("-", "_")): value
+             for key, value in values.items()}
+    return TrainConfig(**{k: v for k, v in named.items() if k in _TRAIN_FIELDS})
 
 
 # model -> (train, fit), called alike; fit returns a posterior.Posterior
@@ -221,8 +213,6 @@ _MODELS = {
 
 def _train_model(values: dict, train_data, test_data) -> dict:
     model, solver = values["model"], values["solver"]
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}")
     train_fn, fit_fn = _MODELS[model]
     hp, trace = train_fn(train_data, _train_config(values))
     post = fit_fn(train_data, hp, solver)
@@ -326,32 +316,33 @@ def _split_list(text: str) -> list:
 
 
 def _bench_compare(suite: dict, outdir: Path) -> int:
-    datasets = _split_list(suite.pop("data", "ricker"))
-    models = _split_list(suite.pop("models", "softki"))
-    objectives = _split_list(suite.pop("objectives", "auto"))
-    seeds = [int(s) for s in _split_list(suite.pop("seeds", "0"))]
+    # each list element is checked like the train flag it sets
+    datasets, models, objectives, seeds = (
+        [_convert(TRAIN_OPTS[opt], key, item, "suite")
+         for item in _split_list(suite.pop(key, default))]
+        for key, opt, default in (("data", "data", "ricker"), ("models", "model", "softki"),
+                                  ("objectives", "objective", "auto"), ("seeds", "seed", "0"))
+    )
 
     base: dict = {}
     per_model: dict = {model: {} for model in models}
     for key, raw in suite.items():
-        if "." in key:
-            model, opt = key.split(".", 1)
-            if model not in per_model or opt not in TRAIN_OPTS:
-                raise ValueError(f"unknown suite key {key!r}")
-            per_model[model][opt] = TRAIN_OPTS[opt].convert(raw)
-        elif key in TRAIN_OPTS:
-            base[key] = TRAIN_OPTS[key].convert(raw)
-        else:
+        model, _, opt = key.rpartition(".")   # MODEL.key scopes to one model
+        target = per_model.get(model) if "." in key else base
+        if target is None or opt not in TRAIN_OPTS:
             raise ValueError(f"unknown suite key {key!r}")
+        target[opt] = _convert(TRAIN_OPTS[opt], key, raw, "suite")
 
     specs = sorted(product(datasets, models, objectives, seeds))
+    defaults = {name: opt.default for name, opt in TRAIN_OPTS.items()}
+    row_values = {spec: {**defaults, **base, **per_model[spec[1]],
+                         **dict(zip(("data", "model", "objective", "seed"), spec))}
+                  for spec in specs}
+    for values in row_values.values():
+        _train_config(values)  # a bad config field fails before any row runs
 
     def run_row(spec):
-        data_name, model, objective, seed = spec
-        values = {name: opt.default for name, opt in TRAIN_OPTS.items()}
-        values.update(base)
-        values.update(per_model[model])
-        values.update(data=data_name, model=model, objective=objective, seed=seed)
+        values = row_values[spec]
         try:
             train_data, test_data = _load_split(values)
             result = _train_model(values, train_data, test_data)

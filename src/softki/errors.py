@@ -37,6 +37,14 @@ class ObjectiveFailed(SoftKIError):
     """Both the exact and fallback objectives produced non-finite results."""
 
 
+class InvalidConfig(SoftKIError):
+    """A configuration field is outside its allowed values; the message names it."""
+
+
+class NonFiniteInput(SoftKIError):
+    """Query points contain nan or inf; the message names the first bad row."""
+
+
 class ParseError(SoftKIError):
     """A CSV cell is not a finite number. Carries 1-based row and column."""
 

@@ -5,14 +5,13 @@ row-stochastic interpolation weights. The exact marginal log likelihood
 
     value = -1/2 [ y^T D^-1 y + log det D + n log(2 pi) ]
 
-is evaluated either through the low-rank structure or through a dense
-Cholesky of D itself; the two paths agree to rounding and the dense one exists
-for cross-checks at small n. The low-rank path is ``lowrank_gaussian``,
-shared with the SGPR bound: for D = Phi L L^T Phi^T + beta^2 I (softki:
-Phi = W, L = U_zz^T; SGPR: Phi = K_xz U_zz^-1, L = I) it factorizes only the
-m-by-m M = beta^2 I + L^T S L with S = Phi^T Phi and gets D^-1 y, log det D
-and D^-1 Phi = Phi (I - Z S) / beta^2, Z = L M^-1 L^T, from the Woodbury
-identity and the determinant lemma; D itself is never formed.
+comes from one of two Gaussian cores. ``lowrank_gaussian`` (training, and the
+SGPR bound) takes D = Phi L L^T Phi^T + beta^2 I (softki: Phi = W, L = U_zz^T;
+SGPR: Phi = K_xz U_zz^-1, L = I), factorizes only the m-by-m
+M = beta^2 I + L^T S L with S = Phi^T Phi, and gets D^-1 y, log det D and
+D^-1 Phi = Phi (I - Z S) / beta^2, Z = L M^-1 L^T, by the Woodbury identity
+and the determinant lemma. ``dense_gaussian``, one Cholesky of a formed D,
+serves the dense referees: ``exact_mll(path="dense")`` and the exact GP.
 
 When K_zz stops being numerically positive definite, or the exact value or
 gradient goes non-finite, a Hutchinson-style pseudoloss takes over: solve
@@ -21,9 +20,9 @@ Gaussian probes w_j, then
 
     value = -1/2 [ u_0^T D u_0 + (1/l) sum_j u_j^T (D w_j) ]
 
-with the solutions u treated as constants with respect to the hyperparameters
-(no differentiation through the solver). Gradients of both objectives share
-one assembly: for any symmetric sensitivity G with dL = <G, dD>,
+with the solutions u treated as constants (no differentiation through the
+solver). Gradients of both objectives share one assembly: for any symmetric
+sensitivity G with dL = <G, dD>,
 
     dL/d beta   = 2 beta tr(G)
     dL/d K_zz   = W^T G W      (kernel parameters and z through K_zz)
@@ -33,11 +32,11 @@ For the exact objective G = (a a^T - D^-1)/2 with a = D^-1 y; for the
 pseudoloss G = u_0 u_0^T / 2 - (c / 2l) sym(sum_j u_j w_j^T), where c = n
 by default: the probes have unit norm, so E[w w^T] = I/n and the trace
 estimate must be scaled by n to target tr(D^-1 dD). ``scale_trace=False``
-keeps the unscaled form.
+keeps the unscaled form. Gradients are a dict keyed by ``trainer.PARAMS``
+names, in constrained space; a failed report has a nan value and none.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -64,58 +63,15 @@ class SoftKIHyperparams:
 
 
 @dataclass
-class Gradients:
-    """Derivatives of an objective with respect to the constrained parameters."""
-
-    noise: float
-    lengthscales: np.ndarray
-    outputscale: float
-    z: Optional[np.ndarray] = None
-    temperatures: Optional[np.ndarray] = None
-
-    def arrays(self):
-        out = {"noise": np.asarray(self.noise), "lengthscales": self.lengthscales,
-               "outputscale": np.asarray(self.outputscale)}
-        if self.z is not None:
-            out["z"] = self.z
-        if self.temperatures is not None:
-            out["temperatures"] = self.temperatures
-        return out
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.arrays().values())
-
-    @staticmethod
-    def nan_like(hp: "SoftKIHyperparams") -> "Gradients":
-        d = hp.kernel.lengthscales.shape[0]
-        return Gradients(
-            noise=np.nan,
-            lengthscales=np.full(d, np.nan),
-            outputscale=np.nan,
-            z=np.full_like(hp.interp.z, np.nan),
-            temperatures=np.full(d, np.nan),
-        )
-
-
-@dataclass
 class ObjectiveReport:
     value: float
-    gradients: Gradients
+    gradients: dict                     # trainer.PARAMS name -> gradient
     mode_used: str                      # "exact" or "pseudoloss"
     diagnostics: dict = field(default_factory=dict)
 
     def is_finite(self) -> bool:
-        return bool(np.isfinite(self.value)) and self.gradients.is_finite()
-
-
-@dataclass
-class ObjectiveConfig:
-    mode: str = "auto"                  # auto | exact | pseudoloss
-    probes: int = 10
-    probe_seed: object = 0              # anything default_rng accepts
-    cg_tol: float = 1e-6
-    cg_max_iters: int = 500
-    dtype: str = "float64"
+        return bool(np.isfinite(self.value)) and all(
+            np.all(np.isfinite(g)) for g in self.gradients.values())
 
 
 def draw_probes(n: int, count: int, seed) -> np.ndarray:
@@ -174,7 +130,19 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray, beta2,
     )
 
 
-def _assemble_gradients(x, hp, g_k, g_w, tr_g) -> Gradients:
+def dense_gaussian(d: np.ndarray, y: np.ndarray, jitter_schedule=None):
+    """(y^T D^-1 y, log det D, D^-1 y, D^-1, jitter) from one Cholesky of D.
+
+    Raises NotPositiveDefinite when D fails to factorize after the jitter
+    schedule.
+    """
+    u, jitter = linalg.cholesky_upper(d, jitter_schedule)
+    a = linalg.chol_solve(u, y)
+    return (float(y @ a), 2.0 * float(np.sum(np.log(np.diagonal(u)))), a,
+            linalg.chol_inverse(u), jitter)
+
+
+def _assemble_gradients(x, hp, g_k, g_w, tr_g) -> dict:
     """Map sensitivities on (K_zz, W, beta) to parameter gradients."""
     kg = matern32_param_grads(
         hp.interp.z, hp.interp.z, hp.kernel, np.asarray(g_k, dtype=float),
@@ -183,13 +151,13 @@ def _assemble_gradients(x, hp, g_k, g_w, tr_g) -> Gradients:
     z_soft, g_t = softmax_weights_backward(
         np.asarray(x, dtype=float), hp.interp, np.asarray(g_w, dtype=float)
     )
-    return Gradients(
-        noise=2.0 * hp.noise * float(tr_g),
-        lengthscales=kg.lengthscales,
-        outputscale=kg.outputscale,
-        z=kg.x + kg.z + z_soft,
-        temperatures=g_t,
-    )
+    return {
+        "noise": 2.0 * hp.noise * float(tr_g),
+        "lengthscales": kg.lengthscales,
+        "outputscale": kg.outputscale,
+        "z": kg.x + kg.z + z_soft,
+        "temperatures": g_t,
+    }
 
 
 def exact_mll(
@@ -223,20 +191,14 @@ def exact_mll(
 
     diag = {}
     if path == "dense":
-        d_mat = w @ k_zz @ w.T + beta2 * np.eye(n, dtype=dt)
-        u_d, jit = linalg.cholesky_upper(d_mat, jitter_schedule)
-        diag["jitter"] = jit
-        a = linalg.chol_solve(u_d, y)
-        quad = float(y @ a)
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(u_d))))
-        d_inv = linalg.chol_solve(u_d, np.eye(n, dtype=dt))
+        quad, logdet, a, d_inv, diag["jitter"] = dense_gaussian(
+            w @ k_zz @ w.T + beta2 * np.eye(n, dtype=dt), y, jitter_schedule)
         g = 0.5 * (np.outer(a, a) - d_inv)
         g_k = w.T @ g @ w
         g_w = 2.0 * g @ (w @ k_zz)
         tr_g = float(np.trace(g))
     elif path == "lowrank":
-        u_zz, jit = linalg.cholesky_upper(k_zz, jitter_schedule)
-        diag["jitter"] = jit
+        u_zz, diag["jitter"] = linalg.cholesky_upper(k_zz, jitter_schedule)
         lr = lowrank_gaussian(w, y, u_zz.T, beta2, jitter_schedule)
         diag["jitter_inner"] = lr.jitter
         a, quad, logdet = lr.a, lr.quad, lr.logdet
@@ -320,26 +282,24 @@ def hutchinson_pseudoloss(
     )
 
 
-def _nan_report(hp: SoftKIHyperparams, mode: str, diagnostics: dict) -> ObjectiveReport:
-    return ObjectiveReport(value=float("nan"), gradients=Gradients.nan_like(hp),
-                           mode_used=mode, diagnostics=diagnostics)
-
-
 def stabilized_objective(
     x: np.ndarray,
     y: np.ndarray,
     hp: SoftKIHyperparams,
-    cfg: ObjectiveConfig,
+    cfg,
+    probe_seed=0,
 ) -> ObjectiveReport:
     """Exact MLL with automatic fallback to the pseudoloss.
 
-    mode="auto": try the exact objective; on NotPositiveDefinite or any
-    non-finite value/gradient, recompute with the pseudoloss. Raises
-    ObjectiveFailed only if both are non-finite. Forced modes run a single
-    objective and report nan on failure instead of raising.
+    Reads objective_mode, probes, cg_tol, cg_max_iters and dtype from cfg, a
+    ``trainer.TrainConfig``; probe_seed is anything ``default_rng`` accepts. objective_mode="auto":
+    try the exact objective; on NotPositiveDefinite or any non-finite
+    value/gradient, recompute with the pseudoloss. Raises ObjectiveFailed
+    only if both are non-finite. Forced modes run a single objective and
+    report nan on failure instead of raising.
     """
     failure = None
-    if cfg.mode in ("auto", "exact"):
+    if cfg.objective_mode in ("auto", "exact"):
         try:
             rep = exact_mll(x, y, hp, path="lowrank", dtype=cfg.dtype)
             if rep.is_finite():
@@ -347,10 +307,10 @@ def stabilized_objective(
             failure = "non-finite exact value or gradient"
         except NotPositiveDefinite as err:
             failure = str(err)
-        if cfg.mode == "exact":
-            return _nan_report(hp, "exact", {"failure": failure})
+        if cfg.objective_mode == "exact":
+            return ObjectiveReport(float("nan"), {}, "exact", {"failure": failure})
 
-    probes = draw_probes(y.shape[0], cfg.probes, cfg.probe_seed)
+    probes = draw_probes(y.shape[0], cfg.probes, probe_seed)
     rep = hutchinson_pseudoloss(
         x, y, hp, probes,
         cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters, dtype=cfg.dtype,
@@ -359,8 +319,8 @@ def stabilized_objective(
         rep.diagnostics["fallback_reason"] = failure
     if rep.is_finite():
         return rep
-    if cfg.mode == "pseudoloss":
-        return _nan_report(hp, "pseudoloss", rep.diagnostics)
+    if cfg.objective_mode == "pseudoloss":
+        return ObjectiveReport(float("nan"), {}, "pseudoloss", rep.diagnostics)
     raise ObjectiveFailed(
         f"exact objective failed ({failure}); pseudoloss non-finite as well"
     )

@@ -32,7 +32,7 @@ import scipy.linalg
 
 from . import linalg
 from .data import Dataset
-from .errors import RankDeficient, SoftKIError
+from .errors import NonFiniteInput, RankDeficient, SoftKIError
 from .interp import InterpolationState, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
 from .objective import SoftKIHyperparams
@@ -167,7 +167,12 @@ def fit_qr(data: Dataset, hp: SoftKIHyperparams,
 
 
 def _features(post: Posterior, xs: np.ndarray) -> np.ndarray:
-    return FORMS[post.variant][0](post.hp, np.atleast_2d(xs))
+    """phi(xs); raises NonFiniteInput naming the first row with a nan or inf."""
+    xs = np.atleast_2d(xs)
+    if not np.isfinite(xs).all():  # the flat test is the cheap one; rows only on failure
+        row = np.argmin(np.isfinite(xs).all(axis=1))
+        raise NonFiniteInput(f"query row {row} (0-based) has a nan or inf")
+    return FORMS[post.variant][0](post.hp, xs)
 
 
 def predict(post: Posterior, xs: np.ndarray):

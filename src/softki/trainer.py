@@ -17,22 +17,17 @@ optimizes.
 
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import transforms
 from .baselines import SGPRHyperparams, exact_gp_mll, sgpr_elbo
 from .data import Dataset
-from .errors import TooFewPoints
+from .errors import InvalidConfig, TooFewPoints
 from .interp import InterpolationState
 from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams
-from .objective import (
-    Gradients,
-    ObjectiveConfig,
-    SoftKIHyperparams,
-    stabilized_objective,
-)
+from .objective import SoftKIHyperparams, stabilized_objective
 
 NOISE_FLOOR = 1e-4
 SCALE_FLOOR = 1e-8
@@ -46,14 +41,24 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
-@dataclass
+OBJECTIVE_MODES = ("auto", "exact", "pseudoloss")
+DTYPES = ("float64", "float32")
+
+# field -> smallest allowed value
+_MINIMUM = {"batch_size": 1, "m": 1, "probes": 1, "cg_max_iters": 1,
+            "epochs": 0, "lr_step_epochs": 0, "learning_rate": 0}
+
+
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; frozen, so every value passed the checks in __post_init__."""
+
     epochs: int = 50
     batch_size: int = 1024
     learning_rate: float = 0.01
     probes: int = 10
     seed: int = 0
-    objective_mode: str = "auto"        # auto | exact | pseudoloss
+    objective_mode: str = "auto"        # one of OBJECTIVE_MODES
     cg_tol: float = 1e-6
     cg_max_iters: int = 500
     m: int = 512
@@ -63,7 +68,17 @@ class TrainConfig:
     temperature_init: float = 1.0
     lr_step_epochs: int = 0             # 0 disables step decay
     lr_step_factor: float = 0.5
-    dtype: str = "float64"
+    dtype: str = "float64"              # one of DTYPES
+
+    def __post_init__(self):
+        for name, allowed in (("objective_mode", OBJECTIVE_MODES), ("dtype", DTYPES)):
+            if getattr(self, name) not in allowed:
+                raise InvalidConfig(f"{name} must be one of {', '.join(allowed)}, "
+                                    f"got {getattr(self, name)!r}")
+        for name, low in _MINIMUM.items():
+            if not getattr(self, name) >= low:   # also rejects nan
+                raise InvalidConfig(
+                    f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -220,10 +235,9 @@ def from_raw(raw: dict):
     return {"noise": noise, "kernel": kernel}
 
 
-def chain(grads: Gradients, raw: dict) -> dict:
+def chain(grads: dict, raw: dict) -> dict:
     """Map constrained-space gradients onto the unconstrained variables."""
-    g = grads.arrays()
-    return {name: g[name] * PARAMS[name][2](u) for name, u in raw.items()}
+    return {name: grads[name] * PARAMS[name][2](u) for name, u in raw.items()}
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +250,8 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _run_loop(data: Dataset, cfg: TrainConfig, objective, names):
+def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
+    """Adam over the named parameters; objective(x, y, hp, step) -> ObjectiveReport."""
     x, y = data.x, data.y
     n = y.shape[0]
     adam = Adam(raw_init(names, cfg, data), cfg.learning_rate)
@@ -250,7 +265,7 @@ def _run_loop(data: Dataset, cfg: TrainConfig, objective, names):
         batch_values = []
         for idx in _epoch_batches(n, cfg.batch_size, _rng(cfg.seed, _SHUFFLE, epoch)):
             hp = from_raw(adam.params)
-            report = objective(x[idx], y[idx], hp, cfg, step)
+            report = objective(x[idx], y[idx], hp, step)
             nb = idx.shape[0]
             batch_values.append(report.value / nb)
             trace.mode_counts[report.mode_used] = (
@@ -270,35 +285,20 @@ def _run_loop(data: Dataset, cfg: TrainConfig, objective, names):
 def train(data: Dataset, cfg: TrainConfig):
     """Train interpolation-GP hyperparameters; returns (hyperparams, trace)."""
 
-    def objective(xb, yb, hp, cfg, step):
-        ocfg = ObjectiveConfig(
-            mode=cfg.objective_mode,
-            probes=cfg.probes,
-            probe_seed=np.random.SeedSequence([cfg.seed, _PROBES, step]),
-            cg_tol=cfg.cg_tol,
-            cg_max_iters=cfg.cg_max_iters,
-            dtype=cfg.dtype,
-        )
-        return stabilized_objective(xb, yb, hp, ocfg)
+    def objective(xb, yb, hp, step):
+        return stabilized_objective(
+            xb, yb, hp, cfg, np.random.SeedSequence([cfg.seed, _PROBES, step]))
 
-    return _run_loop(data, cfg, objective, SOFTKI_PARAMS)
+    return _run_loop(data, cfg, SOFTKI_PARAMS, objective)
 
 
 def train_sgpr(data: Dataset, cfg: TrainConfig):
     """Full-batch SGPR training with the same loop and optimizer."""
-    full = TrainConfig(**{**asdict(cfg), "batch_size": len(data)})
-
-    def objective(xb, yb, hp, cfg, step):
-        return sgpr_elbo(xb, yb, hp)
-
-    return _run_loop(data, full, objective, SGPR_PARAMS)
+    return _run_loop(data, replace(cfg, batch_size=len(data)), SGPR_PARAMS,
+                     lambda xb, yb, hp, step: sgpr_elbo(xb, yb, hp))
 
 
 def train_exact(data: Dataset, cfg: TrainConfig):
     """Full-batch exact GP hyperparameter training (dense, small n only)."""
-
-    def objective(xb, yb, hp, cfg, step):
-        return exact_gp_mll(xb, yb, hp["noise"], hp["kernel"])
-
-    full = TrainConfig(**{**asdict(cfg), "batch_size": len(data)})
-    return _run_loop(data, full, objective, EXACT_PARAMS)
+    return _run_loop(data, replace(cfg, batch_size=len(data)), EXACT_PARAMS,
+                     lambda xb, yb, hp, step: exact_gp_mll(xb, yb, hp["noise"], hp["kernel"]))

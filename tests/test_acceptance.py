@@ -154,7 +154,7 @@ def check_gradients(x, y, state, value_fn, grads, names, h=1e-6):
     flat_names = []
     analytic = []
     for name in names:
-        g = getattr(grads, name)
+        g = grads[name]
         if np.ndim(g) == 0:
             flat_names.append((name, None))
             analytic.append(float(g))
@@ -231,8 +231,8 @@ def test_probe_trace_and_gradient_cosine():
                                    cg_tol=1e-10, cg_max_iters=2000)
 
     def flatten(g):
-        return np.concatenate([[g.noise], g.lengthscales, [g.outputscale],
-                               g.z.ravel(), g.temperatures])
+        return np.concatenate([[g["noise"]], g["lengthscales"], [g["outputscale"]],
+                               g["z"].ravel(), g["temperatures"]])
 
     ge, gp = flatten(exact.gradients), flatten(pseudo.gradients)
     cosine = ge @ gp / (np.linalg.norm(ge) * np.linalg.norm(gp))

@@ -114,18 +114,18 @@ def test_elbo_gradients_match_central_differences():
         args_dn = [b - db for b, db in zip(base, bump)]
         return (sgpr_value(x, y, *args_up) - sgpr_value(x, y, *args_dn)) / (2 * h)
 
-    checks = [(g.noise, (h, 0.0, 0.0, 0.0))]
+    checks = [(g["noise"], (h, 0.0, 0.0, 0.0))]
     for k in range(2):
         e = np.zeros(2); e[k] = h
-        checks.append((g.lengthscales[k], (0.0, e, 0.0, 0.0)))
-    checks.append((g.outputscale, (0.0, 0.0, h, 0.0)))
+        checks.append((g["lengthscales"][k], (0.0, e, 0.0, 0.0)))
+    checks.append((g["outputscale"], (0.0, 0.0, h, 0.0)))
     for idx in np.ndindex(*hp.z.shape):
         e = np.zeros_like(hp.z); e[idx] = h
-        checks.append((g.z[idx], (0.0, 0.0, 0.0, e)))
+        checks.append((g["z"][idx], (0.0, 0.0, 0.0, e)))
     for analytic, bump in checks:
         numeric = fd(bump)
         assert analytic == pytest.approx(numeric, rel=1e-5, abs=1e-7)
-    assert g.temperatures is None
+    assert "temperatures" not in g
 
 
 # -------------------------------------------------------------------- solves
@@ -225,6 +225,30 @@ def test_dense_guardrail():
     kernel = MaternParams(lengthscales=[1.0], outputscale=1.0)
     with pytest.raises(TooLarge):
         exact_gp_mll(np.zeros((4097, 1)), np.zeros(4097), 0.1, kernel)
+    with pytest.raises(TooLarge):
+        exact_fit(Dataset(np.zeros((4097, 1)), np.zeros(4097)), 0.1, kernel)
+
+
+def test_dense_referees_share_dense_gaussian(monkeypatch):
+    assert softki.baselines.dense_gaussian is softki.objective.dense_gaussian
+    calls = []
+    original = softki.objective.dense_gaussian
+
+    def counting(d, y, jitter_schedule=None):
+        calls.append(d.shape)
+        return original(d, y, jitter_schedule)
+
+    monkeypatch.setattr(softki.objective, "dense_gaussian", counting)
+    monkeypatch.setattr(softki.baselines, "dense_gaussian", counting)
+    x, y, hp = random_sgpr_instance(6, m=5)
+    soft = SoftKIHyperparams(
+        noise=hp.noise, kernel=hp.kernel,
+        interp=InterpolationState(z=hp.z, temperatures=np.ones(2)),
+    )
+    exact_mll(x, y, soft, path="dense")
+    exact_gp_mll(x, y, hp.noise, hp.kernel)
+    exact_fit(Dataset(x, y), hp.noise, hp.kernel)
+    assert calls == [(40, 40)] * 3
 
 
 def test_softmax_interpolation_cannot_beat_the_exact_oracle():

@@ -142,6 +142,15 @@ def test_bad_flag_values_fail_cleanly(tmp_path, wave_csv):
     assert "must be one of" in read_report(out2 / "error.txt")["message"]
 
 
+def test_zero_batch_size_fails_naming_the_field(tmp_path, wave_csv):
+    out = tmp_path / "zero-batch"
+    assert train_into(out, wave_csv, "--batch-size", "0") == 1
+    report = read_report(out / "error.txt")
+    assert report["error"] == "InvalidConfig"
+    assert report["message"].startswith("batch_size must be >= 1")
+    assert not (out / "checkpoint.bin").exists()
+
+
 # ---------------------------------------------------------------------- eval
 
 
@@ -356,6 +365,24 @@ def test_bench_rejects_unknown_suite_keys(tmp_path, wave_csv):
     out = tmp_path / "bench"
     assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
     assert "unknown suite key" in read_report(out / "error.txt")["message"]
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("dtype = float16", "dtype"),
+    ("objectives = exakt", "objectives"),
+    ("models = softki,mystery", "models"),
+    ("seeds = 0,one", "seeds"),
+    ("models = softki,sgpr\nsgpr.dtype = float16", "sgpr.dtype"),
+    ("batch-size = 0", "batch_size"),
+])
+def test_bench_checks_suite_values_before_any_row(tmp_path, wave_csv, lines, key):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"suite = compare\ndata = {wave_csv}\nm = 4\nepochs = 1\n"
+                     f"{lines}\n")
+    out = tmp_path / "bench"
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
+    assert key in read_report(out / "error.txt")["message"]
+    assert not (out / "results.csv").exists()
 
 
 def test_bench_solvers_suite_emits_residual_curves(tmp_path):

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softki.trainer import TrainConfig
 from softki.errors import NotPositiveDefinite, ObjectiveFailed
 from softki.interp import InterpolationState, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.linalg import block_cg
 from softki.objective import (
     LOG_2PI,
-    ObjectiveConfig,
     SoftKIHyperparams,
+    dense_gaussian,
     draw_probes,
     exact_mll,
     hutchinson_pseudoloss,
@@ -52,7 +53,8 @@ def dense_pieces(x, hp):
 
 def flat_grads(g):
     return np.concatenate(
-        [[g.noise], g.lengthscales, [g.outputscale], g.z.ravel(), g.temperatures]
+        [[g["noise"]], g["lengthscales"], [g["outputscale"]], g["z"].ravel(),
+         g["temperatures"]]
     )
 
 
@@ -155,6 +157,22 @@ def test_lowrank_gaussian_matches_dense_algebra(form):
     assert np.allclose(lr.s, phi.T @ phi, rtol=1e-12, atol=1e-14)
 
 
+def test_dense_gaussian_matches_numpy_and_climbs_the_jitter_ladder():
+    x, y, hp = random_instance(4, n=15, m=6)
+    _, _, d_mat = dense_pieces(x, hp)
+    quad, logdet, a, d_inv, jitter = dense_gaussian(d_mat, y)
+    assert quad == pytest.approx(y @ np.linalg.solve(d_mat, y), rel=1e-10)
+    assert logdet == pytest.approx(np.linalg.slogdet(d_mat)[1], rel=1e-10)
+    assert np.allclose(a, np.linalg.solve(d_mat, y), rtol=1e-9, atol=1e-12)
+    assert np.allclose(d_inv, np.linalg.inv(d_mat), rtol=1e-9, atol=1e-12)
+    assert jitter == 0.0
+
+    singular = np.ones((4, 4))
+    assert dense_gaussian(singular, np.ones(4), [0.0, 0.5])[4] == 0.5
+    with pytest.raises(NotPositiveDefinite):
+        dense_gaussian(singular, np.ones(4), [0.0])
+
+
 def test_non_positive_definite_propagates():
     x, y, hp = near_coincident_batch()
     with pytest.raises(NotPositiveDefinite):
@@ -220,7 +238,7 @@ def test_gradients_finite_whenever_value_finite():
                                    noise=float(10.0 ** -(seed % 4)))
         rep = exact_mll(x, y, hp)
         if np.isfinite(rep.value):
-            assert rep.gradients.is_finite()
+            assert rep.is_finite()
 
 
 def test_batch_sum_gradient_decomposition():
@@ -305,7 +323,7 @@ def test_unscaled_trace_mode_differs_by_batch_size_factor():
     assert scaled.value == plain.value  # the value never carries the scaling
     # both share the same solve against y, so any difference in the noise
     # gradient comes from the probe trace term alone
-    assert not np.isclose(scaled.gradients.noise, plain.gradients.noise)
+    assert not np.isclose(scaled.gradients["noise"], plain.gradients["noise"])
 
 
 # -------------------------------------------------------------- stabilized
@@ -313,7 +331,7 @@ def test_unscaled_trace_mode_differs_by_batch_size_factor():
 
 def test_auto_mode_uses_exact_on_stable_batch():
     x, y, hp = random_instance(6)
-    rep = stabilized_objective(x, y, hp, ObjectiveConfig())
+    rep = stabilized_objective(x, y, hp, TrainConfig())
     assert rep.mode_used == "exact"
     assert rep.is_finite()
 
@@ -323,8 +341,9 @@ def test_forced_pseudoloss_tracks_exact_gradients():
     exact = exact_mll(x, y, hp)
     rep = stabilized_objective(
         x, y, hp,
-        ObjectiveConfig(mode="pseudoloss", probes=500, probe_seed=3,
-                        cg_tol=1e-10, cg_max_iters=2000),
+        TrainConfig(objective_mode="pseudoloss", probes=500, cg_tol=1e-10,
+                    cg_max_iters=2000),
+        probe_seed=3,
     )
     assert rep.mode_used == "pseudoloss"
     assert rep.is_finite()
@@ -335,17 +354,18 @@ def test_forced_pseudoloss_tracks_exact_gradients():
 
 def test_near_coincident_float32_falls_back():
     x, y, hp = near_coincident_batch()
-    cfg = ObjectiveConfig(mode="auto", dtype="float32")
+    cfg = TrainConfig(objective_mode="auto", dtype="float32")
     rep = stabilized_objective(x, y, hp, cfg)
     assert rep.mode_used == "pseudoloss"
     assert np.isfinite(rep.value)
     assert "fallback_reason" in rep.diagnostics
 
-    forced = stabilized_objective(x, y, hp, ObjectiveConfig(mode="exact",
-                                                            dtype="float32"))
+    forced = stabilized_objective(x, y, hp, TrainConfig(objective_mode="exact",
+                                                        dtype="float32"))
     assert forced.mode_used == "exact"
     assert np.isnan(forced.value)
-    assert not forced.gradients.is_finite()
+    assert forced.gradients == {}
+    assert not forced.is_finite()
 
     healthy = exact_mll(x.astype(np.float64), y.astype(np.float64), hp)
     assert np.isfinite(healthy.value)
@@ -353,8 +373,8 @@ def test_near_coincident_float32_falls_back():
 
 def test_forced_exact_failure_reports_nan_instead_of_raising():
     x, y, hp = near_coincident_batch(seed=1)
-    rep = stabilized_objective(x, y, hp, ObjectiveConfig(mode="exact",
-                                                         dtype="float32"))
+    rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="exact",
+                                                     dtype="float32"))
     assert np.isnan(rep.value)
     assert "failure" in rep.diagnostics
 
@@ -364,13 +384,13 @@ def test_both_paths_failing_raises_objective_failed():
     x = x.copy()
     x[0, 0] = np.nan  # poisons both objectives
     with pytest.raises(ObjectiveFailed):
-        stabilized_objective(x, y, hp, ObjectiveConfig())
+        stabilized_objective(x, y, hp, TrainConfig())
 
 
 def test_forced_pseudoloss_failure_reports_nan():
     x, y, hp = random_instance(9, n=8, m=2)
     x = x.copy()
     x[0, 0] = np.nan
-    rep = stabilized_objective(x, y, hp, ObjectiveConfig(mode="pseudoloss"))
+    rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="pseudoloss"))
     assert rep.mode_used == "pseudoloss"
     assert np.isnan(rep.value)

@@ -8,7 +8,8 @@ import pytest
 from softki import fit_qr
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
-from softki.errors import RankDeficient
+from softki.baselines import SGPRHyperparams, sgpr_fit
+from softki.errors import NonFiniteInput, RankDeficient
 from softki.interp import InterpolationState, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.objective import SoftKIHyperparams
@@ -17,6 +18,7 @@ from softki.posterior import (
     alt_solve,
     gaussian_nll,
     near_degenerate_instance,
+    predict,
     predict_mean,
     predict_var,
     solver_study,
@@ -129,6 +131,27 @@ def test_large_noise_limit_recovers_the_prior():
 
 
 # ------------------------------------------------------------------- metrics
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("variant", ["softki", "sgpr"])
+def test_non_finite_query_rows_are_rejected(variant, bad):
+    data, hp = make_instance(9, n=40, m=6)
+    if variant == "softki":
+        post = fit_qr(data, hp)
+    else:
+        post = sgpr_fit(data, SGPRHyperparams(noise=hp.noise, kernel=hp.kernel,
+                                              z=hp.interp.z))
+    xs = data.x[:6].copy()
+    xs[3, 1] = bad
+    xs[5, 0] = bad
+    for fn in (predict, predict_mean, predict_var):
+        with pytest.raises(NonFiniteInput, match=r"query row 3 \(0-based\)"):
+            fn(post, xs)
+    with pytest.raises(NonFiniteInput, match="query row 0"):
+        predict(post, xs[3])   # a single point is row 0
+    mean, var = predict(post, xs[:3])
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
 
 
 def test_gaussian_nll_closed_forms():

@@ -1,13 +1,15 @@
 """Optimizer, k-means seeding, batching, and the training loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from softki import TrainConfig, ricker_dataset, train, train_exact, train_sgpr
 from softki.data import Dataset
-from softki.errors import TooFewPoints
+from softki.trainer import DTYPES, OBJECTIVE_MODES
+from softki.errors import InvalidConfig, TooFewPoints
 from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN
-from softki.objective import Gradients
 from softki.trainer import (
     EXACT_PARAMS,
     NOISE_FLOOR,
@@ -326,13 +328,8 @@ def test_chain_matches_finite_differences_of_the_table(names):
               "z": (4, 3), "temperatures": (3,)}
     raw = {name: rng.standard_normal(shapes[name]) for name in names}
     upstream = {name: rng.standard_normal(shapes[name]) for name in names}
-    grads = Gradients(
-        noise=float(upstream["noise"][0]),
-        lengthscales=upstream["lengthscales"],
-        outputscale=float(upstream["outputscale"][0]),
-        z=upstream.get("z"),
-        temperatures=upstream.get("temperatures"),
-    )
+    grads = {**upstream, "noise": float(upstream["noise"][0]),
+             "outputscale": float(upstream["outputscale"][0])}
     out = chain(grads, raw)
     assert set(out) == set(names)
     h = 1e-6
@@ -343,3 +340,33 @@ def test_chain_matches_finite_differences_of_the_table(names):
         fd = (f(raw[name] + h) - f(raw[name] - h)) / (2.0 * h)
         np.testing.assert_allclose(out[name], upstream[name] * fd,
                                    rtol=1e-6, atol=1e-9, err_msg=name)
+
+
+# ------------------------------------------------------------ configuration
+
+
+@pytest.mark.parametrize("field, value", [
+    ("objective_mode", "exakt"), ("dtype", "float16"), ("batch_size", 0),
+    ("m", 0), ("probes", 0), ("cg_max_iters", 0), ("epochs", -1),
+    ("lr_step_epochs", -1), ("learning_rate", -0.01),
+    ("learning_rate", float("nan")),
+])
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(InvalidConfig, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_cannot_be_changed_past_its_checks():
+    cfg = TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.objective_mode = "exakt"
+    with pytest.raises(InvalidConfig, match="^objective_mode must be"):
+        dataclasses.replace(cfg, objective_mode="exakt")
+
+
+def test_train_config_accepts_its_boundary_values():
+    for mode in OBJECTIVE_MODES:
+        for dtype in DTYPES:
+            TrainConfig(objective_mode=mode, dtype=dtype)
+    TrainConfig(batch_size=1, m=1, probes=1, cg_max_iters=1, epochs=0,
+                lr_step_epochs=0, learning_rate=0.0)
