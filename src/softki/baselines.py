@@ -17,15 +17,20 @@ v = alpha and P = K_zz^-1 - C^-1. The exact GP is the same form with the
 training inputs as points and P = K^-1; its likelihood and its fit take
 K^-1 y, log det K and K^-1 from one ``objective.dense_gaussian`` of
 K = K_XX + beta^2 I.
+
+Both models read softki's ``interp.Hyperparams`` record with no temperatures.
+SGPR's points are its z; the exact GP has none to learn, and ``exact_fit``
+puts the training inputs in the z of the posterior's record.
 """
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from . import linalg
 from .data import Dataset
 from .errors import TooLarge
+from .interp import Hyperparams
 from .kernel import MaternParams, matern32, matern32_param_grads
 from .objective import LOG_2PI, ObjectiveReport, dense_gaussian, lowrank_gaussian
 from .posterior import Posterior, fit, predict_mean, predict_var, test_metrics
@@ -33,21 +38,7 @@ from .posterior import Posterior, fit, predict_mean, predict_var, test_metrics
 EXACT_GP_MAX_POINTS = 4096
 
 
-@dataclass
-class SGPRHyperparams:
-    noise: float
-    kernel: MaternParams
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.noise = float(self.noise)
-        self.z = np.atleast_2d(np.asarray(self.z, dtype=float))
-        if self.noise <= 0:
-            raise ValueError("noise must be positive")
-
-
-def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
-              jitter_schedule=None) -> ObjectiveReport:
+def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     """Collapsed variational bound and its analytic gradients."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -58,9 +49,9 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
 
     k_xz = matern32(x, hp.z, hp.kernel)
     k_zz = matern32(hp.z, hp.z, hp.kernel)
-    u_zz, jit = linalg.cholesky_upper(k_zz, jitter_schedule)
+    u_zz, jit = linalg.cholesky_upper(k_zz)
     b = linalg.tri_solve_upper(u_zz, k_xz.T, transpose=True).T
-    lr = lowrank_gaussian(b, y, np.eye(m), beta2, jitter_schedule)
+    lr = lowrank_gaussian(b, y, np.eye(m), beta2)
     log_n = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
 
     trace_gap = n * hp.kernel.outputscale - float(np.trace(lr.s))
@@ -89,7 +80,7 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: SGPRHyperparams,
     )
 
 
-def sgpr_fit(data: Dataset, hp: SGPRHyperparams, solver: str = "qr") -> Posterior:
+def sgpr_fit(data: Dataset, hp: Hyperparams, solver: str = "qr") -> Posterior:
     """Fit the inducing-point posterior; see ``posterior.fit``."""
     return fit("sgpr", data, hp, solver)
 
@@ -118,18 +109,17 @@ def _dense_gp(x: np.ndarray, y: np.ndarray, beta2: float, kernel: MaternParams):
     return dense_gaussian(matern32(x, x, kernel) + beta2 * np.eye(n), y)
 
 
-def exact_gp_mll(x: np.ndarray, y: np.ndarray, noise: float,
-                 kernel: MaternParams) -> ObjectiveReport:
-    """Dense marginal log likelihood with gradients for (noise, kernel)."""
+def exact_gp_mll(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
+    """Dense marginal log likelihood with gradients for (noise, kernel); hp.z is unused."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    quad, logdet, a, k_inv, jit = _dense_gp(x, y, noise * noise, kernel)
+    quad, logdet, a, k_inv, jit = _dense_gp(x, y, hp.noise * hp.noise, hp.kernel)
     value = -0.5 * (quad + logdet + y.shape[0] * LOG_2PI)
 
     g = 0.5 * (np.outer(a, a) - k_inv)
-    kg = matern32_param_grads(x, x, kernel, g, want_x=False, want_z=False)
+    kg = matern32_param_grads(x, x, hp.kernel, g, want_x=False, want_z=False)
     grads = {
-        "noise": 2.0 * noise * float(np.trace(g)),
+        "noise": 2.0 * hp.noise * float(np.trace(g)),
         "lengthscales": kg.lengthscales,
         "outputscale": kg.outputscale,
     }
@@ -137,9 +127,11 @@ def exact_gp_mll(x: np.ndarray, y: np.ndarray, noise: float,
                            diagnostics={"jitter": jit})
 
 
-def exact_fit(data: Dataset, noise: float, kernel: MaternParams) -> Posterior:
-    """Dense exact GP posterior: v = K^-1 y and P = K^-1, K = K_XX + noise^2 I."""
+def exact_fit(data: Dataset, hp: Hyperparams) -> Posterior:
+    """Dense exact GP posterior: v = K^-1 y and P = K^-1, K = K_XX + noise^2 I.
+
+    The posterior's points are the training inputs, whatever hp.z holds.
+    """
     x = np.asarray(data.x, dtype=float)
-    _, _, v, p, jit = _dense_gp(x, data.y, noise**2, kernel)
-    hp = SGPRHyperparams(noise=noise, kernel=kernel, z=x)
-    return Posterior("exact", hp, v, p, {"jitter": jit})
+    _, _, v, p, jit = _dense_gp(x, data.y, hp.noise**2, hp.kernel)
+    return Posterior("exact", replace(hp, z=x), v, p, {"jitter": jit})

@@ -11,8 +11,11 @@ These are exactly what prediction reads: the points and kernel of phi, and
 the fit-time vector v and m x m matrix P of the posterior form (see
 posterior.py). The sha256 covers every header line before the ``sha256``
 line and the payload, so an edited scalar is detected like a flipped payload
-byte. temperatures is empty for sgpr and exact; for exact the z slot holds
-the training inputs, so m = n.
+byte. The arrays and the noise and outputscale lines are the fields of the
+one ``interp.Hyperparams`` record every model shares, so a checkpoint is read
+back the same way whatever its variant, which names the ``posterior.FORMS``
+entry prediction uses. temperatures is empty for sgpr and exact; for exact
+the z slot holds the training inputs, so m = n.
 """
 
 import hashlib
@@ -21,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SGPRHyperparams
 from .data import Standardization
 from .errors import ChecksumOrVersionMismatch
-from .interp import InterpolationState
+from .interp import Hyperparams
 from .kernel import MaternParams
-from .objective import SoftKIHyperparams
-from .posterior import Posterior, predict_mean, predict_var
+from .posterior import FORMS, Posterior, predict_mean, predict_var
 
 MAGIC = "softki-checkpoint"
 VERSION = 2
@@ -154,39 +155,19 @@ def load_checkpoint(path) -> Checkpoint:
         raise ChecksumOrVersionMismatch(f"malformed checkpoint header: {err}") from None
 
 
-def _softki_hp(ck: Checkpoint, kernel: MaternParams) -> SoftKIHyperparams:
-    return SoftKIHyperparams(
-        noise=ck.noise, kernel=kernel,
-        interp=InterpolationState(z=ck.z, temperatures=ck.temperatures),
-    )
-
-
-def _points_hp(ck: Checkpoint, kernel: MaternParams) -> SGPRHyperparams:
-    return SGPRHyperparams(noise=ck.noise, kernel=kernel, z=ck.z)
-
-
-# variant -> (hyperparameters from a checkpoint, (z, temperatures) of hyperparameters)
-_VARIANTS = {
-    "softki": (_softki_hp, lambda hp: (hp.interp.z, hp.interp.temperatures)),
-    "sgpr": (_points_hp, lambda hp: (hp.z, np.empty(0))),
-}
-_VARIANTS["exact"] = _VARIANTS["sgpr"]
-
-
 def bundle(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
     """The checkpoint of a fitted posterior trained on n points."""
     hp = post.hp
-    z, temperatures = _VARIANTS[post.variant][1](hp)
     return Checkpoint(
         variant=post.variant,
         n=n,
-        m=z.shape[0],
-        d=z.shape[1],
+        m=hp.z.shape[0],
+        d=hp.z.shape[1],
         stats=stats,
         noise=hp.noise,
         outputscale=hp.kernel.outputscale,
-        z=z,
-        temperatures=temperatures,
+        z=hp.z,
+        temperatures=hp.temperatures,
         lengthscales=hp.kernel.lengthscales,
         v=post.v,
         p=post.p,
@@ -203,13 +184,11 @@ def bundle_sgpr(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
 
 def to_posterior(ck: Checkpoint) -> Posterior:
     """The fitted posterior a checkpoint stores."""
-    try:
-        make_hp = _VARIANTS[ck.variant][0]
-    except KeyError:
-        raise ChecksumOrVersionMismatch(
-            f"unknown checkpoint variant {ck.variant!r}") from None
+    if ck.variant not in FORMS:
+        raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {ck.variant!r}")
     kernel = MaternParams(lengthscales=ck.lengthscales, outputscale=ck.outputscale)
-    return Posterior(ck.variant, make_hp(ck, kernel), ck.v, ck.p)
+    hp = Hyperparams(noise=ck.noise, kernel=kernel, z=ck.z, temperatures=ck.temperatures)
+    return Posterior(ck.variant, hp, ck.v, ck.p)
 
 
 def restore(ck: Checkpoint):

@@ -60,6 +60,10 @@ def _to_solver(text: str) -> str:
     raise ValueError(f"expected qr, direct, cholesky, or cg:<tol>, got {text!r}")
 
 
+def _split_list(text: str) -> list:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 @dataclass(frozen=True)
 class _Opt:
     convert: object
@@ -111,6 +115,19 @@ EVAL_OPTS = {
        for name in ("train-frac", "seed", "header", "target-column")},
     "dump-predictions": _Opt(_to_bool, False, "write per-point predictions"),
     "out": _Opt(str, "eval-out", "output directory"),
+}
+
+# the solvers suite's keys: near_degenerate_instance arguments and the routes
+SOLVERS_OPTS = {
+    "n": _Opt(int, 400),
+    "m": _Opt(int, 24),
+    "d": _Opt(int, 2),
+    "delta": _Opt(float, 1e-3),
+    "noise": _Opt(float, 1e-4),
+    "seed": _Opt(int, 0),
+    "dtype": _Opt(str, "float32", choices=DTYPES),
+    "solvers": _Opt(lambda text: tuple(map(_to_solver, _split_list(text))),
+                    DEFAULT_STUDY_METHODS),
 }
 
 BENCH_OPTS = {
@@ -199,15 +216,12 @@ def _train_config(values: dict) -> TrainConfig:
     return TrainConfig(**{k: v for k, v in named.items() if k in _TRAIN_FIELDS})
 
 
-# model -> (train, fit), called alike; fit returns a posterior.Posterior
+# model -> (train, fit); train returns an interp.Hyperparams and fit a
+# posterior.Posterior (the exact GP's dense fit has no solver to choose)
 _MODELS = {
     "softki": (train, partial(fit, "softki")),
     "sgpr": (train_sgpr, sgpr_fit),
-    "exact": (
-        train_exact,
-        lambda data, params, solver: exact_fit(data, params["noise"],
-                                               params["kernel"]),
-    ),
+    "exact": (train_exact, lambda data, hp, solver: exact_fit(data, hp)),
 }
 
 
@@ -311,10 +325,6 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     return 0
 
 
-def _split_list(text: str) -> list:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
 def _bench_compare(suite: dict, outdir: Path) -> int:
     # each list element is checked like the train flag it sets
     datasets, models, objectives, seeds = (
@@ -408,20 +418,13 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
 
 
 def _bench_solvers(suite: dict, outdir: Path) -> int:
-    n = int(suite.pop("n", "400"))
-    m = int(suite.pop("m", "24"))
-    d = int(suite.pop("d", "2"))
-    delta = float(suite.pop("delta", "1e-3"))
-    noise = float(suite.pop("noise", "1e-4"))
-    seed = int(suite.pop("seed", "0"))
-    dtype = suite.pop("dtype", "float32")
-    methods = tuple(_split_list(suite.pop("solvers",
-                                          ",".join(DEFAULT_STUDY_METHODS))))
-    if suite:
-        raise ValueError(f"unknown suite key {next(iter(suite))!r}")
-
-    data, hp = near_degenerate_instance(n=n, m=m, d=d, delta=delta,
-                                        noise=noise, seed=seed, dtype=dtype)
+    for key in suite:
+        if key not in SOLVERS_OPTS:
+            raise ValueError(f"unknown suite key {key!r}")
+    values = {key: _convert(opt, key, suite[key], "suite") if key in suite else opt.default
+              for key, opt in SOLVERS_OPTS.items()}
+    methods = values.pop("solvers")
+    data, hp = near_degenerate_instance(**values)
     rows = solver_study(data, hp, methods)
 
     rpt.write_csv(
@@ -440,9 +443,7 @@ def _bench_solvers(suite: dict, outdir: Path) -> int:
     rpt.write_csv(outdir / "residuals.csv",
                   ["solver", "iteration", "residual"], curve_rows)
     rpt.write_kv(outdir / "report.txt", [
-        ("suite", "solvers"), ("n", n), ("m", m), ("d", d), ("delta", delta),
-        ("noise", noise), ("seed", seed), ("dtype", dtype),
-        ("solvers", ",".join(methods)),
+        ("suite", "solvers"), *values.items(), ("solvers", ",".join(methods)),
     ])
     for res, rmse in rows:
         print(f"{res.method}: train_rmse = {rpt.format_value(rmse)}")

@@ -1,5 +1,13 @@
-"""Softmax interpolation weights from data points onto learned interpolation
-points, and the low-rank kernel approximation built from them.
+"""The hyperparameter record of every model, the softmax interpolation weights
+from data points onto its points, and the low-rank kernel approximation built
+from them.
+
+``Hyperparams(noise, kernel, z, temperatures)`` serves all three models: the
+paper's SoftKI is SGPR's inducing-point set (noise, kernel, points z) plus
+per-dimension softmax temperatures, and the exact GP is that set with no
+learned points. temperatures is (d,) for softki and empty for SGPR and the
+exact GP, whose z is (0, d) until ``baselines.exact_fit`` puts the training
+inputs there.
 
 Row i of the weight matrix is a softmax over interpolation points:
 
@@ -20,20 +28,25 @@ from .kernel import MaternParams, matern32, scaled_distance
 
 
 @dataclass
-class InterpolationState:
-    """Learned interpolation points and per-dimension temperatures."""
+class Hyperparams:
+    """Noise standard deviation, kernel parameters, points and temperatures."""
 
-    z: np.ndarray              # (m, d)
-    temperatures: np.ndarray   # (d,) strictly positive
+    noise: float
+    kernel: MaternParams
+    z: np.ndarray                  # (m, d); (0, d) for a trained exact GP
+    temperatures: np.ndarray = ()  # (d,) strictly positive for softki, else (0,)
 
     def __post_init__(self):
+        self.noise = float(self.noise)
+        if self.noise <= 0:
+            raise ValueError("noise must be positive")
         self.z = np.atleast_2d(np.asarray(self.z))
         self.temperatures = np.atleast_1d(np.asarray(self.temperatures))
         if self.z.dtype.kind != "f":
             self.z = self.z.astype(float)
         if self.temperatures.dtype.kind != "f":
             self.temperatures = self.temperatures.astype(float)
-        if self.temperatures.shape[0] != self.z.shape[1]:
+        if self.temperatures.shape[0] not in (0, self.z.shape[1]):
             raise DimensionMismatch(
                 f"{self.temperatures.shape[0]} temperatures for d={self.z.shape[1]}"
             )
@@ -41,22 +54,25 @@ class InterpolationState:
             raise NonPositiveTemperature("temperatures must be finite and > 0")
 
 
-def softmax_weights(x: np.ndarray, state: InterpolationState) -> np.ndarray:
+def softmax_weights(x: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Row-stochastic (n, m) weight matrix, computed with max-subtraction."""
-    w, _ = _weights_and_distance(x, state)
+    w, _ = _weights_and_distance(x, hp)
     return w
 
 
-def _weights_and_distance(x: np.ndarray, state: InterpolationState):
+def _weights_and_distance(x: np.ndarray, hp: Hyperparams):
     x = np.asarray(x)
     if x.ndim != 2:
         raise DimensionMismatch(f"expected (n, d) inputs, got {x.shape}")
-    if x.shape[1] != state.z.shape[1]:
-        raise DimensionMismatch(f"x has d={x.shape[1]} but z has d={state.z.shape[1]}")
-    temps = state.temperatures.astype(x.dtype)
+    if x.shape[1] != hp.z.shape[1]:
+        raise DimensionMismatch(f"x has d={x.shape[1]} but z has d={hp.z.shape[1]}")
+    if hp.temperatures.shape[0] != x.shape[1]:
+        raise DimensionMismatch(f"softmax weights need {x.shape[1]} temperatures, "
+                                f"got {hp.temperatures.shape[0]}")
+    temps = hp.temperatures.astype(x.dtype)
     xt = x / temps
     ones = np.ones(x.shape[1], dtype=x.dtype)
-    dist = scaled_distance(xt, state.z.astype(x.dtype), ones)
+    dist = scaled_distance(xt, hp.z.astype(x.dtype), ones)
     logits = -dist
     logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
@@ -66,7 +82,7 @@ def _weights_and_distance(x: np.ndarray, state: InterpolationState):
 
 def softmax_weights_backward(
     x: np.ndarray,
-    state: InterpolationState,
+    hp: Hyperparams,
     upstream: np.ndarray,
 ):
     """Chain an upstream dL/dW through the softmax onto z and T.
@@ -75,7 +91,7 @@ def softmax_weights_backward(
     (d_ij = 0) are taken as 0.
     """
     x = np.asarray(x, dtype=float)
-    w, dist = _weights_and_distance(x, state)
+    w, dist = _weights_and_distance(x, hp)
     if upstream.shape != w.shape:
         raise DimensionMismatch(f"upstream shape {upstream.shape} != {w.shape}")
 
@@ -87,28 +103,28 @@ def softmax_weights_backward(
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(dist > 0, v / dist, 0.0)
 
-    temps = state.temperatures
+    temps = hp.temperatures
     xt = x / temps
     arow = a.sum(axis=1)                       # (n,)
     acol = a.sum(axis=0)                       # (m,)
 
     # d logits_ij / d z_j = (xt_i - z_j) / d_ij
-    g_z = a.T @ xt - state.z * acol[:, None]
+    g_z = a.T @ xt - hp.z * acol[:, None]
 
     # d logits_ij / d T_c = (xt_ic - z_jc) x_ic / (d_ij T_c^2)
-    az = a @ state.z                           # (n, d)
+    az = a @ hp.z                              # (n, d)
     g_t = (x * xt * arow[:, None] - x * az).sum(axis=0) / temps**2
     return g_z, g_t
 
 
-def softki_cross(x: np.ndarray, state: InterpolationState, params: MaternParams):
+def softki_cross(x: np.ndarray, hp: Hyperparams):
     """Weights, interpolation-point Gram matrix, and the product Khat = W K_zz."""
-    w = softmax_weights(x, state)
-    k_zz = matern32(state.z, state.z, params)
+    w = softmax_weights(x, hp)
+    k_zz = matern32(hp.z, hp.z, hp.kernel)
     return w, k_zz, w @ k_zz
 
 
-def softki_gram(x: np.ndarray, state: InterpolationState, params: MaternParams) -> np.ndarray:
+def softki_gram(x: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Dense (n, n) approximate Gram matrix W K_zz W^T. Test-scale helper."""
-    w, k_zz, khat = softki_cross(x, state, params)
+    w, k_zz, khat = softki_cross(x, hp)
     return khat @ w.T

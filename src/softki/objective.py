@@ -29,11 +29,12 @@ sensitivity G with dL = <G, dD>,
     dL/d W      = 2 G W K_zz   (z and temperatures through the softmax)
 
 For the exact objective G = (a a^T - D^-1)/2 with a = D^-1 y; for the
-pseudoloss G = u_0 u_0^T / 2 - (c / 2l) sym(sum_j u_j w_j^T), where c = n
-by default: the probes have unit norm, so E[w w^T] = I/n and the trace
-estimate must be scaled by n to target tr(D^-1 dD). ``scale_trace=False``
-keeps the unscaled form. Gradients are a dict keyed by ``trainer.PARAMS``
-names, in constrained space; a failed report has a nan value and none.
+pseudoloss G = u_0 u_0^T / 2 - (n / 2l) sym(sum_j u_j w_j^T): the probes have
+unit norm, so E[w w^T] = I/n and the trace estimate is scaled by n to target
+tr(D^-1 dD). Every objective reads its parameters from one
+``interp.Hyperparams`` record. Gradients are a dict keyed by
+``trainer.PARAMS`` names, in constrained space; a failed report has a nan
+value and none.
 """
 
 from dataclasses import dataclass, field
@@ -42,24 +43,10 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveDefinite, ObjectiveFailed
-from .interp import InterpolationState, softmax_weights, softmax_weights_backward
-from .kernel import MaternParams, matern32, matern32_param_grads
+from .interp import Hyperparams, softmax_weights, softmax_weights_backward
+from .kernel import matern32, matern32_param_grads
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass
-class SoftKIHyperparams:
-    """Noise standard deviation, kernel parameters, interpolation state."""
-
-    noise: float
-    kernel: MaternParams
-    interp: InterpolationState
-
-    def __post_init__(self):
-        self.noise = float(self.noise)
-        if self.noise <= 0:
-            raise ValueError("noise must be positive")
 
 
 @dataclass
@@ -97,8 +84,8 @@ class LowRankGaussian:
     jitter: float               # rung used to factor M
 
 
-def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray, beta2,
-                     jitter_schedule=None) -> LowRankGaussian:
+def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray,
+                     beta2) -> LowRankGaussian:
     """Quadratic form, log determinant and solves of a low-rank-plus-noise D.
 
     Raises NotPositiveDefinite when M fails to factorize after the jitter
@@ -110,8 +97,7 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray, beta2,
     n, m = phi.shape
     s = phi.T @ phi
     lt_s = l.T @ s
-    u_m, jitter = linalg.cholesky_upper(beta2 * np.eye(m, dtype=phi.dtype) + lt_s @ l,
-                                        jitter_schedule)
+    u_m, jitter = linalg.cholesky_upper(beta2 * np.eye(m, dtype=phi.dtype) + lt_s @ l)
     g = linalg.tri_solve_upper(u_m, l.T, transpose=True)     # U_m^-T L^T
     h = linalg.tri_solve_upper(u_m, lt_s, transpose=True)    # U_m^-T L^T S
     zs = g.T @ h
@@ -130,13 +116,13 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray, beta2,
     )
 
 
-def dense_gaussian(d: np.ndarray, y: np.ndarray, jitter_schedule=None):
+def dense_gaussian(d: np.ndarray, y: np.ndarray):
     """(y^T D^-1 y, log det D, D^-1 y, D^-1, jitter) from one Cholesky of D.
 
     Raises NotPositiveDefinite when D fails to factorize after the jitter
     schedule.
     """
-    u, jitter = linalg.cholesky_upper(d, jitter_schedule)
+    u, jitter = linalg.cholesky_upper(d)
     a = linalg.chol_solve(u, y)
     return (float(y @ a), 2.0 * float(np.sum(np.log(np.diagonal(u)))), a,
             linalg.chol_inverse(u), jitter)
@@ -145,11 +131,11 @@ def dense_gaussian(d: np.ndarray, y: np.ndarray, jitter_schedule=None):
 def _assemble_gradients(x, hp, g_k, g_w, tr_g) -> dict:
     """Map sensitivities on (K_zz, W, beta) to parameter gradients."""
     kg = matern32_param_grads(
-        hp.interp.z, hp.interp.z, hp.kernel, np.asarray(g_k, dtype=float),
+        hp.z, hp.z, hp.kernel, np.asarray(g_k, dtype=float),
         want_x=True, want_z=True,
     )
     z_soft, g_t = softmax_weights_backward(
-        np.asarray(x, dtype=float), hp.interp, np.asarray(g_w, dtype=float)
+        np.asarray(x, dtype=float), hp, np.asarray(g_w, dtype=float)
     )
     return {
         "noise": 2.0 * hp.noise * float(tr_g),
@@ -163,9 +149,8 @@ def _assemble_gradients(x, hp, g_k, g_w, tr_g) -> dict:
 def exact_mll(
     x: np.ndarray,
     y: np.ndarray,
-    hp: SoftKIHyperparams,
+    hp: Hyperparams,
     path: str = "lowrank",
-    jitter_schedule=None,
     dtype="float64",
 ) -> ObjectiveReport:
     """Exact marginal log likelihood of one batch, with analytic gradients.
@@ -185,21 +170,21 @@ def exact_mll(
     # the working dtype applies to the whole assembly: in float32 mode the
     # kernel distances themselves are computed in float32, which is where
     # near-coincident interpolation points destabilize the factorization
-    z = hp.interp.z.astype(dt, copy=False)
-    w = softmax_weights(x, hp.interp).astype(dt)
+    z = hp.z.astype(dt, copy=False)
+    w = softmax_weights(x, hp).astype(dt)
     k_zz = matern32(z, z, hp.kernel)
 
     diag = {}
     if path == "dense":
         quad, logdet, a, d_inv, diag["jitter"] = dense_gaussian(
-            w @ k_zz @ w.T + beta2 * np.eye(n, dtype=dt), y, jitter_schedule)
+            w @ k_zz @ w.T + beta2 * np.eye(n, dtype=dt), y)
         g = 0.5 * (np.outer(a, a) - d_inv)
         g_k = w.T @ g @ w
         g_w = 2.0 * g @ (w @ k_zz)
         tr_g = float(np.trace(g))
     elif path == "lowrank":
-        u_zz, diag["jitter"] = linalg.cholesky_upper(k_zz, jitter_schedule)
-        lr = lowrank_gaussian(w, y, u_zz.T, beta2, jitter_schedule)
+        u_zz, diag["jitter"] = linalg.cholesky_upper(k_zz)
+        lr = lowrank_gaussian(w, y, u_zz.T, beta2)
         diag["jitter_inner"] = lr.jitter
         a, quad, logdet = lr.a, lr.quad, lr.logdet
         g_k = 0.5 * (np.outer(lr.phi_a, lr.phi_a) - lr.phi_dinv_phi)
@@ -217,19 +202,18 @@ def exact_mll(
 def hutchinson_pseudoloss(
     x: np.ndarray,
     y: np.ndarray,
-    hp: SoftKIHyperparams,
+    hp: Hyperparams,
     probes: np.ndarray,
     cg_tol: float = 1e-6,
     cg_max_iters: int = 500,
-    scale_trace: bool = True,
     dtype="float64",
 ) -> ObjectiveReport:
     """Factorization-free objective: CG solves against D, probe-based trace.
 
     The CG solutions are constants of the gradient (the solver is not
     differentiated through). The value keeps the literal unscaled trace term;
-    the gradient's trace estimate is scaled by n when scale_trace is on, so it
-    targets the exact gradient's tr(D^-1 dD).
+    the gradient's trace estimate is scaled by n, so it targets the exact
+    gradient's tr(D^-1 dD).
     """
     dt = np.dtype(dtype)
     x = np.asarray(x, dtype=dt)
@@ -239,8 +223,8 @@ def hutchinson_pseudoloss(
     ell = probes.shape[1]
     beta2 = dt.type(hp.noise) ** 2
 
-    z = hp.interp.z.astype(dt, copy=False)
-    w = softmax_weights(x, hp.interp).astype(dt)
+    z = hp.z.astype(dt, copy=False)
+    w = softmax_weights(x, hp).astype(dt)
     k_zz = matern32(z, z, hp.kernel)
 
     def matvec(v):
@@ -256,7 +240,7 @@ def hutchinson_pseudoloss(
         np.einsum("ij,ij->j", us, d_probes)
     )))
 
-    c = float(n) if scale_trace else 1.0
+    c = float(n)
     wk = w @ k_zz
     wu0 = w.T @ u0
     ws = w.T @ us
@@ -285,7 +269,7 @@ def hutchinson_pseudoloss(
 def stabilized_objective(
     x: np.ndarray,
     y: np.ndarray,
-    hp: SoftKIHyperparams,
+    hp: Hyperparams,
     cfg,
     probe_seed=0,
 ) -> ObjectiveReport:

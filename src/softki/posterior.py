@@ -32,10 +32,9 @@ import scipy.linalg
 
 from . import linalg
 from .data import Dataset
-from .errors import NonFiniteInput, RankDeficient, SoftKIError
-from .interp import InterpolationState, softki_cross, softmax_weights
+from .errors import InvalidConfig, NonFiniteInput, RankDeficient, SoftKIError
+from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
-from .objective import SoftKIHyperparams
 
 DEFAULT_BLOCK_ROWS = 8192
 
@@ -45,7 +44,7 @@ class Posterior:
     """A fitted model: mean = phi(x) v, var = prior - rowsum((phi(x) P) * phi(x))."""
 
     variant: str               # softki | sgpr | exact, a key of FORMS
-    hp: object                 # SoftKIHyperparams or SGPRHyperparams
+    hp: Hyperparams
     v: np.ndarray              # (m,)
     p: np.ndarray              # (m, m) symmetric
     diagnostics: dict = field(default_factory=dict)
@@ -57,9 +56,9 @@ class Posterior:
 
 
 # variant -> (phi(hp, xs), prior(hp)); the exact GP is the sgpr form with the
-# training inputs as its points (SGPRHyperparams with z = X)
+# training inputs as its points (z = X)
 FORMS = {
-    "softki": (lambda hp, xs: softmax_weights(xs, hp.interp), lambda hp: 0.0),
+    "softki": (lambda hp, xs: softmax_weights(xs, hp), lambda hp: 0.0),
     "sgpr": (lambda hp, xs: matern32(xs, hp.z, hp.kernel),
              lambda hp: hp.kernel.outputscale),
 }
@@ -119,8 +118,7 @@ def stacked_qr_solve(blocks, u_zz: np.ndarray, block_rows: int = DEFAULT_BLOCK_R
 def _alpha(variant: str, data: Dataset, hp, solver: str, block_rows: int):
     """K_zz, its factor U_zz, R with R^T R = Chat, alpha and diagnostics."""
     phi = partial(FORMS[variant][0], hp)
-    z = hp.interp.z if variant == "softki" else hp.z
-    k_zz = matern32(z, z, hp.kernel)
+    k_zz = matern32(hp.z, hp.z, hp.kernel)
     design = (lambda xs: phi(xs) @ k_zz) if variant == "softki" else phi
     u_zz, jitter = linalg.cholesky_upper(k_zz)
     x, y, beta = data.x, data.y, hp.noise
@@ -160,7 +158,7 @@ def fit(variant: str, data: Dataset, hp, solver: str = "qr",
     return Posterior(variant, hp, alpha, p, diag)
 
 
-def fit_qr(data: Dataset, hp: SoftKIHyperparams,
+def fit_qr(data: Dataset, hp: Hyperparams,
            block_rows: int = DEFAULT_BLOCK_ROWS) -> Posterior:
     """Fit the interpolation posterior through the stacked QR."""
     return fit("softki", data, hp, "qr", block_rows)
@@ -220,7 +218,7 @@ class AltSolveResult:
     history: list = field(default_factory=list)
 
 
-def alt_solve(data: Dataset, hp: SoftKIHyperparams, method: str) -> AltSolveResult:
+def alt_solve(data: Dataset, hp: Hyperparams, method: str) -> AltSolveResult:
     """Solve Chat alpha = Khat^T Lambda^-1 y with an explicitly assembled Chat.
 
     method is one of "direct", "cholesky", "cg:<tol>", or "qr" (the stacked
@@ -307,21 +305,27 @@ def near_degenerate_instance(n: int = 400, m: int = 24, d: int = 2,
     working precision while the stacked factorization still can. The default
     dtype is float32, the precision where that separation shows; everything
     downstream (weights, factors, solves) stays in the instance dtype.
-    Returns (data, hp).
+    Returns (data, hp). Raises InvalidConfig unless m is even and
+    2 <= m <= n.
     """
+    if m < 2 or m % 2:
+        raise InvalidConfig(f"m must be an even number >= 2, got {m}")
+    if n < m:
+        raise InvalidConfig(f"n must be >= m = {m}, got {n}")
     dt = np.dtype(dtype)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, size=(n, d))
     base = x[rng.choice(n, size=m // 2, replace=False)]
     z = np.repeat(base, 2, axis=0)
     z[1::2] += delta
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=noise,
         kernel=MaternParams(lengthscales=np.ones(d, dtype=dt), outputscale=1.0),
-        interp=InterpolationState(z=z.astype(dt), temperatures=np.ones(d, dtype=dt)),
+        z=z.astype(dt),
+        temperatures=np.ones(d, dtype=dt),
     )
 
-    khat = softki_cross(x.astype(dt), hp.interp, hp.kernel)[2]
+    khat = softki_cross(x.astype(dt), hp)[2]
     shared = khat @ np.repeat(rng.standard_normal(m // 2), 2).astype(dt)
     shared /= np.linalg.norm(shared)
     weak = np.zeros(n, dtype=dt)
@@ -338,14 +342,14 @@ def near_degenerate_instance(n: int = 400, m: int = 24, d: int = 2,
     return Dataset(x=x.astype(dt), y=y, stats=None, split="train"), hp
 
 
-def solver_study(data: Dataset, hp: SoftKIHyperparams,
+def solver_study(data: Dataset, hp: Hyperparams,
                  methods=DEFAULT_STUDY_METHODS):
     """Score each solve route by training-set RMSE of the resulting mean.
 
     Returns a list of (AltSolveResult, rmse) pairs; a failed or non-finite
     solve scores inf so orderings stay well defined.
     """
-    _, k_zz, khat = softki_cross(data.x, hp.interp, hp.kernel)
+    _, k_zz, khat = softki_cross(data.x, hp)
     chat, rhs = normal_equations(k_zz, khat, data.y, hp.noise)
     rows = []
     for method in methods:

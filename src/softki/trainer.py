@@ -22,12 +22,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import transforms
-from .baselines import SGPRHyperparams, exact_gp_mll, sgpr_elbo
+from .baselines import exact_gp_mll, sgpr_elbo
 from .data import Dataset
 from .errors import InvalidConfig, TooFewPoints
-from .interp import InterpolationState
+from .interp import Hyperparams
 from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams
-from .objective import SoftKIHyperparams, stabilized_objective
+from .objective import stabilized_objective
 
 NOISE_FLOOR = 1e-4
 SCALE_FLOOR = 1e-8
@@ -219,20 +219,16 @@ def raw_init(names, cfg: TrainConfig, data: Dataset) -> dict:
     return {name: np.atleast_1d(PARAMS[name][1](start[name])) for name in names}
 
 
-def from_raw(raw: dict):
-    """Constrained hyperparameters; the model follows from the names present."""
+def from_raw(raw: dict) -> Hyperparams:
+    """Constrained hyperparameters; a model without z or temperatures gets them empty."""
     c = {name: PARAMS[name][0](u) for name, u in raw.items()}
-    noise = float(c["noise"][0])
-    kernel = MaternParams(lengthscales=c["lengthscales"],
-                          outputscale=float(c["outputscale"][0]))
-    if "temperatures" in c:
-        return SoftKIHyperparams(
-            noise=noise, kernel=kernel,
-            interp=InterpolationState(z=c["z"], temperatures=c["temperatures"]),
-        )
-    if "z" in c:
-        return SGPRHyperparams(noise=noise, kernel=kernel, z=c["z"])
-    return {"noise": noise, "kernel": kernel}
+    return Hyperparams(
+        noise=float(c["noise"][0]),
+        kernel=MaternParams(lengthscales=c["lengthscales"],
+                            outputscale=float(c["outputscale"][0])),
+        z=c.get("z", np.empty((0, c["lengthscales"].shape[0]))),
+        temperatures=c.get("temperatures", ()),
+    )
 
 
 def chain(grads: dict, raw: dict) -> dict:
@@ -283,7 +279,7 @@ def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
 
 
 def train(data: Dataset, cfg: TrainConfig):
-    """Train interpolation-GP hyperparameters; returns (hyperparams, trace)."""
+    """Train interpolation-GP hyperparameters; returns (Hyperparams, trace)."""
 
     def objective(xb, yb, hp, step):
         return stabilized_objective(
@@ -301,4 +297,4 @@ def train_sgpr(data: Dataset, cfg: TrainConfig):
 def train_exact(data: Dataset, cfg: TrainConfig):
     """Full-batch exact GP hyperparameter training (dense, small n only)."""
     return _run_loop(data, replace(cfg, batch_size=len(data)), EXACT_PARAMS,
-                     lambda xb, yb, hp, step: exact_gp_mll(xb, yb, hp["noise"], hp["kernel"]))
+                     lambda xb, yb, hp, step: exact_gp_mll(xb, yb, hp))

@@ -11,13 +11,12 @@ import pytest
 from conftest import uci_csv_path
 from softki import TrainConfig, fit_qr, train
 from softki import test_metrics as softki_metrics
-from softki.baselines import SGPRHyperparams, exact_gp_mll, sgpr_elbo
+from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.data import Dataset, load_csv, split_standardize
-from softki.interp import InterpolationState, softmax_weights
+from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.linalg import block_cg
 from softki.objective import (
-    SoftKIHyperparams,
     draw_probes,
     exact_mll,
     hutchinson_pseudoloss,
@@ -37,16 +36,14 @@ pytestmark = pytest.mark.filterwarnings(
 def random_softki_instance(rng, n, m, d):
     x = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=float(rng.uniform(0.05, 0.3)),
         kernel=MaternParams(
             lengthscales=rng.uniform(0.5, 2.0, d),
             outputscale=float(rng.uniform(0.5, 2.0)),
         ),
-        interp=InterpolationState(
-            z=rng.standard_normal((m, d)),
-            temperatures=rng.uniform(0.5, 2.0, d),
-        ),
+        z=rng.standard_normal((m, d)),
+        temperatures=rng.uniform(0.5, 2.0, d),
     )
     return x, y, hp
 
@@ -110,9 +107,9 @@ def test_qr_posterior_matches_dense_oracle():
         xs = rng.standard_normal((40, d))
 
         post = fit_qr(Dataset(x, y), hp)
-        k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
-        w = softmax_weights(x, hp.interp)
-        ws = softmax_weights(xs, hp.interp)
+        k_zz = matern32(hp.z, hp.z, hp.kernel)
+        w = softmax_weights(x, hp)
+        ws = softmax_weights(xs, hp)
         cov = w @ k_zz @ w.T + hp.noise**2 * np.eye(n)
         cross = ws @ k_zz @ w.T
         solve = np.linalg.solve(cov, np.concatenate([y[:, None], cross.T], axis=1))
@@ -130,18 +127,18 @@ def test_qr_posterior_matches_dense_oracle():
 
 
 def softki_value(x, y, state):
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=state["noise"],
         kernel=MaternParams(lengthscales=state["lengthscales"],
                             outputscale=state["outputscale"]),
-        interp=InterpolationState(z=state["z"],
-                                  temperatures=state["temperatures"]),
+        z=state["z"],
+        temperatures=state["temperatures"],
     )
     return exact_mll(x, y, hp).value
 
 
 def sgpr_value(x, y, state):
-    hp = SGPRHyperparams(
+    hp = Hyperparams(
         noise=state["noise"],
         kernel=MaternParams(lengthscales=state["lengthscales"],
                             outputscale=state["outputscale"]),
@@ -187,16 +184,16 @@ def test_analytic_gradients_match_finite_differences():
             "noise": hp.noise,
             "lengthscales": hp.kernel.lengthscales,
             "outputscale": hp.kernel.outputscale,
-            "z": hp.interp.z,
-            "temperatures": hp.interp.temperatures,
+            "z": hp.z,
+            "temperatures": hp.temperatures,
         }
         rep = exact_mll(x, y, hp)
         check_gradients(x, y, state, softki_value, rep.gradients,
                         ("noise", "lengthscales", "outputscale", "z",
                          "temperatures"))
 
-        sgpr_hp = SGPRHyperparams(noise=state["noise"],
-                                  kernel=hp.kernel, z=state["z"])
+        sgpr_hp = Hyperparams(noise=state["noise"],
+                              kernel=hp.kernel, z=state["z"])
         rep = sgpr_elbo(x, y, sgpr_hp)
         check_gradients(x, y, state, sgpr_value, rep.gradients,
                         ("noise", "lengthscales", "outputscale", "z"))
@@ -220,11 +217,11 @@ def test_probe_trace_and_gradient_cosine():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((64, 2))
     y = rng.standard_normal(64)
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=0.3,
         kernel=MaternParams(lengthscales=[0.8, 1.2], outputscale=1.5),
-        interp=InterpolationState(z=rng.standard_normal((8, 2)),
-                                  temperatures=np.ones(2)),
+        z=rng.standard_normal((8, 2)),
+        temperatures=np.ones(2),
     )
     exact = exact_mll(x, y, hp)
     pseudo = hutchinson_pseudoloss(x, y, hp, draw_probes(64, 500, seed=11),
@@ -291,19 +288,19 @@ def test_invariant_suite():
     for _ in range(5):
         n, m, d = (int(v) for v in rng.integers(2, 40, 3))
         x, _, hp = random_softki_instance(rng, n, max(m, 1), max(d, 1))
-        w = softmax_weights(x, hp.interp)
+        w = softmax_weights(x, hp)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
         assert np.all(w > 0)
 
         # PSD of the interpolation-point gram and the induced kernel
-        k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
+        k_zz = matern32(hp.z, hp.z, hp.kernel)
         scale = hp.kernel.outputscale
         assert np.min(np.linalg.eigvalsh(k_zz)) >= -1e-8 * scale
         induced = w @ k_zz @ w.T
         assert np.min(np.linalg.eigvalsh(induced)) >= -1e-8 * scale
 
         # Nystrom gap diagonal stays nonnegative
-        z = hp.interp.z
+        z = hp.z
         k_xz = matern32(x, z, hp.kernel)
         gap = scale - np.einsum("ij,ij->i", k_xz,
                                 np.linalg.solve(k_zz, k_xz.T).T)
@@ -313,16 +310,16 @@ def test_invariant_suite():
     x = rng.standard_normal((60, 2))
     y = rng.standard_normal(60)
     kernel = MaternParams(lengthscales=[1.0, 1.3], outputscale=0.9)
-    hp_s = SGPRHyperparams(noise=0.3, kernel=kernel,
-                           z=rng.standard_normal((6, 2)))
-    assert sgpr_elbo(x, y, hp_s).value <= exact_gp_mll(x, y, 0.3, kernel).value + 1e-8
+    hp_s = Hyperparams(noise=0.3, kernel=kernel,
+                       z=rng.standard_normal((6, 2)))
+    assert sgpr_elbo(x, y, hp_s).value <= exact_gp_mll(x, y, hp_s).value + 1e-8
 
     # fixed seeds give bitwise-identical training runs
     data = Dataset(x, np.sin(x[:, 0]))
     cfg = TrainConfig(m=6, epochs=2, batch_size=32, learning_rate=0.05, seed=5)
     hp1, trace1 = train(data, cfg)
     hp2, trace2 = train(data, cfg)
-    assert np.array_equal(hp1.interp.z, hp2.interp.z)
+    assert np.array_equal(hp1.z, hp2.z)
     assert np.array_equal(hp1.kernel.lengthscales, hp2.kernel.lengthscales)
     assert hp1.noise == hp2.noise
     assert trace1.epoch_objectives == trace2.epoch_objectives

@@ -9,7 +9,6 @@ import softki.posterior
 from softki import TrainConfig, fit_qr, train_exact
 from softki import test_metrics as softki_metrics
 from softki.baselines import (
-    SGPRHyperparams,
     exact_fit,
     exact_gp_mll,
     sgpr_elbo,
@@ -19,9 +18,9 @@ from softki.baselines import (
 )
 from softki.data import Dataset
 from softki.errors import TooLarge
-from softki.interp import InterpolationState
+from softki.interp import Hyperparams
 from softki.kernel import MaternParams, matern32
-from softki.objective import SoftKIHyperparams, exact_mll
+from softki.objective import exact_mll
 from softki.posterior import predict_mean, predict_var
 
 
@@ -29,7 +28,7 @@ def random_sgpr_instance(seed, n=40, m=8, d=2, noise=0.4):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
-    hp = SGPRHyperparams(
+    hp = Hyperparams(
         noise=noise,
         kernel=MaternParams(
             lengthscales=rng.uniform(0.5, 2.0, d),
@@ -54,9 +53,9 @@ def smooth_1d(seed=4, n=60, t=40, noise=0.05):
 def test_inducing_equals_data_closes_the_bound():
     x, y, _ = random_sgpr_instance(0)
     kernel = MaternParams(lengthscales=[1.1, 0.9], outputscale=1.3)
-    hp = SGPRHyperparams(noise=0.4, kernel=kernel, z=x.copy())
+    hp = Hyperparams(noise=0.4, kernel=kernel, z=x.copy())
     rep = sgpr_elbo(x, y, hp)
-    exact = exact_gp_mll(x, y, 0.4, kernel)
+    exact = exact_gp_mll(x, y, hp)
     assert rep.value == pytest.approx(exact.value, abs=1e-6)
     assert rep.diagnostics["trace_gap"] == pytest.approx(0.0, abs=1e-10)
 
@@ -66,14 +65,14 @@ def test_elbo_never_exceeds_exact_mll():
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(20, 201)), int(rng.integers(2, 15))
         x, y, _ = random_sgpr_instance(seed, n=n, m=m)
-        hp = SGPRHyperparams(
+        hp = Hyperparams(
             noise=float(rng.uniform(0.2, 1.0)),
             kernel=MaternParams(lengthscales=rng.uniform(0.5, 2.0, 2),
                                 outputscale=float(rng.uniform(0.5, 2.0))),
             z=rng.standard_normal((m, 2)),
         )
         bound = sgpr_elbo(x, y, hp).value
-        exact = exact_gp_mll(x, y, hp.noise, hp.kernel).value
+        exact = exact_gp_mll(x, y, hp).value
         assert bound <= exact + 1e-8
 
 
@@ -94,7 +93,7 @@ def test_nystrom_gap_diagonal_is_nonnegative():
 
 
 def sgpr_value(x, y, noise, ell, s2, z):
-    hp = SGPRHyperparams(
+    hp = Hyperparams(
         noise=noise,
         kernel=MaternParams(lengthscales=ell, outputscale=s2),
         z=z,
@@ -148,7 +147,7 @@ def test_direct_and_qr_posteriors_agree():
 
 def test_small_noise_with_full_inducing_set_interpolates():
     data, _, _ = smooth_1d(n=50, noise=0.0)
-    hp = SGPRHyperparams(
+    hp = Hyperparams(
         noise=1e-3,
         kernel=MaternParams(lengthscales=[1.0], outputscale=1.0),
         z=data.x.copy(),
@@ -186,17 +185,17 @@ def test_lowrank_objectives_share_lowrank_gaussian(monkeypatch):
     calls = []
     original = softki.objective.lowrank_gaussian
 
-    def counting(phi, y, l, beta2, jitter_schedule=None):
+    def counting(phi, y, l, beta2):
         calls.append(phi.shape)
-        return original(phi, y, l, beta2, jitter_schedule)
+        return original(phi, y, l, beta2)
 
     monkeypatch.setattr(softki.objective, "lowrank_gaussian", counting)
     monkeypatch.setattr(softki.baselines, "lowrank_gaussian", counting)
     x, y, hp = random_sgpr_instance(6, m=5)
     sgpr_elbo(x, y, hp)
-    soft = SoftKIHyperparams(
+    soft = Hyperparams(
         noise=hp.noise, kernel=hp.kernel,
-        interp=InterpolationState(z=hp.z, temperatures=np.ones(2)),
+        z=hp.z, temperatures=np.ones(2),
     )
     exact_mll(x, y, soft, path="lowrank")
     assert calls == [(40, 5), (40, 5)]
@@ -208,7 +207,8 @@ def test_lowrank_objectives_share_lowrank_gaussian(monkeypatch):
 def test_single_point_mll_closed_form():
     y0, s2, beta = 0.7, 1.3, 0.4
     kernel = MaternParams(lengthscales=[1.0], outputscale=s2)
-    rep = exact_gp_mll(np.zeros((1, 1)), np.array([y0]), beta, kernel)
+    hp = Hyperparams(noise=beta, kernel=kernel, z=np.empty((0, 1)))
+    rep = exact_gp_mll(np.zeros((1, 1)), np.array([y0]), hp)
     total = s2 + beta**2
     expected = -0.5 * (y0**2 / total + np.log(total) + np.log(2 * np.pi))
     assert rep.value == pytest.approx(expected, rel=1e-12)
@@ -216,17 +216,20 @@ def test_single_point_mll_closed_form():
 
 def test_exact_gp_interpolates_as_noise_vanishes():
     data, _, _ = smooth_1d(n=50, noise=0.0)
-    gp = exact_fit(data, 1e-4, MaternParams(lengthscales=[1.0], outputscale=1.0))
+    gp = exact_fit(data, Hyperparams(
+        noise=1e-4, kernel=MaternParams(lengthscales=[1.0], outputscale=1.0),
+        z=np.empty((0, 1))))
     assert np.max(np.abs(predict_mean(gp, data.x) - data.y)) <= 1e-3
     assert np.all(predict_var(gp, data.x) >= 0)
 
 
 def test_dense_guardrail():
-    kernel = MaternParams(lengthscales=[1.0], outputscale=1.0)
+    hp = Hyperparams(noise=0.1, kernel=MaternParams(lengthscales=[1.0], outputscale=1.0),
+                     z=np.empty((0, 1)))
     with pytest.raises(TooLarge):
-        exact_gp_mll(np.zeros((4097, 1)), np.zeros(4097), 0.1, kernel)
+        exact_gp_mll(np.zeros((4097, 1)), np.zeros(4097), hp)
     with pytest.raises(TooLarge):
-        exact_fit(Dataset(np.zeros((4097, 1)), np.zeros(4097)), 0.1, kernel)
+        exact_fit(Dataset(np.zeros((4097, 1)), np.zeros(4097)), hp)
 
 
 def test_dense_referees_share_dense_gaussian(monkeypatch):
@@ -234,20 +237,20 @@ def test_dense_referees_share_dense_gaussian(monkeypatch):
     calls = []
     original = softki.objective.dense_gaussian
 
-    def counting(d, y, jitter_schedule=None):
+    def counting(d, y):
         calls.append(d.shape)
-        return original(d, y, jitter_schedule)
+        return original(d, y)
 
     monkeypatch.setattr(softki.objective, "dense_gaussian", counting)
     monkeypatch.setattr(softki.baselines, "dense_gaussian", counting)
     x, y, hp = random_sgpr_instance(6, m=5)
-    soft = SoftKIHyperparams(
+    soft = Hyperparams(
         noise=hp.noise, kernel=hp.kernel,
-        interp=InterpolationState(z=hp.z, temperatures=np.ones(2)),
+        z=hp.z, temperatures=np.ones(2),
     )
     exact_mll(x, y, soft, path="dense")
-    exact_gp_mll(x, y, hp.noise, hp.kernel)
-    exact_fit(Dataset(x, y), hp.noise, hp.kernel)
+    exact_gp_mll(x, y, hp)
+    exact_fit(Dataset(x, y), hp)
     assert calls == [(40, 40)] * 3
 
 
@@ -256,14 +259,14 @@ def test_softmax_interpolation_cannot_beat_the_exact_oracle():
     data, xs, ys = smooth_1d()
     hp, _ = train_exact(data, TrainConfig(epochs=30, learning_rate=0.1,
                                           noise_init=0.1, seed=0))
-    gp = exact_fit(data, hp["noise"], hp["kernel"])
+    gp = exact_fit(data, hp)
     exact_rmse = softki_metrics(gp, xs, ys)[0]
 
-    soft = SoftKIHyperparams(
-        noise=hp["noise"],
-        kernel=hp["kernel"],
-        interp=InterpolationState(z=data.x.copy(),
-                                  temperatures=np.ones(1)),
+    soft = Hyperparams(
+        noise=hp.noise,
+        kernel=hp.kernel,
+        z=data.x.copy(),
+        temperatures=np.ones(1),
     )
     soft_rmse = softki_metrics(fit_qr(data, soft), xs, ys)[0]
     assert soft_rmse >= exact_rmse - 1e-12

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from softki import fit_qr
-from softki.baselines import SGPRHyperparams, exact_fit, sgpr_fit
+from softki.baselines import exact_fit, sgpr_fit
 from softki.checkpoint import (
     MAGIC,
     Checkpoint,
@@ -19,9 +19,8 @@ from softki.checkpoint import (
 )
 from softki.data import Dataset, ricker_dataset
 from softki.errors import ChecksumOrVersionMismatch
-from softki.interp import InterpolationState
+from softki.interp import Hyperparams
 from softki.kernel import MaternParams
-from softki.objective import SoftKIHyperparams
 from softki.posterior import predict_mean, predict_var
 
 
@@ -29,11 +28,11 @@ from softki.posterior import predict_mean, predict_var
 def fitted():
     rng = np.random.default_rng(0)
     train, test = ricker_dataset(n_train=120, n_test=30, radius=2.5, seed=0)
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=0.2,
         kernel=MaternParams(lengthscales=[1.0, 1.2], outputscale=0.8),
-        interp=InterpolationState(z=rng.standard_normal((10, 2)),
-                                  temperatures=[1.0, 0.7]),
+        z=rng.standard_normal((10, 2)),
+        temperatures=[1.0, 0.7],
     )
     return train, test, fit_qr(train, hp)
 
@@ -68,11 +67,12 @@ def fit_variant(variant, fitted):
     train, _, post = fitted
     kernel = MaternParams(lengthscales=[1.0, 1.0], outputscale=1.0)
     if variant == "sgpr":
-        hp = SGPRHyperparams(noise=0.3, kernel=kernel,
-                             z=np.random.default_rng(1).standard_normal((6, 2)))
+        hp = Hyperparams(noise=0.3, kernel=kernel,
+                         z=np.random.default_rng(1).standard_normal((6, 2)))
         return sgpr_fit(train, hp, solver="qr"), len(train)
     if variant == "exact":
-        return exact_fit(Dataset(train.x[:40], train.y[:40]), 0.1, kernel), 40
+        hp = Hyperparams(noise=0.1, kernel=kernel, z=np.empty((0, 2)))
+        return exact_fit(Dataset(train.x[:40], train.y[:40]), hp), 40
     return post, len(train)
 
 

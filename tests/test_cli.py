@@ -405,3 +405,20 @@ def test_bench_solvers_suite_emits_residual_curves(tmp_path):
     assert len(curves["cg:1e-4"]) > 1
     report = read_report(out / "report.txt")
     assert report["suite"] == "solvers" and report["n"] == "300"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("dtype = float16", "dtype must be one of float64, float32"),
+    ("n = abc", "bad suite value for n:"),
+    ("seed = 1.5", "bad suite value for seed:"),
+    ("m = 5", "m must be an even number >= 2, got 5"),
+    ("n = 5", "n must be >= m = 24, got 5"),
+    ("solvers = qr,bogus", "bad suite value for solvers:"),
+])
+def test_bench_solvers_checks_suite_values(tmp_path, line, message):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"suite = solvers\n{line}\n")
+    out = tmp_path / "solvers"
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
+    assert message in read_report(out / "error.txt")["message"]
+    assert not (out / "solvers.csv").exists()

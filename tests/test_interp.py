@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from softki.errors import DimensionMismatch, NonPositiveTemperature
 from softki.interp import (
-    InterpolationState,
+    Hyperparams,
     softki_cross,
     softki_gram,
     softmax_weights,
@@ -16,15 +16,16 @@ from softki.interp import (
 from softki.kernel import MaternParams, matern32
 
 
-def state(z, temps=None):
+def params(d, s2=1.0):
+    return MaternParams(lengthscales=np.ones(d), outputscale=s2)
+
+
+def state(z, temps=None, s2=1.0):
+    """Softki hyperparameters at points z, unit lengthscales and output scale s2."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if temps is None:
         temps = np.ones(z.shape[1])
-    return InterpolationState(z=z, temperatures=temps)
-
-
-def params(d, s2=1.0):
-    return MaternParams(lengthscales=np.ones(d), outputscale=s2)
+    return Hyperparams(noise=1.0, kernel=params(z.shape[1], s2), z=z, temperatures=temps)
 
 
 def test_state_rejects_nonpositive_temperature():
@@ -34,7 +35,24 @@ def test_state_rejects_nonpositive_temperature():
 
 def test_state_rejects_temperature_shape_mismatch():
     with pytest.raises(DimensionMismatch):
-        InterpolationState(z=np.ones((2, 3)), temperatures=np.ones(2))
+        Hyperparams(noise=1.0, kernel=params(3), z=np.ones((2, 3)),
+                    temperatures=np.ones(2))
+
+
+def test_record_checks_noise_and_keeps_float32_points():
+    with pytest.raises(ValueError):
+        Hyperparams(noise=0.0, kernel=params(1), z=[[0.0]])
+    assert Hyperparams(noise=1.0, kernel=params(2), z=[[1, 2]]).z.dtype == np.float64
+    hp = Hyperparams(noise=1.0, kernel=params(2), z=np.ones((3, 2), dtype=np.float32))
+    assert hp.z.dtype == np.float32 and hp.z.shape == (3, 2)
+
+
+def test_record_without_temperatures_has_no_softmax_weights():
+    # SGPR and the exact GP carry an empty temperature vector for any d
+    hp = Hyperparams(noise=1.0, kernel=params(3), z=np.zeros((4, 3)))
+    assert hp.temperatures.shape == (0,)
+    with pytest.raises(DimensionMismatch):
+        softmax_weights(np.zeros((2, 3)), hp)
 
 
 def test_single_point_gives_all_ones():
@@ -110,9 +128,8 @@ def test_cross_brute_force():
     rng = np.random.default_rng(2)
     n, m, d = 7, 3, 2
     x = rng.standard_normal((n, d))
-    zs = state(rng.standard_normal((m, d)), temps=rng.uniform(0.5, 2.0, d))
-    p = params(d, s2=1.3)
-    w, k_zz, khat = softki_cross(x, zs, p)
+    zs = state(rng.standard_normal((m, d)), temps=rng.uniform(0.5, 2.0, d), s2=1.3)
+    w, k_zz, khat = softki_cross(x, zs)
 
     brute = np.zeros((n, m))
     for i in range(n):
@@ -123,9 +140,8 @@ def test_cross_brute_force():
 
 
 def test_cross_single_point_column():
-    zs = state([[0.7, 0.1]])
-    p = params(2, s2=2.0)
-    _, k_zz, khat = softki_cross(np.random.default_rng(3).standard_normal((5, 2)), zs, p)
+    zs = state([[0.7, 0.1]], s2=2.0)
+    _, k_zz, khat = softki_cross(np.random.default_rng(3).standard_normal((5, 2)), zs)
     assert np.allclose(khat, k_zz[0, 0])
     assert k_zz[0, 0] == pytest.approx(2.0)
 
@@ -134,23 +150,20 @@ def test_cross_row_sums_follow_weights():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 2))
     zs = state(rng.standard_normal((5, 2)))
-    p = params(2)
-    w, k_zz, khat = softki_cross(x, zs, p)
+    w, k_zz, khat = softki_cross(x, zs)
     assert np.allclose(khat.sum(axis=1), w @ k_zz.sum(axis=1))
 
 
 def test_gram_single_point_is_constant():
-    zs = state([[1.0]])
-    p = params(1, s2=1.7)
-    g = softki_gram(np.random.default_rng(5).standard_normal((4, 1)), zs, p)
+    zs = state([[1.0]], s2=1.7)
+    g = softki_gram(np.random.default_rng(5).standard_normal((4, 1)), zs)
     assert np.allclose(g, 1.7)
 
 
 def test_gram_rank_at_most_m():
     rng = np.random.default_rng(6)
     n, m = 30, 5
-    g = softki_gram(rng.standard_normal((n, 2)), state(rng.standard_normal((m, 2))),
-                    params(2))
+    g = softki_gram(rng.standard_normal((n, 2)), state(rng.standard_normal((m, 2))))
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
     assert np.sum(eigs > 1e-10) <= m
 
@@ -159,9 +172,8 @@ def test_gram_equals_projected_inverse_form():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((20, 2))
     zs = state(rng.standard_normal((6, 2)))
-    p = params(2)
-    _, k_zz, khat = softki_cross(x, zs, p)
-    g = softki_gram(x, zs, p)
+    _, k_zz, khat = softki_cross(x, zs)
+    g = softki_gram(x, zs)
     recon = khat @ np.linalg.solve(k_zz, khat.T)
     assert np.max(np.abs(g - recon)) <= 1e-8
 
@@ -171,8 +183,7 @@ def test_gram_equals_projected_inverse_form():
 def test_gram_is_psd(n, seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 12))
-    g = softki_gram(rng.standard_normal((n, 2)),
-                    state(rng.standard_normal((m, 2))), params(2))
+    g = softki_gram(rng.standard_normal((n, 2)), state(rng.standard_normal((m, 2))))
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
     assert eigs.min() >= -1e-8 * np.trace(g) / n
 

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from softki.trainer import TrainConfig
 from softki.errors import NotPositiveDefinite, ObjectiveFailed
-from softki.interp import InterpolationState, softmax_weights
+from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.linalg import block_cg
 from softki.objective import (
     LOG_2PI,
-    SoftKIHyperparams,
     dense_gaussian,
     draw_probes,
     exact_mll,
@@ -30,23 +29,21 @@ def random_instance(seed, n=20, m=4, d=2, noise=0.3):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=noise,
         kernel=MaternParams(
             lengthscales=rng.uniform(0.5, 2.0, d),
             outputscale=float(rng.uniform(0.5, 2.0)),
         ),
-        interp=InterpolationState(
-            z=rng.standard_normal((m, d)),
-            temperatures=rng.uniform(0.5, 2.0, d),
-        ),
+        z=rng.standard_normal((m, d)),
+        temperatures=rng.uniform(0.5, 2.0, d),
     )
     return x, y, hp
 
 
 def dense_pieces(x, hp):
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
-    w = softmax_weights(x, hp.interp)
+    k_zz = matern32(hp.z, hp.z, hp.kernel)
+    w = softmax_weights(x, hp)
     d_mat = w @ k_zz @ w.T + hp.noise**2 * np.eye(x.shape[0])
     return w, k_zz, d_mat
 
@@ -74,11 +71,11 @@ def near_coincident_batch(seed=0, n=128):
     z = np.concatenate(
         [c + 0.01 * rng.standard_normal((3, 2)) for c in centers]
     ).astype(np.float32)
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=0.1,
         kernel=MaternParams(lengthscales=np.ones(2, dtype=np.float32),
                             outputscale=1.0),
-        interp=InterpolationState(z=z, temperatures=np.ones(2, dtype=np.float32)),
+        z=z, temperatures=np.ones(2, dtype=np.float32),
     )
     return x, y, hp
 
@@ -88,10 +85,10 @@ def near_coincident_batch(seed=0, n=128):
 
 def test_single_point_unit_variance_value():
     # W = [[1]], K_zz = 0.5, noise^2 = 0.5, so D = [[1]] and y = 0
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=np.sqrt(0.5),
         kernel=MaternParams(lengthscales=[1.0], outputscale=0.5),
-        interp=InterpolationState(z=[[0.0]], temperatures=[1.0]),
+        z=[[0.0]], temperatures=[1.0],
     )
     rep = exact_mll(np.zeros((1, 1)), np.zeros(1), hp)
     assert rep.value == pytest.approx(-0.5 * LOG_2PI, rel=1e-12)
@@ -134,12 +131,12 @@ def test_lowrank_and_dense_paths_agree(seed):
 def test_lowrank_gaussian_matches_dense_algebra(form):
     # softki: Phi = W, L = U_zz^T; sgpr: Phi = K_xz, L = U_zz^-1
     x, y, hp = random_instance(3, n=15, m=6)
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
+    k_zz = matern32(hp.z, hp.z, hp.kernel)
     u_zz = np.linalg.cholesky(k_zz).T
     if form == "softki":
-        phi, l = softmax_weights(x, hp.interp), u_zz.T
+        phi, l = softmax_weights(x, hp), u_zz.T
     else:
-        phi, l = matern32(x, hp.interp.z, hp.kernel), np.linalg.inv(u_zz)
+        phi, l = matern32(x, hp.z, hp.kernel), np.linalg.inv(u_zz)
     beta2 = hp.noise**2
     d_mat = phi @ l @ l.T @ phi.T + beta2 * np.eye(15)
     d_inv = np.linalg.inv(d_mat)
@@ -167,10 +164,10 @@ def test_dense_gaussian_matches_numpy_and_climbs_the_jitter_ladder():
     assert np.allclose(d_inv, np.linalg.inv(d_mat), rtol=1e-9, atol=1e-12)
     assert jitter == 0.0
 
-    singular = np.ones((4, 4))
-    assert dense_gaussian(singular, np.ones(4), [0.0, 0.5])[4] == 0.5
-    with pytest.raises(NotPositiveDefinite):
-        dense_gaussian(singular, np.ones(4), [0.0])
+    # the default ladder: rung 0 fails on the singular matrix, 1e-8 * mean(diag) holds
+    assert dense_gaussian(np.ones((4, 4)), np.ones(4))[4] == 1e-8
+    with pytest.raises(NotPositiveDefinite):  # eigenvalue -1 outlasts every rung
+        dense_gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
 
 def test_non_positive_definite_propagates():
@@ -184,8 +181,8 @@ def test_non_positive_definite_propagates():
 
 def perturbed_value(x, y, hp, name, index, h):
     noise, ell = hp.noise, hp.kernel.lengthscales.copy()
-    s2, z = hp.kernel.outputscale, hp.interp.z.copy()
-    temps = hp.interp.temperatures.copy()
+    s2, z = hp.kernel.outputscale, hp.z.copy()
+    temps = hp.temperatures.copy()
     if name == "noise":
         noise += h
     elif name == "lengthscales":
@@ -196,10 +193,10 @@ def perturbed_value(x, y, hp, name, index, h):
         z[index] += h
     else:
         temps[index] += h
-    hp2 = SoftKIHyperparams(
+    hp2 = Hyperparams(
         noise=noise,
         kernel=MaternParams(lengthscales=ell, outputscale=s2),
-        interp=InterpolationState(z=z, temperatures=temps),
+        z=z, temperatures=temps,
     )
     return exact_mll(x, y, hp2).value
 
@@ -210,7 +207,7 @@ def central_differences(x, y, hp, h=1e-6):
         "noise": [None],
         "lengthscales": range(d),
         "outputscale": [None],
-        "z": list(np.ndindex(*hp.interp.z.shape)),
+        "z": list(np.ndindex(*hp.z.shape)),
         "temperatures": range(d),
     }
     out = []
@@ -280,10 +277,10 @@ def test_pseudoloss_identity_operator_value():
     n = 16
     x = rng.standard_normal((n, 1))
     y = rng.standard_normal(n)
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=1.0,
         kernel=MaternParams(lengthscales=[1.0], outputscale=1e-14),
-        interp=InterpolationState(z=[[0.0]], temperatures=[1.0]),
+        z=[[0.0]], temperatures=[1.0],
     )
     rep = hutchinson_pseudoloss(x, y, hp, draw_probes(n, 5, seed=1),
                                 cg_tol=1e-12)
@@ -314,16 +311,17 @@ def test_pseudoloss_gradient_cosine_against_exact():
     assert cosine >= 0.99
 
 
-def test_unscaled_trace_mode_differs_by_batch_size_factor():
-    x, y, hp = random_instance(4, n=32, m=4)
-    probes = draw_probes(32, 50, seed=2)
-    scaled = hutchinson_pseudoloss(x, y, hp, probes, cg_tol=1e-12)
-    plain = hutchinson_pseudoloss(x, y, hp, probes, cg_tol=1e-12,
-                                  scale_trace=False)
-    assert scaled.value == plain.value  # the value never carries the scaling
-    # both share the same solve against y, so any difference in the noise
-    # gradient comes from the probe trace term alone
-    assert not np.isclose(scaled.gradients["noise"], plain.gradients["noise"])
+def test_pseudoloss_noise_gradient_scales_probe_trace_by_batch_size():
+    n, ell = 32, 50
+    x, y, hp = random_instance(4, n=n, m=4)
+    probes = draw_probes(n, ell, seed=2)
+    rep = hutchinson_pseudoloss(x, y, hp, probes, cg_tol=1e-12)
+    # dense solves D [u_0, U] = [y, probes]; the trace term carries the factor n
+    _, _, d_mat = dense_pieces(x, hp)
+    sol = np.linalg.solve(d_mat, np.concatenate([y[:, None], probes], axis=1))
+    u0, us = sol[:, 0], sol[:, 1:]
+    tr_g = 0.5 * u0 @ u0 - n / (2.0 * ell) * np.sum(us * probes)
+    assert rep.gradients["noise"] == pytest.approx(2.0 * hp.noise * tr_g, rel=1e-8)
 
 
 # -------------------------------------------------------------- stabilized

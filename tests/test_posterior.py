@@ -8,11 +8,10 @@ import pytest
 from softki import fit_qr
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
-from softki.baselines import SGPRHyperparams, sgpr_fit
-from softki.errors import NonFiniteInput, RankDeficient
-from softki.interp import InterpolationState, softmax_weights
+from softki.baselines import sgpr_fit
+from softki.errors import InvalidConfig, NonFiniteInput, RankDeficient
+from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
-from softki.objective import SoftKIHyperparams
 from softki.posterior import (
     DEFAULT_STUDY_METHODS,
     alt_solve,
@@ -30,23 +29,21 @@ def make_instance(seed, n, m, d=2, noise=0.3):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
-    hp = SoftKIHyperparams(
+    hp = Hyperparams(
         noise=noise,
         kernel=MaternParams(
             lengthscales=rng.uniform(0.5, 2.0, d),
             outputscale=float(rng.uniform(0.5, 2.0)),
         ),
-        interp=InterpolationState(
-            z=rng.standard_normal((m, d)),
-            temperatures=rng.uniform(0.5, 2.0, d),
-        ),
+        z=rng.standard_normal((m, d)),
+        temperatures=rng.uniform(0.5, 2.0, d),
     )
     return Dataset(x, y), hp
 
 
 def dense_pieces(data, hp):
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
-    w = softmax_weights(data.x, hp.interp)
+    k_zz = matern32(hp.z, hp.z, hp.kernel)
+    w = softmax_weights(data.x, hp)
     return k_zz, w @ k_zz
 
 
@@ -78,8 +75,8 @@ def test_alpha_matches_dense_solve():
 def test_single_interpolation_point_scalar_formula():
     data, hp = make_instance(3, 50, 1, noise=0.4)
     post = fit_qr(data, hp)
-    k_s = matern32(hp.interp.z, hp.interp.z, hp.kernel)[0, 0]
-    col = softmax_weights(data.x, hp.interp)[:, 0] * k_s
+    k_s = matern32(hp.z, hp.z, hp.kernel)[0, 0]
+    col = softmax_weights(data.x, hp)[:, 0] * k_s
     chat = col @ col / hp.noise**2 + k_s
     alpha = (col @ data.y / hp.noise**2) / chat
     xs = np.random.default_rng(1).standard_normal((5, 2))
@@ -96,8 +93,8 @@ def test_mean_and_variance_match_dense_gp_formulas():
     post = fit_qr(data, hp)
     k_zz, khat = dense_pieces(data, hp)
     xs = np.random.default_rng(99).standard_normal((20, 2))
-    ws = softmax_weights(xs, hp.interp)
-    ksx = ws @ k_zz @ softmax_weights(data.x, hp.interp).T
+    ws = softmax_weights(xs, hp)
+    ksx = ws @ k_zz @ softmax_weights(data.x, hp).T
     cov = khat @ np.linalg.solve(k_zz, khat.T) + hp.noise**2 * np.eye(len(data))
     mean = ksx @ np.linalg.solve(cov, data.y)
     prior = np.einsum("ij,ij->i", ws @ k_zz, ws)
@@ -123,8 +120,8 @@ def test_large_noise_limit_recovers_the_prior():
     data, hp = make_instance(2, 100, 8, noise=1e3)
     post = fit_qr(data, hp)
     xs = np.random.default_rng(5).standard_normal((10, 2))
-    k_zz = matern32(hp.interp.z, hp.interp.z, hp.kernel)
-    ws = softmax_weights(xs, hp.interp)
+    k_zz = matern32(hp.z, hp.z, hp.kernel)
+    ws = softmax_weights(xs, hp)
     prior = np.einsum("ij,ij->i", ws @ k_zz, ws)
     assert np.max(np.abs(predict_mean(post, xs))) <= 1e-4
     assert np.max(np.abs(predict_var(post, xs) - prior) / prior) <= 1e-3
@@ -140,8 +137,8 @@ def test_non_finite_query_rows_are_rejected(variant, bad):
     if variant == "softki":
         post = fit_qr(data, hp)
     else:
-        post = sgpr_fit(data, SGPRHyperparams(noise=hp.noise, kernel=hp.kernel,
-                                              z=hp.interp.z))
+        post = sgpr_fit(data, Hyperparams(noise=hp.noise, kernel=hp.kernel,
+                                          z=hp.z))
     xs = data.x[:6].copy()
     xs[3, 1] = bad
     xs[5, 0] = bad
@@ -228,6 +225,12 @@ def test_cg_history_tightens_with_tolerance():
     assert tight.iterations >= loose.iterations
     assert len(tight.history) == tight.iterations
     assert tight.history[-1] <= 1e-8
+
+
+@pytest.mark.parametrize("n, m, key", [(400, 5, "m"), (400, 0, "m"), (20, 24, "n")])
+def test_near_degenerate_instance_names_the_bad_size(n, m, key):
+    with pytest.raises(InvalidConfig, match=f"^{key} must be"):
+        near_degenerate_instance(n=n, m=m)
 
 
 def test_solver_study_ranks_qr_first_on_near_degenerate_system():

@@ -9,6 +9,7 @@ from softki import TrainConfig, ricker_dataset, train, train_exact, train_sgpr
 from softki.data import Dataset
 from softki.trainer import DTYPES, OBJECTIVE_MODES
 from softki.errors import InvalidConfig, TooFewPoints
+from softki.interp import Hyperparams
 from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN
 from softki.trainer import (
     EXACT_PARAMS,
@@ -212,12 +213,13 @@ def test_train_trace_shapes_and_constraint_floors():
     assert sum(trace.mode_counts.values()) == 4  # two batches per epoch
     assert trace.failed_batches == 0
     assert trace.config["m"] == 8
+    assert isinstance(hp, Hyperparams)
     assert hp.noise >= NOISE_FLOOR
     assert hp.kernel.outputscale >= SCALE_FLOOR
-    assert np.all(hp.interp.temperatures >= TEMP_FLOOR)
+    assert np.all(hp.temperatures >= TEMP_FLOOR)
     assert np.all(hp.kernel.lengthscales > LENGTHSCALE_MIN)
     assert np.all(hp.kernel.lengthscales < LENGTHSCALE_MAX)
-    assert hp.interp.z.shape == (8, 2)
+    assert hp.z.shape == (8, 2)
 
 
 def test_train_is_bitwise_deterministic():
@@ -228,8 +230,8 @@ def test_train_is_bitwise_deterministic():
     assert hp1.noise == hp2.noise
     assert hp1.kernel.outputscale == hp2.kernel.outputscale
     assert np.array_equal(hp1.kernel.lengthscales, hp2.kernel.lengthscales)
-    assert np.array_equal(hp1.interp.z, hp2.interp.z)
-    assert np.array_equal(hp1.interp.temperatures, hp2.interp.temperatures)
+    assert np.array_equal(hp1.z, hp2.z)
+    assert np.array_equal(hp1.temperatures, hp2.temperatures)
     assert trace1.epoch_objectives == trace2.epoch_objectives
 
 
@@ -238,9 +240,9 @@ def test_train_zero_epochs_returns_kmeans_init():
     cfg = TrainConfig(m=5, epochs=0, seed=9, noise_init=0.3,
                       temperature_init=1.5)
     hp, trace = train(data, cfg)
-    assert np.array_equal(hp.interp.z, kmeans(data.x, 5, seed=9))
+    assert np.array_equal(hp.z, kmeans(data.x, 5, seed=9))
     assert hp.noise == pytest.approx(0.3, rel=1e-12)
-    assert np.allclose(hp.interp.temperatures, 1.5, rtol=1e-12)
+    assert np.allclose(hp.temperatures, 1.5, rtol=1e-12)
     assert trace.epoch_objectives == []
 
 
@@ -248,7 +250,7 @@ def test_zero_learning_rate_leaves_parameters_at_init():
     data = toy_dataset(seed=2)
     cfg = TrainConfig(m=4, epochs=2, batch_size=32, learning_rate=0.0, seed=1)
     hp, _ = train(data, cfg)
-    assert np.array_equal(hp.interp.z, kmeans(data.x, 4, seed=1))
+    assert np.array_equal(hp.z, kmeans(data.x, 4, seed=1))
     assert hp.noise == pytest.approx(cfg.noise_init, rel=1e-12)
 
 
@@ -283,7 +285,7 @@ def test_forced_exact_on_degenerate_float32_marks_failures():
     assert trace.failed_batches == 2
     assert np.isnan(trace.epoch_objectives[0])
     # every step was skipped, so parameters never moved
-    assert np.array_equal(hp.interp.z, kmeans(data.x, 9, seed=0))
+    assert np.array_equal(hp.z, kmeans(data.x, 9, seed=0))
 
     hp, trace = train(data, TrainConfig(objective_mode="auto", **base))
     assert trace.failed_batches == 0
@@ -296,6 +298,7 @@ def test_train_sgpr_runs_full_batch():
     cfg = TrainConfig(m=6, epochs=3, batch_size=8, learning_rate=0.05, seed=0)
     hp, trace = train_sgpr(data, cfg)
     assert sum(trace.mode_counts.values()) == 3  # one batch per epoch
+    assert isinstance(hp, Hyperparams) and hp.temperatures.shape == (0,)
     assert hp.z.shape == (6, 2)
     assert hp.noise >= NOISE_FLOOR
 
@@ -304,8 +307,9 @@ def test_train_exact_returns_kernel_and_noise():
     data = toy_dataset(seed=6, n=32)
     cfg = TrainConfig(epochs=3, learning_rate=0.05, seed=0)
     hp, trace = train_exact(data, cfg)
-    assert set(hp) == {"noise", "kernel"}
-    assert hp["noise"] >= NOISE_FLOOR
+    assert isinstance(hp, Hyperparams)
+    assert hp.z.shape == (0, 2) and hp.temperatures.shape == (0,)
+    assert hp.noise >= NOISE_FLOOR
     assert len(trace.epoch_objectives) == 3
     assert trace.epoch_objectives[-1] >= trace.epoch_objectives[0]
 
