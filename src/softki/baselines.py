@@ -133,5 +133,5 @@ def exact_fit(data: Dataset, hp: Hyperparams) -> Posterior:
     The posterior's points are the training inputs, whatever hp.z holds.
     """
     x = np.asarray(data.x, dtype=float)
-    _, _, v, p, jit = _dense_gp(x, data.y, hp.noise**2, hp.kernel)
+    _, _, v, p, jit = _dense_gp(x, data.y, hp.noise * hp.noise, hp.kernel)
     return Posterior("exact", replace(hp, z=x), v, p, {"jitter": jit})

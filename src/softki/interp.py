@@ -56,11 +56,12 @@ class Hyperparams:
 
 def softmax_weights(x: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Row-stochastic (n, m) weight matrix, computed with max-subtraction."""
-    w, _ = _weights_and_distance(x, hp)
-    return w
+    return softmax_forward(x, hp)[0]
 
 
-def _weights_and_distance(x: np.ndarray, hp: Hyperparams):
+def softmax_forward(x: np.ndarray, hp: Hyperparams):
+    """(W, dist) in x's dtype: the softmax weights and their distances
+    dist[i, j] = ||x_i / T - z_j||, the inputs ``softmax_weights_backward`` reads."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise DimensionMismatch(f"expected (n, d) inputs, got {x.shape}")
@@ -83,15 +84,15 @@ def _weights_and_distance(x: np.ndarray, hp: Hyperparams):
 def softmax_weights_backward(
     x: np.ndarray,
     hp: Hyperparams,
+    w: np.ndarray,
+    dist: np.ndarray,
     upstream: np.ndarray,
 ):
     """Chain an upstream dL/dW through the softmax onto z and T.
 
-    Returns (g_z, g_temps). Distance gradients at coincident points
-    (d_ij = 0) are taken as 0.
+    w and dist are ``softmax_forward(x, hp)``. Returns (g_z, g_temps).
+    Distance gradients at coincident points (d_ij = 0) are taken as 0.
     """
-    x = np.asarray(x, dtype=float)
-    w, dist = _weights_and_distance(x, hp)
     if upstream.shape != w.shape:
         raise DimensionMismatch(f"upstream shape {upstream.shape} != {w.shape}")
 

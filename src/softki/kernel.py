@@ -8,7 +8,7 @@ derivatives with respect to inputs and lengthscales stay finite at r = 0
 inputs is 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +30,13 @@ class MaternParams:
 
     lengthscales: np.ndarray
     outputscale: float
-    bounds: tuple = field(default=(LENGTHSCALE_MIN, LENGTHSCALE_MAX), repr=False)
 
     def __post_init__(self):
         self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales))
         if self.lengthscales.dtype.kind != "f":
             self.lengthscales = self.lengthscales.astype(float)
         self.outputscale = float(self.outputscale)
-        lo, hi = self.bounds
+        lo, hi = LENGTHSCALE_MIN, LENGTHSCALE_MAX
         if np.any(self.lengthscales < lo) or np.any(self.lengthscales > hi):
             raise ValueError(f"lengthscales must lie in [{lo}, {hi}]")
         if self.outputscale <= 0:

@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernels: jittered Cholesky, thin QR, triangular solves,
-and conjugate gradients for several right-hand sides against a black-box
+"""Dense linear-algebra kernels: jittered Cholesky, triangular solves, and
+conjugate gradients for several right-hand sides against a black-box
 operator.
 
 Matrices are plain numpy arrays. Upper-triangular factors U satisfy
@@ -17,7 +17,6 @@ from .errors import (
     CGNotConvergedWarning,
     DimensionMismatch,
     NotPositiveDefinite,
-    RankDeficient,
     SingularTriangular,
 )
 
@@ -63,22 +62,6 @@ def cholesky_upper(m: np.ndarray, jitter_schedule: Sequence[float] | None = None
     raise NotPositiveDefinite(
         f"Cholesky failed for all {len(list(jitter_schedule))} jitter values"
     )
-
-
-def qr_thin(a: np.ndarray):
-    """Thin (economy) Householder QR of a tall matrix.
-
-    Returns (Q, R) with Q of shape (n, m) and R upper triangular (m, m).
-    Raises RankDeficient when any |R_ii| < 1e-12 * max_j |R_jj|.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise DimensionMismatch(f"expected rows >= cols, got {a.shape}")
-    q, r = scipy.linalg.qr(a, mode="economic")
-    d = np.abs(np.diagonal(r))
-    if d.size and np.any(d < RANK_TOL * d.max()):
-        raise RankDeficient("triangular factor has a near-zero diagonal entry")
-    return q, r
 
 
 def tri_solve_upper(r: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:

@@ -35,6 +35,13 @@ tr(D^-1 dD). Every objective reads its parameters from one
 ``interp.Hyperparams`` record. Gradients are a dict keyed by
 ``trainer.PARAMS`` names, in constrained space; a failed report has a nan
 value and none.
+
+Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
+casts x and y to ``TrainConfig.dtype`` once. The softmax forward, K_zz, the
+factorizations and the CG solves run in it; the softmax and kernel backward
+run in float64. Each objective call builds W and its distances once and the
+backward reads them; a float32 batch builds one more, float64, forward for
+the backward, since its float32 distances are what the fallback is for.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +50,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveDefinite, ObjectiveFailed
-from .interp import Hyperparams, softmax_weights, softmax_weights_backward
+from .interp import Hyperparams, softmax_forward, softmax_weights_backward
 from .kernel import matern32, matern32_param_grads
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -128,15 +135,26 @@ def dense_gaussian(d: np.ndarray, y: np.ndarray):
             linalg.chol_inverse(u), jitter)
 
 
-def _assemble_gradients(x, hp, g_k, g_w, tr_g) -> dict:
-    """Map sensitivities on (K_zz, W, beta) to parameter gradients."""
+def _batch(x, y, hp):
+    """(x, y, W, dist, K_zz) of one batch, all in x's dtype; see softmax_forward."""
+    x = np.asarray(x)
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    w, dist = softmax_forward(x, hp)
+    z = hp.z.astype(x.dtype, copy=False)
+    return x, np.asarray(y, dtype=x.dtype), w, dist, matern32(z, z, hp.kernel)
+
+
+def _assemble_gradients(x, hp, w, dist, g_k, g_w, tr_g) -> dict:
+    """Map sensitivities on (K_zz, W, beta) to parameter gradients, in float64."""
     kg = matern32_param_grads(
         hp.z, hp.z, hp.kernel, np.asarray(g_k, dtype=float),
         want_x=True, want_z=True,
     )
-    z_soft, g_t = softmax_weights_backward(
-        np.asarray(x, dtype=float), hp, np.asarray(g_w, dtype=float)
-    )
+    if x.dtype != np.float64:  # the backward runs in float64; see the module docstring
+        x = x.astype(float)
+        w, dist = softmax_forward(x, hp)
+    z_soft, g_t = softmax_weights_backward(x, hp, w, dist, np.asarray(g_w, dtype=float))
     return {
         "noise": 2.0 * hp.noise * float(tr_g),
         "lengthscales": kg.lengthscales,
@@ -151,33 +169,23 @@ def exact_mll(
     y: np.ndarray,
     hp: Hyperparams,
     path: str = "lowrank",
-    dtype="float64",
 ) -> ObjectiveReport:
     """Exact marginal log likelihood of one batch, with analytic gradients.
 
-    path="lowrank" factorizes K_zz and the m-by-m inner matrix only;
-    path="dense" factorizes D itself (test-scale cross-check).
-    Raises NotPositiveDefinite when the required Cholesky fails after the
-    jitter schedule.
+    The forward and the solves run in x's dtype. path="lowrank" factorizes
+    K_zz and the m-by-m inner matrix only; path="dense" factorizes D itself
+    (test-scale cross-check). Raises NotPositiveDefinite when the required
+    Cholesky fails after the jitter schedule.
     """
-    dt = np.dtype(dtype)
-    x = np.asarray(x, dtype=dt)
-    y = np.asarray(y, dtype=dt)
+    x, y, w, dist, k_zz = _batch(x, y, hp)
     n = y.shape[0]
-    beta = dt.type(hp.noise)
+    beta = x.dtype.type(hp.noise)
     beta2 = beta * beta
-
-    # the working dtype applies to the whole assembly: in float32 mode the
-    # kernel distances themselves are computed in float32, which is where
-    # near-coincident interpolation points destabilize the factorization
-    z = hp.z.astype(dt, copy=False)
-    w = softmax_weights(x, hp).astype(dt)
-    k_zz = matern32(z, z, hp.kernel)
 
     diag = {}
     if path == "dense":
         quad, logdet, a, d_inv, diag["jitter"] = dense_gaussian(
-            w @ k_zz @ w.T + beta2 * np.eye(n, dtype=dt), y)
+            w @ k_zz @ w.T + beta2 * np.eye(n, dtype=x.dtype), y)
         g = 0.5 * (np.outer(a, a) - d_inv)
         g_k = w.T @ g @ w
         g_w = 2.0 * g @ (w @ k_zz)
@@ -194,7 +202,7 @@ def exact_mll(
         raise ValueError(f"unknown path {path!r}")
 
     value = -0.5 * (quad + logdet + n * LOG_2PI)
-    grads = _assemble_gradients(x, hp, g_k, g_w, tr_g)
+    grads = _assemble_gradients(x, hp, w, dist, g_k, g_w, tr_g)
     return ObjectiveReport(value=float(value), gradients=grads, mode_used="exact",
                            diagnostics=diag)
 
@@ -206,26 +214,20 @@ def hutchinson_pseudoloss(
     probes: np.ndarray,
     cg_tol: float = 1e-6,
     cg_max_iters: int = 500,
-    dtype="float64",
 ) -> ObjectiveReport:
     """Factorization-free objective: CG solves against D, probe-based trace.
 
-    The CG solutions are constants of the gradient (the solver is not
-    differentiated through). The value keeps the literal unscaled trace term;
-    the gradient's trace estimate is scaled by n, so it targets the exact
-    gradient's tr(D^-1 dD).
+    Runs in x's dtype, the probes included. The CG solutions are constants
+    of the gradient (the solver is not differentiated through). The value
+    keeps the literal unscaled trace term; the gradient's trace estimate is
+    scaled by n, so it targets the exact gradient's tr(D^-1 dD).
     """
-    dt = np.dtype(dtype)
-    x = np.asarray(x, dtype=dt)
-    y = np.asarray(y, dtype=dt)
-    probes = np.asarray(probes, dtype=dt)
+    x, y, w, dist, k_zz = _batch(x, y, hp)
+    probes = np.asarray(probes, dtype=x.dtype)
     n = y.shape[0]
     ell = probes.shape[1]
-    beta2 = dt.type(hp.noise) ** 2
-
-    z = hp.z.astype(dt, copy=False)
-    w = softmax_weights(x, hp).astype(dt)
-    k_zz = matern32(z, z, hp.kernel)
+    beta = x.dtype.type(hp.noise)
+    beta2 = beta * beta
 
     def matvec(v):
         return w @ (k_zz @ (w.T @ v)) + beta2 * v
@@ -253,7 +255,7 @@ def hutchinson_pseudoloss(
         np.einsum("ij,ij->", us, probes)
     )
 
-    grads = _assemble_gradients(x, hp, g_k, g_w, tr_g)
+    grads = _assemble_gradients(x, hp, w, dist, g_k, g_w, tr_g)
     return ObjectiveReport(
         value=float(value),
         gradients=grads,
@@ -276,16 +278,19 @@ def stabilized_objective(
     """Exact MLL with automatic fallback to the pseudoloss.
 
     Reads objective_mode, probes, cg_tol, cg_max_iters and dtype from cfg, a
-    ``trainer.TrainConfig``; probe_seed is anything ``default_rng`` accepts. objective_mode="auto":
-    try the exact objective; on NotPositiveDefinite or any non-finite
-    value/gradient, recompute with the pseudoloss. Raises ObjectiveFailed
-    only if both are non-finite. Forced modes run a single objective and
-    report nan on failure instead of raising.
+    ``trainer.TrainConfig``; probe_seed is anything ``default_rng`` accepts.
+    x and y are cast to cfg.dtype once, and both objectives run in it.
+    objective_mode="auto": try the exact objective; on NotPositiveDefinite or
+    any non-finite value/gradient, recompute with the pseudoloss. Raises
+    ObjectiveFailed only if both are non-finite. Forced modes run a single
+    objective and report nan on failure instead of raising.
     """
+    x = np.asarray(x, dtype=cfg.dtype)
+    y = np.asarray(y, dtype=cfg.dtype)
     failure = None
     if cfg.objective_mode in ("auto", "exact"):
         try:
-            rep = exact_mll(x, y, hp, path="lowrank", dtype=cfg.dtype)
+            rep = exact_mll(x, y, hp, path="lowrank")
             if rep.is_finite():
                 return rep
             failure = "non-finite exact value or gradient"
@@ -297,7 +302,7 @@ def stabilized_objective(
     probes = draw_probes(y.shape[0], cfg.probes, probe_seed)
     rep = hutchinson_pseudoloss(
         x, y, hp, probes,
-        cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters, dtype=cfg.dtype,
+        cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters,
     )
     if failure is not None:
         rep.diagnostics["fallback_reason"] = failure

@@ -200,7 +200,7 @@ def gaussian_nll(y: np.ndarray, mean: np.ndarray, total_var: np.ndarray) -> floa
 def score(ys: np.ndarray, mean: np.ndarray, var: np.ndarray, noise: float):
     """(rmse, nll) of latent predictions; nll adds the noise variance."""
     rmse = float(np.sqrt(np.mean((mean - ys) ** 2)))
-    return rmse, gaussian_nll(ys, mean, var + noise**2)
+    return rmse, gaussian_nll(ys, mean, var + noise * noise)
 
 
 def test_metrics(post: Posterior, xs: np.ndarray, ys: np.ndarray):
@@ -218,19 +218,9 @@ class AltSolveResult:
     history: list = field(default_factory=list)
 
 
-def alt_solve(data: Dataset, hp: Hyperparams, method: str) -> AltSolveResult:
-    """Solve Chat alpha = Khat^T Lambda^-1 y with an explicitly assembled Chat.
-
-    method is one of "direct", "cholesky", "cg:<tol>", or "qr" (the stacked
-    path, included so solver studies can tabulate it alongside the others).
-    Failures are recorded on the result, not raised.
-    """
-    return solver_study(data, hp, (method,))[0][0]
-
-
 def normal_equations(k_zz: np.ndarray, cross: np.ndarray, y: np.ndarray, noise: float):
     """Chat = K_zz + cross^T cross / noise^2, symmetrized, and cross^T y / noise^2."""
-    beta2 = noise**2
+    beta2 = noise * noise
     chat = k_zz + (cross.T @ cross) / beta2
     return 0.5 * (chat + chat.T), cross.T @ y / beta2
 

@@ -254,6 +254,29 @@ def test_dense_referees_share_dense_gaussian(monkeypatch):
     assert calls == [(40, 40)] * 3
 
 
+def test_exact_gp_likelihood_and_fit_factor_the_same_matrix(monkeypatch):
+    # at this noise noise**2 and noise * noise differ in the last bit; a small
+    # output scale keeps that bit in the diagonal of K = K_XX + noise^2 I
+    noise = 0.4515528601377755
+    assert noise**2 != noise * noise
+    seen = []
+    original = softki.objective.dense_gaussian
+
+    def capture(d, y):
+        seen.append(d.copy())
+        return original(d, y)
+
+    monkeypatch.setattr(softki.baselines, "dense_gaussian", capture)
+    x, y, _ = random_sgpr_instance(7)
+    hp = Hyperparams(noise=noise, kernel=MaternParams(lengthscales=[1.0, 1.0],
+                                                      outputscale=0.01),
+                     z=np.empty((0, 2)))
+    exact_gp_mll(x, y, hp)
+    exact_fit(Dataset(x, y), hp)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], seen[1])
+
+
 def test_softmax_interpolation_cannot_beat_the_exact_oracle():
     # paired evaluation with identical hyperparameters; sanity direction only
     data, xs, ys = smooth_1d()

@@ -1,10 +1,14 @@
-"""The library names the benchmark under perfbench/ calls or traces exist.
+"""The library names the benchmark under perfbench/ calls or traces exist, and
+take the arguments it passes.
 
-The benchmark runs outside this suite, so a rename in src/ would otherwise
-break only the benchmark. This reads perfbench/ and changes nothing in it.
+The benchmark runs outside this suite, so a rename in src/, or a dropped or
+renamed parameter, would otherwise break only the benchmark. This reads
+perfbench/ and changes nothing in it.
 """
 
+import ast
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -30,11 +34,19 @@ def resolve(dotted: str):
     return obj
 
 
+def perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = perfbench_module("workloads").WORKLOADS
+
+
 def traced_names():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_module("spans")
     return [f"{mod}.{fn}" for mod, fns in spans.TRACED.items() for fn in fns]
 
 
@@ -45,6 +57,46 @@ def referenced_names():
         found.update(re.findall(r"\bsoftki\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)",
                                 path.read_text()))
     return sorted(found)
+
+
+def _dotted(node):
+    """"a.b.c" for a Name/Attribute chain, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def benchmark_calls():
+    """pytest params of each ``softki.<name>(...)`` call in the benchmark's
+    sources, also through an alias such as ``ck = softki.checkpoint``: the
+    name, the count of positional arguments and the keyword names. Starred
+    arguments and ``**`` mappings are left out."""
+    params = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        roots = {"softki": ""}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                value = _dotted(node.value) or ""
+                if value.startswith("softki."):
+                    roots[node.targets[0].id] = value[len("softki."):] + "."
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            root, _, rest = (_dotted(node.func) or "").partition(".")
+            if root not in roots or not rest:
+                continue
+            name = roots[root] + rest
+            positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+            keywords = tuple(k.arg for k in node.keywords if k.arg is not None)
+            params.append(pytest.param(name, positional, keywords,
+                                       id=f"{path.name}:{node.lineno}:{name}"))
+    return params
 
 
 @pytest.mark.parametrize("name", traced_names())
@@ -60,3 +112,19 @@ def test_worker_names_resolve(name):
 @pytest.mark.parametrize("name", referenced_names())
 def test_referenced_names_resolve(name):
     resolve(name)
+
+
+def test_benchmark_calls_are_found():
+    names = {p.values[0] for p in benchmark_calls()}
+    assert {"sgpr_fit", "Dataset", "TrainConfig", "checkpoint.bundle_sgpr"} <= names
+
+
+@pytest.mark.parametrize("name, positional, keywords", benchmark_calls())
+def test_benchmark_calls_bind(name, positional, keywords):
+    inspect.signature(resolve(name)).bind_partial(*range(positional),
+                                                  **dict.fromkeys(keywords))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_train_configs_build(workload):
+    softki.TrainConfig(seed=0, **WORKLOADS[workload].train)

@@ -10,6 +10,7 @@ from softki.interp import (
     Hyperparams,
     softki_cross,
     softki_gram,
+    softmax_forward,
     softmax_weights,
     softmax_weights_backward,
 )
@@ -199,7 +200,8 @@ def test_backward_matches_finite_differences():
     def loss(z, temps):
         return float(np.sum(upstream * softmax_weights(x, state(z, temps=temps))))
 
-    g_z, g_t = softmax_weights_backward(x, state(z0, temps=t0), upstream)
+    hp = state(z0, temps=t0)
+    g_z, g_t = softmax_weights_backward(x, hp, *softmax_forward(x, hp), upstream)
 
     h = 1e-6
     fd_z = np.zeros_like(z0)
@@ -220,5 +222,6 @@ def test_backward_matches_finite_differences():
 def test_backward_zero_distance_contributes_zero():
     z = np.array([[0.5, -0.5], [2.0, 1.0]])
     x = z[:1].copy()  # first point coincides with z_0
-    g_z, g_t = softmax_weights_backward(x, state(z), np.ones((1, 2)))
+    hp = state(z)
+    g_z, g_t = softmax_weights_backward(x, hp, *softmax_forward(x, hp), np.ones((1, 2)))
     assert np.all(np.isfinite(g_z)) and np.all(np.isfinite(g_t))

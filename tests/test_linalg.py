@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from softki.errors import (
     CGNotConvergedWarning,
-    DimensionMismatch,
     NotPositiveDefinite,
-    RankDeficient,
     SingularTriangular,
 )
 from softki.linalg import (
@@ -17,7 +15,6 @@ from softki.linalg import (
     block_cg,
     cholesky_upper,
     default_jitter_schedule,
-    qr_thin,
     tri_solve_upper,
 )
 
@@ -75,48 +72,6 @@ def test_cholesky_reconstructs_random_spd(order, seed):
     m = a @ a.T + 0.5 * np.eye(order)
     u, eps = cholesky_upper(m)
     assert np.linalg.norm(u.T @ u - (m + eps * np.eye(order))) <= 1e-10 * np.linalg.norm(m)
-
-
-# -------------------------------------------------------------- qr
-
-
-def test_qr_identity_up_to_column_signs():
-    q, r = qr_thin(np.eye(3))
-    signs = np.sign(np.diagonal(r))
-    assert np.allclose(q * signs, np.eye(3))
-    assert np.allclose(signs[:, None] * r, np.eye(3))
-
-
-def test_qr_single_column():
-    q, r = qr_thin(np.array([[3.0], [4.0]]))
-    assert abs(r[0, 0]) == pytest.approx(5.0)
-    assert np.allclose(np.abs(q.ravel()), [0.6, 0.8])
-
-
-def test_qr_rejects_wide_matrices():
-    with pytest.raises(DimensionMismatch):
-        qr_thin(np.ones((2, 3)))
-
-
-def test_qr_rank_deficient_raises():
-    a = np.ones((5, 2))  # two identical columns
-    with pytest.raises(RankDeficient):
-        qr_thin(a)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=1024),
-    st.integers(min_value=1, max_value=128),
-    st.integers(min_value=0, max_value=2**31),
-)
-def test_qr_orthonormality_and_reconstruction(n, m, seed):
-    if n < m:
-        n, m = m, n
-    a = np.random.default_rng(seed).standard_normal((n, m))
-    q, r = qr_thin(a)
-    assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-10
-    assert np.linalg.norm(q @ r - a) <= 1e-10 * np.linalg.norm(a)
 
 
 # -------------------------------------------------------------- triangular

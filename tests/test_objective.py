@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import softki.interp
 from softki.trainer import TrainConfig
 from softki.errors import NotPositiveDefinite, ObjectiveFailed
 from softki.interp import Hyperparams, softmax_weights
-from softki.kernel import MaternParams, matern32
+from softki.kernel import MaternParams, matern32, scaled_distance
 from softki.linalg import block_cg
 from softki.objective import (
     LOG_2PI,
@@ -173,7 +174,29 @@ def test_dense_gaussian_matches_numpy_and_climbs_the_jitter_ladder():
 def test_non_positive_definite_propagates():
     x, y, hp = near_coincident_batch()
     with pytest.raises(NotPositiveDefinite):
-        exact_mll(x, y, hp, dtype="float32")
+        exact_mll(x, y, hp)  # float32 inputs: the objective runs in float32
+
+
+@pytest.mark.parametrize("dtype, forwards", [(np.float64, 1), (np.float32, 2)])
+@pytest.mark.parametrize("objective", ["lowrank", "dense", "pseudoloss"])
+def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
+    # the backward reads the objective's weights and distances; a float32
+    # batch adds one float64 forward for the backward to chain through
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].dtype)
+        return scaled_distance(*args)
+
+    monkeypatch.setattr(softki.interp, "scaled_distance", counting)
+    x, y, hp = random_instance(10, n=32, m=6)
+    x, y = x.astype(dtype), y.astype(dtype)
+    if objective == "pseudoloss":
+        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(32, 3, seed=0))
+    else:
+        rep = exact_mll(x, y, hp, path=objective)
+    assert rep.is_finite()
+    assert calls == [np.dtype(dtype)] + [np.dtype(np.float64)] * (forwards - 1)
 
 
 # -------------------------------------------------------------- exact grads

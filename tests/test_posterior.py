@@ -14,7 +14,6 @@ from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.posterior import (
     DEFAULT_STUDY_METHODS,
-    alt_solve,
     gaussian_nll,
     near_degenerate_instance,
     predict,
@@ -208,19 +207,18 @@ def test_block_size_does_not_change_the_solution():
 
 def test_alternative_solvers_agree_on_well_conditioned_system():
     data, hp = make_instance(5, 120, 10)
-    reference = alt_solve(data, hp, "qr")
-    for method in ("direct", "cholesky", "cg:1e-10"):
-        res = alt_solve(data, hp, method)
+    (reference, _), *others = solver_study(data, hp, ("qr", "direct", "cholesky",
+                                                      "cg:1e-10"))
+    for res, _ in others:
         assert res.error is None
         assert np.allclose(res.alpha, reference.alpha, rtol=1e-6, atol=1e-9)
     with pytest.raises(ValueError):
-        alt_solve(data, hp, "lu")
+        solver_study(data, hp, ("lu",))
 
 
 def test_cg_history_tightens_with_tolerance():
     data, hp = make_instance(5, 120, 10)
-    loose = alt_solve(data, hp, "cg:1e-2")
-    tight = alt_solve(data, hp, "cg:1e-8")
+    (loose, _), (tight, _) = solver_study(data, hp, ("cg:1e-2", "cg:1e-8"))
     assert tight.residual <= loose.residual
     assert tight.iterations >= loose.iterations
     assert len(tight.history) == tight.iterations
