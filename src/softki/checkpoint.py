@@ -1,21 +1,26 @@
 """Versioned single-file checkpoint format.
 
-Layout: a text header (magic + format version, model variant, sizes,
-standardization statistics and scalar hyperparameters in decimal, then a
-``sha256`` line) terminated by an ``end-header`` line, then five
-length-prefixed little-endian float64 arrays in fixed order:
+``Checkpoint(posterior, stats, n)`` holds a fitted ``posterior.Posterior``,
+the standardization statistics of its training split and the training-set
+size. On disk it is a text header (magic + format version, variant, n, m, d,
+the statistics, noise and outputscale in decimal, then a ``sha256`` line)
+ended by an ``end-header`` line, then five length-prefixed little-endian
+float64 arrays: z, temperatures, lengthscales, v, p. These are exactly what
+prediction reads: the arrays of the posterior's ``interp.Hyperparams`` and
+its fit-time v and m x m P (see posterior.py). temperatures is empty for sgpr
+and exact; for exact z holds the training inputs, so m = n.
 
-    z, temperatures, lengthscales, v, p
-
-These are exactly what prediction reads: the points and kernel of phi, and
-the fit-time vector v and m x m matrix P of the posterior form (see
-posterior.py). The sha256 covers every header line before the ``sha256``
-line and the payload, so an edited scalar is detected like a flipped payload
-byte. The arrays and the noise and outputscale lines are the fields of the
-one ``interp.Hyperparams`` record every model shares, so a checkpoint is read
-back the same way whatever its variant, which names the ``posterior.FORMS``
-entry prediction uses. temperatures is empty for sgpr and exact; for exact
-the z slot holds the training inputs, so m = n.
+``load_checkpoint`` raises ``ChecksumOrVersionMismatch``, naming the field,
+for a wrong magic or version, a missing or unparsable header key, a sha256
+that does not match the header lines above it and the payload (so an edited
+scalar is caught like a flipped payload byte), a truncated or overlong
+payload, and then, so that a file with a recomputed sha256 is still caught
+where it is read: a variant ``posterior.FORMS`` does not know, an array whose
+size does not fit m and d (x_mean, x_std and lengthscales have d entries),
+a nan or inf in v or P, and any value the rebuilt ``Standardization``,
+``MaternParams`` and ``Hyperparams`` records reject (nan, inf or values <= 0
+in noise, outputscale, the stds and temperatures; nan or inf in z and the
+means; lengthscales outside their bounds).
 """
 
 import hashlib
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Standardization
-from .errors import ChecksumOrVersionMismatch
+from .errors import ChecksumOrVersionMismatch, SoftKIError
 from .interp import Hyperparams
 from .kernel import MaternParams
 from .posterior import FORMS, Posterior, predict_mean, predict_var
@@ -38,18 +43,14 @@ _ARRAY_ORDER = ("z", "temperatures", "lengthscales", "v", "p")
 
 @dataclass
 class Checkpoint:
-    variant: str                   # softki | sgpr | exact
-    n: int
-    m: int
-    d: int
+    posterior: Posterior
     stats: Standardization
-    noise: float
-    outputscale: float
-    z: np.ndarray
-    temperatures: np.ndarray       # may be empty
-    lengthscales: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
+    n: int                         # training-set size
+
+    @property
+    def noise(self) -> float:
+        """Benchmark shim: perfbench/worker.py reads ``load_checkpoint(...).noise``."""
+        return self.posterior.hp.noise
 
 
 def _fmt_floats(values) -> str:
@@ -62,21 +63,24 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 
 def save_checkpoint(path, ck: Checkpoint) -> None:
-    payload = b"".join(_pack_array(getattr(ck, name)) for name in _ARRAY_ORDER)
+    post, hp = ck.posterior, ck.posterior.hp
+    m, d = hp.z.shape
+    arrays = (hp.z, hp.temperatures, hp.kernel.lengthscales, post.v, post.p)
+    payload = b"".join(map(_pack_array, arrays))
     covered = "".join(
         line + "\n"
         for line in (
             f"{MAGIC} v{VERSION}",
-            f"variant {ck.variant}",
+            f"variant {post.variant}",
             f"n {ck.n}",
-            f"m {ck.m}",
-            f"d {ck.d}",
+            f"m {m}",
+            f"d {d}",
             f"x_mean {_fmt_floats(ck.stats.x_mean)}",
             f"x_std {_fmt_floats(ck.stats.x_std)}",
             f"y_mean {_fmt_floats(ck.stats.y_mean)}",
             f"y_std {_fmt_floats(ck.stats.y_std)}",
-            f"noise {_fmt_floats(ck.noise)}",
-            f"outputscale {_fmt_floats(ck.outputscale)}",
+            f"noise {_fmt_floats(hp.noise)}",
+            f"outputscale {_fmt_floats(hp.kernel.outputscale)}",
         )
     ).encode("ascii")
     digest = hashlib.sha256(covered + payload).hexdigest()
@@ -87,18 +91,14 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
 
 
 def _read_arrays(buf: bytes):
-    arrays = []
-    off = 0
-    for _ in _ARRAY_ORDER:
-        if off + 8 > len(buf):
-            raise ChecksumOrVersionMismatch("truncated checkpoint payload")
-        (count,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        end = off + 8 * count
-        if end > len(buf):
-            raise ChecksumOrVersionMismatch("truncated checkpoint payload")
-        arrays.append(np.frombuffer(buf[off:end], dtype="<f8").copy())
-        off = end
+    arrays, off = [], 0
+    try:
+        for _ in _ARRAY_ORDER:
+            (count,) = struct.unpack_from("<Q", buf, off)
+            arrays.append(np.frombuffer(buf, "<f8", count, off + 8).copy())
+            off += 8 + 8 * count
+    except (struct.error, ValueError, OverflowError):  # a prefix or an array overruns
+        raise ChecksumOrVersionMismatch("truncated checkpoint payload") from None
     if off != len(buf):
         raise ChecksumOrVersionMismatch("trailing bytes after checkpoint payload")
     return arrays
@@ -119,79 +119,60 @@ def load_checkpoint(path) -> Checkpoint:
 
     if not head or head[0] != f"{MAGIC} v{VERSION}":
         raise ChecksumOrVersionMismatch(
-            f"expected '{MAGIC} v{VERSION}', got {head[0] if head else 'empty file'!r}"
-        )
-    fields = {}
-    for line in head[1:]:
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
+            f"expected '{MAGIC} v{VERSION}', got {head[0] if head else 'empty file'!r}")
+    fields = dict(line.partition(" ")[::2] for line in head[1:])
 
     # the scalars are parsed before the checksum is compared, so a missing or
     # unparsable key is named in the error
     try:
+        variant = fields["variant"]
         n, m, d = (int(fields[k]) for k in ("n", "m", "d"))
-        scalars = dict(
-            variant=fields["variant"], n=n, m=m, d=d,
-            stats=Standardization(
-                x_mean=np.array([float(s) for s in fields["x_mean"].split()]),
-                x_std=np.array([float(s) for s in fields["x_std"].split()]),
-                y_mean=float(fields["y_mean"]),
-                y_std=float(fields["y_std"]),
-            ),
-            noise=float(fields["noise"]),
-            outputscale=float(fields["outputscale"]),
-        )
-        digest = hashlib.sha256(covered + payload).hexdigest()
-        if sha_line != f"sha256 {digest}".encode("ascii"):
-            raise ChecksumOrVersionMismatch(
-                "sha256 does not match the checkpoint header and payload")
-        z, temps, ells, v, p = _read_arrays(payload)
-        return Checkpoint(**scalars, z=z.reshape(m, d), temperatures=temps,
-                          lengthscales=ells, v=v.reshape(m), p=p.reshape(m, m))
+        x_mean, x_std = (np.array([float(s) for s in fields[k].split()])
+                         for k in ("x_mean", "x_std"))
+        y_mean, y_std, noise, outputscale = (
+            float(fields[k]) for k in ("y_mean", "y_std", "noise", "outputscale"))
     except KeyError as err:
         raise ChecksumOrVersionMismatch(
             f"checkpoint header lacks {err.args[0]!r}") from None
     except ValueError as err:
         raise ChecksumOrVersionMismatch(f"malformed checkpoint header: {err}") from None
+    digest = hashlib.sha256(covered + payload).hexdigest()
+    if sha_line != f"sha256 {digest}".encode("ascii"):
+        raise ChecksumOrVersionMismatch(
+            "sha256 does not match the checkpoint header and payload")
+
+    if variant not in FORMS:
+        raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {variant!r}")
+    arrays = dict(zip(_ARRAY_ORDER, _read_arrays(payload)), x_mean=x_mean, x_std=x_std)
+    for name, shape in (("z", (m, d)), ("v", (m,)), ("p", (m, m)), ("lengthscales", (d,)),
+                        ("x_mean", (d,)), ("x_std", (d,))):
+        if min(shape) < 0 or arrays[name].size != np.prod(shape):
+            raise ChecksumOrVersionMismatch(f"checkpoint {name} has {arrays[name].size} "
+                                            f"values, but m={m} and d={d} give {shape}")
+        arrays[name] = arrays[name].reshape(shape)
+    for name in ("v", "p"):
+        if not np.all(np.isfinite(arrays[name])):
+            raise ChecksumOrVersionMismatch(f"checkpoint {name} has non-finite entries")
+    # each record checks its own fields; their messages name the field
+    try:
+        stats = Standardization(arrays["x_mean"], arrays["x_std"], y_mean, y_std)
+        kernel = MaternParams(arrays["lengthscales"], outputscale)
+        hp = Hyperparams(noise, kernel, arrays["z"], arrays["temperatures"])
+    except (ValueError, SoftKIError) as err:
+        raise ChecksumOrVersionMismatch(f"invalid checkpoint: {err}") from None
+    return Checkpoint(Posterior(variant, hp, arrays["v"], arrays["p"]), stats, n)
 
 
-def bundle(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
-    """The checkpoint of a fitted posterior trained on n points."""
-    hp = post.hp
-    return Checkpoint(
-        variant=post.variant,
-        n=n,
-        m=hp.z.shape[0],
-        d=hp.z.shape[1],
-        stats=stats,
-        noise=hp.noise,
-        outputscale=hp.kernel.outputscale,
-        z=hp.z,
-        temperatures=hp.temperatures,
-        lengthscales=hp.kernel.lengthscales,
-        v=post.v,
-        p=post.p,
-    )
-
-
+# benchmark shims: perfbench/worker.py calls these two
 def bundle_softki(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
-    return bundle(post, stats, n)
+    return Checkpoint(post, stats, n)
 
 
 def bundle_sgpr(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
-    return bundle(post, stats, n)
-
-
-def to_posterior(ck: Checkpoint) -> Posterior:
-    """The fitted posterior a checkpoint stores."""
-    if ck.variant not in FORMS:
-        raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {ck.variant!r}")
-    kernel = MaternParams(lengthscales=ck.lengthscales, outputscale=ck.outputscale)
-    hp = Hyperparams(noise=ck.noise, kernel=kernel, z=ck.z, temperatures=ck.temperatures)
-    return Posterior(ck.variant, hp, ck.v, ck.p)
+    return Checkpoint(post, stats, n)
 
 
 def restore(ck: Checkpoint):
-    """Rebuild a predictor (predict_mean/predict_var pair) from a checkpoint."""
-    post = to_posterior(ck)
+    """A predictor (predict_mean/predict_var pair) from a checkpoint."""
+    post = ck.posterior
     return (lambda xs: predict_mean(post, xs)), (lambda xs: predict_var(post, xs))

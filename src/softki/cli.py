@@ -225,10 +225,10 @@ _MODELS = {
 }
 
 
-def _train_model(values: dict, train_data, test_data) -> dict:
+def _train_model(values: dict, cfg: TrainConfig, train_data, test_data) -> dict:
     model, solver = values["model"], values["solver"]
     train_fn, fit_fn = _MODELS[model]
-    hp, trace = train_fn(train_data, _train_config(values))
+    hp, trace = train_fn(train_data, cfg)
     post = fit_fn(train_data, hp, solver)
     rmse, nll = (test_metrics(post, test_data.x, test_data.y)
                  if len(test_data) > 0 else (float("nan"), float("nan")))
@@ -240,7 +240,7 @@ def _train_model(values: dict, train_data, test_data) -> dict:
             "rmse_raw": float(rmse) * stats.y_std,
         },
         "trace": trace,
-        "checkpoint": ckpt.bundle(post, stats, len(train_data)),
+        "checkpoint": ckpt.Checkpoint(post, stats, len(train_data)),
     }
 
 
@@ -249,10 +249,12 @@ def _train_model(values: dict, train_data, test_data) -> dict:
 
 
 def cmd_train(values: dict, outdir: Path) -> int:
+    cfg = _train_config(values)  # a bad config field fails before the data is read
     train_data, test_data = _load_split(values)
-    result = _train_model(values, train_data, test_data)
-    trace, bundle = result["trace"], result["checkpoint"]
-    ckpt.save_checkpoint(outdir / "checkpoint.bin", bundle)
+    result = _train_model(values, cfg, train_data, test_data)
+    trace, ck = result["trace"], result["checkpoint"]
+    ckpt.save_checkpoint(outdir / "checkpoint.bin", ck)
+    hp = ck.posterior.hp
 
     objectives = trace.epoch_objectives
     lines = _config_echo(TRAIN_OPTS, values) + [
@@ -261,8 +263,8 @@ def cmd_train(values: dict, outdir: Path) -> int:
         ("rmse", result["metrics"]["rmse"]),
         ("nll", result["metrics"]["nll"]),
         ("rmse_raw", result["metrics"]["rmse_raw"]),
-        ("noise", bundle.noise),
-        ("outputscale", bundle.outputscale),
+        ("noise", hp.noise),
+        ("outputscale", hp.kernel.outputscale),
         ("final_objective", objectives[-1] if objectives else float("nan")),
         ("epochs_run", len(objectives)),
         ("seconds_total", float(sum(trace.epoch_seconds))),
@@ -277,10 +279,8 @@ def cmd_train(values: dict, outdir: Path) -> int:
         [(i, obj, sec) for i, (obj, sec)
          in enumerate(zip(objectives, trace.epoch_seconds))],
     )
-    dump_rows = [("lengthscale", i, v)
-                 for i, v in enumerate(bundle.lengthscales)]
-    dump_rows += [("temperature", i, v)
-                  for i, v in enumerate(bundle.temperatures)]
+    dump_rows = [("lengthscale", i, v) for i, v in enumerate(hp.kernel.lengthscales)]
+    dump_rows += [("temperature", i, v) for i, v in enumerate(hp.temperatures)]
     rpt.write_csv(outdir / "hyperparams.csv", ["kind", "dim", "value"], dump_rows)
 
     for key in ("rmse", "nll", "rmse_raw"):
@@ -290,22 +290,22 @@ def cmd_train(values: dict, outdir: Path) -> int:
 
 
 def cmd_eval(values: dict, outdir: Path) -> int:
-    bundle = ckpt.load_checkpoint(values["checkpoint"])
+    ck = ckpt.load_checkpoint(values["checkpoint"])
+    post, stats = ck.posterior, ck.stats
     raw_tr, raw_te = _load_raw(values)
     raw = raw_tr if values["split"] == "train" else raw_te
     if len(raw) == 0:
         raise ValueError("selected split has no points")
-    if raw.x.shape[1] != bundle.d:
-        raise DimensionMismatch(
-            f"checkpoint expects d={bundle.d}, data has d={raw.x.shape[1]}"
-        )
-    xs, ys = apply_stats(raw.x, raw.y, bundle.stats)
-    mean, var = predict(ckpt.to_posterior(bundle), xs)
-    rmse, nll = score(ys, mean, var, bundle.noise)
-    rmse_raw = rmse * bundle.stats.y_std
+    d = post.hp.z.shape[1]
+    if raw.x.shape[1] != d:
+        raise DimensionMismatch(f"checkpoint expects d={d}, data has d={raw.x.shape[1]}")
+    xs, ys = apply_stats(raw.x, raw.y, stats)
+    mean, var = predict(post, xs)
+    rmse, nll = score(ys, mean, var, post.hp.noise)
+    rmse_raw = rmse * stats.y_std
 
     lines = _config_echo(EVAL_OPTS, values) + [
-        ("variant", bundle.variant),
+        ("variant", post.variant),
         ("n_points", len(raw)),
         ("rmse", rmse),
         ("nll", nll),
@@ -313,7 +313,6 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     ]
     rpt.write_kv(outdir / "report.txt", lines)
     if values["dump-predictions"]:
-        stats = bundle.stats
         rows = [
             (i, mean[i], var[i], ys[i], mean[i] * stats.y_std + stats.y_mean)
             for i in range(len(raw))
@@ -348,14 +347,14 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
     row_values = {spec: {**defaults, **base, **per_model[spec[1]],
                          **dict(zip(("data", "model", "objective", "seed"), spec))}
                   for spec in specs}
-    for values in row_values.values():
-        _train_config(values)  # a bad config field fails before any row runs
+    # a bad config field fails before any row runs
+    configs = {spec: _train_config(values) for spec, values in row_values.items()}
 
     def run_row(spec):
         values = row_values[spec]
         try:
             train_data, test_data = _load_split(values)
-            result = _train_model(values, train_data, test_data)
+            result = _train_model(values, configs[spec], train_data, test_data)
         except Exception as err:  # noqa: BLE001 -- rows are isolated by design
             return (*spec, float("nan"), float("nan"), float("nan"),
                     f"{type(err).__name__}: {err}")

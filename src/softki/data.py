@@ -22,6 +22,13 @@ class Standardization:
     y_mean: float
     y_std: float
 
+    def __post_init__(self):
+        for name, low in (("x_mean", -np.inf), ("y_mean", -np.inf),
+                          ("x_std", 0.0), ("y_std", 0.0)):
+            value = np.asarray(getattr(self, name))
+            if not np.all((value > low) & (value < np.inf)):  # nan fails both
+                raise ValueError(f"{name} must be in ({low}, inf)")
+
 
 @dataclass
 class Dataset:

@@ -60,7 +60,7 @@ class EmptyFile(SoftKIError):
 
 
 class ChecksumOrVersionMismatch(SoftKIError):
-    """Checkpoint payload failed its checksum or has an unsupported version."""
+    """A checkpoint failed its checksum, has an unsupported version or a bad field."""
 
 
 class CGNotConvergedWarning(UserWarning):

@@ -38,9 +38,11 @@ class Hyperparams:
 
     def __post_init__(self):
         self.noise = float(self.noise)
-        if self.noise <= 0:
-            raise ValueError("noise must be positive")
+        if not 0 < self.noise < np.inf:
+            raise ValueError(f"noise must be finite and > 0, got {self.noise}")
         self.z = np.atleast_2d(np.asarray(self.z))
+        if not np.all(np.isfinite(self.z)):
+            raise ValueError("z must be finite")
         self.temperatures = np.atleast_1d(np.asarray(self.temperatures))
         if self.z.dtype.kind != "f":
             self.z = self.z.astype(float)

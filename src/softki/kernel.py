@@ -37,10 +37,10 @@ class MaternParams:
             self.lengthscales = self.lengthscales.astype(float)
         self.outputscale = float(self.outputscale)
         lo, hi = LENGTHSCALE_MIN, LENGTHSCALE_MAX
-        if np.any(self.lengthscales < lo) or np.any(self.lengthscales > hi):
+        if not np.all((self.lengthscales >= lo) & (self.lengthscales <= hi)):  # nan fails
             raise ValueError(f"lengthscales must lie in [{lo}, {hi}]")
-        if self.outputscale <= 0:
-            raise ValueError("outputscale must be positive")
+        if not 0 < self.outputscale < np.inf:
+            raise ValueError(f"outputscale must be finite and > 0, got {self.outputscale}")
 
 
 def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ M = U^T U (LAPACK convention, lower=False).
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 import warnings
 
 import numpy as np
@@ -33,11 +33,11 @@ def default_jitter_schedule(m: np.ndarray) -> list[float]:
     return [mult * scale for mult in DEFAULT_JITTER_MULTIPLIERS]
 
 
-def cholesky_upper(m: np.ndarray, jitter_schedule: Sequence[float] | None = None):
+def cholesky_upper(m: np.ndarray):
     """Upper Cholesky factor of an SPD matrix with a jitter escalation ladder.
 
-    Tries M + eps*I for each eps in the schedule (default: relative rungs
-    {0, 1e-8, 1e-6, 1e-4} times mean(diag M)) and returns ``(U, eps_used)``
+    Tries M + eps*I for each eps of ``default_jitter_schedule`` (relative
+    rungs {0, 1e-8, 1e-6, 1e-4} times mean(diag M)) and returns ``(U, eps_used)``
     for the first factorization that succeeds. Raises NotPositiveDefinite
     if every rung fails or the input is not finite.
     """
@@ -46,13 +46,11 @@ def cholesky_upper(m: np.ndarray, jitter_schedule: Sequence[float] | None = None
         raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotPositiveDefinite("matrix has non-finite entries")
-    if jitter_schedule is None:
-        jitter_schedule = default_jitter_schedule(m)
     # symmetrize: callers build M from products that are symmetric only to
     # rounding, and potrf reads a single triangle anyway
     m = 0.5 * (m + m.T)
     eye = np.eye(m.shape[0], dtype=m.dtype)
-    for eps in jitter_schedule:
+    for eps in default_jitter_schedule(m):
         try:
             u = scipy.linalg.cholesky(m + eps * eye, lower=False)
         except scipy.linalg.LinAlgError:
@@ -60,8 +58,7 @@ def cholesky_upper(m: np.ndarray, jitter_schedule: Sequence[float] | None = None
         if np.all(np.isfinite(u)):
             return u, float(eps)
     raise NotPositiveDefinite(
-        f"Cholesky failed for all {len(list(jitter_schedule))} jitter values"
-    )
+        f"Cholesky failed for all {len(DEFAULT_JITTER_MULTIPLIERS)} jitter values")
 
 
 def tri_solve_upper(r: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -103,7 +100,6 @@ def block_cg(
     rhs: np.ndarray,
     tol: float = 1e-6,
     max_iters: int = 500,
-    record_history: bool = False,
 ) -> CGReport:
     """Conjugate gradients on an SPD black-box operator, one recurrence per
     column, run in lockstep across all right-hand sides.
@@ -140,8 +136,7 @@ def block_cg(
         r -= alpha * ap
         rs_new = np.einsum("ij,ij->j", r, r)
         rel = np.sqrt(rs_new) / safe
-        if record_history:
-            history.append(float(rel.max()))
+        history.append(float(rel.max()))
         active = rel > tol
         if not active.any():
             break

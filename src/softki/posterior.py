@@ -65,7 +65,7 @@ FORMS = {
 FORMS["exact"] = FORMS["sgpr"]
 
 
-def stacked_qr_solve(blocks, u_zz: np.ndarray, block_rows: int = DEFAULT_BLOCK_ROWS):
+def stacked_qr_solve(blocks, u_zz: np.ndarray):
     """Streaming thin QR of a stacked system.
 
     blocks yields (a_block, b_block) pairs of pre-scaled rows; the
@@ -125,7 +125,7 @@ def _alpha(variant: str, data: Dataset, hp, solver: str, block_rows: int):
     if solver == "qr":
         blocks = ((design(x[i : i + block_rows]) / beta, y[i : i + block_rows] / beta)
                   for i in range(0, y.shape[0], block_rows))
-        r, c, residual, diag = stacked_qr_solve(blocks, u_zz, block_rows)
+        r, c, residual, diag = stacked_qr_solve(blocks, u_zz)
         diag.update({"block_rows": block_rows, "residual": residual})
         alpha = linalg.tri_solve_upper(r, c)
     else:
@@ -262,10 +262,8 @@ def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> Alt
 
     if method.startswith("cg:"):
         tol = float(method.split(":", 1)[1])
-        rep = linalg.block_cg(
-            lambda v: chat @ v, rhs, tol=tol,
-            max_iters=max(1000, 10 * chat.shape[0]), record_history=True,
-        )
+        rep = linalg.block_cg(lambda v: chat @ v, rhs, tol=tol,
+                              max_iters=max(1000, 10 * chat.shape[0]))
         alpha = rep.solutions
         return AltSolveResult(
             method, alpha, residual(alpha), iterations=rep.iterations,

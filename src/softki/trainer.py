@@ -15,6 +15,8 @@ sigmoid scaled onto their allowed interval, interpolation points raw. The
 optimizes.
 """
 
+import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -32,6 +34,9 @@ from .objective import stabilized_objective
 NOISE_FLOOR = 1e-4
 SCALE_FLOOR = 1e-8
 TEMP_FLOOR = 1e-6
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # fixed stream tags so each RNG consumer is independent of the others
 _KMEANS, _SHUFFLE, _PROBES = 11, 13, 17
@@ -44,9 +49,16 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 OBJECTIVE_MODES = ("auto", "exact", "pseudoloss")
 DTYPES = ("float64", "float32")
 
-# field -> smallest allowed value
-_MINIMUM = {"batch_size": 1, "m": 1, "probes": 1, "cg_max_iters": 1,
-            "epochs": 0, "lr_step_epochs": 0, "learning_rate": 0}
+# int field -> smallest allowed value
+_INT_MINIMUM = {"batch_size": 1, "m": 1, "probes": 1, "cg_max_iters": 1,
+                "epochs": 0, "lr_step_epochs": 0, "seed": 0}
+# float field -> (low, high, whether low itself is allowed); high never is
+_FLOAT_RANGE = {
+    "learning_rate": (0.0, math.inf, True),     # 0 takes no steps
+    **dict.fromkeys(("cg_tol", "lr_step_factor", "noise_init", "outputscale_init",
+                     "temperature_init"), (0.0, math.inf, False)),
+    "lengthscale_init": (LENGTHSCALE_MIN, LENGTHSCALE_MAX, False),
+}
 
 
 @dataclass(frozen=True)
@@ -75,10 +87,19 @@ class TrainConfig:
             if getattr(self, name) not in allowed:
                 raise InvalidConfig(f"{name} must be one of {', '.join(allowed)}, "
                                     f"got {getattr(self, name)!r}")
-        for name, low in _MINIMUM.items():
-            if not getattr(self, name) >= low:   # also rejects nan
+        for name, low in _INT_MINIMUM.items():
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidConfig(f"{name} must be >= {low}, got {value!r}")
+        for name, (low, high, closed) in _FLOAT_RANGE.items():
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real)    # nan fails both comparisons
+                    and (low <= value if closed else low < value) and value < high):
+                bracket = "[" if closed else "("
                 raise InvalidConfig(
-                    f"{name} must be >= {low}, got {getattr(self, name)!r}")
+                    f"{name} must be a number in {bracket}{low}, {high}), got {value!r}")
 
 
 @dataclass
@@ -105,13 +126,9 @@ def blas_threads() -> int:
 class Adam:
     """Ascent-form Adam on a dict of named arrays."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -121,11 +138,11 @@ class Adam:
         lr = self.lr if lr is None else lr
         for key, g in grads.items():
             g = np.asarray(g, dtype=float)
-            self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
-            mhat = self.m[key] / (1 - self.beta1**self.t)
-            vhat = self.v[key] / (1 - self.beta2**self.t)
-            self.params[key] = self.params[key] + lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1 - ADAM_BETA1) * g
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1 - ADAM_BETA2) * g * g
+            mhat = self.m[key] / (1 - ADAM_BETA1**self.t)
+            vhat = self.v[key] / (1 - ADAM_BETA2**self.t)
+            self.params[key] = self.params[key] + lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:

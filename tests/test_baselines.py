@@ -170,9 +170,9 @@ def test_qr_route_is_the_shared_posterior_solver(monkeypatch):
     calls = []
     original = softki.posterior.stacked_qr_solve
 
-    def counting(blocks, u_zz, block_rows=softki.posterior.DEFAULT_BLOCK_ROWS):
+    def counting(blocks, u_zz):
         calls.append(u_zz.shape)
-        return original(blocks, u_zz, block_rows)
+        return original(blocks, u_zz)
 
     monkeypatch.setattr(softki.posterior, "stacked_qr_solve", counting)
     x, y, hp = random_sgpr_instance(6, m=5)

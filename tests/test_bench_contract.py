@@ -12,6 +12,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import softki
@@ -128,3 +129,65 @@ def test_benchmark_calls_bind(name, positional, keywords):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_workload_train_configs_build(workload):
     softki.TrainConfig(seed=0, **WORKLOADS[workload].train)
+
+
+# ------------------------------------------- attributes read off library results
+# perfbench/worker.py and perfbench/spans.py read these off return values, so
+# each is checked on a tiny real object rather than by name alone.
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    train_data, _ = softki.ricker_dataset(n_train=64, n_test=8, radius=2.0, seed=0)
+    cfg = softki.TrainConfig(m=6, epochs=2, batch_size=32, learning_rate=0.05, seed=0)
+    return train_data, cfg
+
+
+def test_loaded_checkpoint_exposes_noise(tmp_path, tiny):
+    train_data, cfg = tiny
+    hp, _ = softki.train(train_data, cfg)
+    post = softki.fit_qr(train_data, hp)
+    ck = softki.checkpoint
+    path = tmp_path / "checkpoint.bin"
+    ck.save_checkpoint(path, ck.bundle_softki(post, train_data.stats, len(train_data)))
+    loaded = ck.load_checkpoint(path)
+    assert loaded.noise == hp.noise and isinstance(loaded.noise, float)
+
+
+@pytest.mark.parametrize("train_fn", ["train", "train_sgpr"])
+def test_train_trace_fields(tiny, train_fn):
+    train_data, cfg = tiny
+    _, trace = getattr(softki, train_fn)(train_data, cfg)
+    assert sum(trace.mode_counts.values()) > 0
+    assert len(trace.epoch_objectives) == cfg.epochs
+    assert trace.failed_batches == 0
+
+
+@pytest.mark.parametrize("mode", ["auto", "pseudoloss"])
+def test_objective_report_fields(tiny, mode):
+    train_data, _ = tiny
+    x, y = train_data.x[:32], train_data.y[:32]
+    hp, _ = softki.train(train_data, softki.TrainConfig(m=6, epochs=0, seed=0))
+    report = softki.objective.stabilized_objective(
+        x, y, hp, softki.TrainConfig(objective_mode=mode))
+    assert isinstance(report.diagnostics, dict)
+    assert report.is_finite() is True
+    assert softki.objective.exact_mll(x, y, hp).is_finite() is True
+
+
+def test_cg_report_fields():
+    rep = softki.linalg.block_cg(lambda v: 2.0 * v, np.ones((4, 2)))
+    assert rep.iterations == 1 and rep.converged is True
+
+
+def test_cholesky_jitter_is_a_rung_of_the_default_schedule():
+    m = np.outer([1.0, 2.0], [1.0, 2.0])           # singular: needs a jitter rung
+    _, eps = softki.linalg.cholesky_upper(m)
+    assert softki.linalg.default_jitter_schedule(m).index(eps) > 0
+
+
+def test_stacked_qr_solve_counts_blocks():
+    rng = np.random.default_rng(0)
+    blocks = [(rng.standard_normal((5, 3)), rng.standard_normal(5)) for _ in range(2)]
+    out = softki.posterior.stacked_qr_solve(iter(blocks), np.eye(3))
+    assert out[3]["blocks"] == 3                   # two data blocks and the u_zz rows

@@ -8,15 +8,8 @@ import pytest
 
 from softki import fit_qr
 from softki.baselines import exact_fit, sgpr_fit
-from softki.checkpoint import (
-    MAGIC,
-    Checkpoint,
-    bundle,
-    bundle_softki,
-    load_checkpoint,
-    restore,
-    save_checkpoint,
-)
+from softki.checkpoint import MAGIC, Checkpoint, load_checkpoint, restore, save_checkpoint
+from softki.cli import main
 from softki.data import Dataset, ricker_dataset
 from softki.errors import ChecksumOrVersionMismatch
 from softki.interp import Hyperparams
@@ -39,15 +32,23 @@ def fitted():
 
 def test_round_trip_preserves_every_field(tmp_path, fitted):
     train, _, post = fitted
-    ck = bundle_softki(post, train.stats, len(train))
+    ck = Checkpoint(post, train.stats, len(train))
     path = tmp_path / "model.bin"
     save_checkpoint(path, ck)
     back = load_checkpoint(path)
-    assert back.variant == "softki"
-    assert (back.n, back.m, back.d) == (ck.n, ck.m, ck.d)
-    assert back.noise == ck.noise and back.outputscale == ck.outputscale
-    for name in ("z", "temperatures", "lengthscales", "v", "p"):
-        assert np.array_equal(getattr(back, name), getattr(ck, name)), name
+    got = back.posterior
+    assert got.variant == "softki" and back.n == ck.n
+    assert got.hp.noise == post.hp.noise == back.noise
+    assert got.hp.kernel.outputscale == post.hp.kernel.outputscale
+    pairs = {
+        "z": (got.hp.z, post.hp.z),
+        "temperatures": (got.hp.temperatures, post.hp.temperatures),
+        "lengthscales": (got.hp.kernel.lengthscales, post.hp.kernel.lengthscales),
+        "v": (got.v, post.v),
+        "p": (got.p, post.p),
+    }
+    for name, (back_value, live_value) in pairs.items():
+        assert np.array_equal(back_value, live_value), name
     assert np.array_equal(back.stats.x_mean, ck.stats.x_mean)
     assert np.array_equal(back.stats.x_std, ck.stats.x_std)
     assert back.stats.y_mean == ck.stats.y_mean
@@ -56,7 +57,7 @@ def test_round_trip_preserves_every_field(tmp_path, fitted):
 
 def test_save_is_byte_deterministic(tmp_path, fitted):
     train, _, post = fitted
-    ck = bundle_softki(post, train.stats, len(train))
+    ck = Checkpoint(post, train.stats, len(train))
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     save_checkpoint(a, ck)
     save_checkpoint(b, ck)
@@ -81,11 +82,13 @@ def test_restore_matches_the_live_posterior(tmp_path, fitted, variant):
     train, test, _ = fitted
     post, n = fit_variant(variant, fitted)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, bundle(post, train.stats, n))
+    save_checkpoint(path, Checkpoint(post, train.stats, n))
     loaded = load_checkpoint(path)
-    assert loaded.variant == variant and loaded.n == n
-    assert loaded.p.shape == (loaded.m, loaded.m) and loaded.v.shape == (loaded.m,)
-    assert loaded.temperatures.size == (2 if variant == "softki" else 0)
+    back = loaded.posterior
+    m = post.hp.z.shape[0]
+    assert back.variant == variant and loaded.n == n
+    assert back.p.shape == (m, m) and back.v.shape == (m,)
+    assert back.hp.temperatures.size == (2 if variant == "softki" else 0)
     mean_fn, var_fn = restore(loaded)
     assert np.array_equal(mean_fn(test.x), predict_mean(post, test.x))
     var = var_fn(test.x)
@@ -99,7 +102,7 @@ def test_restore_matches_the_live_posterior(tmp_path, fitted, variant):
 def saved_bytes(tmp_path, fitted):
     train, _, post = fitted
     path = tmp_path / "model.bin"
-    save_checkpoint(path, bundle_softki(post, train.stats, len(train)))
+    save_checkpoint(path, Checkpoint(post, train.stats, len(train)))
     return path, path.read_bytes()
 
 
@@ -173,9 +176,66 @@ def test_tampered_header_scalar_is_detected(tmp_path, fitted, key):
         load_checkpoint(path)
 
 
-def test_restore_rejects_unknown_variant(fitted):
-    train, _, post = fitted
-    ck = bundle_softki(post, train.stats, len(train))
-    mystery = Checkpoint(**{**ck.__dict__, "variant": "mystery"})
-    with pytest.raises(ChecksumOrVersionMismatch):
-        restore(mystery)
+ARRAY_ORDER = ("z", "temperatures", "lengthscales", "v", "p")
+
+
+def reseal(path, lines=None, arrays=None):
+    """Rewrite a saved checkpoint with header values and payload arrays
+    replaced, and its sha256 recomputed, so that only the checks on the
+    fields themselves can reject it. lines maps a header key to its new text;
+    arrays maps an array name to a function of the stored flat array."""
+    head, _, payload = path.read_bytes().partition(b"end-header\n")
+    header = []
+    for line in head.decode().splitlines()[:-1]:       # drop the sha256 line
+        key = line.partition(" ")[0]
+        header.append(f"{key} {lines[key]}" if lines and key in lines else line)
+    packed, off = [], 0
+    for name in ARRAY_ORDER:
+        (count,) = struct.unpack_from("<Q", payload, off)
+        flat = np.frombuffer(payload, "<f8", count, off + 8).copy()
+        off += 8 + 8 * count
+        if arrays and name in arrays:
+            flat = np.asarray(arrays[name](flat), dtype="<f8")
+        packed.append(struct.pack("<Q", flat.size) + flat.tobytes())
+    covered = "".join(line + "\n" for line in header).encode()
+    body = b"".join(packed)
+    digest = hashlib.sha256(covered + body).hexdigest()
+    path.write_bytes(covered + f"sha256 {digest}\nend-header\n".encode() + body)
+
+
+def with_nan_at(index):
+    def edit(flat):
+        flat[index] = np.nan
+        return flat
+    return edit
+
+
+# (header edits, array edits, the field the error must name)
+RESEALED = {
+    "noise-nan": ({"noise": "nan"}, None, "noise"),
+    "noise-negative": ({"noise": "-1"}, None, "noise"),
+    "noise-inf": ({"noise": "inf"}, None, "noise"),
+    "p-nan": (None, {"p": with_nan_at(3)}, r"\bp\b"),
+    "lengthscale-nan": (None, {"lengthscales": with_nan_at(0)}, "lengthscales"),
+    "x_mean-one-entry": ({"x_mean": "0.5"}, None, "x_mean"),
+    "variant-mystery": ({"variant": "mystery"}, None, "variant"),
+}
+
+
+@pytest.mark.parametrize("case", list(RESEALED))
+def test_resealed_bad_field_is_rejected(tmp_path, fitted, case):
+    lines, arrays, field = RESEALED[case]
+    path, _ = saved_bytes(tmp_path, fitted)
+    reseal(path, lines, arrays)
+    with pytest.raises(ChecksumOrVersionMismatch, match=field):
+        load_checkpoint(path)
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 1
+    error = (out / "error.txt").read_text()
+    assert "error = ChecksumOrVersionMismatch" in error
+
+
+def test_reseal_alone_keeps_a_valid_checkpoint(tmp_path, fitted):
+    path, blob = saved_bytes(tmp_path, fitted)
+    reseal(path)
+    assert path.read_bytes() == blob

@@ -87,7 +87,7 @@ def test_train_dispatches_to_sgpr_and_exact(tmp_path, wave_csv):
                    "--out", str(out), "--m", "8", "--epochs", "2",
                    "--lr", "0.05", "--seed", "0"])
         assert rc == 0
-        assert load_checkpoint(out / "checkpoint.bin").variant == model
+        assert load_checkpoint(out / "checkpoint.bin").posterior.variant == model
 
 
 def test_standardize_false_applies_to_ricker(tmp_path):
@@ -108,14 +108,14 @@ def test_standardize_false_applies_to_ricker(tmp_path):
 def test_solver_flag_routes_softki_fit(tmp_path, wave_csv):
     out = tmp_path / "cg"
     assert train_into(out, wave_csv, "--solver", "cg:1e-8") == 0
-    bundle = load_checkpoint(out / "checkpoint.bin")
-    assert np.all(np.isfinite(bundle.v)) and np.all(np.isfinite(bundle.p))
+    post = load_checkpoint(out / "checkpoint.bin").posterior
+    assert np.all(np.isfinite(post.v)) and np.all(np.isfinite(post.p))
     sgpr = tmp_path / "sgpr"
     assert main(["train", "--model", "sgpr", "--data", str(wave_csv),
                  "--solver", "cholesky", "--out", str(sgpr),
                  "--m", "4", "--epochs", "1"]) == 0
-    bundle = load_checkpoint(sgpr / "checkpoint.bin")
-    assert np.all(np.isfinite(bundle.v)) and np.all(np.isfinite(bundle.p))
+    post = load_checkpoint(sgpr / "checkpoint.bin").posterior
+    assert np.all(np.isfinite(post.v)) and np.all(np.isfinite(post.p))
     assert main(["train", "--model", "sgpr", "--data", str(wave_csv),
                  "--solver", "lu", "--out", str(tmp_path / "bad"),
                  "--m", "4", "--epochs", "1"]) == 1
@@ -149,6 +149,21 @@ def test_zero_batch_size_fails_naming_the_field(tmp_path, wave_csv):
     assert report["error"] == "InvalidConfig"
     assert report["message"].startswith("batch_size must be >= 1")
     assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--objective", "pseudoloss", "--cg-tol", "nan"), "cg_tol"),
+    (("--lr-step-factor", "-1", "--lr-step-epochs", "1"), "lr_step_factor"),
+    (("--noise-init", "nan"), "noise_init"),
+    (("--seed", "-1"), "seed"),
+])
+def test_non_finite_or_negative_config_fails_naming_the_field(tmp_path, wave_csv,
+                                                              flags, field):
+    out = tmp_path / "bad"
+    assert train_into(out, wave_csv, *flags) == 1
+    report = read_report(out / "error.txt")
+    assert report["error"] == "InvalidConfig"
+    assert report["message"].startswith(f"{field} must be")
 
 
 # ---------------------------------------------------------------------- eval
@@ -203,12 +218,12 @@ def test_eval_builds_the_features_once(tmp_path, wave_csv, monkeypatch):
     assert calls == [n_points]
 
     # the same bytes as separate mean and variance calls through restore
-    bundle = load_checkpoint(run / "checkpoint.bin")
+    ck = load_checkpoint(run / "checkpoint.bin")
     raw = split_raw(load_csv(wave_csv), train_fraction=0.9, seed=0)[1]
-    xs, ys = apply_stats(raw.x, raw.y, bundle.stats)
-    mean_fn, var_fn = restore(bundle)
+    xs, ys = apply_stats(raw.x, raw.y, ck.stats)
+    mean_fn, var_fn = restore(ck)
     mean, var = mean_fn(xs), var_fn(xs)
-    stats = bundle.stats
+    stats = ck.stats
     write_csv(tmp_path / "expected.csv", ["index", "mean", "var", "target", "raw_mean"],
               [(i, mean[i], var[i], ys[i], mean[i] * stats.y_std + stats.y_mean)
                for i in range(len(ys))])

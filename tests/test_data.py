@@ -5,6 +5,7 @@ import pytest
 
 from softki.data import (
     Dataset,
+    Standardization,
     apply_stats,
     load_csv,
     ricker,
@@ -148,6 +149,17 @@ def test_split_standardize_uses_train_statistics_only():
                          te.y * tr.stats.y_std + tr.stats.y_mean, tr.stats)
     assert np.allclose(xs, te.x, atol=1e-12)
     assert np.allclose(ys, te.y, atol=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x_mean", np.array([0.0, np.nan])), ("y_mean", np.inf),
+    ("x_std", np.array([1.0, 0.0])), ("x_std", np.array([1.0, np.nan])),
+    ("y_std", -1.0), ("y_std", np.inf),
+])
+def test_standardization_rejects_bad_statistics(field, value):
+    fields = dict(x_mean=np.zeros(2), x_std=np.ones(2), y_mean=0.0, y_std=1.0)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        Standardization(**{**fields, field: value})
 
 
 def test_constant_column_warns_and_keeps_finite_values():

@@ -48,6 +48,17 @@ def test_record_checks_noise_and_keeps_float32_points():
     assert hp.z.dtype == np.float32 and hp.z.shape == (3, 2)
 
 
+@pytest.mark.parametrize("noise", [np.nan, np.inf])
+def test_record_rejects_non_finite_noise(noise):
+    with pytest.raises(ValueError, match="noise"):
+        Hyperparams(noise=noise, kernel=params(1), z=[[0.0]])
+
+
+def test_record_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="z must be finite"):
+        Hyperparams(noise=1.0, kernel=params(2), z=[[0.0, np.nan], [1.0, 1.0]])
+
+
 def test_record_without_temperatures_has_no_softmax_weights():
     # SGPR and the exact GP carry an empty temperature vector for any d
     hp = Hyperparams(noise=1.0, kernel=params(3), z=np.zeros((4, 3)))

@@ -34,6 +34,17 @@ def test_params_reject_nonpositive_outputscale():
         MaternParams(lengthscales=[1.0], outputscale=0.0)
 
 
+def test_params_reject_nan_lengthscales():
+    with pytest.raises(ValueError, match="lengthscales"):
+        MaternParams(lengthscales=[np.nan, 1.0], outputscale=1.0)
+
+
+@pytest.mark.parametrize("s2", [np.nan, np.inf])
+def test_params_reject_non_finite_outputscale(s2):
+    with pytest.raises(ValueError, match="outputscale"):
+        MaternParams(lengthscales=[1.0], outputscale=s2)
+
+
 def test_value_at_zero_distance_is_outputscale():
     x = np.array([[0.3, -0.7]])
     k = matern32(x, x, params(d=2, s2=2.5))

@@ -41,7 +41,7 @@ def test_cholesky_fixed_2x2():
 def test_cholesky_indefinite_raises():
     m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(NotPositiveDefinite):
-        cholesky_upper(m, jitter_schedule=(0.0, 1e-6))
+        cholesky_upper(m)
 
 
 def test_cholesky_rejects_non_finite():
@@ -151,8 +151,7 @@ def test_cg_history_is_monotone_enough_to_plot():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((30, 30))
     m = a @ a.T + 30.0 * np.eye(30)
-    rep = block_cg(lambda v: m @ v, rng.standard_normal(30), tol=1e-10,
-                   record_history=True)
+    rep = block_cg(lambda v: m @ v, rng.standard_normal(30), tol=1e-10)
     assert len(rep.history) == rep.iterations
     assert rep.history[-1] <= 1e-10
 

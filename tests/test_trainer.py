@@ -354,6 +354,13 @@ def test_chain_matches_finite_differences_of_the_table(names):
     ("m", 0), ("probes", 0), ("cg_max_iters", 0), ("epochs", -1),
     ("lr_step_epochs", -1), ("learning_rate", -0.01),
     ("learning_rate", float("nan")),
+    # ints that are not ints, and floats that are not finite or in range
+    ("epochs", 1.5), ("batch_size", 64.0), ("probes", True), ("seed", -1),
+    ("cg_max_iters", 10.5), ("m", 16.5), ("lr_step_epochs", 1.5),
+    ("learning_rate", float("inf")), ("cg_tol", float("nan")),
+    ("lr_step_factor", -1.0), ("noise_init", float("nan")),
+    ("outputscale_init", 0.0), ("temperature_init", -1.0),
+    ("lengthscale_init", LENGTHSCALE_MAX),
 ])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(InvalidConfig, match=f"^{field} must be"):
