@@ -47,10 +47,9 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     beta = hp.noise
     beta2 = beta * beta
 
-    k_xz = matern32(x, hp.z, hp.kernel)
     k_zz = matern32(hp.z, hp.z, hp.kernel)
     u_zz, jit = linalg.cholesky_upper(k_zz)
-    b = linalg.tri_solve_upper(u_zz, k_xz.T, transpose=True).T
+    b = linalg.tri_solve_upper(u_zz, matern32(x, hp.z, hp.kernel).T, transpose=True).T
     lr = lowrank_gaussian(b, y, np.eye(m), beta2)
     log_n = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
 
@@ -61,7 +60,8 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     # 2 G P + P / beta^2 = a (P^T a)^T + B (Z S / beta^2) U^-T and d/dK_zz is
     # -P^T G P - P^T P / (2 beta^2), with B^T D^-1 B from lowrank_gaussian
     pa = linalg.tri_solve_upper(u_zz, lr.phi_a)                  # P^T a
-    up_xz = np.outer(lr.a, pa) + b @ linalg.tri_solve_upper(u_zz, lr.zs.T / beta2).T
+    up_xz = b @ linalg.tri_solve_upper(u_zz, lr.zs.T / beta2).T
+    up_xz += np.outer(lr.a, pa)
     inner = linalg.tri_solve_upper(u_zz, lr.phi_dinv_phi - lr.s / beta2)
     up_zz = 0.5 * (linalg.tri_solve_upper(u_zz, inner.T) - np.outer(pa, pa))
     tr_g = 0.5 * (float(lr.a @ lr.a) - lr.tr_d_inv)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnWarning, DimensionMismatch, EmptyFile, ParseError
+from .errors import (DegenerateColumnWarning, DimensionMismatch, EmptyFile, NonFiniteInput,
+                     ParseError)
 
 
 @dataclass
@@ -48,6 +49,11 @@ class Dataset:
             raise DimensionMismatch(
                 f"{self.x.shape[0]} feature rows but {self.y.shape[0]} targets"
             )
+        for name, values in (("x", self.x), ("y", self.y[:, None])):
+            if not np.isfinite(values).all():  # the flat test is the cheap one
+                row, col = np.argwhere(~np.isfinite(values))[0]
+                raise NonFiniteInput(f"{name} row {row}, column {col} (0-based) "
+                                     f"holds {values[row, col]}")
 
     def __len__(self):
         return self.y.shape[0]

@@ -42,7 +42,7 @@ class InvalidConfig(SoftKIError):
 
 
 class NonFiniteInput(SoftKIError):
-    """Query points contain nan or inf; the message names the first bad row."""
+    """A Dataset or query points contain nan or inf; the message names the first bad row."""
 
 
 class ParseError(SoftKIError):

@@ -76,9 +76,9 @@ def softmax_forward(x: np.ndarray, hp: Hyperparams):
     xt = x / temps
     ones = np.ones(x.shape[1], dtype=x.dtype)
     dist = scaled_distance(xt, hp.z.astype(x.dtype), ones)
-    logits = -dist
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
+    w = np.negative(dist)                      # the logits, then W in place
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w, dist
 
@@ -100,11 +100,15 @@ def softmax_weights_backward(
 
     # softmax backward: dL/d logits = W * (U - rowsum(U * W))
     rowdot = np.einsum("ij,ij->i", upstream, w)
-    v = w * (upstream - rowdot[:, None])
+    # C order, as W is, whatever upstream's layout: the sums and GEMMs below
+    # then visit a in one fixed order
+    a = np.subtract(upstream, rowdot[:, None], order="C")
+    a *= w
 
     # logits = -d_ij, d_ij = ||x/T - z_j||; zero distance contributes zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(dist > 0, v / dist, 0.0)
+        a /= dist
+    a[~(dist > 0)] = 0.0
 
     temps = hp.temperatures
     xt = x / temps

@@ -52,21 +52,30 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray) -> n
     ell = np.asarray(lengthscales, dtype=x.dtype)
     xs = x / ell
     zs = z / ell
-    sq = (
-        np.sum(xs * xs, axis=1)[:, None]
-        + np.sum(zs * zs, axis=1)[None, :]
-        - 2.0 * (xs @ zs.T)
-    )
+    cross = xs @ zs.T
+    cross *= 2.0
+    sq = np.add.outer(np.sum(xs * xs, axis=1), np.sum(zs * zs, axis=1))
+    sq -= cross
     # expanded-norm form can go slightly negative from cancellation
     np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+    return np.sqrt(sq, out=sq)
+
+
+def _value_and_decay(x: np.ndarray, z: np.ndarray, params: MaternParams):
+    """(K, e) with e = exp(-sqrt(3) r): two buffers, each built once."""
+    k = scaled_distance(x, z, params.lengthscales)
+    k *= SQRT3
+    e = np.negative(k)
+    np.exp(e, out=e)
+    k += 1.0
+    k *= params.outputscale
+    k *= e
+    return k, e
 
 
 def matern32(x: np.ndarray, z: np.ndarray, params: MaternParams) -> np.ndarray:
     """Kernel matrix K with K[i, j] = k(x_i, z_j)."""
-    r = scaled_distance(x, z, params.lengthscales)
-    sr = SQRT3 * r
-    return params.outputscale * (1.0 + sr) * np.exp(-sr)
+    return _value_and_decay(x, z, params)[0]
 
 
 @dataclass
@@ -110,11 +119,16 @@ def matern32_param_grads(
     ell = params.lengthscales
     s2 = params.outputscale
 
-    r = scaled_distance(x, z, ell)
-    e = np.exp(-SQRT3 * r)
-    k = s2 * (1.0 + SQRT3 * r) * e
+    # k and e become the products with upstream, in the dtype those products have
+    k, e = _value_and_decay(x, z, params)
+    dtype = np.result_type(k, upstream)
+    k = k.astype(dtype, copy=False)
+    k *= upstream
+    g_s2 = float(np.sum(k) / s2)
 
-    w = upstream * (3.0 * s2 * e)           # shared factor, (n, m)
+    e *= 3.0 * s2
+    w = e.astype(dtype, copy=False)
+    w *= upstream                            # shared factor, (n, m)
     row = w.sum(axis=1)                      # (n,)
     col = w.sum(axis=0)                      # (m,)
     wz = w @ z                               # (n, d)
@@ -122,8 +136,6 @@ def matern32_param_grads(
     # sum_ij w_ij (x_ic - z_jc)^2 expanded to avoid an (n, m, d) array
     g_ell = (x * x).T @ row - 2.0 * np.einsum("ic,ic->c", x, wz) + (z * z).T @ col
     g_ell /= ell**3
-
-    g_s2 = float(np.sum(upstream * k) / s2)
 
     g_x = None
     g_z = None

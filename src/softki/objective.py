@@ -196,7 +196,9 @@ def exact_mll(
         diag["jitter_inner"] = lr.jitter
         a, quad, logdet = lr.a, lr.quad, lr.logdet
         g_k = 0.5 * (np.outer(lr.phi_a, lr.phi_a) - lr.phi_dinv_phi)
-        g_w = np.outer(a, lr.phi_a @ k_zz) - w @ ((k_zz - lr.zs @ k_zz) / beta2)
+        g_w = w @ ((k_zz - lr.zs @ k_zz) / beta2)
+        np.negative(g_w, out=g_w)
+        g_w += np.outer(a, lr.phi_a @ k_zz)
         tr_g = 0.5 * (float(a @ a) - lr.tr_d_inv)
     else:
         raise ValueError(f"unknown path {path!r}")
@@ -248,9 +250,11 @@ def hutchinson_pseudoloss(
     ws = w.T @ us
     wp = w.T @ probes
     g_k = 0.5 * np.outer(wu0, wu0) - (c / (4.0 * ell)) * (ws @ wp.T + wp @ ws.T)
-    g_w = np.outer(u0, u0 @ wk) - (c / (2.0 * ell)) * (
-        us @ (probes.T @ wk) + probes @ (us.T @ wk)
-    )
+    g_w = us @ (probes.T @ wk)
+    g_w += probes @ (us.T @ wk)
+    g_w *= c / (2.0 * ell)
+    np.negative(g_w, out=g_w)
+    g_w += np.outer(u0, u0 @ wk)
     tr_g = 0.5 * float(u0 @ u0) - (c / (2.0 * ell)) * float(
         np.einsum("ij,ij->", us, probes)
     )

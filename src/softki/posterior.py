@@ -84,8 +84,9 @@ def stacked_qr_solve(blocks, u_zz: np.ndarray):
         b_blk = np.asarray(b_blk, dtype=a_blk.dtype)
         aug = np.concatenate([a_blk, b_blk[:, None]], axis=1)
         stack = aug if carry is None else np.vstack([carry, aug])
-        r = scipy.linalg.qr(stack, mode="r")[0]  # upper trapezoid, Householder
-        return r[: m + 1], stack.shape[0]
+        # "raw" takes triu of the top m + 1 rows only, not of a full-height copy
+        r = scipy.linalg.qr(stack, mode="raw")[1]  # upper trapezoid, Householder
+        return r, stack.shape[0]
 
     for a_blk, b_blk in blocks:
         a_blk = np.atleast_2d(np.asarray(a_blk))

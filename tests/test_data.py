@@ -18,6 +18,7 @@ from softki.errors import (
     DegenerateColumnWarning,
     DimensionMismatch,
     EmptyFile,
+    NonFiniteInput,
     ParseError,
 )
 
@@ -107,6 +108,18 @@ def test_dataset_validates_row_counts_and_preserves_dtype():
                    y=np.zeros(3, dtype=np.float32))
     assert data.x.dtype == np.float32 and data.y.dtype == np.float32
     assert len(data) == 3
+
+
+@pytest.mark.parametrize("field, row, col, value", [
+    ("x", 3, 1, np.nan),
+    ("x", 0, 0, np.inf),
+    ("y", 4, 0, -np.inf),
+])
+def test_dataset_rejects_non_finite_values_naming_the_cell(field, row, col, value):
+    x, y = np.ones((6, 2)), np.zeros(6)
+    (x if field == "x" else y[:, None])[row, col] = value
+    with pytest.raises(NonFiniteInput, match=rf"{field} row {row}, column {col} \(0-based\)"):
+        Dataset(x=x, y=y)
 
 
 # -------------------------------------------------------------------- splits

@@ -14,7 +14,7 @@ from softki.interp import (
     softmax_weights,
     softmax_weights_backward,
 )
-from softki.kernel import MaternParams, matern32
+from softki.kernel import MaternParams, matern32, scaled_distance
 
 
 def params(d, s2=1.0):
@@ -236,3 +236,62 @@ def test_backward_zero_distance_contributes_zero():
     hp = state(z)
     g_z, g_t = softmax_weights_backward(x, hp, *softmax_forward(x, hp), np.ones((1, 2)))
     assert np.all(np.isfinite(g_z)) and np.all(np.isfinite(g_t))
+
+
+# ------------------------------------------------------------ reference forms
+# The softmax forward and backward build each (n, m) array once and update it
+# in place. These are the out-of-place formulas with the same operation
+# order, so the library must match them bit for bit and leave every input as
+# it was.
+
+
+def reference_forward(x, hp):
+    xt = x / hp.temperatures.astype(x.dtype)
+    dist = scaled_distance(xt, hp.z.astype(x.dtype), np.ones(x.shape[1], dtype=x.dtype))
+    logits = -dist
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=1, keepdims=True)
+    return w, dist
+
+
+def reference_backward(x, hp, w, dist, upstream):
+    rowdot = np.einsum("ij,ij->i", upstream, w)
+    v = w * (upstream - rowdot[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(dist > 0, v / dist, 0.0)
+    temps = hp.temperatures
+    xt = x / temps
+    arow = a.sum(axis=1)
+    acol = a.sum(axis=0)
+    g_z = a.T @ xt - hp.z * acol[:, None]
+    az = a @ hp.z
+    g_t = (x * xt * arow[:, None] - x * az).sum(axis=0) / temps**2
+    return g_z, g_t
+
+
+def bitwise_equal(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_forward_and_backward_match_the_out_of_place_form(dtype, layout):
+    rng = np.random.default_rng(13)
+    hp = state(rng.standard_normal((9, 3)), temps=rng.uniform(0.5, 2.0, 3))
+    x = rng.standard_normal((40, 3))
+    x[2] = hp.z[1] * hp.temperatures  # a zero-distance row
+    x = x.astype(dtype)
+    upstream = np.asarray(rng.standard_normal((40, 9)), order=layout)
+
+    w, dist = softmax_forward(x, hp)
+    ref_w, ref_dist = reference_forward(x, hp)
+    assert bitwise_equal(w, ref_w) and bitwise_equal(dist, ref_dist)
+    assert dist[2, 1] == 0.0
+
+    inputs = (x, hp.z, hp.temperatures, w, dist, upstream)
+    before = [a.copy() for a in inputs]
+    got = softmax_weights_backward(x, hp, w, dist, upstream)
+    for a, b in zip(got, reference_backward(x, hp, ref_w, ref_dist, upstream)):
+        assert bitwise_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(before, inputs))

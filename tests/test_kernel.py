@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softki import kernel
 from softki.errors import DimensionMismatch
 from softki.kernel import (
     LENGTHSCALE_MAX,
@@ -182,3 +183,84 @@ def test_upstream_shape_checked():
     with pytest.raises(DimensionMismatch):
         matern32_param_grads(np.ones((3, 1)), np.ones((2, 1)), params(),
                              np.ones((2, 3)))
+
+
+# ------------------------------------------------------------ reference forms
+# The kernels build each (n, m) array once and update it in place. These are
+# the out-of-place formulas with the same operation order, so the kernels must
+# match them bit for bit and leave every input as it was.
+
+
+def reference_scaled_distance(x, z, lengthscales):
+    ell = np.asarray(lengthscales, dtype=x.dtype)
+    xs = x / ell
+    zs = z / ell
+    sq = (
+        np.sum(xs * xs, axis=1)[:, None]
+        + np.sum(zs * zs, axis=1)[None, :]
+        - 2.0 * (xs @ zs.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq)
+
+
+def reference_matern32(x, z, p):
+    sr = kernel.SQRT3 * reference_scaled_distance(x, z, p.lengthscales)
+    return p.outputscale * (1.0 + sr) * np.exp(-sr)
+
+
+def reference_param_grads(x, z, p, upstream):
+    ell, s2 = p.lengthscales, p.outputscale
+    r = reference_scaled_distance(x, z, ell)
+    e = np.exp(-kernel.SQRT3 * r)
+    k = s2 * (1.0 + kernel.SQRT3 * r) * e
+    w = upstream * (3.0 * s2 * e)
+    row = w.sum(axis=1)
+    col = w.sum(axis=0)
+    wz = w @ z
+    g_ell = (x * x).T @ row - 2.0 * np.einsum("ic,ic->c", x, wz) + (z * z).T @ col
+    g_ell /= ell**3
+    g_s2 = float(np.sum(upstream * k) / s2)
+    inv2 = 1.0 / ell**2
+    g_x = -(x * row[:, None] - wz) * inv2[None, :]
+    g_z = (w.T @ x - z * col[:, None]) * inv2[None, :]
+    return g_ell, g_s2, g_x, g_z
+
+
+def bitwise_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def reference_case(dtype, layout):
+    """Inputs with a zero-distance row (x_2 = z_1) and an upstream in the given layout."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((40, 3)).astype(dtype)
+    z = rng.standard_normal((9, 3)).astype(dtype)
+    x[2] = z[1]
+    p = MaternParams(lengthscales=rng.uniform(0.5, 2.0, 3), outputscale=1.7)
+    upstream = np.asarray(rng.standard_normal((40, 9)), order=layout)
+    return x, z, p, upstream
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_distance_and_kernel_match_the_out_of_place_form(dtype):
+    x, z, p, _ = reference_case(dtype, "C")
+    before = [a.copy() for a in (x, z, p.lengthscales)]
+    r = scaled_distance(x, z, p.lengthscales)
+    assert bitwise_equal(r, reference_scaled_distance(x, z, p.lengthscales))
+    assert r[2, 1] == 0.0
+    assert bitwise_equal(matern32(x, z, p), reference_matern32(x, z, p))
+    assert all(np.array_equal(a, b) for a, b in zip(before, (x, z, p.lengthscales)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_param_grads_match_the_out_of_place_form(dtype, layout):
+    x, z, p, upstream = reference_case(dtype, layout)
+    before = [a.copy() for a in (x, z, p.lengthscales, upstream)]
+    g = matern32_param_grads(x, z, p, upstream, want_x=True, want_z=True)
+    got = (g.lengthscales, g.outputscale, g.x, g.z)
+    for a, b in zip(got, reference_param_grads(x, z, p, upstream)):
+        assert bitwise_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(before, (x, z, p.lengthscales, upstream)))

@@ -1,11 +1,14 @@
 """Exact-likelihood and probe-based objective oracles, plus fallback logic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softki.interp
+from softki.baselines import sgpr_elbo
 from softki.trainer import TrainConfig
 from softki.errors import NotPositiveDefinite, ObjectiveFailed
 from softki.interp import Hyperparams, softmax_weights
@@ -415,3 +418,30 @@ def test_forced_pseudoloss_failure_reports_nan():
     rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="pseudoloss"))
     assert rep.mode_used == "pseudoloss"
     assert np.isnan(rep.value)
+
+
+# The bound sits between the peaks of the out-of-place elementwise chains
+# (6.9 arrays for exact_mll, 8.3 for sgpr_elbo) and those of the in-place
+# ones (5.0 and 4.4): a step that builds an (n, m) array twice fails it.
+@pytest.mark.parametrize("objective, n, bound", [
+    ("exact_mll", 1024, 6.0),
+    ("sgpr_elbo", 3000, 6.0),
+])
+def test_training_step_peak_allocation(objective, n, bound):
+    """Peak traced allocation of one float64 call at m = 128, d = 2, in (n, m) arrays."""
+    m = 128
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2.5, 2.5, (n, 2))
+    y = np.sin(x[:, 0]) * np.cos(x[:, 1])
+    hp = Hyperparams(noise=0.1, kernel=MaternParams(np.array([0.8, 1.2]), 1.0),
+                     z=x[rng.choice(n, m, replace=False)],
+                     temperatures=np.ones(2) if objective == "exact_mll" else ())
+    call = {"exact_mll": exact_mll, "sgpr_elbo": sgpr_elbo}[objective]
+    call(x, y, hp)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        call(x, y, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * m * 8) <= bound
