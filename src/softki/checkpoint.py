@@ -15,7 +15,8 @@ for a wrong magic or version, a missing or unparsable header key, a sha256
 that does not match the header lines above it and the payload (so an edited
 scalar is caught like a flipped payload byte), a truncated or overlong
 payload, and then, so that a file with a recomputed sha256 is still caught
-where it is read: a variant ``posterior.FORMS`` does not know, an array whose
+where it is read: a variant ``posterior.FORMS`` does not know, a training-set
+size n < 1 (or n != m for exact, whose points are its inputs), an array whose
 size does not fit m and d (x_mean, x_std and lengthscales have d entries),
 a nan or inf in v or P, and any value the rebuilt ``Standardization``,
 ``MaternParams`` and ``Hyperparams`` records reject (nan, inf or values <= 0
@@ -143,6 +144,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     if variant not in FORMS:
         raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {variant!r}")
+    if n < 1 or (variant == "exact" and n != m):
+        raise ChecksumOrVersionMismatch(
+            f"checkpoint n = {n} must be >= 1, and equal m = {m} for exact")
     arrays = dict(zip(_ARRAY_ORDER, _read_arrays(payload)), x_mean=x_mean, x_std=x_std)
     for name, shape in (("z", (m, d)), ("v", (m,)), ("p", (m, m)), ("lengthscales", (d,)),
                         ("x_mean", (d,)), ("x_std", (d,))):

@@ -7,6 +7,7 @@ from its report alone. Reports are key-value text, tables are CSV.
 """
 
 import argparse
+import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -35,11 +36,11 @@ from .posterior import (
     near_degenerate_instance,
     predict,
     score,
+    solver_route,
     solver_study,
     test_metrics,
 )
-from .trainer import (DTYPES, OBJECTIVE_MODES, TrainConfig, blas_threads, train,
-                      train_exact, train_sgpr)
+from .trainer import DTYPES, TrainConfig, blas_threads, train, train_exact, train_sgpr
 
 
 def _to_bool(text: str) -> bool:
@@ -52,12 +53,8 @@ def _to_bool(text: str) -> bool:
 
 
 def _to_solver(text: str) -> str:
-    if text in ("qr", "direct", "cholesky"):
-        return text
-    if text.startswith("cg:"):
-        float(text.split(":", 1)[1])  # validates the tolerance
-        return text
-    raise ValueError(f"expected qr, direct, cholesky, or cg:<tol>, got {text!r}")
+    solver_route(text)
+    return text
 
 
 def _split_list(text: str) -> list:
@@ -70,20 +67,24 @@ class _Opt:
     default: object
     help: str = ""
     choices: tuple | None = None
+    field: str | None = None       # the TrainConfig field the flag sets
 
 
-_DEFAULT = TrainConfig()
+# model -> (train, fit); train returns an interp.Hyperparams and fit a
+# posterior.Posterior (the exact GP's dense fit has no solver to choose)
+_MODELS = {
+    "softki": (train, partial(fit, "softki")),
+    "sgpr": (train_sgpr, sgpr_fit),
+    "exact": (train_exact, lambda data, hp, solver: exact_fit(data, hp)),
+}
 
 TRAIN_OPTS = {
-    "model": _Opt(str, "softki", "model family", ("softki", "sgpr", "exact")),
+    "model": _Opt(str, "softki", "model family", tuple(_MODELS)),
     "data": _Opt(str, "ricker", "csv path or the literal 'ricker'"),
-    "m": _Opt(int, _DEFAULT.m, "number of interpolation / inducing points"),
-    "epochs": _Opt(int, _DEFAULT.epochs),
-    "batch-size": _Opt(int, _DEFAULT.batch_size),
-    "lr": _Opt(float, _DEFAULT.learning_rate, "Adam step size"),
-    "probes": _Opt(int, _DEFAULT.probes, "Hutchinson probe count"),
-    "seed": _Opt(int, _DEFAULT.seed, "seed of the split, the ricker data and training"),
-    "objective": _Opt(str, _DEFAULT.objective_mode, "objective mode", OBJECTIVE_MODES),
+    # one flag per TrainConfig field, declared by the field itself
+    **{f.metadata["flag"] or f.name.replace("_", "-"):
+       _Opt(f.type, f.default, f.metadata["help"], f.metadata.get("choices"), f.name)
+       for f in fields(TrainConfig)},
     "solver": _Opt(_to_solver, "qr", "posterior solve route"),
     "train-frac": _Opt(float, 0.9, "train fraction for csv datasets"),
     "standardize": _Opt(_to_bool, True,
@@ -91,21 +92,7 @@ TRAIN_OPTS = {
     "out": _Opt(str, "run", "output directory"),
     "header": _Opt(_to_bool, False, "csv has a header row"),
     "target-column": _Opt(int, -1, "0-based target column, -1 for last"),
-    "noise-init": _Opt(float, _DEFAULT.noise_init),
-    "lengthscale-init": _Opt(float, _DEFAULT.lengthscale_init),
-    "outputscale-init": _Opt(float, _DEFAULT.outputscale_init),
-    "temperature-init": _Opt(float, _DEFAULT.temperature_init),
-    "lr-step-epochs": _Opt(int, _DEFAULT.lr_step_epochs,
-                           "halve the step size this often (0 = off)"),
-    "lr-step-factor": _Opt(float, _DEFAULT.lr_step_factor),
-    "cg-tol": _Opt(float, _DEFAULT.cg_tol),
-    "cg-max-iters": _Opt(int, _DEFAULT.cg_max_iters),
-    "dtype": _Opt(str, _DEFAULT.dtype, "objective dtype", DTYPES),
 }
-
-# flag -> TrainConfig field, where the two are not spelled alike
-_FIELD_NAMES = {"lr": "learning_rate", "objective": "objective_mode"}
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 EVAL_OPTS = {
     "checkpoint": _Opt(str, None, "checkpoint file to evaluate"),
@@ -119,13 +106,10 @@ EVAL_OPTS = {
 
 # the solvers suite's keys: near_degenerate_instance arguments and the routes
 SOLVERS_OPTS = {
-    "n": _Opt(int, 400),
-    "m": _Opt(int, 24),
-    "d": _Opt(int, 2),
-    "delta": _Opt(float, 1e-3),
-    "noise": _Opt(float, 1e-4),
-    "seed": _Opt(int, 0),
-    "dtype": _Opt(str, "float32", choices=DTYPES),
+    **{name: _Opt(type(arg.default), arg.default,
+                  choices=DTYPES if name == "dtype" else None)
+       for name, arg in inspect.signature(near_degenerate_instance).parameters.items()
+       if name != "weak_fraction"},
     "solvers": _Opt(lambda text: tuple(map(_to_solver, _split_list(text))),
                     DEFAULT_STUDY_METHODS),
 }
@@ -211,18 +195,8 @@ def _load_split(values: dict):
 
 
 def _train_config(values: dict) -> TrainConfig:
-    named = {_FIELD_NAMES.get(key, key.replace("-", "_")): value
-             for key, value in values.items()}
-    return TrainConfig(**{k: v for k, v in named.items() if k in _TRAIN_FIELDS})
-
-
-# model -> (train, fit); train returns an interp.Hyperparams and fit a
-# posterior.Posterior (the exact GP's dense fit has no solver to choose)
-_MODELS = {
-    "softki": (train, partial(fit, "softki")),
-    "sgpr": (train_sgpr, sgpr_fit),
-    "exact": (train_exact, lambda data, hp, solver: exact_fit(data, hp)),
-}
+    return TrainConfig(**{opt.field: values[key]
+                          for key, opt in TRAIN_OPTS.items() if opt.field})
 
 
 def _train_model(values: dict, cfg: TrainConfig, train_data, test_data) -> dict:
@@ -328,9 +302,10 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
     # each list element is checked like the train flag it sets
     datasets, models, objectives, seeds = (
         [_convert(TRAIN_OPTS[opt], key, item, "suite")
-         for item in _split_list(suite.pop(key, default))]
-        for key, opt, default in (("data", "data", "ricker"), ("models", "model", "softki"),
-                                  ("objectives", "objective", "auto"), ("seeds", "seed", "0"))
+         for item in _split_list(suite.pop(key))]
+        if key in suite else [TRAIN_OPTS[opt].default]
+        for key, opt in (("data", "data"), ("models", "model"),
+                         ("objectives", "objective"), ("seeds", "seed"))
     )
 
     base: dict = {}

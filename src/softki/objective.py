@@ -214,15 +214,16 @@ def hutchinson_pseudoloss(
     y: np.ndarray,
     hp: Hyperparams,
     probes: np.ndarray,
-    cg_tol: float = 1e-6,
-    cg_max_iters: int = 500,
+    cg_tol: float,
+    cg_max_iters: int,
 ) -> ObjectiveReport:
     """Factorization-free objective: CG solves against D, probe-based trace.
 
-    Runs in x's dtype, the probes included. The CG solutions are constants
-    of the gradient (the solver is not differentiated through). The value
-    keeps the literal unscaled trace term; the gradient's trace estimate is
-    scaled by n, so it targets the exact gradient's tr(D^-1 dD).
+    Runs in x's dtype, the probes included; ``TrainConfig`` holds the CG
+    defaults. The CG solutions are constants of the gradient (the solver is
+    not differentiated through). The value keeps the literal unscaled trace
+    term; the gradient's trace estimate is scaled by n, so it targets the
+    exact gradient's tr(D^-1 dD).
     """
     x, y, w, dist, k_zz = _batch(x, y, hp)
     probes = np.asarray(probes, dtype=x.dtype)

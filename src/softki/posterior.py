@@ -132,7 +132,7 @@ def _alpha(variant: str, data: Dataset, hp, solver: str, block_rows: int):
     else:
         chat, rhs = normal_equations(k_zz, design(x), y, beta)
         res = _solve(solver, chat, rhs)
-        if res.alpha is None or not np.all(np.isfinite(res.alpha)):
+        if res.error or not np.all(np.isfinite(res.alpha)):
             raise SoftKIError(f"{solver} solve failed: {res.error or 'non-finite'}")
         alpha = res.alpha
         r, jitter_c = linalg.cholesky_upper(chat)
@@ -148,7 +148,8 @@ def fit(variant: str, data: Dataset, hp, solver: str = "qr",
     "qr" streams X (W K_zz or K_xz) through ``stacked_qr_solve`` and takes R
     (R^T R = Chat) from it; "direct", "cholesky" and "cg:<tol>" assemble
     Chat, take R from its Cholesky factor and raise SoftKIError when they
-    fail. softki: v = K_zz alpha, P = -B^T B with B = R^-T K_zz; SGPR:
+    fail, CG also when it stops above tol; ``solver_route`` rejects a bad
+    route. softki: v = K_zz alpha, P = -B^T B with B = R^-T K_zz; SGPR:
     v = alpha, P = K_zz^-1 - Chat^-1.
     """
     k_zz, u_zz, r, alpha, diag = _alpha(variant, data, hp, solver, block_rows)
@@ -226,6 +227,22 @@ def normal_equations(k_zz: np.ndarray, cross: np.ndarray, y: np.ndarray, noise: 
     return 0.5 * (chat + chat.T), cross.T @ y / beta2
 
 
+def solver_route(method: str):
+    """(route, cg tolerance or None) of qr, direct, cholesky or cg:<tol>.
+
+    Raises ValueError for text that is not a route and InvalidConfig for a
+    tolerance that is not finite and > 0 (nan or inf stop CG after one
+    iteration, <= 0 never)."""
+    if method in ("qr", "direct", "cholesky"):
+        return method, None
+    if not method.startswith("cg:"):
+        raise ValueError(f"expected qr, direct, cholesky, or cg:<tol>, got {method!r}")
+    tol = float(method[3:])
+    if not 0.0 < tol < np.inf:
+        raise InvalidConfig(f"solver {method!r} needs a finite cg tolerance > 0")
+    return "cg", tol
+
+
 def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> AltSolveResult:
     """One solve route on Chat alpha = rhs; "qr" calls the qr_alpha thunk."""
     def residual(alpha):
@@ -236,21 +253,22 @@ def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> Alt
             return AltSolveResult(method, alpha, np.inf, error="non-finite solution")
         return AltSolveResult(method, alpha, residual(alpha))
 
-    if method == "qr":
+    route, tol = solver_route(method)
+    if route == "qr":
         try:
             alpha = qr_alpha()
         except Exception as err:  # recorded, not raised, to match the others
             return AltSolveResult(method, None, np.inf, error=str(err))
         return AltSolveResult(method, alpha, residual(alpha))
 
-    if method == "direct":
+    if route == "direct":
         try:
             alpha = np.linalg.solve(chat, rhs)
         except np.linalg.LinAlgError as err:
             return AltSolveResult(method, None, np.inf, error=str(err))
         return checked(alpha)
 
-    if method == "cholesky":
+    if route == "cholesky":
         try:
             u = scipy.linalg.cholesky(chat, lower=False)  # no jitter: raw method
         except scipy.linalg.LinAlgError as err:
@@ -261,18 +279,14 @@ def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> Alt
         )
         return checked(alpha)
 
-    if method.startswith("cg:"):
-        tol = float(method.split(":", 1)[1])
-        rep = linalg.block_cg(lambda v: chat @ v, rhs, tol=tol,
-                              max_iters=max(1000, 10 * chat.shape[0]))
-        alpha = rep.solutions
-        return AltSolveResult(
-            method, alpha, residual(alpha), iterations=rep.iterations,
-            error=None if rep.converged else "cg did not converge",
-            history=rep.history,
-        )
-
-    raise ValueError(f"unknown solve method {method!r}")
+    rep = linalg.block_cg(lambda v: chat @ v, rhs, tol=tol,
+                          max_iters=max(1000, 10 * chat.shape[0]))
+    alpha = rep.solutions
+    return AltSolveResult(
+        method, alpha, residual(alpha), iterations=rep.iterations,
+        error=None if rep.converged else "cg did not converge",
+        history=rep.history,
+    )
 
 
 DEFAULT_STUDY_METHODS = ("qr", "direct", "cholesky", "cg:1e-1", "cg:1e-2",

@@ -19,7 +19,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,57 +49,60 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 OBJECTIVE_MODES = ("auto", "exact", "pseudoloss")
 DTYPES = ("float64", "float32")
 
-# int field -> smallest allowed value
-_INT_MINIMUM = {"batch_size": 1, "m": 1, "probes": 1, "cg_max_iters": 1,
-                "epochs": 0, "lr_step_epochs": 0, "seed": 0}
-# float field -> (low, high, whether low itself is allowed); high never is
-_FLOAT_RANGE = {
-    "learning_rate": (0.0, math.inf, True),     # 0 takes no steps
-    **dict.fromkeys(("cg_tol", "lr_step_factor", "noise_init", "outputscale_init",
-                     "temperature_init"), (0.0, math.inf, False)),
-    "lengthscale_init": (LENGTHSCALE_MIN, LENGTHSCALE_MAX, False),
-}
+def _setting(default, help="", flag=None, **allowed):
+    """A TrainConfig field, declared once: its allowed values (minimum=<int>,
+    interval=(low, high, low_closed) with high never allowed, or
+    choices=<tuple>), its ``softki train`` flag where that is not the field
+    name with dashes, and the flag's help."""
+    return field(default=default, metadata={"help": help, "flag": flag, **allowed})
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings; frozen, so every value passed the checks in __post_init__."""
 
-    epochs: int = 50
-    batch_size: int = 1024
-    learning_rate: float = 0.01
-    probes: int = 10
-    seed: int = 0
-    objective_mode: str = "auto"        # one of OBJECTIVE_MODES
-    cg_tol: float = 1e-6
-    cg_max_iters: int = 500
-    m: int = 512
-    noise_init: float = 0.5
-    lengthscale_init: float = 1.0
-    outputscale_init: float = 1.0
-    temperature_init: float = 1.0
-    lr_step_epochs: int = 0             # 0 disables step decay
-    lr_step_factor: float = 0.5
-    dtype: str = "float64"              # one of DTYPES
+    epochs: int = _setting(50, minimum=0)
+    batch_size: int = _setting(1024, minimum=1)
+    learning_rate: float = _setting(0.01, "Adam step size", flag="lr",
+                                    interval=(0.0, math.inf, True))  # 0 takes no steps
+    probes: int = _setting(10, "Hutchinson probe count", minimum=1)
+    seed: int = _setting(0, "seed of the split, the ricker data and training", minimum=0)
+    objective_mode: str = _setting("auto", "objective mode", flag="objective",
+                                   choices=OBJECTIVE_MODES)
+    cg_tol: float = _setting(1e-6, interval=(0.0, math.inf, False))
+    cg_max_iters: int = _setting(500, minimum=1)
+    m: int = _setting(512, "number of interpolation / inducing points", minimum=1)
+    # the inits must lie above the floors of the transforms they feed
+    noise_init: float = _setting(0.5, interval=(NOISE_FLOOR, math.inf, False))
+    lengthscale_init: float = _setting(
+        1.0, interval=(LENGTHSCALE_MIN, LENGTHSCALE_MAX, False))
+    outputscale_init: float = _setting(1.0, interval=(SCALE_FLOOR, math.inf, False))
+    temperature_init: float = _setting(1.0, interval=(TEMP_FLOOR, math.inf, False))
+    lr_step_epochs: int = _setting(
+        0, "multiply the step size by --lr-step-factor this often (0 = off)", minimum=0)
+    lr_step_factor: float = _setting(0.5, interval=(0.0, math.inf, False))
+    dtype: str = _setting("float64", "objective dtype", choices=DTYPES)
 
     def __post_init__(self):
-        for name, allowed in (("objective_mode", OBJECTIVE_MODES), ("dtype", DTYPES)):
-            if getattr(self, name) not in allowed:
-                raise InvalidConfig(f"{name} must be one of {', '.join(allowed)}, "
-                                    f"got {getattr(self, name)!r}")
-        for name, low in _INT_MINIMUM.items():
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise InvalidConfig(f"{name} must be >= {low}, got {value!r}")
-        for name, (low, high, closed) in _FLOAT_RANGE.items():
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real)    # nan fails both comparisons
-                    and (low <= value if closed else low < value) and value < high):
-                bracket = "[" if closed else "("
-                raise InvalidConfig(
-                    f"{name} must be a number in {bracket}{low}, {high}), got {value!r}")
+        for f in fields(self):
+            name, value, spec = f.name, getattr(self, f.name), f.metadata
+            if "choices" in spec:
+                if value not in spec["choices"]:
+                    raise InvalidConfig(f"{name} must be one of "
+                                        f"{', '.join(spec['choices'])}, got {value!r}")
+            elif "minimum" in spec:
+                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                    raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+                if value < spec["minimum"]:
+                    raise InvalidConfig(
+                        f"{name} must be >= {spec['minimum']}, got {value!r}")
+            else:
+                low, high, closed = spec["interval"]
+                if not (isinstance(value, numbers.Real)    # nan fails both comparisons
+                        and (low <= value if closed else low < value) and value < high):
+                    bracket = "[" if closed else "("
+                    raise InvalidConfig(f"{name} must be a number in "
+                                        f"{bracket}{low}, {high}), got {value!r}")
 
 
 @dataclass

@@ -219,6 +219,9 @@ RESEALED = {
     "lengthscale-nan": (None, {"lengthscales": with_nan_at(0)}, "lengthscales"),
     "x_mean-one-entry": ({"x_mean": "0.5"}, None, "x_mean"),
     "variant-mystery": ({"variant": "mystery"}, None, "variant"),
+    "n-negative": ({"n": "-7"}, None, r"\bn\b"),
+    "n-zero": ({"n": "0"}, None, r"\bn\b"),
+    "exact-n-not-m": ({"variant": "exact"}, None, r"\bn\b"),   # n = 120, m = 10
 }
 
 

@@ -1,13 +1,19 @@
 """End-to-end command line runs through main(argv)."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import softki.posterior
+from softki import cli
 from softki.checkpoint import load_checkpoint, restore
-from softki.cli import main
+from softki.cli import TRAIN_OPTS, main
 from softki.data import apply_stats, load_csv, ricker_raw, split_raw
 from softki.report import write_csv
+from softki.trainer import DTYPES, OBJECTIVE_MODES, TrainConfig
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::softki.errors.CGNotConvergedWarning"
@@ -156,6 +162,7 @@ def test_zero_batch_size_fails_naming_the_field(tmp_path, wave_csv):
     (("--lr-step-factor", "-1", "--lr-step-epochs", "1"), "lr_step_factor"),
     (("--noise-init", "nan"), "noise_init"),
     (("--seed", "-1"), "seed"),
+    (("--noise-init", "1e-5"), "noise_init"),
 ])
 def test_non_finite_or_negative_config_fails_naming_the_field(tmp_path, wave_csv,
                                                               flags, field):
@@ -164,6 +171,32 @@ def test_non_finite_or_negative_config_fails_naming_the_field(tmp_path, wave_csv
     report = read_report(out / "error.txt")
     assert report["error"] == "InvalidConfig"
     assert report["message"].startswith(f"{field} must be")
+
+
+@pytest.mark.parametrize("route", ["cg:nan", "cg:inf", "cg:-1", "cg:0"])
+def test_cg_solver_needs_a_finite_positive_tolerance(tmp_path, wave_csv, route):
+    out = tmp_path / "bad-cg"
+    assert train_into(out, wave_csv, "--solver", route) == 1
+    report = read_report(out / "error.txt")
+    assert report["error"] == "InvalidConfig"
+    assert report["message"].startswith(f"solver {route!r}")
+    assert not (out / "checkpoint.bin").exists()
+
+
+def test_train_flags_are_the_config_fields():
+    # every TrainConfig field is one train flag with its default, type and choices
+    spelled = {"learning_rate": "lr", "objective_mode": "objective"}
+    choices = {"objective_mode": OBJECTIVE_MODES, "dtype": DTYPES}
+    for f in dataclasses.fields(TrainConfig):
+        opt = TRAIN_OPTS[spelled.get(f.name, f.name.replace("_", "-"))]
+        assert (opt.default, opt.convert, opt.choices) == (
+            f.default, f.type, choices.get(f.name)), f.name
+    assert cli._train_config({key: opt.default for key, opt in TRAIN_OPTS.items()}) \
+        == TrainConfig()
+    # the README lists exactly the train flags
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("Train flags:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`--([a-z-]+)`", paragraph)) == set(TRAIN_OPTS)
 
 
 # ---------------------------------------------------------------------- eval
@@ -389,6 +422,7 @@ def test_bench_rejects_unknown_suite_keys(tmp_path, wave_csv):
     ("seeds = 0,one", "seeds"),
     ("models = softki,sgpr\nsgpr.dtype = float16", "sgpr.dtype"),
     ("batch-size = 0", "batch_size"),
+    ("solver = cg:0", "solver"),
 ])
 def test_bench_checks_suite_values_before_any_row(tmp_path, wave_csv, lines, key):
     suite = tmp_path / "suite.txt"
@@ -429,6 +463,7 @@ def test_bench_solvers_suite_emits_residual_curves(tmp_path):
     ("m = 5", "m must be an even number >= 2, got 5"),
     ("n = 5", "n must be >= m = 24, got 5"),
     ("solvers = qr,bogus", "bad suite value for solvers:"),
+    ("solvers = qr,cg:nan", "solver 'cg:nan' needs a finite cg tolerance > 0"),
 ])
 def test_bench_solvers_checks_suite_values(tmp_path, line, message):
     suite = tmp_path / "suite.txt"

@@ -28,6 +28,9 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::softki.errors.CGNotConvergedWarning"
 )
 
+# the CG settings a training run uses unless told otherwise
+CG_DEFAULTS = {"cg_tol": TrainConfig().cg_tol, "cg_max_iters": TrainConfig().cg_max_iters}
+
 
 def random_instance(seed, n=20, m=4, d=2, noise=0.3):
     rng = np.random.default_rng(seed)
@@ -195,7 +198,7 @@ def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
     x, y, hp = random_instance(10, n=32, m=6)
     x, y = x.astype(dtype), y.astype(dtype)
     if objective == "pseudoloss":
-        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(32, 3, seed=0))
+        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(32, 3, seed=0), **CG_DEFAULTS)
     else:
         rep = exact_mll(x, y, hp, path=objective)
     assert rep.is_finite()
@@ -309,7 +312,7 @@ def test_pseudoloss_identity_operator_value():
         z=[[0.0]], temperatures=[1.0],
     )
     rep = hutchinson_pseudoloss(x, y, hp, draw_probes(n, 5, seed=1),
-                                cg_tol=1e-12)
+                                cg_tol=1e-12, cg_max_iters=CG_DEFAULTS["cg_max_iters"])
     assert rep.value == pytest.approx(-0.5 * (y @ y + 1.0), rel=1e-8)
     assert rep.mode_used == "pseudoloss"
     assert rep.diagnostics["cg_converged"]
@@ -341,7 +344,8 @@ def test_pseudoloss_noise_gradient_scales_probe_trace_by_batch_size():
     n, ell = 32, 50
     x, y, hp = random_instance(4, n=n, m=4)
     probes = draw_probes(n, ell, seed=2)
-    rep = hutchinson_pseudoloss(x, y, hp, probes, cg_tol=1e-12)
+    rep = hutchinson_pseudoloss(x, y, hp, probes, cg_tol=1e-12,
+                                cg_max_iters=CG_DEFAULTS["cg_max_iters"])
     # dense solves D [u_0, U] = [y, probes]; the trace term carries the factor n
     _, _, d_mat = dense_pieces(x, hp)
     sol = np.linalg.solve(d_mat, np.concatenate([y[:, None], probes], axis=1))

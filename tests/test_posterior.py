@@ -9,11 +9,12 @@ from softki import fit_qr
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
 from softki.baselines import sgpr_fit
-from softki.errors import InvalidConfig, NonFiniteInput, RankDeficient
+from softki.errors import InvalidConfig, NonFiniteInput, RankDeficient, SoftKIError
 from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.posterior import (
     DEFAULT_STUDY_METHODS,
+    fit,
     gaussian_nll,
     near_degenerate_instance,
     predict,
@@ -223,6 +224,22 @@ def test_cg_history_tightens_with_tolerance():
     assert tight.iterations >= loose.iterations
     assert len(tight.history) == tight.iterations
     assert tight.history[-1] <= 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::softki.errors.CGNotConvergedWarning")
+@pytest.mark.parametrize("solver, error, match", [
+    ("cg:nan", InvalidConfig, "solver 'cg:nan'"),
+    ("cg:inf", InvalidConfig, "solver 'cg:inf'"),
+    ("cg:-1", InvalidConfig, "solver 'cg:-1'"),
+    ("cg:0", InvalidConfig, "solver 'cg:0'"),
+    # finite and > 0, but below what float64 CG can reach: it stops at the cap
+    ("cg:1e-30", SoftKIError, "cg:1e-30 solve failed: cg did not converge"),
+])
+def test_fit_rejects_a_bad_or_unconverged_cg_route(solver, error, match):
+    data, hp = make_instance(5, 120, 10)
+    for variant in ("softki", "sgpr"):
+        with pytest.raises(error, match=match):
+            fit(variant, data, hp, solver)
 
 
 @pytest.mark.parametrize("n, m, key", [(400, 5, "m"), (400, 0, "m"), (20, 24, "n")])

@@ -361,6 +361,8 @@ def test_chain_matches_finite_differences_of_the_table(names):
     ("lr_step_factor", -1.0), ("noise_init", float("nan")),
     ("outputscale_init", 0.0), ("temperature_init", -1.0),
     ("lengthscale_init", LENGTHSCALE_MAX),
+    # at the open floors of the transforms the inits feed
+    ("noise_init", 1e-4), ("outputscale_init", 1e-8), ("temperature_init", 1e-6),
 ])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(InvalidConfig, match=f"^{field} must be"):
