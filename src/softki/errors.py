@@ -64,7 +64,7 @@ class ChecksumOrVersionMismatch(SoftKIError):
 
 
 class CGNotConvergedWarning(UserWarning):
-    """Conjugate gradients stopped at max_iters above tolerance."""
+    """Conjugate gradients stopped with a true residual above tolerance."""
 
 
 class DegenerateColumnWarning(UserWarning):

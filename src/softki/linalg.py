@@ -104,9 +104,10 @@ def block_cg(
     """Conjugate gradients on an SPD black-box operator, one recurrence per
     column, run in lockstep across all right-hand sides.
 
-    Stops when every column's relative residual ||b - A x|| / ||b|| is <= tol,
-    or after max_iters (then converged=False and the best iterates are
-    returned, with a CGNotConvergedWarning).
+    Stops when every column's recursive relative residual ||r|| / ||b|| is
+    <= tol, or after max_iters. The true residual ||b - A x|| / ||b|| is then
+    checked; if it is above tol, converged=False and the iterates are returned
+    with a CGNotConvergedWarning that names which of the two stops happened.
     """
     rhs = np.asarray(rhs)
     if rhs.dtype.kind != "f":
@@ -147,10 +148,13 @@ def block_cg(
     final = np.linalg.norm(rhs - matvec(x), axis=0) / safe
     converged = bool(np.all(final <= tol))
     if not converged:
-        warnings.warn(
-            f"CG stopped after {iters} iterations at max rel residual {final.max():.3e}",
-            CGNotConvergedWarning,
-        )
+        if active.any():
+            why = f"reached its cap of {max_iters} iterations"
+        else:
+            why = (f"stopped after {iters} iterations: the recursive residual met "
+                   f"tol {tol:.1e}, the true one did not")
+        warnings.warn(f"CG {why}; max true rel residual {final.max():.3e}",
+                      CGNotConvergedWarning)
     sols = x[:, 0] if squeeze else x
     return CGReport(
         solutions=sols,

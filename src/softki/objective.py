@@ -39,9 +39,21 @@ value and none.
 Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
 casts x and y to ``TrainConfig.dtype`` once. The softmax forward, K_zz, the
 factorizations and the CG solves run in it; the softmax and kernel backward
-run in float64. Each objective call builds W and its distances once and the
-backward reads them; a float32 batch builds one more, float64, forward for
-the backward, since its float32 distances are what the fallback is for.
+run in float64. Each ``stabilized_objective`` call builds one batch (W, its
+distances and K_zz), which the exact attempt and the pseudoloss it may fall
+back to both read, and the backward reads its W and distances; a float32
+batch builds one more, float64, forward for the backward, since its float32
+distances are what the fallback is for.
+
+K_zz entries below the dtype's smallest normal (``finfo.tiny``, about 1.2e-38
+in float32) are set to 0. A Matern-3/2 value there lies more than 30 orders
+of magnitude under the diagonal, and OpenBLAS's float32 GEMM slows to a crawl
+on subnormal operands: W @ K_zz at (1024, 128) with one BLAS thread takes
+23 ms on a clustered float32 batch holding 1112 subnormal entries, and 2.2 ms
+with them zeroed. Every entry of W and of a unit-norm probe is at most 1 in
+absolute value, so each product term this drops is below finfo.tiny in
+absolute value. In float64 finfo.tiny is 2.2e-308, which no K_zz entry of a
+ricker-m128 or wide-m512 benchmark training batch reaches.
 """
 
 from dataclasses import dataclass, field
@@ -136,13 +148,20 @@ def dense_gaussian(d: np.ndarray, y: np.ndarray):
 
 
 def _batch(x, y, hp):
-    """(x, y, W, dist, K_zz) of one batch, all in x's dtype; see softmax_forward."""
+    """(x, y, W, dist, K_zz) of one batch, all in x's dtype; see softmax_forward.
+
+    K_zz entries below the dtype's smallest normal are zeroed; see the module
+    docstring. No objective writes into these arrays, so one batch can serve
+    several objectives.
+    """
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
     w, dist = softmax_forward(x, hp)
     z = hp.z.astype(x.dtype, copy=False)
-    return x, np.asarray(y, dtype=x.dtype), w, dist, matern32(z, z, hp.kernel)
+    k_zz = matern32(z, z, hp.kernel)
+    k_zz[k_zz < np.finfo(k_zz.dtype).tiny] = 0.0
+    return x, np.asarray(y, dtype=x.dtype), w, dist, k_zz
 
 
 def _assemble_gradients(x, hp, w, dist, g_k, g_w, tr_g) -> dict:
@@ -169,15 +188,18 @@ def exact_mll(
     y: np.ndarray,
     hp: Hyperparams,
     path: str = "lowrank",
+    *,
+    batch=None,
 ) -> ObjectiveReport:
     """Exact marginal log likelihood of one batch, with analytic gradients.
 
     The forward and the solves run in x's dtype. path="lowrank" factorizes
     K_zz and the m-by-m inner matrix only; path="dense" factorizes D itself
     (test-scale cross-check). Raises NotPositiveDefinite when the required
-    Cholesky fails after the jitter schedule.
+    Cholesky fails after the jitter schedule. batch, when given, is
+    ``_batch(x, y, hp)`` built by the caller.
     """
-    x, y, w, dist, k_zz = _batch(x, y, hp)
+    x, y, w, dist, k_zz = _batch(x, y, hp) if batch is None else batch
     n = y.shape[0]
     beta = x.dtype.type(hp.noise)
     beta2 = beta * beta
@@ -216,6 +238,8 @@ def hutchinson_pseudoloss(
     probes: np.ndarray,
     cg_tol: float,
     cg_max_iters: int,
+    *,
+    batch=None,
 ) -> ObjectiveReport:
     """Factorization-free objective: CG solves against D, probe-based trace.
 
@@ -223,9 +247,10 @@ def hutchinson_pseudoloss(
     defaults. The CG solutions are constants of the gradient (the solver is
     not differentiated through). The value keeps the literal unscaled trace
     term; the gradient's trace estimate is scaled by n, so it targets the
-    exact gradient's tr(D^-1 dD).
+    exact gradient's tr(D^-1 dD). batch, when given, is ``_batch(x, y, hp)``
+    built by the caller.
     """
-    x, y, w, dist, k_zz = _batch(x, y, hp)
+    x, y, w, dist, k_zz = _batch(x, y, hp) if batch is None else batch
     probes = np.asarray(probes, dtype=x.dtype)
     n = y.shape[0]
     ell = probes.shape[1]
@@ -284,18 +309,19 @@ def stabilized_objective(
 
     Reads objective_mode, probes, cg_tol, cg_max_iters and dtype from cfg, a
     ``trainer.TrainConfig``; probe_seed is anything ``default_rng`` accepts.
-    x and y are cast to cfg.dtype once, and both objectives run in it.
-    objective_mode="auto": try the exact objective; on NotPositiveDefinite or
-    any non-finite value/gradient, recompute with the pseudoloss. Raises
-    ObjectiveFailed only if both are non-finite. Forced modes run a single
-    objective and report nan on failure instead of raising.
+    x and y are cast to cfg.dtype once, and both objectives run in it and
+    share one ``_batch``. objective_mode="auto": try the exact objective; on
+    NotPositiveDefinite or any non-finite value/gradient, recompute with the
+    pseudoloss. Raises ObjectiveFailed only if both are non-finite. Forced
+    modes run a single objective and report nan on failure instead of raising.
     """
     x = np.asarray(x, dtype=cfg.dtype)
     y = np.asarray(y, dtype=cfg.dtype)
+    batch = _batch(x, y, hp)
     failure = None
     if cfg.objective_mode in ("auto", "exact"):
         try:
-            rep = exact_mll(x, y, hp, path="lowrank")
+            rep = exact_mll(x, y, hp, path="lowrank", batch=batch)
             if rep.is_finite():
                 return rep
             failure = "non-finite exact value or gradient"
@@ -307,7 +333,7 @@ def stabilized_objective(
     probes = draw_probes(y.shape[0], cfg.probes, probe_seed)
     rep = hutchinson_pseudoloss(
         x, y, hp, probes,
-        cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters,
+        cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters, batch=batch,
     )
     if failure is not None:
         rep.diagnostics["fallback_reason"] = failure

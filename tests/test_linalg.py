@@ -138,6 +138,32 @@ def test_cg_truncation_reports_nonconvergence():
     assert np.all(rep.final_residual_norms > 1e-12)
 
 
+def test_cg_warning_names_the_iteration_cap():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((40, 40))
+    m = a @ a.T + 1e-6 * np.eye(40)
+    with pytest.warns(CGNotConvergedWarning, match="reached its cap of 3 iterations"):
+        rep = block_cg(lambda v: m @ v, rng.standard_normal(40), tol=1e-12, max_iters=3)
+    assert rep.iterations == 3
+    assert rep.history[-1] > 1e-12
+
+
+def test_cg_warning_names_a_recursive_residual_below_a_true_one_above_tol():
+    # float32 at condition number 1e3: the recursive residual keeps falling
+    # past tol while the true residual stalls near 1e-5
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    m = ((q * np.geomspace(1.0, 1e3, 60)) @ q.T).astype(np.float32)
+    rhs = rng.standard_normal(60).astype(np.float32)
+    with pytest.warns(CGNotConvergedWarning,
+                      match="recursive residual met tol 1.0e-07, the true one did not"):
+        rep = block_cg(lambda v: m @ v, rhs, tol=1e-7, max_iters=500)
+    assert rep.iterations < 500
+    assert rep.history[-1] <= 1e-7
+    assert not rep.converged
+    assert np.all(rep.final_residual_norms > 1e-7)
+
+
 def test_cg_zero_rhs_column_is_solved_by_zero():
     m = np.diag([1.0, 2.0, 3.0])
     rhs = np.zeros((3, 2))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softki.interp
+import softki.objective
 from softki.baselines import sgpr_elbo
 from softki.trainer import TrainConfig
 from softki.errors import NotPositiveDefinite, ObjectiveFailed
@@ -16,6 +17,7 @@ from softki.kernel import MaternParams, matern32, scaled_distance
 from softki.linalg import block_cg
 from softki.objective import (
     LOG_2PI,
+    _batch,
     dense_gaussian,
     draw_probes,
     exact_mll,
@@ -85,6 +87,36 @@ def near_coincident_batch(seed=0, n=128):
         z=z, temperatures=np.ones(2, dtype=np.float32),
     )
     return x, y, hp
+
+
+def split_cluster_batch(seed=0, n=96):
+    """float32 batch whose K_zz holds subnormal entries.
+
+    Two clusters of interpolation points 55 lengthscales apart put sqrt(3) r
+    of every cross pair near 95, so k = (1 + sqrt(3) r) exp(-sqrt(3) r) lies
+    below float32's smallest normal but above zero; each cluster on its own
+    is well conditioned, so the exact objective succeeds in float32.
+    """
+    rng = np.random.default_rng(seed)
+    centers = np.array([[0.0, 0.0], [55.0, 0.0]])
+    z = np.concatenate([c + 0.6 * rng.standard_normal((4, 2)) for c in centers])
+    x = centers[rng.integers(0, 2, n)] + 0.8 * rng.standard_normal((n, 2))
+    y = np.sin(x[:, 0]) + np.cos(x[:, 1])
+    hp = Hyperparams(noise=0.3, kernel=MaternParams(np.ones(2), 1.0), z=z,
+                     temperatures=np.ones(2))
+    return x.astype(np.float32), y.astype(np.float32), hp
+
+
+# float32 against the float64 referee: the value to 1e-4 relative and every
+# gradient entry to 1e-3 of the largest; measured errors are 1e-5 and 1e-4
+F32_VALUE_RTOL = 1e-4
+F32_GRAD_TOL = 1e-3
+
+
+def assert_float32_matches(rep, ref):
+    assert rep.value == pytest.approx(ref.value, rel=F32_VALUE_RTOL)
+    got, want = flat_grads(rep.gradients), flat_grads(ref.gradients)
+    assert np.max(np.abs(got - want)) <= F32_GRAD_TOL * np.max(np.abs(want))
 
 
 # -------------------------------------------------------------- exact value
@@ -203,6 +235,74 @@ def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
         rep = exact_mll(x, y, hp, path=objective)
     assert rep.is_finite()
     assert calls == [np.dtype(dtype)] + [np.dtype(np.float64)] * (forwards - 1)
+
+
+def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
+    # the failing float32 exact attempt and the pseudoloss read one batch;
+    # the backward adds its float64 forward
+    forwards, kernels = [], []
+
+    def counting_distance(*args):
+        forwards.append(args[0].dtype)
+        return scaled_distance(*args)
+
+    def counting_kernel(*args):
+        kernels.append(args[0].dtype)
+        return matern32(*args)
+
+    monkeypatch.setattr(softki.interp, "scaled_distance", counting_distance)
+    monkeypatch.setattr(softki.objective, "matern32", counting_kernel)
+    x, y, hp = near_coincident_batch()
+    rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="auto",
+                                                     dtype="float32"))
+    assert rep.mode_used == "pseudoloss"
+    assert "fallback_reason" in rep.diagnostics
+    assert rep.is_finite()
+    assert forwards == [np.dtype(np.float32), np.dtype(np.float64)]
+    assert kernels == [np.dtype(np.float32)]
+
+
+# -------------------------------------------------------------- subnormal flush
+
+
+def test_batch_zeroes_k_zz_entries_below_the_smallest_normal():
+    x, y, hp = split_cluster_batch()
+    tiny = np.finfo(np.float32).tiny
+    z32 = hp.z.astype(np.float32)
+    raw = matern32(z32, z32, hp.kernel)
+    assert np.any((raw > 0) & (raw < tiny))  # the case is not vacuous
+    k_zz = _batch(x, y, hp)[4]
+    assert k_zz.dtype == np.float32
+    assert not np.any((k_zz > 0) & (k_zz < tiny))
+    expected = np.where(raw < tiny, np.float32(0.0), raw)
+    assert np.array_equal(k_zz, expected)
+
+    # the same points in float64 hold no subnormal, and K_zz is left as built
+    x64 = x.astype(np.float64)
+    assert np.array_equal(_batch(x64, y, hp)[4], matern32(hp.z, hp.z, hp.kernel))
+
+
+@pytest.mark.parametrize("path", ["lowrank", "dense"])
+def test_flushed_float32_exact_matches_the_float64_dense_referee(path):
+    x, y, hp = split_cluster_batch()
+    ref = exact_mll(x.astype(np.float64), y.astype(np.float64), hp, path="dense")
+    rep = exact_mll(x, y, hp, path=path)
+    assert rep.mode_used == "exact"
+    assert_float32_matches(rep, ref)
+
+
+def test_flushed_float32_pseudoloss_matches_the_float64_referee():
+    x, y, hp = split_cluster_batch()
+    n = y.shape[0]
+    probes = draw_probes(n, 10, seed=0)
+    x64, y64 = x.astype(np.float64), y.astype(np.float64)
+    # unit-norm probes: with u = D^-1 [y, probes] the value is -(y^T D^-1 y + 1) / 2
+    _, _, d_mat = dense_pieces(x64, hp)
+    dense_value = -0.5 * (y64 @ np.linalg.solve(d_mat, y64) + 1.0)
+    ref = hutchinson_pseudoloss(x64, y64, hp, probes, cg_tol=1e-12, cg_max_iters=2000)
+    assert ref.value == pytest.approx(dense_value, rel=1e-10)
+    rep = hutchinson_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
+    assert_float32_matches(rep, ref)
 
 
 # -------------------------------------------------------------- exact grads

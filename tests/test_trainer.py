@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import softki.objective
 from softki import TrainConfig, ricker_dataset, train, train_exact, train_sgpr
 from softki.data import Dataset
 from softki.trainer import DTYPES, OBJECTIVE_MODES
 from softki.errors import InvalidConfig, TooFewPoints
 from softki.interp import Hyperparams
-from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN
+from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, matern32
 from softki.trainer import (
     EXACT_PARAMS,
     NOISE_FLOOR,
@@ -291,6 +292,33 @@ def test_forced_exact_on_degenerate_float32_marks_failures():
     assert trace.failed_batches == 0
     assert np.isfinite(trace.epoch_objectives[0])
     assert trace.mode_counts["pseudoloss"] > 0
+
+
+def test_float32_training_hands_no_subnormal_k_zz_to_the_objectives(monkeypatch):
+    # at lengthscale 1.8 the clusters, 100 apart, sit where sqrt(3) r is
+    # about 96: their K_zz entries are float32 subnormals until _batch zeroes them
+    tiny = np.finfo(np.float32).tiny
+    build = softki.objective._batch
+    raw_subnormals, handed = [], []
+
+    def spy(x, y, hp):
+        batch = build(x, y, hp)
+        z = hp.z.astype(batch[0].dtype)
+        raw = matern32(z, z, hp.kernel)
+        raw_subnormals.append(int(np.sum((raw > 0) & (raw < tiny))))
+        handed.append(batch[4])
+        return batch
+
+    monkeypatch.setattr(softki.objective, "_batch", spy)
+    cfg = TrainConfig(m=9, epochs=2, batch_size=120, learning_rate=0.01, seed=0,
+                      dtype="float32", lengthscale_init=1.8)
+    _, trace = train(destabilized_dataset(), cfg)
+    assert trace.failed_batches == 0
+    assert trace.mode_counts["pseudoloss"] == 4
+    assert len(handed) == 4  # one batch per call, fallback included
+    assert all(n > 0 for n in raw_subnormals)
+    assert all(k.dtype == np.float32 for k in handed)
+    assert not any(np.any((k > 0) & (k < tiny)) for k in handed)
 
 
 def test_train_sgpr_runs_full_batch():
