@@ -21,6 +21,12 @@ K = K_XX + beta^2 I.
 Both models read softki's ``interp.Hyperparams`` record with no temperatures.
 SGPR's points are its z; the exact GP has none to learn, and ``exact_fit``
 puts the training inputs in the z of the posterior's record.
+
+The kernel backward reads its forward, as softki's does: ``sgpr_elbo`` builds
+(K_zz, e) and (K_xz, e) once each with ``kernel.matern32_forward`` and hands
+both pairs to ``kernel.matern32_param_grads``. ``exact_gp_mll`` builds K_XX a
+second time at its gradient instead of holding K and e through the dense
+solve.
 """
 
 from dataclasses import replace
@@ -31,7 +37,7 @@ from . import linalg
 from .data import Dataset
 from .errors import TooLarge
 from .interp import Hyperparams
-from .kernel import MaternParams, matern32, matern32_param_grads
+from .kernel import MaternParams, matern32, matern32_forward, matern32_param_grads
 from .objective import LOG_2PI, ObjectiveReport, dense_gaussian, lowrank_gaussian
 from .posterior import Posterior, fit, predict_mean, predict_var, test_metrics
 
@@ -47,9 +53,10 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     beta = hp.noise
     beta2 = beta * beta
 
-    k_zz = matern32(hp.z, hp.z, hp.kernel)
+    k_zz, e_zz = matern32_forward(hp.z, hp.z, hp.kernel)
     u_zz, jit = linalg.cholesky_upper(k_zz)
-    b = linalg.tri_solve_upper(u_zz, matern32(x, hp.z, hp.kernel).T, transpose=True).T
+    k_xz, e_xz = matern32_forward(x, hp.z, hp.kernel)
+    b = linalg.tri_solve_upper(u_zz, k_xz.T, transpose=True).T
     lr = lowrank_gaussian(b, y, np.eye(m), beta2)
     log_n = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
 
@@ -61,12 +68,15 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     # -P^T G P - P^T P / (2 beta^2), with B^T D^-1 B from lowrank_gaussian
     pa = linalg.tri_solve_upper(u_zz, lr.phi_a)                  # P^T a
     up_xz = b @ linalg.tri_solve_upper(u_zz, lr.zs.T / beta2).T
+    del b  # freed before the n x m outer product, so the traced peak does not rise
     up_xz += np.outer(lr.a, pa)
+    g1 = matern32_param_grads(x, hp.z, hp.kernel, k_xz, e_xz, up_xz,
+                              want_x=False, want_z=True)
     inner = linalg.tri_solve_upper(u_zz, lr.phi_dinv_phi - lr.s / beta2)
     up_zz = 0.5 * (linalg.tri_solve_upper(u_zz, inner.T) - np.outer(pa, pa))
+    g2 = matern32_param_grads(hp.z, hp.z, hp.kernel, k_zz, e_zz, up_zz,
+                              want_x=True, want_z=True)
     tr_g = 0.5 * (float(lr.a @ lr.a) - lr.tr_d_inv)
-    g1 = matern32_param_grads(x, hp.z, hp.kernel, up_xz, want_x=False, want_z=True)
-    g2 = matern32_param_grads(hp.z, hp.z, hp.kernel, up_zz, want_x=True, want_z=True)
 
     grads = {
         "noise": 2.0 * beta * tr_g + trace_gap / beta**3,
@@ -117,7 +127,11 @@ def exact_gp_mll(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveRepo
     value = -0.5 * (quad + logdet + y.shape[0] * LOG_2PI)
 
     g = 0.5 * (np.outer(a, a) - k_inv)
-    kg = matern32_param_grads(x, x, hp.kernel, g, want_x=False, want_z=False)
+    # the one kernel forward built twice: holding K_XX and its e through the
+    # dense solve would add two n x n arrays (256 MB at the size cap) to save
+    # an O(n^2 d) build beside an O(n^3) factorization
+    k, e = matern32_forward(x, x, hp.kernel)
+    kg = matern32_param_grads(x, x, hp.kernel, k, e, g, want_x=False, want_z=False)
     grads = {
         "noise": 2.0 * hp.noise * float(np.trace(g)),
         "lengthscales": kg.lengthscales,

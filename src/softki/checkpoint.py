@@ -17,8 +17,9 @@ scalar is caught like a flipped payload byte), a truncated or overlong
 payload, and then, so that a file with a recomputed sha256 is still caught
 where it is read: a variant ``posterior.FORMS`` does not know, a training-set
 size n < 1 (or n != m for exact, whose points are its inputs), an array whose
-size does not fit m and d (x_mean, x_std and lengthscales have d entries),
-a nan or inf in v or P, and any value the rebuilt ``Standardization``,
+size does not fit the variant, m and d (x_mean, x_std and lengthscales have d
+entries; temperatures has d for softki and none for sgpr and exact), a nan or
+inf in v or P, and any value the rebuilt ``Standardization``,
 ``MaternParams`` and ``Hyperparams`` records reject (nan, inf or values <= 0
 in noise, outputscale, the stds and temperatures; nan or inf in z and the
 means; lengthscales outside their bounds).
@@ -148,11 +149,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise ChecksumOrVersionMismatch(
             f"checkpoint n = {n} must be >= 1, and equal m = {m} for exact")
     arrays = dict(zip(_ARRAY_ORDER, _read_arrays(payload)), x_mean=x_mean, x_std=x_std)
-    for name, shape in (("z", (m, d)), ("v", (m,)), ("p", (m, m)), ("lengthscales", (d,)),
-                        ("x_mean", (d,)), ("x_std", (d,))):
+    shapes = (("z", (m, d)), ("v", (m,)), ("p", (m, m)), ("lengthscales", (d,)),
+              ("temperatures", (d if variant == "softki" else 0,)),
+              ("x_mean", (d,)), ("x_std", (d,)))
+    for name, shape in shapes:
         if min(shape) < 0 or arrays[name].size != np.prod(shape):
-            raise ChecksumOrVersionMismatch(f"checkpoint {name} has {arrays[name].size} "
-                                            f"values, but m={m} and d={d} give {shape}")
+            raise ChecksumOrVersionMismatch(
+                f"checkpoint {name} has {arrays[name].size} values, but a {variant} "
+                f"file with m={m} and d={d} needs {shape}")
         arrays[name] = arrays[name].reshape(shape)
     for name in ("v", "p"):
         if not np.all(np.isfinite(arrays[name])):

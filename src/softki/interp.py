@@ -48,6 +48,9 @@ class Hyperparams:
             self.z = self.z.astype(float)
         if self.temperatures.dtype.kind != "f":
             self.temperatures = self.temperatures.astype(float)
+        if self.kernel.lengthscales.shape[0] != self.z.shape[1]:
+            raise DimensionMismatch(f"{self.kernel.lengthscales.shape[0]} lengthscales "
+                                    f"for d={self.z.shape[1]}")
         if self.temperatures.shape[0] not in (0, self.z.shape[1]):
             raise DimensionMismatch(
                 f"{self.temperatures.shape[0]} temperatures for d={self.z.shape[1]}"

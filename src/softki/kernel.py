@@ -6,6 +6,10 @@ with the division taken elementwise. The kernel is once differentiable;
 derivatives with respect to inputs and lengthscales stay finite at r = 0
 (the r in the denominator cancels), and the gradient at exactly coincident
 inputs is 0.
+
+The kernel has the forward/backward contract of the softmax in interp.py:
+``matern32_forward`` builds (K, e) with e = exp(-sqrt(3) r) once, and
+``matern32_param_grads`` reads that pair instead of building it again.
 """
 
 from dataclasses import dataclass
@@ -61,8 +65,9 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray) -> n
     return np.sqrt(sq, out=sq)
 
 
-def _value_and_decay(x: np.ndarray, z: np.ndarray, params: MaternParams):
-    """(K, e) with e = exp(-sqrt(3) r): two buffers, each built once."""
+def matern32_forward(x: np.ndarray, z: np.ndarray, params: MaternParams):
+    """(K, e) with e = exp(-sqrt(3) r): two buffers, each built once. The pair
+    is what ``matern32_param_grads`` reads."""
     k = scaled_distance(x, z, params.lengthscales)
     k *= SQRT3
     e = np.negative(k)
@@ -75,7 +80,7 @@ def _value_and_decay(x: np.ndarray, z: np.ndarray, params: MaternParams):
 
 def matern32(x: np.ndarray, z: np.ndarray, params: MaternParams) -> np.ndarray:
     """Kernel matrix K with K[i, j] = k(x_i, z_j)."""
-    return _value_and_decay(x, z, params)[0]
+    return matern32_forward(x, z, params)[0]
 
 
 @dataclass
@@ -90,12 +95,16 @@ def matern32_param_grads(
     x: np.ndarray,
     z: np.ndarray,
     params: MaternParams,
+    k: np.ndarray,
+    e: np.ndarray,
     upstream: np.ndarray,
     want_x: bool = False,
     want_z: bool = True,
 ) -> MaternGrads:
     """Contract dK/dtheta with an upstream sensitivity matrix.
 
+    (k, e) is ``matern32_forward(x, z, params)``, or that K with entries set
+    to 0 where the caller's forward used them as 0; neither is written to.
     Returns sum_ij upstream[i, j] * dK[i, j]/dtheta for theta in
     {lengthscales, outputscale} and, on request, the input-point gradients
     (z for learning interpolation/inducing points; x for completeness).
@@ -112,22 +121,18 @@ def matern32_param_grads(
     x = np.asarray(x)
     z = np.asarray(z)
     upstream = np.asarray(upstream)
-    if upstream.shape != (x.shape[0], z.shape[0]):
-        raise DimensionMismatch(
-            f"upstream shape {upstream.shape} != ({x.shape[0]}, {z.shape[0]})"
-        )
+    shape = (x.shape[0], z.shape[0])
+    if upstream.shape != shape:
+        raise DimensionMismatch(f"upstream shape {upstream.shape} != {shape}")
+    if k.shape != shape or e.shape != shape:
+        raise DimensionMismatch(f"forward shapes {k.shape}, {e.shape} != {shape}")
     ell = params.lengthscales
     s2 = params.outputscale
 
-    # k and e become the products with upstream, in the dtype those products have
-    k, e = _value_and_decay(x, z, params)
-    dtype = np.result_type(k, upstream)
-    k = k.astype(dtype, copy=False)
-    k *= upstream
-    g_s2 = float(np.sum(k) / s2)
-
-    e *= 3.0 * s2
-    w = e.astype(dtype, copy=False)
+    # one scratch buffer holds each product with upstream in turn
+    w = np.multiply(k, upstream)
+    g_s2 = float(np.sum(w) / s2)
+    np.multiply(e, 3.0 * s2, out=w)          # in e's dtype, then cast into w
     w *= upstream                            # shared factor, (n, m)
     row = w.sum(axis=1)                      # (n,)
     col = w.sum(axis=0)                      # (m,)

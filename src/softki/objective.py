@@ -40,10 +40,13 @@ Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
 casts x and y to ``TrainConfig.dtype`` once. The softmax forward, K_zz, the
 factorizations and the CG solves run in it; the softmax and kernel backward
 run in float64. Each ``stabilized_objective`` call builds one batch (W, its
-distances and K_zz), which the exact attempt and the pseudoloss it may fall
-back to both read, and the backward reads its W and distances; a float32
-batch builds one more, float64, forward for the backward, since its float32
-distances are what the fallback is for.
+distances, K_zz and K_zz's e = exp(-sqrt(3) r)), which the exact attempt and
+the pseudoloss it may fall back to both read. The backward reads the same
+arrays: ``softmax_weights_backward`` the (W, dist) of ``softmax_forward`` and
+``matern32_param_grads`` the (K_zz, e) of ``matern32_forward``, so each point
+set goes through each forward once. A float32 batch builds one more, float64,
+softmax and kernel forward for the backward, since its float32 distances are
+what the fallback is for.
 
 K_zz entries below the dtype's smallest normal (``finfo.tiny``, about 1.2e-38
 in float32) are set to 0. A Matern-3/2 value there lies more than 30 orders
@@ -63,7 +66,7 @@ import numpy as np
 from . import linalg
 from .errors import NotPositiveDefinite, ObjectiveFailed
 from .interp import Hyperparams, softmax_forward, softmax_weights_backward
-from .kernel import matern32, matern32_param_grads
+from .kernel import matern32_forward, matern32_param_grads
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -148,31 +151,34 @@ def dense_gaussian(d: np.ndarray, y: np.ndarray):
 
 
 def _batch(x, y, hp):
-    """(x, y, W, dist, K_zz) of one batch, all in x's dtype; see softmax_forward.
+    """(x, y, W, dist, K_zz, e_zz) of one batch, all in x's dtype; see
+    softmax_forward and matern32_forward.
 
     K_zz entries below the dtype's smallest normal are zeroed; see the module
-    docstring. No objective writes into these arrays, so one batch can serve
-    several objectives.
+    docstring. No objective and no backward writes into these arrays, so one
+    batch can serve several objectives.
     """
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
     w, dist = softmax_forward(x, hp)
     z = hp.z.astype(x.dtype, copy=False)
-    k_zz = matern32(z, z, hp.kernel)
+    k_zz, e_zz = matern32_forward(z, z, hp.kernel)
     k_zz[k_zz < np.finfo(k_zz.dtype).tiny] = 0.0
-    return x, np.asarray(y, dtype=x.dtype), w, dist, k_zz
+    return x, np.asarray(y, dtype=x.dtype), w, dist, k_zz, e_zz
 
 
-def _assemble_gradients(x, hp, w, dist, g_k, g_w, tr_g) -> dict:
+def _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g) -> dict:
     """Map sensitivities on (K_zz, W, beta) to parameter gradients, in float64."""
-    kg = matern32_param_grads(
-        hp.z, hp.z, hp.kernel, np.asarray(g_k, dtype=float),
-        want_x=True, want_z=True,
-    )
+    z = hp.z.astype(float, copy=False)
     if x.dtype != np.float64:  # the backward runs in float64; see the module docstring
         x = x.astype(float)
         w, dist = softmax_forward(x, hp)
+        k_zz, e_zz = matern32_forward(z, z, hp.kernel)
+    kg = matern32_param_grads(
+        z, z, hp.kernel, k_zz, e_zz, np.asarray(g_k, dtype=float),
+        want_x=True, want_z=True,
+    )
     z_soft, g_t = softmax_weights_backward(x, hp, w, dist, np.asarray(g_w, dtype=float))
     return {
         "noise": 2.0 * hp.noise * float(tr_g),
@@ -199,7 +205,7 @@ def exact_mll(
     Cholesky fails after the jitter schedule. batch, when given, is
     ``_batch(x, y, hp)`` built by the caller.
     """
-    x, y, w, dist, k_zz = _batch(x, y, hp) if batch is None else batch
+    x, y, w, dist, k_zz, e_zz = _batch(x, y, hp) if batch is None else batch
     n = y.shape[0]
     beta = x.dtype.type(hp.noise)
     beta2 = beta * beta
@@ -226,7 +232,7 @@ def exact_mll(
         raise ValueError(f"unknown path {path!r}")
 
     value = -0.5 * (quad + logdet + n * LOG_2PI)
-    grads = _assemble_gradients(x, hp, w, dist, g_k, g_w, tr_g)
+    grads = _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g)
     return ObjectiveReport(value=float(value), gradients=grads, mode_used="exact",
                            diagnostics=diag)
 
@@ -250,7 +256,7 @@ def hutchinson_pseudoloss(
     exact gradient's tr(D^-1 dD). batch, when given, is ``_batch(x, y, hp)``
     built by the caller.
     """
-    x, y, w, dist, k_zz = _batch(x, y, hp) if batch is None else batch
+    x, y, w, dist, k_zz, e_zz = _batch(x, y, hp) if batch is None else batch
     probes = np.asarray(probes, dtype=x.dtype)
     n = y.shape[0]
     ell = probes.shape[1]
@@ -285,7 +291,7 @@ def hutchinson_pseudoloss(
         np.einsum("ij,ij->", us, probes)
     )
 
-    grads = _assemble_gradients(x, hp, w, dist, g_k, g_w, tr_g)
+    grads = _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g)
     return ObjectiveReport(
         value=float(value),
         gradients=grads,

@@ -222,6 +222,9 @@ RESEALED = {
     "n-negative": ({"n": "-7"}, None, r"\bn\b"),
     "n-zero": ({"n": "0"}, None, r"\bn\b"),
     "exact-n-not-m": ({"variant": "exact"}, None, r"\bn\b"),   # n = 120, m = 10
+    "softki-no-temperatures": (None, {"temperatures": lambda flat: flat[:0]},
+                               "temperatures"),
+    "sgpr-with-temperatures": ({"variant": "sgpr"}, None, "temperatures"),  # d = 2 kept
 }
 
 

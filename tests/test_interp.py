@@ -40,6 +40,14 @@ def test_state_rejects_temperature_shape_mismatch():
                     temperatures=np.ones(2))
 
 
+@pytest.mark.parametrize("count", [3, 1])
+def test_record_rejects_a_lengthscale_count_other_than_d(count):
+    # one lengthscale for d=2 would otherwise train an isotropic kernel, and
+    # three would fail deep inside a broadcast
+    with pytest.raises(DimensionMismatch, match=f"{count} lengthscales for d=2"):
+        Hyperparams(noise=1.0, kernel=params(count), z=np.zeros((6, 2)))
+
+
 def test_record_checks_noise_and_keeps_float32_points():
     with pytest.raises(ValueError):
         Hyperparams(noise=0.0, kernel=params(1), z=[[0.0]])

@@ -12,6 +12,7 @@ from softki.kernel import (
     LENGTHSCALE_MIN,
     MaternParams,
     matern32,
+    matern32_forward,
     matern32_param_grads,
     scaled_distance,
 )
@@ -109,7 +110,8 @@ def test_scaled_distance_clamps_cancellation_noise():
 def test_grads_zero_upstream():
     rng = np.random.default_rng(2)
     x, z = rng.standard_normal((5, 4)), rng.standard_normal((6, 4))
-    g = matern32_param_grads(x, z, params(d=4), np.zeros((5, 6)),
+    p = params(d=4)
+    g = matern32_param_grads(x, z, p, *matern32_forward(x, z, p), np.zeros((5, 6)),
                              want_x=True, want_z=True)
     assert np.all(g.lengthscales == 0) and g.outputscale == 0
     assert np.all(g.x == 0) and np.all(g.z == 0)
@@ -120,7 +122,7 @@ def test_outputscale_grad_with_ones_upstream():
     x, z = rng.standard_normal((5, 2)), rng.standard_normal((4, 2))
     p = params(d=2, s2=1.9)
     k = matern32(x, z, p)
-    g = matern32_param_grads(x, z, p, np.ones((5, 4)))
+    g = matern32_param_grads(x, z, p, *matern32_forward(x, z, p), np.ones((5, 4)))
     assert g.outputscale == pytest.approx(k.sum() / 1.9, rel=1e-12)
 
 
@@ -153,7 +155,8 @@ def test_all_grads_match_central_differences():
         return float(np.sum(upstream * matern32(state["x"], state["z"], p)))
 
     p = MaternParams(lengthscales=state["ell"], outputscale=state["s2"])
-    g = matern32_param_grads(x, z, p, upstream, want_x=True, want_z=True)
+    g = matern32_param_grads(x, z, p, *matern32_forward(x, z, p), upstream,
+                             want_x=True, want_z=True)
 
     def setter(key):
         return lambda v: state.__setitem__(key, v)
@@ -173,16 +176,20 @@ def test_all_grads_match_central_differences():
 def test_grad_finite_when_points_coincide():
     x = np.array([[0.5, 0.5], [1.0, 2.0]])
     z = x.copy()
-    g = matern32_param_grads(x, z, params(d=2), np.ones((2, 2)),
+    p = params(d=2)
+    g = matern32_param_grads(x, z, p, *matern32_forward(x, z, p), np.ones((2, 2)),
                              want_x=True, want_z=True)
     for arr in (g.lengthscales, g.x, g.z):
         assert np.all(np.isfinite(arr))
 
 
 def test_upstream_shape_checked():
+    x, z = np.ones((3, 1)), np.ones((2, 1))
+    k, e = matern32_forward(x, z, params())
     with pytest.raises(DimensionMismatch):
-        matern32_param_grads(np.ones((3, 1)), np.ones((2, 1)), params(),
-                             np.ones((2, 3)))
+        matern32_param_grads(x, z, params(), k, e, np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch):  # a forward of other points
+        matern32_param_grads(x, z, params(), k.T, e.T, np.ones((3, 2)))
 
 
 # ------------------------------------------------------------ reference forms
@@ -259,8 +266,46 @@ def test_distance_and_kernel_match_the_out_of_place_form(dtype):
 def test_param_grads_match_the_out_of_place_form(dtype, layout):
     x, z, p, upstream = reference_case(dtype, layout)
     before = [a.copy() for a in (x, z, p.lengthscales, upstream)]
-    g = matern32_param_grads(x, z, p, upstream, want_x=True, want_z=True)
+    g = matern32_param_grads(x, z, p, *matern32_forward(x, z, p), upstream,
+                             want_x=True, want_z=True)
     got = (g.lengthscales, g.outputscale, g.x, g.z)
     for a, b in zip(got, reference_param_grads(x, z, p, upstream)):
         assert bitwise_equal(a, b)
     assert all(np.array_equal(a, b) for a, b in zip(before, (x, z, p.lengthscales, upstream)))
+
+
+def rebuild_then_multiply_grads(x, z, p, upstream):
+    """The backward as it was before it read its caller's forward: build (K, e)
+    again and turn them into the products with upstream in place."""
+    ell, s2 = p.lengthscales, p.outputscale
+    k, e = matern32_forward(x, z, p)
+    dtype = np.result_type(k, upstream)
+    k = k.astype(dtype, copy=False)
+    k *= upstream
+    g_s2 = float(np.sum(k) / s2)
+    e *= 3.0 * s2
+    w = e.astype(dtype, copy=False)
+    w *= upstream
+    row = w.sum(axis=1)
+    col = w.sum(axis=0)
+    wz = w @ z
+    g_ell = (x * x).T @ row - 2.0 * np.einsum("ic,ic->c", x, wz) + (z * z).T @ col
+    g_ell /= ell**3
+    inv2 = 1.0 / ell**2
+    g_x = -(x * row[:, None] - wz) * inv2[None, :]
+    g_z = (w.T @ x - z * col[:, None]) * inv2[None, :]
+    return g_ell, g_s2, g_x, g_z
+
+
+@pytest.mark.parametrize("points", [np.float64, np.float32])
+@pytest.mark.parametrize("up_dtype", [np.float64, np.float32])
+def test_backward_reads_the_forward_without_writing_it(points, up_dtype):
+    x, z, p, upstream = reference_case(points, "C")
+    upstream = upstream.astype(up_dtype)
+    k, e = matern32_forward(x, z, p)
+    k_before, e_before = k.copy(), e.copy()
+    g = matern32_param_grads(x, z, p, k, e, upstream, want_x=True, want_z=True)
+    assert np.array_equal(k, k_before) and np.array_equal(e, e_before)
+    got = (g.lengthscales, g.outputscale, g.x, g.z)
+    for a, b in zip(got, rebuild_then_multiply_grads(x, z, p, upstream)):
+        assert bitwise_equal(a, b)

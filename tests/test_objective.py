@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softki.interp
+import softki.kernel
 import softki.objective
-from softki.baselines import sgpr_elbo
+from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.trainer import TrainConfig
 from softki.errors import NotPositiveDefinite, ObjectiveFailed
 from softki.interp import Hyperparams, softmax_weights
-from softki.kernel import MaternParams, matern32, scaled_distance
+from softki.kernel import MaternParams, matern32, matern32_forward, scaled_distance
 from softki.linalg import block_cg
 from softki.objective import (
     LOG_2PI,
@@ -239,7 +240,7 @@ def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
 
 def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
     # the failing float32 exact attempt and the pseudoloss read one batch;
-    # the backward adds its float64 forward
+    # the backward adds its float64 softmax and kernel forwards
     forwards, kernels = [], []
 
     def counting_distance(*args):
@@ -248,10 +249,10 @@ def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
 
     def counting_kernel(*args):
         kernels.append(args[0].dtype)
-        return matern32(*args)
+        return matern32_forward(*args)
 
     monkeypatch.setattr(softki.interp, "scaled_distance", counting_distance)
-    monkeypatch.setattr(softki.objective, "matern32", counting_kernel)
+    monkeypatch.setattr(softki.objective, "matern32_forward", counting_kernel)
     x, y, hp = near_coincident_batch()
     rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="auto",
                                                      dtype="float32"))
@@ -259,7 +260,41 @@ def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
     assert "fallback_reason" in rep.diagnostics
     assert rep.is_finite()
     assert forwards == [np.dtype(np.float32), np.dtype(np.float64)]
-    assert kernels == [np.dtype(np.float32)]
+    assert kernels == [np.dtype(np.float32), np.dtype(np.float64)]
+
+
+@pytest.mark.parametrize("objective", ["lowrank", "dense", "pseudoloss", "sgpr", "exact_gp"])
+def test_one_kernel_forward_per_point_set(monkeypatch, objective):
+    # every distance, the kernel's and the softmax's, goes through
+    # scaled_distance; record the (rows, cols) of each in float64
+    kernel_sets, softmax_sets = [], []
+
+    def spy(seen):
+        def counting(a, b, lengthscales):
+            seen.append((a.shape[0], b.shape[0]))
+            return scaled_distance(a, b, lengthscales)
+        return counting
+
+    monkeypatch.setattr(softki.kernel, "scaled_distance", spy(kernel_sets))
+    monkeypatch.setattr(softki.interp, "scaled_distance", spy(softmax_sets))
+    n, m = 32, 6
+    x, y, hp = random_instance(11, n=n, m=m)
+    if objective == "pseudoloss":
+        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(n, 3, seed=0), **CG_DEFAULTS)
+    elif objective == "sgpr":
+        rep = sgpr_elbo(x, y, hp)
+    elif objective == "exact_gp":
+        rep = exact_gp_mll(x, y, hp)
+    else:
+        rep = exact_mll(x, y, hp, path=objective)
+    assert rep.is_finite()
+    expected = {
+        "sgpr": ([(m, m), (n, m)], []),
+        # the one documented rebuild: K_XX is built again at the gradient
+        # rather than held through the dense n x n solve
+        "exact_gp": ([(n, n), (n, n)], []),
+    }.get(objective, ([(m, m)], [(n, m)]))
+    assert (kernel_sets, softmax_sets) == expected
 
 
 # -------------------------------------------------------------- subnormal flush
