@@ -166,7 +166,7 @@ def load_checkpoint(path) -> Checkpoint:
         stats = Standardization(arrays["x_mean"], arrays["x_std"], y_mean, y_std)
         kernel = MaternParams(arrays["lengthscales"], outputscale)
         hp = Hyperparams(noise, kernel, arrays["z"], arrays["temperatures"])
-    except (ValueError, SoftKIError) as err:
+    except SoftKIError as err:
         raise ChecksumOrVersionMismatch(f"invalid checkpoint: {err}") from None
     return Checkpoint(Posterior(variant, hp, arrays["v"], arrays["p"]), stats, n)
 

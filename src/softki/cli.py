@@ -245,6 +245,8 @@ def cmd_train(values: dict, outdir: Path) -> int:
         ("threads", trace.threads),
         ("failed_batches", trace.failed_batches),
     ] + [(f"mode_{mode}", count) for mode, count in sorted(trace.mode_counts.items())]
+    lines += [(f"fit_{key}", value)
+              for key, value in sorted(ck.posterior.diagnostics.items())]
     rpt.write_kv(outdir / "report.txt", lines)
 
     rpt.write_csv(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateColumnWarning, DimensionMismatch, EmptyFile, NonFiniteInput,
-                     ParseError)
+from .errors import (DegenerateColumnWarning, DimensionMismatch, EmptyFile, InvalidConfig,
+                     NonFiniteInput, ParseError)
 
 
 @dataclass
@@ -28,7 +28,7 @@ class Standardization:
                           ("x_std", 0.0), ("y_std", 0.0)):
             value = np.asarray(getattr(self, name))
             if not np.all((value > low) & (value < np.inf)):  # nan fails both
-                raise ValueError(f"{name} must be in ({low}, inf)")
+                raise InvalidConfig(f"{name} must be in ({low}, inf)")
 
 
 @dataclass
@@ -138,7 +138,7 @@ def identity_stats(d: int) -> Standardization:
 def split_raw(data: Dataset, train_fraction: float = 0.9, seed: int = 0):
     """Shuffle and split without standardizing; the permutation is seeded."""
     if not 0.0 < train_fraction <= 1.0:
-        raise ValueError("train_fraction must be in (0, 1]")
+        raise InvalidConfig("train_fraction must be in (0, 1]")
     n = len(data)
     perm = np.random.default_rng(seed).permutation(n)
     n_train = max(1, min(n, int(round(train_fraction * n))))

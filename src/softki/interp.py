@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveTemperature
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteInput, NonPositiveTemperature
 from .kernel import MaternParams, matern32, scaled_distance
 
 
@@ -39,10 +39,10 @@ class Hyperparams:
     def __post_init__(self):
         self.noise = float(self.noise)
         if not 0 < self.noise < np.inf:
-            raise ValueError(f"noise must be finite and > 0, got {self.noise}")
+            raise InvalidConfig(f"noise must be finite and > 0, got {self.noise}")
         self.z = np.atleast_2d(np.asarray(self.z))
         if not np.all(np.isfinite(self.z)):
-            raise ValueError("z must be finite")
+            raise NonFiniteInput("z must be finite")
         self.temperatures = np.atleast_1d(np.asarray(self.temperatures))
         if self.z.dtype.kind != "f":
             self.z = self.z.astype(float)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConfig
 
 SQRT3 = float(np.sqrt(3.0))  # python float: keeps float32 operands in float32
 
@@ -42,9 +42,10 @@ class MaternParams:
         self.outputscale = float(self.outputscale)
         lo, hi = LENGTHSCALE_MIN, LENGTHSCALE_MAX
         if not np.all((self.lengthscales >= lo) & (self.lengthscales <= hi)):  # nan fails
-            raise ValueError(f"lengthscales must lie in [{lo}, {hi}]")
+            raise InvalidConfig(f"lengthscales must lie in [{lo}, {hi}]")
         if not 0 < self.outputscale < np.inf:
-            raise ValueError(f"outputscale must be finite and > 0, got {self.outputscale}")
+            raise InvalidConfig(
+                f"outputscale must be finite and > 0, got {self.outputscale}")
 
 
 def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:

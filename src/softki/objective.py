@@ -31,10 +31,20 @@ sensitivity G with dL = <G, dD>,
 For the exact objective G = (a a^T - D^-1)/2 with a = D^-1 y; for the
 pseudoloss G = u_0 u_0^T / 2 - (n / 2l) sym(sum_j u_j w_j^T): the probes have
 unit norm, so E[w w^T] = I/n and the trace estimate is scaled by n to target
-tr(D^-1 dD). Every objective reads its parameters from one
-``interp.Hyperparams`` record. Gradients are a dict keyed by
-``trainer.PARAMS`` names, in constrained space; a failed report has a nan
-value and none.
+tr(D^-1 dD). The pseudoloss applies D only inside CG. After the solve, with
+S = [u_0 | U | P], U = [u_1..u_l] and P = [w_1..w_l], G = S C S^T for the
+(2l+1)-square C that holds 1/2 at (u_0, u_0) and -n/4l at each (u_j, w_j)
+pair, and u^T D v = (W^T u)^T K_zz (W^T v) + beta^2 u^T v. So one product
+W^T S gives everything, and W K_zz is never formed:
+
+    S^T D S     = (W^T S)^T K_zz (W^T S) + beta^2 S^T S    (the value's terms)
+    W^T G W     = (W^T S) C (W^T S)^T
+    2 G W K_zz  = S (2C) (K_zz W^T S)^T                    (one n x m product)
+    tr(G)       = <C, S^T S>
+
+Every objective reads its parameters from one ``interp.Hyperparams`` record.
+Gradients are a dict keyed by ``trainer.PARAMS`` names, in constrained space;
+a failed report has a nan value and none.
 
 Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
 casts x and y to ``TrainConfig.dtype`` once. The softmax forward, K_zz, the
@@ -268,28 +278,21 @@ def hutchinson_pseudoloss(
 
     rhs = np.concatenate([y[:, None], probes], axis=1)
     rep = linalg.block_cg(matvec, rhs, tol=cg_tol, max_iters=cg_max_iters)
-    u0 = rep.solutions[:, 0]
-    us = rep.solutions[:, 1:]
-
-    d_probes = matvec(probes)
-    value = -0.5 * (float(u0 @ matvec(u0)) + float(np.mean(
-        np.einsum("ij,ij->j", us, d_probes)
-    )))
-
-    c = float(n)
-    wk = w @ k_zz
-    wu0 = w.T @ u0
-    ws = w.T @ us
-    wp = w.T @ probes
-    g_k = 0.5 * np.outer(wu0, wu0) - (c / (4.0 * ell)) * (ws @ wp.T + wp @ ws.T)
-    g_w = us @ (probes.T @ wk)
-    g_w += probes @ (us.T @ wk)
-    g_w *= c / (2.0 * ell)
-    np.negative(g_w, out=g_w)
-    g_w += np.outer(u0, u0 @ wk)
-    tr_g = 0.5 * float(u0 @ u0) - (c / (2.0 * ell)) * float(
-        np.einsum("ij,ij->", us, probes)
-    )
+    # S = [u_0 | U | P] and G = S C S^T: every product with D or G after the
+    # solve goes through W^T S once; see the module docstring
+    s = np.concatenate([rep.solutions, probes], axis=1)
+    ws = w.T @ s
+    kws = k_zz @ ws
+    gram = s.T @ s
+    sds = ws.T @ kws + beta2 * gram             # S^T D S
+    j = np.arange(1, ell + 1)                   # u_j is column j, w_j column l + j
+    value = -0.5 * (float(sds[0, 0]) + float(np.mean(sds[j, ell + j])))
+    c = np.zeros((2 * ell + 1, 2 * ell + 1), dtype=x.dtype)
+    c[0, 0] = 0.5
+    c[j, ell + j] = c[ell + j, j] = -n / (4.0 * ell)
+    g_k = ws @ c @ ws.T
+    g_w = s @ (2.0 * c @ kws.T)
+    tr_g = float(np.sum(c * gram))
 
     grads = _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g)
     return ObjectiveReport(

@@ -273,11 +273,7 @@ def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> Alt
             u = scipy.linalg.cholesky(chat, lower=False)  # no jitter: raw method
         except scipy.linalg.LinAlgError as err:
             return AltSolveResult(method, None, np.inf, error=str(err))
-        alpha = scipy.linalg.solve_triangular(
-            u, scipy.linalg.solve_triangular(u, rhs, lower=False, trans="T"),
-            lower=False,
-        )
-        return checked(alpha)
+        return checked(linalg.chol_solve(u, rhs))
 
     rep = linalg.block_cg(lambda v: chat @ v, rhs, tol=tol,
                           max_iters=max(1000, 10 * chat.shape[0]))

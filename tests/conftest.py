@@ -3,16 +3,25 @@
 Tests marked ``@pytest.mark.criterion(n, slug)`` report one summary line each
 at the end of the run, so the acceptance outcome is readable without digging
 through the full log.
+
+The suite runs BLAS at one thread unless the environment says otherwise:
+OpenBLAS reads its thread count once, when numpy and scipy load it, so the
+default is set here before anything imports them. On small matrices threads
+only contend; a setting made outside the run still wins.
 """
 
 import os
-import time
-import warnings
-from pathlib import Path
 
-import pytest
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from softki import (
+import time  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import pytest  # noqa: E402
+
+from softki import (  # noqa: E402
     TrainConfig,
     fit_qr,
     ricker_dataset,
@@ -22,7 +31,7 @@ from softki import (
     train,
     train_sgpr,
 )
-from softki.errors import CGNotConvergedWarning
+from softki.errors import CGNotConvergedWarning  # noqa: E402
 
 _CRITERIA = {}
 

@@ -96,6 +96,24 @@ def test_train_dispatches_to_sgpr_and_exact(tmp_path, wave_csv):
         assert load_checkpoint(out / "checkpoint.bin").posterior.variant == model
 
 
+@pytest.mark.parametrize("model, solver, keys", [
+    ("softki", "qr", ["fit_block_rows", "fit_blocks", "fit_jitter", "fit_max_stack_rows",
+                      "fit_residual", "fit_rows", "fit_solver"]),
+    ("softki", "cholesky", ["fit_jitter", "fit_jitter_c", "fit_solver"]),
+    ("exact", "qr", ["fit_jitter"]),
+])
+def test_train_report_carries_the_fit_diagnostics(tmp_path, wave_csv, model, solver, keys):
+    out = tmp_path / "run"
+    assert main(["train", "--model", model, "--solver", solver, "--data", str(wave_csv),
+                 "--out", str(out), "--m", "8", "--epochs", "1", "--seed", "0"]) == 0
+    report = read_report(out / "report.txt")
+    assert [key for key in report if key.startswith("fit_")] == keys
+    assert float(report["fit_jitter"]) >= 0.0
+    if solver == "qr" and model == "softki":
+        assert int(report["fit_blocks"]) >= 2  # the data blocks and the U_zz rows
+        assert int(report["fit_rows"]) == int(report["n_train"]) + 8
+
+
 def test_standardize_false_applies_to_ricker(tmp_path):
     paths = {}
     for flag in ("true", "false"):

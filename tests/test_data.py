@@ -18,6 +18,7 @@ from softki.errors import (
     DegenerateColumnWarning,
     DimensionMismatch,
     EmptyFile,
+    InvalidConfig,
     NonFiniteInput,
     ParseError,
 )
@@ -140,7 +141,7 @@ def test_split_raw_partitions_and_is_seeded():
 def test_split_raw_fraction_validation():
     data = Dataset(x=np.zeros((5, 1)), y=np.zeros(5))
     for bad in (0.0, -0.1, 1.2):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="train_fraction"):
             split_raw(data, train_fraction=bad)
     tr, te = split_raw(data, train_fraction=1.0)
     assert len(tr) == 5 and len(te) == 0
@@ -171,7 +172,7 @@ def test_split_standardize_uses_train_statistics_only():
 ])
 def test_standardization_rejects_bad_statistics(field, value):
     fields = dict(x_mean=np.zeros(2), x_std=np.ones(2), y_mean=0.0, y_std=1.0)
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    with pytest.raises(InvalidConfig, match=f"^{field} must be"):
         Standardization(**{**fields, field: value})
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softki.errors import DimensionMismatch, NonPositiveTemperature
+from softki.errors import (DimensionMismatch, InvalidConfig, NonFiniteInput,
+                           NonPositiveTemperature)
 from softki.interp import (
     Hyperparams,
     softki_cross,
@@ -49,7 +50,7 @@ def test_record_rejects_a_lengthscale_count_other_than_d(count):
 
 
 def test_record_checks_noise_and_keeps_float32_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         Hyperparams(noise=0.0, kernel=params(1), z=[[0.0]])
     assert Hyperparams(noise=1.0, kernel=params(2), z=[[1, 2]]).z.dtype == np.float64
     hp = Hyperparams(noise=1.0, kernel=params(2), z=np.ones((3, 2), dtype=np.float32))
@@ -58,12 +59,12 @@ def test_record_checks_noise_and_keeps_float32_points():
 
 @pytest.mark.parametrize("noise", [np.nan, np.inf])
 def test_record_rejects_non_finite_noise(noise):
-    with pytest.raises(ValueError, match="noise"):
+    with pytest.raises(InvalidConfig, match="noise"):
         Hyperparams(noise=noise, kernel=params(1), z=[[0.0]])
 
 
 def test_record_rejects_non_finite_points():
-    with pytest.raises(ValueError, match="z must be finite"):
+    with pytest.raises(NonFiniteInput, match="z must be finite"):
         Hyperparams(noise=1.0, kernel=params(2), z=[[0.0, np.nan], [1.0, 1.0]])
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softki import kernel
-from softki.errors import DimensionMismatch
+from softki.errors import DimensionMismatch, InvalidConfig
 from softki.kernel import (
     LENGTHSCALE_MAX,
     LENGTHSCALE_MIN,
@@ -25,25 +25,25 @@ def params(d=1, ell=1.0, s2=1.0):
 
 
 def test_params_reject_out_of_range_lengthscales():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         MaternParams(lengthscales=[LENGTHSCALE_MIN / 2], outputscale=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         MaternParams(lengthscales=[LENGTHSCALE_MAX * 2], outputscale=1.0)
 
 
 def test_params_reject_nonpositive_outputscale():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         MaternParams(lengthscales=[1.0], outputscale=0.0)
 
 
 def test_params_reject_nan_lengthscales():
-    with pytest.raises(ValueError, match="lengthscales"):
+    with pytest.raises(InvalidConfig, match="lengthscales"):
         MaternParams(lengthscales=[np.nan, 1.0], outputscale=1.0)
 
 
 @pytest.mark.parametrize("s2", [np.nan, np.inf])
 def test_params_reject_non_finite_outputscale(s2):
-    with pytest.raises(ValueError, match="outputscale"):
+    with pytest.raises(InvalidConfig, match="outputscale"):
         MaternParams(lengthscales=[1.0], outputscale=s2)
 
 

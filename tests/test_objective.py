@@ -465,6 +465,71 @@ def test_scaled_probe_trace_within_two_percent():
     assert abs(est - true_trace) <= 0.02 * abs(true_trace)
 
 
+def n_space_pseudoloss(x, y, hp, probes, cg_tol, cg_max_iters):
+    """(value, (g_k, g_w, tr_g), CG report) by the n-space formulas: D applied
+    to the probes and u_0 after the solve, W K_zz formed, one W^T product per
+    block of solutions."""
+    x, y, w, _, k_zz, _ = _batch(x, y, hp)
+    probes = np.asarray(probes, dtype=x.dtype)
+    n, ell = probes.shape
+    beta = x.dtype.type(hp.noise)
+    beta2 = beta * beta
+
+    def matvec(v):
+        return w @ (k_zz @ (w.T @ v)) + beta2 * v
+
+    rep = block_cg(matvec, np.concatenate([y[:, None], probes], axis=1),
+                   tol=cg_tol, max_iters=cg_max_iters)
+    u0, us = rep.solutions[:, 0], rep.solutions[:, 1:]
+    value = -0.5 * (float(u0 @ matvec(u0))
+                    + float(np.mean(np.einsum("ij,ij->j", us, matvec(probes)))))
+    c = float(n)
+    wk = w @ k_zz
+    wu0, ws, wp = w.T @ u0, w.T @ us, w.T @ probes
+    g_k = 0.5 * np.outer(wu0, wu0) - (c / (4.0 * ell)) * (ws @ wp.T + wp @ ws.T)
+    g_w = (np.outer(u0, u0 @ wk)
+           - (c / (2.0 * ell)) * (us @ (probes.T @ wk) + probes @ (us.T @ wk)))
+    tr_g = 0.5 * float(u0 @ u0) - (c / (2.0 * ell)) * float(np.sum(us * probes))
+    return value, (g_k, g_w, tr_g), rep
+
+
+@pytest.mark.parametrize("batch, dtype", [
+    (lambda: random_instance(3, n=64, m=8), np.float64),
+    (split_cluster_batch, np.float64),
+    (split_cluster_batch, np.float32),
+    (near_coincident_batch, np.float32),
+], ids=["random-f64", "split-cluster-f64", "split-cluster-f32", "near-coincident-f32"])
+def test_pseudoloss_matches_the_n_space_referee(monkeypatch, batch, dtype):
+    """The m-space algebra after the solve gives the value and sensitivities of
+    the n-space formulas, from the same CG solve."""
+    x, y, hp = batch()
+    x, y = x.astype(dtype), y.astype(dtype)
+    probes = draw_probes(y.shape[0], 10, seed=5)
+    seen = []
+    assemble = softki.objective._assemble_gradients
+
+    def spy(*args):
+        seen.append(args[-3:])
+        return assemble(*args)
+
+    monkeypatch.setattr(softki.objective, "_assemble_gradients", spy)
+    rep = hutchinson_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
+    value, sens, cg = n_space_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
+
+    assert rep.diagnostics == {
+        "cg_iterations": cg.iterations,
+        "cg_converged": cg.converged,
+        "cg_max_residual": float(cg.final_residual_norms.max()),
+    }
+    value_tol, sens_tol = ((1e-12, 1e-12) if dtype == np.float64
+                           else (F32_VALUE_RTOL, F32_GRAD_TOL))
+    assert rep.value == pytest.approx(value, rel=value_tol)
+    (got,) = seen
+    for g, want in zip(got, sens):
+        assert np.max(np.abs(np.asarray(g, dtype=float) - want)) <= (
+            sens_tol * np.max(np.abs(want)))
+
+
 def test_pseudoloss_gradient_cosine_against_exact():
     x, y, hp = random_instance(3, n=64, m=8)
     exact = exact_mll(x, y, hp)
@@ -561,10 +626,12 @@ def test_forced_pseudoloss_failure_reports_nan():
 
 # The bound sits between the peaks of the out-of-place elementwise chains
 # (6.9 arrays for exact_mll, 8.3 for sgpr_elbo) and those of the in-place
-# ones (5.0 and 4.4): a step that builds an (n, m) array twice fails it.
+# ones (5.0 and 4.4): a step that builds an (n, m) array twice fails it. The
+# pseudoloss peaks at 5.0 arrays; forming W K_zz after its solve took it to 5.9.
 @pytest.mark.parametrize("objective, n, bound", [
     ("exact_mll", 1024, 6.0),
     ("sgpr_elbo", 3000, 6.0),
+    ("hutchinson_pseudoloss", 1024, 5.3),
 ])
 def test_training_step_peak_allocation(objective, n, bound):
     """Peak traced allocation of one float64 call at m = 128, d = 2, in (n, m) arrays."""
@@ -574,8 +641,11 @@ def test_training_step_peak_allocation(objective, n, bound):
     y = np.sin(x[:, 0]) * np.cos(x[:, 1])
     hp = Hyperparams(noise=0.1, kernel=MaternParams(np.array([0.8, 1.2]), 1.0),
                      z=x[rng.choice(n, m, replace=False)],
-                     temperatures=np.ones(2) if objective == "exact_mll" else ())
-    call = {"exact_mll": exact_mll, "sgpr_elbo": sgpr_elbo}[objective]
+                     temperatures=() if objective == "sgpr_elbo" else np.ones(2))
+    probes = draw_probes(n, TrainConfig().probes, seed=0)
+    call = {"exact_mll": exact_mll, "sgpr_elbo": sgpr_elbo,
+            "hutchinson_pseudoloss": lambda x, y, hp: hutchinson_pseudoloss(
+                x, y, hp, probes, **CG_DEFAULTS)}[objective]
     call(x, y, hp)  # warm caches outside the measurement
     tracemalloc.start()
     try:

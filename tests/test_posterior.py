@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import softki.linalg
 from softki import fit_qr
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
@@ -14,6 +16,7 @@ from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.posterior import (
     DEFAULT_STUDY_METHODS,
+    _solve,
     fit,
     gaussian_nll,
     near_degenerate_instance,
@@ -215,6 +218,26 @@ def test_alternative_solvers_agree_on_well_conditioned_system():
         assert np.allclose(res.alpha, reference.alpha, rtol=1e-6, atol=1e-9)
     with pytest.raises(ValueError):
         solver_study(data, hp, ("lu",))
+
+
+def test_cholesky_route_solves_through_linalg(monkeypatch):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((12, 8))
+    chat, rhs = a.T @ a + 0.1 * np.eye(8), rng.standard_normal(8)
+    u = scipy.linalg.cholesky(chat, lower=False)
+    by_hand = scipy.linalg.solve_triangular(
+        u, scipy.linalg.solve_triangular(u, rhs, lower=False, trans="T"), lower=False)
+    calls = []
+    chol_solve = softki.linalg.chol_solve
+
+    def spy(*args):
+        calls.append(args)
+        return chol_solve(*args)
+
+    monkeypatch.setattr(softki.linalg, "chol_solve", spy)
+    res = _solve("cholesky", chat, rhs)
+    assert len(calls) == 1 and res.error is None
+    assert np.array_equal(res.alpha, by_hand)  # the same two LAPACK solves
 
 
 def test_cg_history_tightens_with_tolerance():

@@ -1,9 +1,14 @@
 """Optimizer, k-means seeding, batching, and the training loops."""
 
+import ctypes
 import dataclasses
+import glob
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import softki.objective
 from softki import TrainConfig, ricker_dataset, train, train_exact, train_sgpr
@@ -200,6 +205,24 @@ def test_blas_threads_env_precedence(monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert blas_threads() >= 1
+
+
+@pytest.mark.parametrize("pkg, symbol", [
+    (np, "scipy_openblas_get_num_threads64_"),
+    (scipy, "scipy_openblas_get_num_threads"),
+])
+def test_bundled_blas_runs_at_the_environment_thread_count(pkg, symbol):
+    # conftest sets OPENBLAS_NUM_THREADS to 1 before numpy and scipy load their
+    # OpenBLAS; OpenBLAS caps the count at the usable cores
+    site = Path(pkg.__file__).resolve().parent.parent
+    libs = sorted(glob.glob(str(site / f"{pkg.__name__}.libs" / "libscipy_openblas*.so")))
+    if not libs:
+        pytest.skip(f"{pkg.__name__} bundles no OpenBLAS")
+    get_threads = getattr(ctypes.CDLL(libs[0]), symbol)
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    cores = len(os.sched_getaffinity(0))
+    assert get_threads() == min(int(os.environ["OPENBLAS_NUM_THREADS"]), cores)
 
 
 # ------------------------------------------------------------------ training
