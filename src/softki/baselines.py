@@ -10,7 +10,7 @@ the softki likelihood with Phi = B and L = I, evaluated in m-space by
 ``objective.lowrank_gaussian`` (S = B^T B and one factorization of
 beta^2 I + S, as in Titsias, 2009); the whitened B keeps K_zz^-1 out of S.
 tr(K_xx) is n * outputscale for a stationary kernel and tr(Q) = tr(S). The
-posterior, fit by ``posterior.fit`` as softki's is, uses
+posterior, fit by the stacked QR of ``posterior.fit`` as softki's is, uses
 C = K_zz + K_zx K_xz / beta^2 with mean K_*z C^-1 K_zx y / beta^2 and variance
 K_** - K_*z (K_zz^-1 - C^-1) K_z*, i.e. the posterior form with phi = K_*z,
 v = alpha and P = K_zz^-1 - C^-1. The exact GP is the same form with the
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .data import Dataset
-from .errors import TooLarge
+from .errors import InvalidConfig, TooLarge
 from .interp import Hyperparams
 from .kernel import MaternParams, matern32, matern32_forward, matern32_param_grads
 from .objective import LOG_2PI, ObjectiveReport, dense_gaussian, lowrank_gaussian
@@ -91,8 +91,10 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
 
 
 def sgpr_fit(data: Dataset, hp: Hyperparams, solver: str = "qr") -> Posterior:
-    """Fit the inducing-point posterior; see ``posterior.fit``."""
-    return fit("sgpr", data, hp, solver)
+    """Fit the inducing-point posterior; see ``posterior.fit``. solver must be "qr"."""
+    if solver != "qr":
+        raise InvalidConfig(f"sgpr_fit solves only by qr, got solver {solver!r}")
+    return fit("sgpr", data, hp)
 
 
 def sgpr_predict_mean(post: Posterior, xs: np.ndarray) -> np.ndarray:

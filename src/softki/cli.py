@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import report as rpt
-from .baselines import exact_fit, sgpr_fit
+from .baselines import exact_fit
 from .data import (
     Dataset,
     apply_stats,
@@ -29,7 +29,7 @@ from .data import (
     split_raw,
     standardize,
 )
-from .errors import DimensionMismatch, SoftKIError
+from .errors import DimensionMismatch, InvalidConfig, SoftKIError
 from .posterior import (
     DEFAULT_STUDY_METHODS,
     fit,
@@ -71,11 +71,11 @@ class _Opt:
 
 
 # model -> (train, fit); train returns an interp.Hyperparams and fit a
-# posterior.Posterior (the exact GP's dense fit has no solver to choose)
+# posterior.Posterior
 _MODELS = {
     "softki": (train, partial(fit, "softki")),
-    "sgpr": (train_sgpr, sgpr_fit),
-    "exact": (train_exact, lambda data, hp, solver: exact_fit(data, hp)),
+    "sgpr": (train_sgpr, partial(fit, "sgpr")),
+    "exact": (train_exact, exact_fit),
 }
 
 TRAIN_OPTS = {
@@ -85,7 +85,6 @@ TRAIN_OPTS = {
     **{f.metadata["flag"] or f.name.replace("_", "-"):
        _Opt(f.type, f.default, f.metadata["help"], f.metadata.get("choices"), f.name)
        for f in fields(TrainConfig)},
-    "solver": _Opt(_to_solver, "qr", "posterior solve route"),
     "train-frac": _Opt(float, 0.9, "train fraction for csv datasets"),
     "standardize": _Opt(_to_bool, True,
                         "standardize the data with train-split statistics"),
@@ -138,8 +137,8 @@ def _convert(opt: _Opt, key: str, raw, label: str):
     """One flag, config or suite value, converted and checked against its choices."""
     try:
         value = opt.convert(raw)
-    except ValueError as err:
-        raise ValueError(f"bad {label} value for {key}: {err}") from None
+    except (ValueError, InvalidConfig) as err:
+        raise type(err)(f"bad {label} value for {key}: {err}") from None
     if opt.choices and value not in opt.choices:
         raise ValueError(f"{key} must be one of {', '.join(map(str, opt.choices))}")
     return value
@@ -200,10 +199,9 @@ def _train_config(values: dict) -> TrainConfig:
 
 
 def _train_model(values: dict, cfg: TrainConfig, train_data, test_data) -> dict:
-    model, solver = values["model"], values["solver"]
-    train_fn, fit_fn = _MODELS[model]
+    train_fn, fit_fn = _MODELS[values["model"]]
     hp, trace = train_fn(train_data, cfg)
-    post = fit_fn(train_data, hp, solver)
+    post = fit_fn(train_data, hp)
     rmse, nll = (test_metrics(post, test_data.x, test_data.y)
                  if len(test_data) > 0 else (float("nan"), float("nan")))
     stats = train_data.stats

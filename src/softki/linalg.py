@@ -47,12 +47,15 @@ def cholesky_upper(m: np.ndarray):
     if not np.all(np.isfinite(m)):
         raise NotPositiveDefinite("matrix has non-finite entries")
     # symmetrize: callers build M from products that are symmetric only to
-    # rounding, and potrf reads a single triangle anyway
-    m = 0.5 * (m + m.T)
-    eye = np.eye(m.shape[0], dtype=m.dtype)
-    for eps in default_jitter_schedule(m):
+    # rounding, and potrf reads a single triangle anyway; each rung resets the
+    # diagonal of this one buffer, which potrf copies
+    a = np.add(m, m.T, dtype=np.result_type(m, 0.5))
+    a *= 0.5
+    diag = a.diagonal().copy()
+    for eps in default_jitter_schedule(a):
+        np.fill_diagonal(a, diag + eps)
         try:
-            u = scipy.linalg.cholesky(m + eps * eye, lower=False)
+            u = scipy.linalg.cholesky(a, lower=False)
         except scipy.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(u)):

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefinite, ObjectiveFailed
+from .errors import InvalidConfig, NotPositiveDefinite, ObjectiveFailed
 from .interp import Hyperparams, softmax_forward, softmax_weights_backward
 from .kernel import matern32_forward, matern32_param_grads
 
@@ -239,7 +239,7 @@ def exact_mll(
         g_w += np.outer(a, lr.phi_a @ k_zz)
         tr_g = 0.5 * (float(a @ a) - lr.tr_d_inv)
     else:
-        raise ValueError(f"unknown path {path!r}")
+        raise InvalidConfig(f"exact_mll path must be lowrank or dense, got {path!r}")
 
     value = -0.5 * (quad + logdet + n * LOG_2PI)
     grads = _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g)

@@ -12,6 +12,8 @@ where U_zz^T U_zz = K_zz, so A^T A = Chat, and take a thin QR of A. Then
 R alpha = Q^T rhs. The stack is reduced in row blocks: each block is absorbed
 into a carried [R | Q^T rhs] factor by re-triangularizing, so the full Q is
 never formed and peak extra memory is O(block_rows * m) independent of n.
+It is the only route to alpha; ``solver_study`` scores the routes that solve
+the formed Chat (direct, Cholesky, CG) against it.
 
 Every fitted model (softki, sgpr, exact) is a ``Posterior`` that predicts as
 
@@ -32,7 +34,7 @@ import scipy.linalg
 
 from . import linalg
 from .data import Dataset
-from .errors import InvalidConfig, NonFiniteInput, RankDeficient, SoftKIError
+from .errors import InvalidConfig, NonFiniteInput, RankDeficient
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
 
@@ -116,43 +118,29 @@ def stacked_qr_solve(blocks, u_zz: np.ndarray):
     return r, c, residual, diag
 
 
-def _alpha(variant: str, data: Dataset, hp, solver: str, block_rows: int):
+def _alpha(variant: str, data: Dataset, hp, block_rows: int):
     """K_zz, its factor U_zz, R with R^T R = Chat, alpha and diagnostics."""
     phi = partial(FORMS[variant][0], hp)
     k_zz = matern32(hp.z, hp.z, hp.kernel)
     design = (lambda xs: phi(xs) @ k_zz) if variant == "softki" else phi
     u_zz, jitter = linalg.cholesky_upper(k_zz)
     x, y, beta = data.x, data.y, hp.noise
-    if solver == "qr":
-        blocks = ((design(x[i : i + block_rows]) / beta, y[i : i + block_rows] / beta)
-                  for i in range(0, y.shape[0], block_rows))
-        r, c, residual, diag = stacked_qr_solve(blocks, u_zz)
-        diag.update({"block_rows": block_rows, "residual": residual})
-        alpha = linalg.tri_solve_upper(r, c)
-    else:
-        chat, rhs = normal_equations(k_zz, design(x), y, beta)
-        res = _solve(solver, chat, rhs)
-        if res.error or not np.all(np.isfinite(res.alpha)):
-            raise SoftKIError(f"{solver} solve failed: {res.error or 'non-finite'}")
-        alpha = res.alpha
-        r, jitter_c = linalg.cholesky_upper(chat)
-        diag = {"jitter_c": jitter_c}
-    diag.update({"jitter": jitter, "solver": solver})
-    return k_zz, u_zz, r, alpha, diag
+    blocks = ((design(x[i : i + block_rows]) / beta, y[i : i + block_rows] / beta)
+              for i in range(0, y.shape[0], block_rows))
+    r, c, residual, diag = stacked_qr_solve(blocks, u_zz)
+    diag.update({"block_rows": block_rows, "residual": residual, "jitter": jitter})
+    return k_zz, u_zz, r, linalg.tri_solve_upper(r, c), diag
 
 
-def fit(variant: str, data: Dataset, hp, solver: str = "qr",
+def fit(variant: str, data: Dataset, hp,
         block_rows: int = DEFAULT_BLOCK_ROWS) -> Posterior:
     """Fit softki or SGPR through the shared Chat = K_zz + X^T X / beta^2.
 
-    "qr" streams X (W K_zz or K_xz) through ``stacked_qr_solve`` and takes R
-    (R^T R = Chat) from it; "direct", "cholesky" and "cg:<tol>" assemble
-    Chat, take R from its Cholesky factor and raise SoftKIError when they
-    fail, CG also when it stops above tol; ``solver_route`` rejects a bad
-    route. softki: v = K_zz alpha, P = -B^T B with B = R^-T K_zz; SGPR:
-    v = alpha, P = K_zz^-1 - Chat^-1.
+    Streams X (W K_zz or K_xz) through ``stacked_qr_solve`` in row blocks and
+    takes R (R^T R = Chat) and alpha from it. softki: v = K_zz alpha,
+    P = -B^T B with B = R^-T K_zz; SGPR: v = alpha, P = K_zz^-1 - Chat^-1.
     """
-    k_zz, u_zz, r, alpha, diag = _alpha(variant, data, hp, solver, block_rows)
+    k_zz, u_zz, r, alpha, diag = _alpha(variant, data, hp, block_rows)
     if variant == "softki":
         b = linalg.tri_solve_upper(r, k_zz, transpose=True)
         return Posterior(variant, hp, k_zz @ alpha, -(b.T @ b), diag)
@@ -163,7 +151,7 @@ def fit(variant: str, data: Dataset, hp, solver: str = "qr",
 def fit_qr(data: Dataset, hp: Hyperparams,
            block_rows: int = DEFAULT_BLOCK_ROWS) -> Posterior:
     """Fit the interpolation posterior through the stacked QR."""
-    return fit("softki", data, hp, "qr", block_rows)
+    return fit("softki", data, hp, block_rows)
 
 
 def _features(post: Posterior, xs: np.ndarray) -> np.ndarray:
@@ -230,14 +218,17 @@ def normal_equations(k_zz: np.ndarray, cross: np.ndarray, y: np.ndarray, noise: 
 def solver_route(method: str):
     """(route, cg tolerance or None) of qr, direct, cholesky or cg:<tol>.
 
-    Raises ValueError for text that is not a route and InvalidConfig for a
-    tolerance that is not finite and > 0 (nan or inf stop CG after one
+    Raises InvalidConfig naming the text when it is not a route, or when its
+    cg tolerance is not a finite number > 0 (nan or inf stop CG after one
     iteration, <= 0 never)."""
     if method in ("qr", "direct", "cholesky"):
         return method, None
     if not method.startswith("cg:"):
-        raise ValueError(f"expected qr, direct, cholesky, or cg:<tol>, got {method!r}")
-    tol = float(method[3:])
+        raise InvalidConfig(f"expected qr, direct, cholesky, or cg:<tol>, got {method!r}")
+    try:
+        tol = float(method[3:])
+    except ValueError:
+        tol = np.nan
     if not 0.0 < tol < np.inf:
         raise InvalidConfig(f"solver {method!r} needs a finite cg tolerance > 0")
     return "cg", tol
@@ -353,7 +344,7 @@ def solver_study(data: Dataset, hp: Hyperparams,
     rows = []
     for method in methods:
         res = _solve(method, chat, rhs,
-                     lambda: _alpha("softki", data, hp, "qr", DEFAULT_BLOCK_ROWS)[3])
+                     lambda: _alpha("softki", data, hp, DEFAULT_BLOCK_ROWS)[3])
         if res.alpha is None or not np.all(np.isfinite(res.alpha)):
             rmse = np.inf
         else:

@@ -19,7 +19,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class TrainTrace:
     mode_counts: dict = field(default_factory=lambda: {"exact": 0, "pseudoloss": 0})
     failed_batches: int = 0
     threads: int = 1
-    config: dict = field(default_factory=dict)
 
 
 def blas_threads() -> int:
@@ -271,7 +270,7 @@ def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
     x, y = data.x, data.y
     n = y.shape[0]
     adam = Adam(raw_init(names, cfg, data), cfg.learning_rate)
-    trace = TrainTrace(threads=blas_threads(), config=asdict(cfg))
+    trace = TrainTrace(threads=blas_threads())
     step = 0
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()

@@ -7,6 +7,8 @@ optimizer cannot push them past the cap.
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 
 def softplus(u):
     u = np.asarray(u, dtype=float)
@@ -17,7 +19,7 @@ def softplus(u):
 def softplus_inv(v):
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0):
-        raise ValueError("softplus_inv requires positive input")
+        raise InvalidConfig(f"softplus_inv requires positive input, got {float(v.min())}")
     # log(e^v - 1) = v + log(1 - e^-v)
     return v + np.log(-np.expm1(-v))
 
@@ -43,8 +45,9 @@ def bounded_sigmoid(u, lo, hi):
 
 def bounded_sigmoid_inv(v, lo, hi):
     v = np.asarray(v, dtype=float)
-    if np.any(v <= lo) or np.any(v >= hi):
-        raise ValueError(f"value outside ({lo}, {hi})")
+    bad = v[(v <= lo) | (v >= hi)]
+    if bad.size:
+        raise InvalidConfig(f"bounded_sigmoid_inv: {float(bad[0])} is outside ({lo}, {hi})")
     t = (v - lo) / (hi - lo)
     return np.log(t) - np.log1p(-t)
 

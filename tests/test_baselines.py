@@ -17,7 +17,7 @@ from softki.baselines import (
     sgpr_predict_var,
 )
 from softki.data import Dataset
-from softki.errors import TooLarge
+from softki.errors import InvalidConfig, TooLarge
 from softki.interp import Hyperparams
 from softki.kernel import MaternParams, matern32
 from softki.objective import exact_mll
@@ -132,17 +132,23 @@ def test_elbo_gradients_match_central_differences():
 
 def test_direct_and_qr_posteriors_agree():
     x, y, hp = random_sgpr_instance(2)
-    data = Dataset(x, y)
-    via_qr = sgpr_fit(data, hp, solver="qr")
-    direct = sgpr_fit(data, hp, solver="direct")
-    assert np.max(np.abs(via_qr.v - direct.v)) <= 1e-6
+    via_qr = sgpr_fit(Dataset(x, y), hp, solver="qr")
+    # dense referee: solve the formed C = K_zz + K_zx K_xz / beta^2 directly
+    beta2 = hp.noise**2
+    k_zz, k_xz = matern32(hp.z, hp.z, hp.kernel), matern32(x, hp.z, hp.kernel)
+    c = k_zz + k_xz.T @ k_xz / beta2
+    alpha = np.linalg.solve(c, k_xz.T @ y / beta2)
+    p = np.linalg.inv(k_zz) - np.linalg.inv(c)
+    assert np.max(np.abs(via_qr.v - alpha)) <= 1e-6
     xs = np.random.default_rng(0).standard_normal((10, 2))
-    assert np.allclose(sgpr_predict_mean(via_qr, xs),
-                       sgpr_predict_mean(direct, xs), atol=1e-6)
+    k_sz = matern32(xs, hp.z, hp.kernel)
+    assert np.allclose(sgpr_predict_mean(via_qr, xs), k_sz @ alpha, atol=1e-6)
     assert np.allclose(sgpr_predict_var(via_qr, xs),
-                       sgpr_predict_var(direct, xs), atol=1e-6)
-    with pytest.raises(ValueError):
-        sgpr_fit(data, hp, solver="svd")
+                       hp.kernel.outputscale - np.einsum("ij,ij->i", k_sz @ p, k_sz),
+                       atol=1e-6)
+    for solver in ("svd", "direct"):
+        with pytest.raises(InvalidConfig, match=f"solver '{solver}'"):
+            sgpr_fit(Dataset(x, y), hp, solver=solver)
 
 
 def test_small_noise_with_full_inducing_set_interpolates():
@@ -158,7 +164,7 @@ def test_small_noise_with_full_inducing_set_interpolates():
 
 def test_huge_noise_recovers_the_prior():
     x, y, hp = random_sgpr_instance(3, noise=1e4, m=6)
-    post = sgpr_fit(Dataset(x, y), hp, solver="direct")
+    post = sgpr_fit(Dataset(x, y), hp)
     xs = np.random.default_rng(1).standard_normal((10, 2))
     assert np.max(np.abs(sgpr_predict_mean(post, xs))) <= 1e-6
     var = sgpr_predict_var(post, xs)

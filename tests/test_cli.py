@@ -96,20 +96,23 @@ def test_train_dispatches_to_sgpr_and_exact(tmp_path, wave_csv):
         assert load_checkpoint(out / "checkpoint.bin").posterior.variant == model
 
 
-@pytest.mark.parametrize("model, solver, keys", [
-    ("softki", "qr", ["fit_block_rows", "fit_blocks", "fit_jitter", "fit_max_stack_rows",
-                      "fit_residual", "fit_rows", "fit_solver"]),
-    ("softki", "cholesky", ["fit_jitter", "fit_jitter_c", "fit_solver"]),
-    ("exact", "qr", ["fit_jitter"]),
+QR_FIT_KEYS = ["fit_block_rows", "fit_blocks", "fit_jitter", "fit_max_stack_rows",
+               "fit_residual", "fit_rows"]
+
+
+@pytest.mark.parametrize("model, keys", [
+    ("softki", QR_FIT_KEYS),
+    ("sgpr", QR_FIT_KEYS),
+    ("exact", ["fit_jitter"]),
 ])
-def test_train_report_carries_the_fit_diagnostics(tmp_path, wave_csv, model, solver, keys):
+def test_train_report_carries_the_fit_diagnostics(tmp_path, wave_csv, model, keys):
     out = tmp_path / "run"
-    assert main(["train", "--model", model, "--solver", solver, "--data", str(wave_csv),
+    assert main(["train", "--model", model, "--data", str(wave_csv),
                  "--out", str(out), "--m", "8", "--epochs", "1", "--seed", "0"]) == 0
     report = read_report(out / "report.txt")
     assert [key for key in report if key.startswith("fit_")] == keys
     assert float(report["fit_jitter"]) >= 0.0
-    if solver == "qr" and model == "softki":
+    if keys == QR_FIT_KEYS:
         assert int(report["fit_blocks"]) >= 2  # the data blocks and the U_zz rows
         assert int(report["fit_rows"]) == int(report["n_train"]) + 8
 
@@ -129,20 +132,13 @@ def test_standardize_false_applies_to_ricker(tmp_path):
     assert (stats.y_mean, stats.y_std) == (0.0, 1.0)
 
 
-def test_solver_flag_routes_softki_fit(tmp_path, wave_csv):
-    out = tmp_path / "cg"
-    assert train_into(out, wave_csv, "--solver", "cg:1e-8") == 0
-    post = load_checkpoint(out / "checkpoint.bin").posterior
-    assert np.all(np.isfinite(post.v)) and np.all(np.isfinite(post.p))
-    sgpr = tmp_path / "sgpr"
-    assert main(["train", "--model", "sgpr", "--data", str(wave_csv),
-                 "--solver", "cholesky", "--out", str(sgpr),
-                 "--m", "4", "--epochs", "1"]) == 0
-    post = load_checkpoint(sgpr / "checkpoint.bin").posterior
-    assert np.all(np.isfinite(post.v)) and np.all(np.isfinite(post.p))
-    assert main(["train", "--model", "sgpr", "--data", str(wave_csv),
-                 "--solver", "lu", "--out", str(tmp_path / "bad"),
-                 "--m", "4", "--epochs", "1"]) == 1
+def test_train_has_no_solver_flag(tmp_path, wave_csv):
+    # every fit streams the stacked QR; there is no route to choose
+    assert "solver" not in TRAIN_OPTS
+    with pytest.raises(SystemExit) as exit_info:
+        train_into(tmp_path / "qr", wave_csv, "--solver", "qr")
+    assert exit_info.value.code == 2  # argparse's usage error
+    assert not (tmp_path / "qr" / "checkpoint.bin").exists()
 
 
 def test_missing_data_file_writes_error_record(tmp_path):
@@ -192,13 +188,16 @@ def test_non_finite_or_negative_config_fails_naming_the_field(tmp_path, wave_csv
 
 
 @pytest.mark.parametrize("route", ["cg:nan", "cg:inf", "cg:-1", "cg:0"])
-def test_cg_solver_needs_a_finite_positive_tolerance(tmp_path, wave_csv, route):
+def test_cg_solver_needs_a_finite_positive_tolerance(tmp_path, route):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"suite = solvers\nsolvers = qr,{route}\n")
     out = tmp_path / "bad-cg"
-    assert train_into(out, wave_csv, "--solver", route) == 1
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
     report = read_report(out / "error.txt")
     assert report["error"] == "InvalidConfig"
-    assert report["message"].startswith(f"solver {route!r}")
-    assert not (out / "checkpoint.bin").exists()
+    assert report["message"] == (f"bad suite value for solvers: solver {route!r} "
+                                 "needs a finite cg tolerance > 0")
+    assert not (out / "solvers.csv").exists()
 
 
 def test_train_flags_are_the_config_fields():
@@ -342,6 +341,24 @@ def test_config_file_flags_and_report_replay_agree(tmp_path, wave_csv):
             continue
         assert flags_report[key] == config_report[key], key
         assert flags_report[key] == replay_report[key], key
+
+
+def test_report_with_a_solver_line_still_replays(tmp_path, wave_csv):
+    # reports written while train had a --solver flag carry "solver = qr" and a
+    # "fit_solver = qr" line; replaying one ignores both, as it ignores outputs
+    run = tmp_path / "run"
+    assert train_into(run, wave_csv) == 0
+    lines = (run / "report.txt").read_text().splitlines()
+    lines.insert(next(i for i, line in enumerate(lines) if line.startswith("dtype = ")) + 1,
+                 "solver = qr")
+    lines.insert(next(i for i, line in enumerate(lines) if line.startswith("fit_rows = ")) + 1,
+                 "fit_solver = qr")
+    old = tmp_path / "old-report.txt"
+    old.write_text("\n".join(lines) + "\n")
+    replayed = tmp_path / "replayed"
+    assert main(["train", "--config", str(old), "--out", str(replayed)]) == 0
+    assert (replayed / "checkpoint.bin").read_bytes() == (run / "checkpoint.bin").read_bytes()
+    assert "solver" not in read_report(replayed / "report.txt")
 
 
 def test_flags_override_config_file(tmp_path, wave_csv):

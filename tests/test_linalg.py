@@ -1,5 +1,7 @@
 """Factorization, triangular-solve, and conjugate-gradient oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,25 @@ def test_cholesky_reconstructs_random_spd(order, seed):
     m = a @ a.T + 0.5 * np.eye(order)
     u, eps = cholesky_upper(m)
     assert np.linalg.norm(u.T @ u - (m + eps * np.eye(order))) <= 1e-10 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("rank", [None, 3])
+def test_cholesky_holds_two_matrices(rank):
+    # the symmetrized buffer and potrf's copy of it, on rung 0 (full rank) and
+    # on a jittered rung (rank 3); building eye, eps * eye and their sum as
+    # well holds 4 n x n arrays
+    n = 600
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, rank or n))
+    m = a @ a.T + (0.0 if rank else 1.0) * np.eye(n)
+    tracemalloc.start()
+    try:
+        _, eps = cholesky_upper(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (eps > 0) == bool(rank)
+    assert peak / m.nbytes <= 2.5
 
 
 # -------------------------------------------------------------- triangular

@@ -12,7 +12,7 @@ import softki.kernel
 import softki.objective
 from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.trainer import TrainConfig
-from softki.errors import NotPositiveDefinite, ObjectiveFailed
+from softki.errors import InvalidConfig, NotPositiveDefinite, ObjectiveFailed
 from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32, matern32_forward, scaled_distance
 from softki.linalg import block_cg
@@ -149,7 +149,7 @@ def test_value_against_dense_log_density():
 
 def test_unknown_path_rejected():
     x, y, hp = random_instance(1, n=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="'qr'"):
         exact_mll(x, y, hp, path="qr")
 
 

@@ -1,6 +1,9 @@
 """Streaming QR posterior against dense oracles, plus the solver study."""
 
+import inspect
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from softki import fit_qr
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
 from softki.baselines import sgpr_fit
-from softki.errors import InvalidConfig, NonFiniteInput, RankDeficient, SoftKIError
+from softki.errors import InvalidConfig, NonFiniteInput, RankDeficient
 from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.posterior import (
@@ -23,6 +26,7 @@ from softki.posterior import (
     predict,
     predict_mean,
     predict_var,
+    solver_route,
     solver_study,
     stacked_qr_solve,
 )
@@ -216,7 +220,7 @@ def test_alternative_solvers_agree_on_well_conditioned_system():
     for res, _ in others:
         assert res.error is None
         assert np.allclose(res.alpha, reference.alpha, rtol=1e-6, atol=1e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="cg:<tol>, got 'lu'"):
         solver_study(data, hp, ("lu",))
 
 
@@ -249,20 +253,51 @@ def test_cg_history_tightens_with_tolerance():
     assert tight.history[-1] <= 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::softki.errors.CGNotConvergedWarning")
-@pytest.mark.parametrize("solver, error, match", [
-    ("cg:nan", InvalidConfig, "solver 'cg:nan'"),
-    ("cg:inf", InvalidConfig, "solver 'cg:inf'"),
-    ("cg:-1", InvalidConfig, "solver 'cg:-1'"),
-    ("cg:0", InvalidConfig, "solver 'cg:0'"),
-    # finite and > 0, but below what float64 CG can reach: it stops at the cap
-    ("cg:1e-30", SoftKIError, "cg:1e-30 solve failed: cg did not converge"),
-])
-def test_fit_rejects_a_bad_or_unconverged_cg_route(solver, error, match):
+@pytest.mark.parametrize("solver", ["cg:nan", "cg:inf", "cg:-1", "cg:0", "cg:abc"])
+def test_solver_route_rejects_a_bad_cg_tolerance(solver):
     data, hp = make_instance(5, 120, 10)
-    for variant in ("softki", "sgpr"):
-        with pytest.raises(error, match=match):
-            fit(variant, data, hp, solver)
+    match = re.escape(f"solver {solver!r} needs a finite cg tolerance > 0")
+    with pytest.raises(InvalidConfig, match=match):
+        solver_route(solver)
+    with pytest.raises(InvalidConfig, match=match):
+        solver_study(data, hp, ("qr", solver))
+
+
+@pytest.mark.filterwarnings("ignore::softki.errors.CGNotConvergedWarning")
+def test_solver_study_records_an_unconverged_cg_route():
+    # finite and > 0, but below what float64 CG can reach: recorded, not raised
+    data, hp = make_instance(5, 120, 10)
+    [(res, rmse)] = solver_study(data, hp, ("cg:1e-30",))
+    assert res.error == "cg did not converge"
+    assert np.isfinite(rmse) and res.iterations > 0
+
+
+def test_fit_solves_only_through_the_stacked_qr():
+    assert "solver" not in inspect.signature(fit).parameters
+    data, hp = make_instance(5, 120, 10)
+    post = fit("softki", data, hp)
+    assert post.diagnostics.keys() == {"block_rows", "blocks", "jitter",
+                                       "max_stack_rows", "residual", "rows"}
+
+
+def _fit_peak(variant, n, block_rows, m):
+    data, hp = make_instance(0, n, m)
+    fit(variant, data, hp, block_rows)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        fit(variant, data, hp, block_rows)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", ["softki", "sgpr"])
+def test_fit_peak_does_not_grow_with_n(variant):
+    # the stack holds one row block and the carried factor, whatever n is
+    block_rows, m = 256, 64
+    small = _fit_peak(variant, 2 * block_rows, block_rows, m)
+    large = _fit_peak(variant, 32 * block_rows, block_rows, m)
+    assert large <= 1.1 * small, (small, large)
 
 
 @pytest.mark.parametrize("n, m, key", [(400, 5, "m"), (400, 0, "m"), (20, 24, "n")])

@@ -236,7 +236,7 @@ def test_train_trace_shapes_and_constraint_floors():
     assert len(trace.epoch_seconds) == 2
     assert sum(trace.mode_counts.values()) == 4  # two batches per epoch
     assert trace.failed_batches == 0
-    assert trace.config["m"] == 8
+    assert hp.z.shape == (8, 2)  # the trained points follow cfg.m
     assert isinstance(hp, Hyperparams)
     assert hp.noise >= NOISE_FLOOR
     assert hp.kernel.outputscale >= SCALE_FLOOR

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from softki import transforms
+from softki.errors import InvalidConfig
 
 
 def test_softplus_positive_and_monotone():
@@ -26,7 +27,7 @@ def test_softplus_round_trip(v):
 
 
 def test_softplus_inv_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="got 0.0"):
         transforms.softplus_inv(0.0)
 
 
@@ -57,7 +58,7 @@ def test_bounded_sigmoid_stays_inside_interval():
 
 
 def test_bounded_sigmoid_inv_rejects_boundary():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match=r"5.0 is outside \(0.01, 5.0\)"):
         transforms.bounded_sigmoid_inv(5.0, 0.01, 5.0)
 
 
