@@ -49,7 +49,6 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    m = hp.z.shape[0]
     beta = hp.noise
     beta2 = beta * beta
 
@@ -57,7 +56,7 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     u_zz, jit = linalg.cholesky_upper(k_zz)
     k_xz, e_xz = matern32_forward(x, hp.z, hp.kernel)
     b = linalg.tri_solve_upper(u_zz, k_xz.T, transpose=True).T
-    lr = lowrank_gaussian(b, y, np.eye(m), beta2)
+    lr = lowrank_gaussian(b, y, None, beta2)
     log_n = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
 
     trace_gap = n * hp.kernel.outputscale - float(np.trace(lr.s))

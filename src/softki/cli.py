@@ -8,6 +8,7 @@ from its report alone. Reports are key-value text, tables are CSV.
 
 import argparse
 import inspect
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -30,6 +31,7 @@ from .data import (
     standardize,
 )
 from .errors import DimensionMismatch, InvalidConfig, SoftKIError
+from .linalg import blas_thread_counts, blas_thread_limit
 from .posterior import (
     DEFAULT_STUDY_METHODS,
     fit,
@@ -241,6 +243,8 @@ def cmd_train(values: dict, outdir: Path) -> int:
         ("epochs_run", len(objectives)),
         ("seconds_total", float(sum(trace.epoch_seconds))),
         ("threads", trace.threads),
+        *((f"blas_threads_{name}", "uncapped" if count is None else count)
+          for name, count in blas_thread_counts().items()),
         ("failed_batches", trace.failed_batches),
     ] + [(f"mode_{mode}", count) for mode, count in sorted(trace.mode_counts.items())]
     lines += [(f"fit_{key}", value)
@@ -343,8 +347,11 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
             rmse, nll = float("nan"), float("nan")
         return (*spec, rmse, nll, seconds, "")
 
-    workers = max(1, min(len(specs), blas_threads()))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # the rows share one BLAS pool per runtime: workers x threads stays <= the cap
+    cap = blas_threads()
+    workers = max(1, min(len(specs), cap))
+    with blas_thread_limit(max(1, cap // workers)), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
         rows = sorted(pool.map(run_row, specs), key=lambda row: row[:4])
 
     rpt.write_csv(
@@ -487,9 +494,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError, SoftKIError) as err:
         return _fail(Path(getattr(args, "out", None) or "run"), err)
     outdir = Path(values["out"])
+    # OpenBLAS read its own variables when it loaded; SOFTKI_THREADS is applied here
+    cap = blas_threads() if os.environ.get("SOFTKI_THREADS") else None
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        return args._fn(values, outdir)
+        with blas_thread_limit(cap):
+            return args._fn(values, outdir)
     except (OSError, ValueError, SoftKIError) as err:
         return _fail(outdir, err)
 

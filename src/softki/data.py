@@ -66,7 +66,47 @@ def load_csv(path, header: bool = False, target_column: int = -1) -> Dataset:
     0-based column index. Raises ParseError with the 1-based physical row and
     column of the first cell that is not a finite number, EmptyFile when no
     data rows exist.
+
+    ``np.loadtxt`` reads the file first. A file it rejects, or one that holds
+    a cell that is not finite, is read again row by row; that parser decides
+    every error and names the cell.
     """
+    table = _parse_fast(path, header)
+    if table is None:
+        table = _parse_rows(path, header)
+    tcol = table.shape[1] - 1 if target_column == -1 else target_column
+    if not 0 <= tcol < table.shape[1]:
+        raise DimensionMismatch(f"target column {target_column} out of range")
+    y = table[:, tcol]
+    x = np.delete(table, tcol, axis=1)
+    if x.shape[1] == 0:
+        raise DimensionMismatch("csv needs at least one feature column")
+    return Dataset(x=x, y=y, stats=None, split="raw")
+
+
+def _parse_fast(path, header: bool):
+    """The table as np.loadtxt reads it, or None where _parse_rows must decide.
+
+    loadtxt gets the open text file, not the path, so a name ending in .gz is
+    not decompressed and the text decodes as it does for _parse_rows.
+    """
+    with open(path) as fh:
+        lines = iter(fh)
+        if header:
+            next(lines, None)
+        if not any(line.strip() for line in lines):
+            return None  # no data line: loadtxt would only warn
+        fh.seek(0)
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                               skiprows=1 if header else 0)
+        except ValueError:
+            return None
+    return table if np.isfinite(table).all() else None
+
+
+def _parse_rows(path, header: bool) -> np.ndarray:
+    """The table read row by row with the csv module, naming the first bad cell."""
     rows = []
     width = None
     with open(path, newline="") as fh:
@@ -93,15 +133,7 @@ def load_csv(path, header: bool = False, target_column: int = -1) -> Dataset:
             rows.append(parsed)
     if not rows:
         raise EmptyFile(f"{path} has no data rows")
-    table = np.vstack(rows)
-    tcol = table.shape[1] - 1 if target_column == -1 else target_column
-    if not 0 <= tcol < table.shape[1]:
-        raise DimensionMismatch(f"target column {target_column} out of range")
-    y = table[:, tcol]
-    x = np.delete(table, tcol, axis=1)
-    if x.shape[1] == 0:
-        raise DimensionMismatch("csv needs at least one feature column")
-    return Dataset(x=x, y=y, stats=None, split="raw")
+    return np.vstack(rows)
 
 
 def _train_stats(x: np.ndarray, y: np.ndarray) -> Standardization:

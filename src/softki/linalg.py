@@ -1,12 +1,16 @@
 """Dense linear-algebra kernels: jittered Cholesky, triangular solves, and
 conjugate gradients for several right-hand sides against a black-box
-operator.
+operator; and the thread counts of the BLAS runtimes they run on.
 
 Matrices are plain numpy arrays. Upper-triangular factors U satisfy
 M = U^T U (LAPACK convention, lower=False).
 """
 
+import ctypes
+import glob
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 import warnings
 
@@ -24,6 +28,56 @@ from .errors import (
 DEFAULT_JITTER_MULTIPLIERS = (0.0, 1e-8, 1e-6, 1e-4)
 
 RANK_TOL = 1e-12
+
+
+# (package, thread-count setter, getter) of the OpenBLAS builds that numpy and
+# scipy each bundle; OpenBLAS reads OPENBLAS_NUM_THREADS only when it loads
+_OPENBLAS = (
+    (np, "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    (scipy, "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_threads() -> dict:
+    """package name -> (set, get) thread-count functions of its bundled
+    OpenBLAS, for each package whose library and symbols are found."""
+    found = {}
+    for pkg, set_name, get_name in _OPENBLAS:
+        site = Path(pkg.__file__).resolve().parent.parent
+        libs = sorted(glob.glob(str(site / f"{pkg.__name__}.libs" / "libscipy_openblas*.so")))
+        if not libs:
+            continue
+        lib = ctypes.CDLL(libs[0])  # the copy the package already loaded
+        setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+        if setter is None or getter is None:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        found[pkg.__name__] = (setter, getter)
+    return found
+
+
+def blas_thread_counts() -> dict:
+    """Thread count read back from numpy's and scipy's OpenBLAS; None where
+    the library or its symbol is missing, so no count can be set there."""
+    found = _openblas_threads()
+    return {pkg.__name__: found[pkg.__name__][1]() if pkg.__name__ in found else None
+            for pkg, _, _ in _OPENBLAS}
+
+
+@contextmanager
+def blas_thread_limit(threads: int | None):
+    """Run the body with both bundled OpenBLAS runtimes at ``threads``
+    threads and restore their counts after it; None changes nothing."""
+    found = _openblas_threads() if threads is not None else {}
+    before = {name: getter() for name, (_, getter) in found.items()}
+    for setter, _ in found.values():
+        setter(threads)
+    try:
+        yield
+    finally:
+        for name, (setter, _) in found.items():
+            setter(before[name])
 
 
 def default_jitter_schedule(m: np.ndarray) -> list[float]:

@@ -116,7 +116,7 @@ class LowRankGaussian:
     jitter: float               # rung used to factor M
 
 
-def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray,
+def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray | None,
                      beta2) -> LowRankGaussian:
     """Quadratic form, log determinant and solves of a low-rank-plus-noise D.
 
@@ -125,12 +125,19 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray,
     one): S is formed before L is applied, so its rounding grows by ||L||^2.
     Z is applied only through U_m^-T L^T and U_m^-T L^T S, never multiplied
     out, because it is huge along directions a batch barely covers.
+    l=None means L = I and skips both products with it.
     """
     n, m = phi.shape
+    eye = np.eye(m, dtype=phi.dtype)
     s = phi.T @ phi
-    lt_s = l.T @ s
-    u_m, jitter = linalg.cholesky_upper(beta2 * np.eye(m, dtype=phi.dtype) + lt_s @ l)
-    g = linalg.tri_solve_upper(u_m, l.T, transpose=True)     # U_m^-T L^T
+    if l is None:
+        l_t, lt_s, lt_s_l = eye, s, s
+    else:
+        l_t = l.T
+        lt_s = l_t @ s
+        lt_s_l = lt_s @ l
+    u_m, jitter = linalg.cholesky_upper(beta2 * eye + lt_s_l)
+    g = linalg.tri_solve_upper(u_m, l_t, transpose=True)     # U_m^-T L^T
     h = linalg.tri_solve_upper(u_m, lt_s, transpose=True)    # U_m^-T L^T S
     zs = g.T @ h
     a = (y - phi @ (g.T @ (g @ (phi.T @ y)))) / beta2

@@ -83,11 +83,17 @@ def stacked_qr_solve(blocks, u_zz: np.ndarray):
     rows_seen = 0
 
     def absorb(carry, a_blk, b_blk):
-        b_blk = np.asarray(b_blk, dtype=a_blk.dtype)
-        aug = np.concatenate([a_blk, b_blk[:, None]], axis=1)
-        stack = aug if carry is None else np.vstack([carry, aug])
+        # [carry; a_blk | b_blk] written once, in the Fortran order geqrf
+        # factors in place
+        top = 0 if carry is None else carry.shape[0]
+        dtype = a_blk.dtype if carry is None else np.result_type(carry, a_blk)
+        stack = np.empty((top + a_blk.shape[0], m + 1), dtype=dtype, order="F")
+        if carry is not None:
+            stack[:top] = carry
+        stack[top:, :m] = a_blk
+        stack[top:, m] = np.asarray(b_blk, dtype=a_blk.dtype)
         # "raw" takes triu of the top m + 1 rows only, not of a full-height copy
-        r = scipy.linalg.qr(stack, mode="raw")[1]  # upper trapezoid, Householder
+        r = scipy.linalg.qr(stack, overwrite_a=True, mode="raw")[1]  # upper trapezoid
         return r, stack.shape[0]
 
     for a_blk, b_blk in blocks:

@@ -115,13 +115,17 @@ class TrainTrace:
 
 
 def blas_threads() -> int:
+    """The first positive integer among SOFTKI_THREADS, OPENBLAS_NUM_THREADS
+    and OMP_NUM_THREADS, else the CPU count."""
     for var in ("SOFTKI_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         val = os.environ.get(var)
         if val:
             try:
-                return int(val)
+                threads = int(val)
             except ValueError:
-                pass
+                continue
+            if threads >= 1:
+                return threads
     return os.cpu_count() or 1
 
 
@@ -159,24 +163,34 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.nda
         raise TooFewPoints(f"need at least {m} points, got {n}")
     rng = _rng(seed, _KMEANS)
 
+    # one n x d scratch and one length-n row serve every seeding step
     centroids = np.empty((m, x.shape[1]))
+    scratch = np.empty_like(x)
+    row = np.empty(n)
+    d2 = np.empty(n)
     centroids[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    np.square(np.subtract(x, centroids[0], out=scratch), out=scratch)
+    np.sum(scratch, axis=1, out=d2)
     for j in range(1, m):
         total = d2.sum()
         if total <= 0:
             centroids[j] = x[rng.integers(n)]
         else:
             centroids[j] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
+        np.square(np.subtract(x, centroids[j], out=scratch), out=scratch)
+        np.minimum(d2, np.sum(scratch, axis=1, out=row), out=d2)
+    del scratch, row
 
+    # |x|^2 - (2x) c^T + |c|^2 evaluated left to right in one n x m buffer:
+    # bitwise the plain expression, which the tests' loop reference computes
+    xx = np.sum(x * x, axis=1)[:, None]
+    x2 = 2.0 * x
+    d2_all = np.empty((n, m))
     assign = None
     for _ in range(max_iters):
-        d2_all = (
-            np.sum(x * x, axis=1)[:, None]
-            - 2.0 * x @ centroids.T
-            + np.sum(centroids * centroids, axis=1)[None, :]
-        )
+        np.matmul(x2, centroids.T, out=d2_all)
+        np.subtract(xx, d2_all, out=d2_all)
+        d2_all += np.sum(centroids * centroids, axis=1)
         new_assign = np.argmin(d2_all, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break

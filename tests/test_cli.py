@@ -1,12 +1,16 @@
 """End-to-end command line runs through main(argv)."""
 
+import ctypes
 import dataclasses
+import glob
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import softki.linalg
 import softki.posterior
 from softki import cli
 from softki.checkpoint import load_checkpoint, restore
@@ -427,6 +431,76 @@ def test_bench_marks_destabilized_rows_nan_but_completes(tmp_path, blob_csv):
     assert rows["exact"][7] == ""  # nan rows still count as completed
     assert np.isfinite(float(rows["auto"][4]))
     assert read_report(out / "report.txt")["rows_failed"] == "0"
+
+
+def openblas_threads():
+    """Thread counts of numpy's and scipy's bundled OpenBLAS, read through ctypes."""
+    counts = {}
+    for pkg, symbol in ((np, "scipy_openblas_get_num_threads64_"),
+                        (scipy, "scipy_openblas_get_num_threads")):
+        site = Path(pkg.__file__).resolve().parent.parent
+        libs = sorted(glob.glob(str(site / f"{pkg.__name__}.libs" / "libscipy_openblas*.so")))
+        if not libs:
+            pytest.skip(f"{pkg.__name__} bundles no OpenBLAS")
+        get_threads = getattr(ctypes.CDLL(libs[0]), symbol)
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        counts[pkg.__name__] = get_threads()
+    return counts
+
+
+def spy_on_blas_threads(monkeypatch):
+    """Record the OpenBLAS thread counts each softki training call runs at."""
+    seen = []
+    train_fn, fit_fn = cli._MODELS["softki"]
+
+    def spy(data, cfg):
+        seen.append(openblas_threads())
+        return train_fn(data, cfg)
+
+    monkeypatch.setitem(cli._MODELS, "softki", (spy, fit_fn))
+    return seen
+
+
+def test_softki_threads_caps_both_blas_runtimes(tmp_path, wave_csv, monkeypatch):
+    before = openblas_threads()
+    cap = 2 if before["numpy"] == 1 else 1  # a count the runtimes do not have yet
+    seen = spy_on_blas_threads(monkeypatch)
+    monkeypatch.setenv("SOFTKI_THREADS", str(cap))
+    out = tmp_path / "run"
+    assert train_into(out, wave_csv) == 0
+    assert seen == [{"numpy": cap, "scipy": cap}]
+    report = read_report(out / "report.txt")
+    assert (report["blas_threads_numpy"], report["blas_threads_scipy"]) == (str(cap), str(cap))
+    assert openblas_threads() == before  # main restores the counts it changed
+
+
+def test_report_says_uncapped_where_a_runtime_has_no_setter(tmp_path, wave_csv, monkeypatch):
+    np_entry, scipy_entry = softki.linalg._OPENBLAS
+    monkeypatch.setattr(softki.linalg, "_OPENBLAS",
+                        (np_entry, (scipy, "no_such_symbol", scipy_entry[2])))
+    out = tmp_path / "run"
+    assert train_into(out, wave_csv) == 0
+    report = read_report(out / "report.txt")
+    assert report["blas_threads_scipy"] == "uncapped"
+    assert report["blas_threads_numpy"] == str(openblas_threads()["numpy"])
+
+
+@pytest.mark.parametrize("seeds, per_row", [("0", 2), ("0,1", 1)])
+def test_bench_keeps_workers_times_blas_threads_within_the_cap(
+        tmp_path, wave_csv, monkeypatch, seeds, per_row):
+    before = openblas_threads()
+    seen = spy_on_blas_threads(monkeypatch)
+    monkeypatch.setenv("SOFTKI_THREADS", "2")
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"suite = compare\ndata = {wave_csv}\nmodels = softki\n"
+                     f"seeds = {seeds}\nm = 6\nepochs = 1\nbatch-size = 64\n")
+    out = tmp_path / "bench"
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
+    workers = int(read_report(out / "report.txt")["workers"])
+    assert workers == len(seeds.split(","))
+    assert seen == [{"numpy": per_row, "scipy": per_row}] * workers
+    assert openblas_threads() == before
 
 
 def test_bench_row_failures_set_exit_status(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import softki.data
 from softki.data import (
     Dataset,
     Standardization,
@@ -89,6 +90,59 @@ def test_empty_inputs_rejected(tmp_path):
         load_csv(write(tmp_path, "\n\n"))
     with pytest.raises(EmptyFile):
         load_csv(write(tmp_path, "a,b\n"), header=True)
+
+
+def _outcome(read):
+    try:
+        data = read()
+    except (ValueError, EmptyFile, ParseError, DimensionMismatch) as err:
+        return type(err), str(err)
+    return data.x, data.y
+
+
+# (text, header); the first four are files where loadtxt and the row parser
+# disagree, so loadtxt must reject them and hand them to the row parser
+FAST_PATH_CASES = [
+    ("1,2\n   \n3,4\n", False),    # whitespace-only line: the row parser skips it
+    ("1_0,2\n3,4\n", False),       # python's float reads the underscore
+    ('"1",2\n3,4\n', False),       # quoted cell
+    ("1,2,\n3,4,\n", False),       # trailing comma: an empty cell
+    ("1,nan\n3,4\n", False),
+    ("1,2\n-inf,4\n", False),
+    ("1,2,3\n4,5\n", False),
+    ("a,b\n1,x\n", True),
+    ("", False),
+    ("\n\n", False),
+    ("a,b\n", True),
+    ("x,y\n 1.5 ,\t2\r\n+.5,1e-3\r\n\n", True),
+    ("1\n2\n", False),
+]
+
+
+@pytest.mark.parametrize("text, header", FAST_PATH_CASES)
+def test_load_csv_fast_path_agrees_with_the_row_parser(tmp_path, monkeypatch, text, header):
+    path = write(tmp_path, text)
+    if (text, header) in FAST_PATH_CASES[:4]:
+        assert softki.data._parse_fast(path, header) is None
+    fast = _outcome(lambda: load_csv(path, header=header))
+    monkeypatch.setattr(softki.data, "_parse_fast", lambda path, header: None)
+    rows = _outcome(lambda: load_csv(path, header=header))
+    assert type(fast[0]) is type(rows[0])
+    if isinstance(rows[0], type):
+        assert fast == rows
+    else:
+        assert np.array_equal(fast[0], rows[0]) and np.array_equal(fast[1], rows[1])
+
+
+def test_load_csv_fast_path_reads_full_precision_floats_exactly(tmp_path):
+    rng = np.random.default_rng(0)
+    table = rng.standard_normal((300, 6)) * 10.0 ** rng.integers(-300, 300, (300, 6))
+    path = tmp_path / "floats.csv"
+    np.savetxt(path, table, delimiter=",", fmt="%.17g")
+    fast = softki.data._parse_fast(path, False)
+    assert fast is not None  # the fast path took it
+    assert np.array_equal(fast, softki.data._parse_rows(path, False))
+    assert np.array_equal(fast, table)
 
 
 def test_target_column_bounds_and_single_column(tmp_path):

@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import glob
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,7 @@ def kmeans_loop_reference(x, m, seed=0, max_iters=100):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n,m,d", [(3000, 128, 2), (600, 40, 5)])
+@pytest.mark.parametrize("n,m,d", [(3000, 128, 2), (600, 40, 5), (2048, 128, 26)])
 def test_kmeans_matches_the_loop_update_bitwise(n, m, d, seed):
     x = np.random.default_rng(seed).standard_normal((n, d))
     assert np.array_equal(kmeans(x, m, seed=seed),
@@ -147,6 +148,28 @@ def test_kmeans_reseeds_empty_clusters_like_the_loop(seed):
     expected, reseeds = kmeans_loop_reference(x, 12, seed=seed)
     assert reseeds > 0
     assert np.array_equal(kmeans(x, 12, seed=seed), expected)
+
+
+def _kmeans_peak_arrays(n, m=256, d=26):
+    """kmeans's traced peak in n x m float64 arrays."""
+    x = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        kmeans(x, m, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (n * m * 8)
+
+
+def test_kmeans_builds_its_distances_in_one_buffer():
+    # 1.15 measured; 3.04 when each iteration built three n x m temporaries
+    assert _kmeans_peak_arrays(4096) <= 1.5
+
+
+def test_kmeans_peak_grows_no_faster_than_its_distance_buffer():
+    small, large = _kmeans_peak_arrays(4096), _kmeans_peak_arrays(8192)
+    assert abs(large - small) <= 0.1 * small, (small, large)
 
 
 def test_kmeans_deterministic_and_handles_duplicates():
