@@ -30,7 +30,13 @@ from .data import (
     split_raw,
     standardize,
 )
-from .errors import DimensionMismatch, InvalidConfig, SoftKIError
+from .errors import (
+    DimensionMismatch,
+    EmptySplit,
+    InvalidConfig,
+    NonFiniteResult,
+    SoftKIError,
+)
 from .linalg import blas_thread_counts, blas_thread_limit
 from .posterior import (
     DEFAULT_STUDY_METHODS,
@@ -273,7 +279,7 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     raw_tr, raw_te = _load_raw(values)
     raw = raw_tr if values["split"] == "train" else raw_te
     if len(raw) == 0:
-        raise ValueError("selected split has no points")
+        raise EmptySplit(f"the {values['split']} split of {values['data']} has no points")
     d = post.hp.z.shape[1]
     if raw.x.shape[1] != d:
         raise DimensionMismatch(f"checkpoint expects d={d}, data has d={raw.x.shape[1]}")
@@ -281,13 +287,17 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     mean, var = predict(post, xs)
     rmse, nll = score(ys, mean, var, post.hp.noise)
     rmse_raw = rmse * stats.y_std
+    metrics = (("rmse", rmse), ("nll", nll), ("rmse_raw", rmse_raw))
+    for key, value in metrics:
+        if not np.isfinite(value):
+            bad = np.count_nonzero(~(np.isfinite(mean) & np.isfinite(var)))
+            raise NonFiniteResult(
+                f"{key} is {value}; {bad} of {len(raw)} predictions are not finite")
 
     lines = _config_echo(EVAL_OPTS, values) + [
         ("variant", post.variant),
         ("n_points", len(raw)),
-        ("rmse", rmse),
-        ("nll", nll),
-        ("rmse_raw", rmse_raw),
+        *metrics,
     ]
     rpt.write_kv(outdir / "report.txt", lines)
     if values["dump-predictions"]:
@@ -297,7 +307,7 @@ def cmd_eval(values: dict, outdir: Path) -> int:
         ]
         rpt.write_csv(outdir / "predictions.csv",
                       ["index", "mean", "var", "target", "raw_mean"], rows)
-    for key, value in (("rmse", rmse), ("nll", nll), ("rmse_raw", rmse_raw)):
+    for key, value in metrics:
         print(f"{key} = {rpt.format_value(value)}")
     return 0
 

@@ -59,6 +59,14 @@ class EmptyFile(SoftKIError):
     """CSV file contains no data rows."""
 
 
+class EmptySplit(SoftKIError):
+    """The selected side of a train/test split holds no points."""
+
+
+class NonFiniteResult(SoftKIError):
+    """A computed metric is nan or inf; the message names it."""
+
+
 class ChecksumOrVersionMismatch(SoftKIError):
     """A checkpoint failed its checksum, has an unsupported version or a bad field."""
 

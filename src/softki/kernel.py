@@ -59,7 +59,11 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray) -> n
     zs = z / ell
     cross = xs @ zs.T
     cross *= 2.0
-    sq = np.add.outer(np.sum(xs * xs, axis=1), np.sum(zs * zs, axis=1))
+    # |x|^2 + |z|^2 as a broadcast copy of |z|^2 plus |x|^2 (addition commutes
+    # exactly): one broadcast operand in the ufunc instead of add.outer's two
+    sq = np.empty_like(cross)
+    np.copyto(sq, np.sum(zs * zs, axis=1))
+    sq += np.sum(xs * xs, axis=1)[:, None]
     sq -= cross
     # expanded-norm form can go slightly negative from cancellation
     np.maximum(sq, 0.0, out=sq)

@@ -315,6 +315,39 @@ def test_eval_rejects_checkpoint_with_missing_header_key(tmp_path, wave_csv):
     assert "'n'" in report["message"]
 
 
+def test_eval_rejects_an_empty_split(tmp_path, wave_csv):
+    run = tmp_path / "run"
+    assert train_into(run, wave_csv) == 0
+    out = tmp_path / "eval"
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+               "--data", str(wave_csv), "--split", "test", "--train-frac", "1",
+               "--out", str(out)])
+    assert rc == 1
+    report = read_report(out / "error.txt")
+    assert report["error"] == "EmptySplit"
+    assert "the test split" in report["message"]
+
+
+def test_eval_rejects_a_non_finite_metric(tmp_path, wave_csv):
+    # a finite cell this far out overflows the squared distance to a nan prediction
+    run = tmp_path / "run"
+    assert train_into(run, wave_csv) == 0
+    lines = wave_csv.read_text().splitlines()
+    lines[5] = ",".join(["1e200", *lines[5].split(",")[1:]])
+    far = tmp_path / "far.csv"
+    far.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "eval"
+    with np.errstate(all="ignore"):
+        rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                   "--data", str(far), "--split", "train", "--train-frac", "1",
+                   "--out", str(out)])
+    assert rc == 1
+    report = read_report(out / "error.txt")
+    assert report["error"] == "NonFiniteResult"
+    assert report["message"] == f"rmse is nan; 1 of {len(lines)} predictions are not finite"
+    assert not (out / "report.txt").exists()
+
+
 # -------------------------------------------------------------------- config
 
 

@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import softki.interp
 import softki.linalg
+import softki.posterior
 from softki import fit_qr
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
-from softki.baselines import sgpr_fit
+from softki.baselines import exact_fit, sgpr_fit
 from softki.errors import InvalidConfig, NonFiniteInput, RankDeficient
 from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.posterior import (
     DEFAULT_STUDY_METHODS,
+    FORMS,
     _solve,
     fit,
     gaussian_nll,
@@ -46,6 +49,17 @@ def make_instance(seed, n, m, d=2, noise=0.3):
         temperatures=rng.uniform(0.5, 2.0, d),
     )
     return Dataset(x, y), hp
+
+
+def fitted(variant, n, m, seed=7):
+    """A posterior of the variant; the exact GP's points are its n training inputs."""
+    data, hp = make_instance(seed, n, m)
+    if variant == "softki":
+        return fit_qr(data, hp)
+    if variant == "sgpr":
+        return sgpr_fit(data, Hyperparams(noise=hp.noise, kernel=hp.kernel, z=hp.z))
+    return exact_fit(data, Hyperparams(noise=hp.noise, kernel=hp.kernel,
+                                       z=np.empty((0, 2))))
 
 
 def dense_pieces(data, hp):
@@ -156,6 +170,86 @@ def test_non_finite_query_rows_are_rejected(variant, bad):
         predict(post, xs[3])   # a single point is row 0
     mean, var = predict(post, xs[:3])
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+
+
+# ---------------------------------------------------------- blocked prediction
+
+VARIANTS = ["softki", "sgpr", "exact"]
+BLOCK = 16
+
+
+def counted_features(monkeypatch, variant):
+    """Row counts of each feature build prediction makes for the variant."""
+    calls = []
+    phi, prior = FORMS[variant]
+
+    def counting(hp, xs):
+        calls.append(len(xs))
+        return phi(hp, xs)
+
+    monkeypatch.setitem(FORMS, variant, (counting, prior))
+    return calls
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_prediction_is_bitwise_one_block_prediction(variant, monkeypatch):
+    post = fitted(variant, n=120, m=12)
+    xs = np.random.default_rng(3).standard_normal((3 * BLOCK + 7, 2))
+    calls = counted_features(monkeypatch, variant)
+    outputs = {}
+    for block_rows in (BLOCK, len(xs)):
+        monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", block_rows)
+        outputs[block_rows] = (*predict(post, xs), predict_mean(post, xs),
+                               predict_var(post, xs))
+    assert calls == 3 * [BLOCK, BLOCK, BLOCK, 7] + 3 * [len(xs)]
+    for blocked, whole in zip(outputs[BLOCK], outputs[len(xs)]):
+        assert np.array_equal(blocked, whole)
+    mean, var = outputs[BLOCK][:2]
+    assert np.array_equal(mean, outputs[BLOCK][2])
+    assert np.array_equal(var, outputs[BLOCK][3])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_prediction_names_the_global_bad_row(variant, monkeypatch):
+    post = fitted(variant, n=120, m=12)
+    monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", BLOCK)
+    xs = np.random.default_rng(3).standard_normal((3 * BLOCK + 7, 2))
+    xs[2 * BLOCK + 1, 0] = np.nan
+    calls = counted_features(monkeypatch, variant)
+    for fn in (predict, predict_mean, predict_var):
+        with pytest.raises(NonFiniteInput, match=rf"query row {2 * BLOCK + 1} \(0-based\)"):
+            fn(post, xs)
+    assert calls == []  # checked over every row before the first block is built
+
+
+def _predict_peak(post, n):
+    xs = np.random.default_rng(4).standard_normal((n, 2))
+    predict(post, xs)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        predict(post, xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prediction_peak_does_not_grow_with_n(variant, monkeypatch):
+    # one block's feature build and phi P at a time; only the length-n mean
+    # and variance grow with the query
+    block_rows, m = 128, 256
+    monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", block_rows)
+    post = fitted(variant, n=m if variant == "exact" else 2 * m, m=m)
+    small, large = (_predict_peak(post, n) - 2 * n * 8
+                    for n in (block_rows, 8 * block_rows))
+    assert large <= 1.1 * small, (small, large)
+
+
+def test_empty_query_predicts_empty_outputs():
+    post = fitted("softki", n=40, m=6)
+    mean, var = predict(post, np.empty((0, 2)))
+    assert mean.shape == var.shape == (0,)
+    assert predict_mean(post, np.empty((0, 2))).shape == (0,)
 
 
 def test_gaussian_nll_closed_forms():
@@ -300,10 +394,22 @@ def test_fit_peak_does_not_grow_with_n(variant):
     assert large <= 1.1 * small, (small, large)
 
 
+@pytest.mark.parametrize("variant", ["softki", "sgpr"])
+def test_fit_holds_one_design_block_at_a_time(variant):
+    # each block is divided by beta in place and dropped before the next is
+    # built: 3.35-3.41 block_rows x m arrays measured, 4.9 while two blocks
+    # lived
+    block_rows, m = 256, 64
+    peak = _fit_peak(variant, 8 * block_rows, block_rows, m)
+    assert peak <= 3.5 * block_rows * m * 8, peak / (block_rows * m * 8)
+
+
 def test_stacked_qr_solve_peak_holds_one_stack():
     # the carried factor, the design block and the rhs are written into one
-    # array that LAPACK factors in place: 3.16 block_rows x m arrays measured,
-    # 6.3 when the concatenated, stacked and LAPACK-side copies all lived
+    # array that LAPACK factors in place, after the block is dropped: 2.57
+    # block_rows x m arrays measured, 3.16 while the block lived through the
+    # factorization, 6.3 when the concatenated, stacked and LAPACK-side copies
+    # all lived
     block_rows, m = 256, 64
     u_zz = np.triu(np.random.default_rng(1).standard_normal((m, m))) + 5.0 * np.eye(m)
 
@@ -319,13 +425,36 @@ def test_stacked_qr_solve_peak_holds_one_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 3.16 * block_rows * m * 8, peak / (block_rows * m * 8)
+    assert peak <= 1.1 * 2.57 * block_rows * m * 8, peak / (block_rows * m * 8)
 
 
 @pytest.mark.parametrize("n, m, key", [(400, 5, "m"), (400, 0, "m"), (20, 24, "n")])
 def test_near_degenerate_instance_names_the_bad_size(n, m, key):
     with pytest.raises(InvalidConfig, match=f"^{key} must be"):
         near_degenerate_instance(n=n, m=m)
+
+
+def test_solver_study_builds_the_instance_once(monkeypatch):
+    data, hp = near_degenerate_instance()
+    calls = []
+    forward = softki.interp.softmax_forward
+
+    def counting(x, hp):
+        calls.append(len(x))
+        return forward(x, hp)
+
+    monkeypatch.setattr(softki.interp, "softmax_forward", counting)
+    rows = solver_study(data, hp)
+    monkeypatch.undo()
+    assert calls == [len(data)]
+
+    # the qr route's alpha is bitwise the fit's stacked QR on W K_zz / beta
+    k_zz = matern32(hp.z, hp.z, hp.kernel)
+    u_zz = softki.linalg.cholesky_upper(k_zz)[0]
+    design = softmax_weights(data.x, hp) @ k_zz / hp.noise
+    r, c, _, _ = stacked_qr_solve(iter([(design, data.y / hp.noise)]), u_zz)
+    [qr] = [res for res, _ in rows if res.method == "qr"]
+    assert np.array_equal(qr.alpha, softki.linalg.tri_solve_upper(r, c))
 
 
 def test_solver_study_ranks_qr_first_on_near_degenerate_system():
