@@ -46,7 +46,6 @@ from .posterior import (
     score,
     solver_route,
     solver_study,
-    test_metrics,
 )
 from .trainer import DTYPES, TrainConfig, blas_threads, train, train_exact, train_sgpr
 
@@ -206,19 +205,31 @@ def _train_config(values: dict) -> TrainConfig:
                           for key, opt in TRAIN_OPTS.items() if opt.field})
 
 
+def _scored(post, stats, xs: np.ndarray, ys: np.ndarray):
+    """(metrics, mean, var) of post's predictions at standardized (xs, ys);
+    raises NonFiniteResult naming the first metric that is nan or inf."""
+    mean, var = predict(post, xs)
+    rmse, nll = score(ys, mean, var, post.hp.noise)
+    metrics = {"rmse": rmse, "nll": nll, "rmse_raw": rmse * stats.y_std}
+    for key, value in metrics.items():
+        if not np.isfinite(value):
+            bad = np.count_nonzero(~(np.isfinite(mean) & np.isfinite(var)))
+            raise NonFiniteResult(
+                f"{key} is {value}; {bad} of {len(ys)} predictions are not finite")
+    return metrics, mean, var
+
+
 def _train_model(values: dict, cfg: TrainConfig, train_data, test_data) -> dict:
     train_fn, fit_fn = _MODELS[values["model"]]
     hp, trace = train_fn(train_data, cfg)
     post = fit_fn(train_data, hp)
-    rmse, nll = (test_metrics(post, test_data.x, test_data.y)
-                 if len(test_data) > 0 else (float("nan"), float("nan")))
     stats = train_data.stats
+    if len(test_data) > 0:
+        metrics = _scored(post, stats, test_data.x, test_data.y)[0]
+    else:
+        metrics = dict.fromkeys(("rmse", "nll", "rmse_raw"), float("nan"))
     return {
-        "metrics": {
-            "rmse": float(rmse),
-            "nll": float(nll),
-            "rmse_raw": float(rmse) * stats.y_std,
-        },
+        "metrics": metrics,
         "trace": trace,
         "checkpoint": ckpt.Checkpoint(post, stats, len(train_data)),
     }
@@ -248,7 +259,6 @@ def cmd_train(values: dict, outdir: Path) -> int:
         ("final_objective", objectives[-1] if objectives else float("nan")),
         ("epochs_run", len(objectives)),
         ("seconds_total", float(sum(trace.epoch_seconds))),
-        ("threads", trace.threads),
         *((f"blas_threads_{name}", "uncapped" if count is None else count)
           for name, count in blas_thread_counts().items()),
         ("failed_batches", trace.failed_batches),
@@ -284,20 +294,12 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     if raw.x.shape[1] != d:
         raise DimensionMismatch(f"checkpoint expects d={d}, data has d={raw.x.shape[1]}")
     xs, ys = apply_stats(raw.x, raw.y, stats)
-    mean, var = predict(post, xs)
-    rmse, nll = score(ys, mean, var, post.hp.noise)
-    rmse_raw = rmse * stats.y_std
-    metrics = (("rmse", rmse), ("nll", nll), ("rmse_raw", rmse_raw))
-    for key, value in metrics:
-        if not np.isfinite(value):
-            bad = np.count_nonzero(~(np.isfinite(mean) & np.isfinite(var)))
-            raise NonFiniteResult(
-                f"{key} is {value}; {bad} of {len(raw)} predictions are not finite")
+    metrics, mean, var = _scored(post, stats, xs, ys)
 
     lines = _config_echo(EVAL_OPTS, values) + [
         ("variant", post.variant),
         ("n_points", len(raw)),
-        *metrics,
+        *metrics.items(),
     ]
     rpt.write_kv(outdir / "report.txt", lines)
     if values["dump-predictions"]:
@@ -307,7 +309,7 @@ def cmd_eval(values: dict, outdir: Path) -> int:
         ]
         rpt.write_csv(outdir / "predictions.csv",
                       ["index", "mean", "var", "target", "raw_mean"], rows)
-    for key, value in metrics:
+    for key, value in metrics.items():
         print(f"{key} = {rpt.format_value(value)}")
     return 0
 

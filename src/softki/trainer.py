@@ -26,10 +26,11 @@ import numpy as np
 from . import transforms
 from .baselines import exact_gp_mll, sgpr_elbo
 from .data import Dataset
-from .errors import InvalidConfig, TooFewPoints
+from .errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFewPoints
 from .interp import Hyperparams
 from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams
 from .objective import stabilized_objective
+from .posterior import DEFAULT_BLOCK_ROWS, _row_blocks
 
 NOISE_FLOOR = 1e-4
 SCALE_FLOOR = 1e-8
@@ -40,6 +41,14 @@ ADAM_EPS = 1e-8
 
 # fixed stream tags so each RNG consumer is independent of the others
 _KMEANS, _SHUFFLE, _PROBES = 11, 13, 17
+
+# Lloyd's distance block holds about 4 MiB of float64 and at least
+# DEFAULT_BLOCK_ROWS rows. glibc sets its heap trim threshold to twice the
+# largest block it has unmapped; after a 1 MiB block (1024 rows at m=128) the
+# training steps that follow k-means give their heap back and fault it in
+# again on every step (a ricker train at m=128: 349k minor faults and 3.1 s,
+# against 2.3k and 2.5 s after a 3 MiB block)
+_KMEANS_BLOCK_VALUES = 2**19
 
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
@@ -111,7 +120,6 @@ class TrainTrace:
     epoch_seconds: list = field(default_factory=list)
     mode_counts: dict = field(default_factory=lambda: {"exact": 0, "pseudoloss": 0})
     failed_batches: int = 0
-    threads: int = 1
 
 
 def blas_threads() -> int:
@@ -151,56 +159,116 @@ class Adam:
             self.params[key] = self.params[key] + lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """The column sums of a (d, n) array, bitwise equal to np.sum over the
+    rows of its C-ordered transpose (numpy's pairwise reduction of a
+    contiguous row). Overwrites rows of a and returns a view of one of them.
+
+    numpy sums fewer than 8 elements in order; up to 128 in 8 accumulators
+    r_j = a_j + a_{j+8} + ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and followed by the d mod 8 remaining elements in order; longer rows as
+    two halves split at a multiple of 8.
+    """
+    d = a.shape[0]
+    if d == 0:
+        return np.zeros(a.shape[1])
+    if d < 8:
+        for k in range(1, d):
+            a[0] += a[k]
+        return a[0]
+    if d > 128:
+        half = d // 2 - (d // 2) % 8
+        left = _row_sum(a[:half])
+        left += _row_sum(a[half:])
+        return left
+    tail = d - d % 8
+    for i in range(8, tail, 8):
+        a[:8] += a[i:i + 8]
+    a[0:8:2] += a[1:8:2]
+    a[0:8:4] += a[2:8:4]
+    a[0] += a[4]
+    for k in range(tail, d):
+        a[0] += a[k]
+    return a[0]
+
+
 def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding.
 
     Runs to an assignment fixpoint or max_iters; empty clusters are reseeded
-    to the point currently farthest from its nearest centroid.
+    to the point currently farthest from its nearest centroid. Every sum is
+    taken in the order of the plain expressions on C-ordered float64 (n, d)
+    rows, so the centroids do not depend on x's dtype or memory layout.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise InvalidConfig(f"k-means needs x as a 2-D (n, d) array, got shape {x.shape}")
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
+        raise InvalidConfig(f"k-means needs m to be an integer >= 1, got {m!r}")
+    x = np.ascontiguousarray(x, dtype=float)
+    if not np.isfinite(x).all():  # the flat test is the cheap one; rows only on failure
+        row = np.argmin(np.isfinite(x).all(axis=1))
+        raise NonFiniteInput(f"k-means row {row} (0-based) has a nan or inf")
     n = x.shape[0]
     if n < m:
         raise TooFewPoints(f"need at least {m} points, got {n}")
     rng = _rng(seed, _KMEANS)
 
-    # one n x d scratch and one length-n row serve every seeding step
+    # seeding on x^T: each step subtracts and squares whole length-n rows in
+    # one (d, n) scratch, and _row_sum adds them in numpy's (n, d) order
+    xt = np.ascontiguousarray(x.T)
+    scratch = np.empty_like(xt)
+    cdf = np.empty(n)
     centroids = np.empty((m, x.shape[1]))
-    scratch = np.empty_like(x)
-    row = np.empty(n)
-    d2 = np.empty(n)
     centroids[0] = x[rng.integers(n)]
-    np.square(np.subtract(x, centroids[0], out=scratch), out=scratch)
-    np.sum(scratch, axis=1, out=d2)
+    np.square(np.subtract(xt, centroids[0][:, None], out=scratch), out=scratch)
+    d2 = _row_sum(scratch).copy()
     for j in range(1, m):
         total = d2.sum()
+        if not math.isfinite(total):
+            raise NonFiniteResult("k-means++ squared distances overflow float64; "
+                                  "x has coordinates beyond about 1e154")
         if total <= 0:
             centroids[j] = x[rng.integers(n)]
         else:
-            centroids[j] = x[rng.choice(n, p=d2 / total)]
-        np.square(np.subtract(x, centroids[j], out=scratch), out=scratch)
-        np.minimum(d2, np.sum(scratch, axis=1, out=row), out=d2)
-    del scratch, row
+            # what rng.choice(n, p=d2 / total) runs after its checks: the same
+            # index from the same stream
+            np.cumsum(np.divide(d2, total, out=cdf), out=cdf)
+            cdf /= cdf[-1]
+            centroids[j] = x[cdf.searchsorted(rng.random(), side="right")]
+        np.square(np.subtract(xt, centroids[j][:, None], out=scratch), out=scratch)
+        np.minimum(d2, _row_sum(scratch), out=d2)
+    del scratch, cdf
 
-    # |x|^2 - (2x) c^T + |c|^2 evaluated left to right in one n x m buffer:
-    # bitwise the plain expression, which the tests' loop reference computes
-    xx = np.sum(x * x, axis=1)[:, None]
+    # |x|^2 - (2x) c^T + |c|^2 evaluated left to right, one row block at a
+    # time in one block x m buffer: bitwise the plain expression, which the
+    # tests' loop reference computes
+    xx = np.sum(x * x, axis=1)
     x2 = 2.0 * x
-    d2_all = np.empty((n, m))
-    assign = None
+    block_rows = max(DEFAULT_BLOCK_ROWS, _KMEANS_BLOCK_VALUES // m)
+    dist = np.empty((min(n, block_rows), m))
+    nearest = np.empty(n)
+    assign = np.full(n, -1, dtype=np.intp)  # argmin never yields -1
+    new_assign = np.empty(n, dtype=np.intp)
     for _ in range(max_iters):
-        np.matmul(x2, centroids.T, out=d2_all)
-        np.subtract(xx, d2_all, out=d2_all)
-        d2_all += np.sum(centroids * centroids, axis=1)
-        new_assign = np.argmin(d2_all, axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
+        cc = np.sum(centroids * centroids, axis=1)
+        for rows in _row_blocks(n, block_rows):
+            xb = x2[rows]
+            block = dist[: len(xb)]
+            np.matmul(xb, centroids.T, out=block)
+            np.subtract(xx[rows, None], block, out=block)
+            block += cc
+            np.argmin(block, axis=1, out=new_assign[rows])
+            nearest[rows] = block[np.arange(len(xb)), new_assign[rows]]
+        if np.array_equal(new_assign, assign):
             break
-        assign = new_assign
-        nearest = d2_all[np.arange(n), assign]
+        assign, new_assign = new_assign, assign
+        # bincount adds each column's weights in row order, like a loop over rows
         counts = np.bincount(assign, minlength=m)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, x)
         filled = counts > 0
-        centroids[filled] = sums[filled] / counts[filled, None]
+        for k, col in enumerate(xt):
+            sums = np.bincount(assign, weights=col, minlength=m)
+            centroids[filled, k] = sums[filled] / counts[filled]
         for j in np.flatnonzero(~filled):
             far = int(np.argmax(nearest))
             centroids[j] = x[far]
@@ -284,7 +352,7 @@ def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
     x, y = data.x, data.y
     n = y.shape[0]
     adam = Adam(raw_init(names, cfg, data), cfg.learning_rate)
-    trace = TrainTrace(threads=blas_threads())
+    trace = TrainTrace()
     step = 0
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()

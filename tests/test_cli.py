@@ -348,6 +348,24 @@ def test_eval_rejects_a_non_finite_metric(tmp_path, wave_csv):
     assert not (out / "report.txt").exists()
 
 
+def test_train_rejects_a_non_finite_test_metric(tmp_path, wave_csv):
+    # one far cell in a test row: training is unaffected, its prediction is nan
+    lines = wave_csv.read_text().splitlines()
+    test_row = np.random.default_rng(0).permutation(len(lines))[-1]  # split_raw's order
+    lines[test_row] = ",".join(["1e200", *lines[test_row].split(",")[1:]])
+    far = tmp_path / "far.csv"
+    far.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--data", str(far), "--out", str(out),
+                   "--m", "8", "--epochs", "2", "--seed", "0"])
+    assert rc == 1
+    report = read_report(out / "error.txt")
+    assert report["error"] == "NonFiniteResult"
+    assert report["message"] == "rmse is nan; 1 of 22 predictions are not finite"
+    assert not (out / "report.txt").exists()
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -372,7 +390,7 @@ def test_config_file_flags_and_report_replay_agree(tmp_path, wave_csv):
     assert rc == 0
     replay_report = read_report(replayed / "report.txt")
 
-    volatile = {"out", "seconds_total", "threads"}
+    volatile = {"out", "seconds_total"}
     for key in flags_report:
         if key in volatile or key.startswith("seconds"):
             continue
@@ -382,7 +400,8 @@ def test_config_file_flags_and_report_replay_agree(tmp_path, wave_csv):
 
 def test_report_with_a_solver_line_still_replays(tmp_path, wave_csv):
     # reports written while train had a --solver flag carry "solver = qr" and a
-    # "fit_solver = qr" line; replaying one ignores both, as it ignores outputs
+    # "fit_solver = qr" line, and older reports a "threads" line; replaying one
+    # ignores them all, as it ignores outputs
     run = tmp_path / "run"
     assert train_into(run, wave_csv) == 0
     lines = (run / "report.txt").read_text().splitlines()
@@ -390,12 +409,15 @@ def test_report_with_a_solver_line_still_replays(tmp_path, wave_csv):
                  "solver = qr")
     lines.insert(next(i for i, line in enumerate(lines) if line.startswith("fit_rows = ")) + 1,
                  "fit_solver = qr")
+    lines.insert(next(i for i, line in enumerate(lines)
+                      if line.startswith("seconds_total = ")) + 1, "threads = 1")
     old = tmp_path / "old-report.txt"
     old.write_text("\n".join(lines) + "\n")
     replayed = tmp_path / "replayed"
     assert main(["train", "--config", str(old), "--out", str(replayed)]) == 0
     assert (replayed / "checkpoint.bin").read_bytes() == (run / "checkpoint.bin").read_bytes()
-    assert "solver" not in read_report(replayed / "report.txt")
+    replay_report = read_report(replayed / "report.txt")
+    assert "solver" not in replay_report and "threads" not in replay_report
 
 
 def test_flags_override_config_file(tmp_path, wave_csv):

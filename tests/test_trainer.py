@@ -12,10 +12,12 @@ import pytest
 import scipy
 
 import softki.objective
+import softki.trainer
 from softki import TrainConfig, ricker_dataset, train, train_exact, train_sgpr
 from softki.data import Dataset
 from softki.trainer import DTYPES, OBJECTIVE_MODES
-from softki.errors import InvalidConfig, TooFewPoints
+from softki.errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFewPoints
+from softki.posterior import DEFAULT_BLOCK_ROWS
 from softki.interp import Hyperparams
 from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, matern32
 from softki.trainer import (
@@ -31,6 +33,7 @@ from softki.trainer import (
     _SHUFFLE,
     _epoch_batches,
     _rng,
+    _row_sum,
     blas_threads,
     chain,
     kmeans,
@@ -96,7 +99,10 @@ def test_kmeans_too_few_points():
 
 def kmeans_loop_reference(x, m, seed=0, max_iters=100):
     """k-means with a boolean-mask centroid update per cluster; also returns
-    the number of empty-cluster reseeds."""
+    the number of empty-cluster reseeds.
+
+    A centroid is its points' sum in row order over their count: a running
+    sum, because numpy's mean of a single column (d = 1) sums pairwise."""
     n = x.shape[0]
     rng = _rng(seed, _KMEANS)
     centroids = np.empty((m, x.shape[1]))
@@ -121,7 +127,7 @@ def kmeans_loop_reference(x, m, seed=0, max_iters=100):
         for j in range(m):
             mask = assign == j
             if mask.any():
-                centroids[j] = x[mask].mean(axis=0)
+                centroids[j] = np.cumsum(x[mask], axis=0)[-1] / np.count_nonzero(mask)
             else:
                 far = int(np.argmax(nearest))
                 centroids[j] = x[far]
@@ -131,11 +137,45 @@ def kmeans_loop_reference(x, m, seed=0, max_iters=100):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n,m,d", [(3000, 128, 2), (600, 40, 5), (2048, 128, 26)])
+@pytest.mark.parametrize("n,m,d", [
+    (3000, 128, 2), (600, 40, 5), (2048, 128, 26),
+    # every branch of the seeding's row sum: d < 8, 8 <= d <= 128 with and
+    # without a remainder, and the halving above 128
+    (1100, 24, 1), (700, 24, 7), (2048, 32, 8), (1500, 32, 9), (1025, 32, 16),
+    (1300, 16, 129), (900, 16, 300),
+    # m=512 blocks hold DEFAULT_BLOCK_ROWS rows: two and a short one
+    (2 * DEFAULT_BLOCK_ROWS + 5, 512, 26),
+])
 def test_kmeans_matches_the_loop_update_bitwise(n, m, d, seed):
     x = np.random.default_rng(seed).standard_normal((n, d))
     assert np.array_equal(kmeans(x, m, seed=seed),
                           kmeans_loop_reference(x, m, seed=seed)[0])
+
+
+# 100-row distance blocks: n below one block, and ten blocks and a short one
+@pytest.mark.parametrize("n", [61, 1025])
+@pytest.mark.parametrize("layout", ["float64", "float32", "fortran"])
+def test_kmeans_matches_the_loop_in_row_blocks(n, layout, monkeypatch):
+    monkeypatch.setattr(softki.trainer, "DEFAULT_BLOCK_ROWS", 100)
+    monkeypatch.setattr(softki.trainer, "_KMEANS_BLOCK_VALUES", 0)
+    x = np.random.default_rng(n).standard_normal((n, 11))
+    if layout == "float32":
+        x = x.astype(np.float32)
+    elif layout == "fortran":
+        x = np.asfortranarray(x)
+    # kmeans works on a C-ordered float64 copy, so the reference sees that copy
+    expected = kmeans_loop_reference(np.ascontiguousarray(x, dtype=float), 48, seed=4)[0]
+    assert np.array_equal(kmeans(x, 48, seed=4), expected)
+
+
+def test_row_sum_is_numpys_contiguous_row_reduction():
+    # a numpy that changed how it reduces a contiguous row would change the
+    # seeding's probabilities, and with them which points are drawn
+    rng = np.random.default_rng(0)
+    for d in range(1, 301):
+        a = rng.standard_normal((d, 37))
+        expected = np.sum(np.ascontiguousarray(a.T), axis=1)
+        assert np.array_equal(_row_sum(a.copy()), expected), d
 
 
 @pytest.mark.parametrize("seed", [1, 5, 15])
@@ -150,26 +190,64 @@ def test_kmeans_reseeds_empty_clusters_like_the_loop(seed):
     assert np.array_equal(kmeans(x, 12, seed=seed), expected)
 
 
-def _kmeans_peak_arrays(n, m=256, d=26):
-    """kmeans's traced peak in n x m float64 arrays."""
+def _kmeans_peak(n, m, d=26):
+    """kmeans's traced peak in bytes."""
     x = np.random.default_rng(0).standard_normal((n, d))
     tracemalloc.start()
     try:
         kmeans(x, m, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (n * m * 8)
 
 
 def test_kmeans_builds_its_distances_in_one_buffer():
-    # 1.15 measured; 3.04 when each iteration built three n x m temporaries
-    assert _kmeans_peak_arrays(4096) <= 1.5
+    # 0.48 n x m float64 arrays measured (a 2048-row block and the n x d
+    # copies); 1.15 with one n x m distance buffer, 3.04 when each iteration
+    # built three n x m temporaries
+    n, m = 8192, 256
+    assert _kmeans_peak(n, m) <= 0.5 * n * m * 8
 
 
 def test_kmeans_peak_grows_no_faster_than_its_distance_buffer():
-    small, large = _kmeans_peak_arrays(4096), _kmeans_peak_arrays(8192)
+    # less the per-row working set, x^T and 2x (26 values per row each) and
+    # five more 8-byte values per row (|x|^2, nearest distances, two
+    # assignments, 4.85 measured in all), the peak is the block x m distance
+    # buffer for any n; at m=512 a block holds DEFAULT_BLOCK_ROWS rows
+    m = 512
+    assert softki.trainer._KMEANS_BLOCK_VALUES // m == DEFAULT_BLOCK_ROWS
+
+    def peak_less_rows(n):
+        return _kmeans_peak(n, m) - (2 * 26 + 5) * n * 8
+
+    small = peak_less_rows(DEFAULT_BLOCK_ROWS)
+    large = peak_less_rows(8 * DEFAULT_BLOCK_ROWS)
     assert abs(large - small) <= 0.1 * small, (small, large)
+
+
+@pytest.mark.parametrize("x,m", [
+    (np.zeros((5, 2)), 0), (np.zeros((5, 2)), -1), (np.zeros((5, 2)), 2.0),
+    (np.zeros((5, 2)), True), (np.zeros(5), 1), (np.zeros((5, 2, 1)), 1),
+], ids=["m=0", "m=-1", "m=2.0", "m=True", "1-D", "3-D"])
+def test_kmeans_rejects_a_bad_m_or_shape(x, m):
+    with pytest.raises(InvalidConfig):
+        kmeans(x, m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points_naming_the_row(bad):
+    x = np.random.default_rng(0).standard_normal((40, 3))
+    x[17, 2] = bad
+    x[30, 0] = bad
+    with pytest.raises(NonFiniteInput, match="row 17 "):
+        kmeans(x, 4)
+
+
+def test_kmeans_rejects_distances_that_overflow():
+    x = np.random.default_rng(0).standard_normal((40, 3))
+    x[5, 1] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteResult, match="overflow"):
+        kmeans(x, 4)
 
 
 def test_kmeans_deterministic_and_handles_duplicates():
