@@ -42,7 +42,8 @@ class InvalidConfig(SoftKIError):
 
 
 class NonFiniteInput(SoftKIError):
-    """A Dataset or query points contain nan or inf; the message names the first bad row."""
+    """A Dataset, query points or z hold nan, inf or a row whose squares overflow
+    float64; the message names the first bad row."""
 
 
 class ParseError(SoftKIError):

@@ -51,6 +51,15 @@ class Hyperparams:
         if self.kernel.lengthscales.shape[0] != self.z.shape[1]:
             raise DimensionMismatch(f"{self.kernel.lengthscales.shape[0]} lengthscales "
                                     f"for d={self.z.shape[1]}")
+        # the distances of training and prediction sum these squares; a row
+        # whose sums overflow turns every prediction into nan
+        z = self.z.astype(float, copy=False)
+        with np.errstate(over="ignore"):
+            fits = (np.isfinite(np.sum(z**2, axis=1))
+                    & np.isfinite(np.sum((z / self.kernel.lengthscales)**2, axis=1)))
+        if not fits.all():
+            raise NonFiniteInput(f"z row {np.argmin(fits)} (0-based) overflows the "
+                                 "squared distance in float64")
         if self.temperatures.shape[0] not in (0, self.z.shape[1]):
             raise DimensionMismatch(
                 f"{self.temperatures.shape[0]} temperatures for d={self.z.shape[1]}"
@@ -96,7 +105,9 @@ def softmax_weights_backward(
     """Chain an upstream dL/dW through the softmax onto z and T.
 
     w and dist are ``softmax_forward(x, hp)``. Returns (g_z, g_temps).
-    Distance gradients at coincident points (d_ij = 0) are taken as 0.
+    Runs in x's dtype: z and T are cast to it, as in ``softmax_forward``, so
+    a float32 upstream gets no float64 (n, m) copy. Distance gradients at
+    coincident points (d_ij = 0) are taken as 0.
     """
     if upstream.shape != w.shape:
         raise DimensionMismatch(f"upstream shape {upstream.shape} != {w.shape}")
@@ -113,16 +124,17 @@ def softmax_weights_backward(
         a /= dist
     a[~(dist > 0)] = 0.0
 
-    temps = hp.temperatures
+    temps = hp.temperatures.astype(x.dtype)
+    z = hp.z.astype(x.dtype, copy=False)
     xt = x / temps
     arow = a.sum(axis=1)                       # (n,)
     acol = a.sum(axis=0)                       # (m,)
 
     # d logits_ij / d z_j = (xt_i - z_j) / d_ij
-    g_z = a.T @ xt - hp.z * acol[:, None]
+    g_z = a.T @ xt - z * acol[:, None]
 
     # d logits_ij / d T_c = (xt_ic - z_jc) x_ic / (d_ij T_c^2)
-    az = a @ hp.z                              # (n, d)
+    az = a @ z                                 # (n, d)
     g_t = (x * xt * arow[:, None] - x * az).sum(axis=0) / temps**2
     return g_z, g_t
 

@@ -149,6 +149,7 @@ class CGReport:
     iterations: int
     final_residual_norms: np.ndarray  # (k,) relative to each ||b_j||
     converged: bool
+    hit_cap: bool                  # max_iters ran out before the recursive residuals met tol
     history: list = field(default_factory=list)  # per-iteration max relative residual
 
 
@@ -204,8 +205,9 @@ def block_cg(
 
     final = np.linalg.norm(rhs - matvec(x), axis=0) / safe
     converged = bool(np.all(final <= tol))
+    hit_cap = bool(active.any())
     if not converged:
-        if active.any():
+        if hit_cap:
             why = f"reached its cap of {max_iters} iterations"
         else:
             why = (f"stopped after {iters} iterations: the recursive residual met "
@@ -218,5 +220,6 @@ def block_cg(
         iterations=iters,
         final_residual_norms=final,
         converged=converged,
+        hit_cap=hit_cap,
         history=history,
     )

@@ -48,15 +48,13 @@ a failed report has a nan value and none.
 
 Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
 casts x and y to ``TrainConfig.dtype`` once. The softmax forward, K_zz, the
-factorizations and the CG solves run in it; the softmax and kernel backward
-run in float64. Each ``stabilized_objective`` call builds one batch (W, its
-distances, K_zz and K_zz's e = exp(-sqrt(3) r)), which the exact attempt and
-the pseudoloss it may fall back to both read. The backward reads the same
-arrays: ``softmax_weights_backward`` the (W, dist) of ``softmax_forward`` and
+factorizations, the CG solves and the softmax and kernel backward all run in
+it. Each ``stabilized_objective`` call builds one batch (W, its distances,
+K_zz and K_zz's e = exp(-sqrt(3) r)), which the exact attempt and the
+pseudoloss it may fall back to both read. The backward reads the same arrays:
+``softmax_weights_backward`` the (W, dist) of ``softmax_forward`` and
 ``matern32_param_grads`` the (K_zz, e) of ``matern32_forward``, so each point
-set goes through each forward once. A float32 batch builds one more, float64,
-softmax and kernel forward for the backward, since its float32 distances are
-what the fallback is for.
+set goes through each forward once per call, in float32 as in float64.
 
 K_zz entries below the dtype's smallest normal (``finfo.tiny``, about 1.2e-38
 in float32) are set to 0. A Matern-3/2 value there lies more than 30 orders
@@ -186,17 +184,15 @@ def _batch(x, y, hp):
 
 
 def _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g) -> dict:
-    """Map sensitivities on (K_zz, W, beta) to parameter gradients, in float64."""
-    z = hp.z.astype(float, copy=False)
-    if x.dtype != np.float64:  # the backward runs in float64; see the module docstring
-        x = x.astype(float)
-        w, dist = softmax_forward(x, hp)
-        k_zz, e_zz = matern32_forward(z, z, hp.kernel)
-    kg = matern32_param_grads(
-        z, z, hp.kernel, k_zz, e_zz, np.asarray(g_k, dtype=float),
-        want_x=True, want_z=True,
-    )
-    z_soft, g_t = softmax_weights_backward(x, hp, w, dist, np.asarray(g_w, dtype=float))
+    """Map sensitivities on (K_zz, W, beta) to parameter gradients.
+
+    The backward runs in x's dtype on the batch's own forward, the one the
+    objective read: the kernel backward reads (K_zz, e_zz) and the softmax
+    backward (W, dist).
+    """
+    z = hp.z.astype(x.dtype, copy=False)
+    kg = matern32_param_grads(z, z, hp.kernel, k_zz, e_zz, g_k, want_x=True, want_z=True)
+    z_soft, g_t = softmax_weights_backward(x, hp, w, dist, g_w)
     return {
         "noise": 2.0 * hp.noise * float(tr_g),
         "lengthscales": kg.lengthscales,
@@ -309,6 +305,7 @@ def hutchinson_pseudoloss(
         diagnostics={
             "cg_iterations": rep.iterations,
             "cg_converged": rep.converged,
+            "cg_hit_cap": rep.hit_cap,
             "cg_max_residual": float(rep.final_residual_norms.max()),
         },
     )

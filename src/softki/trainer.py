@@ -3,10 +3,11 @@
 The loop is Algorithm-style: k-means initializes the interpolation points,
 then Adam takes ascent steps on the stabilized objective, one shuffled pass
 over the data per epoch (the last short batch is kept and normalized by its
-own size). Everything is driven by (seed, config, data), so two identical runs
-at the same BLAS thread count produce bitwise-identical parameters; a
-different thread count changes the rounding of the BLAS reductions and with it
-the trajectory.
+own size). Everything is driven by (seed, config, data), so two runs with the
+same inputs produce bitwise-identical parameters when they also share the
+BLAS thread count, the numpy, scipy and OpenBLAS builds, and the CPU kernel
+OpenBLAS picks; a change in any of these changes the rounding of the BLAS
+reductions and with it the trajectory.
 
 Optimization happens on unconstrained variables: noise, output scale and
 temperatures through softplus (plus a small floor), lengthscales through a
@@ -159,46 +160,15 @@ class Adam:
             self.params[key] = self.params[key] + lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """The column sums of a (d, n) array, bitwise equal to np.sum over the
-    rows of its C-ordered transpose (numpy's pairwise reduction of a
-    contiguous row). Overwrites rows of a and returns a view of one of them.
-
-    numpy sums fewer than 8 elements in order; up to 128 in 8 accumulators
-    r_j = a_j + a_{j+8} + ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    and followed by the d mod 8 remaining elements in order; longer rows as
-    two halves split at a multiple of 8.
-    """
-    d = a.shape[0]
-    if d == 0:
-        return np.zeros(a.shape[1])
-    if d < 8:
-        for k in range(1, d):
-            a[0] += a[k]
-        return a[0]
-    if d > 128:
-        half = d // 2 - (d // 2) % 8
-        left = _row_sum(a[:half])
-        left += _row_sum(a[half:])
-        return left
-    tail = d - d % 8
-    for i in range(8, tail, 8):
-        a[:8] += a[i:i + 8]
-    a[0:8:2] += a[1:8:2]
-    a[0:8:4] += a[2:8:4]
-    a[0] += a[4]
-    for k in range(tail, d):
-        a[0] += a[k]
-    return a[0]
-
-
 def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding.
 
     Runs to an assignment fixpoint or max_iters; empty clusters are reseeded
-    to the point currently farthest from its nearest centroid. Every sum is
-    taken in the order of the plain expressions on C-ordered float64 (n, d)
-    rows, so the centroids do not depend on x's dtype or memory layout.
+    to the point currently farthest from its nearest centroid. Lloyd's sums
+    are taken in the order of the plain expressions on C-ordered float64
+    (n, d) rows, so the centroids do not depend on x's dtype or memory
+    layout. The seeding adds each row's d squares in sequence, numpy's order
+    for d < 8; its sums only decide which rows of x become centroids.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -215,14 +185,15 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.nda
     rng = _rng(seed, _KMEANS)
 
     # seeding on x^T: each step subtracts and squares whole length-n rows in
-    # one (d, n) scratch, and _row_sum adds them in numpy's (n, d) order
+    # one (d, n) scratch and sums them down its columns
     xt = np.ascontiguousarray(x.T)
     scratch = np.empty_like(xt)
     cdf = np.empty(n)
+    row = np.empty(n)
     centroids = np.empty((m, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
     np.square(np.subtract(xt, centroids[0][:, None], out=scratch), out=scratch)
-    d2 = _row_sum(scratch).copy()
+    d2 = np.sum(scratch, axis=0)
     for j in range(1, m):
         total = d2.sum()
         if not math.isfinite(total):
@@ -237,8 +208,8 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.nda
             cdf /= cdf[-1]
             centroids[j] = x[cdf.searchsorted(rng.random(), side="right")]
         np.square(np.subtract(xt, centroids[j][:, None], out=scratch), out=scratch)
-        np.minimum(d2, _row_sum(scratch), out=d2)
-    del scratch, cdf
+        np.minimum(d2, np.sum(scratch, axis=0, out=row), out=d2)
+    del scratch, cdf, row
 
     # |x|^2 - (2x) c^T + |c|^2 evaluated left to right, one row block at a
     # time in one block x m buffer: bitwise the plain expression, which the

@@ -241,6 +241,23 @@ def test_resealed_bad_field_is_rejected(tmp_path, fitted, case):
     assert "error = ChecksumOrVersionMismatch" in error
 
 
+def test_resealed_sgpr_point_that_overflows_the_distance_is_rejected(tmp_path):
+    # loaded, the posterior would predict nan mean and variance at every query
+    train, _ = ricker_dataset(n_train=40, n_test=5, radius=2.5, seed=0)
+    hp = Hyperparams(noise=0.2, kernel=MaternParams(lengthscales=[1.0, 1.2], outputscale=0.8),
+                     z=train.x[:4])
+    path = tmp_path / "sgpr.bin"
+    save_checkpoint(path, Checkpoint(sgpr_fit(train, hp), train.stats, len(train)))
+
+    def far(flat):
+        flat[5] = 1e200                                 # z[2, 1]
+        return flat
+
+    reseal(path, arrays={"z": far})
+    with pytest.raises(ChecksumOrVersionMismatch, match=r"z row 2 \(0-based\)"):
+        load_checkpoint(path)
+
+
 def test_reseal_alone_keeps_a_valid_checkpoint(tmp_path, fitted):
     path, blob = saved_bytes(tmp_path, fitted)
     reseal(path)

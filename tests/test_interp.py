@@ -68,6 +68,19 @@ def test_record_rejects_non_finite_points():
         Hyperparams(noise=1.0, kernel=params(2), z=[[0.0, np.nan], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("coordinate, lengthscale", [(1e200, 1.0), (1e154, 0.01)])
+def test_record_rejects_points_whose_squares_overflow(coordinate, lengthscale):
+    # 1e154 overflows only once divided by the lengthscale, as the kernel does
+    z = np.zeros((3, 2))
+    z[1, 0] = coordinate
+    kernel = MaternParams(lengthscales=np.full(2, lengthscale), outputscale=1.0)
+    with pytest.raises(NonFiniteInput, match=r"z row 1 \(0-based\)"):
+        Hyperparams(noise=1.0, kernel=kernel, z=z)
+    z[1, 0] = 1e153
+    assert np.isfinite(Hyperparams(noise=1.0, kernel=MaternParams(np.ones(2), 1.0),
+                                   z=z).z).all()
+
+
 def test_record_without_temperatures_has_no_softmax_weights():
     # SGPR and the exact GP carry an empty temperature vector for any d
     hp = Hyperparams(noise=1.0, kernel=params(3), z=np.zeros((4, 3)))
@@ -269,12 +282,13 @@ def reference_backward(x, hp, w, dist, upstream):
     v = w * (upstream - rowdot[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(dist > 0, v / dist, 0.0)
-    temps = hp.temperatures
+    temps = hp.temperatures.astype(x.dtype)
+    z = hp.z.astype(x.dtype)
     xt = x / temps
     arow = a.sum(axis=1)
     acol = a.sum(axis=0)
-    g_z = a.T @ xt - hp.z * acol[:, None]
-    az = a @ hp.z
+    g_z = a.T @ xt - z * acol[:, None]
+    az = a @ z
     g_t = (x * xt * arow[:, None] - x * az).sum(axis=0) / temps**2
     return g_z, g_t
 

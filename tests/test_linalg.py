@@ -137,6 +137,7 @@ def test_cg_identity_one_iteration():
     rep = block_cg(lambda v: v, rhs, tol=1e-12)
     assert rep.iterations == 1
     assert rep.converged
+    assert not rep.hit_cap
     assert np.allclose(rep.solutions, rhs)
 
 
@@ -167,6 +168,7 @@ def test_cg_warning_names_the_iteration_cap():
         rep = block_cg(lambda v: m @ v, rng.standard_normal(40), tol=1e-12, max_iters=3)
     assert rep.iterations == 3
     assert rep.history[-1] > 1e-12
+    assert rep.hit_cap
 
 
 def test_cg_warning_names_a_recursive_residual_below_a_true_one_above_tol():
@@ -182,6 +184,7 @@ def test_cg_warning_names_a_recursive_residual_below_a_true_one_above_tol():
     assert rep.iterations < 500
     assert rep.history[-1] <= 1e-7
     assert not rep.converged
+    assert not rep.hit_cap
     assert np.all(rep.final_residual_norms > 1e-7)
 
 

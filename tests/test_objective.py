@@ -109,7 +109,9 @@ def split_cluster_batch(seed=0, n=96):
 
 
 # float32 against the float64 referee: the value to 1e-4 relative and every
-# gradient entry to 1e-3 of the largest; measured errors are 1e-5 and 1e-4
+# gradient entry to 1e-3 of the largest. Measured on split_cluster_batch, with
+# the backward in float32: value 1.1e-5, exact gradient 1.0e-4 and pseudoloss
+# gradient 3.2e-4 (1.1e-4 and 3.1e-5 with a float64 backward)
 F32_VALUE_RTOL = 1e-4
 F32_GRAD_TOL = 1e-3
 
@@ -216,35 +218,12 @@ def test_non_positive_definite_propagates():
         exact_mll(x, y, hp)  # float32 inputs: the objective runs in float32
 
 
-@pytest.mark.parametrize("dtype, forwards", [(np.float64, 1), (np.float32, 2)])
-@pytest.mark.parametrize("objective", ["lowrank", "dense", "pseudoloss"])
-def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
-    # the backward reads the objective's weights and distances; a float32
-    # batch adds one float64 forward for the backward to chain through
-    calls = []
-
-    def counting(*args):
-        calls.append(args[0].dtype)
-        return scaled_distance(*args)
-
-    monkeypatch.setattr(softki.interp, "scaled_distance", counting)
-    x, y, hp = random_instance(10, n=32, m=6)
-    x, y = x.astype(dtype), y.astype(dtype)
-    if objective == "pseudoloss":
-        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(32, 3, seed=0), **CG_DEFAULTS)
-    else:
-        rep = exact_mll(x, y, hp, path=objective)
-    assert rep.is_finite()
-    assert calls == [np.dtype(dtype)] + [np.dtype(np.float64)] * (forwards - 1)
-
-
-def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
-    # the failing float32 exact attempt and the pseudoloss read one batch;
-    # the backward adds its float64 softmax and kernel forwards
-    forwards, kernels = [], []
+def count_forwards(monkeypatch):
+    """Lists that collect the dtype of every softmax and K_zz forward."""
+    softmaxes, kernels = [], []
 
     def counting_distance(*args):
-        forwards.append(args[0].dtype)
+        softmaxes.append(args[0].dtype)
         return scaled_distance(*args)
 
     def counting_kernel(*args):
@@ -253,14 +232,36 @@ def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
 
     monkeypatch.setattr(softki.interp, "scaled_distance", counting_distance)
     monkeypatch.setattr(softki.objective, "matern32_forward", counting_kernel)
+    return softmaxes, kernels
+
+
+@pytest.mark.parametrize("dtype, forwards", [(np.float64, 1), (np.float32, 1)])
+@pytest.mark.parametrize("objective", ["lowrank", "dense", "pseudoloss"])
+def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
+    # the backward reads the objective's weights, distances and K_zz in the
+    # batch's dtype, in float32 as in float64
+    softmaxes, kernels = count_forwards(monkeypatch)
+    x, y, hp = random_instance(10, n=32, m=6)
+    x, y = x.astype(dtype), y.astype(dtype)
+    if objective == "pseudoloss":
+        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(32, 3, seed=0), **CG_DEFAULTS)
+    else:
+        rep = exact_mll(x, y, hp, path=objective)
+    assert rep.is_finite()
+    assert softmaxes == kernels == [np.dtype(dtype)] * forwards
+
+
+def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
+    # the failing float32 exact attempt, the pseudoloss and the backward all
+    # read one float32 batch
+    softmaxes, kernels = count_forwards(monkeypatch)
     x, y, hp = near_coincident_batch()
     rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="auto",
                                                      dtype="float32"))
     assert rep.mode_used == "pseudoloss"
     assert "fallback_reason" in rep.diagnostics
     assert rep.is_finite()
-    assert forwards == [np.dtype(np.float32), np.dtype(np.float64)]
-    assert kernels == [np.dtype(np.float32), np.dtype(np.float64)]
+    assert softmaxes == kernels == [np.dtype(np.float32)]
 
 
 @pytest.mark.parametrize("objective", ["lowrank", "dense", "pseudoloss", "sgpr", "exact_gp"])
@@ -435,6 +436,20 @@ def test_probes_unit_norm_and_deterministic():
 # -------------------------------------------------------------- pseudoloss
 
 
+def test_pseudoloss_reports_which_cg_stop_happened():
+    # in float32 the recursive residual meets cg_tol while the true one stays
+    # above it: unconverged, but not at the iteration cap
+    x, y, hp = split_cluster_batch()
+    probes = draw_probes(y.shape[0], 10, seed=0)
+    rep = hutchinson_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
+    assert not rep.diagnostics["cg_converged"]
+    assert not rep.diagnostics["cg_hit_cap"]
+    capped = hutchinson_pseudoloss(x, y, hp, probes, cg_tol=CG_DEFAULTS["cg_tol"],
+                                   cg_max_iters=1)
+    assert not capped.diagnostics["cg_converged"]
+    assert capped.diagnostics["cg_hit_cap"]
+
+
 def test_pseudoloss_identity_operator_value():
     # vanishing kernel leaves D = I at unit noise, so u_j = w_j exactly
     rng = np.random.default_rng(0)
@@ -519,6 +534,7 @@ def test_pseudoloss_matches_the_n_space_referee(monkeypatch, batch, dtype):
     assert rep.diagnostics == {
         "cg_iterations": cg.iterations,
         "cg_converged": cg.converged,
+        "cg_hit_cap": cg.hit_cap,
         "cg_max_residual": float(cg.final_residual_norms.max()),
     }
     value_tol, sens_tol = ((1e-12, 1e-12) if dtype == np.float64
@@ -654,3 +670,30 @@ def test_training_step_peak_allocation(objective, n, bound):
     finally:
         tracemalloc.stop()
     assert peak / (n * m * 8) <= bound
+
+
+def test_float32_fallback_peak_allocation():
+    """Peak traced allocation of a float32 stabilized call that falls back, at
+    (n, m, d) = (1024, 128, 2), in float32 (n, m) arrays.
+
+    The call peaks at 5.5 arrays. A float64 forward for the backward and a
+    float64 copy of g_w took it to 13.1, and float64 z and temperatures in the
+    softmax backward, which promote its float32 (n, m) products, to 7.1.
+    """
+    n, m = 1024, 128
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(-50.0, 50.0, (8, 2))
+    x = centers[rng.integers(8, size=n)] + 0.05 * rng.standard_normal((n, 2))
+    y = np.sin(x[:, 0] / 7.0) + np.cos(x[:, 1] / 9.0)
+    hp = Hyperparams(noise=0.1, kernel=MaternParams(np.ones(2), 1.0),
+                     z=x[rng.choice(n, m, replace=False)], temperatures=np.ones(2))
+    x, y = x.astype(np.float32), y.astype(np.float32)
+    cfg = TrainConfig(dtype="float32")
+    assert stabilized_objective(x, y, hp, cfg).mode_used == "pseudoloss"  # warms caches too
+    tracemalloc.start()
+    try:
+        stabilized_objective(x, y, hp, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * m * 4) <= 6.5
