@@ -13,7 +13,7 @@ import softki.objective
 from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.trainer import TrainConfig
 from softki.errors import InvalidConfig, NotPositiveDefinite, ObjectiveFailed
-from softki.interp import Hyperparams, softmax_weights
+from softki.interp import Hyperparams, softmax_forward, softmax_weights
 from softki.kernel import MaternParams, matern32, matern32_forward, scaled_distance
 from softki.linalg import block_cg
 from softki.objective import (
@@ -105,6 +105,21 @@ def split_cluster_batch(seed=0, n=96):
     y = np.sin(x[:, 0]) + np.cos(x[:, 1])
     hp = Hyperparams(noise=0.3, kernel=MaternParams(np.ones(2), 1.0), z=z,
                      temperatures=np.ones(2))
+    return x.astype(np.float32), y.astype(np.float32), hp
+
+
+def clustered_fallback_batch(n=1024, m=128):
+    """float32 batch of eight tight clusters whose stabilized call falls back.
+
+    Its softmax weights hold 22036 float32 subnormals out of 131072 before
+    ``_batch`` zeroes them.
+    """
+    rng = np.random.default_rng(0)
+    centers = rng.uniform(-50.0, 50.0, (8, 2))
+    x = centers[rng.integers(8, size=n)] + 0.05 * rng.standard_normal((n, 2))
+    y = np.sin(x[:, 0] / 7.0) + np.cos(x[:, 1] / 9.0)
+    hp = Hyperparams(noise=0.1, kernel=MaternParams(np.ones(2), 1.0),
+                     z=x[rng.choice(n, m, replace=False)], temperatures=np.ones(2))
     return x.astype(np.float32), y.astype(np.float32), hp
 
 
@@ -316,6 +331,17 @@ def test_batch_zeroes_k_zz_entries_below_the_smallest_normal():
     # the same points in float64 hold no subnormal, and K_zz is left as built
     x64 = x.astype(np.float64)
     assert np.array_equal(_batch(x64, y, hp)[4], matern32(hp.z, hp.z, hp.kernel))
+
+
+def test_batch_zeroes_w_entries_below_the_smallest_normal():
+    x, y, hp = clustered_fallback_batch()
+    tiny = np.finfo(np.float32).tiny
+    raw = softmax_forward(x, hp)[0]
+    assert np.any((raw > 0) & (raw < tiny))  # the case is not vacuous
+    w = _batch(x, y, hp)[2]
+    assert w.dtype == np.float32
+    assert not np.any((w > 0) & (w < tiny))
+    assert np.array_equal(w, np.where(raw < tiny, np.float32(0.0), raw))
 
 
 @pytest.mark.parametrize("path", ["lowrank", "dense"])
@@ -680,14 +706,8 @@ def test_float32_fallback_peak_allocation():
     float64 copy of g_w took it to 13.1, and float64 z and temperatures in the
     softmax backward, which promote its float32 (n, m) products, to 7.1.
     """
-    n, m = 1024, 128
-    rng = np.random.default_rng(0)
-    centers = rng.uniform(-50.0, 50.0, (8, 2))
-    x = centers[rng.integers(8, size=n)] + 0.05 * rng.standard_normal((n, 2))
-    y = np.sin(x[:, 0] / 7.0) + np.cos(x[:, 1] / 9.0)
-    hp = Hyperparams(noise=0.1, kernel=MaternParams(np.ones(2), 1.0),
-                     z=x[rng.choice(n, m, replace=False)], temperatures=np.ones(2))
-    x, y = x.astype(np.float32), y.astype(np.float32)
+    x, y, hp = clustered_fallback_batch()
+    n, m = x.shape[0], hp.z.shape[0]
     cfg = TrainConfig(dtype="float32")
     assert stabilized_objective(x, y, hp, cfg).mode_used == "pseudoloss"  # warms caches too
     tracemalloc.start()
