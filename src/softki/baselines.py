@@ -27,15 +27,28 @@ The kernel backward reads its forward, as softki's does: ``sgpr_elbo`` builds
 both pairs to ``kernel.matern32_param_grads``. ``exact_gp_mll`` builds K_XX a
 second time at its gradient instead of holding K and e through the dense
 solve.
+
+B is formed by products, not by substitution. U^-1 comes from one LAPACK
+?trtri, and B^T = U^-T K_xz^T from one in-place ?trmm on the Fortran-ordered
+transpose of B's buffer; every other product with U^-1 (P^T a, the factor of
+the K_xz sensitivity and the K_zz sensitivity) is a GEMM with it. At
+(n, m) = (3000, 128) and one BLAS thread the wide ?trsm took 4.9 ms against
+1.7 ms for ?trtri and ?trmm. The (n, m) arrays of a call live in the four
+buffers of ``sgpr_workspace``: K_xz; e, which holds the distances' cross term
+until e is written; B, which turns into the kernel backward's scratch once
+the upstream is formed; and the upstream B (Z S / beta^2) U^-T, which takes
+its rank-one term a (P^T a)^T in place by ?ger. ``trainer.train_sgpr`` makes
+one workspace and passes it to every step.
 """
 
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg.blas import dger as ger, dtrmm as trmm
 
 from . import linalg
 from .data import Dataset
-from .errors import InvalidConfig, TooLarge
+from .errors import DimensionMismatch, InvalidConfig, TooLarge
 from .interp import Hyperparams
 from .kernel import MaternParams, matern32, matern32_forward, matern32_param_grads
 from .objective import LOG_2PI, ObjectiveReport, dense_gaussian, lowrank_gaussian
@@ -44,18 +57,44 @@ from .posterior import Posterior, fit, predict_mean, predict_var, test_metrics
 EXACT_GP_MAX_POINTS = 4096
 
 
-def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
-    """Collapsed variational bound and its analytic gradients."""
+def sgpr_workspace(n: int, m: int) -> np.ndarray:
+    """The four float64 (n, m) buffers of one ``sgpr_elbo`` call on n points
+    with m inducing points, as one (4, n, m) array: K_xz, e, B and the
+    upstream sensitivity."""
+    return np.empty((4, n, m))
+
+
+def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams, *,
+              workspace: np.ndarray | None = None) -> ObjectiveReport:
+    """Collapsed variational bound and its analytic gradients.
+
+    workspace, when given, is ``sgpr_workspace(n, m)`` or another C-ordered
+    float64 (4, n, m) array, whose contents are overwritten; without it the
+    call makes one. A caller that evaluates many full batches of the same
+    size passes one workspace to every call.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
+    n, m = y.shape[0], hp.z.shape[0]
+    if workspace is None:
+        workspace = sgpr_workspace(n, m)
+    elif (workspace.shape != (4, n, m) or workspace.dtype != np.float64
+          or not workspace.flags.c_contiguous):
+        # BLAS writes into these buffers in place; a copy would be written instead
+        raise DimensionMismatch(f"workspace is {workspace.dtype} {workspace.shape}, "
+                                f"expected a C-ordered float64 {(4, n, m)} array")
+    k_xz, e_xz, b, up_xz = workspace
     beta = hp.noise
     beta2 = beta * beta
 
     k_zz, e_zz = matern32_forward(hp.z, hp.z, hp.kernel)
     u_zz, jit = linalg.cholesky_upper(k_zz)
-    k_xz, e_xz = matern32_forward(x, hp.z, hp.kernel)
-    b = linalg.tri_solve_upper(u_zz, k_xz.T, transpose=True).T
+    v = linalg.tri_inverse_upper(u_zz)                         # U^-1
+    del u_zz  # only U^-1 is read below: one m x m array less at the step's peak
+    matern32_forward(x, hp.z, hp.kernel, out=(k_xz, e_xz))
+    # B^T = U^-T K_xz^T in place on the F-ordered transpose of b's buffer
+    np.copyto(b, k_xz)
+    trmm(1.0, v, b.T, trans_a=1, overwrite_b=1)
     lr = lowrank_gaussian(b, y, None, beta2)
     log_n = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
 
@@ -65,14 +104,14 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     # G = (a a^T - D^-1)/2 and P = K_xz K_zz^-1 = B U^-T: d/dK_xz is
     # 2 G P + P / beta^2 = a (P^T a)^T + B (Z S / beta^2) U^-T and d/dK_zz is
     # -P^T G P - P^T P / (2 beta^2), with B^T D^-1 B from lowrank_gaussian
-    pa = linalg.tri_solve_upper(u_zz, lr.phi_a)                  # P^T a
-    up_xz = b @ linalg.tri_solve_upper(u_zz, lr.zs.T / beta2).T
-    del b  # freed before the n x m outer product, so the traced peak does not rise
-    up_xz += np.outer(lr.a, pa)
+    pa = v @ lr.phi_a                                          # P^T a
+    np.matmul(b, (lr.zs / beta2) @ v.T, out=up_xz)
+    ger(1.0, pa, lr.a, a=up_xz.T, overwrite_a=1)               # += a pa^T
+    # B is dead once the upstream holds it: its buffer is the backward's scratch
     g1 = matern32_param_grads(x, hp.z, hp.kernel, k_xz, e_xz, up_xz,
-                              want_x=False, want_z=True)
-    inner = linalg.tri_solve_upper(u_zz, lr.phi_dinv_phi - lr.s / beta2)
-    up_zz = 0.5 * (linalg.tri_solve_upper(u_zz, inner.T) - np.outer(pa, pa))
+                              want_x=False, want_z=True, scratch=b)
+    inner = v @ (lr.phi_dinv_phi - lr.s / beta2)
+    up_zz = 0.5 * (v @ inner.T - np.outer(pa, pa))
     g2 = matern32_param_grads(hp.z, hp.z, hp.kernel, k_zz, e_zz, up_zz,
                               want_x=True, want_z=True)
     tr_g = 0.5 * (float(lr.a @ lr.a) - lr.tr_d_inv)
@@ -85,7 +124,7 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveReport:
     }
     return ObjectiveReport(
         value=float(value), gradients=grads, mode_used="exact",
-        diagnostics={"jitter": jit, "trace_gap": trace_gap},
+        diagnostics={"jitter": jit, "jitter_inner": lr.jitter, "trace_gap": trace_gap},
     )
 
 

@@ -48,8 +48,16 @@ class MaternParams:
                 f"outputscale must be finite and > 0, got {self.outputscale}")
 
 
-def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """Pairwise ||(x_i - z_j) / ell||_2 without an (n, m, d) intermediate."""
+def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
+                    out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise ||(x_i - z_j) / ell||_2 without an (n, m, d) intermediate.
+
+    out and scratch, when given, are distinct C-ordered (n, m) arrays of x's
+    dtype: the result is written into out and the cross term into scratch,
+    which is left holding garbage. Without them both are new arrays; the
+    arithmetic is the same either way.
+    """
     x = np.asarray(x)
     z = np.asarray(z)
     if x.shape[1] != z.shape[1]:
@@ -57,11 +65,11 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray) -> n
     ell = np.asarray(lengthscales, dtype=x.dtype)
     xs = x / ell
     zs = z / ell
-    cross = xs @ zs.T
+    cross = np.matmul(xs, zs.T, out=scratch)
     cross *= 2.0
     # |x|^2 + |z|^2 as a broadcast copy of |z|^2 plus |x|^2 (addition commutes
     # exactly): one broadcast operand in the ufunc instead of add.outer's two
-    sq = np.empty_like(cross)
+    sq = np.empty_like(cross) if out is None else out
     np.copyto(sq, np.sum(zs * zs, axis=1))
     sq += np.sum(xs * xs, axis=1)[:, None]
     sq -= cross
@@ -70,12 +78,19 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray) -> n
     return np.sqrt(sq, out=sq)
 
 
-def matern32_forward(x: np.ndarray, z: np.ndarray, params: MaternParams):
+def matern32_forward(x: np.ndarray, z: np.ndarray, params: MaternParams,
+                     out: tuple | None = None):
     """(K, e) with e = exp(-sqrt(3) r): two buffers, each built once. The pair
-    is what ``matern32_param_grads`` reads."""
-    k = scaled_distance(x, z, params.lengthscales)
+    is what ``matern32_param_grads`` reads.
+
+    out, when given, is a pair of distinct C-ordered (n, m) arrays of x's
+    dtype that receive K and e; e's array holds ``scaled_distance``'s cross
+    term until e is written.
+    """
+    k_out, e_out = (None, None) if out is None else out
+    k = scaled_distance(x, z, params.lengthscales, out=k_out, scratch=e_out)
     k *= SQRT3
-    e = np.negative(k)
+    e = np.negative(k, out=e_out)
     np.exp(e, out=e)
     k += 1.0
     k *= params.outputscale
@@ -105,6 +120,7 @@ def matern32_param_grads(
     upstream: np.ndarray,
     want_x: bool = False,
     want_z: bool = True,
+    scratch: np.ndarray | None = None,
 ) -> MaternGrads:
     """Contract dK/dtheta with an upstream sensitivity matrix.
 
@@ -116,6 +132,9 @@ def matern32_param_grads(
 
     When x and z are the same points, K depends on them through both slots;
     callers pass want_x=want_z=True and add the two pieces.
+
+    scratch, when given, is a C-ordered (n, m) array of k's dtype that the
+    products with upstream are written into instead of a new one.
 
     Derivatives used (r cancels, so everything is finite at r = 0):
         dk/d ell_c = 3 s2 e^{-sqrt(3) r} (x_c - z_c)^2 / ell_c^3
@@ -135,7 +154,7 @@ def matern32_param_grads(
     s2 = params.outputscale
 
     # one scratch buffer holds each product with upstream in turn
-    w = np.multiply(k, upstream)
+    w = np.multiply(k, upstream, out=scratch)
     g_s2 = float(np.sum(w) / s2)
     np.multiply(e, 3.0 * s2, out=w)          # in e's dtype, then cast into w
     w *= upstream                            # shared factor, (n, m)

@@ -1,6 +1,6 @@
-"""Dense linear-algebra kernels: jittered Cholesky, triangular solves, and
-conjugate gradients for several right-hand sides against a black-box
-operator; and the thread counts of the BLAS runtimes they run on.
+"""Dense linear-algebra kernels: jittered Cholesky, triangular solves and
+inverses, and conjugate gradients for several right-hand sides against a
+black-box operator; and the thread counts of the BLAS runtimes they run on.
 
 Matrices are plain numpy arrays. Upper-triangular factors U satisfy
 M = U^T U (LAPACK convention, lower=False).
@@ -118,17 +118,42 @@ def cholesky_upper(m: np.ndarray):
         f"Cholesky failed for all {len(DEFAULT_JITTER_MULTIPLIERS)} jitter values")
 
 
-def tri_solve_upper(r: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve R x = b (or R^T x = b) for upper-triangular R by substitution."""
+def _check_triangular(r: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """r as an array after the checks every triangular routine here makes:
+    square, rows matching b's when given, no exact zero on the diagonal."""
     r = np.asarray(r)
-    b = np.asarray(b)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimensionMismatch(f"expected a square triangular matrix, got {r.shape}")
-    if b.shape[0] != r.shape[0]:
+    if b is not None and b.shape[0] != r.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != order {r.shape[0]}")
     if np.any(np.diagonal(r) == 0.0):
         raise SingularTriangular("exact zero on the triangular diagonal")
+    return r
+
+
+def tri_solve_upper(r: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve R x = b (or R^T x = b) for upper-triangular R by substitution."""
+    b = np.asarray(b)
+    r = _check_triangular(r, b)
     return scipy.linalg.solve_triangular(r, b, lower=False, trans="T" if transpose else "N")
+
+
+def tri_inverse_upper(r: np.ndarray) -> np.ndarray:
+    """R^-1 of an upper-triangular R, upper triangular, from one LAPACK ?trtri.
+
+    Only R's upper triangle is read; the inverse's strict lower triangle is
+    R's (zero for a Cholesky factor). Forming R^-1 once turns a wide solve
+    R^-T X into a triangular product, which runs at GEMM speed where ?trsm
+    does not. For a well-conditioned R the product is as accurate as
+    substitution (Du Croz & Higham, 1992); for an ill-conditioned one, such
+    as the factor of a jittered K_zz, it can be several times less accurate.
+    """
+    r = _check_triangular(r)
+    trtri, = scipy.linalg.get_lapack_funcs(("trtri",), (r,))
+    inv, info = trtri(r, lower=0)
+    if info > 0:
+        raise SingularTriangular(f"exact zero at diagonal entry {info - 1} (0-based)")
+    return inv
 
 
 def chol_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,9 +161,30 @@ def chol_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return tri_solve_upper(u, tri_solve_upper(u, b, transpose=True))
 
 
+# columns mirrored per step of chol_inverse: the copy's temporary stays a
+# thin (n, block) strip instead of a second n x n array
+_MIRROR_BLOCK = 256
+
+
 def chol_inverse(u: np.ndarray) -> np.ndarray:
-    """(U^T U)^-1 given the upper Cholesky factor U."""
-    return chol_solve(u, np.eye(u.shape[0], dtype=u.dtype))
+    """(U^T U)^-1 given the upper Cholesky factor U, by one LAPACK ?potri.
+
+    ?potri writes the upper triangle of the inverse; it is mirrored into the
+    lower one a block of columns at a time, so the result is exactly
+    symmetric and no second full-size temporary is made.
+    """
+    u = _check_triangular(u)
+    potri, = scipy.linalg.get_lapack_funcs(("potri",), (u,))
+    inv, info = potri(u, lower=0)
+    if info > 0:
+        raise SingularTriangular(f"exact zero at diagonal entry {info - 1} (0-based)")
+    n = inv.shape[0]
+    for j0 in range(0, n, _MIRROR_BLOCK):
+        j1 = min(j0 + _MIRROR_BLOCK, n)
+        diag = inv[j0:j1, j0:j1]
+        np.copyto(diag, diag.T, where=np.tri(j1 - j0, k=-1, dtype=bool))
+        inv[j1:, j0:j1] = inv[j0:j1, j1:].T
+    return inv
 
 
 @dataclass

@@ -78,6 +78,7 @@ stay bitwise those trained without it.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import InvalidConfig, NotPositiveDefinite, ObjectiveFailed
@@ -131,29 +132,38 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray | None,
     one): S is formed before L is applied, so its rounding grows by ||L||^2.
     Z is applied only through U_m^-T L^T and U_m^-T L^T S, never multiplied
     out, because it is huge along directions a batch barely covers.
-    l=None means L = I and skips both products with it.
+    l=None means L = I and skips both products with it; then U_m^-T comes
+    from one triangular inverse and h from a triangular product with it.
     """
     n, m = phi.shape
-    eye = np.eye(m, dtype=phi.dtype)
     s = phi.T @ phi
     if l is None:
-        l_t, lt_s, lt_s_l = eye, s, s
+        m_mat = s.copy()                                      # beta^2 I + S
+        np.fill_diagonal(m_mat, s.diagonal() + beta2)
+        u_m, jitter = linalg.cholesky_upper(m_mat)
+        del m_mat
+        u_inv = linalg.tri_inverse_upper(u_m)
+        trmm, = scipy.linalg.get_blas_funcs(("trmm",), (u_inv, s))
+        g = u_inv.T                                           # U_m^-T
+        h = trmm(1.0, u_inv, s, trans_a=1)                    # U_m^-T S
     else:
         l_t = l.T
         lt_s = l_t @ s
-        lt_s_l = lt_s @ l
-    u_m, jitter = linalg.cholesky_upper(beta2 * eye + lt_s_l)
-    g = linalg.tri_solve_upper(u_m, l_t, transpose=True)     # U_m^-T L^T
-    h = linalg.tri_solve_upper(u_m, lt_s, transpose=True)    # U_m^-T L^T S
+        u_m, jitter = linalg.cholesky_upper(beta2 * np.eye(m, dtype=phi.dtype) + lt_s @ l)
+        g = linalg.tri_solve_upper(u_m, l_t, transpose=True)     # U_m^-T L^T
+        h = linalg.tri_solve_upper(u_m, lt_s, transpose=True)    # U_m^-T L^T S
     zs = g.T @ h
     a = (y - phi @ (g.T @ (g @ (phi.T @ y)))) / beta2
+    phi_dinv_phi = h.T @ h                                    # (S - h^T h) / beta^2
+    np.subtract(s, phi_dinv_phi, out=phi_dinv_phi)
+    phi_dinv_phi /= beta2
     return LowRankGaussian(
         quad=float(y @ a),
         logdet=(n - m) * float(np.log(beta2))
         + 2.0 * float(np.sum(np.log(np.diagonal(u_m)))),
         a=a,
         phi_a=phi.T @ a,
-        phi_dinv_phi=(s - h.T @ h) / beta2,
+        phi_dinv_phi=phi_dinv_phi,
         zs=zs,
         tr_d_inv=(n - float(np.trace(zs))) / beta2,
         s=s,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import transforms
-from .baselines import exact_gp_mll, sgpr_elbo
+from .baselines import exact_gp_mll, sgpr_elbo, sgpr_workspace
 from .data import Dataset
 from .errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFewPoints
 from .interp import Hyperparams
@@ -361,9 +361,15 @@ def train(data: Dataset, cfg: TrainConfig):
 
 
 def train_sgpr(data: Dataset, cfg: TrainConfig):
-    """Full-batch SGPR training with the same loop and optimizer."""
+    """Full-batch SGPR training with the same loop and optimizer.
+
+    Every step writes its (n, m) arrays into one workspace made here, so the
+    steps allocate nothing of that size and the allocator has no large block
+    to give back and fault in again between them.
+    """
+    workspace = sgpr_workspace(len(data), cfg.m)
     return _run_loop(data, replace(cfg, batch_size=len(data)), SGPR_PARAMS,
-                     lambda xb, yb, hp, step: sgpr_elbo(xb, yb, hp))
+                     lambda xb, yb, hp, step: sgpr_elbo(xb, yb, hp, workspace=workspace))
 
 
 def train_exact(data: Dataset, cfg: TrainConfig):

@@ -286,9 +286,9 @@ def test_one_kernel_forward_per_point_set(monkeypatch, objective):
     kernel_sets, softmax_sets = [], []
 
     def spy(seen):
-        def counting(a, b, lengthscales):
+        def counting(a, b, lengthscales, **buffers):
             seen.append((a.shape[0], b.shape[0]))
-            return scaled_distance(a, b, lengthscales)
+            return scaled_distance(a, b, lengthscales, **buffers)
         return counting
 
     monkeypatch.setattr(softki.kernel, "scaled_distance", spy(kernel_sets))
