@@ -180,12 +180,14 @@ def test_elbo_matches_the_solve_route():
     assert_gradients_close(rep.gradients, grads, 1e-9)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 4, 7, 8])
+@pytest.mark.parametrize("seed", range(10))
 def test_elbo_matches_the_solve_route_on_a_jittered_k_zz(seed):
     # a repeated inducing point: K_zz is singular and factors on a jittered
-    # rung (cond(K_zz + eps I) near 1e9). The value and the kernel and noise
-    # gradients agree as on a well-conditioned K_zz. The z gradients differ by
-    # 2e-9 to 1.3e-7 of their largest entry here: over 20 such instances at
+    # rung (cond(K_zz + eps I) near 1e9); on seeds 0, 3, 5, 6 and 9 potrf
+    # passes rung 0 with a rounding-level pivot, which cholesky_upper refuses.
+    # The value and the kernel and noise gradients agree as on a
+    # well-conditioned K_zz. The z gradients differ by 1.8e-9 to 1.3e-7 of
+    # their largest entry here: over 20 such instances at
     # (n, m) = (200, 16), an 80-bit evaluation put the solve route 0.9e-9 to
     # 3e-8 of it away and the product route 1.2e-9 to 2.2e-7
     x, y, hp = random_sgpr_instance(seed, n=300, m=20)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from softki.errors import (
 )
 from softki.linalg import (
     DEFAULT_JITTER_MULTIPLIERS,
+    PIVOT_TOL,
     block_cg,
     chol_inverse,
     chol_solve,
@@ -63,6 +65,27 @@ def test_cholesky_jitter_ladder_reports_the_rung_used():
     assert eps in [mult * np.mean(np.diag(m)) for mult in DEFAULT_JITTER_MULTIPLIERS]
     assert eps > 0
     assert np.linalg.norm(u.T @ u - (m + eps * np.eye(3))) <= 1e-10 * np.linalg.norm(m)
+
+
+def test_cholesky_climbs_past_a_rounding_level_pivot():
+    # a repeated row and column make the matrix exactly singular; potrf still
+    # finishes on some of these 20 (its last pivot then sits at rounding
+    # level), and no such factor is returned
+    rung0 = 0
+    for seed in range(20):
+        b = np.random.default_rng(seed).standard_normal((19, 40))
+        idx = [*range(19), 0]
+        m = (b @ b.T / 40)[np.ix_(idx, idx)]
+        try:
+            scipy.linalg.cholesky(m, lower=False)
+            rung0 += 1
+        except scipy.linalg.LinAlgError:
+            pass
+        u, eps = cholesky_upper(m)
+        assert eps > 0
+        floor = PIVOT_TOL * 20 * np.finfo(float).eps * (np.max(np.diag(m)) + eps)
+        assert np.min(np.diag(u)) ** 2 >= floor
+    assert rung0 > 0
 
 
 def test_default_jitter_schedule_scales_with_diagonal():
