@@ -6,8 +6,9 @@ The SGPR collapsed bound on a batch is
     Q = K_xz K_zz^-1 K_zx = B B^T,    B = K_xz U^-1
 
 with U the upper Cholesky factor of K_zz. log N is the low-rank Gaussian of
-the softki likelihood with Phi = B and L = I, evaluated in m-space by
-``objective.lowrank_gaussian`` (S = B^T B and one factorization of
+the softki likelihood with Phi = B and u = None (L = I), evaluated in m-space
+by ``objective.lowrank_gaussian`` on the route softki's ``exact_mll`` takes
+too (S = B^T B, and one factorization and one triangular inverse of
 beta^2 I + S, as in Titsias, 2009); the whitened B keeps K_zz^-1 out of S.
 tr(K_xx) is n * outputscale for a stationary kernel and tr(Q) = tr(S). The
 posterior, fit by the stacked QR of ``posterior.fit`` as softki's is, uses

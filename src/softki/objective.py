@@ -6,12 +6,16 @@ row-stochastic interpolation weights. The exact marginal log likelihood
     value = -1/2 [ y^T D^-1 y + log det D + n log(2 pi) ]
 
 comes from one of two Gaussian cores. ``lowrank_gaussian`` (training, and the
-SGPR bound) takes D = Phi L L^T Phi^T + beta^2 I (softki: Phi = W, L = U_zz^T;
-SGPR: Phi = K_xz U_zz^-1, L = I), factorizes only the m-by-m
+SGPR bound) takes D = Phi L L^T Phi^T + beta^2 I, factorizes only the m-by-m
 M = beta^2 I + L^T S L with S = Phi^T Phi, and gets D^-1 y, log det D and
 D^-1 Phi = Phi (I - Z S) / beta^2, Z = L M^-1 L^T, by the Woodbury identity
-and the determinant lemma. ``dense_gaussian``, one Cholesky of a formed D,
-serves the dense referees: ``exact_mll(path="dense")`` and the exact GP.
+and the determinant lemma. Both models take one route through it: softki
+passes Phi = W and u = U_zz, K_zz's upper Cholesky factor (L = U_zz^T);
+SGPR passes the whitened Phi = K_xz U_zz^-1 and u = None (L = I). M is
+formed by triangular products, factored once and inverted once by ?trtri,
+and every product with U_m^-1 is a ?trmm. ``dense_gaussian``, one Cholesky
+of a formed D, serves the dense referees: ``exact_mll(path="dense")`` and
+the exact GP.
 
 When K_zz stops being numerically positive definite, or the exact value or
 gradient goes non-finite, a Hutchinson-style pseudoloss takes over: solve
@@ -123,35 +127,28 @@ class LowRankGaussian:
     jitter: float               # rung used to factor M
 
 
-def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, l: np.ndarray | None,
+def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
                      beta2) -> LowRankGaussian:
     """Quadratic form, log determinant and solves of a low-rank-plus-noise D.
 
-    Raises NotPositiveDefinite when M fails to factorize after the jitter
-    schedule. L must be well scaled (a Cholesky factor, not the inverse of
-    one): S is formed before L is applied, so its rounding grows by ||L||^2.
-    Z is applied only through U_m^-T L^T and U_m^-T L^T S, never multiplied
-    out, because it is huge along directions a batch barely covers.
-    l=None means L = I and skips both products with it; then U_m^-T comes
-    from one triangular inverse and h from a triangular product with it.
+    u is K_zz's upper Cholesky factor (L = U^T) or None (L = I), so L is a
+    Cholesky factor, not the inverse of one: S is formed before L is applied,
+    and its rounding grows by ||L||^2. Z is applied only through
+    g = U_m^-T U and h = U_m^-T U S, never multiplied out, because it is huge
+    along directions a batch barely covers. Raises NotPositiveDefinite when M
+    fails to factorize after the jitter schedule.
     """
     n, m = phi.shape
     s = phi.T @ phi
-    if l is None:
-        m_mat = s.copy()                                      # beta^2 I + S
-        np.fill_diagonal(m_mat, s.diagonal() + beta2)
-        u_m, jitter = linalg.cholesky_upper(m_mat)
-        del m_mat
-        u_inv = linalg.tri_inverse_upper(u_m)
-        trmm, = scipy.linalg.get_blas_funcs(("trmm",), (u_inv, s))
-        g = u_inv.T                                           # U_m^-T
-        h = trmm(1.0, u_inv, s, trans_a=1)                    # U_m^-T S
-    else:
-        l_t = l.T
-        lt_s = l_t @ s
-        u_m, jitter = linalg.cholesky_upper(beta2 * np.eye(m, dtype=phi.dtype) + lt_s @ l)
-        g = linalg.tri_solve_upper(u_m, l_t, transpose=True)     # U_m^-T L^T
-        h = linalg.tri_solve_upper(u_m, lt_s, transpose=True)    # U_m^-T L^T S
+    trmm, = scipy.linalg.get_blas_funcs(("trmm",), (s,))
+    us = s if u is None else trmm(1.0, u, s)                  # U S
+    m_mat = us.copy() if u is None else trmm(1.0, u, us, side=1, trans_a=1)  # U S U^T
+    np.fill_diagonal(m_mat, m_mat.diagonal() + beta2)
+    u_m, jitter = linalg.cholesky_upper(m_mat)
+    del m_mat
+    u_inv = linalg.tri_inverse_upper(u_m)
+    g = u_inv.T if u is None else trmm(1.0, u_inv, u, trans_a=1)   # U_m^-T U
+    h = trmm(1.0, u_inv, us, trans_a=1)                       # U_m^-T U S
     zs = g.T @ h
     a = (y - phi @ (g.T @ (g @ (phi.T @ y)))) / beta2
     phi_dinv_phi = h.T @ h                                    # (S - h^T h) / beta^2
@@ -252,7 +249,7 @@ def exact_mll(
         tr_g = float(np.trace(g))
     elif path == "lowrank":
         u_zz, diag["jitter"] = linalg.cholesky_upper(k_zz)
-        lr = lowrank_gaussian(w, y, u_zz.T, beta2)
+        lr = lowrank_gaussian(w, y, u_zz, beta2)
         diag["jitter_inner"] = lr.jitter
         a, quad, logdet = lr.a, lr.quad, lr.logdet
         g_k = 0.5 * (np.outer(lr.phi_a, lr.phi_a) - lr.phi_dinv_phi)

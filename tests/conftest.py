@@ -19,6 +19,7 @@ import time  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from softki import (  # noqa: E402
@@ -32,6 +33,8 @@ from softki import (  # noqa: E402
     train_sgpr,
 )
 from softki.errors import CGNotConvergedWarning  # noqa: E402
+from softki.linalg import cholesky_upper, tri_solve_upper  # noqa: E402
+from softki.objective import LowRankGaussian  # noqa: E402
 
 _CRITERIA = {}
 
@@ -73,6 +76,33 @@ def uci_csv_path(name: str):
     base = os.environ.get("SOFTKI_DATA_DIR", "data")
     path = Path(base) / f"{name}.csv"
     return path if path.is_file() else None
+
+
+def lowrank_gaussian_by_solves(phi, y, l, beta2):
+    """Referee for ``objective.lowrank_gaussian`` with a general L, by
+    substitution: M = beta^2 I + L^T S L from GEMMs, and g = U_m^-T L^T and
+    h = U_m^-T L^T S from two wide triangular solves against M's factor.
+    Pass L = U_zz^T for softki and L = I for SGPR's whitened Phi."""
+    n, m = phi.shape
+    s = phi.T @ phi
+    lt_s = l.T @ s
+    u_m, jitter = cholesky_upper(beta2 * np.eye(m, dtype=phi.dtype) + lt_s @ l)
+    g = tri_solve_upper(u_m, l.T, transpose=True)
+    h = tri_solve_upper(u_m, lt_s, transpose=True)
+    zs = g.T @ h
+    a = (y - phi @ (g.T @ (g @ (phi.T @ y)))) / beta2
+    return LowRankGaussian(
+        quad=float(y @ a),
+        logdet=(n - m) * float(np.log(beta2))
+        + 2.0 * float(np.sum(np.log(np.diagonal(u_m)))),
+        a=a,
+        phi_a=phi.T @ a,
+        phi_dinv_phi=(s - h.T @ h) / beta2,
+        zs=zs,
+        tr_d_inv=(n - float(np.trace(zs))) / beta2,
+        s=s,
+        jitter=jitter,
+    )
 
 
 # 2-D wavelet protocol: m = 128 k-means interpolation points, 100 epochs.

@@ -9,6 +9,7 @@ import pytest
 import softki.baselines
 import softki.objective
 import softki.posterior
+from conftest import lowrank_gaussian_by_solves
 from softki import TrainConfig, fit_qr, train_exact
 from softki import test_metrics as softki_metrics
 from softki.baselines import (
@@ -25,7 +26,7 @@ from softki.errors import DimensionMismatch, InvalidConfig, TooLarge
 from softki.interp import Hyperparams
 from softki.kernel import MaternParams, matern32, matern32_forward, matern32_param_grads
 from softki.linalg import cholesky_upper, tri_solve_upper
-from softki.objective import LOG_2PI, exact_mll, lowrank_gaussian
+from softki.objective import LOG_2PI, exact_mll
 from softki.posterior import predict_mean, predict_var
 
 
@@ -137,15 +138,15 @@ def test_elbo_gradients_match_central_differences():
 
 def sgpr_elbo_by_solves(x, y, hp):
     """(value, gradients, jitter) of the bound by triangular solves: B and
-    every product with U_zz^-1 by substitution, and lowrank_gaussian with an
-    explicit L = I, whose solves against I and S are the former l=None route."""
+    every product with U_zz^-1 by substitution, and the m-space by
+    ``lowrank_gaussian_by_solves`` with an explicit L = I."""
     n, m = y.shape[0], hp.z.shape[0]
     beta2 = hp.noise * hp.noise
     k_zz, e_zz = matern32_forward(hp.z, hp.z, hp.kernel)
     u_zz, jit = cholesky_upper(k_zz)
     k_xz, e_xz = matern32_forward(x, hp.z, hp.kernel)
     b = tri_solve_upper(u_zz, k_xz.T, transpose=True).T
-    lr = lowrank_gaussian(b, y, np.eye(m), beta2)
+    lr = lowrank_gaussian_by_solves(b, y, np.eye(m), beta2)
     trace_gap = n * hp.kernel.outputscale - float(np.trace(lr.s))
     value = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI) - trace_gap / (2.0 * beta2)
     pa = tri_solve_upper(u_zz, lr.phi_a)
@@ -226,8 +227,8 @@ def test_elbo_rejects_a_workspace_it_cannot_write_in_place(workspace):
 def test_elbo_reports_the_inner_jitter_rung(monkeypatch):
     seen = []
 
-    def marked(phi, y, l, beta2):
-        lr = replace(softki.objective.lowrank_gaussian(phi, y, l, beta2), jitter=0.25)
+    def marked(phi, y, u, beta2):
+        lr = replace(softki.objective.lowrank_gaussian(phi, y, u, beta2), jitter=0.25)
         seen.append(lr.jitter)
         return lr
 
@@ -303,9 +304,9 @@ def test_lowrank_objectives_share_lowrank_gaussian(monkeypatch):
     calls = []
     original = softki.objective.lowrank_gaussian
 
-    def counting(phi, y, l, beta2):
+    def counting(phi, y, u, beta2):
         calls.append(phi.shape)
-        return original(phi, y, l, beta2)
+        return original(phi, y, u, beta2)
 
     monkeypatch.setattr(softki.objective, "lowrank_gaussian", counting)
     monkeypatch.setattr(softki.baselines, "lowrank_gaussian", counting)

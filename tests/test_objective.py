@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import softki.interp
 import softki.kernel
+import softki.linalg
 import softki.objective
+from conftest import lowrank_gaussian_by_solves
 from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.trainer import TrainConfig
 from softki.errors import InvalidConfig, NotPositiveDefinite, ObjectiveFailed
@@ -186,20 +188,21 @@ def test_lowrank_and_dense_paths_agree(seed):
 
 @pytest.mark.parametrize("form", ["softki", "sgpr"])
 def test_lowrank_gaussian_matches_dense_algebra(form):
-    # softki: Phi = W, L = U_zz^T; sgpr: Phi = K_xz, L = U_zz^-1
+    # as the objectives call it: softki Phi = W with u = U_zz (L = U_zz^T);
+    # sgpr the whitened Phi = K_xz U_zz^-1 with u = None (L = I)
     x, y, hp = random_instance(3, n=15, m=6)
     k_zz = matern32(hp.z, hp.z, hp.kernel)
     u_zz = np.linalg.cholesky(k_zz).T
     if form == "softki":
-        phi, l = softmax_weights(x, hp), u_zz.T
+        phi, u, l = softmax_weights(x, hp), u_zz, u_zz.T
     else:
-        phi, l = matern32(x, hp.z, hp.kernel), np.linalg.inv(u_zz)
+        phi, u, l = matern32(x, hp.z, hp.kernel) @ np.linalg.inv(u_zz), None, np.eye(6)
     beta2 = hp.noise**2
     d_mat = phi @ l @ l.T @ phi.T + beta2 * np.eye(15)
     d_inv = np.linalg.inv(d_mat)
     a = d_inv @ y
 
-    lr = lowrank_gaussian(phi, y, l, beta2)
+    lr = lowrank_gaussian(phi, y, u, beta2)
     assert lr.quad == pytest.approx(y @ a, rel=1e-10)
     assert lr.logdet == pytest.approx(np.linalg.slogdet(d_mat)[1], rel=1e-10)
     assert lr.tr_d_inv == pytest.approx(np.trace(d_inv), rel=1e-10)
@@ -209,6 +212,109 @@ def test_lowrank_gaussian_matches_dense_algebra(form):
     assert np.allclose(phi @ r, d_inv @ phi, rtol=1e-9, atol=1e-12)
     assert np.allclose(lr.phi_dinv_phi, phi.T @ d_inv @ phi, rtol=1e-9, atol=1e-12)
     assert np.allclose(lr.s, phi.T @ phi, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("form", ["softki", "sgpr"])
+def test_lowrank_gaussian_inverts_its_m_factor_once(monkeypatch, form):
+    # one route for both models: U_m^-1 from one triangular inverse and
+    # every product with it a triangular product, with no substitution
+    calls = []
+    for name in ("tri_inverse_upper", "tri_solve_upper"):
+        original = getattr(softki.linalg, name)
+        monkeypatch.setattr(softki.linalg, name,
+                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    x, y, hp = random_instance(3, n=15, m=6)
+    u_zz = np.linalg.cholesky(matern32(hp.z, hp.z, hp.kernel)).T
+    if form == "softki":
+        phi, u = softmax_weights(x, hp), u_zz
+    else:
+        phi, u = matern32(x, hp.z, hp.kernel) @ np.linalg.inv(u_zz), None
+    lowrank_gaussian(phi, y, u, hp.noise**2)
+    assert calls == ["tri_inverse_upper"]
+
+
+def exact_mll_by_solves(monkeypatch, x, y, hp):
+    """exact_mll with its m-space taken by ``lowrank_gaussian_by_solves``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(softki.objective, "lowrank_gaussian",
+                      lambda phi, y, u, beta2: lowrank_gaussian_by_solves(phi, y, u.T, beta2))
+        return exact_mll(x, y, hp)
+
+
+def test_exact_mll_matches_the_solve_route(monkeypatch):
+    # well-conditioned batch; measured: value equal, gradients 8.6e-14 of
+    # their largest entry apart
+    x, y, hp = random_instance(7, n=400, m=24, noise=0.3)
+    want = exact_mll_by_solves(monkeypatch, x, y, hp)
+    got = exact_mll(x, y, hp)
+    assert got.diagnostics == want.diagnostics
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    for name, g in want.gradients.items():
+        scale = np.max(np.abs(g))
+        assert np.max(np.abs(got.gradients[name] - g)) <= 1e-9 * scale, name
+
+
+def _cholesky_ld(a):
+    """Lower Cholesky factor of a small SPD matrix, in a's (extended) precision."""
+    lo = np.zeros_like(a)
+    for j in range(a.shape[0]):
+        lo[j, j] = np.sqrt(a[j, j] - lo[j, :j] @ lo[j, :j])
+        lo[j + 1:, j] = (a[j + 1:, j] - lo[j + 1:, :j] @ lo[j, :j]) / lo[j, j]
+    return lo
+
+
+def _chol_solve_ld(lo, b):
+    """(lo lo^T)^-1 b by substitution, in the operands' (extended) precision."""
+    x = b.copy()
+    for i in range(len(x)):
+        x[i] = (x[i] - lo[i, :i] @ x[:i]) / lo[i, i]
+    for i in reversed(range(len(x))):
+        x[i] = (x[i] - lo[i + 1:, i] @ x[i + 1:]) / lo[i, i]
+    return x
+
+
+def exact_gradients_80bit(x, y, hp):
+    """exact_mll's gradients from sensitivities taken in 80-bit extended
+    precision: D^-1 by Woodbury, with K_zz and M factored in np.longdouble."""
+    batch = _batch(x, y, hp)
+    _, y, w, dist, k_zz, e_zz = batch
+    w_, k, y_ = (a.astype(np.longdouble) for a in (w, k_zz, y))
+    beta2 = np.longdouble(hp.noise) ** 2
+    n, m = w.shape
+    lo = _cholesky_ld(k)
+    s = w_.T @ w_
+    l_m = _cholesky_ld(beta2 * np.eye(m, dtype=np.longdouble) + lo.T @ s @ lo)
+
+    def d_inv(v):                       # (v - W L M^-1 L^T W^T v) / beta^2
+        return (v - w_ @ (lo @ _chol_solve_ld(l_m, lo.T @ (w_.T @ v)))) / beta2
+
+    a, d_inv_w = d_inv(y_), d_inv(w_)
+    wa = w_.T @ a
+    g_k = 0.5 * (np.outer(wa, wa) - w_.T @ d_inv_w)
+    g_w = np.outer(a, wa @ k) - d_inv_w @ k
+    tr_d_inv = (n - np.trace(lo @ _chol_solve_ld(l_m, lo.T @ s))) / beta2
+    tr_g = 0.5 * (a @ a - tr_d_inv)
+    return softki.objective._assemble_gradients(
+        x, hp, w, dist, k_zz, e_zz, g_k.astype(float), g_w.astype(float), float(tr_g))
+
+
+def test_exact_mll_on_an_ill_conditioned_m_keeps_the_solve_routes_accuracy(monkeypatch):
+    # noise 1e-4: M = beta^2 I + U S U^T is ill-conditioned, and neither
+    # route's gradients come within 1e-9 of the other's (here 2.8e-6 of the
+    # largest z entry) or of an 80-bit evaluation. Measured against the
+    # latter: the product route 6.7e-6 of the largest entry, the solve route
+    # 4.1e-6; the values agree to 2.1e-16
+    x, y, hp = random_instance(7, n=400, m=24, noise=1e-4)
+    want = exact_mll_by_solves(monkeypatch, x, y, hp)
+    got = exact_mll(x, y, hp)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    truth = exact_gradients_80bit(x, y, hp)
+
+    def worst(grads):
+        return max(np.max(np.abs(grads[name] - g)) / np.max(np.abs(g))
+                   for name, g in truth.items())
+
+    assert worst(got.gradients) <= 4.0 * worst(want.gradients)
 
 
 def test_dense_gaussian_matches_numpy_and_climbs_the_jitter_ladder():
