@@ -38,7 +38,7 @@ import scipy.linalg
 
 from . import linalg
 from .data import Dataset
-from .errors import InvalidConfig, NonFiniteInput, RankDeficient
+from .errors import InvalidConfig, NonFiniteInput, NonFiniteResult, RankDeficient
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
 
@@ -87,6 +87,8 @@ def stacked_qr_solve(blocks, u_zz: np.ndarray):
     Returns (r, projected_rhs, residual_norm, diag) where r is (m, m) upper,
     R alpha = projected_rhs is the least-squares solution, and residual_norm
     = |rho| is the accumulated orthogonal-complement magnitude of the rhs.
+    Raises NonFiniteResult when the carried triangle is not finite, which a
+    nan or inf in any design row or target leaves behind.
     """
     m = u_zz.shape[0]
     carry = np.zeros((m + 1, m + 1), dtype=u_zz.dtype, order="F")
@@ -120,6 +122,9 @@ def stacked_qr_solve(blocks, u_zz: np.ndarray):
         carry = tpqrt(0, inner, carry, stack, overwrite_a=1, overwrite_b=1)[0]
         del stack
 
+    if not np.isfinite(carry).all():
+        raise NonFiniteResult("stacked QR factor is not finite: a design row "
+                              "or target held a nan or inf")
     r = np.triu(carry[:m, :m])
     d = np.abs(np.diagonal(r))
     if d.size == 0 or np.any(d < linalg.RANK_TOL * d.max()):

@@ -16,7 +16,7 @@ from softki import fit_qr
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
 from softki.baselines import exact_fit, sgpr_fit
-from softki.errors import InvalidConfig, NonFiniteInput, RankDeficient
+from softki.errors import InvalidConfig, NonFiniteInput, NonFiniteResult, RankDeficient
 from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.posterior import (
@@ -282,6 +282,30 @@ def test_rank_deficient_stack_is_rejected():
     blocks = iter([(np.zeros((3, 2)), np.zeros(3))])
     with pytest.raises(RankDeficient):
         stacked_qr_solve(blocks, np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["design", "target"])
+def test_non_finite_rows_are_named_not_passed_to_scipy(where, bad):
+    rng = np.random.default_rng(0)
+    blocks = [(rng.standard_normal((5, 3)), rng.standard_normal(5)) for _ in range(2)]
+    if where == "design":
+        blocks[1][0][2, 1] = bad
+    else:
+        blocks[1][1][4] = bad
+    with pytest.raises(NonFiniteResult, match="design row or target held a nan or inf"):
+        stacked_qr_solve(iter(blocks), np.eye(3))
+
+
+@pytest.mark.parametrize("temperature", [1e-160, 1e-200, 1e-300])
+def test_fit_with_overflowing_temperatures_raises_a_softki_error(temperature):
+    # the softmax of these temperatures overflows to nan weights, which
+    # used to reach scipy's finiteness check as a bare ValueError
+    data, hp = make_instance(3, 50, 6)
+    hp = Hyperparams(noise=hp.noise, kernel=hp.kernel, z=hp.z,
+                     temperatures=np.full(2, temperature))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResult):
+        fit_qr(data, hp)
 
 
 def test_streaming_blocks_bound_memory_and_count_rows():
