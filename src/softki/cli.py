@@ -37,7 +37,7 @@ from .errors import (
     NonFiniteResult,
     SoftKIError,
 )
-from .linalg import blas_thread_counts, blas_thread_limit
+from .linalg import blas_thread_counts, blas_thread_limit, blas_threads
 from .posterior import (
     DEFAULT_STUDY_METHODS,
     fit,
@@ -47,7 +47,7 @@ from .posterior import (
     solver_route,
     solver_study,
 )
-from .trainer import DTYPES, TrainConfig, blas_threads, train, train_exact, train_sgpr
+from .trainer import DTYPES, TrainConfig, train, train_exact, train_sgpr
 
 
 def _to_bool(text: str) -> bool:

@@ -1,6 +1,7 @@
 """Dense linear-algebra kernels: jittered Cholesky, triangular solves and
 inverses, and conjugate gradients for several right-hand sides against a
-black-box operator; and the thread counts of the BLAS runtimes they run on.
+black-box operator; and the thread policy of the BLAS runtimes they run on:
+the count the environment asks for, a scoped cap, and the counts read back.
 
 Matrices are plain numpy arrays. Upper-triangular factors U satisfy
 M = U^T U (LAPACK convention, lower=False).
@@ -8,6 +9,7 @@ M = U^T U (LAPACK convention, lower=False).
 
 import ctypes
 import glob
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,6 +89,21 @@ def blas_thread_limit(threads: int | None):
     finally:
         for name, (setter, _) in found.items():
             setter(before[name])
+
+
+def blas_threads() -> int:
+    """The first positive integer among SOFTKI_THREADS, OPENBLAS_NUM_THREADS
+    and OMP_NUM_THREADS, else the CPU count."""
+    for var in ("SOFTKI_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        val = os.environ.get(var)
+        if val:
+            try:
+                threads = int(val)
+            except ValueError:
+                continue
+            if threads >= 1:
+                return threads
+    return os.cpu_count() or 1
 
 
 def default_jitter_schedule(m: np.ndarray) -> list[float]:

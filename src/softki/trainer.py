@@ -18,7 +18,6 @@ optimizes.
 
 import math
 import numbers
-import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -121,21 +120,6 @@ class TrainTrace:
     epoch_seconds: list = field(default_factory=list)
     mode_counts: dict = field(default_factory=lambda: {"exact": 0, "pseudoloss": 0})
     failed_batches: int = 0
-
-
-def blas_threads() -> int:
-    """The first positive integer among SOFTKI_THREADS, OPENBLAS_NUM_THREADS
-    and OMP_NUM_THREADS, else the CPU count."""
-    for var in ("SOFTKI_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        val = os.environ.get(var)
-        if val:
-            try:
-                threads = int(val)
-            except ValueError:
-                continue
-            if threads >= 1:
-                return threads
-    return os.cpu_count() or 1
 
 
 class Adam:

@@ -20,6 +20,7 @@ from softki.errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFew
 from softki.posterior import DEFAULT_BLOCK_ROWS
 from softki.interp import Hyperparams
 from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, matern32
+from softki.linalg import blas_threads
 from softki.trainer import (
     EXACT_PARAMS,
     NOISE_FLOOR,
@@ -33,7 +34,6 @@ from softki.trainer import (
     _SHUFFLE,
     _epoch_batches,
     _rng,
-    blas_threads,
     chain,
     kmeans,
 )
