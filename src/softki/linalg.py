@@ -37,7 +37,7 @@ RANK_TOL = 1e-12
 # Numerical Algorithms", 2nd ed., ch. 10): K_zz with one inducing point
 # repeated factored at rung 0 on 5 of 10 (n, m) = (300, 20) instances, with
 # pivots at 0.029-0.042 of the bound; the smallest pivot any float64
-# benchmark training factor took (sub-seeds 100-102) stood at 1.5e6 of it
+# benchmark training factor took (sub-seeds 100-102) stood at 1.2e6 of it
 PIVOT_TOL = 1.0
 
 

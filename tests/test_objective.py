@@ -186,17 +186,21 @@ def test_lowrank_and_dense_paths_agree(seed):
                        rtol=1e-6, atol=1e-9)
 
 
+def lowrank_inputs(form, x, hp):
+    """(Phi, u, L) as the objectives pass them to lowrank_gaussian: softki
+    Phi = W with u = U_zz (L = U_zz^T); sgpr the whitened Phi = K_xz U_zz^-1
+    with u = None (L = I)."""
+    u_zz = np.linalg.cholesky(matern32(hp.z, hp.z, hp.kernel)).T
+    if form == "softki":
+        return softmax_weights(x, hp), u_zz, u_zz.T
+    m = hp.z.shape[0]
+    return matern32(x, hp.z, hp.kernel) @ np.linalg.inv(u_zz), None, np.eye(m)
+
+
 @pytest.mark.parametrize("form", ["softki", "sgpr"])
 def test_lowrank_gaussian_matches_dense_algebra(form):
-    # as the objectives call it: softki Phi = W with u = U_zz (L = U_zz^T);
-    # sgpr the whitened Phi = K_xz U_zz^-1 with u = None (L = I)
     x, y, hp = random_instance(3, n=15, m=6)
-    k_zz = matern32(hp.z, hp.z, hp.kernel)
-    u_zz = np.linalg.cholesky(k_zz).T
-    if form == "softki":
-        phi, u, l = softmax_weights(x, hp), u_zz, u_zz.T
-    else:
-        phi, u, l = matern32(x, hp.z, hp.kernel) @ np.linalg.inv(u_zz), None, np.eye(6)
+    phi, u, l = lowrank_inputs(form, x, hp)
     beta2 = hp.noise**2
     d_mat = phi @ l @ l.T @ phi.T + beta2 * np.eye(15)
     d_inv = np.linalg.inv(d_mat)
@@ -219,16 +223,19 @@ def test_lowrank_gaussian_inverts_its_m_factor_once(monkeypatch, form):
     # one route for both models: U_m^-1 from one triangular inverse and
     # every product with it a triangular product, with no substitution
     calls = []
-    for name in ("tri_inverse_upper", "tri_solve_upper"):
+
+    def spy(name):
         original = getattr(softki.linalg, name)
-        monkeypatch.setattr(softki.linalg, name,
-                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("tri_inverse_upper", "tri_solve_upper"):
+        monkeypatch.setattr(softki.linalg, name, spy(name))
     x, y, hp = random_instance(3, n=15, m=6)
-    u_zz = np.linalg.cholesky(matern32(hp.z, hp.z, hp.kernel)).T
-    if form == "softki":
-        phi, u = softmax_weights(x, hp), u_zz
-    else:
-        phi, u = matern32(x, hp.z, hp.kernel) @ np.linalg.inv(u_zz), None
+    phi, u, _ = lowrank_inputs(form, x, hp)
     lowrank_gaussian(phi, y, u, hp.noise**2)
     assert calls == ["tri_inverse_upper"]
 
