@@ -31,15 +31,6 @@ DEFAULT_JITTER_MULTIPLIERS = (0.0, 1e-8, 1e-6, 1e-4)
 
 RANK_TOL = 1e-12
 
-# a rung's factor is trusted only if min diag(U)^2 >= PIVOT_TOL * m * eps *
-# max diag(A), A the matrix factored and eps its dtype's machine epsilon. A
-# pivot below it is rounding, not rank (Higham, "Accuracy and Stability of
-# Numerical Algorithms", 2nd ed., ch. 10): K_zz with one inducing point
-# repeated factored at rung 0 on 5 of 10 (n, m) = (300, 20) instances, with
-# pivots at 0.029-0.042 of the bound; the smallest pivot any float64
-# benchmark training factor took (sub-seeds 100-102) stood at 1.2e6 of it
-PIVOT_TOL = 1.0
-
 
 # (package, thread-count setter, getter) of the OpenBLAS builds that numpy and
 # scipy each bundle; OpenBLAS reads OPENBLAS_NUM_THREADS only when it loads
@@ -116,11 +107,15 @@ def default_jitter_schedule(m: np.ndarray) -> list[float]:
 def cholesky_upper(m: np.ndarray):
     """Upper Cholesky factor of an SPD matrix with a jitter escalation ladder.
 
-    Tries M + eps*I for each eps of ``default_jitter_schedule`` (relative
+    Tries A = M + eps*I for each eps of ``default_jitter_schedule`` (relative
     rungs {0, 1e-8, 1e-6, 1e-4} times mean(diag M)) and returns ``(U, eps_used)``
-    for the first factorization that succeeds with every pivot above
-    rounding (``PIVOT_TOL``). Raises NotPositiveDefinite if every rung fails
-    or the input is not finite.
+    for the first factorization that succeeds with min diag(U)^2 >= m *
+    macheps * max diag(A), macheps the dtype's machine epsilon: a smaller
+    pivot is rounding, not rank (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., ch. 10), as when an inducing point is repeated and
+    K_zz is singular. A rung that leaves the diagonal unchanged (1e-8 in
+    float32) is skipped, as it would refactor the same matrix. Raises
+    NotPositiveDefinite if every rung fails or the input is not finite.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -133,10 +128,15 @@ def cholesky_upper(m: np.ndarray):
     a = np.add(m, m.T, dtype=np.result_type(m, 0.5))
     a *= 0.5
     diag = a.diagonal().copy()
-    tol = PIVOT_TOL * a.shape[0] * np.finfo(a.dtype).eps
+    tol = a.shape[0] * np.finfo(a.dtype).eps
     top = diag.max(initial=0.0)
+    tried = None
     for eps in default_jitter_schedule(a):
-        np.fill_diagonal(a, diag + eps)
+        rung = diag + eps
+        if tried is not None and np.array_equal(rung, tried):
+            continue
+        tried = rung
+        np.fill_diagonal(a, rung)
         try:
             u = scipy.linalg.cholesky(a, lower=False)
         except scipy.linalg.LinAlgError:

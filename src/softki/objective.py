@@ -51,32 +51,32 @@ Gradients are a dict keyed by ``trainer.PARAMS`` names, in constrained space;
 a failed report has a nan value and none.
 
 Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
-casts x and y to ``TrainConfig.dtype`` once. The softmax forward, K_zz, the
-factorizations, the CG solves and the softmax and kernel backward all run in
-it. Each ``stabilized_objective`` call builds one batch (W, its distances,
-K_zz and K_zz's e = exp(-sqrt(3) r)), which the exact attempt and the
-pseudoloss it may fall back to both read. The backward reads the same arrays:
+casts x and y to ``TrainConfig.dtype`` once. The softmax forward, K_zz and
+its factor, every n-by-m product, the CG solves and the softmax and kernel
+backward run in it. ``lowrank_gaussian``'s m-space runs in float64: in
+float32 ricker's beta^2 (about 2.5e-5) lies under M's rounding, and training
+at the ricker-m128 config ended above 1e-2 test RMSE on 32 of 36 sub-seeds
+with that m-space in float32 and on 8 of 36 with it in float64.
+Each ``stabilized_objective`` call builds one batch (W, its distances, K_zz
+and K_zz's e = exp(-sqrt(3) r)), which the exact attempt and the pseudoloss
+it may fall back to both read. The backward reads the same arrays:
 ``softmax_weights_backward`` the (W, dist) of ``softmax_forward`` and
 ``matern32_param_grads`` the (K_zz, e) of ``matern32_forward``, so each point
 set goes through each forward once per call, in float32 as in float64.
 
-K_zz entries below the dtype's smallest normal (``finfo.tiny``, about 1.2e-38
-in float32) are set to 0. A Matern-3/2 value there lies more than 30 orders
-of magnitude under the diagonal, and OpenBLAS's float32 GEMM slows to a crawl
-on subnormal operands: W @ K_zz at (1024, 128) with one BLAS thread takes
-23 ms on a clustered float32 batch holding 1112 subnormal entries, and 2.2 ms
-with them zeroed. Every entry of W and of a unit-norm probe is at most 1 in
-absolute value, so each product term this drops is below finfo.tiny in
-absolute value. W's entries below finfo.tiny are zeroed the same way: a
-softmax weight there belongs to a point far outside the row's reach, and each
-dropped term of W K_zz is below tiny * outputscale, since no K_zz entry
-exceeds the outputscale. On a clustered float32 batch at (1024, 128) whose W
-holds 22036 subnormal entries of 131072, a stabilized call that falls back
-(17 CG iterations) took 144-153 ms with them and 10-11 ms without, at one
-BLAS thread. In float64 finfo.tiny is 2.2e-308, which no K_zz entry of a
-ricker-m128 or wide-m512 benchmark training batch reaches; with W zeroed too,
-the hyperparameters all four benchmark workloads train on sub-seeds 100-102
-stay bitwise those trained without it.
+K_zz and W entries below the dtype's smallest normal (``finfo.tiny``, about
+1.2e-38 in float32) are set to 0: OpenBLAS's float32 GEMM slows to a crawl on
+subnormal operands. W @ K_zz at (1024, 128) with one BLAS thread takes 23 ms
+on a clustered float32 batch holding 1112 subnormal K_zz entries, and 2.2 ms
+with them zeroed; a stabilized call that falls back (17 CG iterations) on a
+batch whose W holds 22036 subnormal entries of 131072 took 144-153 ms with
+them and 10-11 ms without. A Matern-3/2 value there lies more than 30 orders
+of magnitude under the diagonal, and a softmax weight there belongs to a
+point far outside the row's reach. Every entry of W and of a unit-norm probe
+is at most 1 in absolute value and no K_zz entry exceeds the outputscale, so
+each dropped product term is below tiny * outputscale. In float64 finfo.tiny
+is 2.2e-308, and the hyperparameters all four benchmark workloads train on
+sub-seeds 100-102 stay bitwise those trained without the zeroing.
 """
 
 from dataclasses import dataclass, field
@@ -131,17 +131,19 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
                      beta2) -> LowRankGaussian:
     """Quadratic form, log determinant and solves of a low-rank-plus-noise D.
 
-    u is K_zz's upper Cholesky factor (L = U^T) or None (L = I), so L is a
-    Cholesky factor, not the inverse of one: S is formed before L is applied,
-    and its rounding grows by ||L||^2. Z is applied only through
-    g = U_m^-T U and h = U_m^-T U S, never multiplied out, because it is huge
-    along directions a batch barely covers. Raises NotPositiveDefinite when M
-    fails to factorize after the jitter schedule.
+    u is K_zz's upper Cholesky factor (L = U^T) or None (L = I): a Cholesky
+    factor, not the inverse of one, since S is formed before L is applied and
+    its rounding grows by ||L||^2. Z is applied only through g = U_m^-T U and
+    h = U_m^-T U S, never multiplied out: it is huge along directions a batch
+    barely covers. The m-space runs in float64 and the arrays returned are in
+    phi's dtype. Raises NotPositiveDefinite when M fails every jitter rung.
     """
     n, m = phi.shape
     s = phi.T @ phi
-    trmm, = scipy.linalg.get_blas_funcs(("trmm",), (s,))
-    us = s if u is None else trmm(1.0, u, s)                  # U S
+    s64 = s.astype(np.float64, copy=False)
+    trmm, = scipy.linalg.get_blas_funcs(("trmm",), (s64,))
+    u = None if u is None else u.astype(np.float64, copy=False)
+    us = s64 if u is None else trmm(1.0, u, s64)              # U S
     m_mat = us.copy() if u is None else trmm(1.0, u, us, side=1, trans_a=1)  # U S U^T
     np.fill_diagonal(m_mat, m_mat.diagonal() + beta2)
     u_m, jitter = linalg.cholesky_upper(m_mat)
@@ -150,9 +152,9 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
     g = u_inv.T if u is None else trmm(1.0, u_inv, u, trans_a=1)   # U_m^-T U
     h = trmm(1.0, u_inv, us, trans_a=1)                       # U_m^-T U S
     zs = g.T @ h
-    a = (y - phi @ (g.T @ (g @ (phi.T @ y)))) / beta2
+    a = (y - phi @ (g.T @ (g @ (phi.T @ y))).astype(phi.dtype, copy=False)) / beta2
     phi_dinv_phi = h.T @ h                                    # (S - h^T h) / beta^2
-    np.subtract(s, phi_dinv_phi, out=phi_dinv_phi)
+    np.subtract(s64, phi_dinv_phi, out=phi_dinv_phi)
     phi_dinv_phi /= beta2
     return LowRankGaussian(
         quad=float(y @ a),
@@ -160,8 +162,8 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
         + 2.0 * float(np.sum(np.log(np.diagonal(u_m)))),
         a=a,
         phi_a=phi.T @ a,
-        phi_dinv_phi=phi_dinv_phi,
-        zs=zs,
+        phi_dinv_phi=phi_dinv_phi.astype(phi.dtype, copy=False),
+        zs=zs.astype(phi.dtype, copy=False),
         tr_d_inv=(n - float(np.trace(zs))) / beta2,
         s=s,
         jitter=jitter,

@@ -16,7 +16,6 @@ from softki.errors import (
 )
 from softki.linalg import (
     DEFAULT_JITTER_MULTIPLIERS,
-    PIVOT_TOL,
     block_cg,
     chol_inverse,
     chol_solve,
@@ -83,9 +82,28 @@ def test_cholesky_climbs_past_a_rounding_level_pivot():
             pass
         u, eps = cholesky_upper(m)
         assert eps > 0
-        floor = PIVOT_TOL * 20 * np.finfo(float).eps * (np.max(np.diag(m)) + eps)
+        floor = 20 * np.finfo(float).eps * (np.max(np.diag(m)) + eps)
         assert np.min(np.diag(u)) ** 2 >= floor
     assert rung0 > 0
+
+
+def test_cholesky_skips_a_rung_that_leaves_the_diagonal_unchanged(monkeypatch):
+    # float32 [[1, c], [c, 1]] with c one ulp under 1: its pivot^2 1.2e-7 is
+    # under the floor 2.4e-7, and 1e-8 added to a unit diagonal rounds away,
+    # so after rung 0 the next factorization is the 1e-6 rung's
+    c = np.nextafter(np.float32(1.0), np.float32(0.0))
+    m = np.array([[1.0, c], [c, 1.0]], dtype=np.float32)
+    potrf = scipy.linalg.cholesky
+    seen = []
+
+    def counted(a, **kwargs):
+        seen.append(a.diagonal().copy())
+        return potrf(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", counted)
+    _, eps = cholesky_upper(m)
+    assert eps == pytest.approx(1e-6)
+    assert len(seen) == 2 and not np.array_equal(seen[0], seen[1])
 
 
 def test_default_jitter_schedule_scales_with_diagonal():

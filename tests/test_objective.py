@@ -240,6 +240,30 @@ def test_lowrank_gaussian_inverts_its_m_factor_once(monkeypatch, form):
     assert calls == ["tri_inverse_upper"]
 
 
+def test_lowrank_gaussian_runs_its_m_space_in_float64(monkeypatch):
+    # float32 Phi and U_zz: M is factored and inverted in float64, and the
+    # arrays returned are float32
+    seen = []
+
+    def spy(name):
+        original = getattr(softki.linalg, name)
+
+        def recorded(a, **kwargs):
+            seen.append(a.dtype)
+            return original(a, **kwargs)
+        return recorded
+
+    for name in ("cholesky_upper", "tri_inverse_upper"):
+        monkeypatch.setattr(softki.linalg, name, spy(name))
+    x, y, hp = random_instance(3, n=15, m=6)
+    phi, u, _ = lowrank_inputs("softki", x, hp)
+    lr = lowrank_gaussian(phi.astype(np.float32), y.astype(np.float32),
+                          u.astype(np.float32), np.float32(hp.noise) ** 2)
+    assert seen == [np.dtype(np.float64)] * 2
+    for a in (lr.a, lr.phi_a, lr.phi_dinv_phi, lr.zs, lr.s):
+        assert a.dtype == np.float32
+
+
 def exact_mll_by_solves(monkeypatch, x, y, hp):
     """exact_mll with its m-space taken by ``lowrank_gaussian_by_solves``."""
     with monkeypatch.context() as patch:
@@ -305,13 +329,18 @@ def exact_gradients_80bit(x, y, hp):
         x, hp, w, dist, k_zz, e_zz, g_k.astype(float), g_w.astype(float), float(tr_g))
 
 
-def test_exact_mll_on_an_ill_conditioned_m_keeps_the_solve_routes_accuracy(monkeypatch):
+@pytest.mark.parametrize("n, m", [(400, 24), (1024, 64)])
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_mll_on_an_ill_conditioned_m_is_within_16x_of_the_solve_routes_error(
+        monkeypatch, seed, n, m):
     # noise 1e-4: M = beta^2 I + U S U^T is ill-conditioned, and neither
-    # route's gradients come within 1e-9 of the other's (here 2.8e-6 of the
-    # largest z entry) or of an 80-bit evaluation. Measured against the
-    # latter: the product route 6.7e-6 of the largest entry, the solve route
-    # 4.1e-6; the values agree to 2.1e-16
-    x, y, hp = random_instance(7, n=400, m=24, noise=1e-4)
+    # route's gradients come within 1e-9 of an 80-bit evaluation. Measured
+    # against it on these ten instances: the product route 5.5e-7 to 2.5e-4
+    # of the largest entry, the solve route 1.6e-6 to 5.3e-5, the product
+    # route's error 0.33x to 9.6x the solve route's (9.6x at (1024, 64) seed
+    # 4, 8.9x at (400, 24) seed 3; at most 10.6x over seeds 0-19); the
+    # values agree to 1.1e-14 relative
+    x, y, hp = random_instance(seed, n=n, m=m, noise=1e-4)
     want = exact_mll_by_solves(monkeypatch, x, y, hp)
     got = exact_mll(x, y, hp)
     assert got.value == pytest.approx(want.value, rel=1e-12)
@@ -321,7 +350,7 @@ def test_exact_mll_on_an_ill_conditioned_m_keeps_the_solve_routes_accuracy(monke
         return max(np.max(np.abs(grads[name] - g)) / np.max(np.abs(g))
                    for name, g in truth.items())
 
-    assert worst(got.gradients) <= 4.0 * worst(want.gradients)
+    assert worst(got.gradients) <= 16.0 * worst(want.gradients)
 
 
 def test_dense_gaussian_matches_numpy_and_climbs_the_jitter_ladder():

@@ -13,7 +13,8 @@ import scipy
 
 import softki.objective
 import softki.trainer
-from softki import TrainConfig, ricker_dataset, train, train_exact, train_sgpr
+from softki import (TrainConfig, fit_qr, predict_mean, ricker_dataset, train,
+                    train_exact, train_sgpr)
 from softki.data import Dataset
 from softki.trainer import DTYPES, OBJECTIVE_MODES
 from softki.errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFewPoints
@@ -405,6 +406,26 @@ def test_forced_exact_on_degenerate_float32_marks_failures():
     assert trace.failed_batches == 0
     assert np.isfinite(trace.epoch_objectives[0])
     assert trace.mode_counts["pseudoloss"] > 0
+
+
+def test_float32_ricker_training_stays_exact_and_near_float64():
+    # at noise about 0.005 ricker's M is singular to float32 working
+    # precision; factored in float32, M failed the pivot test, and the three
+    # seeds fell back on 17, 3 and 4 of 100 steps and ended at 3.3x float64's
+    # mean test RMSE. Measured with M in float64: no fallback, 1.07x
+    rmse = {"float32": [], "float64": []}
+    for seed in range(3):
+        train_data, test_data = ricker_dataset(n_train=1024, n_test=2000,
+                                               radius=2.5, seed=seed)
+        for dtype in rmse:
+            cfg = TrainConfig(m=128, epochs=100, learning_rate=0.5, batch_size=1024,
+                              lr_step_epochs=25, lr_step_factor=0.5, seed=seed,
+                              dtype=dtype)
+            hp, trace = train(train_data, cfg)
+            assert trace.mode_counts["pseudoloss"] == 0, (dtype, seed)
+            mean = predict_mean(fit_qr(train_data, hp), test_data.x)
+            rmse[dtype].append(np.sqrt(np.mean((mean - test_data.y) ** 2)))
+    assert np.mean(rmse["float32"]) <= 1.25 * np.mean(rmse["float64"])
 
 
 def test_float32_training_hands_no_subnormal_k_zz_to_the_objectives(monkeypatch):
