@@ -168,6 +168,7 @@ def exact_gp_mll(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveRepo
     value = -0.5 * (quad + logdet + y.shape[0] * LOG_2PI)
 
     g = 0.5 * (np.outer(a, a) - k_inv)
+    del k_inv  # one n x n array less while the kernel backward runs
     # the one kernel forward built twice: holding K_XX and its e through the
     # dense solve would add two n x n arrays (256 MB at the size cap) to save
     # an O(n^2 d) build beside an O(n^3) factorization

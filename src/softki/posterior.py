@@ -1,22 +1,27 @@
 """QR-stabilized posterior fit and the one prediction form of every model.
 
-softki and SGPR share one fit (``fit``): the representer weights alpha solve
-Chat alpha = X^T y / beta^2 with Chat = K_zz + X^T X / beta^2, where the
-design rows are X = W K_zz for softki and X = K_xz for SGPR. Instead of
-forming Chat (which squares the condition number), stack
+softki and SGPR share one fit (``fit``). Both are Bayesian linear
+regressions on a feature matrix phi (Rasmussen & Williams, 2006, sec. 2.1):
+softki's phi = W with weights u ~ N(0, K_zz), SGPR's phi = K_xz with weights
+a ~ N(0, K_zz^-1) (Titsias, 2009). With Lambda the weights' prior precision
+and S its upper root (S^T S = Lambda), the posterior precision is
+Lambda + phi^T phi / beta^2. Instead of forming it (which squares the
+condition number), stack
 
-    A = [ X / beta ]           rhs = [ y / beta ]
-        [ U_zz     ]                 [ 0        ]
+    A = [ phi / beta ]         rhs = [ y / beta ]
+        [ S          ]               [ 0        ]
 
-where U_zz^T U_zz = K_zz, so A^T A = Chat, and take a thin QR of A. Then
-R alpha = Q^T rhs. The stack is reduced in row blocks: the regularizer rows
-seed a carried (m+1)-square upper triangle [R | Q^T rhs], and each design
-block is absorbed into it by one triangular-pentagonal QR (LAPACK ?tpqrt),
-which costs about 2 block_rows m^2 flops and never re-factors the carried
-rows. The full Q is never formed, and peak extra memory is
-O(block_rows * m) independent of n.
-It is the only route to alpha; ``solver_study`` scores the routes that solve
-the formed Chat (direct, Cholesky, CG) against it.
+so A^T A is that precision, and take a thin QR of A. Then the posterior mean
+of the weights is v = R^-1 c with c = Q^T rhs, and their covariance is
+R^-1 R^-T. The stack is reduced in row blocks: the seed rows [S | 0] start a
+carried (m+1)-square upper triangle [R | c], and each feature block is
+absorbed into it by one triangular-pentagonal QR (LAPACK ?tpqrt), which
+costs about 2 block_rows m^2 flops and never re-factors the carried rows.
+The full Q is never formed, and peak extra memory is O(block_rows * m)
+independent of n. It is the only route to v; ``solver_study`` scores the
+routes that solve the formed K-form system Chat alpha = X^T y / beta^2,
+Chat = K_zz + X^T X / beta^2 with X = W K_zz (direct, Cholesky, CG), against
+the same stacked QR run on [U_zz; X / beta].
 
 Every fitted model (softki, sgpr, exact) is a ``Posterior`` that predicts as
 
@@ -24,14 +29,13 @@ Every fitted model (softki, sgpr, exact) is a ``Posterior`` that predicts as
 
 with phi and prior from ``FORMS``. v and P are computed once at fit time, so
 a prediction is, per row block of the query, one feature build and one GEMM;
-no factor is solved against per call. For softki phi = W, prior = 0,
-v = K_zz alpha and P = -K_zz Chat^-1 K_zz: the approximate prior variance
-cancels exactly against the Nystrom-form correction, leaving
-var = khat^T Chat^-1 khat.
+no factor is solved against per call. For softki prior = 0 and P = -R^-1 R^-T:
+the approximate prior variance cancels exactly against the Nystrom-form
+correction, leaving var = w (Lambda + W^T W / beta^2)^-1 w^T. For SGPR
+P = K_zz^-1 - R^-1 R^-T.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -76,23 +80,24 @@ FORMS = {
 FORMS["exact"] = FORMS["sgpr"]
 
 
-def stacked_qr_solve(blocks, u_zz: np.ndarray):
+def stacked_qr_solve(blocks, seed: np.ndarray):
     """Streaming thin QR of a stacked system.
 
-    blocks yields (a_block, b_block) pairs of pre-scaled rows. The
-    interpolation-regularizer rows [u_zz | 0] seed the carried (m+1)-square
-    upper triangle [R | c; 0 | rho] and count as one block; each data block is
-    then absorbed by one triangular-pentagonal QR (LAPACK ?tpqrt), which
-    reduces [carry; a_block | b_block] without re-factoring the carried rows.
-    Returns (r, projected_rhs, residual_norm, diag) where r is (m, m) upper,
-    R alpha = projected_rhs is the least-squares solution, and residual_norm
-    = |rho| is the accumulated orthogonal-complement magnitude of the rhs.
-    Raises NonFiniteResult when the carried triangle is not finite, which a
-    nan or inf in any design row or target leaves behind.
+    blocks yields (a_block, b_block) pairs of pre-scaled rows. The seed rows
+    [seed | 0], seed an (m, m) upper triangle such as the root of a prior
+    precision, start the carried (m+1)-square upper triangle [R | c; 0 | rho]
+    and count as one block; each data block is then absorbed by one
+    triangular-pentagonal QR (LAPACK ?tpqrt), which reduces [carry; a_block |
+    b_block] without re-factoring the carried rows. Returns (r,
+    projected_rhs, residual_norm, diag) where r is (m, m) upper, R x =
+    projected_rhs is the least-squares solution, and residual_norm = |rho|
+    is the accumulated orthogonal-complement magnitude of the rhs. Raises
+    NonFiniteResult when the carried triangle is not finite, which a nan or
+    inf in any design row or target leaves behind.
     """
-    m = u_zz.shape[0]
-    carry = np.zeros((m + 1, m + 1), dtype=u_zz.dtype, order="F")
-    carry[:m, :m] = u_zz
+    m = seed.shape[0]
+    carry = np.zeros((m + 1, m + 1), dtype=seed.dtype, order="F")
+    carry[:m, :m] = seed
     # ?tpqrt's inner block; at one thread and 1024-row blocks the fastest
     # measured was 8 at m = 64 and 128, 16 at m = 256 and 24-40 at m = 512
     inner = min(m + 1, max(8, min(32, (m + 1) // 16)))
@@ -142,45 +147,52 @@ def _row_blocks(n: int, block_rows: int):
     return (slice(i, i + block_rows) for i in range(0, n, block_rows))
 
 
-def _alpha(k_zz: np.ndarray, design, y: np.ndarray, beta: float, block_rows: int):
-    """U_zz, R with R^T R = Chat, alpha and diagnostics.
-
-    design(rows) returns a new array of the design rows X[rows]; each block is
-    divided by beta in place and dropped before the next one is built.
+def _prior_root(variant: str, k_zz: np.ndarray):
+    """(S, eps): the upper S with S^T S the weights' prior precision, and the
+    jitter rung of its factor. SGPR's weights a ~ N(0, K_zz^-1) have
+    precision K_zz, so S = U_zz. softki's u ~ N(0, K_zz) have precision
+    K_zz^-1: from U_rev^T U_rev = J K_zz J, J reversing the order, K_zz =
+    L^T L with L = J U_rev J lower, so S = L^-T = J U_rev^-T J is upper.
+    Either way the factored matrix is K_zz + eps I.
     """
-    u_zz, jitter = linalg.cholesky_upper(k_zz)
-
-    def scaled(rows):
-        a = design(rows)
-        a /= beta
-        return a
-
-    # a generator expression keeps no reference to a block it has yielded
-    blocks = ((scaled(rows), y[rows] / beta)
-              for rows in _row_blocks(y.shape[0], block_rows))
-    r, c, residual, diag = stacked_qr_solve(blocks, u_zz)
-    diag.update({"block_rows": block_rows, "residual": residual, "jitter": jitter})
-    return u_zz, r, linalg.tri_solve_upper(r, c), diag
+    if variant != "softki":
+        return linalg.cholesky_upper(k_zz)
+    u_rev, jitter = linalg.cholesky_upper(k_zz[::-1, ::-1])
+    return linalg.tri_inverse_upper(u_rev)[::-1, ::-1].T, jitter
 
 
 def fit(variant: str, data: Dataset, hp,
         block_rows: int = DEFAULT_BLOCK_ROWS) -> Posterior:
-    """Fit softki or SGPR through the shared Chat = K_zz + X^T X / beta^2.
+    """Fit softki or SGPR as the Bayesian linear regression on phi.
 
-    Streams X (W K_zz or K_xz) through ``stacked_qr_solve`` in row blocks and
-    takes R (R^T R = Chat) and alpha from it. softki: v = K_zz alpha,
-    P = -B^T B with B = R^-T K_zz; SGPR: v = alpha, P = K_zz^-1 - Chat^-1.
+    Streams phi(x[rows]) / beta through ``stacked_qr_solve`` in row blocks of
+    block_rows, seeded with the root S of the weights' prior precision (see
+    ``_prior_root``), and takes R (R^T R = S^T S + phi^T phi / beta^2) and
+    c from it. Then v = R^-1 c and P = -R^-1 R^-T, to which SGPR adds its
+    prior covariance K_zz^-1 = S^-1 S^-T. Raises InvalidConfig unless
+    block_rows is an int >= 1.
     """
-    phi = partial(FORMS[variant][0], hp)
-    k_zz = matern32(hp.z, hp.z, hp.kernel)
-    design = ((lambda rows: phi(data.x[rows]) @ k_zz) if variant == "softki"
-              else (lambda rows: phi(data.x[rows])))
-    u_zz, r, alpha, diag = _alpha(k_zz, design, data.y, hp.noise, block_rows)
-    if variant == "softki":
-        b = linalg.tri_solve_upper(r, k_zz, transpose=True)
-        return Posterior(variant, hp, k_zz @ alpha, -(b.T @ b), diag)
-    p = linalg.chol_inverse(u_zz) - linalg.chol_inverse(r)
-    return Posterior(variant, hp, alpha, p, diag)
+    if (isinstance(block_rows, bool) or not isinstance(block_rows, (int, np.integer))
+            or block_rows < 1):
+        raise InvalidConfig(f"block_rows must be an int >= 1, got {block_rows!r}")
+    phi = FORMS[variant][0]
+    beta = hp.noise
+    seed, jitter = _prior_root(variant, matern32(hp.z, hp.z, hp.kernel))
+
+    def scaled(rows):  # a new array of phi(x[rows]), divided by beta in place
+        a = phi(hp, data.x[rows])
+        a /= beta
+        return a
+
+    # a generator expression keeps no reference to a block it has yielded
+    blocks = ((scaled(rows), data.y[rows] / beta)
+              for rows in _row_blocks(data.y.shape[0], block_rows))
+    r, c, residual, diag = stacked_qr_solve(blocks, seed)
+    diag.update({"block_rows": block_rows, "residual": residual, "jitter": jitter})
+    p = -linalg.chol_inverse(r)
+    if variant != "softki":
+        p += linalg.chol_inverse(seed)
+    return Posterior(variant, hp, linalg.tri_solve_upper(r, c), p, diag)
 
 
 def fit_qr(data: Dataset, hp: Hyperparams,
@@ -402,9 +414,11 @@ def solver_study(data: Dataset, hp: Hyperparams,
     _, k_zz, khat = softki_cross(data.x, hp)
     chat, rhs = normal_equations(k_zz, khat, data.y, hp.noise)
 
-    def qr_alpha():  # the fit's route, on the rows of the W K_zz built above
-        return _alpha(k_zz, lambda rows: khat[rows].copy(), data.y, hp.noise,
-                      DEFAULT_BLOCK_ROWS)[2]
+    def qr_alpha():  # the stacked QR of [U_zz; W K_zz / beta], on the rows built above
+        blocks = ((khat[rows] / hp.noise, data.y[rows] / hp.noise)
+                  for rows in _row_blocks(data.y.shape[0], DEFAULT_BLOCK_ROWS))
+        r, c, _, _ = stacked_qr_solve(blocks, linalg.cholesky_upper(k_zz)[0])
+        return linalg.tri_solve_upper(r, c)
 
     rows = []
     for method in methods:

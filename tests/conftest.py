@@ -105,6 +105,25 @@ def lowrank_gaussian_by_solves(phi, y, l, beta2):
     )
 
 
+def cholesky_ld(a):
+    """Lower Cholesky factor of a small SPD matrix, in a's (extended) precision."""
+    lo = np.zeros_like(a)
+    for j in range(a.shape[0]):
+        lo[j, j] = np.sqrt(a[j, j] - lo[j, :j] @ lo[j, :j])
+        lo[j + 1:, j] = (a[j + 1:, j] - lo[j + 1:, :j] @ lo[j, :j]) / lo[j, j]
+    return lo
+
+
+def chol_solve_ld(lo, b):
+    """(lo lo^T)^-1 b by substitution, in the operands' (extended) precision."""
+    x = b.copy()
+    for i in range(len(x)):
+        x[i] = (x[i] - lo[i, :i] @ x[:i]) / lo[i, i]
+    for i in reversed(range(len(x))):
+        x[i] = (x[i] - lo[i + 1:, i] @ x[i + 1:]) / lo[i, i]
+    return x
+
+
 # 2-D wavelet protocol: m = 128 k-means interpolation points, 100 epochs.
 # The domain radius is a free parameter of the synthetic task; 2.5 keeps the
 # bump wide enough relative to the domain for an m = 128 budget to resolve.

@@ -11,7 +11,7 @@ import softki.interp
 import softki.kernel
 import softki.linalg
 import softki.objective
-from conftest import lowrank_gaussian_by_solves
+from conftest import chol_solve_ld, cholesky_ld, lowrank_gaussian_by_solves
 from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.trainer import TrainConfig
 from softki.errors import InvalidConfig, NotPositiveDefinite, ObjectiveFailed
@@ -285,25 +285,6 @@ def test_exact_mll_matches_the_solve_route(monkeypatch):
         assert np.max(np.abs(got.gradients[name] - g)) <= 1e-9 * scale, name
 
 
-def _cholesky_ld(a):
-    """Lower Cholesky factor of a small SPD matrix, in a's (extended) precision."""
-    lo = np.zeros_like(a)
-    for j in range(a.shape[0]):
-        lo[j, j] = np.sqrt(a[j, j] - lo[j, :j] @ lo[j, :j])
-        lo[j + 1:, j] = (a[j + 1:, j] - lo[j + 1:, :j] @ lo[j, :j]) / lo[j, j]
-    return lo
-
-
-def _chol_solve_ld(lo, b):
-    """(lo lo^T)^-1 b by substitution, in the operands' (extended) precision."""
-    x = b.copy()
-    for i in range(len(x)):
-        x[i] = (x[i] - lo[i, :i] @ x[:i]) / lo[i, i]
-    for i in reversed(range(len(x))):
-        x[i] = (x[i] - lo[i + 1:, i] @ x[i + 1:]) / lo[i, i]
-    return x
-
-
 def exact_gradients_80bit(x, y, hp):
     """exact_mll's gradients from sensitivities taken in 80-bit extended
     precision: D^-1 by Woodbury, with K_zz and M factored in np.longdouble."""
@@ -312,18 +293,18 @@ def exact_gradients_80bit(x, y, hp):
     w_, k, y_ = (a.astype(np.longdouble) for a in (w, k_zz, y))
     beta2 = np.longdouble(hp.noise) ** 2
     n, m = w.shape
-    lo = _cholesky_ld(k)
+    lo = cholesky_ld(k)
     s = w_.T @ w_
-    l_m = _cholesky_ld(beta2 * np.eye(m, dtype=np.longdouble) + lo.T @ s @ lo)
+    l_m = cholesky_ld(beta2 * np.eye(m, dtype=np.longdouble) + lo.T @ s @ lo)
 
     def d_inv(v):                       # (v - W L M^-1 L^T W^T v) / beta^2
-        return (v - w_ @ (lo @ _chol_solve_ld(l_m, lo.T @ (w_.T @ v)))) / beta2
+        return (v - w_ @ (lo @ chol_solve_ld(l_m, lo.T @ (w_.T @ v)))) / beta2
 
     a, d_inv_w = d_inv(y_), d_inv(w_)
     wa = w_.T @ a
     g_k = 0.5 * (np.outer(wa, wa) - w_.T @ d_inv_w)
     g_w = np.outer(a, wa @ k) - d_inv_w @ k
-    tr_d_inv = (n - np.trace(lo @ _chol_solve_ld(l_m, lo.T @ s))) / beta2
+    tr_d_inv = (n - np.trace(lo @ chol_solve_ld(l_m, lo.T @ s))) / beta2
     tr_g = 0.5 * (a @ a - tr_d_inv)
     return softki.objective._assemble_gradients(
         x, hp, w, dist, k_zz, e_zz, g_k.astype(float), g_w.astype(float), float(tr_g))
