@@ -115,17 +115,21 @@ def cholesky_upper(m: np.ndarray):
     Algorithms", 2nd ed., ch. 10), as when an inducing point is repeated and
     K_zz is singular. A rung that leaves the diagonal unchanged (1e-8 in
     float32) is skipped, as it would refactor the same matrix. Raises
-    NotPositiveDefinite if every rung fails or the input is not finite.
+    NotPositiveDefinite if every rung fails, the input is not finite, or
+    M + M^T overflows.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NotPositiveDefinite("matrix has non-finite entries")
     # symmetrize: callers build M from products that are symmetric only to
     # rounding, and potrf reads a single triangle anyway; each rung resets the
     # diagonal of this one buffer, which potrf copies
-    a = np.add(m, m.T, dtype=np.result_type(m, 0.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.add(m, m.T, dtype=np.result_type(m, 0.5))
+    if not np.all(np.isfinite(a)):
+        if not np.all(np.isfinite(m)):
+            raise NotPositiveDefinite("matrix has non-finite entries")
+        raise NotPositiveDefinite("M + M^T overflows")
     a *= 0.5
     diag = a.diagonal().copy()
     tol = a.shape[0] * np.finfo(a.dtype).eps
@@ -138,7 +142,7 @@ def cholesky_upper(m: np.ndarray):
         tried = rung
         np.fill_diagonal(a, rung)
         try:
-            u = scipy.linalg.cholesky(a, lower=False)
+            u = scipy.linalg.cholesky(a, lower=False, check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
         pivot = np.diagonal(u).min(initial=np.inf)

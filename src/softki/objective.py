@@ -51,35 +51,50 @@ Gradients are a dict keyed by ``trainer.PARAMS`` names, in constrained space;
 a failed report has a nan value and none.
 
 Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
-casts x and y to ``TrainConfig.dtype`` once. The softmax forward, K_zz and
-its factor, every n-by-m product, the CG solves and the softmax and kernel
-backward run in it. ``lowrank_gaussian``'s m-space runs in float64: in
-float32 ricker's beta^2 (about 2.5e-5) lies under M's rounding, and training
-at the ricker-m128 config ended above 1e-2 test RMSE on 32 of 36 sub-seeds
-with that m-space in float32 and on 8 of 36 with it in float64.
-Each ``stabilized_objective`` call builds one batch (W, its distances, K_zz
-and K_zz's e = exp(-sqrt(3) r)), which the exact attempt and the pseudoloss
-it may fall back to both read. The backward reads the same arrays:
-``softmax_weights_backward`` the (W, dist) of ``softmax_forward`` and
-``matern32_param_grads`` the (K_zz, e) of ``matern32_forward``, so each point
-set goes through each forward once per call, in float32 as in float64.
+casts x and y to ``TrainConfig.dtype`` once. The softmax forward and
+backward, every n-by-m product and the CG solves run in it; every m-by-m
+quantity runs in float64, after Higham & Mary ("Mixed precision algorithms
+in numerical linear algebra", Acta Numerica 2022): factor in the higher
+precision, run the large products in the lower. K_zz and its e are built
+from float64 z and factored there, ``lowrank_gaussian``'s m-space stays
+there, and the exact gradient's m-by-m factors (K_zz - Z S K_zz) / beta^2
+and K_zz W^T a are formed there and cast once, where they meet W. The kernel
+backward reads the float64 (K_zz, e); the pseudoloss and the dense referee
+read the batch's copy of K_zz cast to its dtype. For a float64 batch each
+cast returns the same array. Built from float32 z, the expanded-norm
+distances on the clustered benchmark's raw coordinates (near 50) put K_zz's
+entries off by up to 8.8e-4 and its smallest eigenvalue at -2.1e-3, where
+float64's is +1.3e-5, and every float32 batch there fell back to the
+pseudoloss. In float32 ricker's beta^2 (about 2.5e-5) lies under M's
+rounding: training at the ricker-m128 config ended above 1e-2 test RMSE on
+32 of 36 sub-seeds with that m-space in float32 and on 8 of 36 in float64.
+Each ``stabilized_objective`` call builds one ``Batch`` (W and its distances,
+K_zz and e = exp(-sqrt(3) r) in float64, and K_zz's cast copy), which the
+exact attempt and the pseudoloss it may fall back to both read. The backward
+reads the same arrays: ``softmax_weights_backward`` the (W, dist) of
+``softmax_forward`` and ``matern32_param_grads`` the (K_zz, e) of
+``matern32_forward``, so each point set goes through each forward once per
+call, in float32 as in float64.
 
-K_zz and W entries below the dtype's smallest normal (``finfo.tiny``, about
-1.2e-38 in float32) are set to 0: OpenBLAS's float32 GEMM slows to a crawl on
-subnormal operands. W @ K_zz at (1024, 128) with one BLAS thread takes 23 ms
-on a clustered float32 batch holding 1112 subnormal K_zz entries, and 2.2 ms
-with them zeroed; a stabilized call that falls back (17 CG iterations) on a
-batch whose W holds 22036 subnormal entries of 131072 took 144-153 ms with
-them and 10-11 ms without. A Matern-3/2 value there lies more than 30 orders
-of magnitude under the diagonal, and a softmax weight there belongs to a
-point far outside the row's reach. Every entry of W and of a unit-norm probe
-is at most 1 in absolute value and no K_zz entry exceeds the outputscale, so
-each dropped product term is below tiny * outputscale. In float64 finfo.tiny
-is 2.2e-308, and the hyperparameters all four benchmark workloads train on
-sub-seeds 100-102 stay bitwise those trained without the zeroing.
+Entries of W and of the cast K_zz below the batch dtype's smallest normal
+(``finfo.tiny``, about 1.2e-38 in float32) are set to 0: OpenBLAS's float32
+GEMM slows to a crawl on subnormal operands. W @ K_zz at (1024, 128) with one
+BLAS thread takes 23 ms on a clustered float32 batch holding 1112 subnormal
+K_zz entries, and 2.2 ms with them zeroed; a stabilized call that falls
+back (17 CG iterations) on a batch whose W holds 22036 subnormal entries of
+131072 took 144-153 ms with them and 10-11 ms without. A Matern-3/2 value
+there lies more than 30 orders of magnitude under the diagonal, and a
+softmax weight there belongs to a point far outside the row's reach. Every
+entry of W and of a unit-norm probe is at most 1 in absolute value and no
+K_zz entry exceeds the outputscale, so each dropped product term is below
+tiny * outputscale. The float64 K_zz that is factored and differentiated
+keeps such entries as built. In float64 finfo.tiny is 2.2e-308, and the
+hyperparameters all four benchmark workloads train on sub-seeds 100-102 stay
+bitwise those trained without the zeroing.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -90,6 +105,21 @@ from .interp import Hyperparams, softmax_forward, softmax_weights_backward
 from .kernel import matern32_forward, matern32_param_grads
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# CG's recursively updated residual drifts from the true one b - D u by
+# rounding, about eps ||D|| max_k ||u_k|| / ||b|| (Greenbaum 1997): a tolerance
+# under that drift is met by the recursive residual alone. In float32 the
+# true relative residual ended at 1400-1750 eps on the clustered and
+# near-coincident test batches (50-120 eps on the clustered benchmark's
+# training batches). 4096 eps is 4.9e-4 in float32 and 9.1e-13 in float64,
+# under float64's default 1e-6 and every float64 tolerance the tests set.
+CG_EPS_MULTIPLE = 4096
+
+
+def cg_tolerance(cg_tol: float, dtype) -> float:
+    """The pseudoloss's CG tolerance in dtype: cg_tol, raised to
+    CG_EPS_MULTIPLE times the dtype's machine epsilon."""
+    return max(float(cg_tol), CG_EPS_MULTIPLE * float(np.finfo(dtype).eps))
 
 
 @dataclass
@@ -120,8 +150,8 @@ class LowRankGaussian:
     logdet: float               # log det D
     a: np.ndarray               # D^-1 y, (n,)
     phi_a: np.ndarray           # Phi^T a, (m,)
-    phi_dinv_phi: np.ndarray    # Phi^T D^-1 Phi, (m, m)
-    zs: np.ndarray              # Z S, so D^-1 Phi = Phi (I - Z S) / beta^2, (m, m)
+    phi_dinv_phi: np.ndarray    # Phi^T D^-1 Phi, (m, m), float64
+    zs: np.ndarray              # Z S, so D^-1 Phi = Phi (I - Z S) / beta^2, (m, m), float64
     tr_d_inv: float             # tr D^-1
     s: np.ndarray               # Phi^T Phi, (m, m)
     jitter: float               # rung used to factor M
@@ -135,8 +165,9 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
     factor, not the inverse of one, since S is formed before L is applied and
     its rounding grows by ||L||^2. Z is applied only through g = U_m^-T U and
     h = U_m^-T U S, never multiplied out: it is huge along directions a batch
-    barely covers. The m-space runs in float64 and the arrays returned are in
-    phi's dtype. Raises NotPositiveDefinite when M fails every jitter rung.
+    barely covers. The m-space runs in float64 and its m-by-m results
+    (phi_dinv_phi and zs) stay there; a, phi_a and s are in phi's dtype.
+    Raises NotPositiveDefinite when M fails every jitter rung.
     """
     n, m = phi.shape
     s = phi.T @ phi
@@ -162,8 +193,8 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
         + 2.0 * float(np.sum(np.log(np.diagonal(u_m)))),
         a=a,
         phi_a=phi.T @ a,
-        phi_dinv_phi=phi_dinv_phi.astype(phi.dtype, copy=False),
-        zs=zs.astype(phi.dtype, copy=False),
+        phi_dinv_phi=phi_dinv_phi,
+        zs=zs,
         tr_d_inv=(n - float(np.trace(zs))) / beta2,
         s=s,
         jitter=jitter,
@@ -182,35 +213,51 @@ def dense_gaussian(d: np.ndarray, y: np.ndarray):
             linalg.chol_inverse(u), jitter)
 
 
-def _batch(x, y, hp):
-    """(x, y, W, dist, K_zz, e_zz) of one batch, all in x's dtype; see
-    softmax_forward and matern32_forward.
+class Batch(NamedTuple):
+    """One batch's forward, read by every objective and backward of a call."""
 
-    W and K_zz entries below the dtype's smallest normal are zeroed; see the
-    module docstring. No objective and no backward writes into these arrays,
-    so one batch can serve several objectives.
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray           # softmax weights, x's dtype
+    dist: np.ndarray        # their distances, x's dtype
+    k_zz: np.ndarray        # K_zz in x's dtype: what the n-by-m products read
+    k_zz64: np.ndarray      # K_zz in float64: factored and differentiated
+    e_zz64: np.ndarray      # its exp(-sqrt(3) r), float64
+
+
+def _batch(x, y, hp) -> Batch:
+    """The ``Batch`` of (x, y): W and its distances from ``softmax_forward``
+    in x's dtype, K_zz and e_zz from ``matern32_forward`` on float64 z, and
+    K_zz cast to x's dtype. For float64 x that cast is no copy: k_zz is
+    k_zz64.
+
+    W and the cast K_zz have their entries below x's dtype's smallest normal
+    zeroed; see the module docstring. No objective and no backward writes
+    into these arrays, so one batch can serve several objectives.
     """
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
     w, dist = softmax_forward(x, hp)
-    z = hp.z.astype(x.dtype, copy=False)
-    k_zz, e_zz = matern32_forward(z, z, hp.kernel)
+    z = hp.z.astype(np.float64, copy=False)
+    k_zz64, e_zz64 = matern32_forward(z, z, hp.kernel)
+    k_zz = k_zz64.astype(x.dtype, copy=False)
     for a in (w, k_zz):
         a[a < np.finfo(a.dtype).tiny] = 0.0
-    return x, np.asarray(y, dtype=x.dtype), w, dist, k_zz, e_zz
+    return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, k_zz, k_zz64, e_zz64)
 
 
-def _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g) -> dict:
+def _assemble_gradients(b: Batch, hp, g_k, g_w, tr_g) -> dict:
     """Map sensitivities on (K_zz, W, beta) to parameter gradients.
 
-    The backward runs in x's dtype on the batch's own forward, the one the
-    objective read: the kernel backward reads (K_zz, e_zz) and the softmax
-    backward (W, dist).
+    Each backward reads the batch's own forward, the one the objective read:
+    the kernel backward (K_zz, e_zz) in float64, and the softmax backward
+    (W, dist) in x's dtype.
     """
-    z = hp.z.astype(x.dtype, copy=False)
-    kg = matern32_param_grads(z, z, hp.kernel, k_zz, e_zz, g_k, want_x=True, want_z=True)
-    z_soft, g_t = softmax_weights_backward(x, hp, w, dist, g_w)
+    z = hp.z.astype(np.float64, copy=False)
+    kg = matern32_param_grads(z, z, hp.kernel, b.k_zz64, b.e_zz64, g_k,
+                              want_x=True, want_z=True)
+    z_soft, g_t = softmax_weights_backward(b.x, hp, b.w, b.dist, g_w)
     return {
         "noise": 2.0 * hp.noise * float(tr_g),
         "lengthscales": kg.lengthscales,
@@ -230,13 +277,16 @@ def exact_mll(
 ) -> ObjectiveReport:
     """Exact marginal log likelihood of one batch, with analytic gradients.
 
-    The forward and the solves run in x's dtype. path="lowrank" factorizes
-    K_zz and the m-by-m inner matrix only; path="dense" factorizes D itself
-    (test-scale cross-check). Raises NotPositiveDefinite when the required
-    Cholesky fails after the jitter schedule. batch, when given, is
-    ``_batch(x, y, hp)`` built by the caller.
+    The n-by-m products run in x's dtype. path="lowrank" factorizes K_zz
+    and the m-by-m inner matrix only, both in float64, and forms every
+    m-by-m factor of the gradient in float64 before casting it to x's dtype
+    where it meets W; path="dense" factorizes D itself, formed in x's dtype
+    from the batch's cast K_zz (test-scale cross-check). Raises
+    NotPositiveDefinite when the required Cholesky fails after the jitter
+    schedule. batch, when given, is ``_batch(x, y, hp)`` built by the caller.
     """
-    x, y, w, dist, k_zz, e_zz = _batch(x, y, hp) if batch is None else batch
+    b = _batch(x, y, hp) if batch is None else batch
+    x, y, w = b.x, b.y, b.w
     n = y.shape[0]
     beta = x.dtype.type(hp.noise)
     beta2 = beta * beta
@@ -244,26 +294,28 @@ def exact_mll(
     diag = {}
     if path == "dense":
         quad, logdet, a, d_inv, diag["jitter"] = dense_gaussian(
-            w @ k_zz @ w.T + beta2 * np.eye(n, dtype=x.dtype), y)
+            w @ b.k_zz @ w.T + beta2 * np.eye(n, dtype=x.dtype), y)
         g = 0.5 * (np.outer(a, a) - d_inv)
         g_k = w.T @ g @ w
-        g_w = 2.0 * g @ (w @ k_zz)
+        g_w = 2.0 * g @ (w @ b.k_zz)
         tr_g = float(np.trace(g))
     elif path == "lowrank":
+        k_zz = b.k_zz64
         u_zz, diag["jitter"] = linalg.cholesky_upper(k_zz)
         lr = lowrank_gaussian(w, y, u_zz, beta2)
         diag["jitter_inner"] = lr.jitter
         a, quad, logdet = lr.a, lr.quad, lr.logdet
-        g_k = 0.5 * (np.outer(lr.phi_a, lr.phi_a) - lr.phi_dinv_phi)
-        g_w = w @ ((k_zz - lr.zs @ k_zz) / beta2)
+        phi_a = lr.phi_a.astype(np.float64, copy=False)
+        g_k = 0.5 * (np.outer(phi_a, phi_a) - lr.phi_dinv_phi)
+        g_w = w @ ((k_zz - lr.zs @ k_zz) / beta2).astype(x.dtype, copy=False)
         np.negative(g_w, out=g_w)
-        g_w += np.outer(a, lr.phi_a @ k_zz)
+        g_w += np.outer(a, (phi_a @ k_zz).astype(x.dtype, copy=False))
         tr_g = 0.5 * (float(a @ a) - lr.tr_d_inv)
     else:
         raise InvalidConfig(f"exact_mll path must be lowrank or dense, got {path!r}")
 
     value = -0.5 * (quad + logdet + n * LOG_2PI)
-    grads = _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g)
+    grads = _assemble_gradients(b, hp, g_k, g_w, tr_g)
     return ObjectiveReport(value=float(value), gradients=grads, mode_used="exact",
                            diagnostics=diag)
 
@@ -280,14 +332,16 @@ def hutchinson_pseudoloss(
 ) -> ObjectiveReport:
     """Factorization-free objective: CG solves against D, probe-based trace.
 
-    Runs in x's dtype, the probes included; ``TrainConfig`` holds the CG
-    defaults. The CG solutions are constants of the gradient (the solver is
-    not differentiated through). The value keeps the literal unscaled trace
-    term; the gradient's trace estimate is scaled by n, so it targets the
-    exact gradient's tr(D^-1 dD). batch, when given, is ``_batch(x, y, hp)``
-    built by the caller.
+    Runs in x's dtype, the probes and the batch's cast K_zz included, but
+    for the kernel backward; ``TrainConfig`` holds the CG defaults, and CG
+    stops at ``cg_tolerance(cg_tol, x.dtype)``. The CG solutions are
+    constants of the gradient (the solver is not differentiated through).
+    The value keeps the literal unscaled trace term; the gradient's trace
+    estimate is scaled by n, so it targets the exact gradient's tr(D^-1 dD).
+    batch, when given, is ``_batch(x, y, hp)`` built by the caller.
     """
-    x, y, w, dist, k_zz, e_zz = _batch(x, y, hp) if batch is None else batch
+    b = _batch(x, y, hp) if batch is None else batch
+    x, y, w, k_zz = b.x, b.y, b.w, b.k_zz
     probes = np.asarray(probes, dtype=x.dtype)
     n = y.shape[0]
     ell = probes.shape[1]
@@ -298,7 +352,8 @@ def hutchinson_pseudoloss(
         return w @ (k_zz @ (w.T @ v)) + beta2 * v
 
     rhs = np.concatenate([y[:, None], probes], axis=1)
-    rep = linalg.block_cg(matvec, rhs, tol=cg_tol, max_iters=cg_max_iters)
+    rep = linalg.block_cg(matvec, rhs, tol=cg_tolerance(cg_tol, x.dtype),
+                          max_iters=cg_max_iters)
     # S = [u_0 | U | P] and G = S C S^T: every product with D or G after the
     # solve goes through W^T S once; see the module docstring
     s = np.concatenate([rep.solutions, probes], axis=1)
@@ -315,7 +370,7 @@ def hutchinson_pseudoloss(
     g_w = s @ (2.0 * c @ kws.T)
     tr_g = float(np.sum(c * gram))
 
-    grads = _assemble_gradients(x, hp, w, dist, k_zz, e_zz, g_k, g_w, tr_g)
+    grads = _assemble_gradients(b, hp, g_k, g_w, tr_g)
     return ObjectiveReport(
         value=float(value),
         gradients=grads,

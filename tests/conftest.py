@@ -16,6 +16,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import time  # noqa: E402
+import types  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -32,7 +33,9 @@ from softki import (  # noqa: E402
     train,
     train_sgpr,
 )
-from softki.errors import CGNotConvergedWarning  # noqa: E402
+import softki.linalg  # noqa: E402
+import softki.objective  # noqa: E402
+from softki.errors import CGNotConvergedWarning, NotPositiveDefinite  # noqa: E402
 from softki.linalg import cholesky_upper, tri_solve_upper  # noqa: E402
 from softki.objective import LowRankGaussian  # noqa: E402
 
@@ -103,6 +106,19 @@ def lowrank_gaussian_by_solves(phi, y, l, beta2):
         s=s,
         jitter=jitter,
     )
+
+
+def refuse_objective_factors(monkeypatch):
+    """Make every Cholesky factor the training objectives take (K_zz's and
+    M's) raise NotPositiveDefinite, as a matrix that fails every jitter rung
+    does; the posterior's factors run as before. With K_zz built and factored
+    in float64 no float32 training batch at hand fails that way."""
+    def refuse(m):
+        raise NotPositiveDefinite("factor refused by the test")
+
+    refusing = types.SimpleNamespace(**vars(softki.linalg))
+    refusing.cholesky_upper = refuse
+    monkeypatch.setattr(softki.objective, "linalg", refusing)
 
 
 def cholesky_ld(a):

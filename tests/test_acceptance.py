@@ -8,7 +8,7 @@ them, otherwise they skip.
 import numpy as np
 import pytest
 
-from conftest import uci_csv_path
+from conftest import refuse_objective_factors, uci_csv_path
 from softki import TrainConfig, fit_qr, train
 from softki import test_metrics as softki_metrics
 from softki.baselines import exact_gp_mll, sgpr_elbo
@@ -240,7 +240,11 @@ def test_probe_trace_and_gradient_cosine():
 
 
 @pytest.mark.criterion(7, "stability-fallback")
-def test_forced_exact_records_nan_while_auto_completes():
+def test_forced_exact_records_nan_while_auto_completes(monkeypatch):
+    # every factor the objectives take is refused, as on a K_zz that fails
+    # every jitter rung: these clusters did while K_zz was built from float32
+    # z, and train exact now that it is built and factored in float64
+    refuse_objective_factors(monkeypatch)
     rng = np.random.default_rng(0)
     centers = np.array([[50.0, -50.0], [-50.0, 50.0], [50.0, 50.0]])
     n = 600

@@ -1,6 +1,7 @@
 """Factorization, triangular-solve, and conjugate-gradient oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def test_cholesky_indefinite_raises():
 def test_cholesky_rejects_non_finite():
     with pytest.raises(NotPositiveDefinite):
         cholesky_upper(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_cholesky_rejects_a_matrix_whose_symmetrizing_sum_overflows():
+    # finite entries whose M + M^T is inf: scipy's bare ValueError and an
+    # overflow RuntimeWarning before this was caught
+    m = np.array([[1.5e308, 1.2e308], [1.2e308, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite, match="overflows"):
+            cholesky_upper(m)
 
 
 def test_cholesky_jitter_ladder_reports_the_rung_used():

@@ -1,6 +1,7 @@
 """Exact-likelihood and probe-based objective oracles, plus fallback logic."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,16 +12,27 @@ import softki.interp
 import softki.kernel
 import softki.linalg
 import softki.objective
-from conftest import chol_solve_ld, cholesky_ld, lowrank_gaussian_by_solves
+from conftest import (
+    chol_solve_ld,
+    cholesky_ld,
+    lowrank_gaussian_by_solves,
+    refuse_objective_factors,
+)
 from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.trainer import TrainConfig
-from softki.errors import InvalidConfig, NotPositiveDefinite, ObjectiveFailed
+from softki.errors import (
+    CGNotConvergedWarning,
+    InvalidConfig,
+    NotPositiveDefinite,
+    ObjectiveFailed,
+)
 from softki.interp import Hyperparams, softmax_forward, softmax_weights
 from softki.kernel import MaternParams, matern32, matern32_forward, scaled_distance
 from softki.linalg import block_cg
 from softki.objective import (
     LOG_2PI,
     _batch,
+    cg_tolerance,
     dense_gaussian,
     draw_probes,
     exact_mll,
@@ -71,9 +83,9 @@ def near_coincident_batch(seed=0, n=128):
     """float32 batch whose interpolation points sit in tight far-out clusters.
 
     True separations inside a cluster are below the float32 cancellation noise
-    of the expanded-norm distance at that coordinate magnitude, so the computed
-    K_zz stops being numerically positive definite in 32-bit while the same
-    configuration is healthy in 64-bit.
+    of the expanded-norm distance at that coordinate magnitude: a K_zz built
+    from float32 z is not numerically positive definite, while the one
+    ``_batch`` builds from float64 z factors on rung 0.
     """
     rng = np.random.default_rng(seed)
     centers = np.array([[50.0, -50.0], [-50.0, 50.0], [50.0, 50.0]])
@@ -111,7 +123,8 @@ def split_cluster_batch(seed=0, n=96):
 
 
 def clustered_fallback_batch(n=1024, m=128):
-    """float32 batch of eight tight clusters whose stabilized call falls back.
+    """float32 batch of eight tight clusters, whose stabilized call fell back
+    while K_zz was built from float32 z.
 
     Its softmax weights hold 22036 float32 subnormals out of 131072 before
     ``_batch`` zeroes them.
@@ -125,10 +138,27 @@ def clustered_fallback_batch(n=1024, m=128):
     return x.astype(np.float32), y.astype(np.float32), hp
 
 
+def overflowing(x, y, hp):
+    """The batch at outputscale 1e31 and noise 1e-4, where the exact
+    gradient's m-by-m factor (K_zz - Z S K_zz) / beta^2 exceeds float32's
+    largest value when it is cast to meet W, and the float32 pseudoloss stays
+    finite: a float32 batch whose exact objective still fails."""
+    return x, y, Hyperparams(noise=1e-4, kernel=MaternParams(hp.kernel.lengthscales, 1e31),
+                             z=hp.z, temperatures=hp.temperatures)
+
+
+# numpy's warnings from the failing exact attempt on an overflowing batch
+overflow_warnings = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+
+
 # float32 against the float64 referee: the value to 1e-4 relative and every
 # gradient entry to 1e-3 of the largest. Measured on split_cluster_batch, with
-# the backward in float32: value 1.1e-5, exact gradient 1.0e-4 and pseudoloss
-# gradient 3.2e-4 (1.1e-4 and 3.1e-5 with a float64 backward)
+# K_zz built, factored and differentiated in float64: value 1.0e-5 to 1.2e-5,
+# exact gradient 9.0e-5 and pseudoloss gradient 2.8e-4 (1.0e-4 and 3.2e-4
+# with K_zz and the kernel backward in float32)
 F32_VALUE_RTOL = 1e-4
 F32_GRAD_TOL = 1e-3
 
@@ -241,8 +271,8 @@ def test_lowrank_gaussian_inverts_its_m_factor_once(monkeypatch, form):
 
 
 def test_lowrank_gaussian_runs_its_m_space_in_float64(monkeypatch):
-    # float32 Phi and U_zz: M is factored and inverted in float64, and the
-    # arrays returned are float32
+    # float32 Phi and U_zz: M is factored and inverted in float64, its m x m
+    # results stay float64, and the n-space arrays returned are float32
     seen = []
 
     def spy(name):
@@ -260,8 +290,10 @@ def test_lowrank_gaussian_runs_its_m_space_in_float64(monkeypatch):
     lr = lowrank_gaussian(phi.astype(np.float32), y.astype(np.float32),
                           u.astype(np.float32), np.float32(hp.noise) ** 2)
     assert seen == [np.dtype(np.float64)] * 2
-    for a in (lr.a, lr.phi_a, lr.phi_dinv_phi, lr.zs, lr.s):
+    for a in (lr.a, lr.phi_a, lr.s):
         assert a.dtype == np.float32
+    for a in (lr.phi_dinv_phi, lr.zs):
+        assert a.dtype == np.float64
 
 
 def exact_mll_by_solves(monkeypatch, x, y, hp):
@@ -289,8 +321,8 @@ def exact_gradients_80bit(x, y, hp):
     """exact_mll's gradients from sensitivities taken in 80-bit extended
     precision: D^-1 by Woodbury, with K_zz and M factored in np.longdouble."""
     batch = _batch(x, y, hp)
-    _, y, w, dist, k_zz, e_zz = batch
-    w_, k, y_ = (a.astype(np.longdouble) for a in (w, k_zz, y))
+    w = batch.w
+    w_, k, y_ = (a.astype(np.longdouble) for a in (w, batch.k_zz64, batch.y))
     beta2 = np.longdouble(hp.noise) ** 2
     n, m = w.shape
     lo = cholesky_ld(k)
@@ -307,7 +339,7 @@ def exact_gradients_80bit(x, y, hp):
     tr_d_inv = (n - np.trace(lo @ chol_solve_ld(l_m, lo.T @ s))) / beta2
     tr_g = 0.5 * (a @ a - tr_d_inv)
     return softki.objective._assemble_gradients(
-        x, hp, w, dist, k_zz, e_zz, g_k.astype(float), g_w.astype(float), float(tr_g))
+        batch, hp, g_k.astype(float), g_w.astype(float), float(tr_g))
 
 
 @pytest.mark.parametrize("n, m", [(400, 24), (1024, 64)])
@@ -350,10 +382,13 @@ def test_dense_gaussian_matches_numpy_and_climbs_the_jitter_ladder():
         dense_gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
 
-def test_non_positive_definite_propagates():
+def test_non_positive_definite_propagates(monkeypatch):
+    # no float32 batch's float64 K_zz fails every rung any more: the factor
+    # is refused instead
     x, y, hp = near_coincident_batch()
+    refuse_objective_factors(monkeypatch)
     with pytest.raises(NotPositiveDefinite):
-        exact_mll(x, y, hp)  # float32 inputs: the objective runs in float32
+        exact_mll(x, y, hp)
 
 
 def count_forwards(monkeypatch):
@@ -376,8 +411,8 @@ def count_forwards(monkeypatch):
 @pytest.mark.parametrize("dtype, forwards", [(np.float64, 1), (np.float32, 1)])
 @pytest.mark.parametrize("objective", ["lowrank", "dense", "pseudoloss"])
 def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
-    # the backward reads the objective's weights, distances and K_zz in the
-    # batch's dtype, in float32 as in float64
+    # the backward reads the objective's weights and distances, in the
+    # batch's dtype, and its float64 K_zz, in float32 as in float64
     softmaxes, kernels = count_forwards(monkeypatch)
     x, y, hp = random_instance(10, n=32, m=6)
     x, y = x.astype(dtype), y.astype(dtype)
@@ -386,20 +421,23 @@ def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
     else:
         rep = exact_mll(x, y, hp, path=objective)
     assert rep.is_finite()
-    assert softmaxes == kernels == [np.dtype(dtype)] * forwards
+    assert softmaxes == [np.dtype(dtype)] * forwards
+    assert kernels == [np.dtype(np.float64)] * forwards
 
 
+@overflow_warnings
 def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
     # the failing float32 exact attempt, the pseudoloss and the backward all
-    # read one float32 batch
+    # read one batch: a float32 softmax forward and a float64 K_zz
     softmaxes, kernels = count_forwards(monkeypatch)
-    x, y, hp = near_coincident_batch()
+    x, y, hp = overflowing(*split_cluster_batch())
     rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="auto",
                                                      dtype="float32"))
     assert rep.mode_used == "pseudoloss"
     assert "fallback_reason" in rep.diagnostics
     assert rep.is_finite()
-    assert softmaxes == kernels == [np.dtype(np.float32)]
+    assert softmaxes == [np.dtype(np.float32)]
+    assert kernels == [np.dtype(np.float64)]
 
 
 @pytest.mark.parametrize("objective", ["lowrank", "dense", "pseudoloss", "sgpr", "exact_gp"])
@@ -440,20 +478,62 @@ def test_one_kernel_forward_per_point_set(monkeypatch, objective):
 
 
 def test_batch_zeroes_k_zz_entries_below_the_smallest_normal():
+    # K_zz is built from float64 z and kept as built for the factor and the
+    # kernel backward; its float32 copy, which the n x m products read, has
+    # the entries below float32's smallest normal zeroed
     x, y, hp = split_cluster_batch()
     tiny = np.finfo(np.float32).tiny
-    z32 = hp.z.astype(np.float32)
-    raw = matern32(z32, z32, hp.kernel)
-    assert np.any((raw > 0) & (raw < tiny))  # the case is not vacuous
-    k_zz = _batch(x, y, hp)[4]
-    assert k_zz.dtype == np.float32
-    assert not np.any((k_zz > 0) & (k_zz < tiny))
-    expected = np.where(raw < tiny, np.float32(0.0), raw)
-    assert np.array_equal(k_zz, expected)
+    z64 = hp.z.astype(np.float64)
+    raw = matern32(z64, z64, hp.kernel)
+    raw32 = raw.astype(np.float32)
+    assert np.any((raw32 > 0) & (raw32 < tiny))  # the case is not vacuous
+    batch = _batch(x, y, hp)
+    assert batch.k_zz.dtype == np.float32
+    assert not np.any((batch.k_zz > 0) & (batch.k_zz < tiny))
+    assert np.array_equal(batch.k_zz, np.where(raw32 < tiny, np.float32(0.0), raw32))
+    assert batch.k_zz64.dtype == batch.e_zz64.dtype == np.float64
+    assert np.array_equal(batch.k_zz64, raw)
 
     # the same points in float64 hold no subnormal, and K_zz is left as built
     x64 = x.astype(np.float64)
-    assert np.array_equal(_batch(x64, y, hp)[4], matern32(hp.z, hp.z, hp.kernel))
+    assert np.array_equal(_batch(x64, y, hp).k_zz, matern32(hp.z, hp.z, hp.kernel))
+
+
+def test_float64_batch_hands_the_n_side_the_k_zz_it_factors(monkeypatch):
+    # no float64 copy of K_zz is made: the array exact_mll factors is the one
+    # the pseudoloss and the dense path read
+    x, y, hp = random_instance(12, n=32, m=6)
+    batch = _batch(x, y, hp)
+    assert batch.k_zz is batch.k_zz64
+    factored = []
+    factor = softki.linalg.cholesky_upper
+
+    def spy(m):
+        factored.append(m)
+        return factor(m)
+
+    monkeypatch.setattr(softki.linalg, "cholesky_upper", spy)
+    exact_mll(x, y, hp, batch=batch)
+    assert factored[0] is batch.k_zz
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=40.0, max_value=70.0), st.floats(min_value=0.5, max_value=2.0))
+def test_float32_k_zz_copy_holds_no_subnormals(gap, lengthscale):
+    # two clusters gap apart put their cross entries anywhere from float32
+    # normals through its subnormals to 0; the copy keeps every normal entry
+    # of the float64 K_zz as cast and zeroes the rest
+    x, y, hp = split_cluster_batch()
+    z = hp.z.copy()
+    z[4:, 0] += gap - 55.0
+    hp = Hyperparams(noise=0.3, kernel=MaternParams(np.full(2, lengthscale), 1.0), z=z,
+                     temperatures=np.ones(2))
+    batch = _batch(x, y, hp)
+    tiny = np.finfo(np.float32).tiny
+    cast = batch.k_zz64.astype(np.float32)
+    assert batch.k_zz.dtype == np.float32
+    assert not np.any((batch.k_zz > 0) & (batch.k_zz < tiny))
+    assert np.array_equal(batch.k_zz, np.where(cast < tiny, np.float32(0.0), cast))
 
 
 def test_batch_zeroes_w_entries_below_the_smallest_normal():
@@ -586,9 +666,11 @@ def test_probes_unit_norm_and_deterministic():
 
 
 def test_pseudoloss_reports_which_cg_stop_happened():
-    # in float32 the recursive residual meets cg_tol while the true one stays
-    # above it: unconverged, but not at the iteration cap
+    # at noise 0.01 the float32 true residual stays above the tolerance the
+    # recursive one meets (measured 8.2e-3 against 4.9e-4): unconverged, but
+    # not at the iteration cap
     x, y, hp = split_cluster_batch()
+    hp = Hyperparams(noise=0.01, kernel=hp.kernel, z=hp.z, temperatures=hp.temperatures)
     probes = draw_probes(y.shape[0], 10, seed=0)
     rep = hutchinson_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
     assert not rep.diagnostics["cg_converged"]
@@ -597,6 +679,26 @@ def test_pseudoloss_reports_which_cg_stop_happened():
                                    cg_max_iters=1)
     assert not capped.diagnostics["cg_converged"]
     assert capped.diagnostics["cg_hit_cap"]
+
+
+def test_cg_tolerance_is_raised_to_what_the_dtype_can_meet():
+    assert cg_tolerance(1e-6, np.float64) == 1e-6
+    assert cg_tolerance(1e-12, np.float64) == 1e-12
+    assert cg_tolerance(1e-6, np.float32) == 4096 * float(np.finfo(np.float32).eps)
+    assert cg_tolerance(1e-2, np.float32) == 1e-2
+
+
+def test_forced_float32_pseudoloss_converges_on_the_clustered_batch():
+    # at cg_tol 1e-6 its true residual stopped at 1.6e-4 to 1.8e-4: unconverged,
+    # with a CGNotConvergedWarning on every call
+    x, y, hp = clustered_fallback_batch()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CGNotConvergedWarning)
+        rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="pseudoloss",
+                                                         dtype="float32"))
+    assert rep.mode_used == "pseudoloss"
+    assert rep.diagnostics["cg_converged"]
+    assert rep.is_finite()
 
 
 def test_pseudoloss_identity_operator_value():
@@ -633,7 +735,8 @@ def n_space_pseudoloss(x, y, hp, probes, cg_tol, cg_max_iters):
     """(value, (g_k, g_w, tr_g), CG report) by the n-space formulas: D applied
     to the probes and u_0 after the solve, W K_zz formed, one W^T product per
     block of solutions."""
-    x, y, w, _, k_zz, _ = _batch(x, y, hp)
+    b = _batch(x, y, hp)
+    x, y, w, k_zz = b.x, b.y, b.w, b.k_zz
     probes = np.asarray(probes, dtype=x.dtype)
     n, ell = probes.shape
     beta = x.dtype.type(hp.noise)
@@ -643,7 +746,7 @@ def n_space_pseudoloss(x, y, hp, probes, cg_tol, cg_max_iters):
         return w @ (k_zz @ (w.T @ v)) + beta2 * v
 
     rep = block_cg(matvec, np.concatenate([y[:, None], probes], axis=1),
-                   tol=cg_tol, max_iters=cg_max_iters)
+                   tol=cg_tolerance(cg_tol, x.dtype), max_iters=cg_max_iters)
     u0, us = rep.solutions[:, 0], rep.solutions[:, 1:]
     value = -0.5 * (float(u0 @ matvec(u0))
                     + float(np.mean(np.einsum("ij,ij->j", us, matvec(probes)))))
@@ -745,29 +848,37 @@ def test_forced_pseudoloss_tracks_exact_gradients():
     assert cosine >= 0.99
 
 
-def test_near_coincident_float32_falls_back():
-    x, y, hp = near_coincident_batch()
-    cfg = TrainConfig(objective_mode="auto", dtype="float32")
-    rep = stabilized_objective(x, y, hp, cfg)
-    assert rep.mode_used == "pseudoloss"
-    assert np.isfinite(rep.value)
-    assert "fallback_reason" in rep.diagnostics
-
+@pytest.mark.parametrize("seed", [0, 1])
+def test_near_coincident_float32_stays_exact(seed):
+    # K_zz built from float32 z was indefinite here and every call fell back;
+    # built and factored in float64 it takes rung 0 (measured against the
+    # float64 referee: value 1.2e-6 to 6.7e-6, gradients 2.2e-5 to 6.6e-5)
+    x, y, hp = near_coincident_batch(seed)
+    ref = exact_mll(x.astype(np.float64), y.astype(np.float64), hp, path="dense")
+    rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="auto", dtype="float32"))
+    assert rep.mode_used == "exact"
+    assert "fallback_reason" not in rep.diagnostics
+    assert_float32_matches(rep, ref)
     forced = stabilized_objective(x, y, hp, TrainConfig(objective_mode="exact",
                                                         dtype="float32"))
-    assert forced.mode_used == "exact"
-    assert np.isnan(forced.value)
-    assert forced.gradients == {}
-    assert not forced.is_finite()
-
-    healthy = exact_mll(x.astype(np.float64), y.astype(np.float64), hp)
-    assert np.isfinite(healthy.value)
+    assert forced.value == rep.value
 
 
-def test_forced_exact_failure_reports_nan_instead_of_raising():
-    x, y, hp = near_coincident_batch(seed=1)
-    rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="exact",
-                                                     dtype="float32"))
+@overflow_warnings
+def test_forced_exact_failure_reports_nan_instead_of_raising(monkeypatch):
+    # both ways the exact objective fails: a non-finite gradient, and a
+    # factor that fails every rung (refused here)
+    x, y, hp = overflowing(*split_cluster_batch())
+    cfg = TrainConfig(objective_mode="exact", dtype="float32")
+    rep = stabilized_objective(x, y, hp, cfg)
+    assert rep.mode_used == "exact"
+    assert np.isnan(rep.value)
+    assert rep.gradients == {}
+    assert not rep.is_finite()
+    assert rep.diagnostics["failure"] == "non-finite exact value or gradient"
+
+    refuse_objective_factors(monkeypatch)
+    rep = stabilized_objective(*near_coincident_batch(seed=1), cfg)
     assert np.isnan(rep.value)
     assert "failure" in rep.diagnostics
 
@@ -821,15 +932,23 @@ def test_training_step_peak_allocation(objective, n, bound):
     assert peak / (n * m * 8) <= bound
 
 
+@overflow_warnings
 def test_float32_fallback_peak_allocation():
     """Peak traced allocation of a float32 stabilized call that falls back, at
     (n, m, d) = (1024, 128, 2), in float32 (n, m) arrays.
 
-    The call peaks at 5.5 arrays. A float64 forward for the backward and a
-    float64 copy of g_w took it to 13.1, and float64 z and temperatures in the
+    The exact attempt runs to its non-finite gradient first, and the call
+    peaks at 6.3 arrays in that attempt's softmax backward, where the
+    batch's float64 K_zz and e and the float64 U_zz, Z S and Phi^T D^-1 Phi
+    are held; the pseudoloss after it peaks at 5.9. With K_zz in float32 the
+    exact attempt failed at its factor and the call peaked at 5.5. Dropping
+    the m-space arrays before the backward took the exact attempt to 5.4,
+    but a float64 wide-m512 train then took 4.6k more minor page faults
+    (47.5k against 42.9k). A float64 forward for the backward and a float64
+    copy of g_w took the call to 13.1, and float64 z and temperatures in the
     softmax backward, which promote its float32 (n, m) products, to 7.1.
     """
-    x, y, hp = clustered_fallback_batch()
+    x, y, hp = overflowing(*clustered_fallback_batch())
     n, m = x.shape[0], hp.z.shape[0]
     cfg = TrainConfig(dtype="float32")
     assert stabilized_objective(x, y, hp, cfg).mode_used == "pseudoloss"  # warms caches too

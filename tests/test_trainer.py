@@ -13,6 +13,7 @@ import scipy
 
 import softki.objective
 import softki.trainer
+from conftest import refuse_objective_factors
 from softki import (TrainConfig, fit_qr, predict_mean, ricker_dataset, train,
                     train_exact, train_sgpr)
 from softki.data import Dataset
@@ -392,10 +393,18 @@ def test_objective_trend_improves_on_smooth_target():
     assert trace.epoch_objectives[-1] > trace.epoch_objectives[0]
 
 
-def test_forced_exact_on_degenerate_float32_marks_failures():
+def test_forced_exact_on_degenerate_float32_marks_failures(monkeypatch):
+    # these far-out clusters failed every K_zz factor while it was built
+    # from float32 z; built and factored in float64 they train exact
     data = destabilized_dataset()
     base = dict(m=9, epochs=1, batch_size=120, learning_rate=0.01, seed=0,
                 dtype="float32")
+    _, trace = train(data, TrainConfig(objective_mode="exact", **base))
+    assert trace.mode_counts == {"exact": 2, "pseudoloss": 0}
+    assert trace.failed_batches == 0
+
+    # with every factor refused, forced exact marks each batch failed
+    refuse_objective_factors(monkeypatch)
     hp, trace = train(data, TrainConfig(objective_mode="exact", **base))
     assert trace.failed_batches == 2
     assert np.isnan(trace.epoch_objectives[0])
@@ -428,28 +437,57 @@ def test_float32_ricker_training_stays_exact_and_near_float64():
     assert np.mean(rmse["float32"]) <= 1.25 * np.mean(rmse["float64"])
 
 
+def clustered_dataset(n, seed):
+    """The clustered benchmark's layout: eight tight clusters at raw
+    coordinates up to 50, passed through unstandardized."""
+    centers = np.random.default_rng(2410).uniform(-50.0, 50.0, size=(8, 2))
+    rng = np.random.default_rng(seed)
+    x = centers[rng.integers(8, size=n)] + 0.05 * rng.standard_normal((n, 2))
+    y = np.sin(x[:, 0] / 7.0) + np.cos(x[:, 1] / 9.0) + 0.1 * rng.standard_normal(n)
+    return Dataset(x, y)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_clustered_training_stays_exact_and_matches_float64(seed):
+    # a K_zz built from float32 z was indefinite on these clusters, and every
+    # float32 batch fell back to the pseudoloss (20 of 20 here); built and
+    # factored in float64 none does. Measured: float32 RMSE within 1e-5 of
+    # float64's relative
+    train_data, test_data = clustered_dataset(1024, seed), clustered_dataset(4000, seed + 1000)
+    rmse = {}
+    for dtype in ("float64", "float32"):
+        cfg = TrainConfig(m=64, epochs=10, batch_size=512, learning_rate=0.01, seed=seed,
+                          dtype=dtype)
+        hp, trace = train(train_data, cfg)
+        assert trace.mode_counts == {"exact": 20, "pseudoloss": 0}, dtype
+        mean = predict_mean(fit_qr(train_data, hp), test_data.x)
+        rmse[dtype] = np.sqrt(np.mean((mean - test_data.y) ** 2))
+    assert rmse["float32"] <= 1.01 * rmse["float64"]
+
+
 def test_float32_training_hands_no_subnormal_k_zz_to_the_objectives(monkeypatch):
     # at lengthscale 1.8 the clusters, 100 apart, sit where sqrt(3) r is
-    # about 96: their K_zz entries are float32 subnormals until _batch zeroes them
+    # about 96: their K_zz entries cast to float32 are subnormals until _batch
+    # zeroes them in the float32 copy the pseudoloss reads
     tiny = np.finfo(np.float32).tiny
     build = softki.objective._batch
     raw_subnormals, handed = [], []
 
     def spy(x, y, hp):
         batch = build(x, y, hp)
-        z = hp.z.astype(batch[0].dtype)
-        raw = matern32(z, z, hp.kernel)
+        z = hp.z.astype(np.float64)
+        raw = matern32(z, z, hp.kernel).astype(np.float32)
         raw_subnormals.append(int(np.sum((raw > 0) & (raw < tiny))))
-        handed.append(batch[4])
+        handed.append(batch.k_zz)
         return batch
 
     monkeypatch.setattr(softki.objective, "_batch", spy)
     cfg = TrainConfig(m=9, epochs=2, batch_size=120, learning_rate=0.01, seed=0,
-                      dtype="float32", lengthscale_init=1.8)
+                      dtype="float32", lengthscale_init=1.8, objective_mode="pseudoloss")
     _, trace = train(destabilized_dataset(), cfg)
     assert trace.failed_batches == 0
     assert trace.mode_counts["pseudoloss"] == 4
-    assert len(handed) == 4  # one batch per call, fallback included
+    assert len(handed) == 4  # one batch per call
     assert all(n > 0 for n in raw_subnormals)
     assert all(k.dtype == np.float32 for k in handed)
     assert not any(np.any((k > 0) & (k < tiny)) for k in handed)
