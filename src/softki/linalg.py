@@ -230,6 +230,7 @@ class CGReport:
     final_residual_norms: np.ndarray  # (k,) relative to each ||b_j||
     converged: bool
     hit_cap: bool                  # max_iters ran out before the recursive residuals met tol
+    tolerances: np.ndarray         # (k,) the tolerance each column was held to
     history: list = field(default_factory=list)  # per-iteration max relative residual
 
 
@@ -238,6 +239,8 @@ def block_cg(
     rhs: np.ndarray,
     tol: float = 1e-6,
     max_iters: int = 500,
+    *,
+    attainable: bool = False,
 ) -> CGReport:
     """Conjugate gradients on an SPD black-box operator, one recurrence per
     column, run in lockstep across all right-hand sides.
@@ -246,6 +249,17 @@ def block_cg(
     <= tol, or after max_iters. The true residual ||b - A x|| / ||b|| is then
     checked; if it is above tol, converged=False and the iterates are returned
     with a CGNotConvergedWarning that names which of the two stops happened.
+
+    attainable=True holds each column to what rhs's dtype can reach instead:
+    the recursive residual drifts from the true one by up to about
+    eps ||A|| max_k ||x_k|| / ||b|| (Greenbaum 1997), so each column's
+    tolerance is raised to that drift as the solve runs, and its true
+    residual counts as converged within one drift of it. A drift of 1 or
+    more is no tolerance (x = 0 meets it): such a column converges only on
+    tol. ||A|| is the largest Rayleigh quotient p^T A p / p^T p of the search
+    directions, a lower bound that the Lanczos process behind CG tightens
+    fast. Columns whose drift stays below tol iterate exactly as with
+    attainable=False.
     """
     rhs = np.asarray(rhs)
     if rhs.dtype.kind != "f":
@@ -265,6 +279,10 @@ def block_cg(
     active = b_norms > 0  # zero rhs columns are solved by x = 0
     history: list[float] = []
     iters = 0
+    tols = np.full(k, float(tol))
+    drift = np.zeros(k)
+    eps = float(np.finfo(rhs.dtype).eps)
+    a_norm = x_max = 0.0
 
     for iters in range(1, max_iters + 1):
         ap = matvec(p)
@@ -276,7 +294,13 @@ def block_cg(
         rs_new = np.einsum("ij,ij->j", r, r)
         rel = np.sqrt(rs_new) / safe
         history.append(float(rel.max()))
-        active = rel > tol
+        if attainable:
+            pp = np.einsum("ij,ij->j", p, p)
+            a_norm = max(a_norm, float(np.max(pap / np.where(pp > 0, pp, 1.0))))
+            x_max = np.maximum(x_max, np.linalg.norm(x, axis=0))
+            drift = eps * a_norm * x_max / safe
+            tols = np.maximum(tol, drift)
+        active = rel > tols
         if not active.any():
             break
         beta = np.where(rs > 0, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
@@ -284,14 +308,18 @@ def block_cg(
         rs = rs_new
 
     final = np.linalg.norm(rhs - matvec(x), axis=0) / safe
-    converged = bool(np.all(final <= tol))
+    unsolvable = drift >= 1.0
+    converged = bool(np.all(final <= np.where(unsolvable, tol, tols + drift)))
     hit_cap = bool(active.any())
     if not converged:
         if hit_cap:
             why = f"reached its cap of {max_iters} iterations"
+        elif unsolvable.any():
+            why = (f"stopped after {iters} iterations: {rhs.dtype} cannot solve a "
+                   f"column whose residual drifts by {drift.max():.1e}")
         else:
             why = (f"stopped after {iters} iterations: the recursive residual met "
-                   f"tol {tol:.1e}, the true one did not")
+                   f"tol {tols.max():.1e}, the true one did not")
         warnings.warn(f"CG {why}; max true rel residual {final.max():.3e}",
                       CGNotConvergedWarning)
     sols = x[:, 0] if squeeze else x
@@ -301,5 +329,6 @@ def block_cg(
         final_residual_norms=final,
         converged=converged,
         hit_cap=hit_cap,
+        tolerances=tols,
         history=history,
     )

@@ -291,6 +291,58 @@ def test_cg_warning_names_a_recursive_residual_below_a_true_one_above_tol():
     assert np.all(rep.final_residual_norms > 1e-7)
 
 
+def low_rank_plus_noise_float32(beta2, n=200, rank=8, seed=0):
+    """float32 operator 1e3 V V^T + beta2 I with orthonormal V, and two
+    right-hand sides: two eigenvalues, far apart at small beta2."""
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    a = (1e3 * v @ v.T + beta2 * np.eye(n)).astype(np.float32)
+    return a, rng.standard_normal((n, 2)).astype(np.float32)
+
+
+def test_cg_attainable_tolerance_lets_a_float32_solve_converge():
+    # at beta2 1e-2 the float32 residuals drift by about 1e-2 (measured
+    # 1.1e-2): held to that, the solve stops after 3 iterations with its true
+    # residual at 2.3e-3; held to 1e-6 it runs 7 and ends at 2.7e-3, unconverged
+    a, rhs = low_rank_plus_noise_float32(1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CGNotConvergedWarning)
+        rep = block_cg(lambda v: a @ v, rhs, tol=1e-6, attainable=True)
+    assert rep.converged
+    assert np.all(rep.tolerances > 1e-6)
+    assert np.all(rep.final_residual_norms <= rep.tolerances)
+    with pytest.warns(CGNotConvergedWarning, match="the true one did not"):
+        strict = block_cg(lambda v: a @ v, rhs, tol=1e-6)
+    assert np.all(strict.tolerances == 1e-6)
+    assert rep.iterations < strict.iterations
+
+
+def test_cg_attainable_tolerance_leaves_a_solve_that_meets_tol_alone():
+    # the float64 drift stays far under tol: the same iterates, bit for bit
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((30, 30))
+    m = a @ a.T + 30.0 * np.eye(30)
+    rhs = rng.standard_normal((30, 3))
+    rep = block_cg(lambda v: m @ v, rhs, tol=1e-10, attainable=True)
+    strict = block_cg(lambda v: m @ v, rhs, tol=1e-10)
+    assert np.array_equal(rep.solutions, strict.solutions)
+    assert rep.history == strict.history
+    assert np.all(rep.tolerances == 1e-10)
+
+
+def test_cg_reports_a_column_whose_residual_drifts_past_one():
+    # at beta2 1e-5 the float32 drift exceeds 1 (measured 2.9), which x = 0
+    # meets: the columns count only on tol, and the solve stops unconverged
+    # short of the cap (held to 1e-6 it runs to the cap, its true residual
+    # at 3.6e4)
+    a, rhs = low_rank_plus_noise_float32(1e-5)
+    with pytest.warns(CGNotConvergedWarning, match="float32 cannot solve a column"):
+        rep = block_cg(lambda v: a @ v, rhs, tol=1e-6, attainable=True)
+    assert not rep.converged
+    assert not rep.hit_cap
+    assert np.all(rep.tolerances >= 1.0)
+
+
 def test_cg_zero_rhs_column_is_solved_by_zero():
     m = np.diag([1.0, 2.0, 3.0])
     rhs = np.zeros((3, 2))
