@@ -114,8 +114,7 @@ EVAL_OPTS = {
 SOLVERS_OPTS = {
     **{name: _Opt(type(arg.default), arg.default,
                   choices=DTYPES if name == "dtype" else None)
-       for name, arg in inspect.signature(near_degenerate_instance).parameters.items()
-       if name != "weak_fraction"},
+       for name, arg in inspect.signature(near_degenerate_instance).parameters.items()},
     "solvers": _Opt(lambda text: tuple(map(_to_solver, _split_list(text))),
                     DEFAULT_STUDY_METHODS),
 }

@@ -134,12 +134,12 @@ def cholesky_upper(m: np.ndarray):
     diag = a.diagonal().copy()
     tol = a.shape[0] * np.finfo(a.dtype).eps
     top = diag.max(initial=0.0)
-    tried = None
+    tried, attempts = None, 0
     for eps in default_jitter_schedule(a):
         rung = diag + eps
         if tried is not None and np.array_equal(rung, tried):
             continue
-        tried = rung
+        tried, attempts = rung, attempts + 1
         np.fill_diagonal(a, rung)
         try:
             u = scipy.linalg.cholesky(a, lower=False, check_finite=False)
@@ -148,8 +148,7 @@ def cholesky_upper(m: np.ndarray):
         pivot = np.diagonal(u).min(initial=np.inf)
         if np.all(np.isfinite(u)) and pivot * pivot >= tol * (top + eps):
             return u, float(eps)
-    raise NotPositiveDefinite(
-        f"Cholesky failed for all {len(DEFAULT_JITTER_MULTIPLIERS)} jitter values")
+    raise NotPositiveDefinite(f"Cholesky failed for all {attempts} jitter values tried")
 
 
 def _check_triangular(r: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -239,27 +238,23 @@ def block_cg(
     rhs: np.ndarray,
     tol: float = 1e-6,
     max_iters: int = 500,
-    *,
-    attainable: bool = False,
 ) -> CGReport:
     """Conjugate gradients on an SPD black-box operator, one recurrence per
     column, run in lockstep across all right-hand sides.
 
-    Stops when every column's recursive relative residual ||r|| / ||b|| is
-    <= tol, or after max_iters. The true residual ||b - A x|| / ||b|| is then
-    checked; if it is above tol, converged=False and the iterates are returned
-    with a CGNotConvergedWarning that names which of the two stops happened.
-
-    attainable=True holds each column to what rhs's dtype can reach instead:
-    the recursive residual drifts from the true one by up to about
-    eps ||A|| max_k ||x_k|| / ||b|| (Greenbaum 1997), so each column's
-    tolerance is raised to that drift as the solve runs, and its true
-    residual counts as converged within one drift of it. A drift of 1 or
+    Each column is held to what rhs's dtype can reach on it, or to tol if
+    that is larger: the recursive residual ||r|| / ||b|| drifts from the true
+    one by up to about eps ||A|| max_k ||x_k|| / ||b|| (Greenbaum 1997), so a
+    column's tolerance is raised to that drift as the solve runs. ||A|| is
+    the largest Rayleigh quotient p^T A p / p^T p of the search directions, a
+    lower bound that the Lanczos process behind CG tightens fast. The solve
+    stops when every column's recursive residual meets its tolerance, or
+    after max_iters. The true residual ||b - A x|| / ||b|| is then checked
+    against the tolerance plus one drift; if a column is above it,
+    converged=False and the iterates are returned with a
+    CGNotConvergedWarning that names which stop happened. A drift of 1 or
     more is no tolerance (x = 0 meets it): such a column converges only on
-    tol. ||A|| is the largest Rayleigh quotient p^T A p / p^T p of the search
-    directions, a lower bound that the Lanczos process behind CG tightens
-    fast. Columns whose drift stays below tol iterate exactly as with
-    attainable=False.
+    tol.
     """
     rhs = np.asarray(rhs)
     if rhs.dtype.kind != "f":
@@ -294,12 +289,11 @@ def block_cg(
         rs_new = np.einsum("ij,ij->j", r, r)
         rel = np.sqrt(rs_new) / safe
         history.append(float(rel.max()))
-        if attainable:
-            pp = np.einsum("ij,ij->j", p, p)
-            a_norm = max(a_norm, float(np.max(pap / np.where(pp > 0, pp, 1.0))))
-            x_max = np.maximum(x_max, np.linalg.norm(x, axis=0))
-            drift = eps * a_norm * x_max / safe
-            tols = np.maximum(tol, drift)
+        pp = np.einsum("ij,ij->j", p, p)
+        a_norm = max(a_norm, float(np.max(pap / np.where(pp > 0, pp, 1.0))))
+        x_max = np.maximum(x_max, np.linalg.norm(x, axis=0))
+        drift = eps * a_norm * x_max / safe
+        tols = np.maximum(tol, drift)
         active = rel > tols
         if not active.any():
             break

@@ -53,15 +53,17 @@ a failed report has a nan value and none.
 Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
 casts x and y to ``TrainConfig.dtype`` once. The softmax forward and
 backward, every n-by-m product and the CG solves run in it; every m-by-m
-quantity runs in float64, after Higham & Mary ("Mixed precision algorithms
-in numerical linear algebra", Acta Numerica 2022): factor in the higher
-precision, run the large products in the lower. K_zz and its e are built
-from float64 z and factored there, ``lowrank_gaussian``'s m-space stays
-there, and the exact gradient's m-by-m factors (K_zz - Z S K_zz) / beta^2
-and K_zz W^T a are formed there and cast once, where they meet W. The kernel
-backward reads the float64 (K_zz, e); the pseudoloss and the dense referee
-read the batch's copy of K_zz cast to its dtype. For a float64 batch each
-cast returns the same array. Built from float32 z, the expanded-norm
+quantity of the exact objective runs in float64, after Higham & Mary
+("Mixed precision algorithms in numerical linear algebra", Acta Numerica
+2022): factor in the higher precision, run the large products in the
+lower. K_zz and its e are built from float64 z and factored there,
+``lowrank_gaussian``'s m-space stays there, and the exact gradient's m-by-m
+factors (K_zz - Z S K_zz) / beta^2 and K_zz W^T a are formed there and cast
+once, where they meet W. The kernel backward reads the float64 (K_zz, e);
+the pseudoloss and the dense referee read the batch's copy of K_zz cast to
+its dtype, so the pseudoloss's K_zz W^T S, S^T D S and K_zz sensitivity g_k
+run in the batch dtype. For a float64 batch each cast returns the same
+array. Built from float32 z, the expanded-norm
 distances on the clustered benchmark's raw coordinates (near 50) put K_zz's
 entries off by up to 8.8e-4 and its smallest eigenvalue at -2.1e-3, where
 float64's is +1.3e-5, and every float32 batch there fell back to the
@@ -318,9 +320,9 @@ def hutchinson_pseudoloss(
     """Factorization-free objective: CG solves against D, probe-based trace.
 
     Runs in x's dtype, the probes and the batch's cast K_zz included, but
-    for the kernel backward; ``TrainConfig`` holds the CG defaults. CG runs
-    with ``attainable=True``: each column stops at cg_tol or at the residual
-    x's dtype can reach on it, whichever is larger, and ``cg_tol_used``
+    for the kernel backward; ``TrainConfig`` holds the CG defaults. Each CG
+    column stops at cg_tol or at the residual x's dtype can reach on it,
+    whichever is larger (see ``linalg.block_cg``), and ``cg_tol_used``
     reports the largest tolerance a column was held to. The CG solutions are
     constants of the gradient (the solver is not differentiated through).
     The value keeps the literal unscaled trace term; the gradient's trace
@@ -339,8 +341,7 @@ def hutchinson_pseudoloss(
         return w @ (k_zz @ (w.T @ v)) + beta2 * v
 
     rhs = np.concatenate([y[:, None], probes], axis=1)
-    rep = linalg.block_cg(matvec, rhs, tol=cg_tol, max_iters=cg_max_iters,
-                          attainable=True)
+    rep = linalg.block_cg(matvec, rhs, tol=cg_tol, max_iters=cg_max_iters)
     # S = [u_0 | U | P] and G = S C S^T: every product with D or G after the
     # solve goes through W^T S once; see the module docstring
     s = np.concatenate([rep.solutions, probes], axis=1)

@@ -17,11 +17,12 @@ R^-1 R^-T. The stack is reduced in row blocks: the seed rows [S | 0] start a
 carried (m+1)-square upper triangle [R | c], and each feature block is
 absorbed into it by one triangular-pentagonal QR (LAPACK ?tpqrt), which
 costs about 2 block_rows m^2 flops and never re-factors the carried rows.
-The full Q is never formed, and peak extra memory is O(block_rows * m)
-independent of n. It is the only route to v; ``solver_study`` scores the
-routes that solve the formed K-form system Chat alpha = X^T y / beta^2,
-Chat = K_zz + X^T X / beta^2 with X = W K_zz (direct, Cholesky, CG), against
-the same stacked QR run on [U_zz; X / beta].
+The full Q is never formed, and peak extra memory is O((block_rows + m) * m)
+independent of n: at large m the carried triangle, not the block, bounds
+it. It is the only route to v; ``solver_study`` scores the routes that
+solve the formed K-form system Chat alpha = X^T y / beta^2, Chat = K_zz +
+X^T X / beta^2 with X = W K_zz (direct, Cholesky, CG), against the same
+stacked QR run on [U_zz; X / beta].
 
 Every fitted model (softki, sgpr, exact) is a ``Posterior`` that predicts as
 
@@ -161,20 +162,16 @@ def _prior_root(variant: str, k_zz: np.ndarray):
     return linalg.tri_inverse_upper(u_rev)[::-1, ::-1].T, jitter
 
 
-def fit(variant: str, data: Dataset, hp,
-        block_rows: int = DEFAULT_BLOCK_ROWS) -> Posterior:
+def fit(variant: str, data: Dataset, hp) -> Posterior:
     """Fit softki or SGPR as the Bayesian linear regression on phi.
 
     Streams phi(x[rows]) / beta through ``stacked_qr_solve`` in row blocks of
-    block_rows, seeded with the root S of the weights' prior precision (see
-    ``_prior_root``), and takes R (R^T R = S^T S + phi^T phi / beta^2) and
-    c from it. Then v = R^-1 c and P = -R^-1 R^-T, to which SGPR adds its
-    prior covariance K_zz^-1 = S^-1 S^-T. Raises InvalidConfig unless
-    block_rows is an int >= 1.
+    ``DEFAULT_BLOCK_ROWS`` (read at each call), seeded with the root S of the
+    weights' prior precision (see ``_prior_root``), and takes R (R^T R =
+    S^T S + phi^T phi / beta^2) and c from it. Then v = R^-1 c and
+    P = -R^-1 R^-T, to which SGPR adds its prior covariance
+    K_zz^-1 = S^-1 S^-T.
     """
-    if (isinstance(block_rows, bool) or not isinstance(block_rows, (int, np.integer))
-            or block_rows < 1):
-        raise InvalidConfig(f"block_rows must be an int >= 1, got {block_rows!r}")
     phi = FORMS[variant][0]
     beta = hp.noise
     seed, jitter = _prior_root(variant, matern32(hp.z, hp.z, hp.kernel))
@@ -186,19 +183,19 @@ def fit(variant: str, data: Dataset, hp,
 
     # a generator expression keeps no reference to a block it has yielded
     blocks = ((scaled(rows), data.y[rows] / beta)
-              for rows in _row_blocks(data.y.shape[0], block_rows))
+              for rows in _row_blocks(data.y.shape[0], DEFAULT_BLOCK_ROWS))
     r, c, residual, diag = stacked_qr_solve(blocks, seed)
-    diag.update({"block_rows": block_rows, "residual": residual, "jitter": jitter})
+    diag.update({"block_rows": DEFAULT_BLOCK_ROWS, "residual": residual,
+                 "jitter": jitter})
     p = -linalg.chol_inverse(r)
     if variant != "softki":
         p += linalg.chol_inverse(seed)
     return Posterior(variant, hp, linalg.tri_solve_upper(r, c), p, diag)
 
 
-def fit_qr(data: Dataset, hp: Hyperparams,
-           block_rows: int = DEFAULT_BLOCK_ROWS) -> Posterior:
+def fit_qr(data: Dataset, hp: Hyperparams) -> Posterior:
     """Fit the interpolation posterior through the stacked QR."""
-    return fit("softki", data, hp, block_rows)
+    return fit("softki", data, hp)
 
 
 def _query(xs: np.ndarray) -> np.ndarray:
@@ -354,17 +351,16 @@ DEFAULT_STUDY_METHODS = ("qr", "direct", "cholesky", "cg:1e-1", "cg:1e-2",
 
 def near_degenerate_instance(n: int = 400, m: int = 24, d: int = 2,
                              delta: float = 1e-3, noise: float = 1e-4,
-                             weak_fraction: float = 0.3, seed: int = 0,
-                             dtype="float32"):
+                             seed: int = 0, dtype="float32"):
     """Dataset plus hyperparameters whose projected system is near singular.
 
     Interpolation points come in pairs ``delta`` apart, so the projected
     cross-covariance has near-coincident columns and the normal-equations
     matrix squares an already extreme condition number. The targets are built
     inside the model's span and mix each pair's shared response with its
-    (tiny-norm) difference response, so about ``weak_fraction`` of the signal
-    variance lives in directions a squared-condition solve cannot resolve at
-    working precision while the stacked factorization still can. The default
+    (tiny-norm) difference response, so about 0.3 of the signal variance
+    lives in directions a squared-condition solve cannot resolve at working
+    precision while the stacked factorization still can. The default
     dtype is float32, the precision where that separation shows; everything
     downstream (weights, factors, solves) stays in the instance dtype.
     Returns (data, hp). Raises InvalidConfig unless m is even and
@@ -398,7 +394,7 @@ def near_degenerate_instance(n: int = 400, m: int = 24, d: int = 2,
             weak += dt.type(rng.standard_normal()) * diff / norm
     norm = np.linalg.norm(weak)
     if norm > 0:
-        weak *= dt.type(weak_fraction) / norm
+        weak *= dt.type(0.3) / norm
     y = shared + weak
     y = ((y - y.mean()) / y.std()).astype(dt)
     return Dataset(x=x.astype(dt), y=y, stats=None, split="train"), hp

@@ -38,6 +38,7 @@ TEMP_FLOOR = 1e-6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+KMEANS_MAX_ITERS = 100  # Lloyd steps, unless the assignments stop changing first
 
 # fixed stream tags so each RNG consumer is independent of the others
 _KMEANS, _SHUFFLE, _PROBES = 11, 13, 17
@@ -123,18 +124,16 @@ class TrainTrace:
 
 
 class Adam:
-    """Ascent-form Adam on a dict of named arrays."""
+    """Ascent-form Adam on a dict of named arrays; each step takes its rate."""
 
-    def __init__(self, params: dict, lr: float):
+    def __init__(self, params: dict):
         self.params = params
-        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
-    def step(self, grads: dict, lr: float | None = None):
+    def step(self, grads: dict, lr: float):
         self.t += 1
-        lr = self.lr if lr is None else lr
         for key, g in grads.items():
             g = np.asarray(g, dtype=float)
             self.m[key] = ADAM_BETA1 * self.m[key] + (1 - ADAM_BETA1) * g
@@ -144,14 +143,14 @@ class Adam:
             self.params[key] = self.params[key] + lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
+def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding.
 
-    Runs to an assignment fixpoint or max_iters; empty clusters are reseeded
-    to the point currently farthest from its nearest centroid. Lloyd's sums
-    are taken in the order of the plain expressions on C-ordered float64
-    (n, d) rows, so the centroids do not depend on x's dtype or memory
-    layout. The seeding adds each row's d squares in sequence, numpy's order
+    Runs to an assignment fixpoint or KMEANS_MAX_ITERS Lloyd steps; empty
+    clusters are reseeded to the point currently farthest from its nearest
+    centroid. Lloyd's sums are taken in the order of the plain expressions
+    on C-ordered float64 (n, d) rows, so the centroids do not depend on x's
+    dtype or memory layout. The seeding adds each row's d squares in sequence, numpy's order
     for d < 8; its sums only decide which rows of x become centroids.
     """
     x = np.asarray(x)
@@ -205,7 +204,7 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0, max_iters: int = 100) -> np.nda
     nearest = np.empty(n)
     assign = np.full(n, -1, dtype=np.intp)  # argmin never yields -1
     new_assign = np.empty(n, dtype=np.intp)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         cc = np.sum(centroids * centroids, axis=1)
         for rows in _row_blocks(n, block_rows):
             xb = x2[rows]
@@ -306,7 +305,7 @@ def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
     """Adam over the named parameters; objective(x, y, hp, step) -> ObjectiveReport."""
     x, y = data.x, data.y
     n = y.shape[0]
-    adam = Adam(raw_init(names, cfg, data), cfg.learning_rate)
+    adam = Adam(raw_init(names, cfg, data))
     trace = TrainTrace()
     step = 0
     for epoch in range(cfg.epochs):
@@ -325,7 +324,7 @@ def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
             )
             if report.is_finite():
                 grads = chain(report.gradients, adam.params)
-                adam.step({k: np.asarray(v) / nb for k, v in grads.items()}, lr=lr)
+                adam.step({k: np.asarray(v) / nb for k, v in grads.items()}, lr)
             else:
                 trace.failed_batches += 1
             step += 1

@@ -4,6 +4,10 @@ Tests marked ``@pytest.mark.criterion(n, slug)`` report one summary line each
 at the end of the run, so the acceptance outcome is readable without digging
 through the full log.
 
+A RuntimeWarning (numpy's overflow and invalid-value reports) or a
+CGNotConvergedWarning fails a test here unless the test expects it, with
+``pytest.warns`` or a filterwarnings mark of its own.
+
 The suite runs BLAS at one thread unless the environment says otherwise:
 OpenBLAS reads its thread count once, when numpy and scipy load it, so the
 default is set here before anything imports them. On small matrices threads
@@ -41,11 +45,22 @@ from softki.objective import LowRankGaussian  # noqa: E402
 
 _CRITERIA = {}
 
+_WARNINGS_AS_ERRORS = pytest.mark.filterwarnings(
+    "error::RuntimeWarning", "error::softki.errors.CGNotConvergedWarning")
+
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "criterion(number, slug): acceptance-criterion identity"
     )
+
+
+def pytest_collection_modifyitems(config, items):
+    # first among each test's own marks, so a test's or module's own filter wins
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            item.add_marker(_WARNINGS_AS_ERRORS, append=False)
 
 
 @pytest.hookimpl(hookwrapper=True)

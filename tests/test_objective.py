@@ -739,7 +739,7 @@ def n_space_pseudoloss(x, y, hp, probes, cg_tol, cg_max_iters):
         return w @ (k_zz @ (w.T @ v)) + beta2 * v
 
     rep = block_cg(matvec, np.concatenate([y[:, None], probes], axis=1),
-                   tol=cg_tol, max_iters=cg_max_iters, attainable=True)
+                   tol=cg_tol, max_iters=cg_max_iters)
     u0, us = rep.solutions[:, 0], rep.solutions[:, 1:]
     value = -0.5 * (float(u0 @ matvec(u0))
                     + float(np.mean(np.einsum("ij,ij->j", us, matvec(probes)))))

@@ -17,7 +17,13 @@ from softki import fit_qr
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
 from softki.baselines import exact_fit, sgpr_fit
-from softki.errors import InvalidConfig, NonFiniteInput, NonFiniteResult, RankDeficient
+from softki.errors import (
+    CGNotConvergedWarning,
+    InvalidConfig,
+    NonFiniteInput,
+    NonFiniteResult,
+    RankDeficient,
+)
 from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.posterior import (
@@ -309,9 +315,10 @@ def test_fit_with_overflowing_temperatures_raises_a_softki_error(temperature):
         fit_qr(data, hp)
 
 
-def test_streaming_blocks_bound_memory_and_count_rows():
+def test_streaming_blocks_bound_memory_and_count_rows(monkeypatch):
+    monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", 64)
     data, hp = make_instance(4, 500, 16)
-    post = fit_qr(data, hp, block_rows=64)
+    post = fit_qr(data, hp)
     diag = post.diagnostics
     assert diag["blocks"] == math.ceil(500 / 64) + 1  # data blocks + regularizer
     assert diag["rows"] == 500 + 16
@@ -320,13 +327,15 @@ def test_streaming_blocks_bound_memory_and_count_rows():
 
 
 @pytest.mark.parametrize("variant", ["softki", "sgpr"])
-def test_block_size_does_not_change_the_solution(variant):
+def test_block_size_does_not_change_the_solution(variant, monkeypatch):
     # 17 rows and 5 rows, the latter fewer than the m + 1 = 13 carried ones
     data, hp = make_instance(6, 150, 12)
-    wide = fit(variant, data, hp, block_rows=150)
+    monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", 150)
+    wide = fit(variant, data, hp)
     xs = np.random.default_rng(2).standard_normal((7, 2))
     for block_rows in (17, 5):
-        narrow = fit(variant, data, hp, block_rows=block_rows)
+        monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", block_rows)
+        narrow = fit(variant, data, hp)
         assert np.allclose(wide.v, narrow.v, rtol=1e-10, atol=1e-12)
         assert np.allclose(predict_var(wide, xs), predict_var(narrow, xs),
                            rtol=1e-8, atol=1e-12)
@@ -412,11 +421,13 @@ def test_solver_route_rejects_a_bad_cg_tolerance(solver):
         solver_study(data, hp, ("qr", solver))
 
 
-@pytest.mark.filterwarnings("ignore::softki.errors.CGNotConvergedWarning")
 def test_solver_study_records_an_unconverged_cg_route():
-    # finite and > 0, but below what float64 CG can reach: recorded, not raised
-    data, hp = make_instance(5, 120, 10)
-    [(res, rmse)] = solver_study(data, hp, ("cg:1e-30",))
+    # the float32 normal equations of this instance are indefinite (smallest
+    # eigenvalue about -1e4 in float64): CG stalls at residual 3.7 and runs to
+    # its cap, which the study records instead of raising
+    data, hp = near_degenerate_instance(seed=1)
+    with pytest.warns(CGNotConvergedWarning, match="reached its cap"):
+        [(res, rmse)] = solver_study(data, hp, ("cg:1e-6",))
     assert res.error == "cg did not converge"
     assert np.isfinite(rmse) and res.iterations > 0
 
@@ -427,18 +438,6 @@ def test_fit_solves_only_through_the_stacked_qr():
     post = fit("softki", data, hp)
     assert post.diagnostics.keys() == {"block_rows", "blocks", "jitter",
                                        "max_stack_rows", "residual", "rows"}
-
-
-@pytest.mark.parametrize("block_rows", [-5, 0, 2.5, True, None, "64"])
-@pytest.mark.parametrize("variant", ["softki", "sgpr"])
-def test_fit_rejects_a_bad_block_rows(variant, block_rows):
-    # -5 fitted no data at all, True ran one-row blocks, and the rest raised
-    # from range
-    data, hp = make_instance(5, 40, 6)
-    match = re.escape(f"block_rows must be an int >= 1, got {block_rows!r}")
-    with pytest.raises(InvalidConfig, match=match):
-        fit(variant, data, hp, block_rows)
-    assert fit(variant, data, hp, np.int64(16)).diagnostics["blocks"] == 4
 
 
 @pytest.mark.parametrize("variant", ["softki", "sgpr"])
@@ -454,7 +453,8 @@ def test_fit_streams_the_features_against_the_root_of_the_prior_precision(
         return original(iter(blocks), seed)
 
     monkeypatch.setattr(softki.posterior, "stacked_qr_solve", spy)
-    post = fit(variant, data, hp, block_rows=64)
+    monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", 64)
+    post = fit(variant, data, hp)
     [(blocks, seed)] = seen
     assert len(blocks) == 3
     for (a, b), rows in zip(blocks, (slice(0, 64), slice(64, 128), slice(128, 150))):
@@ -505,34 +505,35 @@ def test_softki_fit_matches_an_80bit_referee_on_near_degenerate_points(delta, se
     assert np.max(np.abs(var - ref_var)) <= 1e-11 * np.max(ref_var)
 
 
-def _fit_peak(variant, n, block_rows, m):
+def _fit_peak(monkeypatch, variant, n, block_rows, m):
+    monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", block_rows)
     data, hp = make_instance(0, n, m)
-    fit(variant, data, hp, block_rows)  # warm caches outside the measurement
+    fit(variant, data, hp)  # warm caches outside the measurement
     tracemalloc.start()
     try:
-        fit(variant, data, hp, block_rows)
+        fit(variant, data, hp)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 @pytest.mark.parametrize("variant", ["softki", "sgpr"])
-def test_fit_peak_does_not_grow_with_n(variant):
+def test_fit_peak_does_not_grow_with_n(variant, monkeypatch):
     # the stack holds one row block and the carried factor, whatever n is
     block_rows, m = 256, 64
-    small = _fit_peak(variant, 2 * block_rows, block_rows, m)
-    large = _fit_peak(variant, 32 * block_rows, block_rows, m)
+    small = _fit_peak(monkeypatch, variant, 2 * block_rows, block_rows, m)
+    large = _fit_peak(monkeypatch, variant, 32 * block_rows, block_rows, m)
     assert large <= 1.1 * small, (small, large)
 
 
 @pytest.mark.parametrize("variant", ["softki", "sgpr"])
-def test_fit_holds_one_design_block_at_a_time(variant):
+def test_fit_holds_one_design_block_at_a_time(variant, monkeypatch):
     # each block is divided by beta in place and dropped before the next is
     # built: 3.09-3.14 block_rows x m arrays measured, 3.34-3.39 while softki
     # streamed W K_zz and K_zz lived through the stream, 4.9 while two blocks
     # lived
     block_rows, m = 256, 64
-    peak = _fit_peak(variant, 8 * block_rows, block_rows, m)
+    peak = _fit_peak(monkeypatch, variant, 8 * block_rows, block_rows, m)
     assert peak <= 3.25 * block_rows * m * 8, peak / (block_rows * m * 8)
 
 

@@ -254,8 +254,8 @@ def test_kmeans_deterministic_and_handles_duplicates():
 def test_adam_first_step_is_learning_rate_sized_ascent():
     params = {"a": np.zeros(3)}
     grads = {"a": np.array([1.0, -2.0, 1e-3])}
-    opt = Adam(params, lr=0.1)
-    opt.step(grads)
+    opt = Adam(params)
+    opt.step(grads, 0.1)
     step = params["a"]
     assert np.all(np.sign(step) == np.sign(grads["a"]))
     assert np.all(np.abs(step) <= 0.1 + 1e-15)
@@ -264,8 +264,8 @@ def test_adam_first_step_is_learning_rate_sized_ascent():
 
 def test_adam_lr_override_and_counter():
     params = {"a": np.zeros(1)}
-    opt = Adam(params, lr=1.0)
-    opt.step({"a": np.array([1.0])}, lr=0.25)
+    opt = Adam(params)
+    opt.step({"a": np.array([1.0])}, 0.25)
     assert opt.t == 1
     assert params["a"][0] == pytest.approx(0.25, rel=1e-6)
 
