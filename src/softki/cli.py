@@ -153,12 +153,8 @@ def _convert(opt: _Opt, key: str, raw, label: str):
 def _resolve(opts: dict, args) -> dict:
     values = {name: opt.default for name, opt in opts.items()}
     sources = [("config", _parse_kv_file(args.config))] if args.config else []
-    cli_pairs = [
-        (name, getattr(args, name.replace("-", "_")))
-        for name in opts
-        if getattr(args, name.replace("-", "_")) is not None
-    ]
-    sources.append(("flag", cli_pairs))
+    flags = [(name, getattr(args, name.replace("-", "_"))) for name in opts]
+    sources.append(("flag", [(name, raw) for name, raw in flags if raw is not None]))
     for label, pairs in sources:
         for key, raw in pairs:
             if key in opts:  # other keys let a report be replayed as a config
@@ -167,10 +163,6 @@ def _resolve(opts: dict, args) -> dict:
         if value is None:
             raise ValueError(f"--{name} is required")
     return values
-
-
-def _config_echo(opts: dict, values: dict) -> list:
-    return [(name, values[name]) for name in opts]
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +239,7 @@ def cmd_train(values: dict, outdir: Path) -> int:
     hp = ck.posterior.hp
 
     objectives = trace.epoch_objectives
-    lines = _config_echo(TRAIN_OPTS, values) + [
+    lines = list(values.items()) + [
         ("n_train", len(train_data)),
         ("n_test", len(test_data)),
         ("rmse", result["metrics"]["rmse"]),
@@ -295,7 +287,7 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     xs, ys = apply_stats(raw.x, raw.y, stats)
     metrics, mean, var = _scored(post, stats, xs, ys)
 
-    lines = _config_echo(EVAL_OPTS, values) + [
+    lines = list(values.items()) + [
         ("variant", post.variant),
         ("n_points", len(raw)),
         *metrics.items(),
@@ -348,15 +340,13 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
         except Exception as err:  # noqa: BLE001 -- rows are isolated by design
             return (*spec, float("nan"), float("nan"), float("nan"),
                     f"{type(err).__name__}: {err}")
-        metrics = result["metrics"]
         trace = result["trace"]
-        seconds = float(sum(trace.epoch_seconds))
-        rmse, nll = metrics["rmse"], metrics["nll"]
+        rmse, nll = result["metrics"]["rmse"], result["metrics"]["nll"]
         if trace.epoch_objectives and not np.isfinite(trace.epoch_objectives[-1]):
             # training never stabilized; mark the row nan but keep it as a
             # completed row rather than a failure
             rmse, nll = float("nan"), float("nan")
-        return (*spec, rmse, nll, seconds, "")
+        return (*spec, rmse, nll, float(sum(trace.epoch_seconds)), "")
 
     # the rows share one BLAS pool per runtime: workers x threads stays <= the cap
     cap = blas_threads()

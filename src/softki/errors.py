@@ -43,7 +43,8 @@ class InvalidConfig(SoftKIError):
 
 class NonFiniteInput(SoftKIError):
     """A Dataset, query points or z hold nan, inf or a row whose squares overflow
-    float64; the message names the first bad row."""
+    float64, or a temperature's inverse square overflows it; the message names
+    the first bad row or entry."""
 
 
 class ParseError(SoftKIError):

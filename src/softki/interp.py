@@ -51,12 +51,14 @@ class Hyperparams:
         if self.kernel.lengthscales.shape[0] != self.z.shape[1]:
             raise DimensionMismatch(f"{self.kernel.lengthscales.shape[0]} lengthscales "
                                     f"for d={self.z.shape[1]}")
-        # the distances of training and prediction sum these squares; a row
-        # whose sums overflow turns every prediction into nan
+        # the distances of training and prediction sum these squares, and the
+        # softmax divides x by the temperatures: a z row whose sums overflow,
+        # or a temperature whose 1/T^2 does, turns every prediction into nan
         z = self.z.astype(float, copy=False)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             fits = (np.isfinite(np.sum(z**2, axis=1))
                     & np.isfinite(np.sum((z / self.kernel.lengthscales)**2, axis=1)))
+            t_fits = np.isfinite(self.temperatures.astype(float, copy=False) ** -2.0)
         if not fits.all():
             raise NonFiniteInput(f"z row {np.argmin(fits)} (0-based) overflows the "
                                  "squared distance in float64")
@@ -66,6 +68,8 @@ class Hyperparams:
             )
         if np.any(self.temperatures <= 0) or not np.all(np.isfinite(self.temperatures)):
             raise NonPositiveTemperature("temperatures must be finite and > 0")
+        if not t_fits.all():
+            raise NonFiniteInput(f"temperatures[{np.argmin(t_fits)}]: 1/T^2 overflows float64")
 
 
 def softmax_weights(x: np.ndarray, hp: Hyperparams) -> np.ndarray:

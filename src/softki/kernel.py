@@ -124,8 +124,7 @@ def matern32_param_grads(
 ) -> MaternGrads:
     """Contract dK/dtheta with an upstream sensitivity matrix.
 
-    (k, e) is ``matern32_forward(x, z, params)``, or that K with entries set
-    to 0 where the caller's forward used them as 0; neither is written to.
+    (k, e) is ``matern32_forward(x, z, params)``; neither is written to.
     Returns sum_ij upstream[i, j] * dK[i, j]/dtheta for theta in
     {lengthscales, outputscale} and, on request, the input-point gradients
     (z for learning interpolation/inducing points; x for completeness).

@@ -254,7 +254,8 @@ def block_cg(
     converged=False and the iterates are returned with a
     CGNotConvergedWarning that names which stop happened. A drift of 1 or
     more is no tolerance (x = 0 meets it): such a column converges only on
-    tol.
+    tol. A column whose search direction has p^T A p <= 0 (A is not positive
+    definite along it) stops there and keeps its iterate.
     """
     rhs = np.asarray(rhs)
     if rhs.dtype.kind != "f":
@@ -272,6 +273,7 @@ def block_cg(
     p = r.copy()
     rs = np.einsum("ij,ij->j", r, r)
     active = b_norms > 0  # zero rhs columns are solved by x = 0
+    indefinite = np.zeros(k, dtype=bool)
     history: list[float] = []
     iters = 0
     tols = np.full(k, float(tol))
@@ -282,8 +284,10 @@ def block_cg(
     for iters in range(1, max_iters + 1):
         ap = matvec(p)
         pap = np.einsum("ij,ij->j", p, ap)
-        # frozen columns keep alpha = 0 so their iterates stay put
-        alpha = np.where(active & (pap > 0), rs / np.where(pap > 0, pap, 1.0), 0.0)
+        indefinite |= active & ~(pap > 0)
+        active &= ~indefinite
+        # stopped columns keep alpha = 0 so their iterates stay put
+        alpha = np.where(active, rs / np.where(active, pap, 1.0), 0.0)
         x += alpha * p
         r -= alpha * ap
         rs_new = np.einsum("ij,ij->j", r, r)
@@ -294,7 +298,7 @@ def block_cg(
         x_max = np.maximum(x_max, np.linalg.norm(x, axis=0))
         drift = eps * a_norm * x_max / safe
         tols = np.maximum(tol, drift)
-        active = rel > tols
+        active = (rel > tols) & ~indefinite
         if not active.any():
             break
         beta = np.where(rs > 0, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
@@ -306,7 +310,9 @@ def block_cg(
     converged = bool(np.all(final <= np.where(unsolvable, tol, tols + drift)))
     hit_cap = bool(active.any())
     if not converged:
-        if hit_cap:
+        if indefinite.any():
+            why = f"stopped after {iters} iterations: p^T A p <= 0 along a search direction"
+        elif hit_cap:
             why = f"reached its cap of {max_iters} iterations"
         elif unsolvable.any():
             why = (f"stopped after {iters} iterations: {rhs.dtype} cannot solve a "

@@ -51,48 +51,48 @@ Gradients are a dict keyed by ``trainer.PARAMS`` names, in constrained space;
 a failed report has a nan value and none.
 
 Dtype policy: a batch carries its working dtype, and ``stabilized_objective``
-casts x and y to ``TrainConfig.dtype`` once. The softmax forward and
-backward, every n-by-m product and the CG solves run in it; every m-by-m
-quantity of the exact objective runs in float64, after Higham & Mary
-("Mixed precision algorithms in numerical linear algebra", Acta Numerica
-2022): factor in the higher precision, run the large products in the
-lower. K_zz and its e are built from float64 z and factored there,
-``lowrank_gaussian``'s m-space stays there, and the exact gradient's m-by-m
-factors (K_zz - Z S K_zz) / beta^2 and K_zz W^T a are formed there and cast
-once, where they meet W. The kernel backward reads the float64 (K_zz, e);
-the pseudoloss and the dense referee read the batch's copy of K_zz cast to
-its dtype, so the pseudoloss's K_zz W^T S, S^T D S and K_zz sensitivity g_k
-run in the batch dtype. For a float64 batch each cast returns the same
-array. Built from float32 z, the expanded-norm
-distances on the clustered benchmark's raw coordinates (near 50) put K_zz's
-entries off by up to 8.8e-4 and its smallest eigenvalue at -2.1e-3, where
-float64's is +1.3e-5, and every float32 batch there fell back to the
-pseudoloss. In float32 ricker's beta^2 (about 2.5e-5) lies under M's
-rounding: training at the ricker-m128 config ended above 1e-2 test RMSE on
-32 of 36 sub-seeds with that m-space in float32 and on 8 of 36 in float64.
-Each ``stabilized_objective`` call builds one ``Batch`` (W and its distances,
-K_zz and e = exp(-sqrt(3) r) in float64, and K_zz's cast copy), which the
+casts x and y to ``TrainConfig.dtype`` once. One rule places every product,
+after Higham & Mary ("Mixed precision algorithms in numerical linear
+algebra", Acta Numerica 2022): factor in the higher precision, run the large
+products in the lower. The softmax forward and backward, every n-by-m product
+and the CG solves run in the batch dtype. K_zz and every product formed with
+it run in float64, and each such product is cast once, where it meets W or S:
+K_zz and its e are built from float64 z and factored there,
+``lowrank_gaussian``'s m-space stays there, and the exact gradient's
+(K_zz - Z S K_zz) / beta^2 and K_zz W^T a and the pseudoloss's K_zz W^T v
+(in each CG matvec) and K_zz W^T S (after the solve) are formed there. The
+kernel backward reads the float64 (K_zz, e); only the dense referee casts
+K_zz itself to the batch dtype. For a float64 batch each cast returns the
+same array. Built from float32 z, the expanded-norm distances on the
+clustered benchmark's raw coordinates (near 50) put K_zz's entries off by up
+to 8.8e-4 and its smallest eigenvalue at -2.1e-3, where float64's is
++1.3e-5, and every float32 batch there fell back to the pseudoloss. In
+float32 ricker's beta^2 (about 2.5e-5) lies under M's rounding: training at
+the ricker-m128 config ended above 1e-2 test RMSE on 32 of 36 sub-seeds with
+that m-space in float32 and on 8 of 36 in float64. Each
+``stabilized_objective`` call builds one ``Batch`` (W and its distances in
+the batch dtype; z, K_zz and e = exp(-sqrt(3) r) in float64), which the
 exact attempt and the pseudoloss it may fall back to both read. The backward
 reads the same arrays: ``softmax_weights_backward`` the (W, dist) of
 ``softmax_forward`` and ``matern32_param_grads`` the (K_zz, e) of
 ``matern32_forward``, so each point set goes through each forward once per
 call, in float32 as in float64.
 
-Entries of W and of the cast K_zz below the batch dtype's smallest normal
-(``finfo.tiny``, about 1.2e-38 in float32) are set to 0: OpenBLAS's float32
-GEMM slows to a crawl on subnormal operands. W @ K_zz at (1024, 128) with one
-BLAS thread takes 23 ms on a clustered float32 batch holding 1112 subnormal
-K_zz entries, and 2.2 ms with them zeroed; a stabilized call that falls
-back (17 CG iterations) on a batch whose W holds 22036 subnormal entries of
-131072 took 144-153 ms with them and 10-11 ms without. A Matern-3/2 value
-there lies more than 30 orders of magnitude under the diagonal, and a
-softmax weight there belongs to a point far outside the row's reach. Every
-entry of W and of a unit-norm probe is at most 1 in absolute value and no
-K_zz entry exceeds the outputscale, so each dropped product term is below
-tiny * outputscale. The float64 K_zz that is factored and differentiated
-keeps such entries as built. In float64 finfo.tiny is 2.2e-308, and the
-hyperparameters all four benchmark workloads train on sub-seeds 100-102 stay
-bitwise those trained without the zeroing.
+Entries of W and of each cast K_zz product below the batch dtype's smallest
+normal (``finfo.tiny``, about 1.2e-38 in float32) are set to 0: OpenBLAS's
+float32 GEMM slows to a crawl on subnormal operands. On a clustered float32
+batch at (1024, 128) whose W holds 22036 subnormal entries of 131072, a
+stabilized call that fell back to the pseudoloss (17 CG iterations) took
+144-153 ms with them and 10-11 ms without, at one BLAS thread. On the same
+batch the exact gradient's (K_zz - Z S K_zz) / beta^2 holds 2327 float32
+subnormals of 16384 entries when cast, and W times it took 35 ms with them
+and 14 ms without. A zeroed entry drops product terms below tiny times the
+largest entry of the other operand; W's entries are at most 1, so a zeroed
+entry of a cast product drops terms below tiny. The float64 K_zz that is
+factored and differentiated keeps its entries as built. In float64
+finfo.tiny is 2.2e-308, and the four benchmark workloads train, fit and
+predict bitwise the same at sub-seeds 100-102 with and without the cast
+products' zeroing.
 """
 
 from dataclasses import dataclass, field
@@ -207,31 +207,34 @@ class Batch(NamedTuple):
     y: np.ndarray
     w: np.ndarray           # softmax weights, x's dtype
     dist: np.ndarray        # their distances, x's dtype
-    k_zz: np.ndarray        # K_zz in x's dtype: what the n-by-m products read
-    k_zz64: np.ndarray      # K_zz in float64: factored and differentiated
-    e_zz64: np.ndarray      # its exp(-sqrt(3) r), float64
+    z: np.ndarray           # the points, float64
+    k_zz: np.ndarray        # K_zz, float64
+    e_zz: np.ndarray        # its exp(-sqrt(3) r), float64
 
 
 def _batch(x, y, hp) -> Batch:
     """The ``Batch`` of (x, y): W and its distances from ``softmax_forward``
-    in x's dtype, K_zz and e_zz from ``matern32_forward`` on float64 z, and
-    K_zz cast to x's dtype. For float64 x that cast is no copy: k_zz is
-    k_zz64.
-
-    W and the cast K_zz have their entries below x's dtype's smallest normal
-    zeroed; see the module docstring. No objective and no backward writes
-    into these arrays, so one batch can serve several objectives.
+    in x's dtype, with W's entries below that dtype's smallest normal zeroed
+    (see the module docstring), and K_zz and e_zz from ``matern32_forward``
+    on float64 z. No objective and no backward writes into these arrays, so
+    one batch can serve several objectives.
     """
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(float)
     w, dist = softmax_forward(x, hp)
+    w[w < np.finfo(w.dtype).tiny] = 0.0
     z = hp.z.astype(np.float64, copy=False)
-    k_zz64, e_zz64 = matern32_forward(z, z, hp.kernel)
-    k_zz = k_zz64.astype(x.dtype, copy=False)
-    for a in (w, k_zz):
-        a[a < np.finfo(a.dtype).tiny] = 0.0
-    return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, k_zz, k_zz64, e_zz64)
+    k_zz, e_zz = matern32_forward(z, z, hp.kernel)
+    return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, z, k_zz, e_zz)
+
+
+def _cast(a: np.ndarray, dtype) -> np.ndarray:
+    """a, a float64 product with K_zz, cast to the batch dtype where it meets
+    W or S, with its entries below that dtype's smallest normal zeroed."""
+    a = a.astype(dtype, copy=False)
+    a[np.abs(a) < np.finfo(dtype).tiny] = 0.0
+    return a
 
 
 def _assemble_gradients(b: Batch, hp, g_k, g_w, tr_g) -> dict:
@@ -241,8 +244,7 @@ def _assemble_gradients(b: Batch, hp, g_k, g_w, tr_g) -> dict:
     the kernel backward (K_zz, e_zz) in float64, and the softmax backward
     (W, dist) in x's dtype.
     """
-    z = hp.z.astype(np.float64, copy=False)
-    kg = matern32_param_grads(z, z, hp.kernel, b.k_zz64, b.e_zz64, g_k,
+    kg = matern32_param_grads(b.z, b.z, hp.kernel, b.k_zz, b.e_zz, g_k,
                               want_x=True, want_z=True)
     z_soft, g_t = softmax_weights_backward(b.x, hp, b.w, b.dist, g_w)
     return {
@@ -268,35 +270,35 @@ def exact_mll(
     and the m-by-m inner matrix only, both in float64, and forms every
     m-by-m factor of the gradient in float64 before casting it to x's dtype
     where it meets W; path="dense" factorizes D itself, formed in x's dtype
-    from the batch's cast K_zz (test-scale cross-check). Raises
+    from K_zz cast to it (test-scale cross-check). Raises
     NotPositiveDefinite when the required Cholesky fails after the jitter
     schedule. batch, when given, is ``_batch(x, y, hp)`` built by the caller.
     """
     b = _batch(x, y, hp) if batch is None else batch
-    x, y, w = b.x, b.y, b.w
+    x, y, w, k_zz = b.x, b.y, b.w, b.k_zz
     n = y.shape[0]
     beta = x.dtype.type(hp.noise)
     beta2 = beta * beta
 
     diag = {}
     if path == "dense":
+        k_zz = k_zz.astype(x.dtype, copy=False)
         quad, logdet, a, d_inv, diag["jitter"] = dense_gaussian(
-            w @ b.k_zz @ w.T + beta2 * np.eye(n, dtype=x.dtype), y)
+            w @ k_zz @ w.T + beta2 * np.eye(n, dtype=x.dtype), y)
         g = 0.5 * (np.outer(a, a) - d_inv)
         g_k = w.T @ g @ w
-        g_w = 2.0 * g @ (w @ b.k_zz)
+        g_w = 2.0 * g @ (w @ k_zz)
         tr_g = float(np.trace(g))
     elif path == "lowrank":
-        k_zz = b.k_zz64
         u_zz, diag["jitter"] = linalg.cholesky_upper(k_zz)
         lr = lowrank_gaussian(w, y, u_zz, beta2)
         diag["jitter_inner"] = lr.jitter
         a, quad, logdet = lr.a, lr.quad, lr.logdet
         phi_a = lr.phi_a.astype(np.float64, copy=False)
         g_k = 0.5 * (np.outer(phi_a, phi_a) - lr.phi_dinv_phi)
-        g_w = w @ ((k_zz - lr.zs @ k_zz) / beta2).astype(x.dtype, copy=False)
+        g_w = w @ _cast((k_zz - lr.zs @ k_zz) / beta2, x.dtype)
         np.negative(g_w, out=g_w)
-        g_w += np.outer(a, (phi_a @ k_zz).astype(x.dtype, copy=False))
+        g_w += np.outer(a, _cast(phi_a @ k_zz, x.dtype))
         tr_g = 0.5 * (float(a @ a) - lr.tr_d_inv)
     else:
         raise InvalidConfig(f"exact_mll path must be lowrank or dense, got {path!r}")
@@ -319,11 +321,13 @@ def hutchinson_pseudoloss(
 ) -> ObjectiveReport:
     """Factorization-free objective: CG solves against D, probe-based trace.
 
-    Runs in x's dtype, the probes and the batch's cast K_zz included, but
-    for the kernel backward; ``TrainConfig`` holds the CG defaults. Each CG
-    column stops at cg_tol or at the residual x's dtype can reach on it,
-    whichever is larger (see ``linalg.block_cg``), and ``cg_tol_used``
-    reports the largest tolerance a column was held to. The CG solutions are
+    The probes, CG and every n-by-m product run in x's dtype; K_zz W^T v (in
+    each CG matvec) and K_zz W^T S (after the solve) are formed in float64
+    and cast once, where they meet W or S, and the kernel backward runs in
+    float64. ``TrainConfig`` holds the CG defaults. Each CG column stops at
+    cg_tol or at the residual x's dtype can reach on it, whichever is larger
+    (see ``linalg.block_cg``), and ``cg_tol_used`` reports the largest
+    tolerance a column was held to. The CG solutions are
     constants of the gradient (the solver is not differentiated through).
     The value keeps the literal unscaled trace term; the gradient's trace
     estimate is scaled by n, so it targets the exact gradient's tr(D^-1 dD).
@@ -332,13 +336,12 @@ def hutchinson_pseudoloss(
     b = _batch(x, y, hp) if batch is None else batch
     x, y, w, k_zz = b.x, b.y, b.w, b.k_zz
     probes = np.asarray(probes, dtype=x.dtype)
-    n = y.shape[0]
-    ell = probes.shape[1]
+    n, ell = probes.shape
     beta = x.dtype.type(hp.noise)
     beta2 = beta * beta
 
     def matvec(v):
-        return w @ (k_zz @ (w.T @ v)) + beta2 * v
+        return w @ _cast(k_zz @ (w.T @ v), x.dtype) + beta2 * v
 
     rhs = np.concatenate([y[:, None], probes], axis=1)
     rep = linalg.block_cg(matvec, rhs, tol=cg_tol, max_iters=cg_max_iters)
@@ -346,7 +349,7 @@ def hutchinson_pseudoloss(
     # solve goes through W^T S once; see the module docstring
     s = np.concatenate([rep.solutions, probes], axis=1)
     ws = w.T @ s
-    kws = k_zz @ ws
+    kws = _cast(k_zz @ ws, x.dtype)
     gram = s.T @ s
     sds = ws.T @ kws + beta2 * gram             # S^T D S
     j = np.arange(1, ell + 1)                   # u_j is column j, w_j column l + j
@@ -393,7 +396,6 @@ def stabilized_objective(
     off, since its non-finite result is handled as a failure.
     """
     x = np.asarray(x, dtype=cfg.dtype)
-    y = np.asarray(y, dtype=cfg.dtype)
     batch = _batch(x, y, hp)
     failure = None
     if cfg.objective_mode in ("auto", "exact"):
@@ -409,7 +411,7 @@ def stabilized_objective(
         if cfg.objective_mode == "exact":
             return ObjectiveReport(float("nan"), {}, "exact", {"failure": failure})
 
-    probes = draw_probes(y.shape[0], cfg.probes, probe_seed)
+    probes = draw_probes(batch.y.shape[0], cfg.probes, probe_seed)
     rep = hutchinson_pseudoloss(
         x, y, hp, probes,
         cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters, batch=batch,

@@ -91,7 +91,7 @@ class TrainConfig:
     lr_step_epochs: int = _setting(
         0, "multiply the step size by --lr-step-factor this often (0 = off)", minimum=0)
     lr_step_factor: float = _setting(0.5, interval=(0.0, math.inf, False))
-    dtype: str = _setting("float64", "objective dtype", choices=DTYPES)
+    dtype: str = _setting("float64", "objective dtype (softki only)", choices=DTYPES)
 
     def __post_init__(self):
         for f in fields(self):

@@ -225,6 +225,9 @@ RESEALED = {
     "softki-no-temperatures": (None, {"temperatures": lambda flat: flat[:0]},
                                "temperatures"),
     "sgpr-with-temperatures": ({"variant": "sgpr"}, None, "temperatures"),  # d = 2 kept
+    # loaded, it predicted nan mean and variance at every query
+    "temperature-overflowing": (None, {"temperatures": lambda flat: flat * 1e-300},
+                                "temperatures"),
 }
 
 

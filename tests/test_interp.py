@@ -81,6 +81,14 @@ def test_record_rejects_points_whose_squares_overflow(coordinate, lengthscale):
                                    z=z).z).all()
 
 
+@pytest.mark.parametrize("temperature", [1e-155, 1e-300, 5e-324])
+def test_record_rejects_temperatures_whose_inverse_square_overflows(temperature):
+    # the softmax divides x by T; at T = 1e-300 every weight came out nan
+    with pytest.raises(NonFiniteInput, match=r"temperatures\[1\]: 1/T\^2 overflows"):
+        state(np.zeros((3, 2)), temps=[1.0, temperature])
+    assert state(np.zeros((3, 2)), temps=[1.0, 1e-154]).temperatures[1] == 1e-154
+
+
 def test_record_without_temperatures_has_no_softmax_weights():
     # SGPR and the exact GP carry an empty temperature vector for any d
     hp = Hyperparams(noise=1.0, kernel=params(3), z=np.zeros((4, 3)))

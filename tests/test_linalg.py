@@ -382,6 +382,22 @@ def test_cg_stops_a_float32_solve_that_cannot_converge_long_before_its_cap(seed)
     assert not rep.hit_cap
 
 
+def test_cg_stops_a_column_at_a_direction_of_non_positive_curvature():
+    # A = diag(3, -1): from b = (1, 1) the first step gives x = (1, 1), and the
+    # second direction (2, 6) has p^T A p = -24. The column stops there and
+    # keeps x; a column that stays on A's positive eigenvector converges
+    a = np.diag([3.0, -1.0])
+    rhs = np.array([[1.0, 1.0], [1.0, 0.0]])       # columns (1, 1) and (1, 0)
+    with pytest.warns(CGNotConvergedWarning,
+                      match="p\\^T A p <= 0 along a search direction"):
+        rep = block_cg(lambda v: a @ v, rhs, tol=1e-10)
+    assert rep.iterations == 2
+    assert not rep.converged
+    assert not rep.hit_cap
+    assert np.array_equal(rep.solutions[:, 0], [1.0, 1.0])
+    assert np.allclose(rep.solutions[:, 1], [1.0 / 3.0, 0.0], rtol=1e-15, atol=0.0)
+
+
 def test_cg_zero_rhs_column_is_solved_by_zero():
     m = np.diag([1.0, 2.0, 3.0])
     rhs = np.zeros((3, 2))

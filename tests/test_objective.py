@@ -140,8 +140,12 @@ def clustered_fallback_batch(n=1024, m=128):
 def overflowing(x, y, hp):
     """The batch at outputscale 1e31 and noise 1e-4, where the exact
     gradient's m-by-m factor (K_zz - Z S K_zz) / beta^2 exceeds float32's
-    largest value when it is cast to meet W, and the float32 pseudoloss stays
-    finite: a float32 batch whose exact objective still fails."""
+    largest value when it is cast to meet W: a float32 batch whose exact
+    objective still fails. The float32 pseudoloss stays finite, but its CG
+    does not converge: D is not positive definite to float32 rounding, and CG
+    stops at the first search direction with p^T D p <= 0 (after 12 and 48
+    iterations on ``split_cluster_batch`` and ``clustered_fallback_batch``,
+    at true residuals of 7.5e4 and 2.6e3)."""
     return x, y, Hyperparams(noise=1e-4, kernel=MaternParams(hp.kernel.lengthscales, 1e31),
                              z=hp.z, temperatures=hp.temperatures)
 
@@ -319,7 +323,7 @@ def exact_gradients_80bit(x, y, hp):
     precision: D^-1 by Woodbury, with K_zz and M factored in np.longdouble."""
     batch = _batch(x, y, hp)
     w = batch.w
-    w_, k, y_ = (a.astype(np.longdouble) for a in (w, batch.k_zz64, batch.y))
+    w_, k, y_ = (a.astype(np.longdouble) for a in (w, batch.k_zz, batch.y))
     beta2 = np.longdouble(hp.noise) ** 2
     n, m = w.shape
     lo = cholesky_ld(k)
@@ -427,7 +431,8 @@ def test_one_batch_per_stabilized_call_that_falls_back(monkeypatch):
     # the failing float32 exact attempt, the pseudoloss and the backward all
     # read one batch: a float32 softmax forward and a float64 K_zz
     softmaxes, kernels = count_forwards(monkeypatch)
-    x, y, hp = overflowing(*split_cluster_batch())
+    refuse_objective_factors(monkeypatch)
+    x, y, hp = split_cluster_batch()
     rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="auto",
                                                      dtype="float32"))
     assert rep.mode_used == "pseudoloss"
@@ -474,34 +479,29 @@ def test_one_kernel_forward_per_point_set(monkeypatch, objective):
 # -------------------------------------------------------------- subnormal flush
 
 
-def test_batch_zeroes_k_zz_entries_below_the_smallest_normal():
-    # K_zz is built from float64 z and kept as built for the factor and the
-    # kernel backward; its float32 copy, which the n x m products read, has
-    # the entries below float32's smallest normal zeroed
+def test_batch_holds_one_float64_k_zz_as_built():
+    # cast to float32, this K_zz holds subnormal entries; the batch keeps one
+    # K_zz, float64 for a float32 batch as for a float64 one, as built
     x, y, hp = split_cluster_batch()
     tiny = np.finfo(np.float32).tiny
     z64 = hp.z.astype(np.float64)
     raw = matern32(z64, z64, hp.kernel)
     raw32 = raw.astype(np.float32)
     assert np.any((raw32 > 0) & (raw32 < tiny))  # the case is not vacuous
-    batch = _batch(x, y, hp)
-    assert batch.k_zz.dtype == np.float32
-    assert not np.any((batch.k_zz > 0) & (batch.k_zz < tiny))
-    assert np.array_equal(batch.k_zz, np.where(raw32 < tiny, np.float32(0.0), raw32))
-    assert batch.k_zz64.dtype == batch.e_zz64.dtype == np.float64
-    assert np.array_equal(batch.k_zz64, raw)
-
-    # the same points in float64 hold no subnormal, and K_zz is left as built
-    x64 = x.astype(np.float64)
-    assert np.array_equal(_batch(x64, y, hp).k_zz, matern32(hp.z, hp.z, hp.kernel))
+    assert softki.objective.Batch._fields == ("x", "y", "w", "dist", "z", "k_zz", "e_zz")
+    for xb in (x, x.astype(np.float64)):
+        batch = _batch(xb, y, hp)
+        assert batch.z.dtype == batch.k_zz.dtype == batch.e_zz.dtype == np.float64
+        assert np.array_equal(batch.z, z64)
+        assert np.array_equal(batch.k_zz, raw)
 
 
 def test_float64_batch_hands_the_n_side_the_k_zz_it_factors(monkeypatch):
-    # no float64 copy of K_zz is made: the array exact_mll factors is the one
-    # the pseudoloss and the dense path read
+    # no float64 copy of K_zz is made: the array exact_mll factors is the
+    # batch's one K_zz, which the pseudoloss and the dense path read too
     x, y, hp = random_instance(12, n=32, m=6)
     batch = _batch(x, y, hp)
-    assert batch.k_zz is batch.k_zz64
+    assert batch.k_zz.dtype == np.float64
     factored = []
     factor = softki.linalg.cholesky_upper
 
@@ -514,23 +514,66 @@ def test_float64_batch_hands_the_n_side_the_k_zz_it_factors(monkeypatch):
     assert factored[0] is batch.k_zz
 
 
+def spy_casts(patch):
+    """List of (float64 product, array handed on) for every K_zz product an
+    objective casts to the batch dtype."""
+    casts = []
+    cast = softki.objective._cast
+
+    def spy(a, dtype):
+        raw = a.copy()
+        casts.append((raw, cast(a, dtype)))
+        return casts[-1][1]
+
+    patch.setattr(softki.objective, "_cast", spy)
+    return casts
+
+
+def assert_no_subnormal_reaches_w(casts, calls):
+    """Each K_zz product was formed in float64 and cast to float32 once, as
+    cast, with its entries below float32's smallest normal zeroed."""
+    tiny = np.finfo(np.float32).tiny
+    assert len(casts) == calls
+    for raw, out in casts:
+        assert raw.dtype == np.float64 and out.dtype == np.float32
+        assert not np.any((out != 0) & (np.abs(out) < tiny))
+        cast = raw.astype(np.float32)
+        assert np.array_equal(out, np.where(np.abs(cast) < tiny, np.float32(0.0), cast))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=40.0, max_value=70.0), st.floats(min_value=0.5, max_value=2.0))
-def test_float32_k_zz_copy_holds_no_subnormals(gap, lengthscale):
-    # two clusters gap apart put their cross entries anywhere from float32
-    # normals through its subnormals to 0; the copy keeps every normal entry
-    # of the float64 K_zz as cast and zeroes the rest
+def test_float32_k_zz_products_hold_no_subnormals(gap, lengthscale):
+    # two clusters gap apart put K_zz's cross entries anywhere from float32
+    # normals through its subnormals to 0; the exact objective casts two K_zz
+    # products to meet W, the pseudoloss one per CG matvec and K_zz W^T S
     x, y, hp = split_cluster_batch()
     z = hp.z.copy()
     z[4:, 0] += gap - 55.0
     hp = Hyperparams(noise=0.3, kernel=MaternParams(np.full(2, lengthscale), 1.0), z=z,
                      temperatures=np.ones(2))
-    batch = _batch(x, y, hp)
+    with pytest.MonkeyPatch.context() as patch:
+        casts = spy_casts(patch)
+        exact_mll(x, y, hp)
+        assert_no_subnormal_reaches_w(casts, 2)
+        casts.clear()
+        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(y.shape[0], 10, seed=0),
+                                    **CG_DEFAULTS)
+        # one matvec per iteration and one for the true residual, then K_zz W^T S
+        assert_no_subnormal_reaches_w(casts, rep.diagnostics["cg_iterations"] + 2)
+
+
+def test_exact_gradient_factor_reaches_w_without_its_subnormals(monkeypatch):
+    # (K_zz - Z S K_zz) / beta^2 on this batch holds 2327 float32 subnormals
+    # of 16384 entries when cast; W times it took 35 ms with them and 14 ms
+    # without (one BLAS thread)
+    x, y, hp = clustered_fallback_batch()
+    casts = spy_casts(monkeypatch)
+    exact_mll(x, y, hp)
     tiny = np.finfo(np.float32).tiny
-    cast = batch.k_zz64.astype(np.float32)
-    assert batch.k_zz.dtype == np.float32
-    assert not np.any((batch.k_zz > 0) & (batch.k_zz < tiny))
-    assert np.array_equal(batch.k_zz, np.where(cast < tiny, np.float32(0.0), cast))
+    raw32 = casts[0][0].astype(np.float32)
+    assert np.any((raw32 != 0) & (np.abs(raw32) < tiny))  # the case is not vacuous
+    assert_no_subnormal_reaches_w(casts, 2)
 
 
 def test_batch_zeroes_w_entries_below_the_smallest_normal():
@@ -736,7 +779,7 @@ def n_space_pseudoloss(x, y, hp, probes, cg_tol, cg_max_iters):
     beta2 = beta * beta
 
     def matvec(v):
-        return w @ (k_zz @ (w.T @ v)) + beta2 * v
+        return w @ (k_zz @ (w.T @ v)).astype(x.dtype) + beta2 * v
 
     rep = block_cg(matvec, np.concatenate([y[:, None], probes], axis=1),
                    tol=cg_tol, max_iters=cg_max_iters)
@@ -744,7 +787,7 @@ def n_space_pseudoloss(x, y, hp, probes, cg_tol, cg_max_iters):
     value = -0.5 * (float(u0 @ matvec(u0))
                     + float(np.mean(np.einsum("ij,ij->j", us, matvec(probes)))))
     c = float(n)
-    wk = w @ k_zz
+    wk = (w @ k_zz).astype(x.dtype)
     wu0, ws, wp = w.T @ u0, w.T @ us, w.T @ probes
     g_k = 0.5 * np.outer(wu0, wu0) - (c / (4.0 * ell)) * (ws @ wp.T + wp @ ws.T)
     g_w = (np.outer(u0, u0 @ wk)

@@ -467,21 +467,26 @@ def test_float32_clustered_training_stays_exact_and_matches_float64(seed):
 
 def test_float32_training_hands_no_subnormal_k_zz_to_the_objectives(monkeypatch):
     # at lengthscale 1.8 the clusters, 100 apart, sit where sqrt(3) r is
-    # about 96: their K_zz entries cast to float32 are subnormals until _batch
-    # zeroes them in the float32 copy the pseudoloss reads
+    # about 96: their K_zz entries cast to float32 are subnormals. Each batch
+    # holds one K_zz, in float64, and every K_zz product the pseudoloss hands
+    # to W or S is cast to float32 with its subnormals zeroed
     tiny = np.finfo(np.float32).tiny
-    build = softki.objective._batch
-    raw_subnormals, handed = [], []
+    build, cast = softki.objective._batch, softki.objective._cast
+    raw_subnormals, handed, products = [], [], []
 
-    def spy(x, y, hp):
+    def spy_batch(x, y, hp):
         batch = build(x, y, hp)
-        z = hp.z.astype(np.float64)
-        raw = matern32(z, z, hp.kernel).astype(np.float32)
+        raw = batch.k_zz.astype(np.float32)
         raw_subnormals.append(int(np.sum((raw > 0) & (raw < tiny))))
         handed.append(batch.k_zz)
         return batch
 
-    monkeypatch.setattr(softki.objective, "_batch", spy)
+    def spy_cast(a, dtype):
+        products.append(cast(a, dtype))
+        return products[-1]
+
+    monkeypatch.setattr(softki.objective, "_batch", spy_batch)
+    monkeypatch.setattr(softki.objective, "_cast", spy_cast)
     cfg = TrainConfig(m=9, epochs=2, batch_size=120, learning_rate=0.01, seed=0,
                       dtype="float32", lengthscale_init=1.8, objective_mode="pseudoloss")
     _, trace = train(destabilized_dataset(), cfg)
@@ -489,8 +494,9 @@ def test_float32_training_hands_no_subnormal_k_zz_to_the_objectives(monkeypatch)
     assert trace.mode_counts["pseudoloss"] == 4
     assert len(handed) == 4  # one batch per call
     assert all(n > 0 for n in raw_subnormals)
-    assert all(k.dtype == np.float32 for k in handed)
-    assert not any(np.any((k > 0) & (k < tiny)) for k in handed)
+    assert all(k.dtype == np.float64 for k in handed)
+    assert products and all(p.dtype == np.float32 for p in products)
+    assert not any(np.any((p != 0) & (np.abs(p) < tiny)) for p in products)
 
 
 def test_train_sgpr_runs_full_batch():
@@ -501,6 +507,22 @@ def test_train_sgpr_runs_full_batch():
     assert isinstance(hp, Hyperparams) and hp.temperatures.shape == (0,)
     assert hp.z.shape == (6, 2)
     assert hp.noise >= NOISE_FLOOR
+
+
+@pytest.mark.parametrize("trainer", [train_sgpr, train_exact])
+def test_dtype_is_softki_only(trainer):
+    # the baselines train in float64 whatever TrainConfig.dtype says, and its
+    # help says so
+    data = toy_dataset(seed=4, n=48)
+    runs = [trainer(data, TrainConfig(m=6, epochs=3, learning_rate=0.05, dtype=dtype))
+            for dtype in ("float64", "float32")]
+    (hp64, trace64), (hp32, trace32) = runs
+    for a, b in ((hp64.noise, hp32.noise), (hp64.kernel.lengthscales, hp32.kernel.lengthscales),
+                 (hp64.kernel.outputscale, hp32.kernel.outputscale), (hp64.z, hp32.z),
+                 (trace64.epoch_objectives, trace32.epoch_objectives)):
+        assert np.array_equal(a, b)
+    help_text = {f.name: f.metadata["help"] for f in dataclasses.fields(TrainConfig)}
+    assert "softki only" in help_text["dtype"]
 
 
 def test_train_sgpr_steps_allocate_no_full_batch_array(monkeypatch):
