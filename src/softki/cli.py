@@ -37,7 +37,7 @@ from .errors import (
     NonFiniteResult,
     SoftKIError,
 )
-from .linalg import blas_thread_counts, blas_thread_limit, blas_threads
+from .linalg import blas_thread_counts, blas_thread_limit
 from .posterior import (
     DEFAULT_STUDY_METHODS,
     fit,
@@ -169,6 +169,20 @@ def _resolve(opts: dict, args) -> dict:
 # shared run plumbing
 
 
+def _threads() -> int:
+    """The BLAS thread count of a command: SOFTKI_THREADS, 1 if unset or empty."""
+    raw = os.environ.get("SOFTKI_THREADS") or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidConfig(f"SOFTKI_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
+def _blas_lines() -> list:
+    """Report lines of the BLAS thread counts read back from each runtime."""
+    return [(f"blas_threads_{name}", "uncapped" if count is None else count)
+            for name, count in blas_thread_counts().items()]
+
+
 def _load_raw(values: dict):
     """Raw (train, test) splits of the --data source."""
     if values["data"] == "ricker":
@@ -250,8 +264,7 @@ def cmd_train(values: dict, outdir: Path) -> int:
         ("final_objective", objectives[-1] if objectives else float("nan")),
         ("epochs_run", len(objectives)),
         ("seconds_total", float(sum(trace.epoch_seconds))),
-        *((f"blas_threads_{name}", "uncapped" if count is None else count)
-          for name, count in blas_thread_counts().items()),
+        *_blas_lines(),
         ("failed_batches", trace.failed_batches),
     ] + [(f"mode_{mode}", count) for mode, count in sorted(trace.mode_counts.items())]
     lines += [(f"fit_{key}", value)
@@ -291,6 +304,7 @@ def cmd_eval(values: dict, outdir: Path) -> int:
         ("variant", post.variant),
         ("n_points", len(raw)),
         *metrics.items(),
+        *_blas_lines(),
     ]
     rpt.write_kv(outdir / "report.txt", lines)
     if values["dump-predictions"]:
@@ -348,11 +362,9 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
             rmse, nll = float("nan"), float("nan")
         return (*spec, rmse, nll, float(sum(trace.epoch_seconds)), "")
 
-    # the rows share one BLAS pool per runtime: workers x threads stays <= the cap
-    cap = blas_threads()
-    workers = max(1, min(len(specs), cap))
-    with blas_thread_limit(max(1, cap // workers)), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
+    # each row runs at main's BLAS count, so workers x threads stays <= the CPUs
+    workers = max(1, min(len(specs), (os.cpu_count() or 1) // _threads()))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = sorted(pool.map(run_row, specs), key=lambda row: row[:4])
 
     rpt.write_csv(
@@ -391,6 +403,7 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
         ("rows_total", len(rows)),
         ("rows_failed", len(failed)),
         ("workers", workers),
+        *_blas_lines(),
     ])
     for row in rows:
         print(f"{row[0]}/{row[1]}/{row[2]}/seed{row[3]}: "
@@ -426,6 +439,7 @@ def _bench_solvers(suite: dict, outdir: Path) -> int:
                   ["solver", "iteration", "residual"], curve_rows)
     rpt.write_kv(outdir / "report.txt", [
         ("suite", "solvers"), *values.items(), ("solvers", ",".join(methods)),
+        *_blas_lines(),
     ])
     for res, rmse in rows:
         print(f"{res.method}: train_rmse = {rpt.format_value(rmse)}")
@@ -495,11 +509,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, SoftKIError) as err:
         return _fail(Path(getattr(args, "out", None) or "run"), err)
     outdir = Path(values["out"])
-    # OpenBLAS read its own variables when it loaded; SOFTKI_THREADS is applied here
-    cap = blas_threads() if os.environ.get("SOFTKI_THREADS") else None
     try:
+        threads = _threads()
         outdir.mkdir(parents=True, exist_ok=True)
-        with blas_thread_limit(cap):
+        # OpenBLAS read its own variables when it loaded; the count is set here
+        with blas_thread_limit(threads):
             return args._fn(values, outdir)
     except (OSError, ValueError, SoftKIError) as err:
         return _fail(outdir, err)

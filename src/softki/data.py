@@ -207,8 +207,6 @@ def ricker(x: np.ndarray, width: float = 1.0, amplitude: float = 1.0) -> np.ndar
 def ricker_raw(
     n_train: int = 3000,
     n_test: int = 200,
-    width: float = 1.0,
-    amplitude: float = 1.0,
     radius: float = 4.0,
     noise: float = 0.0,
     seed: int = 0,
@@ -221,8 +219,8 @@ def ricker_raw(
     rng = np.random.default_rng(seed)
     x_tr = rng.uniform(-radius, radius, size=(n_train, 2))
     x_te = rng.uniform(-radius, radius, size=(n_test, 2))
-    y_tr = ricker(x_tr, width, amplitude)
-    y_te = ricker(x_te, width, amplitude)
+    y_tr = ricker(x_tr)
+    y_te = ricker(x_te)
     if noise > 0:
         y_tr = y_tr + noise * rng.standard_normal(n_train)
     return (
@@ -234,12 +232,9 @@ def ricker_raw(
 def ricker_dataset(
     n_train: int = 3000,
     n_test: int = 200,
-    width: float = 1.0,
-    amplitude: float = 1.0,
     radius: float = 4.0,
     noise: float = 0.0,
     seed: int = 0,
 ):
     """Synthetic 2-D wavelet regression task, standardized with train stats."""
-    return standardize(*ricker_raw(n_train, n_test, width, amplitude, radius,
-                                   noise, seed))
+    return standardize(*ricker_raw(n_train, n_test, radius, noise, seed))

@@ -148,9 +148,3 @@ def softki_cross(x: np.ndarray, hp: Hyperparams):
     w = softmax_weights(x, hp)
     k_zz = matern32(hp.z, hp.z, hp.kernel)
     return w, k_zz, w @ k_zz
-
-
-def softki_gram(x: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """Dense (n, n) approximate Gram matrix W K_zz W^T. Test-scale helper."""
-    w, k_zz, khat = softki_cross(x, hp)
-    return khat @ w.T

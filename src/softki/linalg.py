@@ -1,7 +1,10 @@
 """Dense linear-algebra kernels: jittered Cholesky, triangular solves and
 inverses, and conjugate gradients for several right-hand sides against a
-black-box operator; and the thread policy of the BLAS runtimes they run on:
-the count the environment asks for, a scoped cap, and the counts read back.
+black-box operator; and a scoped thread count for the BLAS runtimes they run
+on, with the counts read back. Nothing here changes a thread count unless
+asked: the library runs at the count OpenBLAS chose when it loaded
+(OPENBLAS_NUM_THREADS, else its own default), and the ``softki`` command
+sets its own with ``blas_thread_limit``.
 
 Matrices are plain numpy arrays. Upper-triangular factors U satisfy
 M = U^T U (LAPACK convention, lower=False).
@@ -9,7 +12,6 @@ M = U^T U (LAPACK convention, lower=False).
 
 import ctypes
 import glob
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,10 +70,10 @@ def blas_thread_counts() -> dict:
 
 
 @contextmanager
-def blas_thread_limit(threads: int | None):
+def blas_thread_limit(threads: int):
     """Run the body with both bundled OpenBLAS runtimes at ``threads``
-    threads and restore their counts after it; None changes nothing."""
-    found = _openblas_threads() if threads is not None else {}
+    threads and restore their counts after it."""
+    found = _openblas_threads()
     before = {name: getter() for name, (_, getter) in found.items()}
     for setter, _ in found.values():
         setter(threads)
@@ -80,21 +82,6 @@ def blas_thread_limit(threads: int | None):
     finally:
         for name, (setter, _) in found.items():
             setter(before[name])
-
-
-def blas_threads() -> int:
-    """The first positive integer among SOFTKI_THREADS, OPENBLAS_NUM_THREADS
-    and OMP_NUM_THREADS, else the CPU count."""
-    for var in ("SOFTKI_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        val = os.environ.get(var)
-        if val:
-            try:
-                threads = int(val)
-            except ValueError:
-                continue
-            if threads >= 1:
-                return threads
-    return os.cpu_count() or 1
 
 
 def default_jitter_schedule(m: np.ndarray) -> list[float]:

@@ -3,7 +3,10 @@
 import ctypes
 import dataclasses
 import glob
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -546,20 +549,85 @@ def test_report_says_uncapped_where_a_runtime_has_no_setter(tmp_path, wave_csv, 
     assert report["blas_threads_numpy"] == str(openblas_threads()["numpy"])
 
 
-@pytest.mark.parametrize("seeds, per_row", [("0", 2), ("0,1", 1)])
+@pytest.mark.parametrize("env", [
+    pytest.param({}, id="unset"),
+    pytest.param({"SOFTKI_THREADS": ""}, id="empty"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, id="openblas-ignored"),
+])
+def test_commands_run_at_one_blas_thread_unless_softki_threads_is_set(
+        tmp_path, wave_csv, monkeypatch, env):
+    # test_softki_threads_caps_both_blas_runtimes covers SOFTKI_THREADS=k
+    seen = spy_on_blas_threads(monkeypatch)
+    for var in ("SOFTKI_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    with softki.linalg.blas_thread_limit(2):  # a count main has to change
+        assert train_into(tmp_path / "run", wave_csv) == 0
+    assert seen == [{"numpy": 1, "scipy": 1}]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "bench"])
+@pytest.mark.parametrize("value", ["0", "-1", "abc", "1.5"])
+def test_bad_softki_threads_fails_before_the_command_runs(
+        tmp_path, wave_csv, monkeypatch, command, value):
+    monkeypatch.setenv("SOFTKI_THREADS", value)
+    args = {
+        "train": ["--data", str(wave_csv), *TRAIN_ARGS],
+        "eval": ["--checkpoint", str(tmp_path / "missing.bin")],
+        "bench": ["--suite", str(tmp_path / "missing.txt")],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 1
+    error = read_report(out / "error.txt")
+    assert error["error"] == "InvalidConfig"
+    assert "SOFTKI_THREADS" in error["message"]
+    assert sorted(path.name for path in out.iterdir()) == ["error.txt"]
+
+
+@pytest.mark.parametrize("softki_threads, threads", [(None, 1), ("2", 2)])
+def test_commands_run_at_softki_threads_whatever_openblas_loaded_with(
+        tmp_path, wave_csv, softki_threads, threads):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS only when it loads, and this process
+    # loaded it at one thread, so the commands run in a fresh interpreter
+    openblas_threads()  # skips where a runtime bundles no OpenBLAS
+    src = Path(softki.linalg.__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    env.pop("SOFTKI_THREADS", None)
+    if softki_threads is not None:
+        env["SOFTKI_THREADS"] = softki_threads
+    run, evaluated = tmp_path / "run", tmp_path / "eval"
+    for argv in (["train", "--data", str(wave_csv), "--out", str(run), *TRAIN_ARGS],
+                 ["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                  "--data", str(wave_csv), "--out", str(evaluated)]):
+        done = subprocess.run([sys.executable, "-c",
+                               "import sys; from softki.cli import main; sys.exit(main())",
+                               *argv], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    for out in (run, evaluated):
+        report = read_report(out / "report.txt")
+        assert (report["blas_threads_numpy"], report["blas_threads_scipy"]) == (str(threads),) * 2
+
+
+@pytest.mark.parametrize("seeds, per_row", [("0", 2), ("0,1", 1), ("0,1", 2)])
 def test_bench_keeps_workers_times_blas_threads_within_the_cap(
         tmp_path, wave_csv, monkeypatch, seeds, per_row):
+    # rows run at SOFTKI_THREADS each, cpu_count // SOFTKI_THREADS at once
     before = openblas_threads()
     seen = spy_on_blas_threads(monkeypatch)
-    monkeypatch.setenv("SOFTKI_THREADS", "2")
+    monkeypatch.setenv("SOFTKI_THREADS", str(per_row))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     suite = tmp_path / "suite.txt"
     suite.write_text(f"suite = compare\ndata = {wave_csv}\nmodels = softki\n"
                      f"seeds = {seeds}\nm = 6\nepochs = 1\nbatch-size = 64\n")
     out = tmp_path / "bench"
     assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
-    workers = int(read_report(out / "report.txt")["workers"])
-    assert workers == len(seeds.split(","))
-    assert seen == [{"numpy": per_row, "scipy": per_row}] * workers
+    rows = len(seeds.split(","))
+    report = read_report(out / "report.txt")
+    assert int(report["workers"]) == min(rows, 2 // per_row)
+    assert (report["blas_threads_numpy"], report["blas_threads_scipy"]) == (str(per_row),) * 2
+    assert seen == [{"numpy": per_row, "scipy": per_row}] * rows
     assert openblas_threads() == before
 
 

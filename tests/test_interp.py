@@ -10,7 +10,6 @@ from softki.errors import (DimensionMismatch, InvalidConfig, NonFiniteInput,
 from softki.interp import (
     Hyperparams,
     softki_cross,
-    softki_gram,
     softmax_forward,
     softmax_weights,
     softmax_weights_backward,
@@ -198,14 +197,16 @@ def test_cross_row_sums_follow_weights():
 
 def test_gram_single_point_is_constant():
     zs = state([[1.0]], s2=1.7)
-    g = softki_gram(np.random.default_rng(5).standard_normal((4, 1)), zs)
+    w, _, khat = softki_cross(np.random.default_rng(5).standard_normal((4, 1)), zs)
+    g = khat @ w.T
     assert np.allclose(g, 1.7)
 
 
 def test_gram_rank_at_most_m():
     rng = np.random.default_rng(6)
     n, m = 30, 5
-    g = softki_gram(rng.standard_normal((n, 2)), state(rng.standard_normal((m, 2))))
+    w, _, khat = softki_cross(rng.standard_normal((n, 2)), state(rng.standard_normal((m, 2))))
+    g = khat @ w.T
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
     assert np.sum(eigs > 1e-10) <= m
 
@@ -214,8 +215,8 @@ def test_gram_equals_projected_inverse_form():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((20, 2))
     zs = state(rng.standard_normal((6, 2)))
-    _, k_zz, khat = softki_cross(x, zs)
-    g = softki_gram(x, zs)
+    w, k_zz, khat = softki_cross(x, zs)
+    g = khat @ w.T
     recon = khat @ np.linalg.solve(k_zz, khat.T)
     assert np.max(np.abs(g - recon)) <= 1e-8
 
@@ -225,7 +226,8 @@ def test_gram_equals_projected_inverse_form():
 def test_gram_is_psd(n, seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 12))
-    g = softki_gram(rng.standard_normal((n, 2)), state(rng.standard_normal((m, 2))))
+    w, _, khat = softki_cross(rng.standard_normal((n, 2)), state(rng.standard_normal((m, 2))))
+    g = khat @ w.T
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
     assert eigs.min() >= -1e-8 * np.trace(g) / n
 

@@ -22,7 +22,6 @@ from softki.errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFew
 from softki.posterior import DEFAULT_BLOCK_ROWS
 from softki.interp import Hyperparams
 from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, matern32
-from softki.linalg import blas_threads
 from softki.trainer import (
     EXACT_PARAMS,
     NOISE_FLOOR,
@@ -285,18 +284,6 @@ def test_epoch_batch_count_matches_ceiling_rule():
     assert len(list(_epoch_batches(2048, 1024, rng))) == 2
     rng = _rng(0, _SHUFFLE, 1)
     assert len(list(_epoch_batches(2049, 1024, rng))) == 3
-
-
-def test_blas_threads_env_precedence(monkeypatch):
-    monkeypatch.setenv("SOFTKI_THREADS", "3")
-    assert blas_threads() == 3
-    monkeypatch.setenv("SOFTKI_THREADS", "not-a-number")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert blas_threads() == 2
-    monkeypatch.delenv("SOFTKI_THREADS")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    assert blas_threads() >= 1
 
 
 @pytest.mark.parametrize("pkg, symbol", [
