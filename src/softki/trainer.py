@@ -152,6 +152,19 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     on C-ordered float64 (n, d) rows, so the centroids do not depend on x's
     dtype or memory layout. The seeding adds each row's d squares in sequence, numpy's order
     for d < 8; its sums only decide which rows of x become centroids.
+
+    The first Lloyd step evaluates every distance. A later step evaluates
+    only what can change: the distances from each row to the centroids
+    that moved, and whole rows for the rows whose own centroid moved or
+    that a moved centroid may now be nearest to. A decision made on these
+    partial products stands only when it holds with a rounding margin to
+    spare; a row block holding a row too close to call is evaluated again
+    as the full step would, so the assignments, and with them the
+    centroids, are those of full steps. A step is full again after an
+    empty cluster is reseeded, and when the partial one would evaluate more
+    than half of the n x m distances; a partial step that empties a cluster
+    is evaluated again in full before the reseed, which reads the nearest
+    distances.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -165,18 +178,28 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     n = x.shape[0]
     if n < m:
         raise TooFewPoints(f"need at least {m} points, got {n}")
-    rng = _rng(seed, _KMEANS)
-
-    # seeding on x^T: each step subtracts and squares whole length-n rows in
-    # one (d, n) scratch and sums them down its columns
     xt = np.ascontiguousarray(x.T)
-    scratch = np.empty_like(xt)
-    cdf = np.empty(n)
-    row = np.empty(n)
+    centroids = _kmeans_pp(x, xt, m, _rng(seed, _KMEANS))
+    return _lloyd(x, xt, centroids)
+
+
+def _kmeans_pp(x: np.ndarray, xt: np.ndarray, m: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding. Each step adds the squared differences of one
+    coordinate row of x^T at a time into a length-n buffer: the order in
+    which numpy sums a (d, n) array down its columns."""
+    n = x.shape[0]
+    d2, row, scratch = np.empty(n), np.empty(n), np.empty(n)
+
+    def squared_distances(c, out):
+        np.square(np.subtract(xt[0], c[0], out=out), out=out)
+        for coord, ck in zip(xt[1:], c[1:]):
+            out += np.square(np.subtract(coord, ck, out=scratch), out=scratch)
+        return out
+
     centroids = np.empty((m, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
-    np.square(np.subtract(xt, centroids[0][:, None], out=scratch), out=scratch)
-    d2 = np.sum(scratch, axis=0)
+    squared_distances(centroids[0], d2)
     for j in range(1, m):
         total = d2.sum()
         if not math.isfinite(total):
@@ -187,39 +210,112 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
         else:
             # what rng.choice(n, p=d2 / total) runs after its checks: the same
             # index from the same stream
-            np.cumsum(np.divide(d2, total, out=cdf), out=cdf)
+            cdf = np.cumsum(np.divide(d2, total, out=scratch), out=scratch)
             cdf /= cdf[-1]
             centroids[j] = x[cdf.searchsorted(rng.random(), side="right")]
-        np.square(np.subtract(xt, centroids[j][:, None], out=scratch), out=scratch)
-        np.minimum(d2, np.sum(scratch, axis=0, out=row), out=d2)
-    del scratch, cdf, row
+        np.minimum(d2, squared_distances(centroids[j], row), out=d2)
+    return centroids
 
-    # |x|^2 - (2x) c^T + |c|^2 evaluated left to right, one row block at a
-    # time in one block x m buffer: bitwise the plain expression, which the
-    # tests' loop reference computes
+
+def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Lloyd's iterations from the given centroids, updated in place."""
+    n, d = x.shape
+    m = len(centroids)
+    # a full step evaluates |x|^2 - (2x) c^T + |c|^2 left to right, one row
+    # block at a time in one buffer of block x m values: bitwise the plain
+    # expression, which the tests' loop reference computes. The buffer holds
+    # d values more, so that a partial step's gathered rows always fit
+    # beside their distances
     xx = np.sum(x * x, axis=1)
     x2 = 2.0 * x
     block_rows = max(DEFAULT_BLOCK_ROWS, _KMEANS_BLOCK_VALUES // m)
-    dist = np.empty((min(n, block_rows), m))
+    buf = np.empty(min(n, block_rows) * m + d)
     nearest = np.empty(n)
     assign = np.full(n, -1, dtype=np.intp)  # argmin never yields -1
     new_assign = np.empty(n, dtype=np.intp)
+    previous = np.empty_like(centroids)
+    # BLAS rounds an entry of a product differently with the product's
+    # shape; two evaluations of one distance that sum in different orders
+    # differ by at most (d + 2) 2^-52 (|x| + |c|)^2. A partial step's
+    # decision compares two such values, so it needs a gap of twice that;
+    # it stands only on a gap above margin (|x| + max |c|)^2, four times more
+    margin = (d + 4) * 2.0**-49
+
+    def evaluate(xb, xxb, c, cc, out):
+        np.matmul(xb, c.T, out=out)
+        np.subtract(xxb[:, None], out, out=out)
+        out += cc
+        return out
+
+    def full_block(rows, cc):
+        xb = x2[rows]
+        block = buf[: len(xb) * m].reshape(len(xb), m)
+        evaluate(xb, xx[rows], centroids, cc, block)
+        np.argmin(block, axis=1, out=new_assign[rows])
+        nearest[rows] = block[np.arange(len(xb)), new_assign[rows]]
+
+    def distances(ids, c, cc):
+        """Distances from the rows ids to the centroids c with squared norms
+        cc, in buf; the rows of 2x are gathered behind them."""
+        size = len(ids) * len(c)
+        xb = buf[size: size + len(ids) * d].reshape(len(ids), d)
+        np.take(x2, ids, axis=0, out=xb, mode="clip")  # "raise" would buffer
+        return evaluate(xb, xx[ids], c, cc, buf[:size].reshape(len(ids), len(c)))
+
+    def chunks(ids, width):
+        step = min(block_rows, buf.size // (width + d))
+        return (ids[i: i + step] for i in range(0, len(ids), step))
+
+    def partial_step(moved, own, cc):
+        """Assign from the centroids that moved (own: the rows whose centroid
+        moved); returns the rows that need a full evaluation of their block."""
+        cmax = math.sqrt(cc.max())
+        c_moved, cc_moved = centroids[moved], cc[moved]
+        new_assign[:] = assign
+        recheck = [np.flatnonzero(own)]
+        for ids in chunks(np.flatnonzero(~own), len(c_moved)):
+            tol = margin * (np.sqrt(xx[ids]) + cmax) ** 2
+            best = distances(ids, c_moved, cc_moved).min(axis=1)
+            recheck.append(ids[best <= nearest[ids] + tol])
+        unsure = [np.empty(0, dtype=np.intp)]
+        for ids in chunks(np.concatenate(recheck), m):
+            tol = margin * (np.sqrt(xx[ids]) + cmax) ** 2
+            out = distances(ids, centroids, cc)
+            at = np.arange(len(ids))
+            first = np.argmin(out, axis=1)
+            new_assign[ids] = first
+            nearest[ids] = out[at, first]
+            out[at, first] = np.inf
+            unsure.append(ids[out.min(axis=1) <= nearest[ids] + tol])
+        return np.concatenate(unsure)
+
+    full = True
     for _ in range(KMEANS_MAX_ITERS):
         cc = np.sum(centroids * centroids, axis=1)
-        for rows in _row_blocks(n, block_rows):
-            xb = x2[rows]
-            block = dist[: len(xb)]
-            np.matmul(xb, centroids.T, out=block)
-            np.subtract(xx[rows, None], block, out=block)
-            block += cc
-            np.argmin(block, axis=1, out=new_assign[rows])
-            nearest[rows] = block[np.arange(len(xb)), new_assign[rows]]
+        if not full:
+            moved = np.any(centroids != previous, axis=1)
+            if not moved.any():  # a full step would repeat the last assignment
+                break
+            own = moved[assign]
+            n_own = np.count_nonzero(own)
+            full = 2 * (n_own * m + (n - n_own) * np.count_nonzero(moved)) > n * m
+        if full:
+            for rows in _row_blocks(n, block_rows):
+                full_block(rows, cc)
+        else:
+            for b in np.unique(partial_step(moved, own, cc) // block_rows):
+                full_block(slice(b * block_rows, (b + 1) * block_rows), cc)
         if np.array_equal(new_assign, assign):
             break
         assign, new_assign = new_assign, assign
         # bincount adds each column's weights in row order, like a loop over rows
         counts = np.bincount(assign, minlength=m)
         filled = counts > 0
+        if not full and not filled.all():
+            # the reseeds read nearest as a full step leaves it
+            for rows in _row_blocks(n, block_rows):
+                full_block(rows, cc)
+        previous[:] = centroids
         for k, col in enumerate(xt):
             sums = np.bincount(assign, weights=col, minlength=m)
             centroids[filled, k] = sums[filled] / counts[filled]
@@ -227,6 +323,7 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
             far = int(np.argmax(nearest))
             centroids[j] = x[far]
             nearest[far] = 0.0
+        full = not filled.all()  # a reseed zeroed an entry of nearest
     return centroids
 
 
