@@ -197,17 +197,16 @@ def split_standardize(data: Dataset, train_fraction: float = 0.9, seed: int = 0)
     return standardize(*split_raw(data, train_fraction, seed))
 
 
-def ricker(x: np.ndarray, width: float = 1.0, amplitude: float = 1.0) -> np.ndarray:
-    """Radial wavelet a (1 - r^2/s^2) exp(-r^2 / (2 s^2)) over rows of x."""
+def ricker(x: np.ndarray) -> np.ndarray:
+    """Radial wavelet (1 - r^2) exp(-r^2 / 2) over rows of x."""
     r2 = np.sum(np.atleast_2d(x) ** 2, axis=1)
-    s2 = width * width
-    return amplitude * (1.0 - r2 / s2) * np.exp(-r2 / (2.0 * s2))
+    return (1.0 - r2) * np.exp(-r2 / 2.0)
 
 
 def ricker_raw(
     n_train: int = 3000,
     n_test: int = 200,
-    radius: float = 4.0,
+    radius: float = 2.5,
     noise: float = 0.0,
     seed: int = 0,
 ):
@@ -232,7 +231,7 @@ def ricker_raw(
 def ricker_dataset(
     n_train: int = 3000,
     n_test: int = 200,
-    radius: float = 4.0,
+    radius: float = 2.5,
     noise: float = 0.0,
     seed: int = 0,
 ):

@@ -43,7 +43,7 @@ import scipy.linalg
 
 from . import linalg
 from .data import Dataset
-from .errors import InvalidConfig, NonFiniteInput, NonFiniteResult, RankDeficient
+from .errors import InvalidConfig, NonFiniteInput, NonFiniteResult, RankDeficient, SoftKIError
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
 
@@ -304,45 +304,38 @@ def solver_route(method: str):
 
 
 def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> AltSolveResult:
-    """One solve route on Chat alpha = rhs; "qr" calls the qr_alpha thunk."""
-    def residual(alpha):
-        return float(np.linalg.norm(chat @ alpha - rhs) / np.linalg.norm(rhs))
+    """One solve route on Chat alpha = rhs; "qr" calls the qr_alpha thunk.
 
-    def checked(alpha):
-        if not np.all(np.isfinite(alpha)):
-            return AltSolveResult(method, alpha, np.inf, error="non-finite solution")
-        return AltSolveResult(method, alpha, residual(alpha))
-
+    Every route is scored alike: a LinAlgError or SoftKIError it raises is
+    recorded as its error (alpha None, residual inf), a non-finite alpha as
+    "non-finite solution" (residual inf), and otherwise the residual is
+    ||Chat alpha - rhs|| / ||rhs||. Any other exception propagates.
+    """
     route, tol = solver_route(method)
-    if route == "qr":
-        try:
-            alpha = qr_alpha()
-        except Exception as err:  # recorded, not raised, to match the others
-            return AltSolveResult(method, None, np.inf, error=str(err))
-        return AltSolveResult(method, alpha, residual(alpha))
-
-    if route == "direct":
-        try:
-            alpha = np.linalg.solve(chat, rhs)
-        except np.linalg.LinAlgError as err:
-            return AltSolveResult(method, None, np.inf, error=str(err))
-        return checked(alpha)
-
-    if route == "cholesky":
-        try:
+    res = AltSolveResult(method, None, np.inf)
+    try:
+        if route == "qr":
+            res.alpha = qr_alpha()
+        elif route == "direct":
+            res.alpha = np.linalg.solve(chat, rhs)
+        elif route == "cholesky":
             u = scipy.linalg.cholesky(chat, lower=False)  # no jitter: raw method
-        except scipy.linalg.LinAlgError as err:
-            return AltSolveResult(method, None, np.inf, error=str(err))
-        return checked(linalg.chol_solve(u, rhs))
-
-    rep = linalg.block_cg(lambda v: chat @ v, rhs, tol=tol,
-                          max_iters=max(1000, 10 * chat.shape[0]))
-    alpha = rep.solutions
-    return AltSolveResult(
-        method, alpha, residual(alpha), iterations=rep.iterations,
-        error=None if rep.converged else "cg did not converge",
-        history=rep.history,
-    )
+            res.alpha = linalg.chol_solve(u, rhs)
+        else:
+            rep = linalg.block_cg(lambda v: chat @ v, rhs, tol=tol,
+                                  max_iters=max(1000, 10 * chat.shape[0]))
+            res.alpha, res.history = rep.solutions, rep.history
+            res.iterations = rep.iterations
+            if not rep.converged:
+                res.error = "cg did not converge"
+    except (np.linalg.LinAlgError, SoftKIError) as err:
+        res.error = str(err)
+        return res
+    if not np.all(np.isfinite(res.alpha)):
+        res.error = "non-finite solution"
+    else:
+        res.residual = float(np.linalg.norm(chat @ res.alpha - rhs) / np.linalg.norm(rhs))
+    return res
 
 
 DEFAULT_STUDY_METHODS = ("qr", "direct", "cholesky", "cg:1e-1", "cg:1e-2",

@@ -30,7 +30,7 @@ from .errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFewPoints
 from .interp import Hyperparams
 from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams
 from .objective import stabilized_objective
-from .posterior import DEFAULT_BLOCK_ROWS, _row_blocks
+from .posterior import DEFAULT_BLOCK_ROWS
 
 NOISE_FLOOR = 1e-4
 SCALE_FLOOR = 1e-8
@@ -223,13 +223,16 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     m = len(centroids)
     # a full step evaluates |x|^2 - (2x) c^T + |c|^2 left to right, one row
     # block at a time in one buffer of block x m values: bitwise the plain
-    # expression, which the tests' loop reference computes. The buffer holds
-    # d values more, so that a partial step's gathered rows always fit
-    # beside their distances
+    # expression, which the tests' loop reference computes. BLAS rounds an
+    # entry of a short product (one row goes to gemv) differently from a
+    # tall one, so every block has the same rows, the last one starting at
+    # n - rows. The buffer holds d values more, so that a partial step's
+    # gathered rows always fit beside their distances
     xx = np.sum(x * x, axis=1)
     x2 = 2.0 * x
-    block_rows = max(DEFAULT_BLOCK_ROWS, _KMEANS_BLOCK_VALUES // m)
-    buf = np.empty(min(n, block_rows) * m + d)
+    block_rows = min(n, max(DEFAULT_BLOCK_ROWS, _KMEANS_BLOCK_VALUES // m))
+    n_blocks = -(-n // block_rows)
+    buf = np.empty(block_rows * m + d)
     nearest = np.empty(n)
     assign = np.full(n, -1, dtype=np.intp)  # argmin never yields -1
     new_assign = np.empty(n, dtype=np.intp)
@@ -247,12 +250,15 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         out += cc
         return out
 
-    def full_block(rows, cc):
-        xb = x2[rows]
-        block = buf[: len(xb) * m].reshape(len(xb), m)
-        evaluate(xb, xx[rows], centroids, cc, block)
+    def full_block(b, cc):
+        """Evaluate the block_rows rows from b * block_rows, or the last
+        block_rows rows of x where those would run past n."""
+        start = min(b * block_rows, n - block_rows)
+        rows = slice(start, start + block_rows)
+        block = buf[: block_rows * m].reshape(block_rows, m)
+        evaluate(x2[rows], xx[rows], centroids, cc, block)
         np.argmin(block, axis=1, out=new_assign[rows])
-        nearest[rows] = block[np.arange(len(xb)), new_assign[rows]]
+        nearest[rows] = block[np.arange(block_rows), new_assign[rows]]
 
     def distances(ids, c, cc):
         """Distances from the rows ids to the centroids c with squared norms
@@ -299,12 +305,10 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             own = moved[assign]
             n_own = np.count_nonzero(own)
             full = 2 * (n_own * m + (n - n_own) * np.count_nonzero(moved)) > n * m
-        if full:
-            for rows in _row_blocks(n, block_rows):
-                full_block(rows, cc)
-        else:
-            for b in np.unique(partial_step(moved, own, cc) // block_rows):
-                full_block(slice(b * block_rows, (b + 1) * block_rows), cc)
+        blocks = (range(n_blocks) if full
+                  else np.unique(partial_step(moved, own, cc) // block_rows))
+        for b in blocks:
+            full_block(b, cc)
         if np.array_equal(new_assign, assign):
             break
         assign, new_assign = new_assign, assign
@@ -313,8 +317,8 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         filled = counts > 0
         if not full and not filled.all():
             # the reseeds read nearest as a full step leaves it
-            for rows in _row_blocks(n, block_rows):
-                full_block(rows, cc)
+            for b in range(n_blocks):
+                full_block(b, cc)
         previous[:] = centroids
         for k, col in enumerate(xt):
             sums = np.bincount(assign, weights=col, minlength=m)

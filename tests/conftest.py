@@ -32,7 +32,6 @@ from softki import (  # noqa: E402
     fit_qr,
     ricker_dataset,
     sgpr_fit,
-    sgpr_test_metrics,
     test_metrics,
     train,
     train_sgpr,
@@ -182,8 +181,8 @@ def ricker_runs():
             runs["softki"][seed] = {"trace": trace, "rmse": rmse, "nll": nll}
 
             hp, trace = train_sgpr(train_data, TrainConfig(seed=seed, **SGPR_RICKER))
-            post = sgpr_fit(train_data, hp, solver="qr")
-            rmse, nll = sgpr_test_metrics(post, test_data.x, test_data.y)
+            post = sgpr_fit(train_data, hp)
+            rmse, nll = test_metrics(post, test_data.x, test_data.y)
             runs["sgpr"][seed] = {"trace": trace, "rmse": rmse, "nll": nll}
     runs["seconds"] = time.perf_counter() - t0
     return runs

@@ -17,8 +17,6 @@ from softki.baselines import (
     exact_gp_mll,
     sgpr_elbo,
     sgpr_fit,
-    sgpr_predict_mean,
-    sgpr_predict_var,
     sgpr_workspace,
 )
 from softki.data import Dataset
@@ -245,7 +243,7 @@ def test_elbo_reports_the_inner_jitter_rung(monkeypatch):
 
 def test_direct_and_qr_posteriors_agree():
     x, y, hp = random_sgpr_instance(2)
-    via_qr = sgpr_fit(Dataset(x, y), hp, solver="qr")
+    via_qr = sgpr_fit(Dataset(x, y), hp)
     # dense referee: solve the formed C = K_zz + K_zx K_xz / beta^2 directly
     beta2 = hp.noise**2
     k_zz, k_xz = matern32(hp.z, hp.z, hp.kernel), matern32(x, hp.z, hp.kernel)
@@ -255,8 +253,8 @@ def test_direct_and_qr_posteriors_agree():
     assert np.max(np.abs(via_qr.v - alpha)) <= 1e-6
     xs = np.random.default_rng(0).standard_normal((10, 2))
     k_sz = matern32(xs, hp.z, hp.kernel)
-    assert np.allclose(sgpr_predict_mean(via_qr, xs), k_sz @ alpha, atol=1e-6)
-    assert np.allclose(sgpr_predict_var(via_qr, xs),
+    assert np.allclose(predict_mean(via_qr, xs), k_sz @ alpha, atol=1e-6)
+    assert np.allclose(predict_var(via_qr, xs),
                        hp.kernel.outputscale - np.einsum("ij,ij->i", k_sz @ p, k_sz),
                        atol=1e-6)
     for solver in ("svd", "direct"):
@@ -271,16 +269,16 @@ def test_small_noise_with_full_inducing_set_interpolates():
         kernel=MaternParams(lengthscales=[1.0], outputscale=1.0),
         z=data.x.copy(),
     )
-    post = sgpr_fit(data, hp, solver="qr")
-    assert np.max(np.abs(sgpr_predict_mean(post, data.x) - data.y)) <= 1e-3
+    post = sgpr_fit(data, hp)
+    assert np.max(np.abs(predict_mean(post, data.x) - data.y)) <= 1e-3
 
 
 def test_huge_noise_recovers_the_prior():
     x, y, hp = random_sgpr_instance(3, noise=1e4, m=6)
     post = sgpr_fit(Dataset(x, y), hp)
     xs = np.random.default_rng(1).standard_normal((10, 2))
-    assert np.max(np.abs(sgpr_predict_mean(post, xs))) <= 1e-6
-    var = sgpr_predict_var(post, xs)
+    assert np.max(np.abs(predict_mean(post, xs))) <= 1e-6
+    var = predict_var(post, xs)
     s2 = hp.kernel.outputscale
     assert np.max(np.abs(var - s2)) <= 1e-6 * s2
 
@@ -295,7 +293,7 @@ def test_qr_route_is_the_shared_posterior_solver(monkeypatch):
 
     monkeypatch.setattr(softki.posterior, "stacked_qr_solve", counting)
     x, y, hp = random_sgpr_instance(6, m=5)
-    sgpr_fit(Dataset(x, y), hp, solver="qr")
+    sgpr_fit(Dataset(x, y), hp)
     assert calls == [(5, 5)]
 
 

@@ -70,7 +70,7 @@ def fit_variant(variant, fitted):
     if variant == "sgpr":
         hp = Hyperparams(noise=0.3, kernel=kernel,
                          z=np.random.default_rng(1).standard_normal((6, 2)))
-        return sgpr_fit(train, hp, solver="qr"), len(train)
+        return sgpr_fit(train, hp), len(train)
     if variant == "exact":
         hp = Hyperparams(noise=0.1, kernel=kernel, z=np.empty((0, 2)))
         return exact_fit(Dataset(train.x[:40], train.y[:40]), hp), 40
@@ -148,6 +148,17 @@ def test_internally_truncated_payload_is_detected(tmp_path, fitted):
     digest = hashlib.sha256(covered + payload).hexdigest()
     path.write_bytes(covered + f"sha256 {digest}\nend-header\n".encode() + payload)
     with pytest.raises(ChecksumOrVersionMismatch, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_resealed_trailing_bytes_are_detected(tmp_path, fitted):
+    # a file whose checksum is valid but whose payload runs on past its arrays
+    path, blob = saved_bytes(tmp_path, fitted)
+    covered = blob[:blob.find(b"sha256 ")]
+    payload = blob[blob.find(b"end-header\n") + len(b"end-header\n"):] + b"junk"
+    digest = hashlib.sha256(covered + payload).hexdigest()
+    path.write_bytes(covered + f"sha256 {digest}\nend-header\n".encode() + payload)
+    with pytest.raises(ChecksumOrVersionMismatch, match="trailing bytes"):
         load_checkpoint(path)
 
 

@@ -169,6 +169,10 @@ def test_bad_flag_values_fail_cleanly(tmp_path, wave_csv):
                "--out", str(out2)])
     assert rc == 1
     assert "must be one of" in read_report(out2 / "error.txt")["message"]
+    out3 = tmp_path / "bad-bool"
+    assert train_into(out3, wave_csv, "--header", "maybe") == 1
+    assert (read_report(out3 / "error.txt")["message"]
+            == "bad flag value for header: expected a boolean, got 'maybe'")
 
 
 def test_zero_batch_size_fails_naming_the_field(tmp_path, wave_csv):
@@ -320,6 +324,12 @@ def test_eval_rejects_checkpoint_with_missing_header_key(tmp_path, wave_csv):
     assert "'n'" in report["message"]
 
 
+def test_eval_without_a_checkpoint_is_rejected(tmp_path, wave_csv):
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(wave_csv), "--out", str(out)]) == 1
+    assert read_report(out / "error.txt")["message"] == "--checkpoint is required"
+
+
 def test_eval_rejects_an_empty_split(tmp_path, wave_csv):
     run = tmp_path / "run"
     assert train_into(run, wave_csv) == 0
@@ -351,6 +361,14 @@ def test_eval_rejects_a_non_finite_metric(tmp_path, wave_csv):
     assert report["error"] == "NonFiniteResult"
     assert report["message"] == f"rmse is nan; 1 of {len(lines)} predictions are not finite"
     assert not (out / "report.txt").exists()
+
+
+def test_train_with_an_empty_test_split_reports_nan_metrics(tmp_path, wave_csv):
+    out = tmp_path / "run"
+    assert train_into(out, wave_csv, "--train-frac", "1") == 0
+    report = read_report(out / "report.txt")
+    assert report["n_test"] == "0"
+    assert [report[key] for key in ("rmse", "nll", "rmse_raw")] == ["nan"] * 3
 
 
 def test_train_rejects_a_non_finite_test_metric(tmp_path, wave_csv):
@@ -401,6 +419,21 @@ def test_config_file_flags_and_report_replay_agree(tmp_path, wave_csv):
             continue
         assert flags_report[key] == config_report[key], key
         assert flags_report[key] == replay_report[key], key
+
+
+def test_config_file_skips_comments_and_blank_lines_and_names_a_bad_line(
+        tmp_path, wave_csv):
+    config = tmp_path / "run.conf"
+    config.write_text("# a comment\n\n   \nprobes = 3\n")
+    out = tmp_path / "run"
+    assert train_into(out, wave_csv, "--config", str(config)) == 0
+    assert read_report(out / "report.txt")["probes"] == "3"
+
+    config.write_text("# a comment\nepochs 2\n")
+    out = tmp_path / "bad"
+    assert train_into(out, wave_csv, "--config", str(config)) == 1
+    assert (read_report(out / "error.txt")["message"]
+            == f"{config}:2: expected 'key = value'")
 
 
 def test_report_with_a_solver_line_still_replays(tmp_path, wave_csv):
@@ -650,6 +683,18 @@ def test_bench_rejects_unknown_suite_keys(tmp_path, wave_csv):
     out = tmp_path / "bench"
     assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
     assert "unknown suite key" in read_report(out / "error.txt")["message"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("suite = sweep\n", "unknown suite kind 'sweep'"),
+    ("suite = solvers\nbogus = 1\n", "unknown suite key 'bogus'"),
+])
+def test_bench_rejects_an_unknown_suite_kind_or_solvers_key(tmp_path, text, message):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(text)
+    out = tmp_path / "bench"
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
+    assert read_report(out / "error.txt")["message"] == message
 
 
 @pytest.mark.parametrize("lines, key", [

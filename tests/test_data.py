@@ -240,14 +240,22 @@ def test_constant_column_warns_and_keeps_finite_values():
     assert np.allclose(tr.x[:, 0], 0.0)  # (1 - 1) / forced std of 1
 
 
+def test_constant_targets_warn_and_get_a_unit_std():
+    x = np.arange(20.0).reshape(10, 2)
+    with pytest.warns(DegenerateColumnWarning, match="targets have zero variance"):
+        tr, te = split_standardize(Dataset(x=x, y=np.full(10, 3.0)),
+                                   train_fraction=0.5, seed=0)
+    assert tr.stats.y_std == 1.0
+    assert np.array_equal(tr.y, np.zeros(5)) and np.array_equal(te.y, np.zeros(5))
+
+
 # -------------------------------------------------------------------- ricker
 
 
 def test_ricker_closed_form_values():
     assert ricker(np.zeros((1, 2)))[0] == pytest.approx(1.0)
-    assert ricker(np.zeros((1, 2)), amplitude=2.5)[0] == pytest.approx(2.5)
-    # r = s: the bracket vanishes
-    assert ricker(np.array([[1.0, 0.0]]), width=1.0)[0] == pytest.approx(0.0, abs=1e-15)
+    # r = 1: the bracket vanishes
+    assert ricker(np.array([[1.0, 0.0]]))[0] == pytest.approx(0.0, abs=1e-15)
     r2 = 2.0
     expected = (1.0 - r2) * np.exp(-r2 / 2.0)
     assert ricker(np.array([[1.0, 1.0]]))[0] == pytest.approx(expected, rel=1e-14)
@@ -262,7 +270,7 @@ def test_ricker_is_radially_symmetric():
 def test_ricker_raw_split_shapes_and_noise_placement():
     tr, te = ricker_raw(n_train=100, n_test=40, noise=0.1, seed=0)
     assert tr.x.shape == (100, 2) and te.x.shape == (40, 2)
-    assert np.max(np.abs(tr.x)) <= 4.0  # default domain half-width
+    assert np.max(np.abs(tr.x)) <= 2.5  # default domain half-width
     # noise goes on training targets only; test targets stay exact
     assert not np.allclose(tr.y, ricker(tr.x))
     assert np.array_equal(te.y, ricker(te.x))

@@ -405,6 +405,23 @@ def test_cholesky_route_solves_through_linalg(monkeypatch):
     assert np.array_equal(res.alpha, by_hand)  # the same two LAPACK solves
 
 
+def test_solve_records_a_non_finite_qr_solution_like_the_other_routes():
+    res = _solve("qr", np.eye(3), np.ones(3), lambda: np.array([1.0, np.nan, 1.0]))
+    assert res.error == "non-finite solution" and res.residual == np.inf
+
+
+def test_solve_records_a_route_failure_and_raises_a_programming_error():
+    def failing(err):
+        def thunk():
+            raise err
+        return thunk
+
+    res = _solve("qr", np.eye(3), np.ones(3), failing(RankDeficient("rank deficient")))
+    assert (res.alpha, res.residual, res.error) == (None, np.inf, "rank deficient")
+    with pytest.raises(TypeError, match="not a route failure"):
+        _solve("qr", np.eye(3), np.ones(3), failing(TypeError("not a route failure")))
+
+
 def test_cg_history_tightens_with_tolerance():
     data, hp = make_instance(5, 120, 10)
     (loose, _), (tight, _) = solver_study(data, hp, ("cg:1e-2", "cg:1e-8"))

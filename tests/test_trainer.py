@@ -177,7 +177,7 @@ def partial_steps(steps, m):
     # reference's pairwise (n, d) row sum round differently, up to d = 300
     (1100, 24, 1), (700, 24, 7), (2048, 32, 8), (1500, 32, 9), (1025, 32, 16),
     (1300, 16, 129), (900, 16, 300),
-    # m=512 blocks hold DEFAULT_BLOCK_ROWS rows: two and a short one
+    # m=512 blocks hold DEFAULT_BLOCK_ROWS rows: three, the last one ending at n
     (2 * DEFAULT_BLOCK_ROWS + 5, 512, 26),
 ])
 def test_kmeans_matches_the_loop_update_bitwise(n, m, d, seed):
@@ -186,7 +186,7 @@ def test_kmeans_matches_the_loop_update_bitwise(n, m, d, seed):
                           kmeans_loop_reference(x, m, seed=seed)[0])
 
 
-# 100-row distance blocks: n below one block, and ten blocks and a short one
+# 100-row distance blocks: n below one block, and eleven, the last one ending at n
 @pytest.mark.parametrize("n", [61, 1025])
 @pytest.mark.parametrize("layout", ["float64", "float32", "fortran"])
 def test_kmeans_matches_the_loop_in_row_blocks(n, layout, monkeypatch):
@@ -200,6 +200,19 @@ def test_kmeans_matches_the_loop_in_row_blocks(n, layout, monkeypatch):
     # kmeans works on a C-ordered float64 copy, so the reference sees that copy
     expected = kmeans_loop_reference(np.ascontiguousarray(x, dtype=float), 48, seed=4)[0]
     assert np.array_equal(kmeans(x, 48, seed=4), expected)
+
+
+def test_kmeans_breaks_a_near_tie_in_the_last_row_like_the_full_product():
+    # at m=512 the blocks hold 1024 rows, so n = 1025 leaves one row past the
+    # first block. It sits midway between the closest pair of start
+    # centroids, 393 and 416, where a one-row product (gemv) and the full
+    # product chose different ones of the two (found by a search over seeds
+    # at one OpenBLAS thread)
+    x = np.random.default_rng(8).standard_normal((1025, 2))
+    start = x[:512].copy()
+    x[-1] = 0.5 * (start[393] + start[416])
+    expected, _ = lloyd_loop_reference(x, start)
+    assert np.array_equal(_lloyd(x, np.ascontiguousarray(x.T), start.copy()), expected)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 15])
