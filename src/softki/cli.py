@@ -56,7 +56,7 @@ def _to_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise InvalidConfig(f"expected a boolean, got {text!r}")
 
 
 def _to_solver(text: str) -> str:
@@ -133,7 +133,7 @@ def _parse_kv_file(path):
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise InvalidConfig(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             pairs.append((key.strip(), value.strip()))
     return pairs
@@ -144,9 +144,9 @@ def _convert(opt: _Opt, key: str, raw, label: str):
     try:
         value = opt.convert(raw)
     except (ValueError, InvalidConfig) as err:
-        raise type(err)(f"bad {label} value for {key}: {err}") from None
+        raise InvalidConfig(f"bad {label} value for {key}: {err}") from None
     if opt.choices and value not in opt.choices:
-        raise ValueError(f"{key} must be one of {', '.join(map(str, opt.choices))}")
+        raise InvalidConfig(f"{key} must be one of {', '.join(map(str, opt.choices))}")
     return value
 
 
@@ -161,7 +161,7 @@ def _resolve(opts: dict, args) -> dict:
                 values[key] = _convert(opts[key], key, raw, label)
     for name, value in values.items():
         if value is None:
-            raise ValueError(f"--{name} is required")
+            raise InvalidConfig(f"--{name} is required")
     return values
 
 
@@ -335,7 +335,7 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
         model, _, opt = key.rpartition(".")   # MODEL.key scopes to one model
         target = per_model.get(model) if "." in key else base
         if target is None or opt not in TRAIN_OPTS:
-            raise ValueError(f"unknown suite key {key!r}")
+            raise InvalidConfig(f"unknown suite key {key!r}")
         target[opt] = _convert(TRAIN_OPTS[opt], key, raw, "suite")
 
     specs = sorted(product(datasets, models, objectives, seeds))
@@ -415,21 +415,21 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
 def _bench_solvers(suite: dict, outdir: Path) -> int:
     for key in suite:
         if key not in SOLVERS_OPTS:
-            raise ValueError(f"unknown suite key {key!r}")
+            raise InvalidConfig(f"unknown suite key {key!r}")
     values = {key: _convert(opt, key, suite[key], "suite") if key in suite else opt.default
               for key, opt in SOLVERS_OPTS.items()}
     methods = values.pop("solvers")
     data, hp = near_degenerate_instance(**values)
-    rows = solver_study(data, hp, methods)
+    results = solver_study(data, hp, methods)
 
     rpt.write_csv(
         outdir / "solvers.csv",
         ["solver", "train_rmse", "residual", "iterations", "error"],
-        [(res.method, rmse, res.residual, res.iterations, res.error or "")
-         for res, rmse in rows],
+        [(res.method, res.train_rmse, res.residual, res.iterations, res.error or "")
+         for res in results],
     )
     curve_rows = []
-    for res, _ in rows:
+    for res in results:
         if res.history:
             curve_rows += [(res.method, i, r)
                            for i, r in enumerate(res.history, start=1)]
@@ -441,8 +441,8 @@ def _bench_solvers(suite: dict, outdir: Path) -> int:
         ("suite", "solvers"), *values.items(), ("solvers", ",".join(methods)),
         *_blas_lines(),
     ])
-    for res, rmse in rows:
-        print(f"{res.method}: train_rmse = {rpt.format_value(rmse)}")
+    for res in results:
+        print(f"{res.method}: train_rmse = {rpt.format_value(res.train_rmse)}")
     return 0
 
 
@@ -453,7 +453,7 @@ def cmd_bench(values: dict, outdir: Path) -> int:
         return _bench_compare(suite, outdir)
     if kind == "solvers":
         return _bench_solvers(suite, outdir)
-    raise ValueError(f"unknown suite kind {kind!r}")
+    raise InvalidConfig(f"unknown suite kind {kind!r}")
 
 
 # --------------------------------------------------------------------------

@@ -167,12 +167,18 @@ def identity_stats(d: int) -> Standardization:
                            y_mean=0.0, y_std=1.0)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:  # default_rng's own error does not name the seed
+        raise InvalidConfig(f"seed must be >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def split_raw(data: Dataset, train_fraction: float = 0.9, seed: int = 0):
-    """Shuffle and split without standardizing; the permutation is seeded."""
+    """Shuffle and split without standardizing; the permutation is seeded (seed >= 0)."""
     if not 0.0 < train_fraction <= 1.0:
         raise InvalidConfig("train_fraction must be in (0, 1]")
     n = len(data)
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = _rng(seed).permutation(n)
     n_train = max(1, min(n, int(round(train_fraction * n))))
     tr, te = perm[:n_train], perm[n_train:]
     return (
@@ -213,9 +219,9 @@ def ricker_raw(
     """Raw (unstandardized) train/test splits of the synthetic wavelet task.
 
     Inputs are uniform on [-radius, radius]^2; Gaussian noise (std ``noise``)
-    is added to training targets only.
+    is added to training targets only. A negative seed raises InvalidConfig.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     x_tr = rng.uniform(-radius, radius, size=(n_train, 2))
     x_te = rng.uniform(-radius, radius, size=(n_test, 2))
     y_tr = ricker(x_tr)

@@ -33,10 +33,6 @@ class TooLarge(SoftKIError):
     """Input exceeds the dense-path size guardrail."""
 
 
-class ObjectiveFailed(SoftKIError):
-    """Both the exact and fallback objectives produced non-finite results."""
-
-
 class InvalidConfig(SoftKIError):
     """A configuration field is outside its allowed values; the message names it."""
 

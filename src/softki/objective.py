@@ -102,7 +102,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import InvalidConfig, NotPositiveDefinite, ObjectiveFailed
+from .errors import InvalidConfig, NotPositiveDefinite
 from .interp import Hyperparams, softmax_forward, softmax_weights_backward
 from .kernel import matern32_forward, matern32_param_grads
 
@@ -390,38 +390,36 @@ def stabilized_objective(
     x and y are cast to cfg.dtype once, and both objectives run in it and
     share one ``_batch``. objective_mode="auto": try the exact objective; on
     NotPositiveDefinite or any non-finite value/gradient, recompute with the
-    pseudoloss. Raises ObjectiveFailed only if both are non-finite. Forced
-    modes run a single objective and report nan on failure instead of raising.
-    The exact attempt runs with numpy's overflow and invalid-value warnings
-    off, since its non-finite result is handled as a failure.
+    pseudoloss, whose diagnostics then carry ``fallback_reason``. Every mode
+    has one failure exit: when its last objective fails it returns a nan
+    report with no gradients, whose diagnostics hold ``failure`` (plus the
+    pseudoloss's CG keys once it ran), and the trainer counts the batch as
+    failed. The exact attempt runs with numpy's overflow and invalid-value
+    warnings off, since its non-finite result is handled as a failure.
     """
     x = np.asarray(x, dtype=cfg.dtype)
     batch = _batch(x, y, hp)
-    failure = None
-    if cfg.objective_mode in ("auto", "exact"):
+    diag = {}
+    if cfg.objective_mode != "pseudoloss":
         try:
             # an overflow here is a failure that the is_finite check below handles
             with np.errstate(over="ignore", invalid="ignore"):
                 rep = exact_mll(x, y, hp, path="lowrank", batch=batch)
             if rep.is_finite():
                 return rep
-            failure = "non-finite exact value or gradient"
+            diag["failure"] = "non-finite exact value or gradient"
         except NotPositiveDefinite as err:
-            failure = str(err)
-        if cfg.objective_mode == "exact":
-            return ObjectiveReport(float("nan"), {}, "exact", {"failure": failure})
-
-    probes = draw_probes(batch.y.shape[0], cfg.probes, probe_seed)
-    rep = hutchinson_pseudoloss(
-        x, y, hp, probes,
-        cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters, batch=batch,
-    )
-    if failure is not None:
-        rep.diagnostics["fallback_reason"] = failure
-    if rep.is_finite():
-        return rep
-    if cfg.objective_mode == "pseudoloss":
-        return ObjectiveReport(float("nan"), {}, "pseudoloss", rep.diagnostics)
-    raise ObjectiveFailed(
-        f"exact objective failed ({failure}); pseudoloss non-finite as well"
-    )
+            diag["failure"] = str(err)
+    if cfg.objective_mode != "exact":
+        probes = draw_probes(batch.y.shape[0], cfg.probes, probe_seed)
+        rep = hutchinson_pseudoloss(
+            x, y, hp, probes,
+            cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters, batch=batch,
+        )
+        if diag:
+            rep.diagnostics["fallback_reason"] = diag["failure"]
+        if rep.is_finite():
+            return rep
+        diag = {**rep.diagnostics, "failure": "non-finite pseudoloss value or gradient"}
+    mode = "exact" if cfg.objective_mode == "exact" else "pseudoloss"
+    return ObjectiveReport(float("nan"), {}, mode, diag)

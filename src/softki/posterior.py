@@ -275,13 +275,7 @@ class AltSolveResult:
     iterations: int = 0
     error: str | None = None
     history: list = field(default_factory=list)
-
-
-def normal_equations(k_zz: np.ndarray, cross: np.ndarray, y: np.ndarray, noise: float):
-    """Chat = K_zz + cross^T cross / noise^2, symmetrized, and cross^T y / noise^2."""
-    beta2 = noise * noise
-    chat = k_zz + (cross.T @ cross) / beta2
-    return 0.5 * (chat + chat.T), cross.T @ y / beta2
+    train_rmse: float = np.inf  # of the training mean W K_zz alpha; inf without alpha
 
 
 def solver_route(method: str):
@@ -308,8 +302,9 @@ def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> Alt
 
     Every route is scored alike: a LinAlgError or SoftKIError it raises is
     recorded as its error (alpha None, residual inf), a non-finite alpha as
-    "non-finite solution" (residual inf), and otherwise the residual is
-    ||Chat alpha - rhs|| / ||rhs||. Any other exception propagates.
+    "non-finite solution" (alpha None, residual inf), and otherwise the
+    residual is ||Chat alpha - rhs|| / ||rhs||. So alpha is None exactly
+    when the route gave no finite solution. Any other exception propagates.
     """
     route, tol = solver_route(method)
     res = AltSolveResult(method, None, np.inf)
@@ -332,7 +327,7 @@ def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> Alt
         res.error = str(err)
         return res
     if not np.all(np.isfinite(res.alpha)):
-        res.error = "non-finite solution"
+        res.alpha, res.error = None, "non-finite solution"
     else:
         res.residual = float(np.linalg.norm(chat @ res.alpha - rhs) / np.linalg.norm(rhs))
     return res
@@ -397,11 +392,17 @@ def solver_study(data: Dataset, hp: Hyperparams,
                  methods=DEFAULT_STUDY_METHODS):
     """Score each solve route by training-set RMSE of the resulting mean.
 
-    Returns a list of (AltSolveResult, rmse) pairs; a failed or non-finite
-    solve scores inf so orderings stay well defined.
+    Every method is checked (``solver_route``) before any route runs. Returns
+    one ``AltSolveResult`` per method, in order; ``train_rmse`` is read from
+    its alpha and is inf when the route gave none or the RMSE is not finite,
+    so orderings stay well defined.
     """
+    for method in methods:
+        solver_route(method)
     _, k_zz, khat = softki_cross(data.x, hp)
-    chat, rhs = normal_equations(k_zz, khat, data.y, hp.noise)
+    beta2 = hp.noise * hp.noise
+    chat = k_zz + (khat.T @ khat) / beta2  # the normal equations, symmetrized
+    chat, rhs = 0.5 * (chat + chat.T), khat.T @ data.y / beta2
 
     def qr_alpha():  # the stacked QR of [U_zz; W K_zz / beta], on the rows built above
         blocks = ((khat[rows] / hp.noise, data.y[rows] / hp.noise)
@@ -409,16 +410,9 @@ def solver_study(data: Dataset, hp: Hyperparams,
         r, c, _, _ = stacked_qr_solve(blocks, linalg.cholesky_upper(k_zz)[0])
         return linalg.tri_solve_upper(r, c)
 
-    rows = []
-    for method in methods:
-        res = _solve(method, chat, rhs, qr_alpha)
-        if res.alpha is None or not np.all(np.isfinite(res.alpha)):
-            rmse = np.inf
-        else:
-            mean = khat @ res.alpha
-            rmse = float(np.sqrt(np.mean((mean - data.y) ** 2)))
-            if not np.isfinite(rmse):
-                rmse = np.inf
-        rows.append((res, rmse))
-    return rows
-
+    results = [_solve(method, chat, rhs, qr_alpha) for method in methods]
+    for res in results:
+        if res.alpha is not None:
+            rmse = float(np.sqrt(np.mean((khat @ res.alpha - data.y) ** 2)))
+            res.train_rmse = rmse if np.isfinite(rmse) else np.inf
+    return results

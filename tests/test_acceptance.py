@@ -272,7 +272,7 @@ def test_forced_exact_records_nan_while_auto_completes(monkeypatch):
 @pytest.mark.criterion(8, "solver-study")
 def test_qr_solve_beats_alternatives_on_near_degenerate_system():
     data, hp = near_degenerate_instance()
-    scores = {res.method: rmse for res, rmse in solver_study(data, hp)}
+    scores = {res.method: res.train_rmse for res in solver_study(data, hp)}
     assert set(scores) == {"qr", "direct", "cholesky", "cg:1e-1", "cg:1e-2",
                            "cg:1e-3", "cg:1e-4"}
     assert np.isfinite(scores["qr"])

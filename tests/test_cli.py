@@ -330,6 +330,19 @@ def test_eval_without_a_checkpoint_is_rejected(tmp_path, wave_csv):
     assert read_report(out / "error.txt")["message"] == "--checkpoint is required"
 
 
+@pytest.mark.parametrize("data", ["csv", "ricker"])
+def test_eval_rejects_a_negative_seed_naming_it(tmp_path, wave_csv, data):
+    run = tmp_path / "run"
+    assert train_into(run, wave_csv) == 0
+    out = tmp_path / "eval"
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+               "--data", str(wave_csv) if data == "csv" else "ricker",
+               "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert read_report(out / "error.txt") == {"error": "InvalidConfig",
+                                              "message": "seed must be >= 0, got -1"}
+
+
 def test_eval_rejects_an_empty_split(tmp_path, wave_csv):
     run = tmp_path / "run"
     assert train_into(run, wave_csv) == 0
@@ -695,6 +708,27 @@ def test_bench_rejects_an_unknown_suite_kind_or_solvers_key(tmp_path, text, mess
     out = tmp_path / "bench"
     assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
     assert read_report(out / "error.txt")["message"] == message
+
+
+@pytest.mark.parametrize("command, config_text", [
+    (["train", "--data", "{data}", "--m", "many"], None),
+    (["train", "--data", "{data}", "--model", "mystery"], None),
+    (["train", "--data", "{data}", "--header", "maybe"], None),
+    (["train", "--data", "{data}", "--config", "{config}"], "epochs 2\n"),
+    (["eval", "--data", "{data}"], None),
+    (["bench", "--suite", "{config}"], "suite = nope\n"),
+    (["bench", "--suite", "{config}"], "suite = compare\nbogus = 1\n"),
+    (["bench", "--suite", "{config}"], "suite = solvers\nbogus = 1\n"),
+])
+def test_cli_configuration_errors_are_invalid_config(tmp_path, wave_csv, command,
+                                                     config_text):
+    config = tmp_path / "config.txt"
+    if config_text is not None:
+        config.write_text(config_text)
+    out = tmp_path / "out"
+    argv = [arg.format(config=config, data=wave_csv) for arg in command]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert read_report(out / "error.txt")["error"] == "InvalidConfig"
 
 
 @pytest.mark.parametrize("lines, key", [

@@ -201,6 +201,14 @@ def test_split_raw_fraction_validation():
     assert len(tr) == 5 and len(te) == 0
 
 
+def test_a_negative_seed_fails_naming_the_seed():
+    data = Dataset(x=np.zeros((5, 1)), y=np.zeros(5))
+    with pytest.raises(InvalidConfig, match=r"^seed must be >= 0, got -1$"):
+        split_raw(data, seed=-1)
+    with pytest.raises(InvalidConfig, match=r"^seed must be >= 0, got -1$"):
+        ricker_raw(n_train=4, n_test=2, seed=-1)
+
+
 def test_split_standardize_uses_train_statistics_only():
     rng = np.random.default_rng(0)
     data = Dataset(x=rng.normal(5.0, 3.0, (200, 3)), y=rng.normal(-2.0, 0.5, 200))

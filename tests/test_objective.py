@@ -24,7 +24,6 @@ from softki.errors import (
     CGNotConvergedWarning,
     InvalidConfig,
     NotPositiveDefinite,
-    ObjectiveFailed,
 )
 from softki.interp import Hyperparams, softmax_forward, softmax_weights
 from softki.kernel import MaternParams, matern32, matern32_forward, scaled_distance
@@ -920,12 +919,16 @@ def test_forced_exact_failure_reports_nan_instead_of_raising(monkeypatch):
     assert "failure" in rep.diagnostics
 
 
-def test_both_paths_failing_raises_objective_failed():
+def test_both_paths_failing_reports_nan_with_both_reasons():
     x, y, hp = random_instance(8, n=8, m=2)
     x = x.copy()
     x[0, 0] = np.nan  # poisons both objectives
-    with pytest.raises(ObjectiveFailed):
-        stabilized_objective(x, y, hp, TrainConfig())
+    rep = stabilized_objective(x, y, hp, TrainConfig())
+    assert rep.mode_used == "pseudoloss"
+    assert np.isnan(rep.value) and rep.gradients == {}
+    assert rep.diagnostics["failure"] == "non-finite pseudoloss value or gradient"
+    assert "fallback_reason" in rep.diagnostics
+    assert "cg_iterations" in rep.diagnostics
 
 
 def test_forced_pseudoloss_failure_reports_nan():
@@ -935,6 +938,8 @@ def test_forced_pseudoloss_failure_reports_nan():
     rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="pseudoloss"))
     assert rep.mode_used == "pseudoloss"
     assert np.isnan(rep.value)
+    assert rep.diagnostics["failure"] == "non-finite pseudoloss value or gradient"
+    assert "fallback_reason" not in rep.diagnostics
 
 
 # The bound sits between the peaks of the out-of-place elementwise chains

@@ -376,9 +376,8 @@ def test_stacked_qr_solve_matches_one_qr_of_the_whole_stack(sizes, dtype):
 
 def test_alternative_solvers_agree_on_well_conditioned_system():
     data, hp = make_instance(5, 120, 10)
-    (reference, _), *others = solver_study(data, hp, ("qr", "direct", "cholesky",
-                                                      "cg:1e-10"))
-    for res, _ in others:
+    reference, *others = solver_study(data, hp, ("qr", "direct", "cholesky", "cg:1e-10"))
+    for res in others:
         assert res.error is None
         assert np.allclose(res.alpha, reference.alpha, rtol=1e-6, atol=1e-9)
     with pytest.raises(InvalidConfig, match="cg:<tol>, got 'lu'"):
@@ -407,7 +406,7 @@ def test_cholesky_route_solves_through_linalg(monkeypatch):
 
 def test_solve_records_a_non_finite_qr_solution_like_the_other_routes():
     res = _solve("qr", np.eye(3), np.ones(3), lambda: np.array([1.0, np.nan, 1.0]))
-    assert res.error == "non-finite solution" and res.residual == np.inf
+    assert (res.alpha, res.residual, res.error) == (None, np.inf, "non-finite solution")
 
 
 def test_solve_records_a_route_failure_and_raises_a_programming_error():
@@ -424,7 +423,7 @@ def test_solve_records_a_route_failure_and_raises_a_programming_error():
 
 def test_cg_history_tightens_with_tolerance():
     data, hp = make_instance(5, 120, 10)
-    (loose, _), (tight, _) = solver_study(data, hp, ("cg:1e-2", "cg:1e-8"))
+    loose, tight = solver_study(data, hp, ("cg:1e-2", "cg:1e-8"))
     assert tight.residual <= loose.residual
     assert tight.iterations >= loose.iterations
     assert len(tight.history) == tight.iterations
@@ -441,6 +440,21 @@ def test_solver_route_rejects_a_bad_cg_tolerance(solver):
         solver_study(data, hp, ("qr", solver))
 
 
+def test_solver_study_checks_every_method_before_any_route_runs(monkeypatch):
+    data, hp = make_instance(5, 120, 10)
+    calls = []
+    solve = softki.posterior._solve
+
+    def spy(method, *args):
+        calls.append(method)
+        return solve(method, *args)
+
+    monkeypatch.setattr(softki.posterior, "_solve", spy)
+    with pytest.raises(InvalidConfig, match="'cg:0' needs a finite cg tolerance"):
+        solver_study(data, hp, ("qr", "direct", "cg:0"))
+    assert calls == []
+
+
 def test_solver_study_records_an_unconverged_cg_route():
     # the float32 normal equations of this instance are indefinite (smallest
     # eigenvalue about -1e4 in float64): CG stops at the first search
@@ -450,9 +464,9 @@ def test_solver_study_records_an_unconverged_cg_route():
     data, hp = near_degenerate_instance(seed=1)
     with pytest.warns(CGNotConvergedWarning,
                       match="p\\^T A p <= 0 along a search direction"):
-        [(res, rmse)] = solver_study(data, hp, ("cg:1e-6",))
+        [res] = solver_study(data, hp, ("cg:1e-6",))
     assert res.error == "cg did not converge"
-    assert np.isfinite(rmse) and 0 < res.iterations < 1000
+    assert np.isfinite(res.train_rmse) and 0 < res.iterations < 1000
 
 
 def test_fit_solves_only_through_the_stacked_qr():
@@ -601,7 +615,7 @@ def test_solver_study_builds_the_instance_once(monkeypatch):
         return forward(x, hp)
 
     monkeypatch.setattr(softki.interp, "softmax_forward", counting)
-    rows = solver_study(data, hp)
+    results = solver_study(data, hp)
     monkeypatch.undo()
     assert calls == [len(data)]
 
@@ -610,15 +624,15 @@ def test_solver_study_builds_the_instance_once(monkeypatch):
     u_zz = softki.linalg.cholesky_upper(k_zz)[0]
     design = softmax_weights(data.x, hp) @ k_zz / hp.noise
     r, c, _, _ = stacked_qr_solve(iter([(design, data.y / hp.noise)]), u_zz)
-    [qr] = [res for res, _ in rows if res.method == "qr"]
+    [qr] = [res for res in results if res.method == "qr"]
     assert np.array_equal(qr.alpha, softki.linalg.tri_solve_upper(r, c))
 
 
 def test_solver_study_ranks_qr_first_on_near_degenerate_system():
     data, hp = near_degenerate_instance()
-    rows = solver_study(data, hp)
-    assert [res.method for res, _ in rows] == list(DEFAULT_STUDY_METHODS)
-    scores = {res.method: rmse for res, rmse in rows}
+    results = solver_study(data, hp)
+    assert [res.method for res in results] == list(DEFAULT_STUDY_METHODS)
+    scores = {res.method: res.train_rmse for res in results}
     assert all(np.isfinite(r) or r == np.inf for r in scores.values())
     for method, rmse in scores.items():
         if method != "qr":

@@ -532,6 +532,22 @@ def test_forced_exact_on_degenerate_float32_marks_failures(monkeypatch):
     assert trace.mode_counts["pseudoloss"] > 0
 
 
+def test_batches_both_objectives_fail_are_counted_and_training_finishes(monkeypatch):
+    def failing(mode):
+        return lambda *args, **kwargs: softki.objective.ObjectiveReport(
+            float("nan"), {}, mode)
+
+    monkeypatch.setattr(softki.objective, "exact_mll", failing("exact"))
+    monkeypatch.setattr(softki.objective, "hutchinson_pseudoloss", failing("pseudoloss"))
+    data = toy_dataset()
+    hp, trace = train(data, TrainConfig(m=8, epochs=2, batch_size=16, seed=0))
+    steps = 2 * len(data) // 16
+    assert trace.failed_batches == steps
+    assert trace.mode_counts == {"exact": 0, "pseudoloss": steps}
+    assert np.isnan(trace.epoch_objectives).all()
+    assert np.array_equal(hp.z, kmeans(data.x, 8, seed=0))  # no step was taken
+
+
 def test_float32_ricker_training_stays_exact_and_near_float64():
     # at noise about 0.005 ricker's M is singular to float32 working
     # precision; factored in float32, M failed the pivot test, and the three
