@@ -25,6 +25,7 @@ from .data import (
     Dataset,
     apply_stats,
     identity_stats,
+    integer,
     load_csv,
     ricker_raw,
     split_raw,
@@ -172,9 +173,7 @@ def _resolve(opts: dict, args) -> dict:
 def _threads() -> int:
     """The BLAS thread count of a command: SOFTKI_THREADS, 1 if unset or empty."""
     raw = os.environ.get("SOFTKI_THREADS") or "1"
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise InvalidConfig(f"SOFTKI_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    return integer(int(raw) if raw.strip().isdecimal() else raw, "SOFTKI_THREADS", 1)
 
 
 def _blas_lines() -> list:

@@ -1,4 +1,5 @@
-"""Dataset loading, splitting, standardization, and the synthetic wavelet task.
+"""Dataset loading, splitting, standardization, and the synthetic wavelet task,
+and the package's three input rules: ``integer``, ``stream`` and ``points``.
 
 Standardization always uses training-split statistics, for features and
 targets alike. Metrics are reported on the standardized scale unless a caller
@@ -7,6 +8,7 @@ de-standardizes explicitly.
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -14,6 +16,40 @@ import numpy as np
 
 from .errors import (DegenerateColumnWarning, DimensionMismatch, EmptyFile, InvalidConfig,
                      NonFiniteInput, ParseError)
+
+
+def integer(value, name: str, low: int) -> int:
+    """value as an int; raises InvalidConfig naming name unless it is an
+    integer (bool is not) >= low."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidConfig(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
+def stream(seed, *tags: int) -> np.random.Generator:
+    """The random stream of an integer seed >= 0 and fixed tags; with no tags
+    it is ``default_rng(seed)``'s."""
+    return np.random.default_rng(np.random.SeedSequence([integer(seed, "seed", 0), *tags]))
+
+
+def points(a, name: str) -> np.ndarray:
+    """a as (n, d) rows, a 1-D array as one row; integer and bool arrays become
+    float64, other float arrays keep their dtype. Raises DimensionMismatch for
+    any other shape or dtype and NonFiniteInput naming the first nan or inf
+    by row and column, each naming name."""
+    a = np.asarray(a)
+    if a.ndim not in (1, 2) or a.dtype.kind not in "fiub":
+        raise DimensionMismatch(f"{name} must be a 1-D or (n, d) array of numbers, "
+                                f"got shape {a.shape} of {a.dtype}")
+    a = np.atleast_2d(a)
+    if a.dtype.kind != "f":
+        a = a.astype(float)
+    if not np.isfinite(a).all():  # the flat test is the cheap one
+        row, col = np.argwhere(~np.isfinite(a))[0]
+        raise NonFiniteInput(f"{name} row {row}, column {col} (0-based) holds {a[row, col]}")
+    return a
 
 
 @dataclass
@@ -39,21 +75,12 @@ class Dataset:
     split: str = "raw"
 
     def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x))
-        self.y = np.asarray(self.y).ravel()
-        if self.x.dtype.kind != "f":
-            self.x = self.x.astype(float)
-        if self.y.dtype.kind != "f":
-            self.y = self.y.astype(float)
+        self.x = points(self.x, "x")
+        self.y = points(np.ravel(self.y)[:, None], "y").ravel()
         if self.x.shape[0] != self.y.shape[0]:
             raise DimensionMismatch(
                 f"{self.x.shape[0]} feature rows but {self.y.shape[0]} targets"
             )
-        for name, values in (("x", self.x), ("y", self.y[:, None])):
-            if not np.isfinite(values).all():  # the flat test is the cheap one
-                row, col = np.argwhere(~np.isfinite(values))[0]
-                raise NonFiniteInput(f"{name} row {row}, column {col} (0-based) "
-                                     f"holds {values[row, col]}")
 
     def __len__(self):
         return self.y.shape[0]
@@ -167,18 +194,12 @@ def identity_stats(d: int) -> Standardization:
                            y_mean=0.0, y_std=1.0)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:  # default_rng's own error does not name the seed
-        raise InvalidConfig(f"seed must be >= 0, got {seed!r}")
-    return np.random.default_rng(seed)
-
-
 def split_raw(data: Dataset, train_fraction: float = 0.9, seed: int = 0):
     """Shuffle and split without standardizing; the permutation is seeded (seed >= 0)."""
     if not 0.0 < train_fraction <= 1.0:
         raise InvalidConfig("train_fraction must be in (0, 1]")
     n = len(data)
-    perm = _rng(seed).permutation(n)
+    perm = stream(seed).permutation(n)
     n_train = max(1, min(n, int(round(train_fraction * n))))
     tr, te = perm[:n_train], perm[n_train:]
     return (
@@ -219,9 +240,11 @@ def ricker_raw(
     """Raw (unstandardized) train/test splits of the synthetic wavelet task.
 
     Inputs are uniform on [-radius, radius]^2; Gaussian noise (std ``noise``)
-    is added to training targets only. A negative seed raises InvalidConfig.
+    is added to training targets only. n_train must be an integer >= 1 and
+    n_test one >= 0; a bad count or seed raises InvalidConfig.
     """
-    rng = _rng(seed)
+    n_train, n_test = integer(n_train, "n_train", 1), integer(n_test, "n_test", 0)
+    rng = stream(seed)
     x_tr = rng.uniform(-radius, radius, size=(n_train, 2))
     x_te = rng.uniform(-radius, radius, size=(n_test, 2))
     y_tr = ricker(x_tr)

@@ -6,7 +6,8 @@ class SoftKIError(Exception):
 
 
 class DimensionMismatch(SoftKIError):
-    """Operands have incompatible shapes."""
+    """Operands have incompatible shapes, or a point array is not a 1-D or
+    (n, d) array of numbers."""
 
 
 class NotPositiveDefinite(SoftKIError):
@@ -38,7 +39,7 @@ class InvalidConfig(SoftKIError):
 
 
 class NonFiniteInput(SoftKIError):
-    """A Dataset, query points or z hold nan, inf or a row whose squares overflow
+    """A Dataset, k-means x, query points or z hold nan, inf or a row whose squares overflow
     float64, or a temperature's inverse square overflows it; the message names
     the first bad row or entry."""
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import points
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteInput, NonPositiveTemperature
 from .kernel import MaternParams, matern32, scaled_distance
 
@@ -40,12 +41,8 @@ class Hyperparams:
         self.noise = float(self.noise)
         if not 0 < self.noise < np.inf:
             raise InvalidConfig(f"noise must be finite and > 0, got {self.noise}")
-        self.z = np.atleast_2d(np.asarray(self.z))
-        if not np.all(np.isfinite(self.z)):
-            raise NonFiniteInput("z must be finite")
+        self.z = points(self.z, "z")
         self.temperatures = np.atleast_1d(np.asarray(self.temperatures))
-        if self.z.dtype.kind != "f":
-            self.z = self.z.astype(float)
         if self.temperatures.dtype.kind != "f":
             self.temperatures = self.temperatures.astype(float)
         if self.kernel.lengthscales.shape[0] != self.z.shape[1]:

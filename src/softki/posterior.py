@@ -42,8 +42,8 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .data import Dataset
-from .errors import InvalidConfig, NonFiniteInput, NonFiniteResult, RankDeficient, SoftKIError
+from .data import Dataset, integer, points, stream
+from .errors import InvalidConfig, NonFiniteResult, RankDeficient, SoftKIError
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
 
@@ -198,15 +198,6 @@ def fit_qr(data: Dataset, hp: Hyperparams) -> Posterior:
     return fit("softki", data, hp)
 
 
-def _query(xs: np.ndarray) -> np.ndarray:
-    """xs as rows; raises NonFiniteInput naming the first row with a nan or inf."""
-    xs = np.atleast_2d(xs)
-    if not np.isfinite(xs).all():  # the flat test is the cheap one; rows only on failure
-        row = np.argmin(np.isfinite(xs).all(axis=1))
-        raise NonFiniteInput(f"query row {row} (0-based) has a nan or inf")
-    return xs
-
-
 def _fill(out, n: int, rows: slice, block: np.ndarray) -> np.ndarray:
     """out[rows] = block; a None out is first allocated at length n in block's dtype."""
     if out is None:
@@ -216,8 +207,9 @@ def _fill(out, n: int, rows: slice, block: np.ndarray) -> np.ndarray:
 
 
 def _predict(post: Posterior, xs: np.ndarray, want_mean: bool, want_var: bool):
-    """(mean or None, var or None), filled one row block of xs at a time."""
-    xs = _query(xs)
+    """(mean or None, var or None), filled one row block of xs at a time; xs
+    is read by ``data.points`` under the name query."""
+    xs = points(xs, "query")
     phi_of, prior_of = FORMS[post.variant]
     prior = prior_of(post.hp)
     n = xs.shape[0]
@@ -351,15 +343,16 @@ def near_degenerate_instance(n: int = 400, m: int = 24, d: int = 2,
     precision while the stacked factorization still can. The default
     dtype is float32, the precision where that separation shows; everything
     downstream (weights, factors, solves) stays in the instance dtype.
-    Returns (data, hp). Raises InvalidConfig unless m is even and
-    2 <= m <= n.
+    Returns (data, hp). Raises InvalidConfig unless n, m and d are
+    integers >= 1, m is even and m <= n, and seed is an integer >= 0.
     """
-    if m < 2 or m % 2:
+    n, m, d = integer(n, "n", 1), integer(m, "m", 2), integer(d, "d", 1)
+    if m % 2:
         raise InvalidConfig(f"m must be an even number >= 2, got {m}")
     if n < m:
         raise InvalidConfig(f"n must be >= m = {m}, got {n}")
     dt = np.dtype(dtype)
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     x = rng.uniform(-2.0, 2.0, size=(n, d))
     base = x[rng.choice(n, size=m // 2, replace=False)]
     z = np.repeat(base, 2, axis=0)

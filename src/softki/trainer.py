@@ -25,8 +25,8 @@ import numpy as np
 
 from . import transforms
 from .baselines import exact_gp_mll, sgpr_elbo, sgpr_workspace
-from .data import Dataset
-from .errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFewPoints
+from .data import Dataset, integer, points, stream
+from .errors import InvalidConfig, NonFiniteResult, TooFewPoints
 from .interp import Hyperparams
 from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams
 from .objective import stabilized_objective
@@ -50,10 +50,6 @@ _KMEANS, _SHUFFLE, _PROBES = 11, 13, 17
 # again on every step (a ricker train at m=128: 349k minor faults and 3.1 s,
 # against 2.3k and 2.5 s after a 3 MiB block)
 _KMEANS_BLOCK_VALUES = 2**19
-
-
-def _rng(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
 OBJECTIVE_MODES = ("auto", "exact", "pseudoloss")
@@ -101,11 +97,7 @@ class TrainConfig:
                     raise InvalidConfig(f"{name} must be one of "
                                         f"{', '.join(spec['choices'])}, got {value!r}")
             elif "minimum" in spec:
-                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                    raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-                if value < spec["minimum"]:
-                    raise InvalidConfig(
-                        f"{name} must be >= {spec['minimum']}, got {value!r}")
+                integer(value, name, spec["minimum"])
             else:
                 low, high, closed = spec["interval"]
                 if not (isinstance(value, numbers.Real)    # nan fails both comparisons
@@ -117,7 +109,8 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    epoch_objectives: list = field(default_factory=list)   # mean per-point value
+    # mean per-point value of the epoch's batches that did not fail; nan when all did
+    epoch_objectives: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
     mode_counts: dict = field(default_factory=lambda: {"exact": 0, "pseudoloss": 0})
     failed_batches: int = 0
@@ -146,6 +139,9 @@ class Adam:
 def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding.
 
+    x is read by ``data.points`` (a 1-D x is one row), m must be an
+    integer >= 1 and seed one >= 0.
+
     Runs to an assignment fixpoint or KMEANS_MAX_ITERS Lloyd steps; empty
     clusters are reseeded to the point currently farthest from its nearest
     centroid. Lloyd's sums are taken in the order of the plain expressions
@@ -166,20 +162,13 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     is evaluated again in full before the reseed, which reads the nearest
     distances.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise InvalidConfig(f"k-means needs x as a 2-D (n, d) array, got shape {x.shape}")
-    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
-        raise InvalidConfig(f"k-means needs m to be an integer >= 1, got {m!r}")
-    x = np.ascontiguousarray(x, dtype=float)
-    if not np.isfinite(x).all():  # the flat test is the cheap one; rows only on failure
-        row = np.argmin(np.isfinite(x).all(axis=1))
-        raise NonFiniteInput(f"k-means row {row} (0-based) has a nan or inf")
+    m = integer(m, "m", 1)
+    x = np.ascontiguousarray(points(x, "x"), dtype=float)
     n = x.shape[0]
     if n < m:
         raise TooFewPoints(f"need at least {m} points, got {n}")
     xt = np.ascontiguousarray(x.T)
-    centroids = _kmeans_pp(x, xt, m, _rng(seed, _KMEANS))
+    centroids = _kmeans_pp(x, xt, m, stream(seed, _KMEANS))
     return _lloyd(x, xt, centroids)
 
 
@@ -415,21 +404,22 @@ def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
         if cfg.lr_step_epochs > 0:
             lr *= cfg.lr_step_factor ** (epoch // cfg.lr_step_epochs)
         batch_values = []
-        for idx in _epoch_batches(n, cfg.batch_size, _rng(cfg.seed, _SHUFFLE, epoch)):
+        for idx in _epoch_batches(n, cfg.batch_size, stream(cfg.seed, _SHUFFLE, epoch)):
             hp = from_raw(adam.params)
             report = objective(x[idx], y[idx], hp, step)
             nb = idx.shape[0]
-            batch_values.append(report.value / nb)
             trace.mode_counts[report.mode_used] = (
                 trace.mode_counts.get(report.mode_used, 0) + 1
             )
             if report.is_finite():
+                batch_values.append(report.value / nb)
                 grads = chain(report.gradients, adam.params)
                 adam.step({k: np.asarray(v) / nb for k, v in grads.items()}, lr)
             else:
                 trace.failed_batches += 1
             step += 1
-        trace.epoch_objectives.append(float(np.mean(batch_values)))
+        trace.epoch_objectives.append(
+            float(np.mean(batch_values)) if batch_values else math.nan)
         trace.epoch_seconds.append(time.perf_counter() - t0)
     return from_raw(adam.params), trace
 
@@ -438,8 +428,7 @@ def train(data: Dataset, cfg: TrainConfig):
     """Train interpolation-GP hyperparameters; returns (Hyperparams, trace)."""
 
     def objective(xb, yb, hp, step):
-        return stabilized_objective(
-            xb, yb, hp, cfg, np.random.SeedSequence([cfg.seed, _PROBES, step]))
+        return stabilized_objective(xb, yb, hp, cfg, stream(cfg.seed, _PROBES, step))
 
     return _run_loop(data, cfg, SOFTKI_PARAMS, objective)
 

@@ -588,11 +588,12 @@ def test_report_says_uncapped_where_a_runtime_has_no_setter(tmp_path, wave_csv, 
     np_entry, scipy_entry = softki.linalg._OPENBLAS
     monkeypatch.setattr(softki.linalg, "_OPENBLAS",
                         (np_entry, (scipy, "no_such_symbol", scipy_entry[2])))
+    monkeypatch.delenv("SOFTKI_THREADS", raising=False)
     out = tmp_path / "run"
     assert train_into(out, wave_csv) == 0
     report = read_report(out / "report.txt")
     assert report["blas_threads_scipy"] == "uncapped"
-    assert report["blas_threads_numpy"] == str(openblas_threads()["numpy"])
+    assert report["blas_threads_numpy"] == "1"  # the count the command ran at
 
 
 @pytest.mark.parametrize("env", [
@@ -776,6 +777,7 @@ def test_bench_solvers_suite_emits_residual_curves(tmp_path):
     ("dtype = float16", "dtype must be one of float64, float32"),
     ("n = abc", "bad suite value for n:"),
     ("seed = 1.5", "bad suite value for seed:"),
+    ("seed = -1", "seed must be >= 0, got -1"),
     ("m = 5", "m must be an even number >= 2, got 5"),
     ("n = 5", "n must be >= m = 24, got 5"),
     ("solvers = qr,bogus", "bad suite value for solvers:"),
@@ -786,5 +788,6 @@ def test_bench_solvers_checks_suite_values(tmp_path, line, message):
     suite.write_text(f"suite = solvers\n{line}\n")
     out = tmp_path / "solvers"
     assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
-    assert message in read_report(out / "error.txt")["message"]
+    error = read_report(out / "error.txt")
+    assert error["error"] == "InvalidConfig" and message in error["message"]
     assert not (out / "solvers.csv").exists()

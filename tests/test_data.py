@@ -1,4 +1,5 @@
-"""CSV loading, splits, standardization, and the synthetic wavelet task."""
+"""CSV loading, splits, standardization, the synthetic wavelet task, and the
+input rules every entry point shares."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from softki.data import (
     Dataset,
     Standardization,
     apply_stats,
+    integer,
     load_csv,
+    points,
     ricker,
     ricker_dataset,
     ricker_raw,
     split_raw,
     split_standardize,
+    stream,
 )
 from softki.errors import (
     DegenerateColumnWarning,
@@ -22,7 +26,12 @@ from softki.errors import (
     InvalidConfig,
     NonFiniteInput,
     ParseError,
+    SoftKIError,
 )
+from softki.interp import Hyperparams
+from softki.kernel import MaternParams
+from softki.posterior import fit_qr, near_degenerate_instance, predict
+from softki.trainer import kmeans
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -297,3 +306,80 @@ def test_ricker_dataset_is_standardized_and_seeded():
     assert np.array_equal(tr.x, tr2.x) and np.array_equal(te.y, te2.y)
     tr3, _ = ricker_dataset(n_train=500, n_test=50, radius=2.5, seed=8)
     assert not np.array_equal(tr.x, tr3.x)
+
+
+# ---------------------------------------------------------------- input rules
+
+
+def test_points_reads_one_row_and_converts_integers_and_bools():
+    row = points(np.arange(3), "x")
+    assert row.shape == (1, 3) and row.dtype == np.float64
+    assert points(np.eye(2, dtype=bool), "x").dtype == np.float64
+    rows = np.ones((4, 2), dtype=np.float32)
+    assert points(rows, "x") is rows  # float rows pass through as they are
+
+
+def test_integer_returns_an_int():
+    value = integer(np.int64(3), "n", 1)
+    assert value == 3 and type(value) is int
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_a_stream_without_tags_is_default_rngs(seed):
+    assert np.array_equal(stream(seed).random(8), np.random.default_rng(seed).random(8))
+
+
+def _fitted():
+    return fit_qr(*near_degenerate_instance(n=40, m=4, dtype="float64"))
+
+
+_Z_KERNEL = MaternParams(np.ones(2), 1.0)
+_NAN_Z = np.array([[0.0, 0.0], [np.nan, 1.0]])
+_FOUR_ROWS = Dataset(x=np.zeros((4, 2)), y=np.zeros(4))
+_BAD_ROWS = {"3-D": np.zeros((3, 2, 1)), "strings": np.array([["a", "b"], ["c", "d"]])}
+
+# one row per entry point and input: what it is called with, the SoftKIError
+# subclass it raises and the message, which names the argument. The suite
+# fails on any RuntimeWarning, so no case may warn on its way there
+BOUNDARY = [
+    *(pytest.param(lambda s=seed: kmeans(np.zeros((5, 2)), 2, seed=s), InvalidConfig,
+                   rf"^seed must be {text}$", id=f"kmeans-seed={seed}")
+      for seed, text in ((-1, ">= 0, got -1"), (1.5, "an integer, got 1.5"),
+                         (True, "an integer, got True"))),
+    pytest.param(lambda: split_raw(_FOUR_ROWS, seed=1.5), InvalidConfig,
+                 "^seed must be an integer, got 1.5$", id="split_raw-seed=1.5"),
+    pytest.param(lambda: ricker_raw(4, 2, seed=1.5), InvalidConfig,
+                 "^seed must be an integer, got 1.5$", id="ricker_raw-seed=1.5"),
+    pytest.param(lambda: near_degenerate_instance(seed=1.5), InvalidConfig,
+                 "^seed must be an integer, got 1.5$", id="near_degenerate-seed=1.5"),
+    pytest.param(lambda: near_degenerate_instance(seed=-1), InvalidConfig,
+                 "^seed must be >= 0, got -1$", id="near_degenerate-seed=-1"),
+    pytest.param(lambda: ricker_raw(n_train=0), InvalidConfig,
+                 "^n_train must be >= 1, got 0$", id="ricker_raw-n_train=0"),
+    pytest.param(lambda: ricker_dataset(n_test=-1), InvalidConfig,
+                 "^n_test must be >= 0, got -1$", id="ricker_dataset-n_test=-1"),
+    pytest.param(lambda: near_degenerate_instance(n=400.0), InvalidConfig,
+                 "^n must be an integer, got 400.0$", id="near_degenerate-n=400.0"),
+    pytest.param(lambda: near_degenerate_instance(m=4.0), InvalidConfig,
+                 "^m must be an integer, got 4.0$", id="near_degenerate-m=4.0"),
+    pytest.param(lambda: near_degenerate_instance(d=0), InvalidConfig,
+                 "^d must be >= 1, got 0$", id="near_degenerate-d=0"),
+    *(pytest.param(lambda a=a: Dataset(x=a, y=np.zeros(len(a))), DimensionMismatch,
+                   "^x must be a 1-D or", id=f"Dataset-x-{kind}")
+      for kind, a in _BAD_ROWS.items()),
+    *(pytest.param(lambda a=a: Hyperparams(1.0, _Z_KERNEL, a), DimensionMismatch,
+                   "^z must be a 1-D or", id=f"Hyperparams-z-{kind}")
+      for kind, a in _BAD_ROWS.items()),
+    *(pytest.param(lambda a=a: predict(_fitted(), a), DimensionMismatch,
+                   "^query must be a 1-D or", id=f"predict-query-{kind}")
+      for kind, a in _BAD_ROWS.items()),
+    pytest.param(lambda: Hyperparams(1.0, _Z_KERNEL, _NAN_Z), NonFiniteInput,
+                 r"^z row 1, column 0 \(0-based\) holds nan$", id="Hyperparams-z-nan"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", BOUNDARY)
+def test_bad_input_fails_at_the_boundary_naming_the_argument(call, error, message):
+    assert issubclass(error, SoftKIError)
+    with pytest.raises(error, match=message):
+        call()

@@ -63,7 +63,7 @@ def test_record_rejects_non_finite_noise(noise):
 
 
 def test_record_rejects_non_finite_points():
-    with pytest.raises(NonFiniteInput, match="z must be finite"):
+    with pytest.raises(NonFiniteInput, match=r"^z row 0, column 1 \(0-based\) holds nan$"):
         Hyperparams(noise=1.0, kernel=params(2), z=[[0.0, np.nan], [1.0, 1.0]])
 
 

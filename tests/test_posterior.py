@@ -171,9 +171,9 @@ def test_non_finite_query_rows_are_rejected(variant, bad):
     xs[3, 1] = bad
     xs[5, 0] = bad
     for fn in (predict, predict_mean, predict_var):
-        with pytest.raises(NonFiniteInput, match=r"query row 3 \(0-based\)"):
+        with pytest.raises(NonFiniteInput, match=r"query row 3, column 1 \(0-based\)"):
             fn(post, xs)
-    with pytest.raises(NonFiniteInput, match="query row 0"):
+    with pytest.raises(NonFiniteInput, match="query row 0, column 1 "):
         predict(post, xs[3])   # a single point is row 0
     mean, var = predict(post, xs[:3])
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
@@ -224,7 +224,8 @@ def test_blocked_prediction_names_the_global_bad_row(variant, monkeypatch):
     xs[2 * BLOCK + 1, 0] = np.nan
     calls = counted_features(monkeypatch, variant)
     for fn in (predict, predict_mean, predict_var):
-        with pytest.raises(NonFiniteInput, match=rf"query row {2 * BLOCK + 1} \(0-based\)"):
+        with pytest.raises(NonFiniteInput,
+                           match=rf"query row {2 * BLOCK + 1}, column 0 \(0-based\)"):
             fn(post, xs)
     assert calls == []  # checked over every row before the first block is built
 

@@ -20,9 +20,10 @@ import softki.trainer
 from conftest import refuse_objective_factors
 from softki import (TrainConfig, fit_qr, predict_mean, ricker_dataset, train,
                     train_exact, train_sgpr)
-from softki.data import Dataset
+from softki.data import Dataset, stream
 from softki.trainer import DTYPES, OBJECTIVE_MODES
-from softki.errors import InvalidConfig, NonFiniteInput, NonFiniteResult, TooFewPoints
+from softki.errors import (DimensionMismatch, InvalidConfig, NonFiniteInput, NonFiniteResult,
+                           TooFewPoints)
 from softki.posterior import DEFAULT_BLOCK_ROWS
 from softki.interp import Hyperparams
 from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, matern32
@@ -39,7 +40,6 @@ from softki.trainer import (
     _SHUFFLE,
     _epoch_batches,
     _lloyd,
-    _rng,
     chain,
     kmeans,
 )
@@ -105,7 +105,7 @@ def test_kmeans_too_few_points():
 def kmeans_loop_reference(x, m, seed=0, max_iters=100):
     """k-means++ seeding, then lloyd_loop_reference's steps."""
     n = x.shape[0]
-    rng = _rng(seed, _KMEANS)
+    rng = stream(seed, _KMEANS)
     centroids = np.empty((m, x.shape[1]))
     centroids[0] = x[rng.integers(n)]
     d2 = np.sum((x - centroids[0]) ** 2, axis=1)
@@ -317,12 +317,14 @@ def test_kmeans_peak_grows_no_faster_than_its_distance_buffer():
     assert abs(large - small) <= 0.1 * small, (small, large)
 
 
-@pytest.mark.parametrize("x,m", [
-    (np.zeros((5, 2)), 0), (np.zeros((5, 2)), -1), (np.zeros((5, 2)), 2.0),
-    (np.zeros((5, 2)), True), (np.zeros(5), 1), (np.zeros((5, 2, 1)), 1),
+@pytest.mark.parametrize("x,m,error", [
+    (np.zeros((5, 2)), 0, InvalidConfig), (np.zeros((5, 2)), -1, InvalidConfig),
+    (np.zeros((5, 2)), 2.0, InvalidConfig), (np.zeros((5, 2)), True, InvalidConfig),
+    (np.zeros(5), 2, TooFewPoints), (np.zeros((5, 2, 1)), 1, DimensionMismatch),
 ], ids=["m=0", "m=-1", "m=2.0", "m=True", "1-D", "3-D"])
-def test_kmeans_rejects_a_bad_m_or_shape(x, m):
-    with pytest.raises(InvalidConfig):
+def test_kmeans_rejects_a_bad_m_or_shape(x, m, error):
+    # a 1-D x is one row, too few for two centroids
+    with pytest.raises(error, match="m must|need at least 2 points|x must"):
         kmeans(x, m)
 
 
@@ -331,7 +333,7 @@ def test_kmeans_rejects_non_finite_points_naming_the_row(bad):
     x = np.random.default_rng(0).standard_normal((40, 3))
     x[17, 2] = bad
     x[30, 0] = bad
-    with pytest.raises(NonFiniteInput, match="row 17 "):
+    with pytest.raises(NonFiniteInput, match=r"^x row 17, column 2 \(0-based\)"):
         kmeans(x, 4)
 
 
@@ -375,16 +377,16 @@ def test_adam_lr_override_and_counter():
 
 
 def test_epoch_batches_partition_the_data():
-    rng = _rng(0, _SHUFFLE, 0)
+    rng = stream(0, _SHUFFLE, 0)
     batches = list(_epoch_batches(10, 4, rng))
     assert [len(b) for b in batches] == [4, 4, 2]
     assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(10))
 
 
 def test_epoch_batch_count_matches_ceiling_rule():
-    rng = _rng(0, _SHUFFLE, 0)
+    rng = stream(0, _SHUFFLE, 0)
     assert len(list(_epoch_batches(2048, 1024, rng))) == 2
-    rng = _rng(0, _SHUFFLE, 1)
+    rng = stream(0, _SHUFFLE, 1)
     assert len(list(_epoch_batches(2049, 1024, rng))) == 3
 
 
@@ -546,6 +548,25 @@ def test_batches_both_objectives_fail_are_counted_and_training_finishes(monkeypa
     assert trace.mode_counts == {"exact": 0, "pseudoloss": steps}
     assert np.isnan(trace.epoch_objectives).all()
     assert np.array_equal(hp.z, kmeans(data.x, 8, seed=0))  # no step was taken
+
+
+def test_a_failed_batch_leaves_the_epoch_objective_to_the_others(monkeypatch):
+    exact = softki.objective.exact_mll
+    values = []  # per-point value of each batch, None for the one that fails
+
+    def first_call_fails(x, *args, **kwargs):
+        if not values:
+            values.append(None)
+            return softki.objective.ObjectiveReport(float("nan"), {}, "exact")
+        report = exact(x, *args, **kwargs)
+        values.append(report.value / len(x))
+        return report
+
+    monkeypatch.setattr(softki.objective, "exact_mll", first_call_fails)
+    _, trace = train(toy_dataset(), TrainConfig(m=8, epochs=2, batch_size=16, seed=0,
+                                                objective_mode="exact"))
+    assert trace.failed_batches == 1 and len(values) == 8
+    assert trace.epoch_objectives == [np.mean(values[1:4]), np.mean(values[4:])]
 
 
 def test_float32_ricker_training_stays_exact_and_near_float64():
