@@ -1,5 +1,6 @@
 """Dataset loading, splitting, standardization, and the synthetic wavelet task,
-and the package's three input rules: ``integer``, ``stream`` and ``points``.
+and the package's four input rules: ``integer``, ``real``, ``stream`` and
+``points``.
 
 Standardization always uses training-split statistics, for features and
 targets alike. Metrics are reported on the standardized scale unless a caller
@@ -9,6 +10,7 @@ de-standardizes explicitly.
 import csv
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +30,57 @@ def integer(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value)
+    except ValueError:  # nested sequences of unequal lengths have no shape
+        raise DimensionMismatch(f"{name} is a ragged sequence, not an array") from None
+
+
+_ABOVE = {"(": operator.gt, "[": operator.ge}
+_BELOW = {")": operator.lt, "]": operator.le}
+
+
+def real(value, name: str, low=-math.inf, high=math.inf, ends="()", vector=False):
+    """value as a float, or with vector as a 1-D array, each entry in the
+    interval from low to high; ends holds its brackets, "(" or "[" then ")"
+    or "]". vector is False for a scalar (a 0-d array is read as its
+    scalar), True for a vector of any length, or the tuple of lengths it may
+    have; a scalar is a vector of one. A float vector keeps its dtype and an
+    integer one becomes float64.
+
+    Raises InvalidConfig naming name for a bool, string, None, complex or
+    any other value that is not a real number, and for the first entry
+    outside the interval (nan always is); DimensionMismatch naming name for a
+    vector of another ndim or length.
+    """
+    if vector is False:
+        if isinstance(value, np.ndarray) and value.ndim == 0:
+            value = value[()]  # a 0-d array is read as its scalar
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidConfig(f"{name} must be a number, got {value!r}")
+        try:
+            a = float(value)
+        except OverflowError:  # an int beyond float64's range
+            a = math.inf if value > 0 else -math.inf
+        bad = None if _ABOVE[ends[0]](a, low) and _BELOW[ends[1]](a, high) else a
+    else:
+        a = _array(value, name)
+        if a.dtype.kind not in "fiu":
+            raise InvalidConfig(f"{name} must be a number, got {value!r}")
+        a = np.atleast_1d(a)
+        if a.ndim != 1 or (vector is not True and a.shape[0] not in vector):
+            lengths = "" if vector is True else " of length " + " or ".join(map(str, vector))
+            raise DimensionMismatch(f"{name} must be a 1-D array{lengths}, got shape {a.shape}")
+        if a.dtype.kind != "f":
+            a = a.astype(float)
+        fits = _ABOVE[ends[0]](a, low) & _BELOW[ends[1]](a, high)
+        bad = None if fits.all() else float(a[np.argmin(fits)])
+    if bad is not None:
+        raise InvalidConfig(f"{name} must be in {ends[0]}{low:g}, {high:g}{ends[1]}, got {bad}")
+    return a
+
+
 def stream(seed, *tags: int) -> np.random.Generator:
     """The random stream of an integer seed >= 0 and fixed tags; with no tags
     it is ``default_rng(seed)``'s."""
@@ -39,7 +92,7 @@ def points(a, name: str) -> np.ndarray:
     float64, other float arrays keep their dtype. Raises DimensionMismatch for
     any other shape or dtype and NonFiniteInput naming the first nan or inf
     by row and column, each naming name."""
-    a = np.asarray(a)
+    a = _array(a, name)
     if a.ndim not in (1, 2) or a.dtype.kind not in "fiub":
         raise DimensionMismatch(f"{name} must be a 1-D or (n, d) array of numbers, "
                                 f"got shape {a.shape} of {a.dtype}")
@@ -60,11 +113,13 @@ class Standardization:
     y_std: float
 
     def __post_init__(self):
-        for name, low in (("x_mean", -np.inf), ("y_mean", -np.inf),
-                          ("x_std", 0.0), ("y_std", 0.0)):
-            value = np.asarray(getattr(self, name))
-            if not np.all((value > low) & (value < np.inf)):  # nan fails both
-                raise InvalidConfig(f"{name} must be in ({low}, inf)")
+        self.x_mean = real(self.x_mean, "x_mean", vector=True)
+        self.x_std = real(self.x_std, "x_std", 0.0, vector=True)
+        if self.x_std.shape != self.x_mean.shape:
+            raise DimensionMismatch(f"x_mean has {self.x_mean.shape[0]} entries but "
+                                    f"x_std has {self.x_std.shape[0]}")
+        self.y_mean = real(self.y_mean, "y_mean")
+        self.y_std = real(self.y_std, "y_std", 0.0)
 
 
 @dataclass
@@ -196,8 +251,7 @@ def identity_stats(d: int) -> Standardization:
 
 def split_raw(data: Dataset, train_fraction: float = 0.9, seed: int = 0):
     """Shuffle and split without standardizing; the permutation is seeded (seed >= 0)."""
-    if not 0.0 < train_fraction <= 1.0:
-        raise InvalidConfig("train_fraction must be in (0, 1]")
+    train_fraction = real(train_fraction, "train_fraction", 0.0, 1.0, "(]")
     n = len(data)
     perm = stream(seed).permutation(n)
     n_train = max(1, min(n, int(round(train_fraction * n))))
@@ -224,6 +278,11 @@ def split_standardize(data: Dataset, train_fraction: float = 0.9, seed: int = 0)
     return standardize(*split_raw(data, train_fraction, seed))
 
 
+# beyond it the squared radius of a point, or the variance standardization
+# takes, overflows float64 and the targets or statistics turn nan or inf
+RICKER_RADIUS_MAX = 1e100
+
+
 def ricker(x: np.ndarray) -> np.ndarray:
     """Radial wavelet (1 - r^2) exp(-r^2 / 2) over rows of x."""
     r2 = np.sum(np.atleast_2d(x) ** 2, axis=1)
@@ -241,9 +300,12 @@ def ricker_raw(
 
     Inputs are uniform on [-radius, radius]^2; Gaussian noise (std ``noise``)
     is added to training targets only. n_train must be an integer >= 1 and
-    n_test one >= 0; a bad count or seed raises InvalidConfig.
+    n_test one >= 0, radius lie in (0, RICKER_RADIUS_MAX] and noise in
+    [0, inf); a bad count, seed, radius or noise raises InvalidConfig.
     """
     n_train, n_test = integer(n_train, "n_train", 1), integer(n_test, "n_test", 0)
+    radius = real(radius, "radius", 0.0, RICKER_RADIUS_MAX, "(]")
+    noise = real(noise, "noise", 0.0, ends="[)")
     rng = stream(seed)
     x_tr = rng.uniform(-radius, radius, size=(n_train, 2))
     x_te = rng.uniform(-radius, radius, size=(n_test, 2))

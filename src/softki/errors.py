@@ -22,10 +22,6 @@ class SingularTriangular(SoftKIError):
     """Triangular solve hit an exactly-zero diagonal entry."""
 
 
-class NonPositiveTemperature(SoftKIError):
-    """Interpolation temperatures must be strictly positive."""
-
-
 class TooFewPoints(SoftKIError):
     """Fewer data points than requested centroids."""
 
@@ -35,13 +31,16 @@ class TooLarge(SoftKIError):
 
 
 class InvalidConfig(SoftKIError):
-    """A configuration field is outside its allowed values; the message names it."""
+    """A configuration field or a record's number is not a number, or lies
+    outside its allowed values (``data.integer`` and ``data.real``); the
+    message names it."""
 
 
 class NonFiniteInput(SoftKIError):
-    """A Dataset, k-means x, query points or z hold nan, inf or a row whose squares overflow
-    float64, or a temperature's inverse square overflows it; the message names
-    the first bad row or entry."""
+    """A Dataset, k-means x, query points or z hold nan or inf (``data.points``),
+    z holds a row whose squares overflow float64, or a temperature's inverse
+    square overflows it; the message names the first bad row or entry. A nan
+    or inf number of a record is an InvalidConfig (``data.real``)."""
 
 
 class ParseError(SoftKIError):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import points
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteInput, NonPositiveTemperature
+from .data import points, real
+from .errors import DimensionMismatch, NonFiniteInput
 from .kernel import MaternParams, matern32, scaled_distance
 
 
@@ -38,13 +38,10 @@ class Hyperparams:
     temperatures: np.ndarray = ()  # (d,) strictly positive for softki, else (0,)
 
     def __post_init__(self):
-        self.noise = float(self.noise)
-        if not 0 < self.noise < np.inf:
-            raise InvalidConfig(f"noise must be finite and > 0, got {self.noise}")
+        self.noise = real(self.noise, "noise", 0.0)
         self.z = points(self.z, "z")
-        self.temperatures = np.atleast_1d(np.asarray(self.temperatures))
-        if self.temperatures.dtype.kind != "f":
-            self.temperatures = self.temperatures.astype(float)
+        self.temperatures = real(self.temperatures, "temperatures", 0.0,
+                                 vector=(0, self.z.shape[1]))
         if self.kernel.lengthscales.shape[0] != self.z.shape[1]:
             raise DimensionMismatch(f"{self.kernel.lengthscales.shape[0]} lengthscales "
                                     f"for d={self.z.shape[1]}")
@@ -52,19 +49,13 @@ class Hyperparams:
         # softmax divides x by the temperatures: a z row whose sums overflow,
         # or a temperature whose 1/T^2 does, turns every prediction into nan
         z = self.z.astype(float, copy=False)
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):
             fits = (np.isfinite(np.sum(z**2, axis=1))
                     & np.isfinite(np.sum((z / self.kernel.lengthscales)**2, axis=1)))
             t_fits = np.isfinite(self.temperatures.astype(float, copy=False) ** -2.0)
         if not fits.all():
             raise NonFiniteInput(f"z row {np.argmin(fits)} (0-based) overflows the "
                                  "squared distance in float64")
-        if self.temperatures.shape[0] not in (0, self.z.shape[1]):
-            raise DimensionMismatch(
-                f"{self.temperatures.shape[0]} temperatures for d={self.z.shape[1]}"
-            )
-        if np.any(self.temperatures <= 0) or not np.all(np.isfinite(self.temperatures)):
-            raise NonPositiveTemperature("temperatures must be finite and > 0")
         if not t_fits.all():
             raise NonFiniteInput(f"temperatures[{np.argmin(t_fits)}]: 1/T^2 overflows float64")
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig
+from .data import real
+from .errors import DimensionMismatch
 
 SQRT3 = float(np.sqrt(3.0))  # python float: keeps float32 operands in float32
 
@@ -36,16 +37,9 @@ class MaternParams:
     outputscale: float
 
     def __post_init__(self):
-        self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales))
-        if self.lengthscales.dtype.kind != "f":
-            self.lengthscales = self.lengthscales.astype(float)
-        self.outputscale = float(self.outputscale)
-        lo, hi = LENGTHSCALE_MIN, LENGTHSCALE_MAX
-        if not np.all((self.lengthscales >= lo) & (self.lengthscales <= hi)):  # nan fails
-            raise InvalidConfig(f"lengthscales must lie in [{lo}, {hi}]")
-        if not 0 < self.outputscale < np.inf:
-            raise InvalidConfig(
-                f"outputscale must be finite and > 0, got {self.outputscale}")
+        self.lengthscales = real(self.lengthscales, "lengthscales", LENGTHSCALE_MIN,
+                                 LENGTHSCALE_MAX, "[]", vector=True)
+        self.outputscale = real(self.outputscale, "outputscale", 0.0)
 
 
 def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,

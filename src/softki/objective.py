@@ -14,8 +14,8 @@ passes Phi = W and u = U_zz, K_zz's upper Cholesky factor (L = U_zz^T);
 SGPR passes the whitened Phi = K_xz U_zz^-1 and u = None (L = I). M is
 formed by triangular products, factored once and inverted once by ?trtri,
 and every product with U_m^-1 is a ?trmm. ``dense_gaussian``, one Cholesky
-of a formed D, serves the dense referees: ``exact_mll(path="dense")`` and
-the exact GP.
+of a formed D, serves the exact GP (``baselines.exact_gp_mll``) and the
+tests' dense referee of ``exact_mll``.
 
 When K_zz stops being numerically positive definite, or the exact value or
 gradient goes non-finite, a Hutchinson-style pseudoloss takes over: solve
@@ -61,8 +61,8 @@ K_zz and its e are built from float64 z and factored there,
 ``lowrank_gaussian``'s m-space stays there, and the exact gradient's
 (K_zz - Z S K_zz) / beta^2 and K_zz W^T a and the pseudoloss's K_zz W^T v
 (in each CG matvec) and K_zz W^T S (after the solve) are formed there. The
-kernel backward reads the float64 (K_zz, e); only the dense referee casts
-K_zz itself to the batch dtype. For a float64 batch each cast returns the
+kernel backward reads the float64 (K_zz, e), and K_zz itself is never cast
+to the batch dtype. For a float64 batch each cast returns the
 same array. Built from float32 z, the expanded-norm distances on the
 clustered benchmark's raw coordinates (near 50) put K_zz's entries off by up
 to 8.8e-4 and its smallest eigenvalue at -2.1e-3, where float64's is
@@ -102,7 +102,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import InvalidConfig, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .interp import Hyperparams, softmax_forward, softmax_weights_backward
 from .kernel import matern32_forward, matern32_param_grads
 
@@ -256,22 +256,14 @@ def _assemble_gradients(b: Batch, hp, g_k, g_w, tr_g) -> dict:
     }
 
 
-def exact_mll(
-    x: np.ndarray,
-    y: np.ndarray,
-    hp: Hyperparams,
-    path: str = "lowrank",
-    *,
-    batch=None,
-) -> ObjectiveReport:
+def exact_mll(x: np.ndarray, y: np.ndarray, hp: Hyperparams, *,
+              batch=None) -> ObjectiveReport:
     """Exact marginal log likelihood of one batch, with analytic gradients.
 
-    The n-by-m products run in x's dtype. path="lowrank" factorizes K_zz
-    and the m-by-m inner matrix only, both in float64, and forms every
-    m-by-m factor of the gradient in float64 before casting it to x's dtype
-    where it meets W; path="dense" factorizes D itself, formed in x's dtype
-    from K_zz cast to it (test-scale cross-check). Raises
-    NotPositiveDefinite when the required Cholesky fails after the jitter
+    The n-by-m products run in x's dtype. K_zz and the m-by-m inner matrix
+    are factored in float64, and every m-by-m factor of the gradient is
+    formed in float64 before it is cast to x's dtype where it meets W.
+    Raises NotPositiveDefinite when a Cholesky fails after the jitter
     schedule. batch, when given, is ``_batch(x, y, hp)`` built by the caller.
     """
     b = _batch(x, y, hp) if batch is None else batch
@@ -280,33 +272,20 @@ def exact_mll(
     beta = x.dtype.type(hp.noise)
     beta2 = beta * beta
 
-    diag = {}
-    if path == "dense":
-        k_zz = k_zz.astype(x.dtype, copy=False)
-        quad, logdet, a, d_inv, diag["jitter"] = dense_gaussian(
-            w @ k_zz @ w.T + beta2 * np.eye(n, dtype=x.dtype), y)
-        g = 0.5 * (np.outer(a, a) - d_inv)
-        g_k = w.T @ g @ w
-        g_w = 2.0 * g @ (w @ k_zz)
-        tr_g = float(np.trace(g))
-    elif path == "lowrank":
-        u_zz, diag["jitter"] = linalg.cholesky_upper(k_zz)
-        lr = lowrank_gaussian(w, y, u_zz, beta2)
-        diag["jitter_inner"] = lr.jitter
-        a, quad, logdet = lr.a, lr.quad, lr.logdet
-        phi_a = lr.phi_a.astype(np.float64, copy=False)
-        g_k = 0.5 * (np.outer(phi_a, phi_a) - lr.phi_dinv_phi)
-        g_w = w @ _cast((k_zz - lr.zs @ k_zz) / beta2, x.dtype)
-        np.negative(g_w, out=g_w)
-        g_w += np.outer(a, _cast(phi_a @ k_zz, x.dtype))
-        tr_g = 0.5 * (float(a @ a) - lr.tr_d_inv)
-    else:
-        raise InvalidConfig(f"exact_mll path must be lowrank or dense, got {path!r}")
+    u_zz, jitter = linalg.cholesky_upper(k_zz)
+    lr = lowrank_gaussian(w, y, u_zz, beta2)
+    a = lr.a
+    phi_a = lr.phi_a.astype(np.float64, copy=False)
+    g_k = 0.5 * (np.outer(phi_a, phi_a) - lr.phi_dinv_phi)
+    g_w = w @ _cast((k_zz - lr.zs @ k_zz) / beta2, x.dtype)
+    np.negative(g_w, out=g_w)
+    g_w += np.outer(a, _cast(phi_a @ k_zz, x.dtype))
+    tr_g = 0.5 * (float(a @ a) - lr.tr_d_inv)
 
-    value = -0.5 * (quad + logdet + n * LOG_2PI)
+    value = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
     grads = _assemble_gradients(b, hp, g_k, g_w, tr_g)
     return ObjectiveReport(value=float(value), gradients=grads, mode_used="exact",
-                           diagnostics=diag)
+                           diagnostics={"jitter": jitter, "jitter_inner": lr.jitter})
 
 
 def hutchinson_pseudoloss(
@@ -404,7 +383,7 @@ def stabilized_objective(
         try:
             # an overflow here is a failure that the is_finite check below handles
             with np.errstate(over="ignore", invalid="ignore"):
-                rep = exact_mll(x, y, hp, path="lowrank", batch=batch)
+                rep = exact_mll(x, y, hp, batch=batch)
             if rep.is_finite():
                 return rep
             diag["failure"] = "non-finite exact value or gradient"

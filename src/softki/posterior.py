@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .data import Dataset, integer, points, stream
+from .data import Dataset, integer, points, real, stream
 from .errors import InvalidConfig, NonFiniteResult, RankDeficient, SoftKIError
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
@@ -274,19 +274,17 @@ def solver_route(method: str):
     """(route, cg tolerance or None) of qr, direct, cholesky or cg:<tol>.
 
     Raises InvalidConfig naming the text when it is not a route, or when its
-    cg tolerance is not a finite number > 0 (nan or inf stop CG after one
+    cg tolerance is not a number in (0, inf) (nan or inf stop CG after one
     iteration, <= 0 never)."""
     if method in ("qr", "direct", "cholesky"):
         return method, None
-    if not method.startswith("cg:"):
+    if not (isinstance(method, str) and method.startswith("cg:")):
         raise InvalidConfig(f"expected qr, direct, cholesky, or cg:<tol>, got {method!r}")
     try:
         tol = float(method[3:])
     except ValueError:
-        tol = np.nan
-    if not 0.0 < tol < np.inf:
-        raise InvalidConfig(f"solver {method!r} needs a finite cg tolerance > 0")
-    return "cg", tol
+        tol = method[3:]  # not a number: real names it
+    return "cg", real(tol, f"solver {method!r} cg tolerance", 0.0)
 
 
 def _solve(method: str, chat: np.ndarray, rhs: np.ndarray, qr_alpha=None) -> AltSolveResult:
@@ -344,9 +342,12 @@ def near_degenerate_instance(n: int = 400, m: int = 24, d: int = 2,
     dtype is float32, the precision where that separation shows; everything
     downstream (weights, factors, solves) stays in the instance dtype.
     Returns (data, hp). Raises InvalidConfig unless n, m and d are
-    integers >= 1, m is even and m <= n, and seed is an integer >= 0.
+    integers >= 1, m is even and m <= n, delta lies in [-1, 1] and seed is
+    an integer >= 0: the points lie in [-2, 2]^d, and a pair further apart is
+    not near coincident (one 1e300 apart overflowed the points' squares).
     """
     n, m, d = integer(n, "n", 1), integer(m, "m", 2), integer(d, "d", 1)
+    delta = real(delta, "delta", -1.0, 1.0, "[]")
     if m % 2:
         raise InvalidConfig(f"m must be an even number >= 2, got {m}")
     if n < m:

@@ -17,7 +17,6 @@ optimizes.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import transforms
 from .baselines import exact_gp_mll, sgpr_elbo, sgpr_workspace
-from .data import Dataset, integer, points, stream
+from .data import Dataset, integer, points, real, stream
 from .errors import InvalidConfig, NonFiniteResult, TooFewPoints
 from .interp import Hyperparams
 from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams
@@ -57,7 +56,7 @@ DTYPES = ("float64", "float32")
 
 def _setting(default, help="", flag=None, **allowed):
     """A TrainConfig field, declared once: its allowed values (minimum=<int>,
-    interval=(low, high, low_closed) with high never allowed, or
+    interval=(low, high, ends) as ``data.real`` reads them, or
     choices=<tuple>), its ``softki train`` flag where that is not the field
     name with dashes, and the flag's help."""
     return field(default=default, metadata={"help": help, "flag": flag, **allowed})
@@ -70,23 +69,23 @@ class TrainConfig:
     epochs: int = _setting(50, minimum=0)
     batch_size: int = _setting(1024, minimum=1)
     learning_rate: float = _setting(0.01, "Adam step size", flag="lr",
-                                    interval=(0.0, math.inf, True))  # 0 takes no steps
+                                    interval=(0.0, math.inf, "[)"))  # 0 takes no steps
     probes: int = _setting(10, "Hutchinson probe count", minimum=1)
     seed: int = _setting(0, "seed of the split, the ricker data and training", minimum=0)
     objective_mode: str = _setting("auto", "objective mode", flag="objective",
                                    choices=OBJECTIVE_MODES)
-    cg_tol: float = _setting(1e-6, interval=(0.0, math.inf, False))
+    cg_tol: float = _setting(1e-6, interval=(0.0, math.inf, "()"))
     cg_max_iters: int = _setting(500, minimum=1)
     m: int = _setting(512, "number of interpolation / inducing points", minimum=1)
     # the inits must lie above the floors of the transforms they feed
-    noise_init: float = _setting(0.5, interval=(NOISE_FLOOR, math.inf, False))
+    noise_init: float = _setting(0.5, interval=(NOISE_FLOOR, math.inf, "()"))
     lengthscale_init: float = _setting(
-        1.0, interval=(LENGTHSCALE_MIN, LENGTHSCALE_MAX, False))
-    outputscale_init: float = _setting(1.0, interval=(SCALE_FLOOR, math.inf, False))
-    temperature_init: float = _setting(1.0, interval=(TEMP_FLOOR, math.inf, False))
+        1.0, interval=(LENGTHSCALE_MIN, LENGTHSCALE_MAX, "()"))
+    outputscale_init: float = _setting(1.0, interval=(SCALE_FLOOR, math.inf, "()"))
+    temperature_init: float = _setting(1.0, interval=(TEMP_FLOOR, math.inf, "()"))
     lr_step_epochs: int = _setting(
         0, "multiply the step size by --lr-step-factor this often (0 = off)", minimum=0)
-    lr_step_factor: float = _setting(0.5, interval=(0.0, math.inf, False))
+    lr_step_factor: float = _setting(0.5, interval=(0.0, math.inf, "()"))
     dtype: str = _setting("float64", "objective dtype (softki only)", choices=DTYPES)
 
     def __post_init__(self):
@@ -99,12 +98,7 @@ class TrainConfig:
             elif "minimum" in spec:
                 integer(value, name, spec["minimum"])
             else:
-                low, high, closed = spec["interval"]
-                if not (isinstance(value, numbers.Real)    # nan fails both comparisons
-                        and (low <= value if closed else low < value) and value < high):
-                    bracket = "[" if closed else "("
-                    raise InvalidConfig(f"{name} must be a number in "
-                                        f"{bracket}{low}, {high}), got {value!r}")
+                real(value, name, *spec["interval"])
 
 
 @dataclass

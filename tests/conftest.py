@@ -40,7 +40,7 @@ import softki.linalg  # noqa: E402
 import softki.objective  # noqa: E402
 from softki.errors import CGNotConvergedWarning, NotPositiveDefinite  # noqa: E402
 from softki.linalg import cholesky_upper, tri_solve_upper  # noqa: E402
-from softki.objective import LowRankGaussian  # noqa: E402
+from softki.objective import LOG_2PI, LowRankGaussian, ObjectiveReport  # noqa: E402
 
 _CRITERIA = {}
 
@@ -120,6 +120,25 @@ def lowrank_gaussian_by_solves(phi, y, l, beta2):
         s=s,
         jitter=jitter,
     )
+
+
+def dense_exact_mll(x, y, hp):
+    """The dense referee of ``objective.exact_mll``: the same value and
+    gradients from one ``dense_gaussian`` of the formed
+    D = W K_zz W^T + beta^2 I, in x's dtype with K_zz cast to it."""
+    b = softki.objective._batch(x, y, hp)
+    x, y, w = b.x, b.y, b.w
+    k_zz = b.k_zz.astype(x.dtype, copy=False)
+    n = y.shape[0]
+    beta = x.dtype.type(hp.noise)
+    quad, logdet, a, d_inv, jitter = softki.objective.dense_gaussian(
+        w @ k_zz @ w.T + beta * beta * np.eye(n, dtype=x.dtype), y)
+    g = 0.5 * (np.outer(a, a) - d_inv)
+    grads = softki.objective._assemble_gradients(
+        b, hp, w.T @ g @ w, 2.0 * g @ (w @ k_zz), float(np.trace(g)))
+    return ObjectiveReport(value=float(-0.5 * (quad + logdet + n * LOG_2PI)),
+                           gradients=grads, mode_used="exact",
+                           diagnostics={"jitter": jitter})
 
 
 def refuse_objective_factors(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 import softki.baselines
 import softki.objective
 import softki.posterior
-from conftest import lowrank_gaussian_by_solves
+from conftest import dense_exact_mll, lowrank_gaussian_by_solves
 from softki import TrainConfig, fit_qr, train_exact
 from softki import test_metrics as softki_metrics
 from softki.baselines import (
@@ -314,7 +314,7 @@ def test_lowrank_objectives_share_lowrank_gaussian(monkeypatch):
         noise=hp.noise, kernel=hp.kernel,
         z=hp.z, temperatures=np.ones(2),
     )
-    exact_mll(x, y, soft, path="lowrank")
+    exact_mll(x, y, soft)
     assert calls == [(40, 5), (40, 5)]
 
 
@@ -387,7 +387,7 @@ def test_dense_referees_share_dense_gaussian(monkeypatch):
         noise=hp.noise, kernel=hp.kernel,
         z=hp.z, temperatures=np.ones(2),
     )
-    exact_mll(x, y, soft, path="dense")
+    dense_exact_mll(x, y, soft)
     exact_gp_mll(x, y, hp)
     exact_fit(Dataset(x, y), hp)
     assert calls == [(40, 40)] * 3

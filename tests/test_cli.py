@@ -209,7 +209,7 @@ def test_cg_solver_needs_a_finite_positive_tolerance(tmp_path, route):
     report = read_report(out / "error.txt")
     assert report["error"] == "InvalidConfig"
     assert report["message"] == (f"bad suite value for solvers: solver {route!r} "
-                                 "needs a finite cg tolerance > 0")
+                                 f"cg tolerance must be in (0, inf), got {float(route[3:])}")
     assert not (out / "solvers.csv").exists()
 
 
@@ -691,6 +691,19 @@ def test_bench_row_failures_set_exit_status(tmp_path):
     assert read_report(out / "report.txt")["rows_failed"] == "1"
 
 
+def test_bench_row_lets_a_programming_error_propagate(tmp_path, wave_csv, monkeypatch):
+    # a row records a SoftKIError, OSError or LinAlgError; anything else is a
+    # defect in the program, not a failed row
+    def broken(*args):
+        raise TypeError("broken row")
+
+    monkeypatch.setattr(cli, "_train_model", broken)
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"suite = compare\ndata = {wave_csv}\nseeds = 0\nm = 4\nepochs = 1\n")
+    with pytest.raises(TypeError, match="broken row"):
+        main(["bench", "--suite", str(suite), "--out", str(tmp_path / "bench")])
+
+
 def test_bench_rejects_unknown_suite_keys(tmp_path, wave_csv):
     suite = tmp_path / "suite.txt"
     suite.write_text(f"suite = compare\ndata = {wave_csv}\nbogus = 1\n")
@@ -781,7 +794,7 @@ def test_bench_solvers_suite_emits_residual_curves(tmp_path):
     ("m = 5", "m must be an even number >= 2, got 5"),
     ("n = 5", "n must be >= m = 24, got 5"),
     ("solvers = qr,bogus", "bad suite value for solvers:"),
-    ("solvers = qr,cg:nan", "solver 'cg:nan' needs a finite cg tolerance > 0"),
+    ("solvers = qr,cg:nan", "solver 'cg:nan' cg tolerance must be in (0, inf), got nan"),
 ])
 def test_bench_solvers_checks_suite_values(tmp_path, line, message):
     suite = tmp_path / "suite.txt"

@@ -1,8 +1,12 @@
 """CSV loading, splits, standardization, the synthetic wavelet task, and the
 input rules every entry point shares."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softki.data
 from softki.data import (
@@ -30,8 +34,8 @@ from softki.errors import (
 )
 from softki.interp import Hyperparams
 from softki.kernel import MaternParams
-from softki.posterior import fit_qr, near_degenerate_instance, predict
-from softki.trainer import kmeans
+from softki.posterior import fit_qr, near_degenerate_instance, predict, solver_route
+from softki.trainer import TrainConfig, kmeans
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -337,6 +341,8 @@ _Z_KERNEL = MaternParams(np.ones(2), 1.0)
 _NAN_Z = np.array([[0.0, 0.0], [np.nan, 1.0]])
 _FOUR_ROWS = Dataset(x=np.zeros((4, 2)), y=np.zeros(4))
 _BAD_ROWS = {"3-D": np.zeros((3, 2, 1)), "strings": np.array([["a", "b"], ["c", "d"]])}
+_Z = np.zeros((3, 2))
+_STATS = dict(x_mean=np.zeros(2), x_std=np.ones(2), y_mean=0.0, y_std=1.0)
 
 # one row per entry point and input: what it is called with, the SoftKIError
 # subclass it raises and the message, which names the argument. The suite
@@ -375,6 +381,51 @@ BOUNDARY = [
       for kind, a in _BAD_ROWS.items()),
     pytest.param(lambda: Hyperparams(1.0, _Z_KERNEL, _NAN_Z), NonFiniteInput,
                  r"^z row 1, column 0 \(0-based\) holds nan$", id="Hyperparams-z-nan"),
+    # the real-valued fields of the records and the entry points (data.real)
+    pytest.param(lambda: Hyperparams(1.0, _Z_KERNEL, _Z, ["a", "b"]), InvalidConfig,
+                 r"^temperatures must be a number, got \['a', 'b'\]$",
+                 id="Hyperparams-temperatures-strings"),
+    pytest.param(lambda: Hyperparams(1.0, _Z_KERNEL, _Z, np.ones((2, 1, 1))),
+                 DimensionMismatch, r"^temperatures must be a 1-D array of length 0 or 2, "
+                 r"got shape \(2, 1, 1\)$", id="Hyperparams-temperatures-(2,1,1)"),
+    pytest.param(lambda: Hyperparams(1.0, MaternParams(np.ones((2, 1)), 1.0), _Z),
+                 DimensionMismatch, r"^lengthscales must be a 1-D array, got shape \(2, 1\)$",
+                 id="MaternParams-lengthscales-(2,1)"),
+    pytest.param(lambda: MaternParams(["a", "b"], 1.0), InvalidConfig,
+                 "^lengthscales must be a number", id="MaternParams-lengthscales-strings"),
+    *(pytest.param(lambda v=v: MaternParams(np.ones(2), v), InvalidConfig,
+                   f"^outputscale must be a number, got '{v}'$", id=f"MaternParams-outputscale={v}")
+      for v in ("2", "x")),
+    pytest.param(lambda: Hyperparams("x", _Z_KERNEL, _Z), InvalidConfig,
+                 "^noise must be a number, got 'x'$", id="Hyperparams-noise=x"),
+    pytest.param(lambda: Hyperparams(True, _Z_KERNEL, _Z), InvalidConfig,
+                 "^noise must be a number, got True$", id="Hyperparams-noise=True"),
+    pytest.param(lambda: Standardization(**{**_STATS, "x_std": np.ones(3)}), DimensionMismatch,
+                 "^x_mean has 2 entries but x_std has 3$", id="Standardization-x_std-(3,)"),
+    pytest.param(lambda: Standardization(**{**_STATS, "y_std": np.ones(3)}), InvalidConfig,
+                 r"^y_std must be a number, got array\(\[1., 1., 1.\]\)$",
+                 id="Standardization-y_std-(3,)"),
+    pytest.param(lambda: Standardization(**{**_STATS, "x_std": np.array(["a", "b"])}),
+                 InvalidConfig, "^x_std must be a number", id="Standardization-x_std-strings"),
+    pytest.param(lambda: split_raw(_FOUR_ROWS, train_fraction="0.5"), InvalidConfig,
+                 "^train_fraction must be a number, got '0.5'$", id="split_raw-train_fraction=0.5"),
+    *(pytest.param(lambda v=v: ricker_raw(4, 2, noise=v), InvalidConfig,
+                   rf"^noise must be in \[0, inf\), got {float(v)}$", id=f"ricker_raw-noise={v}")
+      for v in (np.nan, -1)),
+    pytest.param(lambda: ricker_raw(4, 2, radius=np.nan), InvalidConfig,
+                 r"^radius must be in \(0, 1e\+100\], got nan$", id="ricker_raw-radius=nan"),
+    pytest.param(lambda: TrainConfig(learning_rate=True), InvalidConfig,
+                 "^learning_rate must be a number, got True$", id="TrainConfig-learning_rate=True"),
+    pytest.param(lambda: near_degenerate_instance(delta=np.nan), InvalidConfig,
+                 r"^delta must be in \[-1, 1\], got nan$", id="near_degenerate-delta=nan"),
+    # ragged sequences have no shape, and a route that is not text is no route
+    pytest.param(lambda: Hyperparams(1.0, _Z_KERNEL, [[0.0, 0.0], [1.0]]), DimensionMismatch,
+                 "^z is a ragged sequence, not an array$", id="Hyperparams-z-ragged"),
+    pytest.param(lambda: MaternParams([[1.0], [1.0, 2.0]], 1.0), DimensionMismatch,
+                 "^lengthscales is a ragged sequence, not an array$",
+                 id="MaternParams-lengthscales-ragged"),
+    pytest.param(lambda: solver_route(None), InvalidConfig,
+                 "^expected qr, direct, cholesky, or cg:<tol>, got None$", id="solver_route-None"),
 ]
 
 
@@ -383,3 +434,43 @@ def test_bad_input_fails_at_the_boundary_naming_the_argument(call, error, messag
     assert issubclass(error, SoftKIError)
     with pytest.raises(error, match=message):
         call()
+
+
+# every real-valued argument of the entry points that data.real checks: the
+# name its errors carry, and a call that puts one value into it
+_REAL_ARGS = {
+    **{f"TrainConfig.{f.name}": (f.name, lambda v, name=f.name: TrainConfig(**{name: v}))
+       for f in fields(TrainConfig) if "interval" in f.metadata},
+    "Hyperparams.noise": ("noise", lambda v: Hyperparams(v, _Z_KERNEL, _Z, np.ones(2))),
+    "Hyperparams.temperatures": ("temperatures",
+                                 lambda v: Hyperparams(1.0, _Z_KERNEL, _Z, v)),
+    "MaternParams.lengthscales": ("lengthscales",
+                                  lambda v: Hyperparams(1.0, MaternParams(v, 1.0), _Z)),
+    "MaternParams.outputscale": ("outputscale", lambda v: MaternParams(np.ones(2), v)),
+    **{f"Standardization.{key}": (key, lambda v, key=key: Standardization(**{**_STATS, key: v}))
+       for key in _STATS},
+    "split_raw.train_fraction": ("train_fraction",
+                                 lambda v: split_raw(_FOUR_ROWS, train_fraction=v)),
+    "ricker_raw.radius": ("radius", lambda v: ricker_raw(4, 2, radius=v)),
+    "ricker_raw.noise": ("noise", lambda v: ricker_raw(4, 2, noise=v)),
+    "solver_route.cg": ("cg tolerance", lambda v: solver_route(f"cg:{v}")),
+    "near_degenerate_instance.delta": ("delta",
+                                       lambda v: near_degenerate_instance(n=8, m=4, delta=v)),
+}
+_FILLS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 1e300, -1.0, 1.0)
+_REAL_VALUES = (
+    "a", "0.5", None, True, *_FILLS, 0, -1, 2**1100, 1 + 1j,
+    np.arange(2), np.ones((2, 1), dtype=int), np.array(["a", "b"]), [[1.0], [1.0, 2.0]],
+    *(np.full(shape, fill) for shape in ((), (1,), (2,), (2, 1), (2, 1, 1)) for fill in _FILLS),
+)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_REAL_ARGS)), st.sampled_from(range(len(_REAL_VALUES))))
+def test_a_real_argument_succeeds_or_fails_naming_itself(arg, index):
+    # d = 2 throughout: a (2,) array has the length of a vector argument
+    name, call = _REAL_ARGS[arg]
+    try:
+        call(_REAL_VALUES[index])
+    except SoftKIError as err:
+        assert name in str(err), (arg, _REAL_VALUES[index], err)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softki.errors import (DimensionMismatch, InvalidConfig, NonFiniteInput,
-                           NonPositiveTemperature)
+from softki.errors import DimensionMismatch, InvalidConfig, NonFiniteInput
 from softki.interp import (
     Hyperparams,
     softki_cross,
@@ -30,7 +29,7 @@ def state(z, temps=None, s2=1.0):
 
 
 def test_state_rejects_nonpositive_temperature():
-    with pytest.raises(NonPositiveTemperature):
+    with pytest.raises(InvalidConfig, match=r"^temperatures must be in \(0, inf\), got 0.0$"):
         state([[0.0]], temps=[0.0])
 
 

@@ -15,16 +15,13 @@ import softki.objective
 from conftest import (
     chol_solve_ld,
     cholesky_ld,
+    dense_exact_mll,
     lowrank_gaussian_by_solves,
     refuse_objective_factors,
 )
 from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.trainer import TrainConfig
-from softki.errors import (
-    CGNotConvergedWarning,
-    InvalidConfig,
-    NotPositiveDefinite,
-)
+from softki.errors import CGNotConvergedWarning, NotPositiveDefinite
 from softki.interp import Hyperparams, softmax_forward, softmax_weights
 from softki.kernel import MaternParams, matern32, matern32_forward, scaled_distance
 from softki.linalg import block_cg
@@ -42,6 +39,9 @@ from softki.objective import (
 pytestmark = pytest.mark.filterwarnings(
     "ignore::softki.errors.CGNotConvergedWarning"
 )
+
+# exact_mll and its dense referee, by the name the tests parametrize over
+EXACT = {"lowrank": exact_mll, "dense": dense_exact_mll}
 
 # the CG settings a training run uses unless told otherwise
 CG_DEFAULTS = {"cg_tol": TrainConfig().cg_tol, "cg_max_iters": TrainConfig().cg_max_iters}
@@ -191,15 +191,9 @@ def test_value_against_dense_log_density():
     assert sign > 0
     expected = -0.5 * (y @ np.linalg.solve(d_mat, y) + logdet + len(y) * LOG_2PI)
     for path in ("lowrank", "dense"):
-        rep = exact_mll(x, y, hp, path=path)
+        rep = EXACT[path](x, y, hp)
         assert rep.value == pytest.approx(expected, rel=1e-9)
         assert rep.mode_used == "exact"
-
-
-def test_unknown_path_rejected():
-    x, y, hp = random_instance(1, n=4)
-    with pytest.raises(InvalidConfig, match="'qr'"):
-        exact_mll(x, y, hp, path="qr")
 
 
 @settings(max_examples=20, deadline=None)
@@ -209,8 +203,8 @@ def test_lowrank_and_dense_paths_agree(seed):
     n = int(rng.integers(2, 257))
     m = int(rng.integers(1, 33))
     x, y, hp = random_instance(seed, n=n, m=m)
-    low = exact_mll(x, y, hp, path="lowrank")
-    dense = exact_mll(x, y, hp, path="dense")
+    low = exact_mll(x, y, hp)
+    dense = dense_exact_mll(x, y, hp)
     assert low.value == pytest.approx(dense.value, rel=1e-8)
     assert np.allclose(flat_grads(low.gradients), flat_grads(dense.gradients),
                        rtol=1e-6, atol=1e-9)
@@ -419,7 +413,7 @@ def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
     if objective == "pseudoloss":
         rep = hutchinson_pseudoloss(x, y, hp, draw_probes(32, 3, seed=0), **CG_DEFAULTS)
     else:
-        rep = exact_mll(x, y, hp, path=objective)
+        rep = EXACT[objective](x, y, hp)
     assert rep.is_finite()
     assert softmaxes == [np.dtype(dtype)] * forwards
     assert kernels == [np.dtype(np.float64)] * forwards
@@ -464,7 +458,7 @@ def test_one_kernel_forward_per_point_set(monkeypatch, objective):
     elif objective == "exact_gp":
         rep = exact_gp_mll(x, y, hp)
     else:
-        rep = exact_mll(x, y, hp, path=objective)
+        rep = EXACT[objective](x, y, hp)
     assert rep.is_finite()
     expected = {
         "sgpr": ([(m, m), (n, m)], []),
@@ -589,8 +583,8 @@ def test_batch_zeroes_w_entries_below_the_smallest_normal():
 @pytest.mark.parametrize("path", ["lowrank", "dense"])
 def test_flushed_float32_exact_matches_the_float64_dense_referee(path):
     x, y, hp = split_cluster_batch()
-    ref = exact_mll(x.astype(np.float64), y.astype(np.float64), hp, path="dense")
-    rep = exact_mll(x, y, hp, path=path)
+    ref = dense_exact_mll(x.astype(np.float64), y.astype(np.float64), hp)
+    rep = EXACT[path](x, y, hp)
     assert rep.mode_used == "exact"
     assert_float32_matches(rep, ref)
 
@@ -890,7 +884,7 @@ def test_near_coincident_float32_stays_exact(seed):
     # built and factored in float64 it takes rung 0 (measured against the
     # float64 referee: value 1.2e-6 to 6.7e-6, gradients 2.2e-5 to 6.6e-5)
     x, y, hp = near_coincident_batch(seed)
-    ref = exact_mll(x.astype(np.float64), y.astype(np.float64), hp, path="dense")
+    ref = dense_exact_mll(x.astype(np.float64), y.astype(np.float64), hp)
     rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="auto", dtype="float32"))
     assert rep.mode_used == "exact"
     assert "fallback_reason" not in rep.diagnostics
