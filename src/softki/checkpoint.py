@@ -7,19 +7,24 @@ the statistics, noise and outputscale in decimal, then a ``sha256`` line)
 ended by an ``end-header`` line, then five length-prefixed little-endian
 float64 arrays: z, temperatures, lengthscales, v, p. These are exactly what
 prediction reads: the arrays of the posterior's ``interp.Hyperparams`` and
-its fit-time v and m x m P (see posterior.py). temperatures is empty for sgpr
-and exact; for exact z holds the training inputs, so m = n.
+its fit-time v and m x m p, which is softki's upper root T and SGPR's and
+exact's P (see posterior.py). temperatures is empty for sgpr and exact; for
+exact z holds the training inputs, so m = n. p is stored and read back
+C-ordered, the layout the live posterior holds it in.
 
 ``load_checkpoint`` raises ``ChecksumOrVersionMismatch``, naming the field,
-for a wrong magic or version, a missing or unparsable header key, a sha256
-that does not match the header lines above it and the payload (so an edited
-scalar is caught like a flipped payload byte), a truncated or overlong
-payload, and then, so that a file with a recomputed sha256 is still caught
-where it is read: a variant ``posterior.FORMS`` does not know, a training-set
-size n < 1 (or n != m for exact, whose points are its inputs), an array whose
-size does not fit the variant, m and d (x_mean, x_std and lengthscales have d
-entries; temperatures has d for softki and none for sgpr and exact), a nan or
-inf in v or P, and any value the rebuilt ``Standardization``,
+for a wrong magic or version (a v2 file holds P where softki's root now is,
+a v1 file an older checksum; neither is converted), a missing or unparsable
+header key, a sha256 that does not match the header lines above it and the
+payload (so an edited scalar is caught like a flipped payload byte), a
+truncated or overlong payload, and then, so that a file with a recomputed
+sha256 is still caught where it is read: a variant ``posterior.FORMS`` does
+not know, a training-set size n < 1 (or n != m for exact, whose points are
+its inputs), an array whose size does not fit the variant, m and d (x_mean,
+x_std and lengthscales have d entries; temperatures has d for softki and
+none for sgpr and exact), a nan or inf in v or p, a softki root with a
+non-zero entry below its diagonal (which prediction's triangular product
+would silently ignore), and any value the rebuilt ``Standardization``,
 ``MaternParams`` and ``Hyperparams`` records reject (nan, inf or values <= 0
 in noise, outputscale, the stds and temperatures; nan or inf in z and the
 means; lengthscales outside their bounds).
@@ -38,7 +43,7 @@ from .kernel import MaternParams
 from .posterior import FORMS, Posterior, predict_mean, predict_var
 
 MAGIC = "softki-checkpoint"
-VERSION = 2
+VERSION = 3
 
 _ARRAY_ORDER = ("z", "temperatures", "lengthscales", "v", "p")
 
@@ -161,6 +166,9 @@ def load_checkpoint(path) -> Checkpoint:
     for name in ("v", "p"):
         if not np.all(np.isfinite(arrays[name])):
             raise ChecksumOrVersionMismatch(f"checkpoint {name} has non-finite entries")
+    if variant == "softki" and np.any(np.tril(arrays["p"], -1)):
+        raise ChecksumOrVersionMismatch(
+            "checkpoint p, softki's upper root T, has non-zero entries below its diagonal")
     # each record checks its own fields; their messages name the field
     try:
         stats = Standardization(arrays["x_mean"], arrays["x_std"], y_mean, y_std)

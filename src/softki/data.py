@@ -278,9 +278,10 @@ def split_standardize(data: Dataset, train_fraction: float = 0.9, seed: int = 0)
     return standardize(*split_raw(data, train_fraction, seed))
 
 
-# beyond it the squared radius of a point, or the variance standardization
-# takes, overflows float64 and the targets or statistics turn nan or inf
-RICKER_RADIUS_MAX = 1e100
+# beyond it the squared radius of a point, or of a noise draw, or the
+# variance standardization takes, overflows float64 and the targets or
+# statistics turn nan or inf
+RICKER_SCALE_MAX = 1e100
 
 
 def ricker(x: np.ndarray) -> np.ndarray:
@@ -300,12 +301,13 @@ def ricker_raw(
 
     Inputs are uniform on [-radius, radius]^2; Gaussian noise (std ``noise``)
     is added to training targets only. n_train must be an integer >= 1 and
-    n_test one >= 0, radius lie in (0, RICKER_RADIUS_MAX] and noise in
-    [0, inf); a bad count, seed, radius or noise raises InvalidConfig.
+    n_test one >= 0, radius lie in (0, RICKER_SCALE_MAX] and noise in
+    [0, RICKER_SCALE_MAX]; a bad count, seed, radius or noise raises
+    InvalidConfig.
     """
     n_train, n_test = integer(n_train, "n_train", 1), integer(n_test, "n_test", 0)
-    radius = real(radius, "radius", 0.0, RICKER_RADIUS_MAX, "(]")
-    noise = real(noise, "noise", 0.0, ends="[)")
+    radius = real(radius, "radius", 0.0, RICKER_SCALE_MAX, "(]")
+    noise = real(noise, "noise", 0.0, RICKER_SCALE_MAX, "[]")
     rng = stream(seed)
     x_tr = rng.uniform(-radius, radius, size=(n_train, 2))
     x_te = rng.uniform(-radius, radius, size=(n_test, 2))

@@ -80,8 +80,9 @@ def softmax_forward(x: np.ndarray, hp: Hyperparams):
     xt = x / temps
     ones = np.ones(x.shape[1], dtype=x.dtype)
     dist = scaled_distance(xt, hp.z.astype(x.dtype), ones)
-    w = np.negative(dist)                      # the logits, then W in place
-    w -= w.max(axis=1, keepdims=True)
+    # the logits -dist less their row max -min(dist), exactly: dmin - d is
+    # (-d) + dmin. Then W in place
+    w = np.subtract(dist.min(axis=1, keepdims=True), dist)
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w, dist

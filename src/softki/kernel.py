@@ -59,8 +59,8 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
     ell = np.asarray(lengthscales, dtype=x.dtype)
     xs = x / ell
     zs = z / ell
-    cross = np.matmul(xs, zs.T, out=scratch)
-    cross *= 2.0
+    # 2 x.z: doubling xs is exact, so this is bitwise the doubled product
+    cross = np.matmul(xs * 2.0, zs.T, out=scratch)
     # |x|^2 + |z|^2 as a broadcast copy of |z|^2 plus |x|^2 (addition commutes
     # exactly): one broadcast operand in the ufunc instead of add.outer's two
     sq = np.empty_like(cross) if out is None else out

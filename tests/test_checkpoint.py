@@ -8,7 +8,8 @@ import pytest
 
 from softki import fit_qr
 from softki.baselines import exact_fit, sgpr_fit
-from softki.checkpoint import MAGIC, Checkpoint, load_checkpoint, restore, save_checkpoint
+from softki.checkpoint import (MAGIC, VERSION, Checkpoint, load_checkpoint, restore,
+                               save_checkpoint)
 from softki.cli import main
 from softki.data import Dataset, ricker_dataset
 from softki.errors import ChecksumOrVersionMismatch
@@ -49,6 +50,9 @@ def test_round_trip_preserves_every_field(tmp_path, fitted):
     }
     for name, (back_value, live_value) in pairs.items():
         assert np.array_equal(back_value, live_value), name
+    # softki's p is its upper root T, held in the layout ?trmm reads uncopied
+    assert np.array_equal(got.p, np.triu(got.p))
+    assert got.p.flags.c_contiguous and post.p.flags.c_contiguous
     assert np.array_equal(back.stats.x_mean, ck.stats.x_mean)
     assert np.array_equal(back.stats.x_std, ck.stats.x_std)
     assert back.stats.y_mean == ck.stats.y_mean
@@ -129,7 +133,7 @@ def test_truncated_and_extended_files_are_detected(tmp_path, fitted):
 def test_version_and_magic_are_checked(tmp_path, fitted):
     path, blob = saved_bytes(tmp_path, fitted)
     # v1 files (sha256 over the payload only) are rejected, not read
-    path.write_bytes(blob.replace(f"{MAGIC} v2".encode(), f"{MAGIC} v1".encode(), 1))
+    path.write_bytes(blob.replace(f"{MAGIC} v{VERSION}".encode(), f"{MAGIC} v1".encode(), 1))
     with pytest.raises(ChecksumOrVersionMismatch):
         load_checkpoint(path)
     path.write_bytes(blob.replace(MAGIC.encode(), b"other-format", 1))
@@ -227,6 +231,10 @@ RESEALED = {
     "noise-negative": ({"noise": "-1"}, None, "noise"),
     "noise-inf": ({"noise": "inf"}, None, "noise"),
     "p-nan": (None, {"p": with_nan_at(3)}, r"\bp\b"),
+    # p[1, 0] of softki's upper root T, which prediction's ?trmm never reads
+    "softki-root-below-diagonal": (
+        None, {"p": lambda flat: flat + (np.arange(flat.size) == 10)},
+        "checkpoint p, softki's upper root T, has non-zero entries below its diagonal"),
     "lengthscale-nan": (None, {"lengthscales": with_nan_at(0)}, "lengthscales"),
     "x_mean-one-entry": ({"x_mean": "0.5"}, None, "x_mean"),
     "variant-mystery": ({"variant": "mystery"}, None, "variant"),
@@ -269,6 +277,17 @@ def test_resealed_sgpr_point_that_overflows_the_distance_is_rejected(tmp_path):
 
     reseal(path, arrays={"z": far})
     with pytest.raises(ChecksumOrVersionMismatch, match=r"z row 2 \(0-based\)"):
+        load_checkpoint(path)
+
+
+def test_a_v2_file_is_refused_naming_its_version(tmp_path, fitted):
+    # the same arrays under a resealed v2 header: its p was softki's P, which
+    # read as the root T would predict wrong variances without any error
+    assert VERSION == 3
+    path, _ = saved_bytes(tmp_path, fitted)
+    reseal(path, {MAGIC: "v2"})
+    with pytest.raises(ChecksumOrVersionMismatch,
+                       match=f"expected '{MAGIC} v3', got '{MAGIC} v2'"):
         load_checkpoint(path)
 
 

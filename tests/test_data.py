@@ -410,8 +410,14 @@ BOUNDARY = [
     pytest.param(lambda: split_raw(_FOUR_ROWS, train_fraction="0.5"), InvalidConfig,
                  "^train_fraction must be a number, got '0.5'$", id="split_raw-train_fraction=0.5"),
     *(pytest.param(lambda v=v: ricker_raw(4, 2, noise=v), InvalidConfig,
-                   rf"^noise must be in \[0, inf\), got {float(v)}$", id=f"ricker_raw-noise={v}")
+                   rf"^noise must be in \[0, 1e\+100\], got {float(v)}$",
+                   id=f"ricker_raw-noise={v}")
       for v in (np.nan, -1)),
+    # y's standardization overflowed ("overflow encountered in square") and
+    # the inf std was named y_std, not noise
+    pytest.param(lambda: ricker_dataset(40, 5, noise=1e160), InvalidConfig,
+                 r"^noise must be in \[0, 1e\+100\], got 1e\+160$",
+                 id="ricker_dataset-noise=1e160"),
     pytest.param(lambda: ricker_raw(4, 2, radius=np.nan), InvalidConfig,
                  r"^radius must be in \(0, 1e\+100\], got nan$", id="ricker_raw-radius=nan"),
     pytest.param(lambda: TrainConfig(learning_rate=True), InvalidConfig,

@@ -85,10 +85,12 @@ def test_r_factor_reproduces_normal_equations_matrix():
     blocks = iter([(khat / hp.noise, data.y / hp.noise)])
     r = stacked_qr_solve(blocks, np.linalg.cholesky(k_zz).T)[0]
     assert np.max(np.abs(r.T @ r - chat)) <= 1e-9 * np.max(np.abs(chat))
-    # fit_qr's P = -(K_zz^-1 + W^T W / beta^2)^-1 is the same -K_zz Chat^-1 K_zz
-    p = fit_qr(data, hp).p
+    # fit_qr keeps the upper root T of (K_zz^-1 + W^T W / beta^2)^-1, so
+    # -T T^T is the same -K_zz Chat^-1 K_zz
+    t = fit_qr(data, hp).p
+    assert np.array_equal(t, np.triu(t))
     oracle = -k_zz @ np.linalg.solve(chat, k_zz)
-    assert np.max(np.abs(p - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+    assert np.max(np.abs(-t @ t.T - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
 def test_alpha_matches_dense_solve():
@@ -188,13 +190,13 @@ BLOCK = 16
 def counted_features(monkeypatch, variant):
     """Row counts of each feature build prediction makes for the variant."""
     calls = []
-    phi, prior = FORMS[variant]
+    phi, var = FORMS[variant]
 
     def counting(hp, xs):
         calls.append(len(xs))
         return phi(hp, xs)
 
-    monkeypatch.setitem(FORMS, variant, (counting, prior))
+    monkeypatch.setitem(FORMS, variant, (counting, var))
     return calls
 
 
@@ -251,6 +253,48 @@ def test_prediction_peak_does_not_grow_with_n(variant, monkeypatch):
     small, large = (_predict_peak(post, n) - 2 * n * 8
                     for n in (block_rows, 8 * block_rows))
     assert large <= 1.1 * small, (small, large)
+
+
+# across block sizes the mean is bitwise and the variance agrees to these
+# fractions of max var: GEMM and ?trmm may round an entry differently with the
+# number of rows in the product. Measured with 16-row blocks against one
+# 1100-row block at m = 33: at most 5.6e-17 (softki) and 5.4e-15 (SGPR and
+# exact), differing on 39-916 rows
+BLOCKED_VAR_RTOL = {"softki": 1e-15, "sgpr": 1e-12, "exact": 1e-12}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_prediction_agrees_with_one_block_to_rounding(variant, monkeypatch):
+    m = 33
+    post = fitted(variant, n=m if variant == "exact" else 120, m=m)
+    xs = np.random.default_rng(3).standard_normal((1100, 2))
+    outputs = {}
+    for block_rows in (BLOCK, len(xs)):
+        monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", block_rows)
+        outputs[block_rows] = predict(post, xs)
+    (mean, var), (whole_mean, whole_var) = outputs[BLOCK], outputs[len(xs)]
+    assert np.array_equal(mean, whole_mean)
+    assert np.max(np.abs(var - whole_var)) <= BLOCKED_VAR_RTOL[variant] * np.max(whole_var)
+
+
+def test_softki_prediction_makes_no_copy_of_the_root():
+    # ?trmm reads the transpose of the C-ordered root in place. A root in
+    # another layout is copied on every call: one 16-row block at m = 256
+    # then traced 1.06 m x m arrays, against 0.21 in this layout
+    m = 256
+    live = fitted("softki", n=2 * m, m=m)
+    rebuilt = softki.posterior.Posterior("softki", live.hp, live.v, np.asfortranarray(live.p))
+    xs = np.random.default_rng(4).standard_normal((BLOCK, 2))
+    for post in (live, rebuilt):
+        assert post.p.flags.c_contiguous
+        predict(post, xs)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            predict(post, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * m * m * 8, peak / (m * m * 8)
 
 
 def test_empty_query_predicts_empty_outputs():
