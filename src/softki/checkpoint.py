@@ -8,9 +8,11 @@ ended by an ``end-header`` line, then five length-prefixed little-endian
 float64 arrays: z, temperatures, lengthscales, v, p. These are exactly what
 prediction reads: the arrays of the posterior's ``interp.Hyperparams`` and
 its fit-time v and m x m p, which is softki's upper root T and SGPR's and
-exact's P (see posterior.py). temperatures is empty for sgpr and exact; for
-exact z holds the training inputs, so m = n. p is stored and read back
-C-ordered, the layout the live posterior holds it in.
+exact's P (see posterior.py). The variant is a key of ``posterior.MODELS``,
+and its row says what the file must hold: temperatures only for a model that
+learns them (softki), training inputs as the points of a model that learns
+none (exact, so m = n), and an upper-triangular p where p is a root. p is
+stored and read back C-ordered, the layout the live posterior holds it in.
 
 ``load_checkpoint`` raises ``ChecksumOrVersionMismatch``, naming the field,
 for a wrong magic or version (a v2 file holds P where softki's root now is,
@@ -18,7 +20,7 @@ a v1 file an older checksum; neither is converted), a missing or unparsable
 header key, a sha256 that does not match the header lines above it and the
 payload (so an edited scalar is caught like a flipped payload byte), a
 truncated or overlong payload, and then, so that a file with a recomputed
-sha256 is still caught where it is read: a variant ``posterior.FORMS`` does
+sha256 is still caught where it is read: a variant ``posterior.MODELS`` does
 not know, a training-set size n < 1 (or n != m for exact, whose points are
 its inputs), an array whose size does not fit the variant, m and d (x_mean,
 x_std and lengthscales have d entries; temperatures has d for softki and
@@ -40,7 +42,7 @@ from .data import Standardization
 from .errors import ChecksumOrVersionMismatch, SoftKIError
 from .interp import Hyperparams
 from .kernel import MaternParams
-from .posterior import FORMS, Posterior, predict_mean, predict_var
+from .posterior import MODELS, Posterior, predict_mean, predict_var
 
 MAGIC = "softki-checkpoint"
 VERSION = 3
@@ -148,14 +150,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise ChecksumOrVersionMismatch(
             "sha256 does not match the checkpoint header and payload")
 
-    if variant not in FORMS:
+    row = MODELS.get(variant)
+    if row is None:
         raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {variant!r}")
-    if n < 1 or (variant == "exact" and n != m):
-        raise ChecksumOrVersionMismatch(
-            f"checkpoint n = {n} must be >= 1, and equal m = {m} for exact")
+    if n < 1 or ("z" not in row.params and n != m):
+        raise ChecksumOrVersionMismatch(f"checkpoint n = {n} must be >= 1, and equal "
+                                        f"m = {m} where the points are the inputs")
     arrays = dict(zip(_ARRAY_ORDER, _read_arrays(payload)), x_mean=x_mean, x_std=x_std)
     shapes = (("z", (m, d)), ("v", (m,)), ("p", (m, m)), ("lengthscales", (d,)),
-              ("temperatures", (d if variant == "softki" else 0,)),
+              ("temperatures", (d if "temperatures" in row.params else 0,)),
               ("x_mean", (d,)), ("x_std", (d,)))
     for name, shape in shapes:
         if min(shape) < 0 or arrays[name].size != np.prod(shape):
@@ -166,9 +169,9 @@ def load_checkpoint(path) -> Checkpoint:
     for name in ("v", "p"):
         if not np.all(np.isfinite(arrays[name])):
             raise ChecksumOrVersionMismatch(f"checkpoint {name} has non-finite entries")
-    if variant == "softki" and np.any(np.tril(arrays["p"], -1)):
-        raise ChecksumOrVersionMismatch(
-            "checkpoint p, softki's upper root T, has non-zero entries below its diagonal")
+    if row.root and np.any(np.tril(arrays["p"], -1)):
+        raise ChecksumOrVersionMismatch(f"checkpoint p, {variant}'s upper root T, "
+                                        "has non-zero entries below its diagonal")
     # each record checks its own fields; their messages name the field
     try:
         stats = Standardization(arrays["x_mean"], arrays["x_std"], y_mean, y_std)

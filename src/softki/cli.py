@@ -12,7 +12,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import report as rpt
-from .baselines import exact_fit
 from .data import (
     Dataset,
     apply_stats,
@@ -41,6 +39,7 @@ from .errors import (
 from .linalg import blas_thread_counts, blas_thread_limit
 from .posterior import (
     DEFAULT_STUDY_METHODS,
+    MODELS,
     fit,
     near_degenerate_instance,
     predict,
@@ -48,7 +47,7 @@ from .posterior import (
     solver_route,
     solver_study,
 )
-from .trainer import DTYPES, TrainConfig, train, train_exact, train_sgpr
+from .trainer import DTYPES, TrainConfig, train
 
 
 def _to_bool(text: str) -> bool:
@@ -78,16 +77,8 @@ class _Opt:
     field: str | None = None       # the TrainConfig field the flag sets
 
 
-# model -> (train, fit); train returns an interp.Hyperparams and fit a
-# posterior.Posterior
-_MODELS = {
-    "softki": (train, partial(fit, "softki")),
-    "sgpr": (train_sgpr, partial(fit, "sgpr")),
-    "exact": (train_exact, exact_fit),
-}
-
 TRAIN_OPTS = {
-    "model": _Opt(str, "softki", "model family", tuple(_MODELS)),
+    "model": _Opt(str, "softki", "model family", tuple(MODELS)),
     "data": _Opt(str, "ricker", "csv path or the literal 'ricker'"),
     # one flag per TrainConfig field, declared by the field itself
     **{f.metadata["flag"] or f.name.replace("_", "-"):
@@ -224,9 +215,8 @@ def _scored(post, stats, xs: np.ndarray, ys: np.ndarray):
 
 
 def _train_model(values: dict, cfg: TrainConfig, train_data, test_data) -> dict:
-    train_fn, fit_fn = _MODELS[values["model"]]
-    hp, trace = train_fn(train_data, cfg)
-    post = fit_fn(train_data, hp)
+    hp, trace = train(train_data, cfg, values["model"])
+    post = fit(values["model"], train_data, hp)
     stats = train_data.stats
     if len(test_data) > 0:
         metrics = _scored(post, stats, test_data.x, test_data.y)[0]

@@ -6,8 +6,8 @@ from them.
 paper's SoftKI is SGPR's inducing-point set (noise, kernel, points z) plus
 per-dimension softmax temperatures, and the exact GP is that set with no
 learned points. temperatures is (d,) for softki and empty for SGPR and the
-exact GP, whose z is (0, d) until ``baselines.exact_fit`` puts the training
-inputs there.
+exact GP, whose z is (0, d) until its fit (``posterior.fit``) puts the
+training inputs there.
 
 Row i of the weight matrix is a softmax over interpolation points:
 
@@ -77,7 +77,8 @@ def softmax_forward(x: np.ndarray, hp: Hyperparams):
         raise DimensionMismatch(f"softmax weights need {x.shape[1]} temperatures, "
                                 f"got {hp.temperatures.shape[0]}")
     temps = hp.temperatures.astype(x.dtype)
-    xt = x / temps
+    with np.errstate(over="ignore"):  # an overflowing row is refused by its norm below
+        xt = x / temps
     ones = np.ones(x.shape[1], dtype=x.dtype)
     dist = scaled_distance(xt, hp.z.astype(x.dtype), ones)
     # the logits -dist less their row max -min(dist), exactly: dmin - d is

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import real
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 
 SQRT3 = float(np.sqrt(3.0))  # python float: keeps float32 operands in float32
 
@@ -50,14 +50,23 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
     out and scratch, when given, are distinct C-ordered (n, m) arrays of x's
     dtype: the result is written into out and the cross term into scratch,
     which is left holding garbage. Without them both are new arrays; the
-    arithmetic is the same either way.
+    arithmetic is the same either way. Raises NonFiniteInput, with its row,
+    for the first row of x whose scaled squared norm overflows x's dtype
+    (or holds an inf): the row sums below are what it reads, so the check
+    costs one pass over n values, and such a row prints no warning.
     """
     x = np.asarray(x)
     z = np.asarray(z)
     if x.shape[1] != z.shape[1]:
         raise DimensionMismatch(f"x has d={x.shape[1]} but z has d={z.shape[1]}")
     ell = np.asarray(lengthscales, dtype=x.dtype)
-    xs = x / ell
+    with np.errstate(over="ignore"):
+        xs = x / ell
+        xx = np.sum(xs * xs, axis=1)
+    if np.isinf(xx).any():  # a nan row is left to give nan distances
+        row = int(np.argmax(np.isinf(xx)))
+        raise NonFiniteInput(f"x row {row} (0-based) overflows the squared distance "
+                             f"in {x.dtype}", row)
     zs = z / ell
     # 2 x.z: doubling xs is exact, so this is bitwise the doubled product
     cross = np.matmul(xs * 2.0, zs.T, out=scratch)
@@ -65,7 +74,7 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
     # exactly): one broadcast operand in the ufunc instead of add.outer's two
     sq = np.empty_like(cross) if out is None else out
     np.copyto(sq, np.sum(zs * zs, axis=1))
-    sq += np.sum(xs * xs, axis=1)[:, None]
+    sq += xx[:, None]
     sq -= cross
     # expanded-norm form can go slightly negative from cancellation
     np.maximum(sq, 0.0, out=sq)

@@ -1,6 +1,12 @@
-"""QR-stabilized posterior fit and the one prediction form of every model.
+"""The model table, the fits and the one prediction form of every model.
 
-softki and SGPR share one fit (``fit``). Both are Bayesian linear
+``MODELS`` has one ``Model`` row per model (softki, sgpr, exact): the
+``trainer.PARAMS`` names it learns, its step objective and batch rule, its
+features phi and variance term, and its fit. ``trainer.train``, ``fit``,
+``predict``, ``checkpoint.load_checkpoint`` and the CLI's ``--model``
+choices all read it, and no other module tells the models apart by name.
+
+softki and SGPR are fit by one stacked QR. Both are Bayesian linear
 regressions on a feature matrix phi (Rasmussen & Williams, 2006, sec. 2.1):
 softki's phi = W with weights u ~ N(0, K_zz), SGPR's phi = K_xz with weights
 a ~ N(0, K_zz^-1) (Titsias, 2009). With Lambda the weights' prior precision
@@ -19,18 +25,19 @@ absorbed into it by one triangular-pentagonal QR (LAPACK ?tpqrt), which
 costs about 2 block_rows m^2 flops and never re-factors the carried rows.
 The full Q is never formed, and peak extra memory is O((block_rows + m) * m)
 independent of n: at large m the carried triangle, not the block, bounds
-it. It is the only route to v; ``solver_study`` scores the routes that
+it. It is the only route to their v; ``solver_study`` scores the routes that
 solve the formed K-form system Chat alpha = X^T y / beta^2, Chat = K_zz +
 X^T X / beta^2 with X = W K_zz (direct, Cholesky, CG), against the same
-stacked QR run on [U_zz; X / beta].
+stacked QR run on [U_zz; X / beta]. The exact GP is fit by one dense
+Cholesky of K = K_XX + beta^2 I (``objective.exact_gp_mll``'s core), with
+the training inputs as its points.
 
-Every fitted model (softki, sgpr, exact) is a ``Posterior`` that predicts as
-mean = phi(x) v, with phi and the variance term from ``FORMS``. v and an
-m x m matrix are computed once at fit time, so a prediction is, per row block
-of the query, one feature build, one product with v and one m x m product;
-no factor is solved against per call. softki keeps the upper root
-T = R^-1 of the weights' posterior covariance T T^T (one ?trtri of R) and
-predicts
+Every fitted model is a ``Posterior`` that predicts as mean = phi(x) v, with
+phi and the variance term from its row. v and an m x m matrix are computed
+once at fit time, so a prediction is, per row block of the query, one
+feature build, one product with v and one m x m product; no factor is solved
+against per call. softki keeps the upper root T = R^-1 of the weights'
+posterior covariance T T^T (one ?trtri of R) and predicts
 
     var = rowsum((phi(x) T)^2),
 
@@ -47,18 +54,26 @@ sizes the mean is bitwise, and the variance agrees to rounding: GEMM and
 ?trmm may round an entry differently with the number of rows in the product.
 16-row blocks against one 1100-row block differed by at most 2.0e-16 of max
 var for softki and 1.7e-14 for SGPR at m = 33 and 100.
+
+A query row whose scaled squared norm overflows its dtype raises
+NonFiniteInput naming the row: ``kernel.scaled_distance`` reads it off the
+row sums it forms, so far rows cost no extra pass and print no warning.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from . import linalg
 from .data import Dataset, integer, points, real, stream
-from .errors import InvalidConfig, NonFiniteResult, RankDeficient, SoftKIError
+from .errors import (InvalidConfig, NonFiniteInput, NonFiniteResult, RankDeficient,
+                     SoftKIError)
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
+from .objective import (_dense_gp, exact_gp_mll, sgpr_elbo, sgpr_workspace,
+                        stabilized_objective)
 
 # rows per block of every pass over data or query rows (fit's design blocks,
 # prediction). A block's block_rows x m temporaries are small enough for the
@@ -68,17 +83,38 @@ from .kernel import MaternParams, matern32
 DEFAULT_BLOCK_ROWS = 1024
 
 
+class Model(NamedTuple):
+    """One row of ``MODELS``: what a model learns, and how it trains, fits
+    and predicts."""
+
+    params: tuple         # the trainer.PARAMS names it learns
+    full_batch: bool      # every step reads all n points, not cfg.batch_size
+    objective: Callable   # (cfg, n) -> step(x, y, hp, probe_rng) -> ObjectiveReport
+    phi: Callable         # (hp, xs) -> the (len(xs), m) features of xs
+    var: Callable         # (post, phi) -> latent variance; may overwrite phi
+    root: bool            # p is an upper root, whose lower triangle var never reads
+    fit: Callable         # (data, hp, phi) -> (hp, v, p, diagnostics) of its Posterior
+
+
+def model_row(name) -> Model:
+    """The ``MODELS`` row of name; InvalidConfig names an unknown one."""
+    if not (isinstance(name, str) and name in MODELS):
+        raise InvalidConfig(f"unknown model {name!r}; the models are {', '.join(MODELS)}")
+    return MODELS[name]
+
+
 @dataclass
 class Posterior:
-    """A fitted model: mean = phi(x) v, var from p by the variant's FORMS term."""
+    """A fitted model: mean = phi(x) v, var from p by its row's variance term."""
 
-    variant: str               # softki | sgpr | exact, a key of FORMS
+    variant: str               # a key of MODELS
     hp: Hyperparams
     v: np.ndarray              # (m,)
     p: np.ndarray              # (m, m): softki's upper root T, else the symmetric P
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        model_row(self.variant)
         # a checkpoint reads p back C-ordered, and the same layout here keeps
         # restored predictions bitwise equal to live ones. For softki it is
         # also the layout ?trmm reads without a copy: T.T is F-ordered
@@ -99,15 +135,6 @@ def _prior_less_quadratic(post, phi: np.ndarray) -> np.ndarray:
     small negatives rounding leaves where the data pins f down are clamped."""
     return np.maximum(post.hp.kernel.outputscale
                       - np.einsum("ij,ij->i", phi @ post.p, phi), 0.0)
-
-
-# variant -> (phi(hp, xs), var(post, phi)); var may overwrite phi. The exact
-# GP is the sgpr form with the training inputs as its points (z = X)
-FORMS = {
-    "softki": (lambda hp, xs: softmax_weights(xs, hp), _sum_of_squares),
-    "sgpr": (lambda hp, xs: matern32(xs, hp.z, hp.kernel), _prior_less_quadratic),
-}
-FORMS["exact"] = FORMS["sgpr"]
 
 
 def stacked_qr_solve(blocks, seed: np.ndarray):
@@ -177,36 +204,29 @@ def _row_blocks(n: int, block_rows: int):
     return (slice(i, i + block_rows) for i in range(0, n, block_rows))
 
 
-def _prior_root(variant: str, k_zz: np.ndarray):
-    """(S, eps): the upper S with S^T S the weights' prior precision, and the
-    jitter rung of its factor. SGPR's weights a ~ N(0, K_zz^-1) have
-    precision K_zz, so S = U_zz. softki's u ~ N(0, K_zz) have precision
-    K_zz^-1: from U_rev^T U_rev = J K_zz J, J reversing the order, K_zz =
-    L^T L with L = J U_rev J lower, so S = L^-T = J U_rev^-T J is upper.
-    Either way the factored matrix is K_zz + eps I.
-    """
-    if variant != "softki":
-        return linalg.cholesky_upper(k_zz)
-    u_rev, jitter = linalg.cholesky_upper(k_zz[::-1, ::-1])
-    return linalg.tri_inverse_upper(u_rev)[::-1, ::-1].T, jitter
+def _features(phi, hp, xs: np.ndarray, rows: slice, name: str) -> np.ndarray:
+    """phi(hp, xs[rows]); a row whose scaled squares overflow is named by its
+    0-based index in xs, under name."""
+    try:
+        return phi(hp, xs[rows])
+    except NonFiniteInput as err:
+        far = rows.start + err.row
+        raise NonFiniteInput(f"{name} row {far} (0-based) overflows the squared "
+                             f"distance in {xs.dtype}", far) from None
 
 
-def fit(variant: str, data: Dataset, hp) -> Posterior:
-    """Fit softki or SGPR as the Bayesian linear regression on phi.
+def _stacked_fit(phi, data: Dataset, hp, seed: np.ndarray, jitter: float):
+    """(R, c, diagnostics) of the stacked QR of [seed | 0; phi(x) / beta | y / beta].
 
     Streams phi(x[rows]) / beta through ``stacked_qr_solve`` in row blocks of
-    ``DEFAULT_BLOCK_ROWS`` (read at each call), seeded with the root S of the
-    weights' prior precision (see ``_prior_root``), and takes R (R^T R =
-    S^T S + phi^T phi / beta^2) and c from it. Then v = R^-1 c. softki
-    keeps the root T = R^-1 of the weights' posterior covariance; SGPR keeps
-    P = S^-1 S^-T - R^-1 R^-T, its prior covariance K_zz^-1 less that one.
+    ``DEFAULT_BLOCK_ROWS`` (read at each call), seeded with the root of the
+    weights' prior precision, so R^T R = seed^T seed + phi^T phi / beta^2.
+    jitter is the rung the seed's factor used, recorded in the diagnostics.
     """
-    phi = FORMS[variant][0]
     beta = hp.noise
-    seed, jitter = _prior_root(variant, matern32(hp.z, hp.z, hp.kernel))
 
     def scaled(rows):  # a new array of phi(x[rows]), divided by beta in place
-        a = phi(hp, data.x[rows])
+        a = _features(phi, hp, data.x, rows, "x")
         a /= beta
         return a
 
@@ -216,16 +236,86 @@ def fit(variant: str, data: Dataset, hp) -> Posterior:
     r, c, residual, diag = stacked_qr_solve(blocks, seed)
     diag.update({"block_rows": DEFAULT_BLOCK_ROWS, "residual": residual,
                  "jitter": jitter})
-    if variant == "softki":
-        p = linalg.tri_inverse_upper(r)
-    else:
-        p = -linalg.chol_inverse(r)
-        p += linalg.chol_inverse(seed)
-    return Posterior(variant, hp, linalg.tri_solve_upper(r, c), p, diag)
+    return r, c, diag
+
+
+def _fit_softki(data: Dataset, hp, phi):
+    """softki's u ~ N(0, K_zz) have precision K_zz^-1. From U_rev^T U_rev =
+    J K_zz J, J reversing the order, K_zz = L^T L with L = J U_rev J lower, so
+    its upper root is S = L^-T = J U_rev^-T J. Keeps the root T = R^-1 of the
+    weights' posterior covariance."""
+    u_rev, jitter = linalg.cholesky_upper(matern32(hp.z, hp.z, hp.kernel)[::-1, ::-1])
+    seed = linalg.tri_inverse_upper(u_rev)[::-1, ::-1].T
+    del u_rev  # one m x m array less while the blocks stream
+    r, c, diag = _stacked_fit(phi, data, hp, seed, jitter)
+    return hp, linalg.tri_solve_upper(r, c), linalg.tri_inverse_upper(r), diag
+
+
+def _fit_sgpr(data: Dataset, hp, phi):
+    """SGPR's a ~ N(0, K_zz^-1) have precision K_zz, with root S = U_zz.
+    Keeps P = S^-1 S^-T - R^-1 R^-T, the prior covariance K_zz^-1 less the
+    posterior one."""
+    seed, jitter = linalg.cholesky_upper(matern32(hp.z, hp.z, hp.kernel))
+    r, c, diag = _stacked_fit(phi, data, hp, seed, jitter)
+    p = -linalg.chol_inverse(r)
+    p += linalg.chol_inverse(seed)
+    return hp, linalg.tri_solve_upper(r, c), p, diag
+
+
+def _fit_exact(data: Dataset, hp, phi):
+    """v = K^-1 y and P = K^-1 from one dense Cholesky of K = K_XX + noise^2 I
+    (phi is not read: K is formed whole). The record's points are the
+    training inputs, whatever hp.z holds."""
+    x = np.asarray(data.x, dtype=float)
+    _, _, v, p, jit = _dense_gp(x, data.y, hp.noise * hp.noise, hp.kernel)
+    return replace(hp, z=x), v, p, {"jitter": jit}
+
+
+def _softki_steps(cfg, n: int):
+    return lambda x, y, hp, probes: stabilized_objective(x, y, hp, cfg, probes)
+
+
+def _sgpr_steps(cfg, n: int):
+    # every step writes its (n, m) arrays into this one workspace, so the
+    # steps allocate nothing of that size and the allocator has no large
+    # block to give back and fault in again between them
+    workspace = sgpr_workspace(n, cfg.m)
+    return lambda x, y, hp, probes: sgpr_elbo(x, y, hp, workspace=workspace)
+
+
+def _exact_steps(cfg, n: int):
+    return lambda x, y, hp, probes: exact_gp_mll(x, y, hp)
+
+
+# the rows call the traced objective and feature functions by their names in
+# this module. The exact GP predicts in sgpr's form, with the training inputs
+# as its points; it and sgpr learn no temperatures, and it learns no points
+MODELS = {
+    "softki": Model(params=("noise", "lengthscales", "outputscale", "z", "temperatures"),
+                    full_batch=False, objective=_softki_steps,
+                    phi=lambda hp, xs: softmax_weights(xs, hp),
+                    var=_sum_of_squares, root=True, fit=_fit_softki),
+    "sgpr": Model(params=("noise", "lengthscales", "outputscale", "z"),
+                  full_batch=True, objective=_sgpr_steps,
+                  phi=lambda hp, xs: matern32(xs, hp.z, hp.kernel),
+                  var=_prior_less_quadratic, root=False, fit=_fit_sgpr),
+}
+MODELS["exact"] = MODELS["sgpr"]._replace(params=("noise", "lengthscales", "outputscale"),
+                                          objective=_exact_steps, fit=_fit_exact)
+
+
+def fit(model: str, data: Dataset, hp) -> Posterior:
+    """The posterior of model (a key of ``MODELS``) on data at hp, by its row's
+    fit. The posterior's record drops temperatures the model does not learn,
+    as its checkpoint must."""
+    row = model_row(model)
+    if hp.temperatures.size and "temperatures" not in row.params:
+        hp = replace(hp, temperatures=())
+    return Posterior(model, *row.fit(data, hp, row.phi))
 
 
 def fit_qr(data: Dataset, hp: Hyperparams) -> Posterior:
-    """Fit the interpolation posterior through the stacked QR."""
+    """``fit("softki", data, hp)``."""
     return fit("softki", data, hp)
 
 
@@ -241,16 +331,16 @@ def _predict(post: Posterior, xs: np.ndarray, want_mean: bool, want_var: bool):
     """(mean or None, var or None), filled one row block of xs at a time; xs
     is read by ``data.points`` under the name query."""
     xs = points(xs, "query")
-    phi_of, var_of = FORMS[post.variant]
+    row = model_row(post.variant)
     n = xs.shape[0]
     mean = var = None
     # an empty query still runs one (empty) block, which sets the dtypes
     for rows in _row_blocks(max(n, 1), DEFAULT_BLOCK_ROWS):
-        phi = phi_of(post.hp, xs[rows])
+        phi = _features(row.phi, post.hp, xs, rows, "query")
         if want_mean:
             mean = _fill(mean, n, rows, phi @ post.v)
-        if want_var:  # after the mean: var_of may overwrite phi
-            var = _fill(var, n, rows, var_of(post, phi))
+        if want_var:  # after the mean: var may overwrite phi
+            var = _fill(var, n, rows, row.var(post, phi))
         del phi  # gone before the next block is built
     return mean, var
 

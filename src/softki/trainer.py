@@ -12,24 +12,23 @@ reductions and with it the trajectory.
 Optimization happens on unconstrained variables: noise, output scale and
 temperatures through softplus (plus a small floor), lengthscales through a
 sigmoid scaled onto their allowed interval, interpolation points raw. The
-``PARAMS`` table holds each transform, and each model lists the names it
-optimizes.
+``PARAMS`` table holds each transform, and each model's row of
+``posterior.MODELS`` lists the names it optimizes, its batch rule and its
+step objective: one loop trains every model.
 """
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import transforms
-from .baselines import exact_gp_mll, sgpr_elbo, sgpr_workspace
 from .data import Dataset, integer, points, real, stream
 from .errors import InvalidConfig, NonFiniteResult, TooFewPoints
 from .interp import Hyperparams
 from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams
-from .objective import stabilized_objective
-from .posterior import DEFAULT_BLOCK_ROWS
+from .posterior import DEFAULT_BLOCK_ROWS, model_row
 
 NOISE_FLOOR = 1e-4
 SCALE_FLOOR = 1e-8
@@ -339,10 +338,6 @@ PARAMS = {
     "temperatures": _positive(TEMP_FLOOR),
 }
 
-SOFTKI_PARAMS = ("noise", "lengthscales", "outputscale", "z", "temperatures")
-SGPR_PARAMS = ("noise", "lengthscales", "outputscale", "z")
-EXACT_PARAMS = ("noise", "lengthscales", "outputscale")
-
 
 def raw_init(names, cfg: TrainConfig, data: Dataset) -> dict:
     """Unconstrained starting values of the named parameters; points by k-means."""
@@ -385,11 +380,16 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
-    """Adam over the named parameters; objective(x, y, hp, step) -> ObjectiveReport."""
+def _train(data: Dataset, cfg: TrainConfig, model: str):
+    """Adam over the model's parameters on the step objective of its row."""
+    row = model_row(model)
     x, y = data.x, data.y
     n = y.shape[0]
-    adam = Adam(raw_init(names, cfg, data))
+    if n == 0:
+        raise TooFewPoints("need at least 1 point, got 0")
+    objective = row.objective(cfg, n)
+    batch_size = n if row.full_batch else cfg.batch_size
+    adam = Adam(raw_init(row.params, cfg, data))
     trace = TrainTrace()
     step = 0
     for epoch in range(cfg.epochs):
@@ -398,13 +398,11 @@ def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
         if cfg.lr_step_epochs > 0:
             lr *= cfg.lr_step_factor ** (epoch // cfg.lr_step_epochs)
         batch_values = []
-        for idx in _epoch_batches(n, cfg.batch_size, stream(cfg.seed, _SHUFFLE, epoch)):
+        for idx in _epoch_batches(n, batch_size, stream(cfg.seed, _SHUFFLE, epoch)):
             hp = from_raw(adam.params)
-            report = objective(x[idx], y[idx], hp, step)
+            report = objective(x[idx], y[idx], hp, stream(cfg.seed, _PROBES, step))
             nb = idx.shape[0]
-            trace.mode_counts[report.mode_used] = (
-                trace.mode_counts.get(report.mode_used, 0) + 1
-            )
+            trace.mode_counts[report.mode_used] += 1
             if report.is_finite():
                 batch_values.append(report.value / nb)
                 grads = chain(report.gradients, adam.params)
@@ -418,28 +416,17 @@ def _run_loop(data: Dataset, cfg: TrainConfig, names, objective):
     return from_raw(adam.params), trace
 
 
-def train(data: Dataset, cfg: TrainConfig):
-    """Train interpolation-GP hyperparameters; returns (Hyperparams, trace)."""
+def train(data: Dataset, cfg: TrainConfig, model: str = "softki"):
+    """Train the hyperparameters of model, a key of ``posterior.MODELS``;
+    returns (Hyperparams, TrainTrace).
 
-    def objective(xb, yb, hp, step):
-        return stabilized_objective(xb, yb, hp, cfg, stream(cfg.seed, _PROBES, step))
-
-    return _run_loop(data, cfg, SOFTKI_PARAMS, objective)
+    softki takes minibatches of cfg.batch_size; SGPR and the exact GP (dense,
+    small n only) take every point at every step, and train in float64
+    whatever cfg.dtype says.
+    """
+    return _train(data, cfg, model)
 
 
 def train_sgpr(data: Dataset, cfg: TrainConfig):
-    """Full-batch SGPR training with the same loop and optimizer.
-
-    Every step writes its (n, m) arrays into one workspace made here, so the
-    steps allocate nothing of that size and the allocator has no large block
-    to give back and fault in again between them.
-    """
-    workspace = sgpr_workspace(len(data), cfg.m)
-    return _run_loop(data, replace(cfg, batch_size=len(data)), SGPR_PARAMS,
-                     lambda xb, yb, hp, step: sgpr_elbo(xb, yb, hp, workspace=workspace))
-
-
-def train_exact(data: Dataset, cfg: TrainConfig):
-    """Full-batch exact GP hyperparameter training (dense, small n only)."""
-    return _run_loop(data, replace(cfg, batch_size=len(data)), EXACT_PARAMS,
-                     lambda xb, yb, hp, step: exact_gp_mll(xb, yb, hp))
+    """``train(data, cfg, model="sgpr")``, under the name the benchmark calls."""
+    return _train(data, cfg, "sgpr")

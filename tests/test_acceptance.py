@@ -11,15 +11,16 @@ import pytest
 from conftest import refuse_objective_factors, uci_csv_path
 from softki import TrainConfig, fit_qr, train
 from softki import test_metrics as softki_metrics
-from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.data import Dataset, load_csv, split_standardize
 from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.linalg import block_cg
 from softki.objective import (
     draw_probes,
+    exact_gp_mll,
     exact_mll,
     hutchinson_pseudoloss,
+    sgpr_elbo,
 )
 from softki.posterior import (
     near_degenerate_instance,

@@ -6,26 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import softki.baselines
 import softki.objective
 import softki.posterior
 from conftest import dense_exact_mll, lowrank_gaussian_by_solves
-from softki import TrainConfig, fit_qr, train_exact
+from softki import TrainConfig, fit_qr, train
 from softki import test_metrics as softki_metrics
-from softki.baselines import (
-    exact_fit,
-    exact_gp_mll,
-    sgpr_elbo,
-    sgpr_fit,
-    sgpr_workspace,
-)
+from softki.baselines import sgpr_fit
 from softki.data import Dataset
 from softki.errors import DimensionMismatch, InvalidConfig, TooLarge
 from softki.interp import Hyperparams
 from softki.kernel import MaternParams, matern32, matern32_forward, matern32_param_grads
 from softki.linalg import cholesky_upper, tri_solve_upper
-from softki.objective import LOG_2PI, exact_mll
-from softki.posterior import predict_mean, predict_var
+from softki.objective import LOG_2PI, exact_gp_mll, exact_mll, sgpr_elbo, sgpr_workspace
+from softki.posterior import fit, predict_mean, predict_var
 
 
 def random_sgpr_instance(seed, n=40, m=8, d=2, noise=0.4):
@@ -224,13 +217,14 @@ def test_elbo_rejects_a_workspace_it_cannot_write_in_place(workspace):
 
 def test_elbo_reports_the_inner_jitter_rung(monkeypatch):
     seen = []
+    original = softki.objective.lowrank_gaussian
 
     def marked(phi, y, u, beta2):
-        lr = replace(softki.objective.lowrank_gaussian(phi, y, u, beta2), jitter=0.25)
+        lr = replace(original(phi, y, u, beta2), jitter=0.25)
         seen.append(lr.jitter)
         return lr
 
-    monkeypatch.setattr(softki.baselines, "lowrank_gaussian", marked)
+    monkeypatch.setattr(softki.objective, "lowrank_gaussian", marked)
     x, y, hp = random_sgpr_instance(6, m=5)
     rep = sgpr_elbo(x, y, hp)
     assert seen == [0.25]
@@ -298,7 +292,8 @@ def test_qr_route_is_the_shared_posterior_solver(monkeypatch):
 
 
 def test_lowrank_objectives_share_lowrank_gaussian(monkeypatch):
-    assert softki.baselines.lowrank_gaussian is softki.objective.lowrank_gaussian
+    # both objectives read the one lowrank_gaussian of their module
+    assert sgpr_elbo.__module__ == exact_mll.__module__ == "softki.objective"
     calls = []
     original = softki.objective.lowrank_gaussian
 
@@ -307,7 +302,6 @@ def test_lowrank_objectives_share_lowrank_gaussian(monkeypatch):
         return original(phi, y, u, beta2)
 
     monkeypatch.setattr(softki.objective, "lowrank_gaussian", counting)
-    monkeypatch.setattr(softki.baselines, "lowrank_gaussian", counting)
     x, y, hp = random_sgpr_instance(6, m=5)
     sgpr_elbo(x, y, hp)
     soft = Hyperparams(
@@ -333,7 +327,7 @@ def test_single_point_mll_closed_form():
 
 def test_exact_gp_interpolates_as_noise_vanishes():
     data, _, _ = smooth_1d(n=50, noise=0.0)
-    gp = exact_fit(data, Hyperparams(
+    gp = fit("exact", data, Hyperparams(
         noise=1e-4, kernel=MaternParams(lengthscales=[1.0], outputscale=1.0),
         z=np.empty((0, 1))))
     assert np.max(np.abs(predict_mean(gp, data.x) - data.y)) <= 1e-3
@@ -346,7 +340,7 @@ def test_dense_guardrail():
     with pytest.raises(TooLarge):
         exact_gp_mll(np.zeros((4097, 1)), np.zeros(4097), hp)
     with pytest.raises(TooLarge):
-        exact_fit(Dataset(np.zeros((4097, 1)), np.zeros(4097)), hp)
+        fit("exact", Dataset(np.zeros((4097, 1)), np.zeros(4097)), hp)
 
 
 def test_exact_gp_peak_allocation():
@@ -360,7 +354,7 @@ def test_exact_gp_peak_allocation():
     y = np.sin(x[:, 0])
     hp = Hyperparams(noise=0.1, kernel=MaternParams([0.8, 1.2], 1.0), z=np.empty((0, 2)))
     peaks = []
-    for call in (lambda: exact_gp_mll(x, y, hp), lambda: exact_fit(Dataset(x, y), hp)):
+    for call in (lambda: exact_gp_mll(x, y, hp), lambda: fit("exact", Dataset(x, y), hp)):
         call()  # warm caches outside the measurement
         tracemalloc.start()
         try:
@@ -372,7 +366,8 @@ def test_exact_gp_peak_allocation():
 
 
 def test_dense_referees_share_dense_gaussian(monkeypatch):
-    assert softki.baselines.dense_gaussian is softki.objective.dense_gaussian
+    # the exact GP's likelihood and fit read the one dense_gaussian of objective
+    assert exact_gp_mll.__module__ == "softki.objective"
     calls = []
     original = softki.objective.dense_gaussian
 
@@ -381,7 +376,6 @@ def test_dense_referees_share_dense_gaussian(monkeypatch):
         return original(d, y)
 
     monkeypatch.setattr(softki.objective, "dense_gaussian", counting)
-    monkeypatch.setattr(softki.baselines, "dense_gaussian", counting)
     x, y, hp = random_sgpr_instance(6, m=5)
     soft = Hyperparams(
         noise=hp.noise, kernel=hp.kernel,
@@ -389,7 +383,7 @@ def test_dense_referees_share_dense_gaussian(monkeypatch):
     )
     dense_exact_mll(x, y, soft)
     exact_gp_mll(x, y, hp)
-    exact_fit(Dataset(x, y), hp)
+    fit("exact", Dataset(x, y), hp)
     assert calls == [(40, 40)] * 3
 
 
@@ -405,13 +399,13 @@ def test_exact_gp_likelihood_and_fit_factor_the_same_matrix(monkeypatch):
         seen.append(d.copy())
         return original(d, y)
 
-    monkeypatch.setattr(softki.baselines, "dense_gaussian", capture)
+    monkeypatch.setattr(softki.objective, "dense_gaussian", capture)
     x, y, _ = random_sgpr_instance(7)
     hp = Hyperparams(noise=noise, kernel=MaternParams(lengthscales=[1.0, 1.0],
                                                       outputscale=0.01),
                      z=np.empty((0, 2)))
     exact_gp_mll(x, y, hp)
-    exact_fit(Dataset(x, y), hp)
+    fit("exact", Dataset(x, y), hp)
     assert len(seen) == 2
     assert np.array_equal(seen[0], seen[1])
 
@@ -419,9 +413,9 @@ def test_exact_gp_likelihood_and_fit_factor_the_same_matrix(monkeypatch):
 def test_softmax_interpolation_cannot_beat_the_exact_oracle():
     # paired evaluation with identical hyperparameters; sanity direction only
     data, xs, ys = smooth_1d()
-    hp, _ = train_exact(data, TrainConfig(epochs=30, learning_rate=0.1,
-                                          noise_init=0.1, seed=0))
-    gp = exact_fit(data, hp)
+    hp, _ = train(data, TrainConfig(epochs=30, learning_rate=0.1,
+                                    noise_init=0.1, seed=0), model="exact")
+    gp = fit("exact", data, hp)
     exact_rmse = softki_metrics(gp, xs, ys)[0]
 
     soft = Hyperparams(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from softki import fit_qr
-from softki.baselines import exact_fit, sgpr_fit
+from softki.baselines import sgpr_fit
 from softki.checkpoint import (MAGIC, VERSION, Checkpoint, load_checkpoint, restore,
                                save_checkpoint)
 from softki.cli import main
@@ -15,7 +15,8 @@ from softki.data import Dataset, ricker_dataset
 from softki.errors import ChecksumOrVersionMismatch
 from softki.interp import Hyperparams
 from softki.kernel import MaternParams
-from softki.posterior import predict_mean, predict_var
+from softki.objective import _dense_gp
+from softki.posterior import MODELS, fit, predict, predict_mean, predict_var
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +78,11 @@ def fit_variant(variant, fitted):
         return sgpr_fit(train, hp), len(train)
     if variant == "exact":
         hp = Hyperparams(noise=0.1, kernel=kernel, z=np.empty((0, 2)))
-        return exact_fit(Dataset(train.x[:40], train.y[:40]), hp), 40
+        return fit("exact", Dataset(train.x[:40], train.y[:40]), hp), 40
     return post, len(train)
 
 
-@pytest.mark.parametrize("variant", ["softki", "sgpr", "exact"])
+@pytest.mark.parametrize("variant", list(MODELS))
 def test_restore_matches_the_live_posterior(tmp_path, fitted, variant):
     train, test, _ = fitted
     post, n = fit_variant(variant, fitted)
@@ -98,6 +99,36 @@ def test_restore_matches_the_live_posterior(tmp_path, fitted, variant):
     var = var_fn(test.x)
     assert np.array_equal(var, predict_var(post, test.x))
     assert np.all(var >= 0)
+
+
+def test_exact_fit_is_the_dense_posterior_on_the_inputs_and_round_trips(tmp_path, fitted):
+    # a record with 16 points of its own: the exact GP's points are still its
+    # 120 inputs, so its checkpoint holds n = m = 120
+    train, test, _ = fitted
+    hp = Hyperparams(noise=0.2, kernel=MaternParams(lengthscales=[1.0, 1.2], outputscale=0.8),
+                     z=np.random.default_rng(2).standard_normal((16, 2)))
+    post = fit("exact", train, hp)
+    _, _, v, p, _ = _dense_gp(train.x, train.y, hp.noise * hp.noise, hp.kernel)
+    assert post.variant == "exact" and np.array_equal(post.hp.z, train.x)
+    assert np.array_equal(post.v, v) and np.array_equal(post.p, p)
+    path = tmp_path / "exact.bin"
+    save_checkpoint(path, Checkpoint(post, train.stats, len(train)))
+    back = load_checkpoint(path).posterior
+    assert back.variant == "exact" and np.array_equal(back.hp.z, train.x)
+    for got, want in zip(predict(back, test.x), predict(post, test.x)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", ["sgpr", "exact"])
+def test_a_fit_keeps_only_the_temperatures_its_model_learns(tmp_path, fitted, variant):
+    # softki's record, temperatures and all, fit as a model without them
+    train, test, softki_post = fitted
+    post = fit(variant, train, softki_post.hp)
+    assert post.hp.temperatures.shape == (0,)
+    path = tmp_path / f"{variant}.bin"
+    save_checkpoint(path, Checkpoint(post, train.stats, len(train)))
+    back = load_checkpoint(path).posterior
+    assert np.array_equal(predict_mean(back, test.x), predict_mean(post, test.x))
 
 
 # ----------------------------------------------------------------- tampering

@@ -356,14 +356,22 @@ def test_eval_rejects_an_empty_split(tmp_path, wave_csv):
     assert "the test split" in report["message"]
 
 
-def test_eval_rejects_a_non_finite_metric(tmp_path, wave_csv):
-    # a finite cell this far out overflows the squared distance to a nan prediction
-    run = tmp_path / "run"
-    assert train_into(run, wave_csv) == 0
+def with_far_cell(tmp_path, wave_csv, row, column):
+    """wave_csv with 1e200 in one cell, at a new path; and its lines."""
     lines = wave_csv.read_text().splitlines()
-    lines[5] = ",".join(["1e200", *lines[5].split(",")[1:]])
+    cells = lines[row].split(",")
+    cells[column] = "1e200"
+    lines[row] = ",".join(cells)
     far = tmp_path / "far.csv"
     far.write_text("\n".join(lines) + "\n")
+    return far, lines
+
+
+def test_eval_rejects_a_non_finite_metric(tmp_path, wave_csv):
+    # a finite target this far out overflows the squared error to an inf rmse
+    run = tmp_path / "run"
+    assert train_into(run, wave_csv) == 0
+    far, lines = with_far_cell(tmp_path, wave_csv, 5, -1)
     out = tmp_path / "eval"
     with np.errstate(all="ignore"):
         rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
@@ -372,7 +380,26 @@ def test_eval_rejects_a_non_finite_metric(tmp_path, wave_csv):
     assert rc == 1
     report = read_report(out / "error.txt")
     assert report["error"] == "NonFiniteResult"
-    assert report["message"] == f"rmse is nan; 1 of {len(lines)} predictions are not finite"
+    assert report["message"] == f"rmse is inf; 0 of {len(lines)} predictions are not finite"
+    assert not (out / "report.txt").exists()
+
+
+def test_eval_names_a_far_query_row(tmp_path, wave_csv):
+    # a finite input cell this far out overflows the squared distance: it gave
+    # a nan prediction, and is refused as input, by its row in the split
+    run = tmp_path / "run"
+    assert train_into(run, wave_csv) == 0
+    far, lines = with_far_cell(tmp_path, wave_csv, 5, 0)
+    out = tmp_path / "eval"
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+               "--data", str(far), "--split", "train", "--train-frac", "1",
+               "--out", str(out)])
+    assert rc == 1
+    report = read_report(out / "error.txt")
+    assert report["error"] == "NonFiniteInput"
+    row = int(np.flatnonzero(np.random.default_rng(0).permutation(len(lines)) == 5)[0])
+    assert report["message"] == (f"query row {row} (0-based) overflows the squared "
+                                 "distance in float64")
     assert not (out / "report.txt").exists()
 
 
@@ -385,12 +412,9 @@ def test_train_with_an_empty_test_split_reports_nan_metrics(tmp_path, wave_csv):
 
 
 def test_train_rejects_a_non_finite_test_metric(tmp_path, wave_csv):
-    # one far cell in a test row: training is unaffected, its prediction is nan
-    lines = wave_csv.read_text().splitlines()
-    test_row = np.random.default_rng(0).permutation(len(lines))[-1]  # split_raw's order
-    lines[test_row] = ",".join(["1e200", *lines[test_row].split(",")[1:]])
-    far = tmp_path / "far.csv"
-    far.write_text("\n".join(lines) + "\n")
+    # one far target in a test row: training is unaffected, its squared error is inf
+    test_row = np.random.default_rng(0).permutation(220)[-1]  # split_raw's order
+    far, _ = with_far_cell(tmp_path, wave_csv, test_row, -1)
     out = tmp_path / "run"
     with np.errstate(all="ignore"):
         rc = main(["train", "--data", str(far), "--out", str(out),
@@ -398,7 +422,7 @@ def test_train_rejects_a_non_finite_test_metric(tmp_path, wave_csv):
     assert rc == 1
     report = read_report(out / "error.txt")
     assert report["error"] == "NonFiniteResult"
-    assert report["message"] == "rmse is nan; 1 of 22 predictions are not finite"
+    assert report["message"] == "rmse is inf; 0 of 22 predictions are not finite"
     assert not (out / "report.txt").exists()
 
 
@@ -561,13 +585,14 @@ def openblas_threads():
 def spy_on_blas_threads(monkeypatch):
     """Record the OpenBLAS thread counts each softki training call runs at."""
     seen = []
-    train_fn, fit_fn = cli._MODELS["softki"]
+    train_fn = cli.train
 
-    def spy(data, cfg):
-        seen.append(openblas_threads())
-        return train_fn(data, cfg)
+    def spy(data, cfg, model):
+        if model == "softki":
+            seen.append(openblas_threads())
+        return train_fn(data, cfg, model)
 
-    monkeypatch.setitem(cli._MODELS, "softki", (spy, fit_fn))
+    monkeypatch.setattr(cli, "train", spy)
     return seen
 
 

@@ -19,7 +19,6 @@ from conftest import (
     lowrank_gaussian_by_solves,
     refuse_objective_factors,
 )
-from softki.baselines import exact_gp_mll, sgpr_elbo
 from softki.trainer import TrainConfig
 from softki.errors import CGNotConvergedWarning, NotPositiveDefinite
 from softki.interp import Hyperparams, softmax_forward, softmax_weights
@@ -30,9 +29,11 @@ from softki.objective import (
     _batch,
     dense_gaussian,
     draw_probes,
+    exact_gp_mll,
     exact_mll,
     hutchinson_pseudoloss,
     lowrank_gaussian,
+    sgpr_elbo,
     stabilized_objective,
 )
 

@@ -13,10 +13,10 @@ import softki.interp
 import softki.linalg
 import softki.posterior
 from conftest import chol_solve_ld, cholesky_ld
-from softki import fit_qr
+from softki import TrainConfig, fit_qr, train
 from softki import test_metrics as metrics_of
 from softki.data import Dataset
-from softki.baselines import exact_fit, sgpr_fit
+from softki.baselines import sgpr_fit
 from softki.errors import (
     CGNotConvergedWarning,
     InvalidConfig,
@@ -28,7 +28,8 @@ from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.posterior import (
     DEFAULT_STUDY_METHODS,
-    FORMS,
+    MODELS,
+    Posterior,
     _solve,
     fit,
     gaussian_nll,
@@ -65,8 +66,8 @@ def fitted(variant, n, m, seed=7):
         return fit_qr(data, hp)
     if variant == "sgpr":
         return sgpr_fit(data, Hyperparams(noise=hp.noise, kernel=hp.kernel, z=hp.z))
-    return exact_fit(data, Hyperparams(noise=hp.noise, kernel=hp.kernel,
-                                       z=np.empty((0, 2))))
+    return fit("exact", data, Hyperparams(noise=hp.noise, kernel=hp.kernel,
+                                          z=np.empty((0, 2))))
 
 
 def dense_pieces(data, hp):
@@ -161,14 +162,10 @@ def test_large_noise_limit_recovers_the_prior():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("variant", ["softki", "sgpr"])
-def test_non_finite_query_rows_are_rejected(variant, bad):
-    data, hp = make_instance(9, n=40, m=6)
-    if variant == "softki":
-        post = fit_qr(data, hp)
-    else:
-        post = sgpr_fit(data, Hyperparams(noise=hp.noise, kernel=hp.kernel,
-                                          z=hp.z))
+@pytest.mark.parametrize("variant", list(MODELS))
+def test_non_finite_query_rows_are_rejected(variant, bad, monkeypatch):
+    data, _ = make_instance(9, n=40, m=6)
+    post = fitted(variant, n=40, m=6, seed=9)
     xs = data.x[:6].copy()
     xs[3, 1] = bad
     xs[5, 0] = bad
@@ -179,6 +176,29 @@ def test_non_finite_query_rows_are_rejected(variant, bad):
         predict(post, xs[3])   # a single point is row 0
     mean, var = predict(post, xs[:3])
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+    # a finite row whose scaled squares overflow float64 is named by its row
+    # in the whole query, in one block or in 2-row blocks, with no warning
+    far = np.vstack([xs[:3], [[1e200, 0.0], [-1e200, 1.0]]])
+    for block_rows in (len(far), 2):
+        monkeypatch.setattr(softki.posterior, "DEFAULT_BLOCK_ROWS", block_rows)
+        for fn in (predict, predict_mean, predict_var):
+            with pytest.raises(NonFiniteInput, match=r"^query row 3 \(0-based\) overflows"):
+                fn(post, far)
+    mean, var = predict(post, np.vstack([xs[:3], [[1e5, 1e5]]]))
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+
+
+@pytest.mark.parametrize("entry", ["fit", "train", "Posterior"])
+def test_unknown_model_names_raise_invalid_config(entry):
+    data, hp = make_instance(1, n=30, m=4)
+    calls = {
+        "fit": lambda: fit("foo", data, hp),
+        "train": lambda: train(data, TrainConfig(m=4, epochs=1), model="foo"),
+        "Posterior": lambda: predict(Posterior("foo", hp, np.zeros(4), np.eye(4)), data.x),
+    }
+    with pytest.raises(InvalidConfig,
+                       match="^unknown model 'foo'; the models are softki, sgpr, exact$"):
+        calls[entry]()
 
 
 # ---------------------------------------------------------- blocked prediction
@@ -190,13 +210,13 @@ BLOCK = 16
 def counted_features(monkeypatch, variant):
     """Row counts of each feature build prediction makes for the variant."""
     calls = []
-    phi, var = FORMS[variant]
+    phi = MODELS[variant].phi
 
     def counting(hp, xs):
         calls.append(len(xs))
         return phi(hp, xs)
 
-    monkeypatch.setitem(FORMS, variant, (counting, var))
+    monkeypatch.setitem(MODELS, variant, MODELS[variant]._replace(phi=counting))
     return calls
 
 
@@ -354,11 +374,10 @@ def test_fit_with_overflowing_temperatures_raises_a_softki_error(temperature):
     # the softmax of these temperatures overflows to nan weights, which used
     # to reach scipy's finiteness check as a bare ValueError. The record
     # rejects a temperature whose inverse square overflows float64; 1e-154
-    # passes it, and the stacked QR's carry check names the nan weights of
-    # this data (|x| up to 3.3)
+    # passes it, and the softmax's distance names the first row of this data
+    # (|x| up to 3.3) whose x / T has squares that overflow
     data, hp = make_instance(3, 50, 6)
-    error = NonFiniteResult if temperature == 1e-154 else NonFiniteInput
-    with np.errstate(all="ignore"), pytest.raises(error):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteInput):
         fit_qr(data, Hyperparams(noise=hp.noise, kernel=hp.kernel, z=hp.z,
                                  temperatures=np.full(2, temperature)))
 

@@ -16,24 +16,21 @@ import pytest
 import scipy
 
 import softki.objective
+import softki.posterior
 import softki.trainer
 from conftest import refuse_objective_factors
-from softki import (TrainConfig, fit_qr, predict_mean, ricker_dataset, train,
-                    train_exact, train_sgpr)
+from softki import TrainConfig, fit_qr, predict_mean, ricker_dataset, train, train_sgpr
 from softki.data import Dataset, stream
 from softki.trainer import DTYPES, OBJECTIVE_MODES
 from softki.errors import (DimensionMismatch, InvalidConfig, NonFiniteInput, NonFiniteResult,
                            TooFewPoints)
-from softki.posterior import DEFAULT_BLOCK_ROWS
+from softki.posterior import DEFAULT_BLOCK_ROWS, MODELS
 from softki.interp import Hyperparams
 from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, matern32
 from softki.trainer import (
-    EXACT_PARAMS,
     NOISE_FLOOR,
     PARAMS,
     SCALE_FLOOR,
-    SGPR_PARAMS,
-    SOFTKI_PARAMS,
     TEMP_FLOOR,
     Adam,
     _KMEANS,
@@ -661,12 +658,13 @@ def test_train_sgpr_runs_full_batch():
     assert hp.noise >= NOISE_FLOOR
 
 
-@pytest.mark.parametrize("trainer", [train_sgpr, train_exact])
+@pytest.mark.parametrize("trainer", ["train_sgpr", "train_exact"])
 def test_dtype_is_softki_only(trainer):
     # the baselines train in float64 whatever TrainConfig.dtype says, and its
     # help says so
     data = toy_dataset(seed=4, n=48)
-    runs = [trainer(data, TrainConfig(m=6, epochs=3, learning_rate=0.05, dtype=dtype))
+    model = trainer.removeprefix("train_")
+    runs = [train(data, TrainConfig(m=6, epochs=3, learning_rate=0.05, dtype=dtype), model)
             for dtype in ("float64", "float32")]
     (hp64, trace64), (hp32, trace32) = runs
     for a, b in ((hp64.noise, hp32.noise), (hp64.kernel.lengthscales, hp32.kernel.lengthscales),
@@ -686,7 +684,7 @@ def test_train_sgpr_steps_allocate_no_full_batch_array(monkeypatch):
     x = rng.uniform(-2.5, 2.5, (n, 2))
     data = Dataset(x, np.sin(x[:, 0]) * np.cos(x[:, 1]))
     peaks, workspaces = [], []
-    sgpr_elbo = softki.trainer.sgpr_elbo
+    sgpr_elbo = softki.posterior.sgpr_elbo
 
     def measured(*args, **kwargs):
         workspaces.append(kwargs.get("workspace"))
@@ -696,7 +694,7 @@ def test_train_sgpr_steps_allocate_no_full_batch_array(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
         return rep
 
-    monkeypatch.setattr(softki.trainer, "sgpr_elbo", measured)
+    monkeypatch.setattr(softki.posterior, "sgpr_elbo", measured)
     tracemalloc.start()
     try:
         train_sgpr(data, TrainConfig(m=m, epochs=4, learning_rate=0.1, seed=0))
@@ -707,10 +705,17 @@ def test_train_sgpr_steps_allocate_no_full_batch_array(monkeypatch):
     assert max(peaks[1:]) < n * m * 8, [p / (n * m * 8) for p in peaks]
 
 
+@pytest.mark.parametrize("model", list(MODELS))
+def test_training_on_no_points_raises_too_few_points(model):
+    empty = Dataset(np.empty((0, 2)), np.empty(0))
+    with pytest.raises(TooFewPoints, match="got 0$"):
+        train(empty, TrainConfig(m=4, epochs=1), model=model)
+
+
 def test_train_exact_returns_kernel_and_noise():
     data = toy_dataset(seed=6, n=32)
     cfg = TrainConfig(epochs=3, learning_rate=0.05, seed=0)
-    hp, trace = train_exact(data, cfg)
+    hp, trace = train(data, cfg, model="exact")
     assert isinstance(hp, Hyperparams)
     assert hp.z.shape == (0, 2) and hp.temperatures.shape == (0,)
     assert hp.noise >= NOISE_FLOOR
@@ -728,8 +733,7 @@ def test_parameter_table_round_trips(name):
     assert np.allclose(to_raw(to_constrained(u)), u, rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("names", [SOFTKI_PARAMS, SGPR_PARAMS, EXACT_PARAMS],
-                         ids=["softki", "sgpr", "exact"])
+@pytest.mark.parametrize("names", [row.params for row in MODELS.values()], ids=list(MODELS))
 def test_chain_matches_finite_differences_of_the_table(names):
     rng = np.random.default_rng(0)
     shapes = {"noise": (1,), "lengthscales": (3,), "outputscale": (1,),
