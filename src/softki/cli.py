@@ -327,10 +327,16 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
             raise InvalidConfig(f"unknown suite key {key!r}")
         target[opt] = _convert(TRAIN_OPTS[opt], key, raw, "suite")
 
-    specs = sorted(product(datasets, models, objectives, seeds))
+    # a model whose step reads no objective mode runs once per (dataset, seed),
+    # with "-" in its objective cell
+    specs = sorted((data, model, mode, seed)
+                   for data, model, seed in product(datasets, models, seeds)
+                   for mode in (objectives if MODELS[model].modes else ["-"]))
     defaults = {name: opt.default for name, opt in TRAIN_OPTS.items()}
     row_values = {spec: {**defaults, **base, **per_model[spec[1]],
-                         **dict(zip(("data", "model", "objective", "seed"), spec))}
+                         **{key: value for key, value in zip(
+                             ("data", "model", "objective", "seed"), spec)
+                            if (key, value) != ("objective", "-")}}
                   for spec in specs}
     # a bad config field fails before any row runs
     configs = {spec: _train_config(values) for spec, values in row_values.items()}

@@ -219,8 +219,15 @@ def _parse_rows(path, header: bool) -> np.ndarray:
 
 
 def _train_stats(x: np.ndarray, y: np.ndarray) -> Standardization:
-    x_mean = x.mean(axis=0)
-    x_std = x.std(axis=0)
+    """Training-split statistics; NonFiniteInput names the first column, or
+    the targets, whose mean or variance overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean, x_std = x.mean(axis=0), x.std(axis=0)
+        y_mean, y_std = float(y.mean()), float(y.std())
+    bad = np.flatnonzero(~np.isfinite(x_std))
+    if bad.size or not np.isfinite(y_std):
+        name = f"column {bad[0]}" if bad.size else "targets"
+        raise NonFiniteInput(f"the mean or variance of training {name} overflows float64")
     zero = x_std == 0
     if np.any(zero):
         warnings.warn(
@@ -228,8 +235,6 @@ def _train_stats(x: np.ndarray, y: np.ndarray) -> Standardization:
             DegenerateColumnWarning,
         )
         x_std = np.where(zero, 1.0, x_std)
-    y_mean = float(y.mean())
-    y_std = float(y.std())
     if y_std == 0:
         warnings.warn("training targets have zero variance; std forced to 1",
                       DegenerateColumnWarning)

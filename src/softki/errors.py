@@ -39,9 +39,11 @@ class InvalidConfig(SoftKIError):
 class NonFiniteInput(SoftKIError):
     """A Dataset, k-means x, query points or z hold nan or inf (``data.points``),
     z or a distance's point rows hold a row whose scaled squares overflow
-    (``row`` is then its 0-based index), or a temperature's inverse square
-    overflows float64; the message names the first bad row or entry. A nan
-    or inf number of a record is an InvalidConfig (``data.real``)."""
+    (``row`` is then its 0-based index), a temperature's inverse square
+    overflows float64, or the variance of a training column or of the
+    targets does (``data.standardize``); the message names the first bad
+    row, entry or column. A nan or inf number of a record is an
+    InvalidConfig (``data.real``)."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)

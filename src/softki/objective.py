@@ -5,17 +5,25 @@ the row-stochastic interpolation weights. The exact marginal log likelihood
 
     value = -1/2 [ y^T D^-1 y + log det D + n log(2 pi) ]
 
-comes from one of two Gaussian cores. ``lowrank_gaussian`` (training, and the
-SGPR bound) takes D = Phi L L^T Phi^T + beta^2 I, factorizes only the m-by-m
+is the ``log_n`` of one of two Gaussian cores, the only code that forms it.
+``lowrank_gaussian`` (training, and the SGPR bound) takes
+D = Phi L L^T Phi^T + beta^2 I, factorizes only the m-by-m
 M = beta^2 I + L^T S L with S = Phi^T Phi, and gets D^-1 y, log det D and
 D^-1 Phi = Phi (I - Z S) / beta^2, Z = L M^-1 L^T, by the Woodbury identity
-and the determinant lemma. Both models take one route through it: softki
+and the determinant lemma; it also returns the noise-trace term
+tr_g = (a^T a - tr D^-1) / 2 that both its callers' noise gradients read.
+Both models take one route through it: softki
 passes Phi = W and u = U_zz, K_zz's upper Cholesky factor (L = U_zz^T);
 SGPR passes the whitened Phi = K_xz U_zz^-1 and u = None (L = I). M is
 formed by triangular products, factored once and inverted once by ?trtri,
 and every product with U_m^-1 is a ?trmm. ``dense_gaussian``, one Cholesky
 of a formed D, serves the exact GP (``exact_gp_mll``, and its fit in
 ``posterior``) and the tests' dense referee of ``exact_mll``.
+
+softki's two objectives, ``exact_mll(b, hp)`` and ``hutchinson_pseudoloss(b,
+hp, probes, cg_tol, cg_max_iters)``, read the ``Batch`` b = ``_batch(x, y, hp)``
+that ``stabilized_objective`` builds once per step; a direct evaluation of one
+of them is ``stabilized_objective`` with that ``objective_mode``.
 
 When K_zz stops being numerically positive definite, or the exact value or
 gradient goes non-finite, a Hutchinson-style pseudoloss takes over: solve
@@ -97,13 +105,13 @@ to 8.8e-4 and its smallest eigenvalue at -2.1e-3, where float64's is
 float32 ricker's beta^2 (about 2.5e-5) lies under M's rounding: training at
 the ricker-m128 config ended above 1e-2 test RMSE on 32 of 36 sub-seeds with
 that m-space in float32 and on 8 of 36 in float64. Each
-``stabilized_objective`` call builds one ``Batch`` (W and its distances in
-the batch dtype; z, K_zz and e = exp(-sqrt(3) r) in float64), which the
-exact attempt and the pseudoloss it may fall back to both read. The backward
-reads the same arrays: ``softmax_weights_backward`` the (W, dist) of
-``softmax_forward`` and ``matern32_param_grads`` the (K_zz, e) of
-``matern32_forward``, so each point set goes through each forward once per
-call, in float32 as in float64.
+``stabilized_objective`` call builds one ``Batch`` (W, its distances and
+beta^2 in the batch dtype; z, K_zz and e = exp(-sqrt(3) r) in float64),
+which the exact attempt and the pseudoloss it may fall back to both read.
+The backward reads the same arrays: ``softmax_weights_backward`` the
+(W, dist) of ``softmax_forward`` and ``matern32_param_grads`` the (K_zz, e)
+of ``matern32_forward``, so each point set goes through each forward once
+per call, in float32 as in float64.
 
 Entries of W and of each cast K_zz product below the batch dtype's smallest
 normal (``finfo.tiny``, about 1.2e-38 in float32) are set to 0: OpenBLAS's
@@ -161,22 +169,22 @@ def draw_probes(n: int, count: int, seed) -> np.ndarray:
 
 @dataclass
 class LowRankGaussian:
-    """m-space solves of D = Phi L L^T Phi^T + beta^2 I; see the module docstring."""
+    """log N(y | 0, D), its noise-trace term and the m-space solves of
+    D = Phi L L^T Phi^T + beta^2 I; see the module docstring."""
 
-    quad: float                 # y^T D^-1 y
-    logdet: float               # log det D
+    log_n: float                # log N(y | 0, D)
     a: np.ndarray               # D^-1 y, (n,)
     phi_a: np.ndarray           # Phi^T a, (m,)
     phi_dinv_phi: np.ndarray    # Phi^T D^-1 Phi, (m, m), float64
     zs: np.ndarray              # Z S, so D^-1 Phi = Phi (I - Z S) / beta^2, (m, m), float64
-    tr_d_inv: float             # tr D^-1
+    tr_g: float                 # tr G = (a^T a - tr D^-1) / 2, G = d log_n / dD
     s: np.ndarray               # Phi^T Phi, (m, m)
     jitter: float               # rung used to factor M
 
 
 def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
                      beta2) -> LowRankGaussian:
-    """Quadratic form, log determinant and solves of a low-rank-plus-noise D.
+    """Log density, noise-trace term and solves of a low-rank-plus-noise D.
 
     u is K_zz's upper Cholesky factor (L = U^T) or None (L = I): a Cholesky
     factor, not the inverse of one, since S is formed before L is applied and
@@ -204,29 +212,29 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
     phi_dinv_phi = h.T @ h                                    # (S - h^T h) / beta^2
     np.subtract(s64, phi_dinv_phi, out=phi_dinv_phi)
     phi_dinv_phi /= beta2
+    logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(np.sum(np.log(np.diagonal(u_m))))
     return LowRankGaussian(
-        quad=float(y @ a),
-        logdet=(n - m) * float(np.log(beta2))
-        + 2.0 * float(np.sum(np.log(np.diagonal(u_m)))),
+        log_n=-0.5 * (float(y @ a) + logdet + n * LOG_2PI),
         a=a,
         phi_a=phi.T @ a,
         phi_dinv_phi=phi_dinv_phi,
         zs=zs,
-        tr_d_inv=(n - float(np.trace(zs))) / beta2,
+        tr_g=0.5 * (float(a @ a) - (n - float(np.trace(zs))) / beta2),
         s=s,
         jitter=jitter,
     )
 
 
 def dense_gaussian(d: np.ndarray, y: np.ndarray):
-    """(y^T D^-1 y, log det D, D^-1 y, D^-1, jitter) from one Cholesky of D.
+    """(log N(y | 0, D), D^-1 y, D^-1, jitter) from one Cholesky of D.
 
     Raises NotPositiveDefinite when D fails to factorize after the jitter
     schedule.
     """
     u, jitter = linalg.cholesky_upper(d)
     a = linalg.chol_solve(u, y)
-    return (float(y @ a), 2.0 * float(np.sum(np.log(np.diagonal(u)))), a,
+    logdet = 2.0 * float(np.sum(np.log(np.diagonal(u))))
+    return (-0.5 * (float(y @ a) + logdet + y.shape[0] * LOG_2PI), a,
             linalg.chol_inverse(u), jitter)
 
 
@@ -240,23 +248,22 @@ class Batch(NamedTuple):
     z: np.ndarray           # the points, float64
     k_zz: np.ndarray        # K_zz, float64
     e_zz: np.ndarray        # its exp(-sqrt(3) r), float64
+    beta2: np.floating      # noise^2, x's dtype
 
 
-def _batch(x, y, hp) -> Batch:
-    """The ``Batch`` of (x, y): W and its distances from ``softmax_forward``
-    in x's dtype, with W's entries below that dtype's smallest normal zeroed
-    (see the module docstring), and K_zz and e_zz from ``matern32_forward``
-    on float64 z. No objective and no backward writes into these arrays, so
-    one batch can serve several objectives.
+def _batch(x: np.ndarray, y, hp) -> Batch:
+    """The ``Batch`` of (x, y), x a float array: W and its distances from
+    ``softmax_forward`` in x's dtype, with W's entries below that dtype's
+    smallest normal zeroed (see the module docstring), and K_zz and e_zz from
+    ``matern32_forward`` on float64 z. No objective and no backward writes
+    into these arrays, so one batch can serve several objectives.
     """
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(float)
     w, dist = softmax_forward(x, hp)
     w[w < np.finfo(w.dtype).tiny] = 0.0
     z = hp.z.astype(np.float64, copy=False)
     k_zz, e_zz = matern32_forward(z, z, hp.kernel)
-    return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, z, k_zz, e_zz)
+    beta = x.dtype.type(hp.noise)
+    return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, z, k_zz, e_zz, beta * beta)
 
 
 def _cast(a: np.ndarray, dtype) -> np.ndarray:
@@ -286,49 +293,34 @@ def _assemble_gradients(b: Batch, hp, g_k, g_w, tr_g) -> dict:
     }
 
 
-def exact_mll(x: np.ndarray, y: np.ndarray, hp: Hyperparams, *,
-              batch=None) -> ObjectiveReport:
-    """Exact marginal log likelihood of one batch, with analytic gradients.
+def exact_mll(b: Batch, hp: Hyperparams) -> ObjectiveReport:
+    """Exact marginal log likelihood of batch b = ``_batch(x, y, hp)``, with
+    analytic gradients.
 
     The n-by-m products run in x's dtype. K_zz and the m-by-m inner matrix
     are factored in float64, and every m-by-m factor of the gradient is
     formed in float64 before it is cast to x's dtype where it meets W.
     Raises NotPositiveDefinite when a Cholesky fails after the jitter
-    schedule. batch, when given, is ``_batch(x, y, hp)`` built by the caller.
+    schedule.
     """
-    b = _batch(x, y, hp) if batch is None else batch
-    x, y, w, k_zz = b.x, b.y, b.w, b.k_zz
-    n = y.shape[0]
-    beta = x.dtype.type(hp.noise)
-    beta2 = beta * beta
-
+    dtype, w, k_zz = b.x.dtype, b.w, b.k_zz
     u_zz, jitter = linalg.cholesky_upper(k_zz)
-    lr = lowrank_gaussian(w, y, u_zz, beta2)
-    a = lr.a
+    lr = lowrank_gaussian(w, b.y, u_zz, b.beta2)
     phi_a = lr.phi_a.astype(np.float64, copy=False)
     g_k = 0.5 * (np.outer(phi_a, phi_a) - lr.phi_dinv_phi)
-    g_w = w @ _cast((k_zz - lr.zs @ k_zz) / beta2, x.dtype)
+    g_w = w @ _cast((k_zz - lr.zs @ k_zz) / b.beta2, dtype)
     np.negative(g_w, out=g_w)
-    g_w += np.outer(a, _cast(phi_a @ k_zz, x.dtype))
-    tr_g = 0.5 * (float(a @ a) - lr.tr_d_inv)
+    g_w += np.outer(lr.a, _cast(phi_a @ k_zz, dtype))
 
-    value = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
-    grads = _assemble_gradients(b, hp, g_k, g_w, tr_g)
-    return ObjectiveReport(value=float(value), gradients=grads, mode_used="exact",
+    grads = _assemble_gradients(b, hp, g_k, g_w, lr.tr_g)
+    return ObjectiveReport(value=lr.log_n, gradients=grads, mode_used="exact",
                            diagnostics={"jitter": jitter, "jitter_inner": lr.jitter})
 
 
-def hutchinson_pseudoloss(
-    x: np.ndarray,
-    y: np.ndarray,
-    hp: Hyperparams,
-    probes: np.ndarray,
-    cg_tol: float,
-    cg_max_iters: int,
-    *,
-    batch=None,
-) -> ObjectiveReport:
-    """Factorization-free objective: CG solves against D, probe-based trace.
+def hutchinson_pseudoloss(b: Batch, hp: Hyperparams, probes: np.ndarray, cg_tol: float,
+                          cg_max_iters: int) -> ObjectiveReport:
+    """Factorization-free objective of batch b = ``_batch(x, y, hp)``: CG
+    solves against D, probe-based trace.
 
     The probes, CG and every n-by-m product run in x's dtype; K_zz W^T v (in
     each CG matvec) and K_zz W^T S (after the solve) are formed in float64
@@ -340,30 +332,26 @@ def hutchinson_pseudoloss(
     constants of the gradient (the solver is not differentiated through).
     The value keeps the literal unscaled trace term; the gradient's trace
     estimate is scaled by n, so it targets the exact gradient's tr(D^-1 dD).
-    batch, when given, is ``_batch(x, y, hp)`` built by the caller.
     """
-    b = _batch(x, y, hp) if batch is None else batch
-    x, y, w, k_zz = b.x, b.y, b.w, b.k_zz
-    probes = np.asarray(probes, dtype=x.dtype)
+    dtype, w, k_zz, beta2 = b.x.dtype, b.w, b.k_zz, b.beta2
+    probes = np.asarray(probes, dtype=dtype)
     n, ell = probes.shape
-    beta = x.dtype.type(hp.noise)
-    beta2 = beta * beta
 
     def matvec(v):
-        return w @ _cast(k_zz @ (w.T @ v), x.dtype) + beta2 * v
+        return w @ _cast(k_zz @ (w.T @ v), dtype) + beta2 * v
 
-    rhs = np.concatenate([y[:, None], probes], axis=1)
+    rhs = np.concatenate([b.y[:, None], probes], axis=1)
     rep = linalg.block_cg(matvec, rhs, tol=cg_tol, max_iters=cg_max_iters)
     # S = [u_0 | U | P] and G = S C S^T: every product with D or G after the
     # solve goes through W^T S once; see the module docstring
     s = np.concatenate([rep.solutions, probes], axis=1)
     ws = w.T @ s
-    kws = _cast(k_zz @ ws, x.dtype)
+    kws = _cast(k_zz @ ws, dtype)
     gram = s.T @ s
     sds = ws.T @ kws + beta2 * gram             # S^T D S
     j = np.arange(1, ell + 1)                   # u_j is column j, w_j column l + j
     value = -0.5 * (float(sds[0, 0]) + float(np.mean(sds[j, ell + j])))
-    c = np.zeros((2 * ell + 1, 2 * ell + 1), dtype=x.dtype)
+    c = np.zeros((2 * ell + 1, 2 * ell + 1), dtype=dtype)
     c[0, 0] = 0.5
     c[j, ell + j] = c[ell + j, j] = -n / (4.0 * ell)
     g_k = ws @ c @ ws.T
@@ -397,34 +385,31 @@ def stabilized_objective(
     Reads objective_mode, probes, cg_tol, cg_max_iters and dtype from cfg, a
     ``trainer.TrainConfig``; probe_seed is anything ``default_rng`` accepts.
     x and y are cast to cfg.dtype once, and both objectives run in it and
-    share one ``_batch``. objective_mode="auto": try the exact objective; on
+    read one ``_batch``. objective_mode="auto": try the exact objective; on
     NotPositiveDefinite or any non-finite value/gradient, recompute with the
-    pseudoloss, whose diagnostics then carry ``fallback_reason``. Every mode
+    pseudoloss, whose diagnostics then carry ``fallback_reason``; "exact" and
+    "pseudoloss" evaluate that one objective. Every mode
     has one failure exit: when its last objective fails it returns a nan
     report with no gradients, whose diagnostics hold ``failure`` (plus the
     pseudoloss's CG keys once it ran), and the trainer counts the batch as
     failed. The exact attempt runs with numpy's overflow and invalid-value
     warnings off, since its non-finite result is handled as a failure.
     """
-    x = np.asarray(x, dtype=cfg.dtype)
-    batch = _batch(x, y, hp)
+    b = _batch(np.asarray(x, dtype=cfg.dtype), y, hp)
     diag = {}
     if cfg.objective_mode != "pseudoloss":
         try:
             # an overflow here is a failure that the is_finite check below handles
             with np.errstate(over="ignore", invalid="ignore"):
-                rep = exact_mll(x, y, hp, batch=batch)
+                rep = exact_mll(b, hp)
             if rep.is_finite():
                 return rep
             diag["failure"] = "non-finite exact value or gradient"
         except NotPositiveDefinite as err:
             diag["failure"] = str(err)
     if cfg.objective_mode != "exact":
-        probes = draw_probes(batch.y.shape[0], cfg.probes, probe_seed)
-        rep = hutchinson_pseudoloss(
-            x, y, hp, probes,
-            cg_tol=cfg.cg_tol, cg_max_iters=cfg.cg_max_iters, batch=batch,
-        )
+        probes = draw_probes(b.y.shape[0], cfg.probes, probe_seed)
+        rep = hutchinson_pseudoloss(b, hp, probes, cfg.cg_tol, cfg.cg_max_iters)
         if diag:
             rep.diagnostics["fallback_reason"] = diag["failure"]
         if rep.is_finite():
@@ -477,10 +462,8 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams, *,
     np.copyto(b, k_xz)
     trmm(1.0, v, b.T, trans_a=1, overwrite_b=1)
     lr = lowrank_gaussian(b, y, None, beta2)
-    log_n = -0.5 * (lr.quad + lr.logdet + n * LOG_2PI)
-
     trace_gap = n * hp.kernel.outputscale - float(np.trace(lr.s))
-    value = log_n - trace_gap / (2.0 * beta2)
+    value = lr.log_n - trace_gap / (2.0 * beta2)
 
     # G = (a a^T - D^-1)/2 and P = K_xz K_zz^-1 = B U^-T: d/dK_xz is
     # 2 G P + P / beta^2 = a (P^T a)^T + B (Z S / beta^2) U^-T and d/dK_zz is
@@ -495,10 +478,9 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams, *,
     up_zz = 0.5 * (v @ inner.T - np.outer(pa, pa))
     g2 = matern32_param_grads(hp.z, hp.z, hp.kernel, k_zz, e_zz, up_zz,
                               want_x=True, want_z=True)
-    tr_g = 0.5 * (float(lr.a @ lr.a) - lr.tr_d_inv)
 
     grads = {
-        "noise": 2.0 * beta * tr_g + trace_gap / beta**3,
+        "noise": 2.0 * beta * lr.tr_g + trace_gap / beta**3,
         "lengthscales": g1.lengthscales + g2.lengthscales,
         "outputscale": g1.outputscale + g2.outputscale - n / (2.0 * beta2),
         "z": g1.z + g2.x + g2.z,
@@ -521,8 +503,7 @@ def exact_gp_mll(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveRepo
     """Dense marginal log likelihood with gradients for (noise, kernel); hp.z is unused."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    quad, logdet, a, k_inv, jit = _dense_gp(x, y, hp.noise * hp.noise, hp.kernel)
-    value = -0.5 * (quad + logdet + y.shape[0] * LOG_2PI)
+    log_n, a, k_inv, jit = _dense_gp(x, y, hp.noise * hp.noise, hp.kernel)
 
     g = 0.5 * (np.outer(a, a) - k_inv)
     del k_inv  # one n x n array less while the kernel backward runs
@@ -536,5 +517,5 @@ def exact_gp_mll(x: np.ndarray, y: np.ndarray, hp: Hyperparams) -> ObjectiveRepo
         "lengthscales": kg.lengthscales,
         "outputscale": kg.outputscale,
     }
-    return ObjectiveReport(value=float(value), gradients=grads, mode_used="exact",
+    return ObjectiveReport(value=log_n, gradients=grads, mode_used="exact",
                            diagnostics={"jitter": jit})

@@ -90,6 +90,7 @@ class Model(NamedTuple):
     params: tuple         # the trainer.PARAMS names it learns
     full_batch: bool      # every step reads all n points, not cfg.batch_size
     objective: Callable   # (cfg, n) -> step(x, y, hp, probe_rng) -> ObjectiveReport
+    modes: bool           # its step reads cfg.objective_mode
     phi: Callable         # (hp, xs) -> the (len(xs), m) features of xs
     var: Callable         # (post, phi) -> latent variance; may overwrite phi
     root: bool            # p is an upper root, whose lower triangle var never reads
@@ -267,7 +268,7 @@ def _fit_exact(data: Dataset, hp, phi):
     (phi is not read: K is formed whole). The record's points are the
     training inputs, whatever hp.z holds."""
     x = np.asarray(data.x, dtype=float)
-    _, _, v, p, jit = _dense_gp(x, data.y, hp.noise * hp.noise, hp.kernel)
+    _, v, p, jit = _dense_gp(x, data.y, hp.noise * hp.noise, hp.kernel)
     return replace(hp, z=x), v, p, {"jitter": jit}
 
 
@@ -292,11 +293,11 @@ def _exact_steps(cfg, n: int):
 # as its points; it and sgpr learn no temperatures, and it learns no points
 MODELS = {
     "softki": Model(params=("noise", "lengthscales", "outputscale", "z", "temperatures"),
-                    full_batch=False, objective=_softki_steps,
+                    full_batch=False, objective=_softki_steps, modes=True,
                     phi=lambda hp, xs: softmax_weights(xs, hp),
                     var=_sum_of_squares, root=True, fit=_fit_softki),
     "sgpr": Model(params=("noise", "lengthscales", "outputscale", "z"),
-                  full_batch=True, objective=_sgpr_steps,
+                  full_batch=True, objective=_sgpr_steps, modes=False,
                   phi=lambda hp, xs: matern32(xs, hp.z, hp.kernel),
                   var=_prior_less_quadratic, root=False, fit=_fit_sgpr),
 }

@@ -108,37 +108,42 @@ def lowrank_gaussian_by_solves(phi, y, l, beta2):
     h = tri_solve_upper(u_m, lt_s, transpose=True)
     zs = g.T @ h
     a = (y - phi @ (g.T @ (g @ (phi.T @ y)))) / beta2
+    logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(np.sum(np.log(np.diagonal(u_m))))
     return LowRankGaussian(
-        quad=float(y @ a),
-        logdet=(n - m) * float(np.log(beta2))
-        + 2.0 * float(np.sum(np.log(np.diagonal(u_m)))),
+        log_n=-0.5 * (float(y @ a) + logdet + n * LOG_2PI),
         a=a,
         phi_a=phi.T @ a,
         phi_dinv_phi=(s - h.T @ h) / beta2,
         zs=zs,
-        tr_d_inv=(n - float(np.trace(zs))) / beta2,
+        tr_g=0.5 * (float(a @ a) - (n - float(np.trace(zs))) / beta2),
         s=s,
         jitter=jitter,
     )
 
 
-def dense_exact_mll(x, y, hp):
-    """The dense referee of ``objective.exact_mll``: the same value and
-    gradients from one ``dense_gaussian`` of the formed
+def dense_exact_mll(b, hp):
+    """The dense referee of ``objective.exact_mll`` on batch b: the same
+    value and gradients from one ``dense_gaussian`` of the formed
     D = W K_zz W^T + beta^2 I, in x's dtype with K_zz cast to it."""
-    b = softki.objective._batch(x, y, hp)
-    x, y, w = b.x, b.y, b.w
-    k_zz = b.k_zz.astype(x.dtype, copy=False)
-    n = y.shape[0]
-    beta = x.dtype.type(hp.noise)
-    quad, logdet, a, d_inv, jitter = softki.objective.dense_gaussian(
-        w @ k_zz @ w.T + beta * beta * np.eye(n, dtype=x.dtype), y)
+    w, n = b.w, b.y.shape[0]
+    k_zz = b.k_zz.astype(w.dtype, copy=False)
+    log_n, a, d_inv, jitter = softki.objective.dense_gaussian(
+        w @ k_zz @ w.T + b.beta2 * np.eye(n, dtype=w.dtype), b.y)
     g = 0.5 * (np.outer(a, a) - d_inv)
     grads = softki.objective._assemble_gradients(
         b, hp, w.T @ g @ w, 2.0 * g @ (w @ k_zz), float(np.trace(g)))
-    return ObjectiveReport(value=float(-0.5 * (quad + logdet + n * LOG_2PI)),
-                           gradients=grads, mode_used="exact",
+    return ObjectiveReport(value=log_n, gradients=grads, mode_used="exact",
                            diagnostics={"jitter": jitter})
+
+
+def overflowing_csv(path, column):
+    """Write a 5-row, 3-column CSV to path whose column (the last is the
+    target) alternates between 1e160 and -1e160, so that its squares
+    overflow float64; return path."""
+    cells = np.arange(15.0).reshape(5, 3)
+    cells[:, column] = [1e160, -1e160, 1e160, -1e160, 1e160]
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in cells))
+    return path
 
 
 def refuse_objective_factors(monkeypatch):

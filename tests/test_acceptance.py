@@ -16,6 +16,7 @@ from softki.interp import Hyperparams, softmax_weights
 from softki.kernel import MaternParams, matern32
 from softki.linalg import block_cg
 from softki.objective import (
+    _batch,
     draw_probes,
     exact_gp_mll,
     exact_mll,
@@ -135,7 +136,7 @@ def softki_value(x, y, state):
         z=state["z"],
         temperatures=state["temperatures"],
     )
-    return exact_mll(x, y, hp).value
+    return exact_mll(_batch(x, y, hp), hp).value
 
 
 def sgpr_value(x, y, state):
@@ -188,7 +189,7 @@ def test_analytic_gradients_match_finite_differences():
             "z": hp.z,
             "temperatures": hp.temperatures,
         }
-        rep = exact_mll(x, y, hp)
+        rep = exact_mll(_batch(x, y, hp), hp)
         check_gradients(x, y, state, softki_value, rep.gradients,
                         ("noise", "lengthscales", "outputscale", "z",
                          "temperatures"))
@@ -224,8 +225,8 @@ def test_probe_trace_and_gradient_cosine():
         z=rng.standard_normal((8, 2)),
         temperatures=np.ones(2),
     )
-    exact = exact_mll(x, y, hp)
-    pseudo = hutchinson_pseudoloss(x, y, hp, draw_probes(64, 500, seed=11),
+    exact = exact_mll(_batch(x, y, hp), hp)
+    pseudo = hutchinson_pseudoloss(_batch(x, y, hp), hp, draw_probes(64, 500, seed=11),
                                    cg_tol=1e-10, cg_max_iters=2000)
 
     def flatten(g):

@@ -172,7 +172,8 @@ def test_objective_report_fields(tiny, mode):
         x, y, hp, softki.TrainConfig(objective_mode=mode))
     assert isinstance(report.diagnostics, dict)
     assert report.is_finite() is True
-    assert softki.objective.exact_mll(x, y, hp).is_finite() is True
+    assert softki.objective.stabilized_objective(
+        x, y, hp, softki.TrainConfig(objective_mode="exact")).is_finite() is True
 
 
 def test_cg_report_fields():

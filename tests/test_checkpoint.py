@@ -108,7 +108,7 @@ def test_exact_fit_is_the_dense_posterior_on_the_inputs_and_round_trips(tmp_path
     hp = Hyperparams(noise=0.2, kernel=MaternParams(lengthscales=[1.0, 1.2], outputscale=0.8),
                      z=np.random.default_rng(2).standard_normal((16, 2)))
     post = fit("exact", train, hp)
-    _, _, v, p, _ = _dense_gp(train.x, train.y, hp.noise * hp.noise, hp.kernel)
+    _, v, p, _ = _dense_gp(train.x, train.y, hp.noise * hp.noise, hp.kernel)
     assert post.variant == "exact" and np.array_equal(post.hp.z, train.x)
     assert np.array_equal(post.v, v) and np.array_equal(post.p, p)
     path = tmp_path / "exact.bin"

@@ -15,7 +15,7 @@ import scipy
 
 import softki.linalg
 import softki.posterior
-from conftest import refuse_objective_factors
+from conftest import overflowing_csv, refuse_objective_factors
 from softki import cli
 from softki.checkpoint import load_checkpoint, restore
 from softki.cli import TRAIN_OPTS, main
@@ -158,6 +158,15 @@ def test_missing_data_file_writes_error_record(tmp_path):
     report = read_report(out / "error.txt")
     assert report["error"] == "FileNotFoundError"
     assert report["message"].startswith("file not found: ")
+
+
+def test_an_overflowing_csv_column_writes_an_error_record_naming_it(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(overflowing_csv(tmp_path / "data.csv", 0)),
+                 "--out", str(out), "--epochs", "1", "--m", "2"]) == 1
+    assert read_report(out / "error.txt") == {
+        "error": "NonFiniteInput",
+        "message": "the mean or variance of training column 0 overflows float64"}
 
 
 def test_bad_flag_values_fail_cleanly(tmp_path, wave_csv):
@@ -537,6 +546,28 @@ def test_bench_compare_rows_and_aggregates(tmp_path, wave_csv):
 
     report = read_report(out / "report.txt")
     assert report["rows_total"] == "6" and report["rows_failed"] == "0"
+
+
+def test_bench_runs_a_model_without_objective_modes_once(tmp_path, wave_csv):
+    # sgpr's and the exact GP's steps read no objective mode: each runs once
+    # per (dataset, seed), with "-" in its objective cell
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "suite = compare\n"
+        f"data = {wave_csv}\n"
+        "models = softki,sgpr,exact\n"
+        "objectives = auto,pseudoloss\n"
+        "seeds = 0\n"
+        "m = 4\nepochs = 1\nbatch-size = 64\n"
+    )
+    out = tmp_path / "bench"
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
+    rows = [line.split(",")[1:4] for line in
+            (out / "results.csv").read_text().splitlines()[1:]]
+    assert rows == [["exact", "-", "0"], ["sgpr", "-", "0"],
+                    ["softki", "auto", "0"], ["softki", "pseudoloss", "0"]]
+    aggregate = (out / "aggregate.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in aggregate] == [row[:2] for row in rows]
 
 
 def test_bench_marks_destabilized_rows_nan_but_completes(tmp_path, blob_csv, monkeypatch):

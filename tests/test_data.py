@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softki.data
+from conftest import overflowing_csv
 from softki.data import (
     Dataset,
     Standardization,
@@ -259,6 +260,15 @@ def test_constant_column_warns_and_keeps_finite_values():
         tr, te = split_standardize(data, train_fraction=0.5, seed=0)
     assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(te.x))
     assert np.allclose(tr.x[:, 0], 0.0)  # (1 - 1) / forced std of 1
+
+
+@pytest.mark.parametrize("column, name", [(1, "column 1"), (2, "targets")])
+def test_an_overflowing_training_variance_names_its_column(tmp_path, column, name):
+    # numpy's overflow warning would fail the test; the error names the
+    # column, not the x_std or y_std the overflow turned into inf
+    message = f"^the mean or variance of training {name} overflows float64$"
+    with pytest.raises(NonFiniteInput, match=message):
+        split_standardize(load_csv(overflowing_csv(tmp_path / "data.csv", column)))
 
 
 def test_constant_targets_warn_and_get_a_unit_std():

@@ -180,7 +180,7 @@ def test_single_point_unit_variance_value():
         kernel=MaternParams(lengthscales=[1.0], outputscale=0.5),
         z=[[0.0]], temperatures=[1.0],
     )
-    rep = exact_mll(np.zeros((1, 1)), np.zeros(1), hp)
+    rep = exact_mll(_batch(np.zeros((1, 1)), np.zeros(1), hp), hp)
     assert rep.value == pytest.approx(-0.5 * LOG_2PI, rel=1e-12)
     assert rep.value == pytest.approx(-0.918939, abs=1e-6)
 
@@ -192,7 +192,7 @@ def test_value_against_dense_log_density():
     assert sign > 0
     expected = -0.5 * (y @ np.linalg.solve(d_mat, y) + logdet + len(y) * LOG_2PI)
     for path in ("lowrank", "dense"):
-        rep = EXACT[path](x, y, hp)
+        rep = EXACT[path](_batch(x, y, hp), hp)
         assert rep.value == pytest.approx(expected, rel=1e-9)
         assert rep.mode_used == "exact"
 
@@ -204,8 +204,8 @@ def test_lowrank_and_dense_paths_agree(seed):
     n = int(rng.integers(2, 257))
     m = int(rng.integers(1, 33))
     x, y, hp = random_instance(seed, n=n, m=m)
-    low = exact_mll(x, y, hp)
-    dense = dense_exact_mll(x, y, hp)
+    low = exact_mll(_batch(x, y, hp), hp)
+    dense = dense_exact_mll(_batch(x, y, hp), hp)
     assert low.value == pytest.approx(dense.value, rel=1e-8)
     assert np.allclose(flat_grads(low.gradients), flat_grads(dense.gradients),
                        rtol=1e-6, atol=1e-9)
@@ -232,9 +232,9 @@ def test_lowrank_gaussian_matches_dense_algebra(form):
     a = d_inv @ y
 
     lr = lowrank_gaussian(phi, y, u, beta2)
-    assert lr.quad == pytest.approx(y @ a, rel=1e-10)
-    assert lr.logdet == pytest.approx(np.linalg.slogdet(d_mat)[1], rel=1e-10)
-    assert lr.tr_d_inv == pytest.approx(np.trace(d_inv), rel=1e-10)
+    quad, logdet = y @ a, np.linalg.slogdet(d_mat)[1]
+    assert lr.log_n == pytest.approx(-0.5 * (quad + logdet + 15 * LOG_2PI), rel=1e-10)
+    assert lr.tr_g == pytest.approx(0.5 * (a @ a - np.trace(d_inv)), rel=1e-10)
     assert np.allclose(lr.a, a, rtol=1e-9, atol=1e-12)
     assert np.allclose(lr.phi_a, phi.T @ a, rtol=1e-9, atol=1e-12)
     r = (np.eye(6) - lr.zs) / beta2
@@ -296,7 +296,7 @@ def exact_mll_by_solves(monkeypatch, x, y, hp):
     with monkeypatch.context() as patch:
         patch.setattr(softki.objective, "lowrank_gaussian",
                       lambda phi, y, u, beta2: lowrank_gaussian_by_solves(phi, y, u.T, beta2))
-        return exact_mll(x, y, hp)
+        return exact_mll(_batch(x, y, hp), hp)
 
 
 def test_exact_mll_matches_the_solve_route(monkeypatch):
@@ -304,7 +304,7 @@ def test_exact_mll_matches_the_solve_route(monkeypatch):
     # their largest entry apart
     x, y, hp = random_instance(7, n=400, m=24, noise=0.3)
     want = exact_mll_by_solves(monkeypatch, x, y, hp)
-    got = exact_mll(x, y, hp)
+    got = exact_mll(_batch(x, y, hp), hp)
     assert got.diagnostics == want.diagnostics
     assert got.value == pytest.approx(want.value, rel=1e-12)
     for name, g in want.gradients.items():
@@ -350,7 +350,7 @@ def test_exact_mll_on_an_ill_conditioned_m_is_within_16x_of_the_solve_routes_err
     # values agree to 1.1e-14 relative
     x, y, hp = random_instance(seed, n=n, m=m, noise=1e-4)
     want = exact_mll_by_solves(monkeypatch, x, y, hp)
-    got = exact_mll(x, y, hp)
+    got = exact_mll(_batch(x, y, hp), hp)
     assert got.value == pytest.approx(want.value, rel=1e-12)
     truth = exact_gradients_80bit(x, y, hp)
 
@@ -364,15 +364,15 @@ def test_exact_mll_on_an_ill_conditioned_m_is_within_16x_of_the_solve_routes_err
 def test_dense_gaussian_matches_numpy_and_climbs_the_jitter_ladder():
     x, y, hp = random_instance(4, n=15, m=6)
     _, _, d_mat = dense_pieces(x, hp)
-    quad, logdet, a, d_inv, jitter = dense_gaussian(d_mat, y)
-    assert quad == pytest.approx(y @ np.linalg.solve(d_mat, y), rel=1e-10)
-    assert logdet == pytest.approx(np.linalg.slogdet(d_mat)[1], rel=1e-10)
+    log_n, a, d_inv, jitter = dense_gaussian(d_mat, y)
+    quad, logdet = y @ np.linalg.solve(d_mat, y), np.linalg.slogdet(d_mat)[1]
+    assert log_n == pytest.approx(-0.5 * (quad + logdet + len(y) * LOG_2PI), rel=1e-10)
     assert np.allclose(a, np.linalg.solve(d_mat, y), rtol=1e-9, atol=1e-12)
     assert np.allclose(d_inv, np.linalg.inv(d_mat), rtol=1e-9, atol=1e-12)
     assert jitter == 0.0
 
     # the default ladder: rung 0 fails on the singular matrix, 1e-8 * mean(diag) holds
-    assert dense_gaussian(np.ones((4, 4)), np.ones(4))[4] == 1e-8
+    assert dense_gaussian(np.ones((4, 4)), np.ones(4))[3] == 1e-8
     with pytest.raises(NotPositiveDefinite):  # eigenvalue -1 outlasts every rung
         dense_gaussian(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
@@ -383,7 +383,7 @@ def test_non_positive_definite_propagates(monkeypatch):
     x, y, hp = near_coincident_batch()
     refuse_objective_factors(monkeypatch)
     with pytest.raises(NotPositiveDefinite):
-        exact_mll(x, y, hp)
+        exact_mll(_batch(x, y, hp), hp)
 
 
 def count_forwards(monkeypatch):
@@ -412,9 +412,10 @@ def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
     x, y, hp = random_instance(10, n=32, m=6)
     x, y = x.astype(dtype), y.astype(dtype)
     if objective == "pseudoloss":
-        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(32, 3, seed=0), **CG_DEFAULTS)
+        rep = hutchinson_pseudoloss(_batch(x, y, hp), hp, draw_probes(32, 3, seed=0),
+                                    **CG_DEFAULTS)
     else:
-        rep = EXACT[objective](x, y, hp)
+        rep = EXACT[objective](_batch(x, y, hp), hp)
     assert rep.is_finite()
     assert softmaxes == [np.dtype(dtype)] * forwards
     assert kernels == [np.dtype(np.float64)] * forwards
@@ -453,13 +454,14 @@ def test_one_kernel_forward_per_point_set(monkeypatch, objective):
     n, m = 32, 6
     x, y, hp = random_instance(11, n=n, m=m)
     if objective == "pseudoloss":
-        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(n, 3, seed=0), **CG_DEFAULTS)
+        rep = hutchinson_pseudoloss(_batch(x, y, hp), hp, draw_probes(n, 3, seed=0),
+                                    **CG_DEFAULTS)
     elif objective == "sgpr":
         rep = sgpr_elbo(x, y, hp)
     elif objective == "exact_gp":
         rep = exact_gp_mll(x, y, hp)
     else:
-        rep = EXACT[objective](x, y, hp)
+        rep = EXACT[objective](_batch(x, y, hp), hp)
     assert rep.is_finite()
     expected = {
         "sgpr": ([(m, m), (n, m)], []),
@@ -482,7 +484,8 @@ def test_batch_holds_one_float64_k_zz_as_built():
     raw = matern32(z64, z64, hp.kernel)
     raw32 = raw.astype(np.float32)
     assert np.any((raw32 > 0) & (raw32 < tiny))  # the case is not vacuous
-    assert softki.objective.Batch._fields == ("x", "y", "w", "dist", "z", "k_zz", "e_zz")
+    assert softki.objective.Batch._fields == ("x", "y", "w", "dist", "z", "k_zz", "e_zz",
+                                               "beta2")
     for xb in (x, x.astype(np.float64)):
         batch = _batch(xb, y, hp)
         assert batch.z.dtype == batch.k_zz.dtype == batch.e_zz.dtype == np.float64
@@ -504,7 +507,7 @@ def test_float64_batch_hands_the_n_side_the_k_zz_it_factors(monkeypatch):
         return factor(m)
 
     monkeypatch.setattr(softki.linalg, "cholesky_upper", spy)
-    exact_mll(x, y, hp, batch=batch)
+    exact_mll(batch, hp)
     assert factored[0] is batch.k_zz
 
 
@@ -548,11 +551,11 @@ def test_float32_k_zz_products_hold_no_subnormals(gap, lengthscale):
                      temperatures=np.ones(2))
     with pytest.MonkeyPatch.context() as patch:
         casts = spy_casts(patch)
-        exact_mll(x, y, hp)
+        exact_mll(_batch(x, y, hp), hp)
         assert_no_subnormal_reaches_w(casts, 2)
         casts.clear()
-        rep = hutchinson_pseudoloss(x, y, hp, draw_probes(y.shape[0], 10, seed=0),
-                                    **CG_DEFAULTS)
+        rep = hutchinson_pseudoloss(_batch(x, y, hp), hp,
+                                    draw_probes(y.shape[0], 10, seed=0), **CG_DEFAULTS)
         # one matvec per iteration and one for the true residual, then K_zz W^T S
         assert_no_subnormal_reaches_w(casts, rep.diagnostics["cg_iterations"] + 2)
 
@@ -563,7 +566,7 @@ def test_exact_gradient_factor_reaches_w_without_its_subnormals(monkeypatch):
     # without (one BLAS thread)
     x, y, hp = clustered_fallback_batch()
     casts = spy_casts(monkeypatch)
-    exact_mll(x, y, hp)
+    exact_mll(_batch(x, y, hp), hp)
     tiny = np.finfo(np.float32).tiny
     raw32 = casts[0][0].astype(np.float32)
     assert np.any((raw32 != 0) & (np.abs(raw32) < tiny))  # the case is not vacuous
@@ -584,8 +587,8 @@ def test_batch_zeroes_w_entries_below_the_smallest_normal():
 @pytest.mark.parametrize("path", ["lowrank", "dense"])
 def test_flushed_float32_exact_matches_the_float64_dense_referee(path):
     x, y, hp = split_cluster_batch()
-    ref = dense_exact_mll(x.astype(np.float64), y.astype(np.float64), hp)
-    rep = EXACT[path](x, y, hp)
+    ref = dense_exact_mll(_batch(x.astype(np.float64), y.astype(np.float64), hp), hp)
+    rep = EXACT[path](_batch(x, y, hp), hp)
     assert rep.mode_used == "exact"
     assert_float32_matches(rep, ref)
 
@@ -598,9 +601,10 @@ def test_flushed_float32_pseudoloss_matches_the_float64_referee():
     # unit-norm probes: with u = D^-1 [y, probes] the value is -(y^T D^-1 y + 1) / 2
     _, _, d_mat = dense_pieces(x64, hp)
     dense_value = -0.5 * (y64 @ np.linalg.solve(d_mat, y64) + 1.0)
-    ref = hutchinson_pseudoloss(x64, y64, hp, probes, cg_tol=1e-12, cg_max_iters=2000)
+    ref = hutchinson_pseudoloss(_batch(x64, y64, hp), hp, probes, cg_tol=1e-12,
+                                cg_max_iters=2000)
     assert ref.value == pytest.approx(dense_value, rel=1e-10)
-    rep = hutchinson_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
+    rep = hutchinson_pseudoloss(_batch(x, y, hp), hp, probes, **CG_DEFAULTS)
     assert_float32_matches(rep, ref)
 
 
@@ -626,7 +630,7 @@ def perturbed_value(x, y, hp, name, index, h):
         kernel=MaternParams(lengthscales=ell, outputscale=s2),
         z=z, temperatures=temps,
     )
-    return exact_mll(x, y, hp2).value
+    return exact_mll(_batch(x, y, hp2), hp2).value
 
 
 def central_differences(x, y, hp, h=1e-6):
@@ -650,7 +654,7 @@ def central_differences(x, y, hp, h=1e-6):
 def test_exact_gradients_match_central_differences():
     for seed in (0, 1, 2):
         x, y, hp = random_instance(seed, n=12, m=3, d=2)
-        rep = exact_mll(x, y, hp)
+        rep = exact_mll(_batch(x, y, hp), hp)
         numeric = central_differences(x, y, hp)
         analytic = flat_grads(rep.gradients)
         scale = np.maximum(np.abs(numeric), 1e-6)
@@ -661,7 +665,7 @@ def test_gradients_finite_whenever_value_finite():
     for seed in range(8):
         x, y, hp = random_instance(seed, n=30, m=6, d=3,
                                    noise=float(10.0 ** -(seed % 4)))
-        rep = exact_mll(x, y, hp)
+        rep = exact_mll(_batch(x, y, hp), hp)
         if np.isfinite(rep.value):
             assert rep.is_finite()
 
@@ -672,7 +676,7 @@ def test_batch_sum_gradient_decomposition():
     x, y, hp = random_instance(5, n=48, m=4)
     batches = [slice(i, i + 8) for i in range(0, 48, 8)]
 
-    reports = [exact_mll(x[b], y[b], hp) for b in batches]
+    reports = [exact_mll(_batch(x[b], y[b], hp), hp) for b in batches]
     summed = np.sum([flat_grads(r.gradients) for r in reports], axis=0)
     reversed_sum = np.sum([flat_grads(r.gradients) for r in reversed(reports)],
                           axis=0)
@@ -706,11 +710,11 @@ def test_pseudoloss_reports_which_cg_stop_happened():
     x, y, hp = split_cluster_batch()
     hp = Hyperparams(noise=1e-3, kernel=hp.kernel, z=hp.z, temperatures=hp.temperatures)
     probes = draw_probes(y.shape[0], 10, seed=0)
-    rep = hutchinson_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
+    rep = hutchinson_pseudoloss(_batch(x, y, hp), hp, probes, **CG_DEFAULTS)
     assert not rep.diagnostics["cg_converged"]
     assert not rep.diagnostics["cg_hit_cap"]
-    capped = hutchinson_pseudoloss(x, y, hp, probes, cg_tol=CG_DEFAULTS["cg_tol"],
-                                   cg_max_iters=1)
+    capped = hutchinson_pseudoloss(_batch(x, y, hp), hp, probes,
+                                   cg_tol=CG_DEFAULTS["cg_tol"], cg_max_iters=1)
     assert not capped.diagnostics["cg_converged"]
     assert capped.diagnostics["cg_hit_cap"]
 
@@ -742,7 +746,7 @@ def test_pseudoloss_identity_operator_value():
         kernel=MaternParams(lengthscales=[1.0], outputscale=1e-14),
         z=[[0.0]], temperatures=[1.0],
     )
-    rep = hutchinson_pseudoloss(x, y, hp, draw_probes(n, 5, seed=1),
+    rep = hutchinson_pseudoloss(_batch(x, y, hp), hp, draw_probes(n, 5, seed=1),
                                 cg_tol=1e-12, cg_max_iters=CG_DEFAULTS["cg_max_iters"])
     assert rep.value == pytest.approx(-0.5 * (y @ y + 1.0), rel=1e-8)
     assert rep.mode_used == "pseudoloss"
@@ -810,7 +814,7 @@ def test_pseudoloss_matches_the_n_space_referee(monkeypatch, batch, dtype):
         return assemble(*args)
 
     monkeypatch.setattr(softki.objective, "_assemble_gradients", spy)
-    rep = hutchinson_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
+    rep = hutchinson_pseudoloss(_batch(x, y, hp), hp, probes, **CG_DEFAULTS)
     value, sens, cg = n_space_pseudoloss(x, y, hp, probes, **CG_DEFAULTS)
 
     assert rep.diagnostics == {
@@ -831,8 +835,8 @@ def test_pseudoloss_matches_the_n_space_referee(monkeypatch, batch, dtype):
 
 def test_pseudoloss_gradient_cosine_against_exact():
     x, y, hp = random_instance(3, n=64, m=8)
-    exact = exact_mll(x, y, hp)
-    pseudo = hutchinson_pseudoloss(x, y, hp, draw_probes(64, 500, seed=11),
+    exact = exact_mll(_batch(x, y, hp), hp)
+    pseudo = hutchinson_pseudoloss(_batch(x, y, hp), hp, draw_probes(64, 500, seed=11),
                                    cg_tol=1e-10, cg_max_iters=2000)
     ge, gp = flat_grads(exact.gradients), flat_grads(pseudo.gradients)
     cosine = ge @ gp / (np.linalg.norm(ge) * np.linalg.norm(gp))
@@ -843,7 +847,7 @@ def test_pseudoloss_noise_gradient_scales_probe_trace_by_batch_size():
     n, ell = 32, 50
     x, y, hp = random_instance(4, n=n, m=4)
     probes = draw_probes(n, ell, seed=2)
-    rep = hutchinson_pseudoloss(x, y, hp, probes, cg_tol=1e-12,
+    rep = hutchinson_pseudoloss(_batch(x, y, hp), hp, probes, cg_tol=1e-12,
                                 cg_max_iters=CG_DEFAULTS["cg_max_iters"])
     # dense solves D [u_0, U] = [y, probes]; the trace term carries the factor n
     _, _, d_mat = dense_pieces(x, hp)
@@ -865,7 +869,7 @@ def test_auto_mode_uses_exact_on_stable_batch():
 
 def test_forced_pseudoloss_tracks_exact_gradients():
     x, y, hp = random_instance(7, n=64, m=8)
-    exact = exact_mll(x, y, hp)
+    exact = exact_mll(_batch(x, y, hp), hp)
     rep = stabilized_objective(
         x, y, hp,
         TrainConfig(objective_mode="pseudoloss", probes=500, cg_tol=1e-10,
@@ -885,7 +889,7 @@ def test_near_coincident_float32_stays_exact(seed):
     # built and factored in float64 it takes rung 0 (measured against the
     # float64 referee: value 1.2e-6 to 6.7e-6, gradients 2.2e-5 to 6.6e-5)
     x, y, hp = near_coincident_batch(seed)
-    ref = dense_exact_mll(x.astype(np.float64), y.astype(np.float64), hp)
+    ref = dense_exact_mll(_batch(x.astype(np.float64), y.astype(np.float64), hp), hp)
     rep = stabilized_objective(x, y, hp, TrainConfig(objective_mode="auto", dtype="float32"))
     assert rep.mode_used == "exact"
     assert "fallback_reason" not in rep.diagnostics
@@ -956,9 +960,10 @@ def test_training_step_peak_allocation(objective, n, bound):
                      z=x[rng.choice(n, m, replace=False)],
                      temperatures=() if objective == "sgpr_elbo" else np.ones(2))
     probes = draw_probes(n, TrainConfig().probes, seed=0)
-    call = {"exact_mll": exact_mll, "sgpr_elbo": sgpr_elbo,
+    call = {"exact_mll": lambda x, y, hp: exact_mll(_batch(x, y, hp), hp),
+            "sgpr_elbo": sgpr_elbo,
             "hutchinson_pseudoloss": lambda x, y, hp: hutchinson_pseudoloss(
-                x, y, hp, probes, **CG_DEFAULTS)}[objective]
+                _batch(x, y, hp), hp, probes, **CG_DEFAULTS)}[objective]
     call(x, y, hp)  # warm caches outside the measurement
     tracemalloc.start()
     try:

@@ -551,12 +551,12 @@ def test_a_failed_batch_leaves_the_epoch_objective_to_the_others(monkeypatch):
     exact = softki.objective.exact_mll
     values = []  # per-point value of each batch, None for the one that fails
 
-    def first_call_fails(x, *args, **kwargs):
+    def first_call_fails(b, hp):
         if not values:
             values.append(None)
             return softki.objective.ObjectiveReport(float("nan"), {}, "exact")
-        report = exact(x, *args, **kwargs)
-        values.append(report.value / len(x))
+        report = exact(b, hp)
+        values.append(report.value / len(b.y))
         return report
 
     monkeypatch.setattr(softki.objective, "exact_mll", first_call_fails)
