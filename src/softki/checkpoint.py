@@ -1,40 +1,40 @@
 """Versioned single-file checkpoint format.
 
-``Checkpoint(posterior, stats, n)`` holds a fitted ``posterior.Posterior``,
-the standardization statistics of its training split and the training-set
-size. On disk it is a text header (magic + format version, variant, n, m, d,
-the statistics, noise and outputscale in decimal, then a ``sha256`` line)
-ended by an ``end-header`` line, then five length-prefixed little-endian
-float64 arrays: z, temperatures, lengthscales, v, p. These are exactly what
-prediction reads: the arrays of the posterior's ``interp.Hyperparams`` and
-its fit-time v and m x m p, which is softki's upper root T and SGPR's and
-exact's P (see posterior.py). The variant is a key of ``posterior.MODELS``,
-and its row says what the file must hold: temperatures only for a model that
-learns them (softki), training inputs as the points of a model that learns
-none (exact, so m = n), and an upper-triangular p where p is a root. p is
-stored and read back C-ordered, the layout the live posterior holds it in.
+A checkpoint is a fitted ``posterior.Posterior``: its model, hyperparameters,
+v and m x m p, and the standardization statistics of its training data.
+``save_checkpoint(path, post)`` writes it and ``load_checkpoint(path)``
+returns it, so what is loaded is what ``predict`` takes. On disk it is a text
+header (magic + format version, variant, m, d, the statistics, noise and
+outputscale in decimal, then a ``sha256`` line) ended by an ``end-header``
+line, then five length-prefixed little-endian float64 arrays: z,
+temperatures, lengthscales, v, p. These are exactly what prediction reads:
+the arrays of the posterior's ``interp.Hyperparams`` and its fit-time v and
+p, which is softki's upper root T and SGPR's and exact's P (see
+posterior.py). The variant is a key of ``posterior.MODELS``, and its row says
+what the file must hold: temperatures only for a model that learns them
+(softki). p is stored and read back C-ordered, the layout the live posterior
+holds it in.
 
 ``load_checkpoint`` raises ``ChecksumOrVersionMismatch``, naming the field,
-for a wrong magic or version (a v2 file holds P where softki's root now is,
-a v1 file an older checksum; neither is converted), a missing or unparsable
-header key, a sha256 that does not match the header lines above it and the
-payload (so an edited scalar is caught like a flipped payload byte), a
-truncated or overlong payload, and then, so that a file with a recomputed
-sha256 is still caught where it is read: a variant ``posterior.MODELS`` does
-not know, a training-set size n < 1 (or n != m for exact, whose points are
-its inputs), an array whose size does not fit the variant, m and d (x_mean,
-x_std and lengthscales have d entries; temperatures has d for softki and
-none for sgpr and exact), a nan or inf in v or p, a softki root with a
-non-zero entry below its diagonal (which prediction's triangular product
-would silently ignore), and any value the rebuilt ``Standardization``,
-``MaternParams`` and ``Hyperparams`` records reject (nan, inf or values <= 0
-in noise, outputscale, the stds and temperatures; nan or inf in z and the
-means; lengthscales outside their bounds).
+for a wrong magic or version (a v3 file carries a training-set size that
+nothing read, a v2 file holds P where softki's root now is, a v1 file an
+older checksum; none is converted), a missing or unparsable header key, a
+sha256 that does not match the header lines above it and the payload (so an
+edited scalar is caught like a flipped payload byte), a truncated or
+overlong payload, and then, so that a file with a recomputed sha256 is still
+caught where it is read: a variant ``posterior.MODELS`` does not know, an
+array whose size does not fit the variant, m and d (lengthscales have d
+entries; temperatures have d for softki and none for sgpr and exact), and
+any value the rebuilt ``Standardization``, ``MaternParams``,
+``Hyperparams`` and ``Posterior`` records reject (nan, inf or values <= 0 in
+noise, outputscale, the stds and temperatures; nan or inf in z, the means, v
+and p; lengthscales outside their bounds; statistics of another d; a softki
+root with a non-zero entry below its diagonal).
 """
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,21 +45,9 @@ from .kernel import MaternParams
 from .posterior import MODELS, Posterior, predict_mean, predict_var
 
 MAGIC = "softki-checkpoint"
-VERSION = 3
+VERSION = 4
 
 _ARRAY_ORDER = ("z", "temperatures", "lengthscales", "v", "p")
-
-
-@dataclass
-class Checkpoint:
-    posterior: Posterior
-    stats: Standardization
-    n: int                         # training-set size
-
-    @property
-    def noise(self) -> float:
-        """Benchmark shim: perfbench/worker.py reads ``load_checkpoint(...).noise``."""
-        return self.posterior.hp.noise
 
 
 def _fmt_floats(values) -> str:
@@ -71,8 +59,8 @@ def _pack_array(arr: np.ndarray) -> bytes:
     return struct.pack("<Q", flat.size) + flat.tobytes()
 
 
-def save_checkpoint(path, ck: Checkpoint) -> None:
-    post, hp = ck.posterior, ck.posterior.hp
+def save_checkpoint(path, post: Posterior) -> None:
+    hp, stats = post.hp, post.stats
     m, d = hp.z.shape
     arrays = (hp.z, hp.temperatures, hp.kernel.lengthscales, post.v, post.p)
     payload = b"".join(map(_pack_array, arrays))
@@ -81,13 +69,12 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
         for line in (
             f"{MAGIC} v{VERSION}",
             f"variant {post.variant}",
-            f"n {ck.n}",
             f"m {m}",
             f"d {d}",
-            f"x_mean {_fmt_floats(ck.stats.x_mean)}",
-            f"x_std {_fmt_floats(ck.stats.x_std)}",
-            f"y_mean {_fmt_floats(ck.stats.y_mean)}",
-            f"y_std {_fmt_floats(ck.stats.y_std)}",
+            f"x_mean {_fmt_floats(stats.x_mean)}",
+            f"x_std {_fmt_floats(stats.x_std)}",
+            f"y_mean {_fmt_floats(stats.y_mean)}",
+            f"y_std {_fmt_floats(stats.y_std)}",
             f"noise {_fmt_floats(hp.noise)}",
             f"outputscale {_fmt_floats(hp.kernel.outputscale)}",
         )
@@ -113,7 +100,7 @@ def _read_arrays(buf: bytes):
     return arrays
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path) -> Posterior:
     with open(path, "rb") as fh:
         blob = fh.read()
     marker = b"end-header\n"
@@ -135,7 +122,7 @@ def load_checkpoint(path) -> Checkpoint:
     # unparsable key is named in the error
     try:
         variant = fields["variant"]
-        n, m, d = (int(fields[k]) for k in ("n", "m", "d"))
+        m, d = (int(fields[k]) for k in ("m", "d"))
         x_mean, x_std = (np.array([float(s) for s in fields[k].split()])
                          for k in ("x_mean", "x_std"))
         y_mean, y_std, noise, outputscale = (
@@ -153,45 +140,34 @@ def load_checkpoint(path) -> Checkpoint:
     row = MODELS.get(variant)
     if row is None:
         raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {variant!r}")
-    if n < 1 or ("z" not in row.params and n != m):
-        raise ChecksumOrVersionMismatch(f"checkpoint n = {n} must be >= 1, and equal "
-                                        f"m = {m} where the points are the inputs")
-    arrays = dict(zip(_ARRAY_ORDER, _read_arrays(payload)), x_mean=x_mean, x_std=x_std)
-    shapes = (("z", (m, d)), ("v", (m,)), ("p", (m, m)), ("lengthscales", (d,)),
-              ("temperatures", (d if "temperatures" in row.params else 0,)),
-              ("x_mean", (d,)), ("x_std", (d,)))
+    arrays = dict(zip(_ARRAY_ORDER, _read_arrays(payload)))
+    shapes = (("z", (m, d)), ("p", (m, m)), ("lengthscales", (d,)),
+              ("temperatures", (d if "temperatures" in row.params else 0,)))
     for name, shape in shapes:
         if min(shape) < 0 or arrays[name].size != np.prod(shape):
             raise ChecksumOrVersionMismatch(
                 f"checkpoint {name} has {arrays[name].size} values, but a {variant} "
                 f"file with m={m} and d={d} needs {shape}")
         arrays[name] = arrays[name].reshape(shape)
-    for name in ("v", "p"):
-        if not np.all(np.isfinite(arrays[name])):
-            raise ChecksumOrVersionMismatch(f"checkpoint {name} has non-finite entries")
-    if row.root and np.any(np.tril(arrays["p"], -1)):
-        raise ChecksumOrVersionMismatch(f"checkpoint p, {variant}'s upper root T, "
-                                        "has non-zero entries below its diagonal")
     # each record checks its own fields; their messages name the field
     try:
-        stats = Standardization(arrays["x_mean"], arrays["x_std"], y_mean, y_std)
+        stats = Standardization(x_mean, x_std, y_mean, y_std)
         kernel = MaternParams(arrays["lengthscales"], outputscale)
         hp = Hyperparams(noise, kernel, arrays["z"], arrays["temperatures"])
+        return Posterior(variant, hp, arrays["v"], arrays["p"], stats)
     except SoftKIError as err:
         raise ChecksumOrVersionMismatch(f"invalid checkpoint: {err}") from None
-    return Checkpoint(Posterior(variant, hp, arrays["v"], arrays["p"]), stats, n)
 
 
-# benchmark shims: perfbench/worker.py calls these two
-def bundle_softki(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
-    return Checkpoint(post, stats, n)
+# benchmark shims: perfbench/worker.py calls these two; n is not stored
+def bundle_softki(post: Posterior, stats: Standardization, n: int) -> Posterior:
+    return replace(post, stats=stats)
 
 
-def bundle_sgpr(post: Posterior, stats: Standardization, n: int) -> Checkpoint:
-    return Checkpoint(post, stats, n)
+def bundle_sgpr(post: Posterior, stats: Standardization, n: int) -> Posterior:
+    return replace(post, stats=stats)
 
 
-def restore(ck: Checkpoint):
-    """A predictor (predict_mean/predict_var pair) from a checkpoint."""
-    post = ck.posterior
+def restore(post: Posterior):
+    """A predictor (predict_mean/predict_var pair) from a posterior."""
     return (lambda xs: predict_mean(post, xs)), (lambda xs: predict_var(post, xs))

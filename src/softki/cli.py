@@ -19,16 +19,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import report as rpt
-from .data import (
-    Dataset,
-    apply_stats,
-    identity_stats,
-    integer,
-    load_csv,
-    ricker_raw,
-    split_raw,
-    standardize,
-)
+from .data import apply_stats, integer, load_csv, ricker_raw, split_raw, standardize
 from .errors import (
     DimensionMismatch,
     EmptySplit,
@@ -183,16 +174,10 @@ def _load_raw(values: dict):
 
 
 def _load_split(values: dict):
+    """(train, test) of the --data source; raw splits carry no statistics, so
+    the posterior fit on them holds the identity ones."""
     raw_tr, raw_te = _load_raw(values)
-    if values["standardize"]:
-        return standardize(raw_tr, raw_te)
-    # raw passthrough; identity statistics keep checkpoints and the
-    # raw-scale metrics well defined
-    stats = identity_stats(raw_tr.x.shape[1])
-    return (
-        Dataset(x=raw_tr.x, y=raw_tr.y, stats=stats, split="train"),
-        Dataset(x=raw_te.x, y=raw_te.y, stats=stats, split="test"),
-    )
+    return standardize(raw_tr, raw_te) if values["standardize"] else (raw_tr, raw_te)
 
 
 def _train_config(values: dict) -> TrainConfig:
@@ -200,12 +185,12 @@ def _train_config(values: dict) -> TrainConfig:
                           for key, opt in TRAIN_OPTS.items() if opt.field})
 
 
-def _scored(post, stats, xs: np.ndarray, ys: np.ndarray):
+def _scored(post, xs: np.ndarray, ys: np.ndarray):
     """(metrics, mean, var) of post's predictions at standardized (xs, ys);
     raises NonFiniteResult naming the first metric that is nan or inf."""
     mean, var = predict(post, xs)
     rmse, nll = score(ys, mean, var, post.hp.noise)
-    metrics = {"rmse": rmse, "nll": nll, "rmse_raw": rmse * stats.y_std}
+    metrics = {"rmse": rmse, "nll": nll, "rmse_raw": rmse * post.stats.y_std}
     for key, value in metrics.items():
         if not np.isfinite(value):
             bad = np.count_nonzero(~(np.isfinite(mean) & np.isfinite(var)))
@@ -217,16 +202,11 @@ def _scored(post, stats, xs: np.ndarray, ys: np.ndarray):
 def _train_model(values: dict, cfg: TrainConfig, train_data, test_data) -> dict:
     hp, trace = train(train_data, cfg, values["model"])
     post = fit(values["model"], train_data, hp)
-    stats = train_data.stats
     if len(test_data) > 0:
-        metrics = _scored(post, stats, test_data.x, test_data.y)[0]
+        metrics = _scored(post, test_data.x, test_data.y)[0]
     else:
         metrics = dict.fromkeys(("rmse", "nll", "rmse_raw"), float("nan"))
-    return {
-        "metrics": metrics,
-        "trace": trace,
-        "checkpoint": ckpt.Checkpoint(post, stats, len(train_data)),
-    }
+    return {"metrics": metrics, "trace": trace, "posterior": post}
 
 
 # --------------------------------------------------------------------------
@@ -237,9 +217,9 @@ def cmd_train(values: dict, outdir: Path) -> int:
     cfg = _train_config(values)  # a bad config field fails before the data is read
     train_data, test_data = _load_split(values)
     result = _train_model(values, cfg, train_data, test_data)
-    trace, ck = result["trace"], result["checkpoint"]
-    ckpt.save_checkpoint(outdir / "checkpoint.bin", ck)
-    hp = ck.posterior.hp
+    trace, post = result["trace"], result["posterior"]
+    ckpt.save_checkpoint(outdir / "checkpoint.bin", post)
+    hp = post.hp
 
     objectives = trace.epoch_objectives
     lines = list(values.items()) + [
@@ -257,7 +237,7 @@ def cmd_train(values: dict, outdir: Path) -> int:
         ("failed_batches", trace.failed_batches),
     ] + [(f"mode_{mode}", count) for mode, count in sorted(trace.mode_counts.items())]
     lines += [(f"fit_{key}", value)
-              for key, value in sorted(ck.posterior.diagnostics.items())]
+              for key, value in sorted(post.diagnostics.items())]
     rpt.write_kv(outdir / "report.txt", lines)
 
     rpt.write_csv(
@@ -277,8 +257,8 @@ def cmd_train(values: dict, outdir: Path) -> int:
 
 
 def cmd_eval(values: dict, outdir: Path) -> int:
-    ck = ckpt.load_checkpoint(values["checkpoint"])
-    post, stats = ck.posterior, ck.stats
+    post = ckpt.load_checkpoint(values["checkpoint"])
+    stats = post.stats
     raw_tr, raw_te = _load_raw(values)
     raw = raw_tr if values["split"] == "train" else raw_te
     if len(raw) == 0:
@@ -287,7 +267,7 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     if raw.x.shape[1] != d:
         raise DimensionMismatch(f"checkpoint expects d={d}, data has d={raw.x.shape[1]}")
     xs, ys = apply_stats(raw.x, raw.y, stats)
-    metrics, mean, var = _scored(post, stats, xs, ys)
+    metrics, mean, var = _scored(post, xs, ys)
 
     lines = list(values.items()) + [
         ("variant", post.variant),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import points, real
 from .errors import DimensionMismatch, NonFiniteInput
-from .kernel import MaternParams, matern32, scaled_distance
+from .kernel import MaternParams, far_rows, matern32, scaled_distance
 
 
 @dataclass
@@ -45,16 +45,17 @@ class Hyperparams:
         if self.kernel.lengthscales.shape[0] != self.z.shape[1]:
             raise DimensionMismatch(f"{self.kernel.lengthscales.shape[0]} lengthscales "
                                     f"for d={self.z.shape[1]}")
-        # the distances of training and prediction sum these squares, and the
-        # softmax divides x by the temperatures: a z row whose sums overflow,
-        # or a temperature whose 1/T^2 does, turns every prediction into nan
+        # the softmax sums z's squares against data and divides x by the
+        # temperatures, and K_zz pairs the scaled z with itself: a z row whose
+        # squares or K_zz pairs overflow, or a temperature whose 1/T^2 does,
+        # turns every prediction into nan
         z = self.z.astype(float, copy=False)
         with np.errstate(over="ignore"):
-            fits = (np.isfinite(np.sum(z**2, axis=1))
-                    & np.isfinite(np.sum((z / self.kernel.lengthscales)**2, axis=1)))
+            zz = np.sum((z / self.kernel.lengthscales)**2, axis=1)
+            far = ~np.isfinite(np.sum(z**2, axis=1)) | far_rows(zz, zz)
             t_fits = np.isfinite(self.temperatures.astype(float, copy=False) ** -2.0)
-        if not fits.all():
-            raise NonFiniteInput(f"z row {np.argmin(fits)} (0-based) overflows the "
+        if far.any():
+            raise NonFiniteInput(f"z row {np.argmax(far)} (0-based) overflows the "
                                  "squared distance in float64")
         if not t_fits.all():
             raise NonFiniteInput(f"temperatures[{np.argmin(t_fits)}]: 1/T^2 overflows float64")

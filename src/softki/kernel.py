@@ -42,6 +42,21 @@ class MaternParams:
         self.outputscale = real(self.outputscale, "outputscale", 0.0)
 
 
+def far_rows(sq: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Which rows form a pair with a row of other, no larger than their own,
+    whose squared distance can overflow.
+
+    sq and other hold the rows' scaled squared norms, in the distance's
+    dtype. A pair overflows the expanded form |a|^2 + |b|^2 - 2 a.b when
+    |a|^2 + |b|^2 + 2|a||b| = (|a| + |b|)^2 exceeds the dtype's max, which
+    is compared here as |a| + |b| against its root, where nothing overflows.
+    Pairing a row with other's largest norm up to its own names the farther
+    row of each such pair, and only it. An inf norm is far; a nan one is not.
+    """
+    partner = np.minimum(sq, np.fmax.reduce(other, initial=0.0))
+    return np.sqrt(sq) + np.sqrt(partner) > np.sqrt(np.finfo(sq.dtype).max)
+
+
 def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
                     out: np.ndarray | None = None,
                     scratch: np.ndarray | None = None) -> np.ndarray:
@@ -50,10 +65,11 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
     out and scratch, when given, are distinct C-ordered (n, m) arrays of x's
     dtype: the result is written into out and the cross term into scratch,
     which is left holding garbage. Without them both are new arrays; the
-    arithmetic is the same either way. Raises NonFiniteInput, with its row,
-    for the first row of x whose scaled squared norm overflows x's dtype
-    (or holds an inf): the row sums below are what it reads, so the check
-    costs one pass over n values, and such a row prints no warning.
+    arithmetic is the same either way. Raises NonFiniteInput when a pair
+    can overflow x's dtype, naming the first far row (``far_rows``) of x,
+    else of z; ``row`` is set to an x row's index. The row sums below are
+    what the check reads, so it costs a pass over n + m values, and a far
+    row prints no warning.
     """
     x = np.asarray(x)
     z = np.asarray(z)
@@ -61,19 +77,19 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
         raise DimensionMismatch(f"x has d={x.shape[1]} but z has d={z.shape[1]}")
     ell = np.asarray(lengthscales, dtype=x.dtype)
     with np.errstate(over="ignore"):
-        xs = x / ell
-        xx = np.sum(xs * xs, axis=1)
-    if np.isinf(xx).any():  # a nan row is left to give nan distances
-        row = int(np.argmax(np.isinf(xx)))
-        raise NonFiniteInput(f"x row {row} (0-based) overflows the squared distance "
-                             f"in {x.dtype}", row)
-    zs = z / ell
+        xs, zs = x / ell, z / ell
+        xx, zz = np.sum(xs * xs, axis=1), np.sum(zs * zs, axis=1)
+    for name, far in (("x", far_rows(xx, zz)), ("z", far_rows(zz, xx))):
+        if far.any():  # a nan row is left to give nan distances
+            row = int(np.argmax(far))
+            raise NonFiniteInput(f"{name} row {row} (0-based) overflows the squared "
+                                 f"distance in {x.dtype}", row if name == "x" else None)
     # 2 x.z: doubling xs is exact, so this is bitwise the doubled product
     cross = np.matmul(xs * 2.0, zs.T, out=scratch)
     # |x|^2 + |z|^2 as a broadcast copy of |z|^2 plus |x|^2 (addition commutes
     # exactly): one broadcast operand in the ufunc instead of add.outer's two
     sq = np.empty_like(cross) if out is None else out
-    np.copyto(sq, np.sum(zs * zs, axis=1))
+    np.copyto(sq, zz)
     sq += xx[:, None]
     sq -= cross
     # expanded-norm form can go slightly negative from cancellation

@@ -170,10 +170,7 @@ def tri_inverse_upper(r: np.ndarray) -> np.ndarray:
     """
     r = _check_triangular(r)
     trtri, = scipy.linalg.get_lapack_funcs(("trtri",), (r,))
-    inv, info = trtri(r, lower=0)
-    if info > 0:
-        raise SingularTriangular(f"exact zero at diagonal entry {info - 1} (0-based)")
-    return inv
+    return trtri(r, lower=0)[0]
 
 
 def chol_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,9 +192,7 @@ def chol_inverse(u: np.ndarray) -> np.ndarray:
     """
     u = _check_triangular(u)
     potri, = scipy.linalg.get_lapack_funcs(("potri",), (u,))
-    inv, info = potri(u, lower=0)
-    if info > 0:
-        raise SingularTriangular(f"exact zero at diagonal entry {info - 1} (0-based)")
+    inv = potri(u, lower=0)[0]
     n = inv.shape[0]
     for j0 in range(0, n, _MIRROR_BLOCK):
         j1 = min(j0 + _MIRROR_BLOCK, n)

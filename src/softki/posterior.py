@@ -33,7 +33,9 @@ Cholesky of K = K_XX + beta^2 I (``objective.exact_gp_mll``'s core), with
 the training inputs as its points.
 
 Every fitted model is a ``Posterior`` that predicts as mean = phi(x) v, with
-phi and the variance term from its row. v and an m x m matrix are computed
+phi and the variance term from its row. It carries the statistics of the
+data it was fit on and checks its own arrays, and it is what a checkpoint
+holds: ``checkpoint.load_checkpoint`` returns one. v and an m x m matrix are computed
 once at fit time, so a prediction is, per row block of the query, one
 feature build, one product with v and one m x m product; no factor is solved
 against per call. softki keeps the upper root T = R^-1 of the weights'
@@ -55,9 +57,10 @@ sizes the mean is bitwise, and the variance agrees to rounding: GEMM and
 16-row blocks against one 1100-row block differed by at most 2.0e-16 of max
 var for softki and 1.7e-14 for SGPR at m = 33 and 100.
 
-A query row whose scaled squared norm overflows its dtype raises
-NonFiniteInput naming the row: ``kernel.scaled_distance`` reads it off the
-row sums it forms, so far rows cost no extra pass and print no warning.
+A query row whose scaled squared distance to a point can overflow its dtype
+raises NonFiniteInput naming the row: ``kernel.scaled_distance`` reads it
+off the row sums it forms, so far rows cost no extra pass and print no
+warning.
 """
 
 from dataclasses import dataclass, field, replace
@@ -67,9 +70,9 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .data import Dataset, integer, points, real, stream
-from .errors import (InvalidConfig, NonFiniteInput, NonFiniteResult, RankDeficient,
-                     SoftKIError)
+from .data import Dataset, Standardization, identity_stats, integer, points, real, stream
+from .errors import (DimensionMismatch, InvalidConfig, NonFiniteInput, NonFiniteResult,
+                     RankDeficient, SoftKIError)
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
 from .objective import (_dense_gp, exact_gp_mll, sgpr_elbo, sgpr_workspace,
@@ -106,20 +109,47 @@ def model_row(name) -> Model:
 
 @dataclass
 class Posterior:
-    """A fitted model: mean = phi(x) v, var from p by its row's variance term."""
+    """A fitted model: mean = phi(x) v, var from p by its row's variance term.
+
+    It is what a checkpoint holds, and it checks its own arrays as the other
+    records do: DimensionMismatch for a v that is not (m,), a p that is not
+    (m, m) or statistics of another d than its points; InvalidConfig naming v
+    or p for a nan or inf in either, and for a root (its row's ``root``) with
+    a non-zero entry below its diagonal, which prediction's triangular
+    product would silently ignore."""
 
     variant: str               # a key of MODELS
     hp: Hyperparams
     v: np.ndarray              # (m,)
     p: np.ndarray              # (m, m): softki's upper root T, else the symmetric P
+    stats: Standardization | None = None  # of the fit data; None is the identity
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        model_row(self.variant)
+        row = model_row(self.variant)
+        m, d = self.hp.z.shape
+        if self.stats is None:
+            self.stats = identity_stats(d)
+        if self.stats.x_mean.shape != (d,):
+            raise DimensionMismatch(f"statistics of d={self.stats.x_mean.shape[0]} "
+                                    f"for points of d={d}")
+        self.v = real(self.v, "v", vector=(m,))
         # a checkpoint reads p back C-ordered, and the same layout here keeps
         # restored predictions bitwise equal to live ones. For softki it is
         # also the layout ?trmm reads without a copy: T.T is F-ordered
         self.p = np.ascontiguousarray(self.p)
+        if self.p.shape != (m, m):
+            raise DimensionMismatch(f"p must be ({m}, {m}) for m={m} points, "
+                                    f"got shape {self.p.shape}")
+        real(self.p.ravel(), "p", vector=True)
+        if row.root and np.tril(self.p, -1).any():  # the m x m copy lives only here
+            raise InvalidConfig(f"p, {self.variant}'s upper root T, has non-zero "
+                                "entries below its diagonal")
+
+    @property
+    def noise(self) -> float:
+        """Benchmark shim: perfbench/worker.py reads ``load_checkpoint(...).noise``."""
+        return self.hp.noise
 
 
 def _sum_of_squares(post, phi: np.ndarray) -> np.ndarray:
@@ -211,6 +241,8 @@ def _features(phi, hp, xs: np.ndarray, rows: slice, name: str) -> np.ndarray:
     try:
         return phi(hp, xs[rows])
     except NonFiniteInput as err:
+        if err.row is None:  # not a row of xs
+            raise
         far = rows.start + err.row
         raise NonFiniteInput(f"{name} row {far} (0-based) overflows the squared "
                              f"distance in {xs.dtype}", far) from None
@@ -307,12 +339,13 @@ MODELS["exact"] = MODELS["sgpr"]._replace(params=("noise", "lengthscales", "outp
 
 def fit(model: str, data: Dataset, hp) -> Posterior:
     """The posterior of model (a key of ``MODELS``) on data at hp, by its row's
-    fit. The posterior's record drops temperatures the model does not learn,
-    as its checkpoint must."""
+    fit, carrying data's statistics. The posterior's record drops temperatures
+    the model does not learn, as its checkpoint must."""
     row = model_row(model)
     if hp.temperatures.size and "temperatures" not in row.params:
         hp = replace(hp, temperatures=())
-    return Posterior(model, *row.fit(data, hp, row.phi))
+    hp, v, p, diagnostics = row.fit(data, hp, row.phi)
+    return Posterior(model, hp, v, p, data.stats, diagnostics)
 
 
 def fit_qr(data: Dataset, hp: Hyperparams) -> Posterior:

@@ -8,8 +8,7 @@ import pytest
 
 from softki import fit_qr
 from softki.baselines import sgpr_fit
-from softki.checkpoint import (MAGIC, VERSION, Checkpoint, load_checkpoint, restore,
-                               save_checkpoint)
+from softki.checkpoint import MAGIC, VERSION, load_checkpoint, restore, save_checkpoint
 from softki.cli import main
 from softki.data import Dataset, ricker_dataset
 from softki.errors import ChecksumOrVersionMismatch
@@ -34,13 +33,12 @@ def fitted():
 
 def test_round_trip_preserves_every_field(tmp_path, fitted):
     train, _, post = fitted
-    ck = Checkpoint(post, train.stats, len(train))
+    assert post.stats is train.stats  # the fit carries its data's statistics
     path = tmp_path / "model.bin"
-    save_checkpoint(path, ck)
-    back = load_checkpoint(path)
-    got = back.posterior
-    assert got.variant == "softki" and back.n == ck.n
-    assert got.hp.noise == post.hp.noise == back.noise
+    save_checkpoint(path, post)
+    got = load_checkpoint(path)
+    assert got.variant == "softki"
+    assert got.hp.noise == post.hp.noise == got.noise
     assert got.hp.kernel.outputscale == post.hp.kernel.outputscale
     pairs = {
         "z": (got.hp.z, post.hp.z),
@@ -54,18 +52,32 @@ def test_round_trip_preserves_every_field(tmp_path, fitted):
     # softki's p is its upper root T, held in the layout ?trmm reads uncopied
     assert np.array_equal(got.p, np.triu(got.p))
     assert got.p.flags.c_contiguous and post.p.flags.c_contiguous
-    assert np.array_equal(back.stats.x_mean, ck.stats.x_mean)
-    assert np.array_equal(back.stats.x_std, ck.stats.x_std)
-    assert back.stats.y_mean == ck.stats.y_mean
-    assert back.stats.y_std == ck.stats.y_std
+    assert np.array_equal(got.stats.x_mean, train.stats.x_mean)
+    assert np.array_equal(got.stats.x_std, train.stats.x_std)
+    assert got.stats.y_mean == train.stats.y_mean
+    assert got.stats.y_std == train.stats.y_std
+
+
+def test_a_fit_on_data_without_statistics_saves_and_loads_identity_ones(tmp_path, fitted):
+    # a Dataset as load_csv or split_raw return it has no statistics; its fit
+    # could not be saved ('NoneType' object has no attribute 'x_mean')
+    train, test, post = fitted
+    raw = fit("softki", Dataset(train.x, train.y), post.hp)
+    path = tmp_path / "raw.bin"
+    save_checkpoint(path, raw)
+    back = load_checkpoint(path)
+    for stats in (raw.stats, back.stats):
+        assert np.array_equal(stats.x_mean, [0.0, 0.0])
+        assert np.array_equal(stats.x_std, [1.0, 1.0])
+        assert (stats.y_mean, stats.y_std) == (0.0, 1.0)
+    assert np.array_equal(predict_var(back, test.x), predict_var(post, test.x))
 
 
 def test_save_is_byte_deterministic(tmp_path, fitted):
-    train, _, post = fitted
-    ck = Checkpoint(post, train.stats, len(train))
+    _, _, post = fitted
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_checkpoint(a, ck)
-    save_checkpoint(b, ck)
+    save_checkpoint(a, post)
+    save_checkpoint(b, post)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -75,26 +87,25 @@ def fit_variant(variant, fitted):
     if variant == "sgpr":
         hp = Hyperparams(noise=0.3, kernel=kernel,
                          z=np.random.default_rng(1).standard_normal((6, 2)))
-        return sgpr_fit(train, hp), len(train)
+        return sgpr_fit(train, hp)
     if variant == "exact":
         hp = Hyperparams(noise=0.1, kernel=kernel, z=np.empty((0, 2)))
-        return fit("exact", Dataset(train.x[:40], train.y[:40]), hp), 40
-    return post, len(train)
+        return fit("exact", Dataset(train.x[:40], train.y[:40]), hp)
+    return post
 
 
 @pytest.mark.parametrize("variant", list(MODELS))
 def test_restore_matches_the_live_posterior(tmp_path, fitted, variant):
-    train, test, _ = fitted
-    post, n = fit_variant(variant, fitted)
+    _, test, _ = fitted
+    post = fit_variant(variant, fitted)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, Checkpoint(post, train.stats, n))
-    loaded = load_checkpoint(path)
-    back = loaded.posterior
+    save_checkpoint(path, post)
+    back = load_checkpoint(path)
     m = post.hp.z.shape[0]
-    assert back.variant == variant and loaded.n == n
+    assert back.variant == variant
     assert back.p.shape == (m, m) and back.v.shape == (m,)
     assert back.hp.temperatures.size == (2 if variant == "softki" else 0)
-    mean_fn, var_fn = restore(loaded)
+    mean_fn, var_fn = restore(back)
     assert np.array_equal(mean_fn(test.x), predict_mean(post, test.x))
     var = var_fn(test.x)
     assert np.array_equal(var, predict_var(post, test.x))
@@ -103,7 +114,7 @@ def test_restore_matches_the_live_posterior(tmp_path, fitted, variant):
 
 def test_exact_fit_is_the_dense_posterior_on_the_inputs_and_round_trips(tmp_path, fitted):
     # a record with 16 points of its own: the exact GP's points are still its
-    # 120 inputs, so its checkpoint holds n = m = 120
+    # 120 inputs, so its checkpoint holds m = 120
     train, test, _ = fitted
     hp = Hyperparams(noise=0.2, kernel=MaternParams(lengthscales=[1.0, 1.2], outputscale=0.8),
                      z=np.random.default_rng(2).standard_normal((16, 2)))
@@ -112,8 +123,8 @@ def test_exact_fit_is_the_dense_posterior_on_the_inputs_and_round_trips(tmp_path
     assert post.variant == "exact" and np.array_equal(post.hp.z, train.x)
     assert np.array_equal(post.v, v) and np.array_equal(post.p, p)
     path = tmp_path / "exact.bin"
-    save_checkpoint(path, Checkpoint(post, train.stats, len(train)))
-    back = load_checkpoint(path).posterior
+    save_checkpoint(path, post)
+    back = load_checkpoint(path)
     assert back.variant == "exact" and np.array_equal(back.hp.z, train.x)
     for got, want in zip(predict(back, test.x), predict(post, test.x)):
         assert np.array_equal(got, want)
@@ -126,8 +137,8 @@ def test_a_fit_keeps_only_the_temperatures_its_model_learns(tmp_path, fitted, va
     post = fit(variant, train, softki_post.hp)
     assert post.hp.temperatures.shape == (0,)
     path = tmp_path / f"{variant}.bin"
-    save_checkpoint(path, Checkpoint(post, train.stats, len(train)))
-    back = load_checkpoint(path).posterior
+    save_checkpoint(path, post)
+    back = load_checkpoint(path)
     assert np.array_equal(predict_mean(back, test.x), predict_mean(post, test.x))
 
 
@@ -135,9 +146,8 @@ def test_a_fit_keeps_only_the_temperatures_its_model_learns(tmp_path, fitted, va
 
 
 def saved_bytes(tmp_path, fitted):
-    train, _, post = fitted
     path = tmp_path / "model.bin"
-    save_checkpoint(path, Checkpoint(post, train.stats, len(train)))
+    save_checkpoint(path, fitted[2])
     return path, path.read_bytes()
 
 
@@ -198,7 +208,7 @@ def test_resealed_trailing_bytes_are_detected(tmp_path, fitted):
 
 
 @pytest.mark.parametrize("old, new", [
-    (b"\nn ", b"\nsize "),                    # required key missing
+    (b"\nvariant ", b"\nmodel "),            # required key missing
     (b"\nm ", b"\nm twelve "),               # count does not parse
     (b"\nnoise ", b"\nnoise loud "),         # scalar does not parse
     (b"\nd ", b"\nd 7"),                     # sizes do not fit the payload
@@ -265,13 +275,10 @@ RESEALED = {
     # p[1, 0] of softki's upper root T, which prediction's ?trmm never reads
     "softki-root-below-diagonal": (
         None, {"p": lambda flat: flat + (np.arange(flat.size) == 10)},
-        "checkpoint p, softki's upper root T, has non-zero entries below its diagonal"),
+        "p, softki's upper root T, has non-zero entries below its diagonal"),
     "lengthscale-nan": (None, {"lengthscales": with_nan_at(0)}, "lengthscales"),
     "x_mean-one-entry": ({"x_mean": "0.5"}, None, "x_mean"),
     "variant-mystery": ({"variant": "mystery"}, None, "variant"),
-    "n-negative": ({"n": "-7"}, None, r"\bn\b"),
-    "n-zero": ({"n": "0"}, None, r"\bn\b"),
-    "exact-n-not-m": ({"variant": "exact"}, None, r"\bn\b"),   # n = 120, m = 10
     "softki-no-temperatures": (None, {"temperatures": lambda flat: flat[:0]},
                                "temperatures"),
     "sgpr-with-temperatures": ({"variant": "sgpr"}, None, "temperatures"),  # d = 2 kept
@@ -300,7 +307,7 @@ def test_resealed_sgpr_point_that_overflows_the_distance_is_rejected(tmp_path):
     hp = Hyperparams(noise=0.2, kernel=MaternParams(lengthscales=[1.0, 1.2], outputscale=0.8),
                      z=train.x[:4])
     path = tmp_path / "sgpr.bin"
-    save_checkpoint(path, Checkpoint(sgpr_fit(train, hp), train.stats, len(train)))
+    save_checkpoint(path, sgpr_fit(train, hp))
 
     def far(flat):
         flat[5] = 1e200                                 # z[2, 1]
@@ -314,11 +321,27 @@ def test_resealed_sgpr_point_that_overflows_the_distance_is_rejected(tmp_path):
 def test_a_v2_file_is_refused_naming_its_version(tmp_path, fitted):
     # the same arrays under a resealed v2 header: its p was softki's P, which
     # read as the root T would predict wrong variances without any error
-    assert VERSION == 3
+    assert VERSION == 4
     path, _ = saved_bytes(tmp_path, fitted)
     reseal(path, {MAGIC: "v2"})
     with pytest.raises(ChecksumOrVersionMismatch,
-                       match=f"expected '{MAGIC} v3', got '{MAGIC} v2'"):
+                       match=f"expected '{MAGIC} v4', got '{MAGIC} v2'"):
+        load_checkpoint(path)
+
+
+def test_a_v3_file_is_refused_naming_its_version(tmp_path, fitted):
+    # the same arrays under a sealed v3 header, which also held the
+    # training-set size n that nothing read
+    path, blob = saved_bytes(tmp_path, fitted)
+    head, _, payload = blob.partition(b"end-header\n")
+    lines = head.decode().splitlines()[:-1]              # drop the sha256 line
+    lines[0] = f"{MAGIC} v3"
+    lines.insert(2, "n 120")
+    covered = "".join(line + "\n" for line in lines).encode()
+    digest = hashlib.sha256(covered + payload).hexdigest()
+    path.write_bytes(covered + f"sha256 {digest}\nend-header\n".encode() + payload)
+    with pytest.raises(ChecksumOrVersionMismatch,
+                       match=f"expected '{MAGIC} v4', got '{MAGIC} v3'"):
         load_checkpoint(path)
 
 

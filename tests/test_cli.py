@@ -102,7 +102,7 @@ def test_train_dispatches_to_sgpr_and_exact(tmp_path, wave_csv):
                    "--out", str(out), "--m", "8", "--epochs", "2",
                    "--lr", "0.05", "--seed", "0"])
         assert rc == 0
-        assert load_checkpoint(out / "checkpoint.bin").posterior.variant == model
+        assert load_checkpoint(out / "checkpoint.bin").variant == model
 
 
 QR_FIT_KEYS = ["fit_block_rows", "fit_blocks", "fit_jitter", "fit_max_stack_rows",
@@ -322,7 +322,7 @@ def test_eval_rejects_checkpoint_with_missing_header_key(tmp_path, wave_csv):
     ckpt = run / "checkpoint.bin"
     head, end, payload = ckpt.read_bytes().partition(b"end-header\n")
     head = b"".join(line for line in head.splitlines(keepends=True)
-                    if not line.startswith(b"n "))
+                    if not line.startswith(b"d "))
     ckpt.write_bytes(head + end + payload)
     out = tmp_path / "eval"
     rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(wave_csv),
@@ -330,7 +330,7 @@ def test_eval_rejects_checkpoint_with_missing_header_key(tmp_path, wave_csv):
     assert rc == 1
     report = read_report(out / "error.txt")
     assert report["error"] == "ChecksumOrVersionMismatch"
-    assert "'n'" in report["message"]
+    assert "'d'" in report["message"]
 
 
 def test_eval_without_a_checkpoint_is_rejected(tmp_path, wave_csv):

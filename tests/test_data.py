@@ -33,9 +33,11 @@ from softki.errors import (
     ParseError,
     SoftKIError,
 )
-from softki.interp import Hyperparams
+from softki.interp import Hyperparams, softmax_forward, softmax_weights_backward
 from softki.kernel import MaternParams
-from softki.posterior import fit_qr, near_degenerate_instance, predict, solver_route
+from softki.linalg import cholesky_upper, tri_solve_upper
+from softki.posterior import (Posterior, fit_qr, near_degenerate_instance, predict,
+                              solver_route)
 from softki.trainer import TrainConfig, kmeans
 
 
@@ -353,6 +355,19 @@ _FOUR_ROWS = Dataset(x=np.zeros((4, 2)), y=np.zeros(4))
 _BAD_ROWS = {"3-D": np.zeros((3, 2, 1)), "strings": np.array([["a", "b"], ["c", "d"]])}
 _Z = np.zeros((3, 2))
 _STATS = dict(x_mean=np.zeros(2), x_std=np.ones(2), y_mean=0.0, y_std=1.0)
+_HP = Hyperparams(1.0, _Z_KERNEL, _Z, np.ones(2))   # softki's record, m = 3
+_ROOT = np.triu(np.ones((3, 3)))
+
+
+def _with_entry(a, index, value):
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
+def _backward(upstream_shape):
+    w, dist = softmax_forward(np.zeros((2, 2)), _HP)
+    return softmax_weights_backward(np.zeros((2, 2)), _HP, w, dist, np.zeros(upstream_shape))
 
 # one row per entry point and input: what it is called with, the SoftKIError
 # subclass it raises and the message, which names the argument. The suite
@@ -442,6 +457,40 @@ BOUNDARY = [
                  id="MaternParams-lengthscales-ragged"),
     pytest.param(lambda: solver_route(None), InvalidConfig,
                  "^expected qr, direct, cholesky, or cg:<tol>, got None$", id="solver_route-None"),
+    # a Posterior checks its own arrays; a wrong v or p failed later in predict
+    # with numpy's ValueError from matmul
+    pytest.param(lambda: Posterior("softki", _HP, np.zeros(4), _ROOT), DimensionMismatch,
+                 r"^v must be a 1-D array of length 3, got shape \(4,\)$",
+                 id="Posterior-v-(4,)"),
+    pytest.param(lambda: Posterior("sgpr", _HP, np.zeros(3), np.eye(4)), DimensionMismatch,
+                 r"^p must be \(3, 3\) for m=3 points, got shape \(4, 4\)$",
+                 id="Posterior-p-(4,4)"),
+    pytest.param(lambda: Posterior("softki", _HP, np.zeros(3), _ROOT[0]), DimensionMismatch,
+                 r"^p must be \(3, 3\) for m=3 points, got shape \(3,\)$",
+                 id="Posterior-p-(3,)"),
+    pytest.param(lambda: Posterior("softki", _HP, _with_entry(np.zeros(3), 1, np.inf), _ROOT),
+                 InvalidConfig, r"^v must be in \(-inf, inf\), got inf$", id="Posterior-v-inf"),
+    pytest.param(lambda: Posterior("sgpr", _HP, np.zeros(3), _with_entry(_ROOT, (2, 1), np.nan)),
+                 InvalidConfig, r"^p must be in \(-inf, inf\), got nan$", id="Posterior-p-nan"),
+    pytest.param(lambda: Posterior("softki", _HP, np.zeros(3), _with_entry(_ROOT, (2, 0), 1e-300)),
+                 InvalidConfig, "^p, softki's upper root T, has non-zero entries below its "
+                 "diagonal$", id="Posterior-root-below-diagonal"),
+    pytest.param(lambda: Posterior("softki", _HP, np.zeros(3), _ROOT,
+                                   Standardization(np.zeros(3), np.ones(3), 0.0, 1.0)),
+                 DimensionMismatch, "^statistics of d=3 for points of d=2$",
+                 id="Posterior-stats-d=3"),
+    # the shape checks of the softmax, its backward and the triangular routines
+    pytest.param(lambda: softmax_forward(np.zeros(2), _HP), DimensionMismatch,
+                 r"^expected \(n, d\) inputs, got \(2,\)$", id="softmax_forward-x-1-D"),
+    pytest.param(lambda: softmax_forward(np.zeros((2, 3)), _HP), DimensionMismatch,
+                 "^x has d=3 but z has d=2$", id="softmax_forward-x-d=3"),
+    pytest.param(lambda: _backward((3, 2)), DimensionMismatch,
+                 r"^upstream shape \(3, 2\) != \(2, 3\)$",
+                 id="softmax_weights_backward-upstream-(3,2)"),
+    pytest.param(lambda: cholesky_upper(np.ones((2, 3))), DimensionMismatch,
+                 r"^expected a square matrix, got \(2, 3\)$", id="cholesky_upper-(2,3)"),
+    pytest.param(lambda: tri_solve_upper(np.eye(3), np.ones(2)), DimensionMismatch,
+                 "^rhs length 2 != order 3$", id="tri_solve_upper-rhs-(2,)"),
 ]
 
 

@@ -66,9 +66,12 @@ def test_record_rejects_non_finite_points():
         Hyperparams(noise=1.0, kernel=params(2), z=[[0.0, np.nan], [1.0, 1.0]])
 
 
-@pytest.mark.parametrize("coordinate, lengthscale", [(1e200, 1.0), (1e154, 0.01)])
+@pytest.mark.parametrize("coordinate, lengthscale",
+                         [(1e200, 1.0), (1e154, 0.01), (-1e154, 1.0)])
 def test_record_rejects_points_whose_squares_overflow(coordinate, lengthscale):
-    # 1e154 overflows only once divided by the lengthscale, as the kernel does
+    # 1e154 overflows only once divided by the lengthscale, as the kernel does;
+    # -1e154 has finite squares, but K_zz's diagonal |z|^2 + |z|^2 overflows
+    # (an sgpr fit failed with a NotPositiveDefinite naming neither z nor the row)
     z = np.zeros((3, 2))
     z[1, 0] = coordinate
     kernel = MaternParams(lengthscales=np.full(2, lengthscale), outputscale=1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softki import kernel
-from softki.errors import DimensionMismatch, InvalidConfig
+from softki.errors import DimensionMismatch, InvalidConfig, NonFiniteInput
 from softki.kernel import (
     LENGTHSCALE_MAX,
     LENGTHSCALE_MIN,
@@ -105,6 +105,33 @@ def test_scaled_distance_clamps_cancellation_noise():
     x = np.full((1, 2), 1e4)
     d = scaled_distance(x, x.copy(), np.ones(2))
     assert d[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("x, z, dtype, name, row", [
+    # the distance 2e154 is finite, yet the cross term and |x|^2 + |z|^2
+    # overflowed with numpy's RuntimeWarnings and returned inf
+    pytest.param([[1e154, 0.0]], [[-1e154, 0.0]], np.float64, "x", 0, id="opposite-pair"),
+    pytest.param([[1.0, 0.0], [1e154, 0.0]], [[-1e154, 0.0]], np.float64, "x", 1,
+                 id="x-row-1"),
+    pytest.param([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1e200, 0.0]], np.float64, "z", 1,
+                 id="z-row-1"),
+    pytest.param([[1e19, 0.0]], [[-1e19, 0.0]], np.float32, "x", 0, id="float32"),
+])
+def test_scaled_distance_names_the_far_row_of_a_pair_that_overflows(x, z, dtype, name, row):
+    x, z = np.array(x, dtype=dtype), np.array(z, dtype=dtype)
+    with pytest.raises(NonFiniteInput, match=rf"^{name} row {row} \(0-based\) overflows "
+                       f"the squared distance in {np.dtype(dtype)}$") as err:
+        scaled_distance(x, z, np.ones(2, dtype=dtype))
+    # only an x row is a row of the caller's query
+    assert err.value.row == (row if name == "x" else None)
+
+
+def test_scaled_distance_keeps_a_far_row_whose_distances_fit():
+    x = np.array([[1e153, 0.0], [0.5, -0.5]])
+    z = np.eye(2)
+    got = scaled_distance(x, z, np.ones(2))
+    assert np.array_equal(got, reference_scaled_distance(x, z, np.ones(2)))
+    assert np.isfinite(got).all()
 
 
 def test_grads_zero_upstream():

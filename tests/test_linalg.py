@@ -131,6 +131,14 @@ def test_default_jitter_schedule_scales_with_diagonal():
     assert default_jitter_schedule(m) == [mult * 3.0 for mult in DEFAULT_JITTER_MULTIPLIERS]
 
 
+def test_a_zero_diagonal_falls_back_to_a_scale_of_one():
+    assert default_jitter_schedule(np.zeros((2, 2))) == list(DEFAULT_JITTER_MULTIPLIERS)
+    # rung 0 leaves the zero matrix, which potrf refuses; the next rung is 1e-8 * 1
+    u, eps = cholesky_upper(np.zeros((2, 2)))
+    assert eps == 1e-8
+    assert np.array_equal(u, np.sqrt(1e-8) * np.eye(2))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=256), st.integers(min_value=0, max_value=2**31))
 def test_cholesky_reconstructs_random_spd(order, seed):
