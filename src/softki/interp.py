@@ -66,9 +66,13 @@ def softmax_weights(x: np.ndarray, hp: Hyperparams) -> np.ndarray:
     return softmax_forward(x, hp)[0]
 
 
-def softmax_forward(x: np.ndarray, hp: Hyperparams):
+def softmax_forward(x: np.ndarray, hp: Hyperparams, out: tuple | None = None):
     """(W, dist) in x's dtype: the softmax weights and their distances
-    dist[i, j] = ||x_i / T - z_j||, the inputs ``softmax_weights_backward`` reads."""
+    dist[i, j] = ||x_i / T - z_j||, the inputs ``softmax_weights_backward`` reads.
+
+    out, when given, is a pair of distinct C-ordered (n, m) arrays of x's
+    dtype that receive W and dist; W's array holds ``scaled_distance``'s
+    cross term until W is written."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise DimensionMismatch(f"expected (n, d) inputs, got {x.shape}")
@@ -81,10 +85,11 @@ def softmax_forward(x: np.ndarray, hp: Hyperparams):
     with np.errstate(over="ignore"):  # an overflowing row is refused by its norm below
         xt = x / temps
     ones = np.ones(x.shape[1], dtype=x.dtype)
-    dist = scaled_distance(xt, hp.z.astype(x.dtype), ones)
+    w_out, dist_out = (None, None) if out is None else out
+    dist = scaled_distance(xt, hp.z.astype(x.dtype), ones, out=dist_out, scratch=w_out)
     # the logits -dist less their row max -min(dist), exactly: dmin - d is
     # (-d) + dmin. Then W in place
-    w = np.subtract(dist.min(axis=1, keepdims=True), dist)
+    w = np.subtract(dist.min(axis=1, keepdims=True), dist, out=w_out)
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w, dist
@@ -96,13 +101,16 @@ def softmax_weights_backward(
     w: np.ndarray,
     dist: np.ndarray,
     upstream: np.ndarray,
+    out: np.ndarray | None = None,
 ):
     """Chain an upstream dL/dW through the softmax onto z and T.
 
     w and dist are ``softmax_forward(x, hp)``. Returns (g_z, g_temps).
     Runs in x's dtype: z and T are cast to it, as in ``softmax_forward``, so
     a float32 upstream gets no float64 (n, m) copy. Distance gradients at
-    coincident points (d_ij = 0) are taken as 0.
+    coincident points (d_ij = 0) are taken as 0. out, when given, is a
+    C-ordered (n, m) array of x's dtype, upstream itself or another, that
+    the logits' sensitivities are written into instead of a new array.
     """
     if upstream.shape != w.shape:
         raise DimensionMismatch(f"upstream shape {upstream.shape} != {w.shape}")
@@ -111,7 +119,7 @@ def softmax_weights_backward(
     rowdot = np.einsum("ij,ij->i", upstream, w)
     # C order, as W is, whatever upstream's layout: the sums and GEMMs below
     # then visit a in one fixed order
-    a = np.subtract(upstream, rowdot[:, None], order="C")
+    a = np.subtract(upstream, rowdot[:, None], out=out, order="C")
     a *= w
 
     # logits = -d_ij, d_ij = ||x/T - z_j||; zero distance contributes zero

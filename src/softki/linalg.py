@@ -91,7 +91,7 @@ def default_jitter_schedule(m: np.ndarray) -> list[float]:
     return [mult * scale for mult in DEFAULT_JITTER_MULTIPLIERS]
 
 
-def cholesky_upper(m: np.ndarray):
+def cholesky_upper(m: np.ndarray, *, out: tuple | None = None):
     """Upper Cholesky factor of an SPD matrix with a jitter escalation ladder.
 
     Tries A = M + eps*I for each eps of ``default_jitter_schedule`` (relative
@@ -104,15 +104,23 @@ def cholesky_upper(m: np.ndarray):
     float32) is skipped, as it would refactor the same matrix. Raises
     NotPositiveDefinite if every rung fails, the input is not finite, or
     M + M^T overflows.
+
+    out, when given, is a pair (work, factor) of distinct C-ordered arrays
+    of M's shape and floating dtype: work holds the symmetrized M and factor
+    receives U, which is returned as its Fortran-ordered transpose view.
+    Without it both are new arrays; the arithmetic is the same either way.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
+    dtype = np.result_type(m, 0.5)
+    a, factor = (np.empty(m.shape, dtype), np.empty(m.shape, dtype)) if out is None else out
     # symmetrize: callers build M from products that are symmetric only to
     # rounding, and potrf reads a single triangle anyway; each rung resets the
-    # diagonal of this one buffer, which potrf copies
+    # diagonal of this one buffer and copies it into factor, which potrf
+    # factors in place (its transpose is the same matrix, in Fortran order)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.add(m, m.T, dtype=np.result_type(m, 0.5))
+        np.add(m, m.T, out=a)
     if not np.all(np.isfinite(a)):
         if not np.all(np.isfinite(m)):
             raise NotPositiveDefinite("matrix has non-finite entries")
@@ -128,8 +136,10 @@ def cholesky_upper(m: np.ndarray):
             continue
         tried, attempts = rung, attempts + 1
         np.fill_diagonal(a, rung)
+        np.copyto(factor, a)
         try:
-            u = scipy.linalg.cholesky(a, lower=False, check_finite=False)
+            u = scipy.linalg.cholesky(factor.T, lower=False, overwrite_a=True,
+                                      check_finite=False)
         except scipy.linalg.LinAlgError:
             continue
         pivot = np.diagonal(u).min(initial=np.inf)
@@ -158,11 +168,12 @@ def tri_solve_upper(r: np.ndarray, b: np.ndarray, transpose: bool = False) -> np
     return scipy.linalg.solve_triangular(r, b, lower=False, trans="T" if transpose else "N")
 
 
-def tri_inverse_upper(r: np.ndarray) -> np.ndarray:
+def tri_inverse_upper(r: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """R^-1 of an upper-triangular R, upper triangular, from one LAPACK ?trtri.
 
     Only R's upper triangle is read; the inverse's strict lower triangle is
-    R's (zero for a Cholesky factor). Forming R^-1 once turns a wide solve
+    R's (zero for a Cholesky factor). With overwrite, a Fortran-ordered R of
+    LAPACK's dtype receives the inverse in place. Forming R^-1 once turns a wide solve
     R^-T X into a triangular product, which runs at GEMM speed where ?trsm
     does not. For a well-conditioned R the product is as accurate as
     substitution (Du Croz & Higham, 1992); for an ill-conditioned one, such
@@ -170,7 +181,7 @@ def tri_inverse_upper(r: np.ndarray) -> np.ndarray:
     """
     r = _check_triangular(r)
     trtri, = scipy.linalg.get_lapack_funcs(("trtri",), (r,))
-    return trtri(r, lower=0)[0]
+    return trtri(r, lower=0, overwrite_c=overwrite)[0]
 
 
 def chol_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:

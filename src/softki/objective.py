@@ -25,6 +25,20 @@ hp, probes, cg_tol, cg_max_iters)``, read the ``Batch`` b = ``_batch(x, y, hp)``
 that ``stabilized_objective`` builds once per step; a direct evaluation of one
 of them is ``stabilized_objective`` with that ``objective_mode``.
 
+A batch's (n, m) and (m, m) arrays live in a ``Workspace``: W, its distances
+and the W-gradient (which the softmax backward overwrites in place) in the
+batch dtype; K_zz and its e; and the exact objective's float64 m-space, U_zz
+and ``lowrank_workspace``'s buffers, in which every ?trmm, the Cholesky
+factors and the triangular inverse run in place on Fortran-ordered views.
+softki's row of ``posterior.MODELS`` makes one ``softki_workspace`` per
+training run and passes it to every step, whose last short batch uses the
+leading rows; a call without one makes its own, and a batch made that way
+leaves the exact objective to make its m-by-m buffers per call. The
+arithmetic is the same either way. A wide-m512 step (m = 512, d = 26) took
+about 6,400 minor page faults when it allocated its arrays afresh, as glibc
+gave the freed blocks back and faulted them in again; with one workspace the
+steps after the first take none.
+
 When K_zz stops being numerically positive definite, or the exact value or
 gradient goes non-finite, a Hutchinson-style pseudoloss takes over: solve
 D [u_0, u_1..u_l] = [y, w_1..w_l] by conjugate gradients with unit-norm
@@ -182,8 +196,17 @@ class LowRankGaussian:
     jitter: float               # rung used to factor M
 
 
+def lowrank_workspace(m: int, dtype) -> tuple:
+    """The m-by-m buffers of one ``lowrank_gaussian`` call on a phi of dtype:
+    (S in dtype, S in float64, a (4, m, m) float64 stack). For float64 the
+    two S buffers are one array."""
+    s64 = np.empty((m, m))
+    s = s64 if np.dtype(dtype) == np.float64 else np.empty((m, m), dtype)
+    return s, s64, np.empty((4, m, m))
+
+
 def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
-                     beta2) -> LowRankGaussian:
+                     beta2, out: tuple | None = None) -> LowRankGaussian:
     """Log density, noise-trace term and solves of a low-rank-plus-noise D.
 
     u is K_zz's upper Cholesky factor (L = U^T) or None (L = I): a Cholesky
@@ -192,27 +215,42 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
     h = U_m^-T U S, never multiplied out: it is huge along directions a batch
     barely covers. The m-space runs in float64 and its m-by-m results
     (phi_dinv_phi and zs) stay there; a, phi_a and s are in phi's dtype.
+    Every m-by-m array is one of the buffers of out, a
+    ``lowrank_workspace(m, phi.dtype)``, made afresh when out is None: each
+    ?trmm and the triangular inverse run in place on a Fortran-ordered view,
+    so the returned phi_dinv_phi, zs and s are views into out.
     Raises NotPositiveDefinite when M fails every jitter rung.
     """
     n, m = phi.shape
-    s = phi.T @ phi
-    s64 = s.astype(np.float64, copy=False)
+    s_out, s64, stack = lowrank_workspace(m, phi.dtype) if out is None else out
+    s = np.matmul(phi.T, phi, out=s_out)
+    if s64 is not s_out:
+        np.copyto(s64, s)
     trmm, = scipy.linalg.get_blas_funcs(("trmm",), (s64,))
-    u = None if u is None else u.astype(np.float64, copy=False)
-    us = s64 if u is None else trmm(1.0, u, s64)              # U S
-    m_mat = us.copy() if u is None else trmm(1.0, u, us, side=1, trans_a=1)  # U S U^T
+    # Fortran-ordered views of the C-ordered stack, which ?trmm writes in place
+    us, m_mat, work, factor = stack[0].T, stack[1].T, stack[2], stack[3]
+    np.copyto(us, s64)
+    if u is not None:
+        u = u.astype(np.float64, copy=False)
+        us = trmm(1.0, u, us, overwrite_b=1)                  # U S
+    np.copyto(m_mat, us)
+    if u is not None:
+        m_mat = trmm(1.0, u, m_mat, side=1, trans_a=1, overwrite_b=1)  # U S U^T
     np.fill_diagonal(m_mat, m_mat.diagonal() + beta2)
-    u_m, jitter = linalg.cholesky_upper(m_mat)
-    del m_mat
-    u_inv = linalg.tri_inverse_upper(u_m)
-    g = u_inv.T if u is None else trmm(1.0, u_inv, u, trans_a=1)   # U_m^-T U
-    h = trmm(1.0, u_inv, us, trans_a=1)                       # U_m^-T U S
-    zs = g.T @ h
+    u_m, jitter = linalg.cholesky_upper(m_mat, out=(work, factor))
+    logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(np.sum(np.log(np.diagonal(u_m))))
+    u_inv = linalg.tri_inverse_upper(u_m, overwrite=True)    # over U_m
+    if u is None:
+        g = u_inv.T
+    else:                                                     # U_m^-T U, over M
+        np.copyto(m_mat, u)
+        g = trmm(1.0, u_inv, m_mat, trans_a=1, overwrite_b=1)
+    h = trmm(1.0, u_inv, us, trans_a=1, overwrite_b=1)        # U_m^-T U S, over U S
+    zs = np.matmul(g.T, h, out=work)
     a = (y - phi @ (g.T @ (g @ (phi.T @ y))).astype(phi.dtype, copy=False)) / beta2
-    phi_dinv_phi = h.T @ h                                    # (S - h^T h) / beta^2
+    phi_dinv_phi = np.matmul(h.T, h, out=stack[3])            # (S - h^T h) / beta^2, over U_m^-1
     np.subtract(s64, phi_dinv_phi, out=phi_dinv_phi)
     phi_dinv_phi /= beta2
-    logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(np.sum(np.log(np.diagonal(u_m))))
     return LowRankGaussian(
         log_n=-0.5 * (float(y @ a) + logdet + n * LOG_2PI),
         a=a,
@@ -238,6 +276,26 @@ def dense_gaussian(d: np.ndarray, y: np.ndarray):
             linalg.chol_inverse(u), jitter)
 
 
+class Workspace(NamedTuple):
+    """The (n, m) and (m, m) arrays of softki steps on up to n points."""
+
+    rows: np.ndarray        # (3, n, m), batch dtype: W, dist and the W-gradient
+    mask: np.ndarray        # (n, m) bool: W's entries to zero
+    kernel: np.ndarray      # (2, m, m) float64: K_zz and e_zz
+    u_zz: np.ndarray | None     # (m, m) float64: U_zz, then the kernel backward's scratch
+    m_space: tuple | None       # lowrank_workspace(m, dtype)
+
+
+def softki_workspace(n: int, m: int, dtype="float64", exact: bool = True) -> Workspace:
+    """The buffers of softki steps on up to n points with m points z in
+    dtype; a shorter batch uses the leading rows of each (n, m) buffer.
+    Without exact, the exact objective's m-by-m buffers (u_zz and m_space)
+    are None, and each ``exact_mll`` call makes its own."""
+    square = (np.empty((m, m)), lowrank_workspace(m, dtype)) if exact else (None, None)
+    return Workspace(np.empty((3, n, m), dtype), np.empty((n, m), dtype=bool),
+                     np.empty((2, m, m)), *square)
+
+
 class Batch(NamedTuple):
     """One batch's forward, read by every objective and backward of a call."""
 
@@ -249,28 +307,48 @@ class Batch(NamedTuple):
     k_zz: np.ndarray        # K_zz, float64
     e_zz: np.ndarray        # its exp(-sqrt(3) r), float64
     beta2: np.floating      # noise^2, x's dtype
+    workspace: Workspace    # holds w, dist, k_zz and e_zz, and the step's other buffers
 
 
-def _batch(x: np.ndarray, y, hp) -> Batch:
+def _batch(x: np.ndarray, y, hp, workspace: Workspace | None = None) -> Batch:
     """The ``Batch`` of (x, y), x a float array: W and its distances from
     ``softmax_forward`` in x's dtype, with W's entries below that dtype's
     smallest normal zeroed (see the module docstring), and K_zz and e_zz from
     ``matern32_forward`` on float64 z. No objective and no backward writes
     into these arrays, so one batch can serve several objectives.
+
+    workspace, when given, is a ``softki_workspace`` of x's dtype with at
+    least x's rows and hp's m, whose contents are overwritten; without it
+    the batch makes one without the exact objective's buffers.
     """
-    w, dist = softmax_forward(x, hp)
-    w[w < np.finfo(w.dtype).tiny] = 0.0
+    n, m = x.shape[0], hp.z.shape[0]
+    if workspace is None:
+        workspace = softki_workspace(n, m, x.dtype, exact=False)
+    rows = workspace.rows
+    if rows.dtype != x.dtype or rows.shape[1] < n or rows.shape[2] != m:
+        raise DimensionMismatch(f"workspace rows are {rows.dtype} {rows.shape}, expected "
+                                f"{x.dtype} (3, >= {n}, {m})")
+    ws = workspace._replace(rows=rows[:, :n], mask=workspace.mask[:n])
+    w, dist = softmax_forward(x, hp, out=(ws.rows[0], ws.rows[1]))
+    np.copyto(w, 0.0, where=np.less(w, np.finfo(w.dtype).tiny, out=ws.mask))
     z = hp.z.astype(np.float64, copy=False)
-    k_zz, e_zz = matern32_forward(z, z, hp.kernel)
+    k_zz, e_zz = matern32_forward(z, z, hp.kernel, (ws.kernel[0], ws.kernel[1]))
     beta = x.dtype.type(hp.noise)
-    return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, z, k_zz, e_zz, beta * beta)
+    return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, z, k_zz, e_zz, beta * beta, ws)
+
+
+# rows of each block of the exact gradient's rank-one update
+_OUTER_ROWS = 128
 
 
 def _cast(a: np.ndarray, dtype) -> np.ndarray:
     """a, a float64 product with K_zz, cast to the batch dtype where it meets
-    W or S, with its entries below that dtype's smallest normal zeroed."""
+    W or S, with its entries below that dtype's smallest normal zeroed; a
+    itself, zeroed in place, for float64."""
     a = a.astype(dtype, copy=False)
-    a[np.abs(a) < np.finfo(dtype).tiny] = 0.0
+    tiny = np.finfo(dtype).tiny
+    # |a| < tiny as two comparisons: no float temporary of a's size
+    np.copyto(a, 0.0, where=np.less(a, tiny) & np.greater(a, -tiny))
     return a
 
 
@@ -279,11 +357,14 @@ def _assemble_gradients(b: Batch, hp, g_k, g_w, tr_g) -> dict:
 
     Each backward reads the batch's own forward, the one the objective read:
     the kernel backward (K_zz, e_zz) in float64, and the softmax backward
-    (W, dist) in x's dtype.
+    (W, dist) in x's dtype. Their (m, m) and (n, m) products go into the
+    batch's U_zz buffer, where it has one, and W-gradient buffer; g_k may
+    not be the first, and g_w may be the second.
     """
+    ws = b.workspace
     kg = matern32_param_grads(b.z, b.z, hp.kernel, b.k_zz, b.e_zz, g_k,
-                              want_x=True, want_z=True)
-    z_soft, g_t = softmax_weights_backward(b.x, hp, b.w, b.dist, g_w)
+                              want_x=True, want_z=True, scratch=ws.u_zz)
+    z_soft, g_t = softmax_weights_backward(b.x, hp, b.w, b.dist, g_w, out=ws.rows[2])
     return {
         "noise": 2.0 * hp.noise * float(tr_g),
         "lengthscales": kg.lengthscales,
@@ -304,13 +385,29 @@ def exact_mll(b: Batch, hp: Hyperparams) -> ObjectiveReport:
     schedule.
     """
     dtype, w, k_zz = b.x.dtype, b.w, b.k_zz
-    u_zz, jitter = linalg.cholesky_upper(k_zz)
-    lr = lowrank_gaussian(w, b.y, u_zz, b.beta2)
+    if b.workspace.m_space is None:  # a batch made for one call: this call's buffers
+        m = k_zz.shape[0]
+        b = b._replace(workspace=b.workspace._replace(
+            u_zz=np.empty((m, m)), m_space=lowrank_workspace(m, dtype)))
+    ws = b.workspace
+    stack = ws.m_space[2]
+    u_zz, jitter = linalg.cholesky_upper(k_zz, out=(stack[2], ws.u_zz))
+    lr = lowrank_gaussian(w, b.y, u_zz, b.beta2, out=ws.m_space)
     phi_a = lr.phi_a.astype(np.float64, copy=False)
-    g_k = 0.5 * (np.outer(phi_a, phi_a) - lr.phi_dinv_phi)
-    g_w = w @ _cast((k_zz - lr.zs @ k_zz) / b.beta2, dtype)
-    np.negative(g_w, out=g_w)
-    g_w += np.outer(lr.a, _cast(phi_a @ k_zz, dtype))
+    # lowrank_gaussian's U S and g buffers are free: g_k and the W-factor
+    g_k = np.multiply.outer(phi_a, phi_a, out=stack[0])
+    np.subtract(g_k, lr.phi_dinv_phi, out=g_k)
+    g_k *= 0.5
+    factor = np.matmul(lr.zs, k_zz, out=stack[1])
+    np.subtract(k_zz, factor, out=factor)
+    factor /= b.beta2
+    g_w = np.matmul(w, _cast(factor, dtype), out=ws.rows[2])
+    # a v^T - W F, as the rank-one term less the product a block of rows at
+    # a time: the same rounding as negating the product and adding the term
+    v = _cast(phi_a @ k_zz, dtype)
+    for i in range(0, g_w.shape[0], _OUTER_ROWS):
+        rows = slice(i, i + _OUTER_ROWS)
+        np.subtract(np.multiply.outer(lr.a[rows], v), g_w[rows], out=g_w[rows])
 
     grads = _assemble_gradients(b, hp, g_k, g_w, lr.tr_g)
     return ObjectiveReport(value=lr.log_n, gradients=grads, mode_used="exact",
@@ -379,6 +476,7 @@ def stabilized_objective(
     hp: Hyperparams,
     cfg,
     probe_seed=0,
+    workspace: Workspace | None = None,
 ) -> ObjectiveReport:
     """Exact MLL with automatic fallback to the pseudoloss.
 
@@ -394,8 +492,10 @@ def stabilized_objective(
     pseudoloss's CG keys once it ran), and the trainer counts the batch as
     failed. The exact attempt runs with numpy's overflow and invalid-value
     warnings off, since its non-finite result is handled as a failure.
+    workspace is ``_batch``'s: a caller that evaluates many batches passes
+    one ``softki_workspace`` to every call.
     """
-    b = _batch(np.asarray(x, dtype=cfg.dtype), y, hp)
+    b = _batch(np.asarray(x, dtype=cfg.dtype), y, hp, workspace)
     diag = {}
     if cfg.objective_mode != "pseudoloss":
         try:

@@ -76,7 +76,7 @@ from .errors import (DimensionMismatch, InvalidConfig, NonFiniteInput, NonFinite
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
 from .objective import (_dense_gp, exact_gp_mll, sgpr_elbo, sgpr_workspace,
-                        stabilized_objective)
+                        softki_workspace, stabilized_objective)
 
 # rows per block of every pass over data or query rows (fit's design blocks,
 # prediction). A block's block_rows x m temporaries are small enough for the
@@ -305,7 +305,11 @@ def _fit_exact(data: Dataset, hp, phi):
 
 
 def _softki_steps(cfg, n: int):
-    return lambda x, y, hp, probes: stabilized_objective(x, y, hp, cfg, probes)
+    # as sgpr's: the steps write their (n, m) and (m, m) arrays into one
+    # workspace, and the last short batch uses its leading rows
+    workspace = softki_workspace(min(n, cfg.batch_size), cfg.m, cfg.dtype)
+    return lambda x, y, hp, probes: stabilized_objective(x, y, hp, cfg, probes,
+                                                         workspace=workspace)
 
 
 def _sgpr_steps(cfg, n: int):

@@ -151,7 +151,7 @@ def refuse_objective_factors(monkeypatch):
     M's) raise NotPositiveDefinite, as a matrix that fails every jitter rung
     does; the posterior's factors run as before. With K_zz built and factored
     in float64 no float32 training batch at hand fails that way."""
-    def refuse(m):
+    def refuse(m, **kwargs):
         raise NotPositiveDefinite("factor refused by the test")
 
     refusing = types.SimpleNamespace(**vars(softki.linalg))

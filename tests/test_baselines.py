@@ -218,8 +218,8 @@ def test_elbo_reports_the_inner_jitter_rung(monkeypatch):
     seen = []
     original = softki.objective.lowrank_gaussian
 
-    def marked(phi, y, u, beta2):
-        lr = replace(original(phi, y, u, beta2), jitter=0.25)
+    def marked(phi, y, u, beta2, out=None):
+        lr = replace(original(phi, y, u, beta2, out), jitter=0.25)
         seen.append(lr.jitter)
         return lr
 
@@ -296,9 +296,9 @@ def test_lowrank_objectives_share_lowrank_gaussian(monkeypatch):
     calls = []
     original = softki.objective.lowrank_gaussian
 
-    def counting(phi, y, u, beta2):
+    def counting(phi, y, u, beta2, out=None):
         calls.append(phi.shape)
-        return original(phi, y, u, beta2)
+        return original(phi, y, u, beta2, out)
 
     monkeypatch.setattr(softki.objective, "lowrank_gaussian", counting)
     x, y, hp = random_sgpr_instance(6, m=5)

@@ -20,7 +20,7 @@ from conftest import (
     refuse_objective_factors,
 )
 from softki.trainer import TrainConfig
-from softki.errors import CGNotConvergedWarning, NotPositiveDefinite
+from softki.errors import CGNotConvergedWarning, DimensionMismatch, NotPositiveDefinite
 from softki.interp import Hyperparams, softmax_forward, softmax_weights
 from softki.kernel import MaternParams, matern32, matern32_forward, scaled_distance
 from softki.linalg import block_cg
@@ -34,6 +34,7 @@ from softki.objective import (
     hutchinson_pseudoloss,
     lowrank_gaussian,
     sgpr_elbo,
+    softki_workspace,
     stabilized_objective,
 )
 
@@ -295,7 +296,8 @@ def exact_mll_by_solves(monkeypatch, x, y, hp):
     """exact_mll with its m-space taken by ``lowrank_gaussian_by_solves``."""
     with monkeypatch.context() as patch:
         patch.setattr(softki.objective, "lowrank_gaussian",
-                      lambda phi, y, u, beta2: lowrank_gaussian_by_solves(phi, y, u.T, beta2))
+                      lambda phi, y, u, beta2, out=None:
+                      lowrank_gaussian_by_solves(phi, y, u.T, beta2))
         return exact_mll(_batch(x, y, hp), hp)
 
 
@@ -390,9 +392,9 @@ def count_forwards(monkeypatch):
     """Lists that collect the dtype of every softmax and K_zz forward."""
     softmaxes, kernels = [], []
 
-    def counting_distance(*args):
+    def counting_distance(*args, **buffers):
         softmaxes.append(args[0].dtype)
-        return scaled_distance(*args)
+        return scaled_distance(*args, **buffers)
 
     def counting_kernel(*args):
         kernels.append(args[0].dtype)
@@ -419,6 +421,36 @@ def test_one_softmax_forward_per_call(monkeypatch, objective, dtype, forwards):
     assert rep.is_finite()
     assert softmaxes == [np.dtype(dtype)] * forwards
     assert kernels == [np.dtype(np.float64)] * forwards
+
+
+def assert_reports_equal(got, want):
+    assert got.value == want.value and got.mode_used == want.mode_used
+    assert got.gradients.keys() == want.gradients.keys()
+    for name, g in want.gradients.items():
+        assert np.array_equal(got.gradients[name], g), name
+
+
+@pytest.mark.parametrize("mode", ["exact", "pseudoloss"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_stabilized_calls_with_and_without_a_workspace_agree_bitwise(mode, dtype):
+    # one workspace serves a full batch and then a shorter one through its
+    # leading rows; nothing in it is read before it is written
+    x, y, hp = random_instance(13, n=40, m=7)
+    cfg = TrainConfig(objective_mode=mode, dtype=dtype)
+    workspace = softki_workspace(40, 7, dtype)
+    for buffers in (workspace.rows, workspace.kernel, workspace.u_zz, *workspace.m_space):
+        buffers.fill(np.nan)
+    for n in (40, 25):
+        with_ws = stabilized_objective(x[:n], y[:n], hp, cfg, 3, workspace=workspace)
+        assert_reports_equal(with_ws, stabilized_objective(x[:n], y[:n], hp, cfg, 3))
+
+
+def test_a_workspace_of_another_dtype_or_size_is_refused():
+    x, y, hp = random_instance(13, n=40, m=7)
+    for workspace in (softki_workspace(40, 7, "float32"), softki_workspace(39, 7),
+                      softki_workspace(40, 8)):
+        with pytest.raises(DimensionMismatch, match="workspace"):
+            stabilized_objective(x, y, hp, TrainConfig(), workspace=workspace)
 
 
 @no_runtime_warnings
@@ -485,7 +517,7 @@ def test_batch_holds_one_float64_k_zz_as_built():
     raw32 = raw.astype(np.float32)
     assert np.any((raw32 > 0) & (raw32 < tiny))  # the case is not vacuous
     assert softki.objective.Batch._fields == ("x", "y", "w", "dist", "z", "k_zz", "e_zz",
-                                               "beta2")
+                                               "beta2", "workspace")
     for xb in (x, x.astype(np.float64)):
         batch = _batch(xb, y, hp)
         assert batch.z.dtype == batch.k_zz.dtype == batch.e_zz.dtype == np.float64
@@ -502,9 +534,9 @@ def test_float64_batch_hands_the_n_side_the_k_zz_it_factors(monkeypatch):
     factored = []
     factor = softki.linalg.cholesky_upper
 
-    def spy(m):
+    def spy(m, **kwargs):
         factored.append(m)
-        return factor(m)
+        return factor(m, **kwargs)
 
     monkeypatch.setattr(softki.linalg, "cholesky_upper", spy)
     exact_mll(batch, hp)

@@ -651,8 +651,8 @@ def test_float32_training_hands_no_subnormal_k_zz_to_the_objectives(monkeypatch)
     build, cast = softki.objective._batch, softki.objective._cast
     raw_subnormals, handed, products = [], [], []
 
-    def spy_batch(x, y, hp):
-        batch = build(x, y, hp)
+    def spy_batch(x, y, hp, workspace=None):
+        batch = build(x, y, hp, workspace)
         raw = batch.k_zz.astype(np.float32)
         raw_subnormals.append(int(np.sum((raw > 0) & (raw < tiny))))
         handed.append(batch.k_zz)
