@@ -190,7 +190,7 @@ class LowRankGaussian:
     a: np.ndarray               # D^-1 y, (n,)
     phi_a: np.ndarray           # Phi^T a, (m,)
     phi_dinv_phi: np.ndarray    # Phi^T D^-1 Phi, (m, m), float64
-    zs: np.ndarray              # Z S, so D^-1 Phi = Phi (I - Z S) / beta^2, (m, m), float64
+    z: np.ndarray               # Z = g^T g, so D^-1 Phi = Phi (I - Z S) / beta^2, (m, m), float64
     tr_g: float                 # tr G = (a^T a - tr D^-1) / 2, G = d log_n / dD
     s: np.ndarray               # Phi^T Phi, (m, m)
     jitter: float               # rung used to factor M
@@ -213,12 +213,14 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
     factor, not the inverse of one, since S is formed before L is applied and
     its rounding grows by ||L||^2. Z is applied only through g = U_m^-T U and
     h = U_m^-T U S, never multiplied out: it is huge along directions a batch
-    barely covers. The m-space runs in float64 and its m-by-m results
-    (phi_dinv_phi and zs) stay there; a, phi_a and s are in phi's dtype.
+    barely covers; Z itself is returned as g^T g, one ?syrk, and
+    tr(Z S) = tr(g^T h) is summed off g and h. The m-space runs in float64
+    and its m-by-m results (phi_dinv_phi and z) stay there; a, phi_a and s
+    are in phi's dtype.
     Every m-by-m array is one of the buffers of out, a
     ``lowrank_workspace(m, phi.dtype)``, made afresh when out is None: each
     ?trmm and the triangular inverse run in place on a Fortran-ordered view,
-    so the returned phi_dinv_phi, zs and s are views into out.
+    so the returned phi_dinv_phi, z and s are views into out.
     Raises NotPositiveDefinite when M fails every jitter rung.
     """
     n, m = phi.shape
@@ -246,7 +248,8 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
         np.copyto(m_mat, u)
         g = trmm(1.0, u_inv, m_mat, trans_a=1, overwrite_b=1)
     h = trmm(1.0, u_inv, us, trans_a=1, overwrite_b=1)        # U_m^-T U S, over U S
-    zs = np.matmul(g.T, h, out=work)
+    z = np.matmul(g.T, g, out=work)                           # Z = g^T g, by ?syrk
+    tr_zs = float(np.einsum("ij,ij->", g, h))                 # tr(Z S) = tr(g^T h)
     a = (y - phi @ (g.T @ (g @ (phi.T @ y))).astype(phi.dtype, copy=False)) / beta2
     phi_dinv_phi = np.matmul(h.T, h, out=stack[3])            # (S - h^T h) / beta^2, over U_m^-1
     np.subtract(s64, phi_dinv_phi, out=phi_dinv_phi)
@@ -256,8 +259,8 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
         a=a,
         phi_a=phi.T @ a,
         phi_dinv_phi=phi_dinv_phi,
-        zs=zs,
-        tr_g=0.5 * (float(a @ a) - (n - float(np.trace(zs))) / beta2),
+        z=z,
+        tr_g=0.5 * (float(a @ a) - (n - tr_zs) / beta2),
         s=s,
         jitter=jitter,
     )
@@ -394,14 +397,12 @@ def exact_mll(b: Batch, hp: Hyperparams) -> ObjectiveReport:
     u_zz, jitter = linalg.cholesky_upper(k_zz, out=(stack[2], ws.u_zz))
     lr = lowrank_gaussian(w, b.y, u_zz, b.beta2, out=ws.m_space)
     phi_a = lr.phi_a.astype(np.float64, copy=False)
-    # lowrank_gaussian's U S and g buffers are free: g_k and the W-factor
+    # lowrank_gaussian's U S buffer is free: g_k
     g_k = np.multiply.outer(phi_a, phi_a, out=stack[0])
     np.subtract(g_k, lr.phi_dinv_phi, out=g_k)
     g_k *= 0.5
-    factor = np.matmul(lr.zs, k_zz, out=stack[1])
-    np.subtract(k_zz, factor, out=factor)
-    factor /= b.beta2
-    g_w = np.matmul(w, _cast(factor, dtype), out=ws.rows[2])
+    # (K_zz - Z S K_zz) / beta^2 is Z (see the module docstring)
+    g_w = np.matmul(w, _cast(lr.z, dtype), out=ws.rows[2])
     # a v^T - W F, as the rank-one term less the product a block of rows at
     # a time: the same rounding as negating the product and adding the term
     v = _cast(phi_a @ k_zz, dtype)
@@ -567,9 +568,12 @@ def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams, *,
 
     # G = (a a^T - D^-1)/2 and P = K_xz K_zz^-1 = B U^-T: d/dK_xz is
     # 2 G P + P / beta^2 = a (P^T a)^T + B (Z S / beta^2) U^-T and d/dK_zz is
-    # -P^T G P - P^T P / (2 beta^2), with B^T D^-1 B from lowrank_gaussian
+    # -P^T G P - P^T P / (2 beta^2), with B^T D^-1 B from lowrank_gaussian.
+    # With L = I, Z = M^-1 and Z S / beta^2 = I / beta^2 - Z
     pa = v @ lr.phi_a                                          # P^T a
-    np.matmul(b, (lr.zs / beta2) @ v.T, out=up_xz)
+    zs = np.negative(lr.z, out=lr.z)
+    zs.flat[:: m + 1] += 1.0 / beta2
+    np.matmul(b, zs @ v.T, out=up_xz)
     ger(1.0, pa, lr.a, a=up_xz.T, overwrite_a=1)               # += a pa^T
     # B is dead once the upstream holds it: its buffer is the backward's scratch
     g1 = matern32_param_grads(x, hp.z, hp.kernel, k_xz, e_xz, up_xz,

@@ -106,7 +106,6 @@ def lowrank_gaussian_by_solves(phi, y, l, beta2):
     u_m, jitter = cholesky_upper(beta2 * np.eye(m, dtype=phi.dtype) + lt_s @ l)
     g = tri_solve_upper(u_m, l.T, transpose=True)
     h = tri_solve_upper(u_m, lt_s, transpose=True)
-    zs = g.T @ h
     a = (y - phi @ (g.T @ (g @ (phi.T @ y)))) / beta2
     logdet = (n - m) * float(np.log(beta2)) + 2.0 * float(np.sum(np.log(np.diagonal(u_m))))
     return LowRankGaussian(
@@ -114,8 +113,8 @@ def lowrank_gaussian_by_solves(phi, y, l, beta2):
         a=a,
         phi_a=phi.T @ a,
         phi_dinv_phi=(s - h.T @ h) / beta2,
-        zs=zs,
-        tr_g=0.5 * (float(a @ a) - (n - float(np.trace(zs))) / beta2),
+        z=g.T @ g,
+        tr_g=0.5 * (float(a @ a) - (n - float(np.trace(g.T @ h))) / beta2),
         s=s,
         jitter=jitter,
     )

@@ -141,7 +141,7 @@ def sgpr_elbo_by_solves(x, y, hp):
     trace_gap = n * hp.kernel.outputscale - float(np.trace(lr.s))
     value = lr.log_n - trace_gap / (2.0 * beta2)
     pa = tri_solve_upper(u_zz, lr.phi_a)
-    up_xz = b @ tri_solve_upper(u_zz, lr.zs.T / beta2).T + np.outer(lr.a, pa)
+    up_xz = b @ tri_solve_upper(u_zz, (lr.z @ lr.s).T / beta2).T + np.outer(lr.a, pa)
     g1 = matern32_param_grads(x, hp.z, hp.kernel, k_xz, e_xz, up_xz)
     inner = tri_solve_upper(u_zz, lr.phi_dinv_phi - lr.s / beta2)
     up_zz = 0.5 * (tri_solve_upper(u_zz, inner.T) - np.outer(pa, pa))

@@ -238,7 +238,7 @@ def test_lowrank_gaussian_matches_dense_algebra(form):
     assert lr.tr_g == pytest.approx(0.5 * (a @ a - np.trace(d_inv)), rel=1e-10)
     assert np.allclose(lr.a, a, rtol=1e-9, atol=1e-12)
     assert np.allclose(lr.phi_a, phi.T @ a, rtol=1e-9, atol=1e-12)
-    r = (np.eye(6) - lr.zs) / beta2
+    r = (np.eye(6) - lr.z @ lr.s) / beta2
     assert np.allclose(phi @ r, d_inv @ phi, rtol=1e-9, atol=1e-12)
     assert np.allclose(lr.phi_dinv_phi, phi.T @ d_inv @ phi, rtol=1e-9, atol=1e-12)
     assert np.allclose(lr.s, phi.T @ phi, rtol=1e-12, atol=1e-14)
@@ -288,7 +288,7 @@ def test_lowrank_gaussian_runs_its_m_space_in_float64(monkeypatch):
     assert seen == [np.dtype(np.float64)] * 2
     for a in (lr.a, lr.phi_a, lr.s):
         assert a.dtype == np.float32
-    for a in (lr.phi_dinv_phi, lr.zs):
+    for a in (lr.phi_dinv_phi, lr.z):
         assert a.dtype == np.float64
 
 
