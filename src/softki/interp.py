@@ -102,6 +102,7 @@ def softmax_weights_backward(
     dist: np.ndarray,
     upstream: np.ndarray,
     out: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
 ):
     """Chain an upstream dL/dW through the softmax onto z and T.
 
@@ -110,7 +111,8 @@ def softmax_weights_backward(
     a float32 upstream gets no float64 (n, m) copy. Distance gradients at
     coincident points (d_ij = 0) are taken as 0. out, when given, is a
     C-ordered (n, m) array of x's dtype, upstream itself or another, that
-    the logits' sensitivities are written into instead of a new array.
+    the logits' sensitivities are written into instead of a new array, and
+    mask an (n, m) bool array that marks those points instead of a new one.
     """
     if upstream.shape != w.shape:
         raise DimensionMismatch(f"upstream shape {upstream.shape} != {w.shape}")
@@ -125,7 +127,7 @@ def softmax_weights_backward(
     # logits = -d_ij, d_ij = ||x/T - z_j||; zero distance contributes zero
     with np.errstate(divide="ignore", invalid="ignore"):
         a /= dist
-    a[~(dist > 0)] = 0.0
+    np.copyto(a, 0.0, where=np.logical_not(np.greater(dist, 0, out=mask), out=mask))
 
     temps = hp.temperatures.astype(x.dtype)
     z = hp.z.astype(x.dtype, copy=False)
@@ -136,9 +138,14 @@ def softmax_weights_backward(
     # d logits_ij / d z_j = (xt_i - z_j) / d_ij
     g_z = a.T @ xt - z * acol[:, None]
 
-    # d logits_ij / d T_c = (xt_ic - z_jc) x_ic / (d_ij T_c^2)
+    # d logits_ij / d T_c = (xt_ic - z_jc) x_ic / (d_ij T_c^2), summed as
+    # x xt arow - x az with each (n, d) product formed in place; x xt arow is
+    # in a's dtype, as az is, so it is a new array only when x's is narrower
     az = a @ z                                 # (n, d)
-    g_t = (x * xt * arow[:, None] - x * az).sum(axis=0) / temps**2
+    xt *= x
+    t = np.multiply(xt, arow[:, None], out=xt if xt.dtype == az.dtype else None)
+    t -= np.multiply(x, az, out=az)
+    g_t = t.sum(axis=0) / temps**2
     return g_z, g_t
 
 

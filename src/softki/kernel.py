@@ -85,7 +85,8 @@ def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
             raise NonFiniteInput(f"{name} row {row} (0-based) overflows the squared "
                                  f"distance in {x.dtype}", row if name == "x" else None)
     # 2 x.z: doubling xs is exact, so this is bitwise the doubled product
-    cross = np.matmul(xs * 2.0, zs.T, out=scratch)
+    xs *= 2.0
+    cross = np.matmul(xs, zs.T, out=scratch)
     # |x|^2 + |z|^2 as a broadcast copy of |z|^2 plus |x|^2 (addition commutes
     # exactly): one broadcast operand in the ufunc instead of add.outer's two
     sq = np.empty_like(cross) if out is None else out

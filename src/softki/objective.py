@@ -12,6 +12,14 @@ M = beta^2 I + L^T S L with S = Phi^T Phi, and gets D^-1 y, log det D and
 D^-1 Phi = Phi (I - Z S) / beta^2, Z = L M^-1 L^T, by the Woodbury identity
 and the determinant lemma; it also returns the noise-trace term
 tr_g = (a^T a - tr D^-1) / 2 that both its callers' noise gradients read.
+With U_m M's upper Cholesky factor and g = U_m^-T L^T, Z = g^T g, which it
+returns (one ?syrk), and tr(Z S) = tr(g^T h) with h = g S. For softki
+(L = U_zz^T, K_zz = L L^T) the exact gradient's W-factor is Z itself:
+
+    K_zz - Z S K_zz = L M^-1 (M - L^T S L) L^T = beta^2 L M^-1 L^T = beta^2 Z,
+
+so neither Z S nor Z S K_zz is formed; for SGPR (L = I) Z = M^-1 and
+Z S / beta^2 = I / beta^2 - Z.
 Both models take one route through it: softki
 passes Phi = W and u = U_zz, K_zz's upper Cholesky factor (L = U_zz^T);
 SGPR passes the whitened Phi = K_xz U_zz^-1 and u = None (L = I). M is
@@ -108,7 +116,7 @@ and the CG solves run in the batch dtype. K_zz and every product formed with
 it run in float64, and each such product is cast once, where it meets W or S:
 K_zz and its e are built from float64 z and factored there,
 ``lowrank_gaussian``'s m-space stays there, and the exact gradient's
-(K_zz - Z S K_zz) / beta^2 and K_zz W^T a and the pseudoloss's K_zz W^T v
+Z = (K_zz - Z S K_zz) / beta^2 and K_zz W^T a and the pseudoloss's K_zz W^T v
 (in each CG matvec) and K_zz W^T S (after the solve) are formed there. The
 kernel backward reads the float64 (K_zz, e), and K_zz itself is never cast
 to the batch dtype. For a float64 batch each cast returns the
@@ -133,7 +141,7 @@ float32 GEMM slows to a crawl on subnormal operands. On a clustered float32
 batch at (1024, 128) whose W holds 22036 subnormal entries of 131072, a
 stabilized call that fell back to the pseudoloss (17 CG iterations) took
 144-153 ms with them and 10-11 ms without, at one BLAS thread. On the same
-batch the exact gradient's (K_zz - Z S K_zz) / beta^2 holds 2327 float32
+batch the exact gradient's Z = (K_zz - Z S K_zz) / beta^2 holds 2327 float32
 subnormals of 16384 entries when cast, and W times it took 35 ms with them
 and 14 ms without. A zeroed entry drops product terms below tiny times the
 largest entry of the other operand; W's entries are at most 1, so a zeroed
@@ -340,10 +348,6 @@ def _batch(x: np.ndarray, y, hp, workspace: Workspace | None = None) -> Batch:
     return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, z, k_zz, e_zz, beta * beta, ws)
 
 
-# rows of each block of the exact gradient's rank-one update
-_OUTER_ROWS = 128
-
-
 def _cast(a: np.ndarray, dtype) -> np.ndarray:
     """a, a float64 product with K_zz, cast to the batch dtype where it meets
     W or S, with its entries below that dtype's smallest normal zeroed; a
@@ -351,7 +355,8 @@ def _cast(a: np.ndarray, dtype) -> np.ndarray:
     a = a.astype(dtype, copy=False)
     tiny = np.finfo(dtype).tiny
     # |a| < tiny as two comparisons: no float temporary of a's size
-    np.copyto(a, 0.0, where=np.less(a, tiny) & np.greater(a, -tiny))
+    small = np.less(a, tiny)
+    np.copyto(a, 0.0, where=np.logical_and(small, np.greater(a, -tiny), out=small))
     return a
 
 
@@ -367,7 +372,8 @@ def _assemble_gradients(b: Batch, hp, g_k, g_w, tr_g) -> dict:
     ws = b.workspace
     kg = matern32_param_grads(b.z, b.z, hp.kernel, b.k_zz, b.e_zz, g_k,
                               want_x=True, want_z=True, scratch=ws.u_zz)
-    z_soft, g_t = softmax_weights_backward(b.x, hp, b.w, b.dist, g_w, out=ws.rows[2])
+    z_soft, g_t = softmax_weights_backward(b.x, hp, b.w, b.dist, g_w, out=ws.rows[2],
+                                           mask=ws.mask)
     return {
         "noise": 2.0 * hp.noise * float(tr_g),
         "lengthscales": kg.lengthscales,
@@ -401,14 +407,13 @@ def exact_mll(b: Batch, hp: Hyperparams) -> ObjectiveReport:
     g_k = np.multiply.outer(phi_a, phi_a, out=stack[0])
     np.subtract(g_k, lr.phi_dinv_phi, out=g_k)
     g_k *= 0.5
-    # (K_zz - Z S K_zz) / beta^2 is Z (see the module docstring)
-    g_w = np.matmul(w, _cast(lr.z, dtype), out=ws.rows[2])
-    # a v^T - W F, as the rank-one term less the product a block of rows at
-    # a time: the same rounding as negating the product and adding the term
-    v = _cast(phi_a @ k_zz, dtype)
-    for i in range(0, g_w.shape[0], _OUTER_ROWS):
-        rows = slice(i, i + _OUTER_ROWS)
-        np.subtract(np.multiply.outer(lr.a[rows], v), g_w[rows], out=g_w[rows])
+    # 2 G W K_zz = a (K_zz W^T a)^T - W (K_zz - Z S K_zz) / beta^2, and the
+    # second factor is Z (see the module docstring): one ?gemm takes W Z off
+    # the rank-one term in place, on the Fortran-ordered transposes
+    z = _cast(lr.z, dtype)
+    g_w = np.multiply.outer(lr.a, _cast(phi_a @ k_zz, dtype), out=ws.rows[2])
+    gemm, = scipy.linalg.get_blas_funcs(("gemm",), (w,))
+    gemm(-1.0, z.T, w.T, beta=1.0, c=g_w.T, overwrite_c=1)
 
     grads = _assemble_gradients(b, hp, g_k, g_w, lr.tr_g)
     return ObjectiveReport(value=lr.log_n, gradients=grads, mode_used="exact",

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import glob
+import json
 import os
 import platform
 import subprocess
@@ -302,9 +303,10 @@ def test_kmeans_peak_grows_no_faster_than_its_distance_buffer():
     # less the per-row working set, x^T and 2x (26 values per row each) and
     # five more 8-byte values per row (|x|^2, nearest distances, two
     # assignments, 4.85 measured in all), the peak is the block x m distance
-    # buffer for any n; at m=512 a block holds DEFAULT_BLOCK_ROWS rows
+    # buffer for any n; at m=512 a block holds 256 rows, so DEFAULT_BLOCK_ROWS
+    # rows are four blocks
     m = 512
-    assert softki.trainer._KMEANS_BLOCK_VALUES // m == DEFAULT_BLOCK_ROWS
+    assert softki.trainer._KMEANS_BLOCK_VALUES // m == DEFAULT_BLOCK_ROWS // 4
 
     def peak_less_rows(n):
         return _kmeans_peak(n, m) - (2 * 26 + 5) * n * 8
@@ -426,14 +428,27 @@ def test_train_trace_shapes_and_constraint_floors():
     assert hp.z.shape == (8, 2)
 
 
+def run_child(source: str) -> str:
+    """stdout of source run in a fresh interpreter that imports this softki."""
+    src = Path(softki.trainer.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(source)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trim threshold")
 def test_softki_training_keeps_its_heap_after_kmeans():
     # glibc sets its trim threshold to twice the largest block it has
-    # unmapped; kmeans's ~4 MiB distance block keeps the training steps'
-    # transients on the heap. A fresh interpreter, so no earlier test has
-    # shaped the heap: 2.3k minor faults measured for this train, against
-    # 31.9k with a 1 MiB block (_KMEANS_BLOCK_VALUES = 2**17)
-    child = textwrap.dedent("""
+    # unmapped, and k-means's distance block is now 1 MiB; the steps write
+    # into one workspace, so none of them gives a large block back for the
+    # next to fault in again. A fresh interpreter, so no earlier test has
+    # shaped the heap: 1.5k minor faults measured for this train. Steps that
+    # allocated their arrays afresh took 31.9k after this block and 2.3k
+    # after a 4 MiB one
+    faults = run_child("""
         import resource, warnings
         from softki import TrainConfig, ricker_dataset, train
         data, _ = ricker_dataset(radius=2.5, seed=0)
@@ -443,13 +458,44 @@ def test_softki_training_keeps_its_heap_after_kmeans():
         train(data, config)
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     """)
-    src = Path(softki.trainer.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 10_000
+    assert int(faults) < 10_000
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trim threshold")
+def test_wide_softki_steps_after_the_first_fault_in_no_memory():
+    # m = 512, d = 26: a step's arrays are about 30 MB. Allocated afresh on
+    # every step they took about 6,400 minor faults a step; in the training
+    # run's one workspace, the steps after the first take none
+    faults = run_child("""
+        import json, resource, warnings
+        import numpy as np
+        from softki import Dataset, TrainConfig, train
+        from softki.posterior import MODELS
+
+        row = MODELS["softki"]
+        per_step = []
+
+        def counted_steps(cfg, n):
+            step = row.objective(cfg, n)
+
+            def counted(*args):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                report = step(*args)
+                per_step.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+                return report
+            return counted
+
+        MODELS["softki"] = row._replace(objective=counted_steps)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4096, 26))
+        data = Dataset(x, np.sin(x[:, 0]) + 0.1 * rng.standard_normal(4096))
+        warnings.simplefilter("ignore")
+        train(data, TrainConfig(seed=0, m=512, epochs=2, learning_rate=0.01, batch_size=1000))
+        print(json.dumps(per_step))
+    """)
+    per_step = json.loads(faults)
+    assert len(per_step) == 10  # four full batches and a short one per epoch
+    assert max(per_step[1:]) < 100, per_step
 
 
 def test_train_is_bitwise_deterministic():
