@@ -106,8 +106,9 @@ def cholesky_upper(m: np.ndarray, *, out: tuple | None = None):
     M + M^T overflows.
 
     out, when given, is a pair (work, factor) of distinct C-ordered arrays
-    of M's shape and floating dtype: work holds the symmetrized M and factor
-    receives U, which is returned as its Fortran-ordered transpose view.
+    of M's shape and floating dtype: work holds the symmetrized M, and U is
+    factored in place into factor's transpose, a Fortran-ordered view, which
+    is returned.
     Without it both are new arrays; the arithmetic is the same either way.
     """
     m = np.asarray(m)

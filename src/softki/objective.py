@@ -219,10 +219,10 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
 
     u is K_zz's upper Cholesky factor (L = U^T) or None (L = I): a Cholesky
     factor, not the inverse of one, since S is formed before L is applied and
-    its rounding grows by ||L||^2. Z is applied only through g = U_m^-T U and
-    h = U_m^-T U S, never multiplied out: it is huge along directions a batch
-    barely covers; Z itself is returned as g^T g, one ?syrk, and
-    tr(Z S) = tr(g^T h) is summed off g and h. The m-space runs in float64
+    its rounding grows by ||L||^2. Z is formed only as g^T g with
+    g = U_m^-T U, one ?syrk, and Z S never: products with Z S go through g
+    and h = U_m^-T U S, and tr(Z S) = tr(g^T h) is summed off the two. The
+    m-space runs in float64
     and its m-by-m results (phi_dinv_phi and z) stay there; a, phi_a and s
     are in phi's dtype.
     Every m-by-m array is one of the buffers of out, a
@@ -291,7 +291,7 @@ class Workspace(NamedTuple):
     """The (n, m) and (m, m) arrays of softki steps on up to n points."""
 
     rows: np.ndarray        # (3, n, m), batch dtype: W, dist and the W-gradient
-    mask: np.ndarray        # (n, m) bool: W's entries to zero
+    mask: np.ndarray        # (n, m) bool: W's entries to zero, then zero distances
     kernel: np.ndarray      # (2, m, m) float64: K_zz and e_zz
     u_zz: np.ndarray | None     # (m, m) float64: U_zz, then the kernel backward's scratch
     m_space: tuple | None       # lowrank_workspace(m, dtype)

@@ -306,8 +306,10 @@ def _fit_exact(data: Dataset, hp, phi):
 
 def _softki_steps(cfg, n: int):
     # as sgpr's: the steps write their (n, m) and (m, m) arrays into one
-    # workspace, and the last short batch uses its leading rows
-    workspace = softki_workspace(min(n, cfg.batch_size), cfg.m, cfg.dtype)
+    # workspace, and the last short batch uses its leading rows; a run that
+    # never tries the exact objective holds none of its buffers
+    workspace = softki_workspace(min(n, cfg.batch_size), cfg.m, cfg.dtype,
+                                 exact=cfg.objective_mode != "pseudoloss")
     return lambda x, y, hp, probes: stabilized_objective(x, y, hp, cfg, probes,
                                                          workspace=workspace)
 
