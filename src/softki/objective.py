@@ -33,19 +33,22 @@ hp, probes, cg_tol, cg_max_iters)``, read the ``Batch`` b = ``_batch(x, y, hp)``
 that ``stabilized_objective`` builds once per step; a direct evaluation of one
 of them is ``stabilized_objective`` with that ``objective_mode``.
 
-A batch's (n, m) and (m, m) arrays live in a ``Workspace``: W, its distances
-and the W-gradient (which the softmax backward overwrites in place) in the
-batch dtype; K_zz and its e; and the exact objective's float64 m-space, U_zz
-and ``lowrank_workspace``'s buffers, in which every ?trmm, the Cholesky
-factors and the triangular inverse run in place on Fortran-ordered views.
-softki's row of ``posterior.MODELS`` makes one ``softki_workspace`` per
-training run and passes it to every step, whose last short batch uses the
-leading rows; a call without one makes its own, and a batch made that way
-leaves the exact objective to make its m-by-m buffers per call. The
-arithmetic is the same either way. A wide-m512 step (m = 512, d = 26) took
-about 6,400 minor page faults when it allocated its arrays afresh, as glibc
-gave the freed blocks back and faulted them in again; with one workspace the
-steps after the first take none.
+Every per-step buffer of softki and SGPR lives in one ``Workspace`` record,
+built by ``step_workspace`` and checked by ``_step_buffers``, which refuses
+one of another dtype, m or layout, or with too few rows, by
+DimensionMismatch. Every field is an array, and a model's record holds only
+the buffers its step reads: the (n, m) rows in the step dtype (softki's W,
+its distances and the W-gradient, which the softmax backward overwrites in
+place; SGPR's four below) and softki's one bool mask; K_zz and its e; U_zz;
+and ``lowrank_gaussian``'s m-space, S in the step dtype and five float64
+m-by-m buffers, in which every ?trmm, the Cholesky factors and the
+triangular inverses run in place on Fortran-ordered views. Each row of
+``posterior.MODELS`` makes one record per training run and passes it to
+every step, whose last short batch uses the leading rows; a call without
+one makes its own. The arithmetic is the same either way. A wide-m512 step
+(m = 512, d = 26) took about 6,400 minor page faults when it allocated its
+arrays afresh, as glibc gave the freed blocks back and faulted them in
+again; with one record the steps after the first take none.
 
 When K_zz stops being numerically positive definite, or the exact value or
 gradient goes non-finite, a Hutchinson-style pseudoloss takes over: solve
@@ -90,13 +93,13 @@ B is formed by products, not by substitution: U^-1 comes from one ?trtri,
 and B^T = U^-T K_xz^T from one in-place ?trmm on the Fortran-ordered
 transpose of B's buffer; every other product with U^-1 is a GEMM with it.
 At (n, m) = (3000, 128) and one BLAS thread the wide ?trsm took 4.9 ms
-against 1.7 ms for ?trtri and ?trmm. The (n, m) arrays of a call live in the
-four buffers of ``sgpr_workspace``: K_xz; e, which holds the distances'
-cross term until e is written; B, which turns into the kernel backward's
-scratch once the upstream is formed; and the upstream B (Z S / beta^2) U^-T,
-which takes its rank-one term a (P^T a)^T in place by ?ger. SGPR's row of
-``posterior.MODELS`` makes one workspace per training run and passes it to
-every step.
+against 1.7 ms for ?trtri and ?trmm. Its record's rows are
+K_xz; e, which holds the distances' cross term until e is written; B, which
+turns into the kernel backward's scratch once the upstream is formed; and
+the upstream B (Z S / beta^2) U^-T, which takes its rank-one term
+a (P^T a)^T in place by ?ger. U_zz turns into U^-1 in place, and then into
+the K_zz backward's scratch; the gradient's m-by-m products go into the
+m-space buffers that ``lowrank_gaussian`` leaves free.
 
 The exact GP's likelihood (``exact_gp_mll``) takes K^-1 y, log det K and
 K^-1 from one ``dense_gaussian`` of K = K_XX + beta^2 I, refused above
@@ -189,6 +192,54 @@ def draw_probes(n: int, count: int, seed) -> np.ndarray:
     return p
 
 
+class Workspace(NamedTuple):
+    """Every buffer of one model's training steps on up to n points with m
+    points z, built by ``step_workspace`` and checked by ``_step_buffers``;
+    a shorter batch uses the leading rows of each (n, m) buffer."""
+
+    rows: np.ndarray      # (k, n, m), step dtype: softki's W, dist and W-gradient;
+                          # SGPR's K_xz, e, B and upstream
+    masks: np.ndarray     # (j, n, m) bool: softki's W entries to zero, then zero
+                          # distances; SGPR's none
+    kernel: np.ndarray    # (2, m, m) float64: K_zz and e_zz
+    u_zz: np.ndarray      # (m, m) float64: U_zz (SGPR's turns into U^-1), then the
+                          # K_zz backward's scratch
+    s: np.ndarray         # (m, m) step dtype: lowrank_gaussian's S, then softki's cast Z
+    m_space: np.ndarray   # (5, m, m) float64: lowrank_gaussian's S, U S, M, work and factor
+
+
+# (k, j) of each model's step: its (n, m) buffers in the step dtype and its masks
+SOFTKI_ROWS = (3, 1)
+SGPR_ROWS = (4, 0)
+
+
+def step_workspace(n: int, m: int, dtype, rows: tuple) -> Workspace:
+    """The ``Workspace`` of a model's steps on up to n points with m points z
+    in dtype; rows is the model's (k, j), ``SOFTKI_ROWS`` or ``SGPR_ROWS``.
+    For float64 s is the m-space's S."""
+    m_space = np.empty((5, m, m))
+    s = m_space[0] if np.dtype(dtype) == np.float64 else np.empty((m, m), dtype)
+    return Workspace(np.empty((rows[0], n, m), dtype), np.empty((rows[1], n, m), dtype=bool),
+                     np.empty((2, m, m)), np.empty((m, m)), s, m_space)
+
+
+def _step_buffers(ws: Workspace | None, n: int, m: int, dtype, rows: tuple) -> Workspace:
+    """The record a step on n points writes into: a new ``step_workspace``
+    when ws is None, else ws cut to the leading n rows of its (n, m) buffers
+    after the one check of a step's record, which raises DimensionMismatch
+    unless ws is a ``step_workspace`` of dtype, at least n rows, m and the
+    model's rows whose (n, m) buffers are C-ordered, as BLAS writes them in
+    place."""
+    if ws is None:
+        return step_workspace(n, m, dtype, rows)
+    (k, j), r, masks = rows, ws.rows, ws.masks
+    if (r.dtype != dtype or r.shape[0] != k or r.shape[1] < n or r.shape[2] != m
+            or not r.flags.c_contiguous or masks.shape != (j, *r.shape[1:])):
+        raise DimensionMismatch(f"workspace rows are {r.dtype} {r.shape} with {masks.shape[0]} "
+                                f"masks, expected {np.dtype(dtype)} ({k}, >= {n}, {m}) with {j}")
+    return ws._replace(rows=r[:, :n], masks=masks[:, :n])
+
+
 @dataclass
 class LowRankGaussian:
     """log N(y | 0, D), its noise-trace term and the m-space solves of
@@ -204,17 +255,8 @@ class LowRankGaussian:
     jitter: float               # rung used to factor M
 
 
-def lowrank_workspace(m: int, dtype) -> tuple:
-    """The m-by-m buffers of one ``lowrank_gaussian`` call on a phi of dtype:
-    (S in dtype, S in float64, a (4, m, m) float64 stack). For float64 the
-    two S buffers are one array."""
-    s64 = np.empty((m, m))
-    s = s64 if np.dtype(dtype) == np.float64 else np.empty((m, m), dtype)
-    return s, s64, np.empty((4, m, m))
-
-
 def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
-                     beta2, out: tuple | None = None) -> LowRankGaussian:
+                     beta2, out: Workspace | None = None) -> LowRankGaussian:
     """Log density, noise-trace term and solves of a low-rank-plus-noise D.
 
     u is K_zz's upper Cholesky factor (L = U^T) or None (L = I): a Cholesky
@@ -225,20 +267,20 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
     m-space runs in float64
     and its m-by-m results (phi_dinv_phi and z) stay there; a, phi_a and s
     are in phi's dtype.
-    Every m-by-m array is one of the buffers of out, a
-    ``lowrank_workspace(m, phi.dtype)``, made afresh when out is None: each
-    ?trmm and the triangular inverse run in place on a Fortran-ordered view,
-    so the returned phi_dinv_phi, z and s are views into out.
+    Every m-by-m array is a buffer of out, a ``Workspace`` of phi's dtype and
+    m (its s and m_space), made afresh when out is None: each ?trmm and the
+    triangular inverse run in place on a Fortran-ordered view, so the
+    returned phi_dinv_phi, z and s are views into out.
     Raises NotPositiveDefinite when M fails every jitter rung.
     """
     n, m = phi.shape
-    s_out, s64, stack = lowrank_workspace(m, phi.dtype) if out is None else out
-    s = np.matmul(phi.T, phi, out=s_out)
-    if s64 is not s_out:
-        np.copyto(s64, s)
+    out = step_workspace(0, m, phi.dtype, (0, 0)) if out is None else out
+    s = np.matmul(phi.T, phi, out=out.s)
+    s64 = out.m_space[0]
+    np.copyto(s64, s)  # returns at once for float64, where s is this view
     trmm, = scipy.linalg.get_blas_funcs(("trmm",), (s64,))
-    # Fortran-ordered views of the C-ordered stack, which ?trmm writes in place
-    us, m_mat, work, factor = stack[0].T, stack[1].T, stack[2], stack[3]
+    # Fortran-ordered views of the C-ordered m-space, which ?trmm writes in place
+    us, m_mat, work, factor = out.m_space[1].T, out.m_space[2].T, out.m_space[3], out.m_space[4]
     np.copyto(us, s64)
     if u is not None:
         u = u.astype(np.float64, copy=False)
@@ -259,7 +301,7 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
     z = np.matmul(g.T, g, out=work)                           # Z = g^T g, by ?syrk
     tr_zs = float(np.einsum("ij,ij->", g, h))                 # tr(Z S) = tr(g^T h)
     a = (y - phi @ (g.T @ (g @ (phi.T @ y))).astype(phi.dtype, copy=False)) / beta2
-    phi_dinv_phi = np.matmul(h.T, h, out=stack[3])            # (S - h^T h) / beta^2, over U_m^-1
+    phi_dinv_phi = np.matmul(h.T, h, out=factor)              # (S - h^T h) / beta^2, over U_m^-1
     np.subtract(s64, phi_dinv_phi, out=phi_dinv_phi)
     phi_dinv_phi /= beta2
     return LowRankGaussian(
@@ -287,26 +329,6 @@ def dense_gaussian(d: np.ndarray, y: np.ndarray):
             linalg.chol_inverse(u), jitter)
 
 
-class Workspace(NamedTuple):
-    """The (n, m) and (m, m) arrays of softki steps on up to n points."""
-
-    rows: np.ndarray        # (3, n, m), batch dtype: W, dist and the W-gradient
-    mask: np.ndarray        # (n, m) bool: W's entries to zero, then zero distances
-    kernel: np.ndarray      # (2, m, m) float64: K_zz and e_zz
-    u_zz: np.ndarray | None     # (m, m) float64: U_zz, then the kernel backward's scratch
-    m_space: tuple | None       # lowrank_workspace(m, dtype)
-
-
-def softki_workspace(n: int, m: int, dtype="float64", exact: bool = True) -> Workspace:
-    """The buffers of softki steps on up to n points with m points z in
-    dtype; a shorter batch uses the leading rows of each (n, m) buffer.
-    Without exact, the exact objective's m-by-m buffers (u_zz and m_space)
-    are None, and each ``exact_mll`` call makes its own."""
-    square = (np.empty((m, m)), lowrank_workspace(m, dtype)) if exact else (None, None)
-    return Workspace(np.empty((3, n, m), dtype), np.empty((n, m), dtype=bool),
-                     np.empty((2, m, m)), *square)
-
-
 class Batch(NamedTuple):
     """One batch's forward, read by every objective and backward of a call."""
 
@@ -318,7 +340,7 @@ class Batch(NamedTuple):
     k_zz: np.ndarray        # K_zz, float64
     e_zz: np.ndarray        # its exp(-sqrt(3) r), float64
     beta2: np.floating      # noise^2, x's dtype
-    workspace: Workspace    # holds w, dist, k_zz and e_zz, and the step's other buffers
+    workspace: Workspace    # its leading rows: w, dist, k_zz, e_zz and the step's other buffers
 
 
 def _batch(x: np.ndarray, y, hp, workspace: Workspace | None = None) -> Batch:
@@ -328,30 +350,27 @@ def _batch(x: np.ndarray, y, hp, workspace: Workspace | None = None) -> Batch:
     ``matern32_forward`` on float64 z. No objective and no backward writes
     into these arrays, so one batch can serve several objectives.
 
-    workspace, when given, is a ``softki_workspace`` of x's dtype with at
-    least x's rows and hp's m, whose contents are overwritten; without it
-    the batch makes one without the exact objective's buffers.
+    workspace, when given, is a ``step_workspace`` of x's dtype with at
+    least x's rows, hp's m and ``SOFTKI_ROWS``, whose contents are
+    overwritten; without it the batch makes one.
     """
-    n, m = x.shape[0], hp.z.shape[0]
-    if workspace is None:
-        workspace = softki_workspace(n, m, x.dtype, exact=False)
-    rows = workspace.rows
-    if rows.dtype != x.dtype or rows.shape[1] < n or rows.shape[2] != m:
-        raise DimensionMismatch(f"workspace rows are {rows.dtype} {rows.shape}, expected "
-                                f"{x.dtype} (3, >= {n}, {m})")
-    ws = workspace._replace(rows=rows[:, :n], mask=workspace.mask[:n])
+    ws = _step_buffers(workspace, x.shape[0], hp.z.shape[0], x.dtype, SOFTKI_ROWS)
     w, dist = softmax_forward(x, hp, out=(ws.rows[0], ws.rows[1]))
-    np.copyto(w, 0.0, where=np.less(w, np.finfo(w.dtype).tiny, out=ws.mask))
+    np.copyto(w, 0.0, where=np.less(w, np.finfo(w.dtype).tiny, out=ws.masks[0]))
     z = hp.z.astype(np.float64, copy=False)
-    k_zz, e_zz = matern32_forward(z, z, hp.kernel, (ws.kernel[0], ws.kernel[1]))
+    k_zz, e_zz = matern32_forward(z, z, hp.kernel, tuple(ws.kernel))
     beta = x.dtype.type(hp.noise)
     return Batch(x, np.asarray(y, dtype=x.dtype), w, dist, z, k_zz, e_zz, beta * beta, ws)
 
 
-def _cast(a: np.ndarray, dtype) -> np.ndarray:
+def _cast(a: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
     """a, a float64 product with K_zz, cast to the batch dtype where it meets
     W or S, with its entries below that dtype's smallest normal zeroed; a
-    itself, zeroed in place, for float64."""
+    itself, zeroed in place, for float64. out, when given, is an array of
+    a's shape in dtype that receives the cast in place of a new one."""
+    if out is not None and a.dtype != dtype:
+        np.copyto(out, a)
+        a = out
     a = a.astype(dtype, copy=False)
     tiny = np.finfo(dtype).tiny
     # |a| < tiny as two comparisons: no float temporary of a's size
@@ -366,14 +385,14 @@ def _assemble_gradients(b: Batch, hp, g_k, g_w, tr_g) -> dict:
     Each backward reads the batch's own forward, the one the objective read:
     the kernel backward (K_zz, e_zz) in float64, and the softmax backward
     (W, dist) in x's dtype. Their (m, m) and (n, m) products go into the
-    batch's U_zz buffer, where it has one, and W-gradient buffer; g_k may
-    not be the first, and g_w may be the second.
+    batch's U_zz buffer and W-gradient buffer; g_k may not be the first,
+    and g_w may be the second.
     """
     ws = b.workspace
     kg = matern32_param_grads(b.z, b.z, hp.kernel, b.k_zz, b.e_zz, g_k,
                               want_x=True, want_z=True, scratch=ws.u_zz)
     z_soft, g_t = softmax_weights_backward(b.x, hp, b.w, b.dist, g_w, out=ws.rows[2],
-                                           mask=ws.mask)
+                                           mask=ws.masks[0])
     return {
         "noise": 2.0 * hp.noise * float(tr_g),
         "lengthscales": kg.lengthscales,
@@ -393,24 +412,19 @@ def exact_mll(b: Batch, hp: Hyperparams) -> ObjectiveReport:
     Raises NotPositiveDefinite when a Cholesky fails after the jitter
     schedule.
     """
-    dtype, w, k_zz = b.x.dtype, b.w, b.k_zz
-    if b.workspace.m_space is None:  # a batch made for one call: this call's buffers
-        m = k_zz.shape[0]
-        b = b._replace(workspace=b.workspace._replace(
-            u_zz=np.empty((m, m)), m_space=lowrank_workspace(m, dtype)))
-    ws = b.workspace
-    stack = ws.m_space[2]
-    u_zz, jitter = linalg.cholesky_upper(k_zz, out=(stack[2], ws.u_zz))
-    lr = lowrank_gaussian(w, b.y, u_zz, b.beta2, out=ws.m_space)
+    dtype, w, k_zz, ws = b.x.dtype, b.w, b.k_zz, b.workspace
+    u_zz, jitter = linalg.cholesky_upper(k_zz, out=(ws.m_space[3], ws.u_zz))
+    lr = lowrank_gaussian(w, b.y, u_zz, b.beta2, out=ws)
     phi_a = lr.phi_a.astype(np.float64, copy=False)
     # lowrank_gaussian's U S buffer is free: g_k
-    g_k = np.multiply.outer(phi_a, phi_a, out=stack[0])
+    g_k = np.multiply.outer(phi_a, phi_a, out=ws.m_space[1])
     np.subtract(g_k, lr.phi_dinv_phi, out=g_k)
     g_k *= 0.5
     # 2 G W K_zz = a (K_zz W^T a)^T - W (K_zz - Z S K_zz) / beta^2, and the
     # second factor is Z (see the module docstring): one ?gemm takes W Z off
-    # the rank-one term in place, on the Fortran-ordered transposes
-    z = _cast(lr.z, dtype)
+    # the rank-one term in place, on the Fortran-ordered transposes. Z is
+    # cast into S's buffer, which nothing reads after lowrank_gaussian
+    z = _cast(lr.z, dtype, out=ws.s)
     g_w = np.multiply.outer(lr.a, _cast(phi_a @ k_zz, dtype), out=ws.rows[2])
     gemm, = scipy.linalg.get_blas_funcs(("gemm",), (w,))
     gemm(-1.0, z.T, w.T, beta=1.0, c=g_w.T, overwrite_c=1)
@@ -458,7 +472,7 @@ def hutchinson_pseudoloss(b: Batch, hp: Hyperparams, probes: np.ndarray, cg_tol:
     c[0, 0] = 0.5
     c[j, ell + j] = c[ell + j, j] = -n / (4.0 * ell)
     g_k = ws @ c @ ws.T
-    g_w = s @ (2.0 * c @ kws.T)
+    g_w = np.matmul(s, 2.0 * c @ kws.T, out=b.workspace.rows[2])
     tr_g = float(np.sum(c * gram))
 
     grads = _assemble_gradients(b, hp, g_k, g_w, tr_g)
@@ -499,7 +513,7 @@ def stabilized_objective(
     failed. The exact attempt runs with numpy's overflow and invalid-value
     warnings off, since its non-finite result is handled as a failure.
     workspace is ``_batch``'s: a caller that evaluates many batches passes
-    one ``softki_workspace`` to every call.
+    one ``step_workspace`` to every call.
     """
     b = _batch(np.asarray(x, dtype=cfg.dtype), y, hp, workspace)
     diag = {}
@@ -529,64 +543,56 @@ def stabilized_objective(
 # SGPR's collapsed bound and the dense exact GP
 
 
-def sgpr_workspace(n: int, m: int) -> np.ndarray:
-    """The four float64 (n, m) buffers of one ``sgpr_elbo`` call on n points
-    with m inducing points, as one (4, n, m) array: K_xz, e, B and the
-    upstream sensitivity."""
-    return np.empty((4, n, m))
-
-
 def sgpr_elbo(x: np.ndarray, y: np.ndarray, hp: Hyperparams, *,
-              workspace: np.ndarray | None = None) -> ObjectiveReport:
+              workspace: Workspace | None = None) -> ObjectiveReport:
     """Collapsed variational bound and its analytic gradients.
 
-    workspace, when given, is ``sgpr_workspace(n, m)`` or another C-ordered
-    float64 (4, n, m) array, whose contents are overwritten; without it the
-    call makes one. A caller that evaluates many full batches of the same
-    size passes one workspace to every call.
+    workspace, when given, is a float64 ``step_workspace`` with at least n
+    rows, hp's m and ``SGPR_ROWS``, whose contents are overwritten; without
+    it the call makes one. A caller that evaluates many full batches of the
+    same size passes one workspace to every call.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = y.shape[0], hp.z.shape[0]
-    if workspace is None:
-        workspace = sgpr_workspace(n, m)
-    elif (workspace.shape != (4, n, m) or workspace.dtype != np.float64
-          or not workspace.flags.c_contiguous):
-        # BLAS writes into these buffers in place; a copy would be written instead
-        raise DimensionMismatch(f"workspace is {workspace.dtype} {workspace.shape}, "
-                                f"expected a C-ordered float64 {(4, n, m)} array")
-    k_xz, e_xz, b, up_xz = workspace
+    ws = _step_buffers(workspace, n, m, np.float64, SGPR_ROWS)
+    k_xz, e_xz, b, up_xz = ws.rows
     beta = hp.noise
     beta2 = beta * beta
 
-    k_zz, e_zz = matern32_forward(hp.z, hp.z, hp.kernel)
-    u_zz, jit = linalg.cholesky_upper(k_zz)
-    v = linalg.tri_inverse_upper(u_zz)                         # U^-1
-    del u_zz  # only U^-1 is read below: one m x m array less at the step's peak
+    k_zz, e_zz = matern32_forward(hp.z, hp.z, hp.kernel, out=tuple(ws.kernel))
+    u_zz, jit = linalg.cholesky_upper(k_zz, out=(ws.m_space[3], ws.u_zz))
+    v = linalg.tri_inverse_upper(u_zz, overwrite=True)         # U^-1, over U
     matern32_forward(x, hp.z, hp.kernel, out=(k_xz, e_xz))
     # B^T = U^-T K_xz^T in place on the F-ordered transpose of b's buffer
     np.copyto(b, k_xz)
     trmm(1.0, v, b.T, trans_a=1, overwrite_b=1)
-    lr = lowrank_gaussian(b, y, None, beta2)
+    lr = lowrank_gaussian(b, y, None, beta2, out=ws)
     trace_gap = n * hp.kernel.outputscale - float(np.trace(lr.s))
     value = lr.log_n - trace_gap / (2.0 * beta2)
 
     # G = (a a^T - D^-1)/2 and P = K_xz K_zz^-1 = B U^-T: d/dK_xz is
     # 2 G P + P / beta^2 = a (P^T a)^T + B (Z S / beta^2) U^-T and d/dK_zz is
     # -P^T G P - P^T P / (2 beta^2), with B^T D^-1 B from lowrank_gaussian.
-    # With L = I, Z = M^-1 and Z S / beta^2 = I / beta^2 - Z
+    # With L = I, Z = M^-1 and Z S / beta^2 = I / beta^2 - Z. The m x m
+    # products go into lowrank_gaussian's U S and M buffers, which it leaves free
     pa = v @ lr.phi_a                                          # P^T a
     zs = np.negative(lr.z, out=lr.z)
     zs.flat[:: m + 1] += 1.0 / beta2
-    np.matmul(b, zs @ v.T, out=up_xz)
+    free, spare = ws.m_space[1:3]
+    np.matmul(b, np.matmul(zs, v.T, out=free), out=up_xz)
     ger(1.0, pa, lr.a, a=up_xz.T, overwrite_a=1)               # += a pa^T
     # B is dead once the upstream holds it: its buffer is the backward's scratch
     g1 = matern32_param_grads(x, hp.z, hp.kernel, k_xz, e_xz, up_xz,
                               want_x=False, want_z=True, scratch=b)
-    inner = v @ (lr.phi_dinv_phi - lr.s / beta2)
-    up_zz = 0.5 * (v @ inner.T - np.outer(pa, pa))
+    np.subtract(lr.phi_dinv_phi, np.divide(lr.s, beta2, out=free), out=free)
+    inner = np.matmul(v, free, out=spare)                      # U^-1 (B^T D^-1 B - S / beta^2)
+    up_zz = np.matmul(v, inner.T, out=free)
+    up_zz -= np.multiply.outer(pa, pa, out=zs)                 # Z S is dead
+    up_zz *= 0.5
+    # U^-1 is dead too: its buffer is the K_zz backward's scratch
     g2 = matern32_param_grads(hp.z, hp.z, hp.kernel, k_zz, e_zz, up_zz,
-                              want_x=True, want_z=True)
+                              want_x=True, want_z=True, scratch=ws.u_zz)
 
     grads = {
         "noise": 2.0 * beta * lr.tr_g + trace_gap / beta**3,

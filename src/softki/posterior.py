@@ -75,8 +75,8 @@ from .errors import (DimensionMismatch, InvalidConfig, NonFiniteInput, NonFinite
                      RankDeficient, SoftKIError)
 from .interp import Hyperparams, softki_cross, softmax_weights
 from .kernel import MaternParams, matern32
-from .objective import (_dense_gp, exact_gp_mll, sgpr_elbo, sgpr_workspace,
-                        softki_workspace, stabilized_objective)
+from .objective import (SGPR_ROWS, SOFTKI_ROWS, _dense_gp, exact_gp_mll, sgpr_elbo,
+                        stabilized_objective, step_workspace)
 
 # rows per block of every pass over data or query rows (fit's design blocks,
 # prediction). A block's block_rows x m temporaries are small enough for the
@@ -305,20 +305,19 @@ def _fit_exact(data: Dataset, hp, phi):
 
 
 def _softki_steps(cfg, n: int):
-    # as sgpr's: the steps write their (n, m) and (m, m) arrays into one
-    # workspace, and the last short batch uses its leading rows; a run that
-    # never tries the exact objective holds none of its buffers
-    workspace = softki_workspace(min(n, cfg.batch_size), cfg.m, cfg.dtype,
-                                 exact=cfg.objective_mode != "pseudoloss")
+    # as sgpr's: one objective.Workspace per run holds every (n, m) and
+    # (m, m) array of a step, the exact objective's too in a run that never
+    # tries it, and the last short batch uses its leading rows
+    workspace = step_workspace(min(n, cfg.batch_size), cfg.m, cfg.dtype, SOFTKI_ROWS)
     return lambda x, y, hp, probes: stabilized_objective(x, y, hp, cfg, probes,
                                                          workspace=workspace)
 
 
 def _sgpr_steps(cfg, n: int):
-    # every step writes its (n, m) arrays into this one workspace, so the
-    # steps allocate nothing of that size and the allocator has no large
-    # block to give back and fault in again between them
-    workspace = sgpr_workspace(n, cfg.m)
+    # every step writes its (n, m) and (m, m) arrays into this one
+    # objective.Workspace, so the steps allocate nothing of either size and
+    # the allocator has no large block to give back and fault in again
+    workspace = step_workspace(n, cfg.m, np.float64, SGPR_ROWS)
     return lambda x, y, hp, probes: sgpr_elbo(x, y, hp, workspace=workspace)
 
 

@@ -17,7 +17,8 @@ from softki.errors import DimensionMismatch, InvalidConfig, TooLarge
 from softki.interp import Hyperparams
 from softki.kernel import MaternParams, matern32, matern32_forward, matern32_param_grads
 from softki.linalg import cholesky_upper, tri_solve_upper
-from softki.objective import _batch, exact_gp_mll, exact_mll, sgpr_elbo, sgpr_workspace
+from softki.objective import (SGPR_ROWS, _batch, exact_gp_mll, exact_mll, sgpr_elbo,
+                              step_workspace)
 from softki.posterior import fit, predict_mean, predict_var
 
 
@@ -193,25 +194,57 @@ def test_elbo_matches_the_solve_route_on_a_jittered_k_zz(seed):
 
 
 def test_elbo_with_and_without_a_workspace_agree_bitwise():
+    # nothing is read before it is written, on the first call or the next
     x, y, hp = random_sgpr_instance(5, n=60, m=7)
-    workspace = sgpr_workspace(60, 7)
-    workspace.fill(np.nan)  # nothing is read before it is written
-    with_ws = sgpr_elbo(x, y, hp, workspace=workspace)
+    workspace = step_workspace(60, 7, np.float64, SGPR_ROWS)
+    for buffers in (workspace.rows, workspace.kernel, workspace.u_zz, workspace.m_space):
+        buffers.fill(np.nan)
     without = sgpr_elbo(x, y, hp)
-    assert with_ws.value == without.value
-    for name, g in without.gradients.items():
-        assert np.array_equal(with_ws.gradients[name], g), name
-    assert with_ws.diagnostics == without.diagnostics
+    for _ in range(2):
+        with_ws = sgpr_elbo(x, y, hp, workspace=workspace)
+        assert with_ws.value == without.value
+        for name, g in without.gradients.items():
+            assert np.array_equal(with_ws.gradients[name], g), name
+        assert with_ws.diagnostics == without.diagnostics
 
 
+_SGPR_RECORD = step_workspace(60, 7, np.float64, SGPR_ROWS)
+
+
+# another m, layout or dtype, and (n, m) buffers BLAS cannot write in place
 @pytest.mark.parametrize("workspace", [
-    np.empty((4, 60, 6)), np.empty((3, 60, 7)), np.empty((4, 60, 7), dtype=np.float32),
-    np.empty((4, 60, 14))[:, :, ::2], np.empty((4, 7, 60)).transpose(0, 2, 1),
+    step_workspace(60, 6, np.float64, SGPR_ROWS), step_workspace(60, 7, np.float64, (3, 0)),
+    step_workspace(60, 7, np.float32, SGPR_ROWS),
+    _SGPR_RECORD._replace(rows=np.empty((4, 60, 14))[:, :, ::2]),
+    _SGPR_RECORD._replace(rows=np.empty((4, 7, 60)).transpose(0, 2, 1)),
 ])
 def test_elbo_rejects_a_workspace_it_cannot_write_in_place(workspace):
     x, y, hp = random_sgpr_instance(5, n=60, m=7)
     with pytest.raises(DimensionMismatch, match="workspace"):
         sgpr_elbo(x, y, hp, workspace=workspace)
+
+
+def test_elbo_on_one_workspace_allocates_no_m_by_m_array():
+    # a call writes K_zz and e_zz, U_zz (turned into U^-1 in place), the
+    # m-space and the K_zz backward's scratch into the record: the second
+    # call on one record peaked at 1.32 m x m float64 arrays of traced
+    # allocation, its (n,) and (n, d) temporaries, against 12.2 when each
+    # call allocated those m x m arrays afresh
+    n, m = 3000, 128
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2.5, 2.5, (n, 2))
+    y = np.sin(x[:, 0]) * np.cos(x[:, 1])
+    hp = Hyperparams(noise=0.1, kernel=MaternParams(np.array([0.8, 1.2]), 1.0),
+                     z=x[rng.choice(n, m, replace=False)])
+    workspace = step_workspace(n, m, np.float64, SGPR_ROWS)
+    sgpr_elbo(x, y, hp, workspace=workspace)
+    tracemalloc.start()
+    try:
+        sgpr_elbo(x, y, hp, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (m * m * 8) <= 1.5
 
 
 def test_elbo_reports_the_inner_jitter_rung(monkeypatch):

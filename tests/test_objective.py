@@ -26,6 +26,8 @@ from softki.kernel import MaternParams, matern32, matern32_forward, scaled_dista
 from softki.linalg import block_cg
 from softki.objective import (
     LOG_2PI,
+    SGPR_ROWS,
+    SOFTKI_ROWS,
     _batch,
     dense_gaussian,
     draw_probes,
@@ -34,8 +36,8 @@ from softki.objective import (
     hutchinson_pseudoloss,
     lowrank_gaussian,
     sgpr_elbo,
-    softki_workspace,
     stabilized_objective,
+    step_workspace,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -437,20 +439,29 @@ def test_stabilized_calls_with_and_without_a_workspace_agree_bitwise(mode, dtype
     # leading rows; nothing in it is read before it is written
     x, y, hp = random_instance(13, n=40, m=7)
     cfg = TrainConfig(objective_mode=mode, dtype=dtype)
-    workspace = softki_workspace(40, 7, dtype)
-    for buffers in (workspace.rows, workspace.kernel, workspace.u_zz, *workspace.m_space):
+    workspace = step_workspace(40, 7, dtype, SOFTKI_ROWS)
+    for buffers in (workspace.rows, workspace.kernel, workspace.u_zz, workspace.s,
+                    workspace.m_space):
         buffers.fill(np.nan)
+    workspace.masks.fill(True)
     for n in (40, 25):
         with_ws = stabilized_objective(x[:n], y[:n], hp, cfg, 3, workspace=workspace)
         assert_reports_equal(with_ws, stabilized_objective(x[:n], y[:n], hp, cfg, 3))
 
 
 def test_a_workspace_of_another_dtype_or_size_is_refused():
+    # one check serves both models' records: another dtype, m or layout, or
+    # too few rows, is refused
     x, y, hp = random_instance(13, n=40, m=7)
-    for workspace in (softki_workspace(40, 7, "float32"), softki_workspace(39, 7),
-                      softki_workspace(40, 8)):
-        with pytest.raises(DimensionMismatch, match="workspace"):
-            stabilized_objective(x, y, hp, TrainConfig(), workspace=workspace)
+    steps = {SOFTKI_ROWS: lambda ws: stabilized_objective(x, y, hp, TrainConfig(), workspace=ws),
+             SGPR_ROWS: lambda ws: sgpr_elbo(x, y, hp, workspace=ws)}
+    for rows, other in ((SOFTKI_ROWS, SGPR_ROWS), (SGPR_ROWS, SOFTKI_ROWS)):
+        for workspace in (step_workspace(40, 7, "float32", rows),
+                          step_workspace(39, 7, "float64", rows),
+                          step_workspace(40, 8, "float64", rows),
+                          step_workspace(40, 7, "float64", other)):
+            with pytest.raises(DimensionMismatch, match="workspace"):
+                steps[rows](workspace)
 
 
 @no_runtime_warnings
@@ -549,9 +560,9 @@ def spy_casts(patch):
     casts = []
     cast = softki.objective._cast
 
-    def spy(a, dtype):
+    def spy(a, dtype, out=None):
         raw = a.copy()
-        casts.append((raw, cast(a, dtype)))
+        casts.append((raw, cast(a, dtype, out)))
         return casts[-1][1]
 
     patch.setattr(softki.objective, "_cast", spy)
@@ -842,7 +853,8 @@ def test_pseudoloss_matches_the_n_space_referee(monkeypatch, batch, dtype):
     assemble = softki.objective._assemble_gradients
 
     def spy(*args):
-        seen.append(args[-3:])
+        # copies: the softmax backward overwrites g_w, the batch's W-gradient buffer
+        seen.append([np.copy(a) for a in args[-3:]])
         return assemble(*args)
 
     monkeypatch.setattr(softki.objective, "_assemble_gradients", spy)
@@ -976,7 +988,9 @@ def test_forced_pseudoloss_failure_reports_nan():
 # The bound sits between the peaks of the out-of-place elementwise chains
 # (6.9 arrays for exact_mll, 8.3 for sgpr_elbo) and those of the in-place
 # ones (5.0 and 4.4): a step that builds an (n, m) array twice fails it. The
-# pseudoloss peaks at 5.0 arrays; forming W K_zz after its solve took it to 5.9.
+# pseudoloss peaks at 4.8 arrays, with its batch's m x m exact buffers and its
+# W-gradient in the batch's buffer: 5.7 with that gradient allocated per
+# call, and forming W K_zz after its solve took it to 5.9.
 @pytest.mark.parametrize("objective, n, bound", [
     ("exact_mll", 1024, 6.0),
     ("sgpr_elbo", 3000, 6.0),

@@ -7,7 +7,8 @@ string that spans lines inside an expression counts on every line it spans.
 
     python3 tools/code_lines.py [ROOT ...]    # default: src/softki
 
-prints one "<count> <root>" line per root.
+prints one "<count> <root>" line per root; a root is a directory, whose
+.py files are counted, or one file.
 """
 
 import sys
@@ -37,7 +38,8 @@ def code_lines(path: Path) -> int:
 
 
 def tree_lines(root: Path) -> int:
-    return sum(code_lines(path) for path in sorted(root.rglob("*.py")))
+    paths = [root] if root.is_file() else sorted(root.rglob("*.py"))
+    return sum(code_lines(path) for path in paths)
 
 
 def main(argv=None) -> int:
