@@ -10,26 +10,26 @@ line, then five length-prefixed little-endian float64 arrays: z,
 temperatures, lengthscales, v, p. These are exactly what prediction reads:
 the arrays of the posterior's ``interp.Hyperparams`` and its fit-time v and
 p, which is softki's upper root T and SGPR's and exact's P (see
-posterior.py). The variant is a key of ``posterior.MODELS``, and its row says
-what the file must hold: temperatures only for a model that learns them
-(softki). p is stored and read back C-ordered, the layout the live posterior
-holds it in.
+posterior.py). The variant is a key of ``posterior.MODELS``. p is stored and
+read back C-ordered, the layout the live posterior holds it in.
 
-``load_checkpoint`` raises ``ChecksumOrVersionMismatch``, naming the field,
-for a wrong magic or version (a v3 file carries a training-set size that
-nothing read, a v2 file holds P where softki's root now is, a v1 file an
-older checksum; none is converted), a missing or unparsable header key, a
-sha256 that does not match the header lines above it and the payload (so an
-edited scalar is caught like a flipped payload byte), a truncated or
-overlong payload, and then, so that a file with a recomputed sha256 is still
-caught where it is read: a variant ``posterior.MODELS`` does not know, an
-array whose size does not fit the variant, m and d (lengthscales have d
-entries; temperatures have d for softki and none for sgpr and exact), and
-any value the rebuilt ``Standardization``, ``MaternParams``,
-``Hyperparams`` and ``Posterior`` records reject (nan, inf or values <= 0 in
-noise, outputscale, the stds and temperatures; nan or inf in z, the means, v
-and p; lengthscales outside their bounds; statistics of another d; a softki
-root with a non-zero entry below its diagonal).
+``load_checkpoint`` checks only the file format. It raises
+``ChecksumOrVersionMismatch``, naming the field, for a wrong magic or version
+(a v3 file carries a training-set size that nothing read, a v2 file holds P
+where softki's root now is, a v1 file an older checksum; none is converted),
+a missing or unparsable header key, a sha256 that does not match the header
+lines above it and the payload (so an edited scalar is caught like a flipped
+payload byte), a truncated or overlong payload, a variant ``posterior.MODELS``
+does not know, and a z or p whose size is not m x d or m x m. Every other
+refusal comes from the rebuilt ``Standardization``, ``MaternParams``,
+``Hyperparams`` and ``Posterior`` records, whose messages name the field and
+which ``load_checkpoint`` raises as ``ChecksumOrVersionMismatch``, so that a
+file with a recomputed sha256 is still caught where it is read: nan, inf or
+values <= 0 in noise, outputscale, the stds and temperatures; nan or inf in
+z, the means, v and p; lengthscales other than d or outside their bounds;
+temperatures other than the variant learns (d for softki, none for sgpr and
+exact); no points; statistics of another d; a softki root with a non-zero
+entry below its diagonal.
 """
 
 import hashlib
@@ -137,17 +137,14 @@ def load_checkpoint(path) -> Posterior:
         raise ChecksumOrVersionMismatch(
             "sha256 does not match the checkpoint header and payload")
 
-    row = MODELS.get(variant)
-    if row is None:
+    if variant not in MODELS:
         raise ChecksumOrVersionMismatch(f"unknown checkpoint variant {variant!r}")
     arrays = dict(zip(_ARRAY_ORDER, _read_arrays(payload)))
-    shapes = (("z", (m, d)), ("p", (m, m)), ("lengthscales", (d,)),
-              ("temperatures", (d if "temperatures" in row.params else 0,)))
-    for name, shape in shapes:
+    for name, shape in (("z", (m, d)), ("p", (m, m))):
         if min(shape) < 0 or arrays[name].size != np.prod(shape):
             raise ChecksumOrVersionMismatch(
-                f"checkpoint {name} has {arrays[name].size} values, but a {variant} "
-                f"file with m={m} and d={d} needs {shape}")
+                f"checkpoint {name} has {arrays[name].size} values, but m={m} "
+                f"and d={d} need {shape}")
         arrays[name] = arrays[name].reshape(shape)
     # each record checks its own fields; their messages name the field
     try:

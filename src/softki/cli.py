@@ -20,13 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import report as rpt
 from .data import apply_stats, integer, load_csv, ricker_raw, split_raw, standardize
-from .errors import (
-    DimensionMismatch,
-    EmptySplit,
-    InvalidConfig,
-    NonFiniteResult,
-    SoftKIError,
-)
+from .errors import EmptySplit, InvalidConfig, NonFiniteResult, SoftKIError
 from .linalg import blas_thread_counts, blas_thread_limit
 from .posterior import (
     DEFAULT_STUDY_METHODS,
@@ -263,9 +257,6 @@ def cmd_eval(values: dict, outdir: Path) -> int:
     raw = raw_tr if values["split"] == "train" else raw_te
     if len(raw) == 0:
         raise EmptySplit(f"the {values['split']} split of {values['data']} has no points")
-    d = post.hp.z.shape[1]
-    if raw.x.shape[1] != d:
-        raise DimensionMismatch(f"checkpoint expects d={d}, data has d={raw.x.shape[1]}")
     xs, ys = apply_stats(raw.x, raw.y, stats)
     metrics, mean, var = _scored(post, xs, ys)
 
@@ -289,13 +280,14 @@ def cmd_eval(values: dict, outdir: Path) -> int:
 
 
 def _bench_compare(suite: dict, outdir: Path) -> int:
-    # each list element is checked like the train flag it sets
+    # the four swept train flags and the list key of each; each list element
+    # is checked like a value of its flag
+    sweeps = {"data": "data", "model": "models", "objective": "objectives", "seed": "seeds"}
     datasets, models, objectives, seeds = (
         [_convert(TRAIN_OPTS[opt], key, item, "suite")
          for item in _split_list(suite.pop(key))]
         if key in suite else [TRAIN_OPTS[opt].default]
-        for key, opt in (("data", "data"), ("models", "model"),
-                         ("objectives", "objective"), ("seeds", "seed"))
+        for opt, key in sweeps.items()
     )
 
     base: dict = {}
@@ -305,6 +297,9 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
         target = per_model.get(model) if "." in key else base
         if target is None or opt not in TRAIN_OPTS:
             raise InvalidConfig(f"unknown suite key {key!r}")
+        if opt in sweeps:  # every row sets it from its list
+            raise InvalidConfig(f"suite key {key!r} sets {opt}, which each row takes "
+                                f"from the {sweeps[opt]!r} list; set it there")
         target[opt] = _convert(TRAIN_OPTS[opt], key, raw, "suite")
 
     # a model whose step reads no objective mode runs once per (dataset, seed),
@@ -314,8 +309,7 @@ def _bench_compare(suite: dict, outdir: Path) -> int:
                    for mode in (objectives if MODELS[model].modes else ["-"]))
     defaults = {name: opt.default for name, opt in TRAIN_OPTS.items()}
     row_values = {spec: {**defaults, **base, **per_model[spec[1]],
-                         **{key: value for key, value in zip(
-                             ("data", "model", "objective", "seed"), spec)
+                         **{key: value for key, value in zip(sweeps, spec)
                             if (key, value) != ("objective", "-")}}
                   for spec in specs}
     # a bad config field fails before any row runs

@@ -1,6 +1,6 @@
 """Dataset loading, splitting, standardization, and the synthetic wavelet task,
-and the package's four input rules: ``integer``, ``real``, ``stream`` and
-``points``.
+and the package's five input rules: ``integer``, ``real``, ``stream``,
+``points`` and the statistics' width in ``apply_stats``.
 
 Standardization always uses training-split statistics, for features and
 targets alike. Metrics are reported on the standardized scale unless a caller
@@ -243,6 +243,13 @@ def _train_stats(x: np.ndarray, y: np.ndarray) -> Standardization:
 
 
 def apply_stats(x: np.ndarray, y: np.ndarray, stats: Standardization):
+    """(x, y) on the scale of stats; DimensionMismatch names both widths
+    unless x is (n, d) rows for the statistics' d, the one width check of
+    ``standardize`` and ``softki eval``."""
+    d = stats.x_mean.shape[0]
+    if np.shape(x)[1:] != (d,):
+        raise DimensionMismatch(f"x of shape {np.shape(x)} does not have the d={d} "
+                                "columns of its statistics")
     xs = (x - stats.x_mean) / stats.x_std
     ys = (y - stats.y_mean) / stats.y_std
     return xs, ys

@@ -256,7 +256,7 @@ class LowRankGaussian:
 
 
 def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
-                     beta2, out: Workspace | None = None) -> LowRankGaussian:
+                     beta2, out: Workspace) -> LowRankGaussian:
     """Log density, noise-trace term and solves of a low-rank-plus-noise D.
 
     u is K_zz's upper Cholesky factor (L = U^T) or None (L = I): a Cholesky
@@ -268,13 +268,12 @@ def lowrank_gaussian(phi: np.ndarray, y: np.ndarray, u: np.ndarray | None,
     and its m-by-m results (phi_dinv_phi and z) stay there; a, phi_a and s
     are in phi's dtype.
     Every m-by-m array is a buffer of out, a ``Workspace`` of phi's dtype and
-    m (its s and m_space), made afresh when out is None: each ?trmm and the
-    triangular inverse run in place on a Fortran-ordered view, so the
-    returned phi_dinv_phi, z and s are views into out.
+    m (its s and m_space): each ?trmm and the triangular inverse run in place
+    on a Fortran-ordered view, so the returned phi_dinv_phi, z and s are
+    views into out.
     Raises NotPositiveDefinite when M fails every jitter rung.
     """
     n, m = phi.shape
-    out = step_workspace(0, m, phi.dtype, (0, 0)) if out is None else out
     s = np.matmul(phi.T, phi, out=out.s)
     s64 = out.m_space[0]
     np.copyto(s64, s)  # returns at once for float64, where s is this view

@@ -116,7 +116,9 @@ class Posterior:
     (m, m) or statistics of another d than its points; InvalidConfig naming v
     or p for a nan or inf in either, and for a root (its row's ``root``) with
     a non-zero entry below its diagonal, which prediction's triangular
-    product would silently ignore."""
+    product would silently ignore. Then DimensionMismatch for no points z,
+    and for temperatures other than its row learns (d for softki, none for
+    sgpr and exact): the one rule of which temperatures a model holds."""
 
     variant: str               # a key of MODELS
     hp: Hyperparams
@@ -145,6 +147,12 @@ class Posterior:
         if row.root and np.tril(self.p, -1).any():  # the m x m copy lives only here
             raise InvalidConfig(f"p, {self.variant}'s upper root T, has non-zero "
                                 "entries below its diagonal")
+        if m == 0:
+            raise DimensionMismatch("a posterior needs at least one point z, got m=0")
+        learned = (d if "temperatures" in row.params else 0,)
+        if self.hp.temperatures.shape != learned:
+            raise DimensionMismatch(f"{self.variant}'s temperatures must have {learned[0]} "
+                                    f"entries at d={d}, got {self.hp.temperatures.shape[0]}")
 
     @property
     def noise(self) -> float:
@@ -171,10 +179,12 @@ def _prior_less_quadratic(post, phi: np.ndarray) -> np.ndarray:
 def stacked_qr_solve(blocks, seed: np.ndarray):
     """Streaming thin QR of a stacked system.
 
-    blocks yields (a_block, b_block) pairs of pre-scaled rows. The seed rows
-    [seed | 0], seed an (m, m) upper triangle such as the root of a prior
-    precision, start the carried (m+1)-square upper triangle [R | c; 0 | rho]
-    and count as one block; each data block is then absorbed by one
+    blocks yields (a_block, b_block) pairs of pre-scaled rows, a float
+    (rows, m) array and its (rows,) targets; the carry is promoted to each
+    block's dtype. The seed rows [seed | 0], seed an (m, m) upper triangle
+    such as the root of a prior precision, start the carried (m+1)-square
+    upper triangle [R | c; 0 | rho] and count as one block; each data block
+    is then absorbed by one
     triangular-pentagonal QR (LAPACK ?tpqrt), which reduces [carry; a_block |
     b_block] without re-factoring the carried rows. Returns (r,
     projected_rhs, residual_norm, diag) where r is (m, m) upper, R x =
@@ -194,9 +204,6 @@ def stacked_qr_solve(blocks, seed: np.ndarray):
     widest = 0
 
     for a_blk, b_blk in blocks:
-        a_blk = np.atleast_2d(np.asarray(a_blk))
-        if a_blk.dtype.kind != "f":
-            a_blk = a_blk.astype(float)
         rows = a_blk.shape[0]
         rows_seen += rows
         n_blocks += 1
@@ -344,8 +351,8 @@ MODELS["exact"] = MODELS["sgpr"]._replace(params=("noise", "lengthscales", "outp
 
 def fit(model: str, data: Dataset, hp) -> Posterior:
     """The posterior of model (a key of ``MODELS``) on data at hp, by its row's
-    fit, carrying data's statistics. The posterior's record drops temperatures
-    the model does not learn, as its checkpoint must."""
+    fit, carrying data's statistics. It drops temperatures the model does not
+    learn, which its ``Posterior`` refuses."""
     row = model_row(model)
     if hp.temperatures.size and "temperatures" not in row.params:
         hp = replace(hp, temperatures=())

@@ -16,8 +16,7 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_kv(path, items) -> None:
-    pairs = items.items() if hasattr(items, "items") else items
+def write_kv(path, pairs) -> None:
     with open(path, "w", newline="\n") as fh:
         for key, value in pairs:
             fh.write(f"{key} = {format_value(value)}\n")

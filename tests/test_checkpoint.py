@@ -282,6 +282,11 @@ RESEALED = {
     "softki-no-temperatures": (None, {"temperatures": lambda flat: flat[:0]},
                                "temperatures"),
     "sgpr-with-temperatures": ({"variant": "sgpr"}, None, "temperatures"),  # d = 2 kept
+    "lengthscales-three": (None, {"lengthscales": lambda flat: np.r_[flat, 1.0]},
+                           "lengthscales"),
+    # loaded, it failed in predict with numpy's zero-size reduction error
+    "no-points": ({"m": "0"}, dict.fromkeys(("z", "v", "p"), lambda flat: flat[:0]),
+                  "point z"),
     # loaded, it predicted nan mean and variance at every query
     "temperature-overflowing": (None, {"temperatures": lambda flat: flat * 1e-300},
                                 "temperatures"),

@@ -768,6 +768,27 @@ def test_bench_rejects_unknown_suite_keys(tmp_path, wave_csv):
     assert "unknown suite key" in read_report(out / "error.txt")["message"]
 
 
+# each row sets the four swept flags from their lists, so a scalar or scoped
+# form of one was accepted and then overwritten: a suite with model = sgpr,
+# seed = 3 and objective = exact ran one row, ricker,softki,auto,0
+@pytest.mark.parametrize("line, listed", [
+    ("model = sgpr", "models"), ("seed = 3", "seeds"), ("objective = exact", "objectives"),
+    ("softki.seed = 1", "seeds"), ("sgpr.data = ricker", "data"),
+    ("softki.model = sgpr", "models"), ("softki.objective = exact", "objectives"),
+])
+def test_bench_refuses_a_single_form_of_a_swept_key(tmp_path, line, listed):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"suite = compare\nmodels = softki,sgpr\n{line}\nm = 8\nepochs = 1\n")
+    out = tmp_path / "bench"
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
+    report = read_report(out / "error.txt")
+    key = line.partition(" =")[0]
+    assert report["error"] == "InvalidConfig"
+    assert f"suite key '{key}'" in report["message"]
+    assert f"the '{listed}' list" in report["message"]
+    assert not (out / "results.csv").exists()  # refused before any row ran
+
+
 @pytest.mark.parametrize("text, message", [
     ("suite = sweep\n", "unknown suite kind 'sweep'"),
     ("suite = solvers\nbogus = 1\n", "unknown suite key 'bogus'"),

@@ -22,6 +22,7 @@ from softki.data import (
     ricker_raw,
     split_raw,
     split_standardize,
+    standardize,
     stream,
 )
 from softki.errors import (
@@ -356,6 +357,9 @@ _BAD_ROWS = {"3-D": np.zeros((3, 2, 1)), "strings": np.array([["a", "b"], ["c", 
 _Z = np.zeros((3, 2))
 _STATS = dict(x_mean=np.zeros(2), x_std=np.ones(2), y_mean=0.0, y_std=1.0)
 _HP = Hyperparams(1.0, _Z_KERNEL, _Z, np.ones(2))   # softki's record, m = 3
+_SGPR_HP = Hyperparams(1.0, _Z_KERNEL, _Z)           # sgpr's and exact's, m = 3
+_NO_POINTS = Hyperparams(1.0, _Z_KERNEL, np.zeros((0, 2)), np.ones(2))
+_GRID = Dataset(x=np.arange(8.0).reshape(4, 2), y=np.arange(4.0))  # no constant column
 _ROOT = np.triu(np.ones((3, 3)))
 
 
@@ -479,6 +483,29 @@ BOUNDARY = [
                                    Standardization(np.zeros(3), np.ones(3), 0.0, 1.0)),
                  DimensionMismatch, "^statistics of d=3 for points of d=2$",
                  id="Posterior-stats-d=3"),
+    # a record holds the temperatures its model learns and at least one
+    # point. The first two saved a file load_checkpoint then refused, and
+    # no points failed in predict with numpy's zero-size reduction error
+    pytest.param(lambda: Posterior("sgpr", _HP, np.zeros(3), np.eye(3)), DimensionMismatch,
+                 "^sgpr's temperatures must have 0 entries at d=2, got 2$",
+                 id="Posterior-sgpr-temperatures-(2,)"),
+    pytest.param(lambda: Posterior("exact", _HP, np.zeros(3), np.eye(3)), DimensionMismatch,
+                 "^exact's temperatures must have 0 entries at d=2, got 2$",
+                 id="Posterior-exact-temperatures-(2,)"),
+    pytest.param(lambda: Posterior("softki", _SGPR_HP, np.zeros(3), _ROOT), DimensionMismatch,
+                 "^softki's temperatures must have 2 entries at d=2, got 0$",
+                 id="Posterior-softki-temperatures-(0,)"),
+    pytest.param(lambda: Posterior("softki", _NO_POINTS, np.zeros(0), np.zeros((0, 0))),
+                 DimensionMismatch, "^a posterior needs at least one point z, got m=0$",
+                 id="Posterior-m=0"),
+    # the statistics' width is apply_stats' one rule; it broadcast a (3, 1) x
+    # against two columns into a (3, 2) result
+    pytest.param(lambda: apply_stats(np.ones((3, 1)), np.ones(3), Standardization(**_STATS)),
+                 DimensionMismatch, r"^x of shape \(3, 1\) does not have the d=2 columns "
+                 "of its statistics$", id="apply_stats-x-(3,1)"),
+    pytest.param(lambda: standardize(_GRID, Dataset(x=np.ones((3, 1)), y=np.ones(3))),
+                 DimensionMismatch, r"^x of shape \(3, 1\) does not have the d=2 columns",
+                 id="standardize-test-x-(3,1)"),
     # the shape checks of the softmax, its backward and the triangular routines
     pytest.param(lambda: softmax_forward(np.zeros(2), _HP), DimensionMismatch,
                  r"^expected \(n, d\) inputs, got \(2,\)$", id="softmax_forward-x-1-D"),

@@ -225,6 +225,12 @@ def lowrank_inputs(form, x, hp):
     return matern32(x, hp.z, hp.kernel) @ np.linalg.inv(u_zz), None, np.eye(m)
 
 
+def m_space(phi):
+    """A ``step_workspace`` of phi's dtype and m with no (n, m) rows: the
+    m x m buffers lowrank_gaussian writes into."""
+    return step_workspace(0, phi.shape[1], phi.dtype, (0, 0))
+
+
 @pytest.mark.parametrize("form", ["softki", "sgpr"])
 def test_lowrank_gaussian_matches_dense_algebra(form):
     x, y, hp = random_instance(3, n=15, m=6)
@@ -234,7 +240,7 @@ def test_lowrank_gaussian_matches_dense_algebra(form):
     d_inv = np.linalg.inv(d_mat)
     a = d_inv @ y
 
-    lr = lowrank_gaussian(phi, y, u, beta2)
+    lr = lowrank_gaussian(phi, y, u, beta2, out=m_space(phi))
     quad, logdet = y @ a, np.linalg.slogdet(d_mat)[1]
     assert lr.log_n == pytest.approx(-0.5 * (quad + logdet + 15 * LOG_2PI), rel=1e-10)
     assert lr.tr_g == pytest.approx(0.5 * (a @ a - np.trace(d_inv)), rel=1e-10)
@@ -264,7 +270,7 @@ def test_lowrank_gaussian_inverts_its_m_factor_once(monkeypatch, form):
         monkeypatch.setattr(softki.linalg, name, spy(name))
     x, y, hp = random_instance(3, n=15, m=6)
     phi, u, _ = lowrank_inputs(form, x, hp)
-    lowrank_gaussian(phi, y, u, hp.noise**2)
+    lowrank_gaussian(phi, y, u, hp.noise**2, out=m_space(phi))
     assert calls == ["tri_inverse_upper"]
 
 
@@ -285,8 +291,9 @@ def test_lowrank_gaussian_runs_its_m_space_in_float64(monkeypatch):
         monkeypatch.setattr(softki.linalg, name, spy(name))
     x, y, hp = random_instance(3, n=15, m=6)
     phi, u, _ = lowrank_inputs("softki", x, hp)
-    lr = lowrank_gaussian(phi.astype(np.float32), y.astype(np.float32),
-                          u.astype(np.float32), np.float32(hp.noise) ** 2)
+    phi = phi.astype(np.float32)
+    lr = lowrank_gaussian(phi, y.astype(np.float32), u.astype(np.float32),
+                          np.float32(hp.noise) ** 2, out=m_space(phi))
     assert seen == [np.dtype(np.float64)] * 2
     for a in (lr.a, lr.phi_a, lr.s):
         assert a.dtype == np.float32
@@ -985,15 +992,15 @@ def test_forced_pseudoloss_failure_reports_nan():
     assert "fallback_reason" not in rep.diagnostics
 
 
-# The bound sits between the peaks of the out-of-place elementwise chains
-# (6.9 arrays for exact_mll, 8.3 for sgpr_elbo) and those of the in-place
-# ones (5.0 and 4.4): a step that builds an (n, m) array twice fails it. The
-# pseudoloss peaks at 4.8 arrays, with its batch's m x m exact buffers and its
-# W-gradient in the batch's buffer: 5.7 with that gradient allocated per
-# call, and forming W K_zz after its solve took it to 5.9.
+# Each bound sits less than one (n, m) array above the measured peak, so a
+# step that holds one more (n, m) array fails it: exact_mll peaks at 4.26
+# arrays and sgpr_elbo at 4.40 (6.9 and 8.3 with out-of-place elementwise
+# chains). The pseudoloss peaks at 4.8 arrays, with its batch's m x m exact
+# buffers and its W-gradient in the batch's buffer: 5.7 with that gradient
+# allocated per call, and forming W K_zz after its solve took it to 5.9.
 @pytest.mark.parametrize("objective, n, bound", [
-    ("exact_mll", 1024, 6.0),
-    ("sgpr_elbo", 3000, 6.0),
+    ("exact_mll", 1024, 4.75),
+    ("sgpr_elbo", 3000, 4.9),
     ("hutchinson_pseudoloss", 1024, 5.3),
 ])
 def test_training_step_peak_allocation(objective, n, bound):
