@@ -62,17 +62,20 @@ class Hyperparams:
 
 
 def softmax_weights(x: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """Row-stochastic (n, m) weight matrix, computed with max-subtraction."""
-    return softmax_forward(x, hp)[0]
+    """Row-stochastic (n, m) weight matrix, computed with max-subtraction and
+    written over its distances, so the fit and prediction hold one (n, m)
+    array per row block, not two."""
+    one = np.empty((len(x), hp.z.shape[0]), x.dtype)
+    return softmax_forward(x, hp, out=(one, one))[0]
 
 
 def softmax_forward(x: np.ndarray, hp: Hyperparams, out: tuple | None = None):
     """(W, dist) in x's dtype: the softmax weights and their distances
     dist[i, j] = ||x_i / T - z_j||, the inputs ``softmax_weights_backward`` reads.
 
-    out, when given, is a pair of distinct C-ordered (n, m) arrays of x's
-    dtype that receive W and dist; W's array holds ``scaled_distance``'s
-    cross term until W is written."""
+    out, when given, is a pair of C-ordered (n, m) arrays of x's dtype that
+    receive W and dist; one array twice receives W alone, written over the
+    distances."""
     x = np.asarray(x)
     if x.ndim != 2:
         raise DimensionMismatch(f"expected (n, d) inputs, got {x.shape}")
@@ -84,9 +87,8 @@ def softmax_forward(x: np.ndarray, hp: Hyperparams, out: tuple | None = None):
     temps = hp.temperatures.astype(x.dtype)
     with np.errstate(over="ignore"):  # an overflowing row is refused by its norm below
         xt = x / temps
-    ones = np.ones(x.shape[1], dtype=x.dtype)
     w_out, dist_out = (None, None) if out is None else out
-    dist = scaled_distance(xt, hp.z.astype(x.dtype), ones, out=dist_out, scratch=w_out)
+    dist = scaled_distance(xt, hp.z.astype(x.dtype), np.ones(x.shape[1], x.dtype), out=dist_out)
     # the logits -dist less their row max -min(dist), exactly: dmin - d is
     # (-d) + dmin. Then W in place
     w = np.subtract(dist.min(axis=1, keepdims=True), dist, out=w_out)

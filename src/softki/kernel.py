@@ -47,53 +47,67 @@ def far_rows(sq: np.ndarray, other: np.ndarray) -> np.ndarray:
     whose squared distance can overflow.
 
     sq and other hold the rows' scaled squared norms, in the distance's
-    dtype. A pair overflows the expanded form |a|^2 + |b|^2 - 2 a.b when
-    |a|^2 + |b|^2 + 2|a||b| = (|a| + |b|)^2 exceeds the dtype's max, which
-    is compared here as |a| + |b| against its root, where nothing overflows.
-    Pairing a row with other's largest norm up to its own names the farther
-    row of each such pair, and only it. An inf norm is far; a nan one is not.
+    dtype. A pair overflows the augmented product's terms, |a|^2, |b|^2 and
+    -2 a.b, when |a|^2 + |b|^2 + 2|a||b| = (|a| + |b|)^2 exceeds the dtype's
+    max, which is compared here as |a| + |b| against its root, where nothing
+    overflows. Pairing a row with other's largest norm up to its own names
+    the farther row of each such pair, and only it. An inf norm is far; a
+    nan one is not.
     """
-    partner = np.minimum(sq, np.fmax.reduce(other, initial=0.0))
-    return np.sqrt(sq) + np.sqrt(partner) > np.sqrt(np.finfo(sq.dtype).max)
+    partner = np.sqrt(np.minimum(sq, np.fmax.reduce(other, initial=0.0)))
+    partner += np.sqrt(sq)  # in place: one n-vector fewer at the forward's peak
+    return partner > np.sqrt(np.finfo(sq.dtype).max)
+
+
+def augmented(a: np.ndarray, ell: np.ndarray | float, left: bool) -> np.ndarray:
+    """The rows of a / ell augmented so that a left operand's row times a
+    right operand's row is their squared distance, [a/ell, |a/ell|^2, 1] on
+    the left and [-2 a/ell, 1, |a/ell|^2] on the right, stored as the
+    columns of a new C-ordered (d + 2, n) array of a / ell's dtype. Each
+    coordinate is a contiguous row, so no ufunc here buffers, and a squared
+    norm adds its d squares in sequence. A row whose norm overflows gets
+    inf, which ``far_rows`` names."""
+    n, d = a.shape
+    out = np.empty((d + 2, n), np.result_type(a, ell))
+    scaled, ell = out[:d], np.reshape(ell, (-1, 1))
+    with np.errstate(over="ignore"):
+        np.sum(np.square(np.divide(a.T, ell, out=scaled), out=scaled), axis=0,
+               out=out[d if left else d + 1])
+        # a / (ell / -2) is -2 (a / ell) exactly, short of subnormal quotients:
+        # both scale by a power of two
+        np.divide(a.T, ell if left else ell / -2.0, out=scaled)
+    out[d + 1 if left else d] = 1.0
+    return out
 
 
 def scaled_distance(x: np.ndarray, z: np.ndarray, lengthscales: np.ndarray,
-                    out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise ||(x_i - z_j) / ell||_2 without an (n, m, d) intermediate.
 
-    out and scratch, when given, are distinct C-ordered (n, m) arrays of x's
-    dtype: the result is written into out and the cross term into scratch,
-    which is left holding garbage. Without them both are new arrays; the
-    arithmetic is the same either way. Raises NonFiniteInput when a pair
-    can overflow x's dtype, naming the first far row (``far_rows``) of x,
-    else of z; ``row`` is set to an x row's index. The row sums below are
-    what the check reads, so it costs a pass over n + m values, and a far
-    row prints no warning.
+    The squared distances are one product of ``augmented`` rows (as
+    GPyTorch forms them), [x/ell, |x/ell|^2, 1] [-2 z/ell, 1, |z/ell|^2]^T,
+    clamped at 0 and square-rooted in place. out, when given, is a
+    C-ordered (n, m) array of x's dtype that receives the result; without
+    it the result is a new array, and the arithmetic is the same either
+    way. Raises NonFiniteInput when a pair can overflow x's dtype, naming
+    the first far row (``far_rows``) of x, else of z; ``row`` is set to an
+    x row's index. The check reads the augmented rows' squared norms before
+    the product, so it costs a pass over n + m values, and a far row prints
+    no warning.
     """
-    x = np.asarray(x)
-    z = np.asarray(z)
-    if x.shape[1] != z.shape[1]:
-        raise DimensionMismatch(f"x has d={x.shape[1]} but z has d={z.shape[1]}")
+    x, z = np.asarray(x), np.asarray(z)
+    d = x.shape[1]
+    if z.shape[1] != d:
+        raise DimensionMismatch(f"x has d={d} but z has d={z.shape[1]}")
     ell = np.asarray(lengthscales, dtype=x.dtype)
-    with np.errstate(over="ignore"):
-        xs, zs = x / ell, z / ell
-        xx, zz = np.sum(xs * xs, axis=1), np.sum(zs * zs, axis=1)
-    for name, far in (("x", far_rows(xx, zz)), ("z", far_rows(zz, xx))):
+    xa, za = augmented(x, ell, True), augmented(z, ell, False)
+    for name, far in (("x", far_rows(xa[d], za[d + 1])), ("z", far_rows(za[d + 1], xa[d]))):
         if far.any():  # a nan row is left to give nan distances
             row = int(np.argmax(far))
             raise NonFiniteInput(f"{name} row {row} (0-based) overflows the squared "
                                  f"distance in {x.dtype}", row if name == "x" else None)
-    # 2 x.z: doubling xs is exact, so this is bitwise the doubled product
-    xs *= 2.0
-    cross = np.matmul(xs, zs.T, out=scratch)
-    # |x|^2 + |z|^2 as a broadcast copy of |z|^2 plus |x|^2 (addition commutes
-    # exactly): one broadcast operand in the ufunc instead of add.outer's two
-    sq = np.empty_like(cross) if out is None else out
-    np.copyto(sq, zz)
-    sq += xx[:, None]
-    sq -= cross
-    # expanded-norm form can go slightly negative from cancellation
+    sq = np.matmul(xa.T, za, out=out)
+    # the product can go slightly negative from cancellation
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
 
@@ -104,11 +118,10 @@ def matern32_forward(x: np.ndarray, z: np.ndarray, params: MaternParams,
     is what ``matern32_param_grads`` reads.
 
     out, when given, is a pair of distinct C-ordered (n, m) arrays of x's
-    dtype that receive K and e; e's array holds ``scaled_distance``'s cross
-    term until e is written.
+    dtype that receive K and e.
     """
     k_out, e_out = (None, None) if out is None else out
-    k = scaled_distance(x, z, params.lengthscales, out=k_out, scratch=e_out)
+    k = scaled_distance(x, z, params.lengthscales, out=k_out)
     k *= SQRT3
     e = np.negative(k, out=e_out)
     np.exp(e, out=e)

@@ -93,9 +93,8 @@ B is formed by products, not by substitution: U^-1 comes from one ?trtri,
 and B^T = U^-T K_xz^T from one in-place ?trmm on the Fortran-ordered
 transpose of B's buffer; every other product with U^-1 is a GEMM with it.
 At (n, m) = (3000, 128) and one BLAS thread the wide ?trsm took 4.9 ms
-against 1.7 ms for ?trtri and ?trmm. Its record's rows are
-K_xz; e, which holds the distances' cross term until e is written; B, which
-turns into the kernel backward's scratch once the upstream is formed; and
+against 1.7 ms for ?trtri and ?trmm. Its record's rows are K_xz; e; B,
+which turns into the kernel backward's scratch once the upstream is formed; and
 the upstream B (Z S / beta^2) U^-T, which takes its rank-one term
 a (P^T a)^T in place by ?ger. U_zz turns into U^-1 in place, and then into
 the K_zz backward's scratch; the gradient's m-by-m products go into the

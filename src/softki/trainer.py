@@ -29,7 +29,7 @@ from . import transforms
 from .data import Dataset, integer, points, real, stream
 from .errors import InvalidConfig, NonFiniteResult, TooFewPoints
 from .interp import Hyperparams
-from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams
+from .kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, MaternParams, augmented
 from .posterior import DEFAULT_BLOCK_ROWS, model_row
 
 NOISE_FLOOR = 1e-4
@@ -137,14 +137,24 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding.
 
     x is read by ``data.points`` (a 1-D x is one row), m must be an
-    integer >= 1 and seed one >= 0.
+    integer >= 1 and seed one >= 0. Raises NonFiniteResult, before any
+    product, when the squared distances or their sum over the rows can
+    overflow float64: n (2 max |x|)^2 bounds that sum.
+
+    Every squared distance is one product of ``kernel.augmented`` rows,
+    [x, |x|^2, 1] [-2c, 1, |c|^2]^T. x's side is built once, as the float64
+    (d + 2, n) array that holds x^T, |x|^2 and ones, whatever x's dtype and
+    layout, so the centroids depend on neither. The seeding takes one gemv
+    per centroid. Its rounding only decides which rows of x become
+    centroids, and the rows it puts within a rounding margin of the new
+    centroid get the exact sum of their squared differences instead: a
+    row equal to a centroid is at exactly 0 and is never drawn again (a
+    point drawn twice makes K_zz singular).
 
     Runs to an assignment fixpoint or KMEANS_MAX_ITERS Lloyd steps; empty
     clusters are reseeded to the point currently farthest from its nearest
-    centroid. Lloyd's sums are taken in the order of the plain expressions
-    on C-ordered float64 (n, d) rows, so the centroids do not depend on x's
-    dtype or memory layout. The seeding adds each row's d squares in sequence, numpy's order
-    for d < 8; its sums only decide which rows of x become centroids.
+    centroid. A Lloyd step is one GEMM per row block, and a centroid is its
+    cluster's rows summed in row order over their count.
 
     The first Lloyd step evaluates every distance. A later step evaluates
     only what can change: the distances from each row to the centroids
@@ -160,119 +170,117 @@ def kmeans(x: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
     distances.
     """
     m = integer(m, "m", 1)
-    x = np.ascontiguousarray(points(x, "x"), dtype=float)
-    n = x.shape[0]
+    x = points(x, "x")
+    n, d = x.shape
     if n < m:
         raise TooFewPoints(f"need at least {m} points, got {n}")
-    xt = np.ascontiguousarray(x.T)
-    centroids = _kmeans_pp(x, xt, m, stream(seed, _KMEANS))
-    return _lloyd(x, xt, centroids)
+    xa = augmented(x, np.ones(d), True)
+    if not 4.0 * n * float(xa[d].max()) < math.inf:  # a python float overflows to inf
+        raise NonFiniteResult("k-means' squared distances can overflow float64; x has "
+                              f"coordinates beyond about 1e154 / sqrt(4 n), n = {n}")
+    return _lloyd(xa, _kmeans_pp(xa, m, stream(seed, _KMEANS)))
 
 
-def _kmeans_pp(x: np.ndarray, xt: np.ndarray, m: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding. Each step adds the squared differences of one
-    coordinate row of x^T at a time into a length-n buffer: the order in
-    which numpy sums a (d, n) array down its columns."""
-    n = x.shape[0]
+def _kmeans_pp(xa: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding on x's augmented (d + 2, n) array xa."""
+    d, n = xa.shape[0] - 2, xa.shape[1]
+    xt, xx = xa[:d], xa[d]
     d2, row, scratch = np.empty(n), np.empty(n), np.empty(n)
+    c = np.ones(d + 2)  # a centroid's augmented row [-2c, 1, |c|^2]
+    rmax = math.sqrt(xx.max())
 
-    def squared_distances(c, out):
-        np.square(np.subtract(xt[0], c[0], out=out), out=out)
-        for coord, ck in zip(xt[1:], c[1:]):
-            out += np.square(np.subtract(coord, ck, out=scratch), out=scratch)
+    def squared_distances(i, out):
+        """From row i to every row: one gemv, then the exact sums of the rows
+        within Lloyd's margin, which bounds the gemv's rounding more than
+        four times over (see ``_lloyd``), so every row equal to row i among them."""
+        c[:d], c[d + 1] = -2.0 * xt[:, i], xx[i]
+        np.dot(c, xa, out=out)
+        near = np.flatnonzero(out <= (d + 4) * 2.0**-49 * (rmax + math.sqrt(xx[i])) ** 2)
+        out[near] = np.sum((xt[:, near] - xt[:, i, None]) ** 2, axis=0)
         return out
 
-    centroids = np.empty((m, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
-    squared_distances(centroids[0], d2)
-    for j in range(1, m):
+    picks = [rng.integers(n)]
+    squared_distances(picks[0], d2)
+    for _ in range(1, m):
         total = d2.sum()
-        if not math.isfinite(total):
-            raise NonFiniteResult("k-means++ squared distances overflow float64; "
-                                  "x has coordinates beyond about 1e154")
         if total <= 0:
-            centroids[j] = x[rng.integers(n)]
+            picks.append(rng.integers(n))
         else:
             # what rng.choice(n, p=d2 / total) runs after its checks: the same
             # index from the same stream
             cdf = np.cumsum(np.divide(d2, total, out=scratch), out=scratch)
             cdf /= cdf[-1]
-            centroids[j] = x[cdf.searchsorted(rng.random(), side="right")]
-        np.minimum(d2, squared_distances(centroids[j], row), out=d2)
-    return centroids
+            picks.append(cdf.searchsorted(rng.random(), side="right"))
+        np.minimum(d2, squared_distances(picks[-1], row), out=d2)
+    return xt[:, picks].T.copy()
 
 
-def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Lloyd's iterations from the given centroids, updated in place."""
-    n, d = x.shape
+def _lloyd(xa: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Lloyd's iterations on x's augmented (d + 2, n) array xa from the
+    given centroids, updated in place."""
+    d, n = xa.shape[0] - 2, xa.shape[1]
     m = len(centroids)
-    # a full step evaluates |x|^2 - (2x) c^T + |c|^2 left to right, one row
-    # block at a time in one buffer of block x m values: bitwise the plain
-    # expression, which the tests' loop reference computes. BLAS rounds an
-    # entry of a short product (one row goes to gemv) differently from a
-    # tall one, so every block has the same rows, the last one starting at
-    # n - rows. The buffer holds d values more, so that a partial step's
-    # gathered rows always fit beside their distances
-    xx = np.sum(x * x, axis=1)
-    x2 = 2.0 * x
+    xt, xx = xa[:d], xa[d]
+    # a full step evaluates the products of x's augmented rows with the
+    # centroids' [-2c, 1, |c|^2] (ca), one row block at a time, as one GEMM
+    # into one buffer of block x m values. BLAS rounds an entry of a short
+    # product (one row goes to gemv) differently from a tall one, so every
+    # block has the same rows, the last one starting at n - rows. The buffer
+    # holds d + 2 values more, so that a partial step's gathered rows always
+    # fit beside their distances
     block_rows = min(n, DEFAULT_BLOCK_ROWS, max(_KMEANS_MIN_ROWS, _KMEANS_BLOCK_VALUES // m))
     n_blocks = -(-n // block_rows)
-    buf = np.empty(block_rows * m + d)
+    buf = np.empty(block_rows * m + d + 2)
     nearest = np.empty(n)
     assign = np.full(n, -1, dtype=np.intp)  # argmin never yields -1
     new_assign = np.empty(n, dtype=np.intp)
     previous = np.empty_like(centroids)
     # BLAS rounds an entry of a product differently with the product's
-    # shape; two evaluations of one distance that sum in different orders
-    # differ by at most (d + 2) 2^-52 (|x| + |c|)^2. A partial step's
-    # decision compares two such values, so it needs a gap of twice that;
-    # it stands only on a gap above margin (|x| + max |c|)^2, four times more
+    # shape. An entry sums d + 2 terms whose magnitudes add up to at most
+    # (|x| + |c|)^2, so two evaluations of one distance that sum in
+    # different orders differ by at most (d + 2) 2^-52 (|x| + |c|)^2. A
+    # partial step's decision compares two such values, so it needs a gap
+    # of twice that; it stands only on a gap above margin (|x| + max |c|)^2,
+    # at least four times more
     margin = (d + 4) * 2.0**-49
 
-    def evaluate(xb, xxb, c, cc, out):
-        np.matmul(xb, c.T, out=out)
-        np.subtract(xxb[:, None], out, out=out)
-        out += cc
-        return out
-
-    def full_block(b, cc):
+    def full_block(b):
         """Evaluate the block_rows rows from b * block_rows, or the last
         block_rows rows of x where those would run past n."""
         start = min(b * block_rows, n - block_rows)
         rows = slice(start, start + block_rows)
         block = buf[: block_rows * m].reshape(block_rows, m)
-        evaluate(x2[rows], xx[rows], centroids, cc, block)
+        np.matmul(xa[:, rows].T, ca, out=block)
         np.argmin(block, axis=1, out=new_assign[rows])
         nearest[rows] = block[np.arange(block_rows), new_assign[rows]]
 
-    def distances(ids, c, cc):
-        """Distances from the rows ids to the centroids c with squared norms
-        cc, in buf; the rows of 2x are gathered behind them."""
-        size = len(ids) * len(c)
-        xb = buf[size: size + len(ids) * d].reshape(len(ids), d)
-        np.take(x2, ids, axis=0, out=xb, mode="clip")  # "raise" would buffer
-        return evaluate(xb, xx[ids], c, cc, buf[:size].reshape(len(ids), len(c)))
+    def distances(ids, c):
+        """Distances from the rows ids to the augmented centroids c, in buf;
+        the columns of xa are gathered behind them."""
+        size = len(ids) * c.shape[1]
+        xb = buf[size: size + len(ids) * (d + 2)].reshape(d + 2, len(ids))
+        np.take(xa, ids, axis=1, out=xb, mode="clip")  # "raise" would buffer
+        return np.matmul(xb.T, c, out=buf[:size].reshape(len(ids), c.shape[1]))
 
     def chunks(ids, width):
-        step = min(block_rows, buf.size // (width + d))
+        step = min(block_rows, buf.size // (width + d + 2))
         return (ids[i: i + step] for i in range(0, len(ids), step))
 
-    def partial_step(moved, own, cc):
+    def partial_step(moved, own):
         """Assign from the centroids that moved (own: the rows whose centroid
         moved); returns the rows that need a full evaluation of their block."""
-        cmax = math.sqrt(cc.max())
-        c_moved, cc_moved = centroids[moved], cc[moved]
+        cmax = math.sqrt(ca[d + 1].max())
+        c_moved = ca[:, moved]
         new_assign[:] = assign
         recheck = [np.flatnonzero(own)]
-        for ids in chunks(np.flatnonzero(~own), len(c_moved)):
+        for ids in chunks(np.flatnonzero(~own), c_moved.shape[1]):
             tol = margin * (np.sqrt(xx[ids]) + cmax) ** 2
-            best = distances(ids, c_moved, cc_moved).min(axis=1)
+            best = distances(ids, c_moved).min(axis=1)
             recheck.append(ids[best <= nearest[ids] + tol])
         unsure = [np.empty(0, dtype=np.intp)]
         for ids in chunks(np.concatenate(recheck), m):
             tol = margin * (np.sqrt(xx[ids]) + cmax) ** 2
-            out = distances(ids, centroids, cc)
+            out = distances(ids, ca)
             at = np.arange(len(ids))
             first = np.argmin(out, axis=1)
             new_assign[ids] = first
@@ -283,7 +291,7 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     full = True
     for _ in range(KMEANS_MAX_ITERS):
-        cc = np.sum(centroids * centroids, axis=1)
+        ca = augmented(centroids, 1.0, False)
         if not full:
             moved = np.any(centroids != previous, axis=1)
             if not moved.any():  # a full step would repeat the last assignment
@@ -292,9 +300,9 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             n_own = np.count_nonzero(own)
             full = 2 * (n_own * m + (n - n_own) * np.count_nonzero(moved)) > n * m
         blocks = (range(n_blocks) if full
-                  else np.unique(partial_step(moved, own, cc) // block_rows))
+                  else np.unique(partial_step(moved, own) // block_rows))
         for b in blocks:
-            full_block(b, cc)
+            full_block(b)
         if np.array_equal(new_assign, assign):
             break
         assign, new_assign = new_assign, assign
@@ -304,14 +312,14 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         if not full and not filled.all():
             # the reseeds read nearest as a full step leaves it
             for b in range(n_blocks):
-                full_block(b, cc)
+                full_block(b)
         previous[:] = centroids
         for k, col in enumerate(xt):
             sums = np.bincount(assign, weights=col, minlength=m)
             centroids[filled, k] = sums[filled] / counts[filled]
         for j in np.flatnonzero(~filled):
             far = int(np.argmax(nearest))
-            centroids[j] = x[far]
+            centroids[j] = xt[:, far]
             nearest[far] = 0.0
         full = not filled.all()  # a reseed zeroed an entry of nearest
     return centroids
@@ -429,6 +437,8 @@ def _train(data: Dataset, cfg: TrainConfig, model: str):
             else:
                 trace.failed_batches += 1
             step += 1
+            # the next step's peak holds neither this step's report nor its gradients
+            report = grads = None
         trace.epoch_objectives.append(
             float(np.mean(batch_values)) if batch_values else math.nan)
         trace.epoch_seconds.append(time.perf_counter() - t0)

@@ -134,6 +134,31 @@ def test_scaled_distance_keeps_a_far_row_whose_distances_fit():
     assert np.isfinite(got).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d", [1, 2, 26])
+def test_scaled_distance_matches_the_difference_form_in_long_double(d, dtype):
+    # the referee is ||(x - z) / ell||^2 summed in np.longdouble from the same
+    # inputs. The augmented product rounds each of its d + 2 terms' partial
+    # sums, on top of the squared norms' d and the divisions by ell, so a
+    # squared distance is held to 2 (d + 2) eps (|x/ell| + |z/ell|)^2, about
+    # twice that sum of bounds; coincident pairs (r = 0) then to its root
+    rng = np.random.default_rng(d)
+    x = (3.0 * rng.standard_normal((60, d))).astype(dtype)
+    z = (3.0 * rng.standard_normal((20, d))).astype(dtype)
+    x[::7] = z[: len(x[::7])]
+    ell = rng.uniform(0.5, 2.0, d).astype(dtype)
+    got = scaled_distance(x, z, ell).astype(np.longdouble)
+    xs = x.astype(np.longdouble) / ell.astype(np.longdouble)
+    zs = z.astype(np.longdouble) / ell.astype(np.longdouble)
+    want = np.sum((xs[:, None, :] - zs[None, :, :]) ** 2, axis=2)
+    norms = np.sqrt(np.sum(xs * xs, axis=1))[:, None] + np.sqrt(np.sum(zs * zs, axis=1))
+    tol = 2 * (d + 2) * np.finfo(dtype).eps * norms**2
+    assert np.all(np.abs(got**2 - want) <= tol)
+    coincident = want == 0
+    assert coincident.sum() == len(x[::7])
+    assert np.all(got[coincident] <= np.sqrt(tol[coincident]))
+
+
 def test_grads_zero_upstream():
     rng = np.random.default_rng(2)
     x, z = rng.standard_normal((5, 4)), rng.standard_normal((6, 4))
@@ -222,18 +247,19 @@ def test_upstream_shape_checked():
 # ------------------------------------------------------------ reference forms
 # The kernels build each (n, m) array once and update it in place. These are
 # the out-of-place formulas with the same operation order, so the kernels must
-# match them bit for bit and leave every input as it was.
+# match them bit for bit and leave every input as it was. (At the d = 3 of
+# reference_case, np.sum adds a row's squares in sequence, as
+# kernel.augmented does.)
 
 
 def reference_scaled_distance(x, z, lengthscales):
     ell = np.asarray(lengthscales, dtype=x.dtype)
     xs = x / ell
     zs = z / ell
-    sq = (
-        np.sum(xs * xs, axis=1)[:, None]
-        + np.sum(zs * zs, axis=1)[None, :]
-        - 2.0 * (xs @ zs.T)
-    )
+    ones = np.ones(len(x) + len(z), dtype=x.dtype)
+    xa = np.column_stack([xs, np.sum(xs * xs, axis=1), ones[: len(x)]])
+    za = np.column_stack([-2.0 * zs, ones[len(x):], np.sum(zs * zs, axis=1)])
+    sq = xa @ za.T
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq)
 

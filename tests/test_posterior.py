@@ -674,9 +674,9 @@ def test_solver_study_builds_the_instance_once(monkeypatch):
     calls = []
     forward = softki.interp.softmax_forward
 
-    def counting(x, hp):
+    def counting(x, hp, **buffers):
         calls.append(len(x))
-        return forward(x, hp)
+        return forward(x, hp, **buffers)
 
     monkeypatch.setattr(softki.interp, "softmax_forward", counting)
     results = solver_study(data, hp)

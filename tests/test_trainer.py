@@ -27,7 +27,7 @@ from softki.errors import (DimensionMismatch, InvalidConfig, NonFiniteInput, Non
                            TooFewPoints)
 from softki.posterior import DEFAULT_BLOCK_ROWS, MODELS
 from softki.interp import Hyperparams
-from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, matern32
+from softki.kernel import LENGTHSCALE_MAX, LENGTHSCALE_MIN, augmented, matern32
 from softki.trainer import (
     NOISE_FLOOR,
     PARAMS,
@@ -37,6 +37,7 @@ from softki.trainer import (
     _KMEANS,
     _SHUFFLE,
     _epoch_batches,
+    _kmeans_pp,
     _lloyd,
     chain,
     kmeans,
@@ -200,6 +201,11 @@ def test_kmeans_matches_the_loop_in_row_blocks(n, layout, monkeypatch):
     assert np.array_equal(kmeans(x, 48, seed=4), expected)
 
 
+def lloyd(x, start):
+    """kmeans' Lloyd iterations on x's augmented rows from a copy of start."""
+    return _lloyd(augmented(x, np.ones(x.shape[1]), True), start.copy())
+
+
 def test_kmeans_breaks_a_near_tie_in_the_last_row_like_the_full_product():
     # at m=512 the blocks hold 256 rows, so n = 1025 leaves one row past the
     # fourth block, and the last block is the last 256 rows. That row sits
@@ -211,7 +217,7 @@ def test_kmeans_breaks_a_near_tie_in_the_last_row_like_the_full_product():
     start = x[:512].copy()
     x[-1] = 0.5 * (start[393] + start[416])
     expected, _ = lloyd_loop_reference(x, start)
-    assert np.array_equal(_lloyd(x, np.ascontiguousarray(x.T), start.copy()), expected)
+    assert np.array_equal(lloyd(x, start), expected)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 15])
@@ -248,7 +254,7 @@ def test_kmeans_partial_step_breaks_ties_with_a_moved_centroid_like_argmin(moved
     assert 1 in partial_steps(steps, len(start))
     moved = steps[1]["moved"]
     assert moved[starts.index(5.0)] and not moved[starts.index(0.0)]
-    assert np.array_equal(_lloyd(x, np.ascontiguousarray(x.T), start.copy()), expected)
+    assert np.array_equal(lloyd(x, start), expected)
 
 
 def test_kmeans_reseeds_after_a_partial_step_and_goes_on_in_part():
@@ -260,7 +266,7 @@ def test_kmeans_reseeds_after_a_partial_step_and_goes_on_in_part():
     partial = partial_steps(steps, len(start))
     assert 1 in partial and steps[1]["reseeds"] == 1
     assert max(partial) > 2
-    assert np.array_equal(_lloyd(x, np.ascontiguousarray(x.T), start.copy()), expected)
+    assert np.array_equal(lloyd(x, start), expected)
 
 
 def test_kmeans_partial_steps_evaluate_fewer_distances(monkeypatch):
@@ -293,24 +299,26 @@ def _kmeans_peak(n, m, d=26):
 
 
 def test_kmeans_builds_its_distances_in_one_buffer():
-    # 0.48 n x m float64 arrays measured (a 2048-row block and the n x d
-    # copies); 1.15 with one n x m distance buffer, 3.04 when each iteration
+    # 0.20 n x m float64 arrays measured (a 512-row block and the (n, d + 2)
+    # augmented rows; 0.30 when x^T and 2x were held, 0.48 with 2048-row
+    # blocks); 1.15 with one n x m distance buffer, 3.04 when each iteration
     # built three n x m temporaries
     n, m = 8192, 256
     assert _kmeans_peak(n, m) <= 0.5 * n * m * 8
 
 
 def test_kmeans_peak_grows_no_faster_than_its_distance_buffer():
-    # less the per-row working set, x^T and 2x (26 values per row each) and
-    # five more 8-byte values per row (|x|^2, nearest distances, two
-    # assignments, 4.85 measured in all), the peak is the block x m distance
-    # buffer for any n; at m=512 a block holds 256 rows, so DEFAULT_BLOCK_ROWS
-    # rows are four blocks
+    # less the per-row working set, the augmented rows [x, |x|^2, 1] (26 + 2
+    # values per row) and about four more 8-byte values per row (the
+    # seeding's distances and its two scratch rows, then Lloyd's nearest
+    # distances and two assignments; 31.9 measured in all, 57.0 when x^T and
+    # 2x were held), the peak is the block x m distance buffer for any n; at
+    # m=512 a block holds 256 rows, so DEFAULT_BLOCK_ROWS rows are four blocks
     m = 512
     assert softki.trainer._KMEANS_BLOCK_VALUES // m == DEFAULT_BLOCK_ROWS // 4
 
     def peak_less_rows(n):
-        return _kmeans_peak(n, m) - (2 * 26 + 5) * n * 8
+        return _kmeans_peak(n, m) - (26 + 2 + 4) * n * 8
 
     small = peak_less_rows(DEFAULT_BLOCK_ROWS)
     large = peak_less_rows(8 * DEFAULT_BLOCK_ROWS)
@@ -342,6 +350,39 @@ def test_kmeans_rejects_distances_that_overflow():
     x[5, 1] = 1e200
     with np.errstate(over="ignore"), pytest.raises(NonFiniteResult, match="overflow"):
         kmeans(x, 4)
+
+
+def repeated_rows(k, d, seed, offset, spread):
+    """k distinct rows offset + spread N(0, 1), each three times, shuffled."""
+    rng = np.random.default_rng(seed)
+    rows = offset + spread * rng.standard_normal((k, d))
+    return rows, rng.permutation(np.repeat(rows, 3, axis=0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("d", [2, 26])
+def test_kmeans_on_repeated_rows_returns_each_row_once(d, seed):
+    # k distinct rows three times each, for m = k centroids: the centroids
+    # are the k rows, each to the rounding of its three copies' mean
+    rows, x = repeated_rows(40, d, seed, 0.0, 3.0)
+    centers = kmeans(x, 40, seed=seed)
+    assert len(np.unique(centers, axis=0)) == 40
+    assert np.allclose(np.sort(centers, axis=0), np.sort(rows, axis=0), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("d", [2, 26])
+def test_kmeans_seeding_never_draws_a_repeated_row(d, seed):
+    # far from the origin the augmented product's rounding, about
+    # (d + 2) eps |x|^2, is as large as the squared distances between the
+    # distinct rows, so it can leave a row equal to a drawn centroid as
+    # likely a draw as they are (9 of these 12 cases drew one when the
+    # product's values were only clamped at 0); the seeding puts such a row
+    # at exactly 0, so it is never drawn again (a repeated point makes K_zz
+    # singular)
+    _, x = repeated_rows(40, d, seed, 1e4, 1e-3)
+    seeds = _kmeans_pp(augmented(x, np.ones(d), True), 40, stream(seed, _KMEANS))
+    assert len(np.unique(seeds, axis=0)) == 40
 
 
 def test_kmeans_deterministic_and_handles_duplicates():
